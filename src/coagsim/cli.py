@@ -12,9 +12,7 @@ key-value config format of the config module:
                       JUnit XML plus JSON summary
 
 Common flags: --config PATH (required), --out DIR (default: the config's
-outputs key), --workers N (accepted for interface stability; every
-reduction is a fixed-order numpy operation, so results are bit-identical
-for any value), --tolerance X (command-specific pass threshold).
+outputs key), --tolerance X (command-specific pass threshold).
 
 Exit codes: 0 success, 1 config error, 2 numerical failure or failed
 check, 3 non-convergence.  All artifacts carry a schema_version field and
@@ -173,7 +171,7 @@ def cmd_stationary(cfg, out_dir, tolerance):
     """Run the stationary search; write profile CSV(s) and a manifest."""
     tol = tolerance if tolerance is not None else cfg.tol
     edges = geometric_grid(*cfg.grid)
-    kwargs = {"tol": tol, "t_max": cfg.t_max, "max_change": cfg.max_change}
+    kwargs = {"tol": tol, "t_max": cfg.t_max, "max_change": cfg.max_change, "cutoff": cfg.cutoff}
     if "stationary.probe_radii" in cfg.raw:
         kwargs["probe_radii"] = list(get_floats(cfg.raw, "stationary.probe_radii"))
     if "stationary.lambdas" in cfg.raw:
@@ -430,7 +428,6 @@ def main(argv=None):
         p = sub.add_parser(name, help=fn.__doc__.splitlines()[0])
         p.add_argument("--config", required=True, metavar="PATH", help="run configuration file")
         p.add_argument("--out", metavar="DIR", help="output directory (default: config outputs key)")
-        p.add_argument("--workers", type=int, metavar="N", help="worker-pool size (results identical for any N)")
         p.add_argument("--tolerance", type=float, metavar="X", help="pass/fail threshold for this command")
     args = parser.parse_args(argv)
     try:

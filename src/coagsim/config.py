@@ -21,7 +21,7 @@ repr.
 Recognized sections (unknown keys in them are rejected, which catches
 typos; whole unknown sections are rejected too):
 
-    params.gamma params.rho params.delta params.r0 params.m
+    params.gamma params.rho params.delta params.r0
     cutoff.lambda cutoff.profile
     kernel.family kernel.gamma kernel.alpha kernel.value
     grid.x_min grid.x_max grid.ratio
@@ -29,7 +29,7 @@ typos; whole unknown sections are rejected too):
     stationary.lambdas stationary.probe_radii
     dual.radius dual.time dual.max_change dual.dump_s
     w.a w.y_min w.y_max w.n w.y_values
-    outputs seed workers
+    outputs seed
 """
 
 import re
@@ -44,7 +44,7 @@ _KEY_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 _KNOWN_KEYS = {
-    "params": {"gamma", "rho", "delta", "r0", "m"},
+    "params": {"gamma", "rho", "delta", "r0"},
     "cutoff": {"lambda", "profile"},
     "kernel": {"family", "gamma", "alpha", "value"},
     "grid": {"x_min", "x_max", "ratio"},
@@ -52,7 +52,7 @@ _KNOWN_KEYS = {
     "stationary": {"lambdas", "probe_radii"},
     "dual": {"radius", "time", "max_change", "dump_s"},
     "w": {"a", "y_min", "y_max", "n", "y_values"},
-    "": {"outputs", "seed", "workers"},
+    "": {"outputs", "seed"},
 }
 
 
@@ -213,7 +213,6 @@ class RunConfig:
     max_change: float
     outputs: str
     seed: int
-    workers: int
     raw: dict
 
 
@@ -234,7 +233,6 @@ def run_config(mapping):
             lam=lam,
             delta=get_float(mapping, "params.delta", 0.2),
             R0=get_float(mapping, "params.r0", 10.0),
-            M=get_float(mapping, "params.m", 100.0),
         )
         cutoff = CutoffParams(lam=lam, profile=get_str(mapping, "cutoff.profile", "cubic"))
     except ValueError as exc:
@@ -283,6 +281,5 @@ def run_config(mapping):
         max_change=max_change,
         outputs=get_str(mapping, "outputs", "out"),
         seed=get_int(mapping, "seed", 0),
-        workers=max(1, get_int(mapping, "workers", 1)),
         raw=dict(mapping),
     )

@@ -18,16 +18,18 @@ sum and the linear interpolation weight of Psi at the jump target are the
 same ratio.  Each backward step uses the frozen-coefficient exponential
 update, a convex combination of old values, so Psi stays in [0, 1]
 exactly.  Partners beyond the stored grid come from the same synthesized
-tail cells the forward loss term uses; their jump targets land above R
-where Psi vanishes, so they act as pure decay.
+tail cells the forward loss term uses (forward._ghost_partners), and the
+static jump kernel is the forward one (forward._ratio_kernel); ghost jump
+targets land above R where Psi vanishes, so they act as pure decay.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import _exp_update
-from .kernel import eval_cutoff, eval_kernel
+from .forward import IntegrationError, _exp_update, _ghost_partners, _partner_ratio, _ratio_kernel
+from .kernel import eval_cutoff
+from .kernel import eval_kernel  # noqa: F401  not called here; bench/trace_run.py wraps dual.eval_kernel
 from .measure import GridMeasure, cumulative_mass
 from .stablecdf import w_table
 
@@ -60,9 +62,6 @@ class DualField:
     params: object
     diagnostics: dict = field(default_factory=dict)
 
-    def at_s(self, j):
-        return self.psi[j]
-
     def eval(self, j, X):
         """Piecewise-linear Psi(X, s_values[j]); zero above R, constant
         below the lowest node."""
@@ -79,14 +78,9 @@ class _DualTables:
         kernel = trajectory.kernel
         edges = trajectory.edges
         lam = cutoff.lam
-        r = edges[1] / edges[0]
         Y = np.sqrt(edges[:-1] * edges[1:])
         # synthesized tail partners, as in the forward loss term
-        n_ghost = int(np.ceil(np.log((2.0 - lam) / lam) / np.log(r))) + 2
-        gedges = edges[-1] * r ** np.arange(n_ghost + 1)
-        Yg = np.sqrt(gedges[:-1] * gedges[1:])
-        one_m_rho = 1.0 - p.rho
-        gpow = np.diff(gedges**one_m_rho) / one_m_rho
+        _, Yg, gpow = _ghost_partners(edges, p.rho, lam)
         Yall = np.concatenate([Y, Yg])
         scale = np.exp(-p.beta * t)
         Zall = Yall * scale
@@ -95,24 +89,16 @@ class _DualTables:
         below = Zall[:n_grid] < R * (1.0 - 1e-12)
         self.nodes = np.concatenate([Zall[:n_grid][below], [R]])
         # partner columns beyond the ratio support of any node are dead
-        keep = Zall <= R * (2.0 - lam) / lam * 1.01
+        keep = Zall <= R * _partner_ratio(lam) * 1.01
         self.k_idx = np.nonzero(keep)[0]
         self.Zk = Zall[keep]
         self.Yk = Yall[keep]
-        self.n_grid = n_grid
         self.gpow = gpow
         self.trivial = kernel.family == "zero"
         if self.trivial:
             self.Kd = np.zeros((self.nodes.size, self.Zk.size))
         else:
-            Xi = self.nodes[:, None]
-            Zk = self.Zk[None, :]
-            tot = Xi + Zk
-            self.Kd = (
-                eval_kernel(kernel, Xi, Zk)
-                * eval_cutoff(cutoff, Xi / (lam * tot))
-                * eval_cutoff(cutoff, Zk / (lam * tot))
-            )
+            self.Kd = _ratio_kernel(kernel, cutoff, self.nodes[:, None], self.Zk[None, :])
         self.P = self.nodes[:, None] + self.Zk[None, :]
         self.params = p
         self.cutoff = cutoff
@@ -179,10 +165,13 @@ def solve_dual(trajectory, R, t, max_change=0.02):
             dtau = min(dtau, t - tau)
             for _ in range(60):
                 trial = _exp_update(psi, D, G, dtau)
-                if float(np.max(np.abs(trial - psi))) <= max_change:
+                change = float(np.max(np.abs(trial - psi)))
+                if change <= max_change:
                     break
                 dtau *= 0.5
                 n_retries += 1
+            else:
+                raise IntegrationError(f"dual step size collapsed at tau={tau:.6g} (change={change:.3g})")
             psi = trial
             tau += dtau
             taus.append(tau)

@@ -26,6 +26,11 @@ top (up to the cutoff's partner-ratio bound) are synthesized from the
 analytic tail amplitude as loss-only ghost cells, and their pair gain also
 goes to the overflow ledger.
 
+The pair operator is built once here: _ghost_partners synthesizes the tail
+partners and _ratio_kernel the static part of the regularized kernel, which
+the dual tables and the flux residual share; _Engine.pair_weights gives the
+loss rates and pair weights to rates and rearrangement_residual.
+
 Long runs restart the rescaled frame periodically: after a frame of duration
 T the variables are mapped back to physical scale (an exact index shift when
 beta T is an integer number of cells, a two-cell power-law split otherwise),
@@ -124,6 +129,33 @@ class SimulationResult:
     cutoff: object
 
 
+def _partner_ratio(lam):
+    """Largest partner ratio Z/Y on the support of the ratio cutoffs."""
+    return (2.0 - lam) / lam
+
+
+def _ghost_partners(edges, rho, lam):
+    """Loss-only tail cells continuing the grid out to the partner-ratio
+    bound of its top cell: (edges, representatives, mass per unit tail
+    amplitude)."""
+    r = edges[1] / edges[0]
+    n_ghost = int(np.ceil(np.log(_partner_ratio(lam)) / np.log(r))) + 2
+    gedges = edges[-1] * r ** np.arange(n_ghost + 1)
+    one_m_rho = 1.0 - rho
+    return gedges, np.sqrt(gedges[:-1] * gedges[1:]), np.diff(gedges**one_m_rho) / one_m_rho
+
+
+def _ratio_kernel(kernel, cutoff, Y, Z):
+    """K(Y, Z) zeta(Y / (lam (Y+Z))) zeta(Z / (lam (Y+Z))), static under rescaling."""
+    lam = cutoff.lam
+    tot = Y + Z
+    return (
+        eval_kernel(kernel, Y, Z)
+        * eval_cutoff(cutoff, Y / (lam * tot))
+        * eval_cutoff(cutoff, Z / (lam * tot))
+    )
+
+
 class _Engine:
     """Static pair tables for one grid/kernel/cutoff combination."""
 
@@ -134,27 +166,12 @@ class _Engine:
         self.cutoff = cutoff
         self.N = edges.size - 1
         self.Y = np.sqrt(edges[:-1] * edges[1:])
-        r = edges[1] / edges[0]
-        lam = cutoff.lam
-        # loss-only ghost partners out to the partner-ratio support bound
-        n_ghost = int(np.ceil(np.log((2.0 - lam) / lam) / np.log(r))) + 2
-        gedges = edges[-1] * r ** np.arange(n_ghost + 1)
-        self.Yg = np.sqrt(gedges[:-1] * gedges[1:])
+        _, self.Yg, self.ghost_pow = _ghost_partners(edges, params.rho, cutoff.lam)
         self.Yall = np.concatenate([self.Y, self.Yg])
-        one_m_rho = 1.0 - params.rho
-        # ghost cell mass per unit tail amplitude
-        self.ghost_pow = np.diff(gedges**one_m_rho) / one_m_rho
         self.trivial = kernel.family == "zero"
         if self.trivial:
             return
-        Ym = self.Y[:, None]
-        Zm = self.Yall[None, :]
-        tot = Ym + Zm
-        self.B = (
-            eval_kernel(kernel, Ym, Zm)
-            * eval_cutoff(cutoff, Ym / (lam * tot))
-            * eval_cutoff(cutoff, Zm / (lam * tot))
-        )
+        self.B = _ratio_kernel(kernel, cutoff, self.Y[:, None], self.Yall[None, :])
         # deposit brackets: P between representatives Y[k] <= P < Y[k+1]
         P = (self.Y[:, None] + self.Y[None, :]).ravel()
         k = np.searchsorted(self.Y, P, side="right") - 1
@@ -172,6 +189,23 @@ class _Engine:
         lam_eff = self.cutoff.lam * np.exp(self.params.beta * s)
         return eval_cutoff(self.cutoff, self.Yall / lam_eff)
 
+    def pair_weights(self, masses, amp, s):
+        """(Lk, W, Wg) at time s: per-unit-mass kernel loss rates and the
+        ordered pair weights with real partners and with ghost partners."""
+        N = self.N
+        p = self.params
+        u = self.cutoff_vector(s)
+        m_all = np.concatenate([masses, amp * self.ghost_pow])
+        v = u * m_all / self.Yall
+        esc = np.exp(-p.gamma * p.beta * s)
+        Lk = esc * u[:N] * (self.B @ v)
+        a_vec = esc * u[:N] * masses
+        # Wg before W: this allocation order lets the heap be reused across
+        # calls instead of being trimmed and page-faulted back each time
+        Wg = a_vec[:, None] * (self.B[:, N:] * v[None, N:])
+        W = a_vec[:, None] * (self.B[:, :N] * v[None, :N])
+        return Lk, W, Wg
+
     def rates(self, masses, amp, s):
         """Frozen-coefficient rates at time s.
 
@@ -185,15 +219,8 @@ class _Engine:
         if self.trivial:
             A = np.full(N, -p.beta * p.rho)
             return A, np.zeros(N), 0.0, 0.0, 0.0
-        u = self.cutoff_vector(s)
-        m_all = np.concatenate([masses, amp * self.ghost_pow])
-        v = u * m_all / self.Yall
-        esc = np.exp(-p.gamma * p.beta * s)
-        Lk = esc * u[:N] * (self.B @ v)
+        Lk, W, Wg = self.pair_weights(masses, amp, s)
         A = Lk - p.beta * p.rho
-        # ordered pair deposit weights, real partners
-        a_vec = esc * u[:N] * masses
-        W = a_vec[:, None] * (self.B[:, :N] * v[None, :N])
         w = W.ravel()
         live = ~self.sink
         Q = np.bincount(self.lo[live], w[live] * self.f[live], minlength=N) + np.bincount(
@@ -202,7 +229,6 @@ class _Engine:
         sink_rate = float(np.sum(w[self.sink]))
         sink_moment = float(np.sum(w[self.sink] * self.P[self.sink]))
         # ghost partners: every deposit lands beyond the grid
-        Wg = a_vec[:, None] * (self.B[:, N:] * v[None, N:])
         g_rate = float(np.sum(Wg))
         g_moment = float(np.sum(Wg * (self.Y[:, None] + self.Yg[None, :])))
         loss_total = float(np.sum(Lk * masses))
@@ -321,22 +347,18 @@ def loss_rate(state, X):
         raise ValueError("X must be > 0")
     p = state.params
     m = state.measure
+    cutoff = state.cutoff
     if state.kernel.family == "zero":
         return -p.beta * p.rho
-    eng = _Engine(m.edges, p, state.kernel, state.cutoff)
-    u = eng.cutoff_vector(state.t)
-    lam = state.cutoff.lam
-    lam_eff = lam * np.exp(p.beta * state.t)
-    m_all = np.concatenate([m.cell_mass, m.tail_amplitude * eng.ghost_pow])
-    tot = X + eng.Yall
-    row = (
-        eval_kernel(state.kernel, X, eng.Yall)
-        * eval_cutoff(state.cutoff, X / (lam * tot))
-        * eval_cutoff(state.cutoff, eng.Yall / (lam * tot))
-    )
+    _, Yg, gpow = _ghost_partners(m.edges, p.rho, cutoff.lam)
+    Yall = np.concatenate([m.reps, Yg])
+    lam_eff = cutoff.lam * np.exp(p.beta * state.t)
+    u = eval_cutoff(cutoff, Yall / lam_eff)
+    m_all = np.concatenate([m.cell_mass, m.tail_amplitude * gpow])
+    row = _ratio_kernel(state.kernel, cutoff, X, Yall)
     esc = np.exp(-p.gamma * p.beta * state.t)
-    ux = eval_cutoff(state.cutoff, X / lam_eff)
-    val = esc * ux * float(np.sum(row * u * m_all / eng.Yall))
+    ux = eval_cutoff(cutoff, X / lam_eff)
+    val = esc * ux * float(np.sum(row * u * m_all / Yall))
     return val - p.beta * p.rho
 
 
@@ -574,17 +596,9 @@ def rearrangement_residual(state, psi):
         return 0.0, 0.0
     N = eng.N
     masses = m.cell_mass
-    amp = m.tail_amplitude
-    s = state.t
-    u = eng.cutoff_vector(s)
-    m_all = np.concatenate([masses, amp * eng.ghost_pow])
-    v = u * m_all / eng.Yall
-    esc = np.exp(-p.gamma * p.beta * s)
-    Lk = esc * u[:N] * (eng.B @ v)
+    Lk, W, Wg = eng.pair_weights(masses, m.tail_amplitude, state.t)
     psi_rep = np.asarray(psi(eng.Y), dtype=float)
     loss_w = float(np.sum(psi_rep * Lk * masses))
-    a_vec = esc * u[:N] * masses
-    W = a_vec[:, None] * (eng.B[:, :N] * v[None, :N])
     w = W.ravel()
     live = ~eng.sink
     dep_in = float(
@@ -592,7 +606,6 @@ def rearrangement_residual(state, psi):
     )
     psi_P = np.asarray(psi(eng.P), dtype=float)
     flux = float(np.sum(w[eng.sink] * psi_P[eng.sink]))
-    Wg = a_vec[:, None] * (eng.B[:, N:] * v[None, N:])
     Pg = eng.Y[:, None] + eng.Yg[None, :]
     psi_Pg = np.asarray(psi(Pg), dtype=float)
     flux += float(np.sum(Wg * psi_Pg))

@@ -12,7 +12,6 @@ weighted sup distance between two distributions, and upper/lower envelope
 checks against F(R) = R^(1-rho) and R^(1-rho) (1 - (R0/R)^delta)_+.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +35,6 @@ class Params:
         Lower-envelope correction exponent, in (0, rho - gamma).
     R0 : float
         Lower-envelope onset scale, > 0.
-    M : float
-        Comparison constant used in barrier arguments, > 0.
     """
 
     gamma: float
@@ -45,7 +42,6 @@ class Params:
     lam: float = 1e-3
     delta: float = 0.2
     R0: float = 10.0
-    M: float = 100.0
 
     def __post_init__(self):
         if not (0.0 <= self.gamma < 1.0):
@@ -58,8 +54,6 @@ class Params:
             raise ValueError(f"delta must lie in (0, rho - gamma), got {self.delta}")
         if not self.R0 > 0.0:
             raise ValueError(f"R0 must be > 0, got {self.R0}")
-        if not self.M > 0.0:
-            raise ValueError(f"M must be > 0, got {self.M}")
 
     @property
     def a(self):
@@ -425,10 +419,3 @@ def from_csv(path_or_file):
         tail_amplitude=float(meta["tail_amplitude"]),
         tail_exponent=float(meta["tail_exponent"]),
     )
-
-
-def to_csv_string(m):
-    """CSV serialization as a string (convenience for manifests/tests)."""
-    buf = io.StringIO()
-    to_csv(m, buf)
-    return buf.getvalue()

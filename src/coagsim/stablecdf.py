@@ -328,7 +328,6 @@ class WTable:
 
     def __call__(self, Y):
         Y = np.asarray(Y, dtype=float)
-        out = np.zeros(Y.shape if Y.ndim else ())
         a = self.profile.a
         flat = np.atleast_1d(Y)
         res = np.zeros(flat.shape)

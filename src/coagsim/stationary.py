@@ -31,8 +31,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .forward import simulate
-from .kernel import CutoffParams, eval_cutoff, eval_kernel
+from .forward import _ghost_partners, simulate
+from .kernel import CutoffParams, eval_regularized
+from .kernel import eval_cutoff, eval_kernel  # noqa: F401  not called here; bench/trace_run.py wraps both
 from .measure import (
     GridMeasure,
     cumulative_mass,
@@ -149,16 +150,11 @@ def _make_inner(profile, kernel, cutoff):
             )
 
         return inner
-    r = profile.edges[1] / profile.edges[0]
-    lam = cutoff.lam
-    n_ghost = int(np.ceil(np.log((2.0 - lam) / lam) / np.log(r))) + 2
-    gedges = profile.edges[-1] * r ** np.arange(n_ghost + 1)
+    gedges, _, gpow = _ghost_partners(profile.edges, profile.tail_exponent, cutoff.lam)
     qpow = 1.0 - profile.tail_exponent
     edges = np.concatenate([profile.edges, gedges[1:]])
     reps = np.sqrt(edges[:-1] * edges[1:])
-    base = np.concatenate(
-        [profile.cell_mass, profile.tail_amplitude * np.diff(gedges**qpow) / qpow]
-    )
+    base = np.concatenate([profile.cell_mass, profile.tail_amplitude * gpow])
     epow = edges**qpow
 
     def inner(y, u):
@@ -166,14 +162,7 @@ def _make_inner(profile, kernel, cutoff):
         cut_at = np.maximum(u, edges[:-1]) ** qpow
         frac = np.clip((epow[1:] - cut_at) / (epow[1:] - epow[:-1]), 0.0, 1.0)
         mb = base * frac
-        tot = y + reps
-        k = (
-            eval_kernel(kernel, y, reps)
-            * eval_cutoff(cutoff, y / lam)
-            * eval_cutoff(cutoff, reps / lam)
-            * eval_cutoff(cutoff, y / (lam * tot))
-            * eval_cutoff(cutoff, reps / (lam * tot))
-        )
+        k = eval_regularized(kernel, cutoff, y, reps)
         return float(np.sum(k / reps * mb))
 
     return inner
@@ -263,6 +252,7 @@ def find_stationary(
     probe_radii=None,
     fit_window=(1e2, 1e4),
     envelope_slack=1e-2,
+    cutoff=None,
 ):
     """Evolve until Cauchy in X_rho; report the profile and diagnostics.
 
@@ -270,12 +260,16 @@ def find_stationary(
     stationarity is declared when the X_rho distance per unit time
     between consecutive chunk ends drops below tol.  Hitting t_max first
     yields converged=False with the full history, never an exception.
+    cutoff defaults to the cubic profile at params.lam; a given cutoff
+    must have lam == params.lam.
 
     Returns
     -------
     StationaryResult
     """
-    cutoff = CutoffParams(lam=params.lam)
+    cutoff = cutoff if cutoff is not None else CutoffParams(lam=params.lam)
+    if cutoff.lam != params.lam:
+        raise ValueError(f"cutoff.lam = {cutoff.lam} must equal params.lam = {params.lam}")
     h = h0 if h0 is not None else power_law_init(params, edges)
     history = []
     origin = 0.0
@@ -323,20 +317,22 @@ class ContinuationReport:
     distances: list
 
 
-def lambda_continuation(params, kernel, lambdas, edges=None, **kwargs):
+def lambda_continuation(params, kernel, lambdas, edges=None, cutoff=None, **kwargs):
     """Run find_stationary for each cutoff scale; report X_rho gaps.
 
-    Distances between consecutive profiles are reported, never asserted;
-    a decreasing sequence is evidence of a weak limit as the cutoff is
-    removed.
+    Each run replaces lam in both params and cutoff (default: the cubic
+    profile).  Distances between consecutive profiles are reported, never
+    asserted; a decreasing sequence is evidence of a weak limit as the
+    cutoff is removed.
 
     Returns
     -------
     ContinuationReport
     """
+    cutoff = cutoff if cutoff is not None else CutoffParams(lam=params.lam)
     results = [
-        find_stationary(replace(params, lam=float(lv)), kernel, edges=edges, **kwargs)
-        for lv in lambdas
+        find_stationary(replace(params, lam=lv), kernel, edges=edges, cutoff=replace(cutoff, lam=lv), **kwargs)
+        for lv in map(float, lambdas)
     ]
     distances = [
         xrho_dist(a.profile, b.profile, params)

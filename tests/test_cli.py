@@ -1,6 +1,7 @@
 """Config dialect parsing/round-trip and the command-line interface."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from coagsim.config import (
     parse_config,
     run_config,
 )
+from coagsim.forward import simulate
+from coagsim.kernel import CutoffParams
 from coagsim.measure import cumulative_mass, from_csv, geometric_grid, power_law_init
 from coagsim.stablecdf import StableProfile, w_eval
 
@@ -119,7 +122,7 @@ class TestRunConfig:
         assert cfg.kernel.family == "constant"
         assert cfg.grid == (1e-3, 1e4, 2.0 ** (1.0 / 16.0))
         assert cfg.tol == 1e-4 and cfg.t_max == 40.0
-        assert cfg.outputs == "out" and cfg.seed == 7 and cfg.workers == 1
+        assert cfg.outputs == "out" and cfg.seed == 7
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="params.rho"):
@@ -261,6 +264,24 @@ class TestStationaryCommand:
         assert len(manifest["xrho_distances"]) == 1
         assert (out / "profile_0001.csv").exists()
 
+    @pytest.mark.parametrize("extra", ["", "stationary.lambdas = 5e-2, 1e-2\n"])
+    def test_cutoff_profile_reaches_the_search(self, tmp_path, extra):
+        # with t_max = chunk each search is a single simulate call, which
+        # must run with the configured (quintic) cutoff profile
+        text = BASE + "cutoff.profile = quintic\nrun.tol = 1e-12\nrun.t_max = 0.5\n" + extra
+        code, out = run_cli(tmp_path, text, "stationary")
+        assert code == 3
+        cfg = run_config(parse_config(text))
+        h0 = power_law_init(cfg.params, geometric_grid(*cfg.grid))
+        entries = json.loads((out / "stationary.json").read_text())["results"]
+        for entry in entries:
+            got = from_csv(out / entry["profile_file"]).cell_mass
+            lam = entry["lambda"]
+            params = replace(cfg.params, lam=lam)
+            for profile in ("quintic", "cubic"):
+                direct = simulate(h0, params, cfg.kernel, CutoffParams(lam=lam, profile=profile), 0.5)
+                assert np.array_equal(got, direct.final.cell_mass) == (profile == "quintic")
+
 
 class TestDualCheckCommand:
     def test_zero_kernel_exact(self, tmp_path):
@@ -351,7 +372,7 @@ class TestDeterminism:
         for tag in ("a", "b"):
             cfg = write_cfg(tmp_path, text, name=f"{tag}.cfg")
             out = tmp_path / tag
-            assert main(["stationary", "--config", cfg, "--out", str(out), "--workers", "1" if tag == "a" else "4"]) in (0, 3)
+            assert main(["stationary", "--config", cfg, "--out", str(out)]) in (0, 3)
             outs.append(out)
         names = sorted(p.name for p in outs[0].iterdir())
         assert names == sorted(p.name for p in outs[1].iterdir())

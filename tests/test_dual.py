@@ -1,5 +1,7 @@
 """Backward dual field: adjoint pairing, barrier bound, far-jump constant."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from coagsim.dual import (
     solve_dual,
     subsolution_bound,
 )
-from coagsim.forward import rescaled_trajectory
+from coagsim.forward import IntegrationError, rescaled_trajectory
 from coagsim.kernel import CutoffParams, constant_kernel, zero_kernel
 from coagsim.measure import (
     GridMeasure,
@@ -88,6 +90,15 @@ class TestSolveDual:
             solve_dual(traj_const, -1.0, T_FINAL)
         with pytest.raises(ValueError):
             solve_dual(traj_const, 10.0, T_FINAL + 1.0)
+
+    def test_step_collapse_raises(self, traj_const):
+        # a non-finite rate meets no step cap, however small the step:
+        # the solver must fail loudly rather than accept the step
+        masses = traj_const.masses.copy()
+        masses[1, 100] = np.nan
+        broken = replace(traj_const, masses=masses)
+        with pytest.raises(IntegrationError, match="step size collapsed"):
+            solve_dual(broken, 10.0, T_FINAL, max_change=0.005)
 
 
 class TestAdjointConsistency:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from coagsim.forward import (
     EvolutionState,
     GronwallReport,
+    _Engine,
     _exp_update,
     _map_back,
     evolve,
@@ -125,6 +126,26 @@ class TestLossRate:
             frac = np.diff(sub**0.5) / (er**0.5 - el**0.5)
             total += np.sum(eval_regularized(ker, cut, X, zc) / zc * frac) * mass[k]
         assert got == pytest.approx(total, rel=1e-2)
+
+    @pytest.mark.parametrize(
+        "kernel, params",
+        [
+            (constant_kernel(1.0), Params(gamma=0.0, rho=0.5, lam=1e-2)),
+            (product_kernel(0.5), Params(gamma=0.5, rho=0.75, lam=1e-2)),
+        ],
+    )
+    def test_matches_engine_rates_at_representatives(self, kernel, params):
+        # loss_rate evaluates one row of the pair operator that the engine
+        # tabulates; t > 0 moves the small-size cutoff front into the grid
+        cut = CutoffParams(lam=params.lam)
+        m = power_law_init(params, geometric_grid(1e-3, 1e4, ratio=RATIO))
+        t = 0.3
+        st_ = EvolutionState(m, t, params, kernel, cut)
+        A = _Engine(m.edges, params, kernel, cut).rates(m.cell_mass, m.tail_amplitude, t)[0]
+        drift = params.beta * params.rho
+        got = np.array([loss_rate(st_, Y) for Y in m.reps]) + drift
+        assert np.count_nonzero(A + drift) > 0.5 * m.n_cells
+        np.testing.assert_allclose(got, A + drift, rtol=1e-12, atol=0.0)
 
     def test_rejects_bad_probe(self):
         m = atom_measure(geometric_grid(1.0, 4.0, ratio=RATIO), {0: 1.0})

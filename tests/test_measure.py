@@ -60,7 +60,7 @@ class TestConstruction:
     )
     def test_invalid_params(self, kwargs):
         with pytest.raises(ValueError):
-            Params(**{"lam": 1e-3, "delta": 0.2, "R0": 10.0, "M": 100.0, **kwargs})
+            Params(**{"lam": 1e-3, "delta": 0.2, "R0": 10.0, **kwargs})
 
     def test_derived_exponents(self):
         p = Params(gamma=0.5, rho=0.75)

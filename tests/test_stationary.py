@@ -206,6 +206,10 @@ class TestFindStationary:
         for R in (10.0, 100.0, 1000.0):
             assert abs(res.residual_decay0[R]) <= 1e-2
 
+    def test_cutoff_lam_must_match_params(self):
+        with pytest.raises(ValueError, match="params.lam"):
+            find_stationary(PARAMS, zero_kernel(), cutoff=CutoffParams(lam=1e-2))
+
 
 class TestLambdaContinuation:
     def test_distances_decrease_with_cutoff(self):
