@@ -1,5 +1,7 @@
 """Forward evolution: loss/gain quadrature, mild stepping, frame restarts."""
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from coagsim.kernel import (
     eval_kernel,
     eval_regularized,
     product_kernel,
+    sum_kernel,
     zero_kernel,
 )
 from coagsim.measure import (
@@ -244,6 +247,102 @@ class TestRearrangement:
     def test_zero_kernel(self):
         res, flux = rearrangement_residual(state_of(self.m, zero_kernel()), lambda x: x)
         assert res == 0.0 and flux == 0.0
+
+
+def oracle_rates(m, params, kernel, cutoff, s):
+    """Brute-force rates over ordered pairs, from the forward module's model.
+
+    Returns (Lk, Q, sink_rate, sink_moment, ghost_rate, ghost_moment): the
+    kernel loss rate per unit mass, the in-grid deposits, and the overflow
+    ledgers of in-grid pairs summing past the top representative and of
+    pairs with a tail (ghost) partner.
+    """
+    Y = m.reps
+    N = Y.size
+    lam = cutoff.lam
+    r = m.edges[1] / m.edges[0]
+    # tail cells continue the grid until every partner is past the ratio bound
+    gedges = [m.edges[-1]]
+    while gedges[-1] <= Y[-1] * (2.0 - lam) / lam * r:
+        gedges.append(gedges[-1] * r)
+    gedges = np.array(gedges)
+    one_m_rho = 1.0 - params.rho
+    Yp = np.concatenate([Y, np.sqrt(gedges[:-1] * gedges[1:])])
+    mp = np.concatenate([m.cell_mass, m.tail_amplitude * np.diff(gedges**one_m_rho) / one_m_rho])
+    lam_eff = lam * np.exp(params.beta * s)
+    esc = np.exp(-params.gamma * params.beta * s)
+    Lk = np.zeros(N)
+    Q = np.zeros(N)
+    sink = sink_mom = ghost = ghost_mom = 0.0
+    Yl = list(Y)
+    for i in range(N):
+        tot = Y[i] + Yp
+        K = (
+            esc
+            * eval_kernel(kernel, Y[i], Yp)
+            * eval_cutoff(cutoff, Y[i] / lam_eff)
+            * eval_cutoff(cutoff, Yp / lam_eff)
+            * eval_cutoff(cutoff, Y[i] / (lam * tot))
+            * eval_cutoff(cutoff, Yp / (lam * tot))
+        )
+        for j in range(Yp.size):
+            rate = K[j] * mp[j] / Yp[j]
+            Lk[i] += rate
+            w = rate * m.cell_mass[i]
+            P = Y[i] + Yp[j]
+            if j >= N:
+                ghost += w
+                ghost_mom += w * P
+                continue
+            lo = bisect.bisect_right(Yl, P) - 1
+            if lo >= N - 1:
+                sink += w
+                sink_mom += w * P
+                continue
+            f = (Y[lo + 1] - P) / (Y[lo + 1] - Y[lo])
+            Q[lo] += w * f
+            Q[lo + 1] += w * (1.0 - f)
+    return Lk, Q, sink, sink_mom, ghost, ghost_mom
+
+
+class TestEngineOracle:
+    """_Engine.rates against the ordered-pair double loop."""
+
+    @pytest.mark.parametrize(
+        "kernel, params",
+        [
+            (constant_kernel(1.3), Params(gamma=0.0, rho=0.5)),
+            (product_kernel(0.5), Params(gamma=0.5, rho=0.75)),
+            (sum_kernel(0.2, 0.5), Params(gamma=0.5, rho=0.75)),
+        ],
+        ids=["constant", "product", "sum"],
+    )
+    @pytest.mark.parametrize("lam", [1e-3, 0.1, 0.3])
+    @pytest.mark.parametrize("s", [0.0, 0.7])
+    @pytest.mark.parametrize(
+        "x_min, x_max, ratio",
+        # 70 and 159 cells: at lambda = 1e-3 both grids are narrower than
+        # the pair band (91 and 355 diagonals), at 0.1 and 0.3 wider
+        [(1e-4, 20.0, 2.0 ** 0.25), (1e-2, 10.0, RATIO)],
+        ids=["coarse", "fine"],
+    )
+    def test_matches_double_loop(self, kernel, params, lam, s, x_min, x_max, ratio):
+        edges = geometric_grid(x_min, x_max, ratio=ratio)
+        rng = np.random.default_rng(17)
+        m = GridMeasure(edges, rng.uniform(0.1, 1.0, edges.size - 1), 0.4, params.rho)
+        cut = CutoffParams(lam=lam)
+        A, Q, over, over_mom, resid = _Engine(edges, params, kernel, cut).rates(
+            m.cell_mass, m.tail_amplitude, s
+        )
+        Lk, Qo, sink, sink_mom, ghost, ghost_mom = oracle_rates(m, params, kernel, cut, s)
+        drift = params.beta * params.rho
+        assert sink > 0.0 and ghost > 0.0  # the top cells feed both ledgers
+        # A carries -beta rho, so adding it back costs a rounding of drift
+        np.testing.assert_allclose(A + drift, Lk, rtol=1e-13, atol=4e-16 * drift)
+        np.testing.assert_allclose(Q, Qo, rtol=1e-13, atol=0.0)
+        assert over == pytest.approx(sink + ghost, rel=1e-13)
+        assert over_mom == pytest.approx(sink_mom + ghost_mom, rel=1e-13)
+        assert resid <= 1e-12
 
 
 class TestExpUpdate:
