@@ -18,7 +18,7 @@ sum and the linear interpolation weight of Psi at the jump target are the
 same ratio.  Each backward step uses the frozen-coefficient exponential
 update, a convex combination of old values, so Psi stays in [0, 1]
 exactly.  Partners beyond the stored grid come from the same synthesized
-tail cells the forward loss term uses (forward._ghost_partners), and the
+tail cells the forward loss term uses (forward._partners), and the
 static jump kernel is the forward one (forward._ratio_kernel); ghost jump
 targets land above R where Psi vanishes, so they act as pure decay.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import IntegrationError, _exp_update, _ghost_partners, _partner_ratio, _ratio_kernel
+from .forward import IntegrationError, _exp_update, _partner_ratio, _partners, _ratio_kernel
 from .kernel import eval_cutoff
 from .kernel import eval_kernel  # noqa: F401  not called here; bench/trace_run.py wraps dual.eval_kernel
 from .measure import GridMeasure, cumulative_mass
@@ -78,14 +78,12 @@ class _DualTables:
         kernel = trajectory.kernel
         edges = trajectory.edges
         lam = cutoff.lam
-        Y = np.sqrt(edges[:-1] * edges[1:])
-        # synthesized tail partners, as in the forward loss term
-        _, Yg, gpow = _ghost_partners(edges, p.rho, lam)
-        Yall = np.concatenate([Y, Yg])
+        # grid cells, then the synthesized tail partners of the forward loss term
+        _, Yall, gpow = _partners(edges, p.rho, lam)
         scale = np.exp(-p.beta * t)
         Zall = Yall * scale
         # dual nodes: mapped grid representatives up to R, then R itself
-        n_grid = Y.size
+        n_grid = edges.size - 1
         below = Zall[:n_grid] < R * (1.0 - 1e-12)
         self.nodes = np.concatenate([Zall[:n_grid][below], [R]])
         # partner columns beyond the ratio support of any node are dead

@@ -10,8 +10,9 @@ The rescaled density H(X, t) on a geometric grid evolves by
 
 with b = beta the rescaling rate.  Homogeneity factors the kernel as
 K(Y e^(-s), Z e^(-s)) = e^(-gamma s) K(Y, Z) and the ratio cutoffs are
-scale-invariant, so the pair matrix K(Y_i, Y_j) * zeta_ratio is static; only
-the scalar e^(-gamma s) and the small-size cutoff vector change per step.
+scale-invariant, so the pair weights K(Y_i, Y_j) * zeta_ratio are static;
+only the scalar e^(-gamma s) and the small-size cutoff vector change per
+step.
 
 Each step applies the exact exponential update with frozen coefficients,
 H+ = H e^(-A dt) + Q (1 - e^(-A dt))/A, in predictor-corrector form: the
@@ -26,10 +27,12 @@ top (up to the cutoff's partner-ratio bound) are synthesized from the
 analytic tail amplitude as loss-only ghost cells, and their pair gain also
 goes to the overflow ledger.
 
-The pair operator is built once here: _ghost_partners synthesizes the tail
-partners and _ratio_kernel the static part of the regularized kernel, which
-the dual tables and the flux residual share; _Engine.pair_weights gives the
-loss rates and pair weights to rates and rearrangement_residual.
+The pair operator is built once here: _partners continues the grid with
+the tail cells and _ratio_kernel the static part of the regularized kernel, which
+the dual tables and the flux residual share.  The ratio cutoffs vanish past
+the partner ratio (2-lam)/lam, a fixed number of cells dmax on the geometric
+grid, so _Engine keeps the static weights of each cell's partners within
+dmax cells as a band, and the deposit brackets once per unordered pair.
 
 Long runs restart the rescaled frame periodically: after a frame of duration
 T the variables are mapped back to physical scale (an exact index shift when
@@ -47,6 +50,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernel import eval_cutoff, eval_kernel
 from .measure import GridMeasure
@@ -134,15 +138,16 @@ def _partner_ratio(lam):
     return (2.0 - lam) / lam
 
 
-def _ghost_partners(edges, rho, lam):
-    """Loss-only tail cells continuing the grid out to the partner-ratio
-    bound of its top cell: (edges, representatives, mass per unit tail
-    amplitude)."""
+def _partners(edges, rho, lam):
+    """The grid continued by loss-only tail (ghost) cells out to the
+    partner-ratio bound of its top cell: (edges, representatives, mass of
+    each ghost cell per unit tail amplitude)."""
     r = edges[1] / edges[0]
     n_ghost = int(np.ceil(np.log(_partner_ratio(lam)) / np.log(r))) + 2
     gedges = edges[-1] * r ** np.arange(n_ghost + 1)
     one_m_rho = 1.0 - rho
-    return gedges, np.sqrt(gedges[:-1] * gedges[1:]), np.diff(gedges**one_m_rho) / one_m_rho
+    pedges = np.concatenate([edges, gedges[1:]])
+    return pedges, np.sqrt(pedges[:-1] * pedges[1:]), np.diff(gedges**one_m_rho) / one_m_rho
 
 
 def _ratio_kernel(kernel, cutoff, Y, Z):
@@ -156,55 +161,69 @@ def _ratio_kernel(kernel, cutoff, Y, Z):
     )
 
 
+def _band(x, lead, width, rows):
+    """Read-only windows out[i, k] = x[i + k - lead], zero outside x."""
+    buf = np.zeros(rows + width - 1, dtype=x.dtype)
+    n = min(x.size, buf.size - lead)
+    buf[lead : lead + n] = x[:n]
+    return sliding_window_view(buf, width)
+
+
 class _Engine:
-    """Static pair tables for one grid/kernel/cutoff combination."""
+    """Banded pair stencil for one grid/kernel/cutoff combination.
+
+    T[i, k] is the static weight of cell i with partner i + k - dmax (cells,
+    then ghost cells).  Over the unordered pairs (i, i + d), d = 0..dmax,
+    flattened row-major, in-grid sums P below the top representative split
+    with fraction f at lo, Y[lo] <= P < Y[lo + 1]; the other pairs have
+    lo = N, a discarded bin, and those with weight are listed in out, with
+    their sums P_out, for the overflow ledger.
+    """
 
     def __init__(self, edges, params, kernel, cutoff):
-        self.edges = edges
         self.params = params
-        self.kernel = kernel
         self.cutoff = cutoff
-        self.N = edges.size - 1
-        self.Y = np.sqrt(edges[:-1] * edges[1:])
-        _, self.Yg, self.ghost_pow = _ghost_partners(edges, params.rho, cutoff.lam)
-        self.Yall = np.concatenate([self.Y, self.Yg])
+        self.N = N = edges.size - 1
+        _, self.Yall, self.ghost_pow = _partners(edges, params.rho, cutoff.lam)
+        self.Y = self.Yall[:N]
         self.trivial = kernel.family == "zero"
-        if self.trivial:
-            return
-        self.B = _ratio_kernel(kernel, cutoff, self.Y[:, None], self.Yall[None, :])
-        # deposit brackets: P between representatives Y[k] <= P < Y[k+1]
-        P = (self.Y[:, None] + self.Y[None, :]).ravel()
+        # pairs with weight lie within n_ghost - 2 cells (the partner-ratio
+        # bound); the band keeps one diagonal more
+        self.dmax = dmax = self.ghost_pow.size - 1
+        listed = _band(np.ones(self.Yall.size, dtype=bool), dmax, 2 * dmax + 1, N)
+        # band positions off the partner list get weight zero, and the
+        # largest partner size, so that they are never in-grid pairs
+        Z = np.where(listed, _band(self.Yall, dmax, 2 * dmax + 1, N), self.Yall[-1])
+        self.T = np.where(listed, _ratio_kernel(kernel, cutoff, self.Y[:, None], Z), 0.0)
+        P = self.Y[:, None] + Z[:, dmax:]
         k = np.searchsorted(self.Y, P, side="right") - 1
-        self.sink = k >= self.N - 1
-        k_in = np.where(self.sink, 0, k)
-        self.lo = k_in
-        self.hi = k_in + 1
-        with np.errstate(invalid="ignore"):
-            f = (self.Y[self.hi] - P) / (self.Y[self.hi] - self.Y[self.lo])
-        self.f = np.where(self.sink, 0.0, f)
-        self.P = P
-
-    def cutoff_vector(self, s):
-        """Small-size cutoff at rescaled time s for all partners."""
-        lam_eff = self.cutoff.lam * np.exp(self.params.beta * s)
-        return eval_cutoff(self.cutoff, self.Yall / lam_eff)
+        live = k < N - 1
+        k_in = np.where(live, k, 0)
+        f = (self.Y[k_in + 1] - P) / (self.Y[k_in + 1] - self.Y[k_in])
+        self.lo = np.where(live, k, N).ravel()
+        self.f = np.where(live, f, 0.0).ravel()
+        self.out = np.flatnonzero(~live & (self.T[:, dmax:] != 0.0))
+        self.P_out = P.ravel()[self.out]
 
     def pair_weights(self, masses, amp, s):
-        """(Lk, W, Wg) at time s: per-unit-mass kernel loss rates and the
-        ordered pair weights with real partners and with ghost partners."""
-        N = self.N
+        """(Lk, Wa, Wb) at time s: per-unit-mass kernel loss rates, and on
+        the unordered pairs (i, i + d) the weights of the ordered pairs with
+        source i (Wa) and with source i + d (Wb; zero for d = 0, where the
+        two coincide, and for ghost partners, which are loss-only)."""
+        N, dmax = self.N, self.dmax
         p = self.params
-        u = self.cutoff_vector(s)
-        m_all = np.concatenate([masses, amp * self.ghost_pow])
-        v = u * m_all / self.Yall
+        u = eval_cutoff(self.cutoff, self.Yall / (self.cutoff.lam * np.exp(p.beta * s)))
+        v = u * np.concatenate([masses, amp * self.ghost_pow]) / self.Yall
         esc = np.exp(-p.gamma * p.beta * s)
-        Lk = esc * u[:N] * (self.B @ v)
+        V = _band(v, dmax, 2 * dmax + 1, N)
+        Lk = esc * u[:N] * np.einsum("ik,ik->i", self.T, V)
         a_vec = esc * u[:N] * masses
-        # Wg before W: this allocation order lets the heap be reused across
-        # calls instead of being trimmed and page-faulted back each time
-        Wg = a_vec[:, None] * (self.B[:, N:] * v[None, N:])
-        W = a_vec[:, None] * (self.B[:, :N] * v[None, :N])
-        return Lk, W, Wg
+        Wa = self.T[:, dmax:] * V[:, dmax:]
+        Wa *= a_vec[:, None]
+        Wb = self.T[:, dmax:] * v[:N, None]
+        Wb *= _band(a_vec, 0, dmax + 1, N)
+        Wb[:, 0] = 0.0
+        return Lk, Wa, Wb
 
     def rates(self, masses, amp, s):
         """Frozen-coefficient rates at time s.
@@ -216,25 +235,21 @@ class _Engine:
         """
         N = self.N
         p = self.params
-        if self.trivial:
-            A = np.full(N, -p.beta * p.rho)
-            return A, np.zeros(N), 0.0, 0.0, 0.0
-        Lk, W, Wg = self.pair_weights(masses, amp, s)
+        Lk, W, Wb = self.pair_weights(masses, amp, s)
         A = Lk - p.beta * p.rho
+        W += Wb  # in place: each pair-sized temporary costs page faults
         w = W.ravel()
-        live = ~self.sink
-        Q = np.bincount(self.lo[live], w[live] * self.f[live], minlength=N) + np.bincount(
-            self.hi[live], w[live] * (1.0 - self.f[live]), minlength=N
-        )
-        sink_rate = float(np.sum(w[self.sink]))
-        sink_moment = float(np.sum(w[self.sink] * self.P[self.sink]))
-        # ghost partners: every deposit lands beyond the grid
-        g_rate = float(np.sum(Wg))
-        g_moment = float(np.sum(Wg * (self.Y[:, None] + self.Yg[None, :])))
+        w_out = w[self.out]
+        over_rate = float(np.sum(w_out))
+        over_moment = float(np.sum(w_out * self.P_out))
+        wf = w * self.f
+        Q = np.bincount(self.lo, wf, minlength=N + 1)[:N]
+        w -= wf
+        Q[1:] += np.bincount(self.lo, w, minlength=N + 1)[: N - 1]
         loss_total = float(np.sum(Lk * masses))
-        dep_total = float(np.sum(Q)) + sink_rate + g_rate
+        dep_total = float(np.sum(Q)) + over_rate
         resid = abs(loss_total - dep_total) / max(loss_total, 1e-300)
-        return A, Q, sink_rate + g_rate, sink_moment + g_moment, resid
+        return A, Q, over_rate, over_moment, resid
 
 
 def _exp_update(masses, A, Q, dt):
@@ -348,10 +363,7 @@ def loss_rate(state, X):
     p = state.params
     m = state.measure
     cutoff = state.cutoff
-    if state.kernel.family == "zero":
-        return -p.beta * p.rho
-    _, Yg, gpow = _ghost_partners(m.edges, p.rho, cutoff.lam)
-    Yall = np.concatenate([m.reps, Yg])
+    _, Yall, gpow = _partners(m.edges, p.rho, cutoff.lam)
     lam_eff = cutoff.lam * np.exp(p.beta * state.t)
     u = eval_cutoff(cutoff, Yall / lam_eff)
     m_all = np.concatenate([m.cell_mass, m.tail_amplitude * gpow])
@@ -592,27 +604,21 @@ def rearrangement_residual(state, psi):
     p = state.params
     m = state.measure
     eng = _Engine(m.edges, p, state.kernel, state.cutoff)
-    if eng.trivial:
-        return 0.0, 0.0
-    N = eng.N
+    N, dmax = eng.N, eng.dmax
     masses = m.cell_mass
-    Lk, W, Wg = eng.pair_weights(masses, m.tail_amplitude, state.t)
+    Lk, Wa, Wb = eng.pair_weights(masses, m.tail_amplitude, state.t)
+    W = Wa + Wb
+    w = W.ravel()
     psi_rep = np.asarray(psi(eng.Y), dtype=float)
     loss_w = float(np.sum(psi_rep * Lk * masses))
-    w = W.ravel()
-    live = ~eng.sink
-    dep_in = float(
-        np.sum(w[live] * (eng.f[live] * psi_rep[eng.lo[live]] + (1.0 - eng.f[live]) * psi_rep[eng.hi[live]]))
-    )
-    psi_P = np.asarray(psi(eng.P), dtype=float)
-    flux = float(np.sum(w[eng.sink] * psi_P[eng.sink]))
-    Pg = eng.Y[:, None] + eng.Yg[None, :]
-    psi_Pg = np.asarray(psi(Pg), dtype=float)
-    flux += float(np.sum(Wg * psi_Pg))
+    # the discarded bracket N of the overflow pairs reads psi = 0
+    psi_ext = np.concatenate([psi_rep, [0.0, 0.0]])
+    dep_in = float(np.sum(w * (eng.f * psi_ext[eng.lo] + (1.0 - eng.f) * psi_ext[eng.lo + 1])))
+    flux = float(np.sum(w[eng.out] * np.asarray(psi(eng.P_out), dtype=float)))
     # collapsed form: sum over ordered pairs of W [psi(P) - psi(source)]
-    psi_src = np.repeat(psi_rep, N)
-    collapsed = float(np.sum(w * (psi_P - psi_src)))
-    collapsed += float(np.sum(Wg * (psi_Pg - psi_rep[:, None])))
+    psi_P = np.asarray(psi(eng.Y[:, None] + _band(eng.Yall, 0, dmax + 1, N)), dtype=float)
+    psi_partner = _band(psi_rep, 0, dmax + 1, N)
+    collapsed = float(np.sum(W * psi_P - Wa * psi_rep[:, None] - Wb * psi_partner))
     scale = max(float(np.sum(Lk * masses)), 1e-300)
     residual = abs(dep_in + flux - loss_w - collapsed) / scale
     return residual, flux

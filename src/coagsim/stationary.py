@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .forward import _ghost_partners, simulate
+from .forward import _partners, simulate
 from .kernel import CutoffParams, eval_regularized
 from .kernel import eval_cutoff, eval_kernel  # noqa: F401  not called here; bench/trace_run.py wraps both
 from .measure import (
@@ -150,10 +150,8 @@ def _make_inner(profile, kernel, cutoff):
             )
 
         return inner
-    gedges, _, gpow = _ghost_partners(profile.edges, profile.tail_exponent, cutoff.lam)
+    edges, reps, gpow = _partners(profile.edges, profile.tail_exponent, cutoff.lam)
     qpow = 1.0 - profile.tail_exponent
-    edges = np.concatenate([profile.edges, gedges[1:]])
-    reps = np.sqrt(edges[:-1] * edges[1:])
     base = np.concatenate([profile.cell_mass, profile.tail_amplitude * gpow])
     epow = edges**qpow
 

@@ -248,6 +248,59 @@ class TestRearrangement:
         res, flux = rearrangement_residual(state_of(self.m, zero_kernel()), lambda x: x)
         assert res == 0.0 and flux == 0.0
 
+    @pytest.mark.parametrize(
+        "kernel, params",
+        [
+            (constant_kernel(1.0), Params(gamma=0.0, rho=0.5)),
+            (product_kernel(0.5), Params(gamma=0.5, rho=0.75)),
+        ],
+        ids=["constant", "product"],
+    )
+    def test_near_geometric_grid(self, kernel, params):
+        # edges off the geometric lattice by up to 1e-10 relative, which
+        # GridMeasure accepts: the split fractions must come from each pair's
+        # own representatives, not from the lattice ratio r^d.  The psi = x
+        # pairing cancels to summation noise of order x_max * 1e-16, hence
+        # the six decades of sizes.
+        rng = np.random.default_rng(5)
+        edges = geometric_grid(1e-3, 1e3)
+        edges = edges * (1.0 + 1e-10 * rng.uniform(-1.0, 1.0, edges.size))
+        one_m_rho = 1.0 - params.rho
+        m = GridMeasure(edges, np.diff(edges**one_m_rho), one_m_rho, params.rho)
+        st_ = EvolutionState(m, 0.3, params, kernel, CutoffParams(lam=params.lam))
+        for psi in (np.ones_like, lambda x: np.asarray(x, float)):
+            res, _ = rearrangement_residual(st_, psi)
+            assert res <= 1e-12
+
+
+def array_entries(obj, seen=None):
+    """Entries of the numpy arrays an object holds, following attributes,
+    containers and package objects."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.size
+    if isinstance(obj, dict):
+        children = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        children = obj
+    elif type(obj).__module__.startswith("coagsim") and hasattr(obj, "__dict__"):
+        children = vars(obj).values()
+    else:
+        return 0
+    return sum(array_entries(c, seen) for c in children)
+
+
+class TestEngineMemory:
+    def test_smaller_than_one_dense_pair_table(self):
+        # the acceptance grid at lambda = 1e-3: the band and the deposit
+        # brackets together hold less than one cell-by-partner table
+        eng = _Engine(geometric_grid(), PARAMS, constant_kernel(1.0), CUT)
+        assert eng.N == 638
+        assert array_entries(eng) < eng.N * eng.Yall.size
+
 
 def oracle_rates(m, params, kernel, cutoff, s):
     """Brute-force rates over ordered pairs, from the forward module's model.
