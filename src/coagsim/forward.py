@@ -234,9 +234,8 @@ class _Engine:
         between kernel loss and total deposits (machine-level identity).
         """
         N = self.N
-        p = self.params
         Lk, W, Wb = self.pair_weights(masses, amp, s)
-        A = Lk - p.beta * p.rho
+        A = Lk - self.params.beta * self.params.rho
         W += Wb  # in place: each pair-sized temporary costs page faults
         w = W.ravel()
         w_out = w[self.out]
@@ -601,9 +600,8 @@ def rearrangement_residual(state, psi):
     (residual, boundary_flux) : tuple of float
         residual is normalized by the total kernel loss rate.
     """
-    p = state.params
     m = state.measure
-    eng = _Engine(m.edges, p, state.kernel, state.cutoff)
+    eng = _Engine(m.edges, state.params, state.kernel, state.cutoff)
     N, dmax = eng.N, eng.dmax
     masses = m.cell_mass
     Lk, Wa, Wb = eng.pair_weights(masses, m.tail_amplitude, state.t)
