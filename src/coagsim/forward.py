@@ -28,11 +28,11 @@ analytic tail amplitude as loss-only ghost cells, and their pair gain also
 goes to the overflow ledger.
 
 The pair operator is built once here: _partners continues the grid with
-the tail cells and _ratio_kernel the static part of the regularized kernel, which
-the dual tables and the flux residual share.  The ratio cutoffs vanish past
-the partner ratio (2-lam)/lam, a fixed number of cells dmax on the geometric
-grid, so _Engine keeps the static weights of each cell's partners within
-dmax cells as a band, and the deposit brackets once per unordered pair.
+the tail cells and _ratio_kernel gives the static part of the regularized
+kernel; the dual tables and the flux residual share both.  The ratio cutoffs
+vanish past the partner ratio (2-lam)/lam, a fixed number of cells on the
+geometric grid, so _Engine keeps the static weights of each cell's partners
+within dmax cells as a band, and the deposit brackets once per unordered pair.
 
 Long runs restart the rescaled frame periodically: after a frame of duration
 T the variables are mapped back to physical scale (an exact index shift when
