@@ -4,15 +4,26 @@ import numpy as np
 import pytest
 from scipy.special import erfcx
 
-from coagsim.kernel import CutoffParams, constant_kernel, product_kernel, zero_kernel
+from coagsim.forward import _partners
+from coagsim.kernel import (
+    CutoffParams,
+    constant_kernel,
+    eval_regularized,
+    product_kernel,
+    sum_kernel,
+    zero_kernel,
+)
 from coagsim.measure import (
     GridMeasure,
     Params,
     cumulative_mass,
+    dyadic_tail_integral,
     geometric_grid,
     power_law_init,
 )
 from coagsim.stationary import (
+    _log_int_with_stub,
+    _z_power_terms,
     decay0_residual,
     density_at,
     find_stationary,
@@ -111,6 +122,60 @@ class TestGainFlux:
         m = power_measure(edges, 0.5)
         with pytest.raises(ValueError):
             gain_flux(m, constant_kernel(2.0), 0.0)
+
+
+def pointwise_gain_flux(profile, kernel, R, cutoff, n_per_decade=64):
+    """gain_flux with the inner sum evaluated one quadrature point at a time."""
+    if cutoff is None:
+        def inner(y, u):
+            return sum(
+                coef * dyadic_tail_integral(profile, u, 1.0 - q)
+                for coef, q in _z_power_terms(kernel, y)
+            )
+    else:
+        edges, reps, gpow = _partners(profile.edges, profile.tail_exponent, cutoff.lam)
+        qpow = 1.0 - profile.tail_exponent
+        base = np.concatenate([profile.cell_mass, profile.tail_amplitude * gpow])
+        epow = edges**qpow
+
+        def inner(y, u):
+            cut_at = np.maximum(u, edges[:-1]) ** qpow
+            frac = np.clip((epow[1:] - cut_at) / (epow[1:] - epow[:-1]), 0.0, 1.0)
+            mb = base * frac
+            k = eval_regularized(kernel, cutoff, y, reps)
+            return float(np.sum(k / reps * mb))
+
+    half = 0.5 * R
+    lo = R * 1e-9
+    n = max(8, int(np.ceil(np.log10(half / lo) * n_per_decade)) + 1)
+    grid = np.geomspace(lo, half, n)
+    g_u = density_at(profile, R - grid) * np.array([inner(R - u, u) for u in grid])
+    g_y = density_at(profile, grid) * np.array([inner(y, R - y) for y in grid])
+    return _log_int_with_stub(grid, g_u) + _log_int_with_stub(grid, g_y)
+
+
+class TestGainFluxOracle:
+    """gain_flux against the per-point evaluation of the inner sum."""
+
+    @pytest.mark.parametrize(
+        "kernel, params",
+        [
+            (constant_kernel(2.0), Params(gamma=0.0, rho=0.5)),
+            (product_kernel(0.5), Params(gamma=0.5, rho=0.75)),
+            (sum_kernel(0.2, 0.5), Params(gamma=0.5, rho=0.75)),
+        ],
+        ids=["constant", "product", "sum"],
+    )
+    @pytest.mark.parametrize("lam", [None, 1e-3, 1e-2, 0.1], ids=["bare", "1e-3", "1e-2", "0.1"])
+    @pytest.mark.parametrize("R", [10.0, 1e4])
+    def test_matches_pointwise_loop(self, kernel, params, lam, R):
+        h = power_law_init(params, geometric_grid(1e-3, 1e5, RATIO))
+        rng = np.random.default_rng(11)
+        m = h.with_cell_mass(h.cell_mass * rng.uniform(0.5, 1.5, h.n_cells))
+        cutoff = None if lam is None else CutoffParams(lam=lam)
+        # 16 points per decade: 145 per half, more than one block of points
+        got = gain_flux(m, kernel, R, cutoff=cutoff, n_per_decade=16)
+        assert got == pointwise_gain_flux(m, kernel, R, cutoff, n_per_decade=16)
 
 
 class TestDecay0Residual:
