@@ -18,14 +18,15 @@ Each step applies the exact exponential update with frozen coefficients,
 H+ = H e^(-A dt) + Q (1 - e^(-A dt))/A, in predictor-corrector form: the
 rates are re-evaluated at the predicted endpoint and the update repeated
 with the averaged A and Q (second order, and still unconditionally
-nonnegativity-preserving since the averages are nonnegative).  Gain from
-a cell pair is deposited at the representative
-sum P = Y_i + Y_j, split between the two bracketing representatives so that
-both mass and first moment are conserved; deposits beyond the top
-representative accumulate in an overflow ledger.  Partners beyond the grid
-top (up to the cutoff's partner-ratio bound) are synthesized from the
-analytic tail amplitude as loss-only ghost cells, and their pair gain also
-goes to the overflow ledger.
+nonnegativity-preserving since the averages are nonnegative).  The step
+size carries across frames and run calls.  Gain from a cell pair is
+deposited at the representative sum P = Y_i + Y_j, split between the two
+bracketing representatives so that both mass and first moment are
+conserved; deposits beyond the top representative accumulate in an
+overflow ledger.  Partners beyond the grid top (up to the cutoff's
+partner-ratio bound) are synthesized from the analytic tail amplitude as
+loss-only ghost cells, and their pair gain also goes to the overflow
+ledger.
 
 The pair operator is built once here: _partners continues the grid with
 the tail cells and _ratio_kernel gives the static part of the regularized
@@ -263,12 +264,14 @@ def _exp_update(masses, A, Q, dt):
 
 
 class _Stepper:
-    """Adaptive frozen-coefficient stepping within one frame."""
+    """Adaptive frozen-coefficient stepping within one frame; dt carries across
+    run calls, and a step cut short to land on s1 leaves the uncut proposal."""
 
     def __init__(self, engine, max_change=0.05, mass_floor_frac=1e-12):
         self.engine = engine
         self.max_change = max_change
         self.mass_floor_frac = mass_floor_frac
+        self.dt = None
         self.n_steps = 0
         self.n_retries = 0
         self.max_pairing_residual = 0.0
@@ -291,7 +294,7 @@ class _Stepper:
                     record(s0 + (k + 1) * ds, masses)
             return masses
         s = s0
-        dt = None
+        dt = self.dt
         grow = eng.params.beta * eng.params.rho
         while s < s1 - 1e-14 * max(1.0, abs(s1)):
             # beyond the partner-ratio reach the dynamics is pure drift, so
@@ -304,7 +307,7 @@ class _Stepper:
             a_max = float(np.max(np.abs(A)))
             cap = 0.5 / a_max if a_max > 0.0 else np.inf
             dt = cap if dt is None else min(1.2 * dt, cap)
-            dt = min(dt, s1 - s)
+            h = min(dt, s1 - s)
             floor = self.mass_floor_frac * max(float(np.sum(masses)), 1e-300)
             for attempt in range(60):
                 # exponential Heun: predict with frozen rates, re-evaluate at
@@ -313,31 +316,33 @@ class _Stepper:
                 # and the endpoint balancing removes the first-order defect
                 # that would otherwise bleed mass out of every cell at a
                 # constant rate (a log-growing flux bias at stationarity).
-                pred = _exp_update(masses, A, Q, dt)
+                pred = _exp_update(masses, A, Q, h)
                 A2, Q2, sink_r2, sink_mom_r2, resid2 = eng.rates(
-                    pred, amp * np.exp(grow * (s + dt - s0)), s + dt
+                    pred, amp * np.exp(grow * (s + h - s0)), s + h
                 )
                 trial = _exp_update(
-                    masses, 0.5 * (A + A2), 0.5 * (Q + Q2), dt
+                    masses, 0.5 * (A + A2), 0.5 * (Q + Q2), h
                 )
                 scale = np.maximum(masses, floor)
                 change = float(np.max(np.abs(trial - masses) / scale))
                 if change <= self.max_change:
                     break
-                dt *= 0.5
+                h *= 0.5
+                dt = h
                 self.n_retries += 1
             else:
                 raise IntegrationError(
-                    f"step size collapsed at s={s:.6g} (change={change:.3g}, dt={dt:.3g})"
+                    f"step size collapsed at s={s:.6g} (change={change:.3g}, dt={h:.3g})"
                 )
             self.max_pairing_residual = max(self.max_pairing_residual, resid2)
             masses = trial
-            self.sink_mass += dt * 0.5 * (sink_r + sink_r2)
-            self.sink_moment += dt * 0.5 * (sink_mom_r + sink_mom_r2)
-            s += dt
+            self.sink_mass += h * 0.5 * (sink_r + sink_r2)
+            self.sink_moment += h * 0.5 * (sink_mom_r + sink_mom_r2)
+            s += h
             self.n_steps += 1
             if record is not None:
                 record(s, masses)
+        self.dt = dt
         return masses
 
 
@@ -443,7 +448,7 @@ def _map_back(masses, amp, edges, sigma, rho):
     return shifted * scale, amp * np.exp(-rho * sigma), spill * scale
 
 
-def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), frame_octaves=1.0, max_change=0.05):
+def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), frame_octaves=1.0, max_change=0.05, *, stepper=None):
     """Chunked physical-variable evolution up to rescaled time t_final.
 
     The run is split into frames of duration frame_octaves * ln(2)/beta
@@ -467,6 +472,9 @@ def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), frame_octav
         Frame length in octaves of drift; 1.0 gives one-octave frames.
     max_change : float
         Per-step relative change cap of the adaptive stepper.
+    stepper : _Stepper or None
+        Internal: continue with this stepper of the same grid, kernel and
+        cutoff; the step counts and overflow ledger cover this call only.
 
     Returns
     -------
@@ -482,8 +490,9 @@ def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), frame_octav
     T_frame = k_per_frame * np.log(r) / params.beta
     snaps = sorted(set(float(t) for t in snapshot_times if 0.0 < t <= t_final))
     boundaries = sorted(set(snaps + [t_final]))
-    eng = _Engine(edges, params, kernel, cutoff)
-    stepper = _Stepper(eng, max_change=max_change)
+    if stepper is None:
+        stepper = _Stepper(_Engine(edges, params, kernel, cutoff), max_change=max_change)
+    n0, r0, m0, p0 = stepper.n_steps, stepper.n_retries, stepper.sink_mass, stepper.sink_moment
     masses = h0.cell_mass.copy()
     amp = h0.tail_amplitude
     origin = 0.0
@@ -511,10 +520,10 @@ def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), frame_octav
         snapshots=out_snaps,
         final=final,
         origin_mass=origin,
-        overflow_mass=stepper.sink_mass,
-        overflow_moment=stepper.sink_moment,
-        n_steps=stepper.n_steps,
-        n_retries=stepper.n_retries,
+        overflow_mass=stepper.sink_mass - m0,
+        overflow_moment=stepper.sink_moment - p0,
+        n_steps=stepper.n_steps - n0,
+        n_retries=stepper.n_retries - r0,
         max_pairing_residual=stepper.max_pairing_residual,
         params=params,
         kernel=kernel,

@@ -24,13 +24,28 @@ checks the identity pointwise.  The scaled profile W((R - X) / (M tau)^(1/a))
 is the comparison barrier used alongside the dual transport problem.
 """
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import PchipInterpolator
-from scipy.special import gamma as gamma_func
+
+
+def _lazy_import(name):
+    """Module name, executed on first attribute access (scipy's are slow to import)."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+integrate = _lazy_import("scipy.integrate")
+interpolate = _lazy_import("scipy.interpolate")
+special = _lazy_import("scipy.special")
 
 
 @dataclass(frozen=True)
@@ -65,7 +80,7 @@ class StableProfile:
     @property
     def c(self):
         """Transform scale Gamma(1-a)/a."""
-        return gamma_func(1.0 - self.a) / self.a
+        return special.gamma(1.0 - self.a) / self.a
 
     @property
     def cos_term(self):
@@ -94,7 +109,7 @@ def w_laplace_ode_residual(profile, p):
     p = float(p)
     h = p * float(np.finfo(float).eps) ** (1.0 / 3.0)
     dnum = (w_laplace(profile, p + h) - w_laplace(profile, p - h)) / (2.0 * h)
-    rhs = -w_laplace(profile, p) * (1.0 + gamma_func(1.0 - profile.a) * p**profile.a) / p
+    rhs = -w_laplace(profile, p) * (1.0 + special.gamma(1.0 - profile.a) * p**profile.a) / p
     return abs(dnum - rhs) / abs(rhs)
 
 
@@ -324,7 +339,7 @@ class WTable:
         self.profile = profile
         self.y_lo = ys[first]
         self.y_hi = y_hi
-        self._interp = PchipInterpolator(np.log(ys[first:]), ws[first:], extrapolate=False)
+        self._interp = interpolate.PchipInterpolator(np.log(ys[first:]), ws[first:], extrapolate=False)
 
     def __call__(self, Y):
         Y = np.asarray(Y, dtype=float)

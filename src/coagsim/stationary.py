@@ -17,7 +17,8 @@ y -> 0 and y -> R; gain_flux splits it at R/2 and integrates each half on
 a logarithmic grid in the distance to its endpoint.  Without cutoffs each
 kernel family is a sum of powers of z, so the inner integral reduces to
 exact tail moments of the measure; with cutoffs it is summed over cell
-representatives with exact partial-cell masses.
+representatives with exact partial-cell masses, for a block of quadrature
+points at a time.
 
 Below the grid (and below the kernel cutoff) the stationary dynamics is
 pure transport, whose only stationary density is C x^(-rho); the identity
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .forward import _partners, simulate
+from .forward import _Engine, _partners, _Stepper, simulate
 from .kernel import CutoffParams, eval_regularized
 from .kernel import eval_cutoff, eval_kernel  # noqa: F401  not called here; bench/trace_run.py wraps both
 from .measure import (
@@ -135,19 +136,20 @@ def gain_flux(profile, kernel, R, cutoff=None, n_per_decade=64):
     n = max(8, int(np.ceil(np.log10(half / lo) * n_per_decade)) + 1)
     grid = np.geomspace(lo, half, n)
     # near-R half: u = R - y is the small variable
-    g_u = density_at(profile, R - grid) * np.array([inner(R - u, u) for u in grid])
+    g_u = density_at(profile, R - grid) * inner(R - grid, grid)
     # near-0 half: y itself is the small variable
-    g_y = density_at(profile, grid) * np.array([inner(y, R - y) for y in grid])
+    g_y = density_at(profile, grid) * inner(grid, R - grid)
     return _log_int_with_stub(grid, g_u) + _log_int_with_stub(grid, g_y)
 
 
 def _make_inner(profile, kernel, cutoff):
+    """inner(ys, us): int_u^inf K(y, z)/z dmu(z) at each point (y, u)."""
     if cutoff is None:
-        def inner(y, u):
-            return sum(
-                coef * dyadic_tail_integral(profile, u, 1.0 - q)
-                for coef, q in _z_power_terms(kernel, y)
-            )
+        def inner(ys, us):
+            return np.array([
+                sum(coef * dyadic_tail_integral(profile, u, 1.0 - q) for coef, q in _z_power_terms(kernel, y))
+                for y, u in zip(ys, us)
+            ])
 
         return inner
     edges, reps, gpow = _partners(profile.edges, profile.tail_exponent, cutoff.lam)
@@ -155,13 +157,16 @@ def _make_inner(profile, kernel, cutoff):
     base = np.concatenate([profile.cell_mass, profile.tail_amplitude * gpow])
     epow = edges**qpow
 
-    def inner(y, u):
-        # exact power-shape mass of each cell beyond u
-        cut_at = np.maximum(u, edges[:-1]) ** qpow
-        frac = np.clip((epow[1:] - cut_at) / (epow[1:] - epow[:-1]), 0.0, 1.0)
-        mb = base * frac
-        k = eval_regularized(kernel, cutoff, y, reps)
-        return float(np.sum(k / reps * mb))
+    def inner(ys, us):
+        out = np.empty(ys.size)
+        for b in range(0, ys.size, 64):  # a 64 x partners temporary stays under 0.5 MB
+            y, u = ys[b : b + 64, None], us[b : b + 64, None]
+            # exact power-shape mass of each cell beyond u
+            cut_at = np.maximum(u, edges[:-1]) ** qpow
+            frac = np.clip((epow[1:] - cut_at) / (epow[1:] - epow[:-1]), 0.0, 1.0)
+            k = eval_regularized(kernel, cutoff, y, reps)
+            out[b : b + 64] = np.sum(k / reps * (base * frac), axis=1)
+        return out
 
     return inner
 
@@ -269,13 +274,14 @@ def find_stationary(
     if cutoff.lam != params.lam:
         raise ValueError(f"cutoff.lam = {cutoff.lam} must equal params.lam = {params.lam}")
     h = h0 if h0 is not None else power_law_init(params, edges)
+    stepper = _Stepper(_Engine(h.edges, params, kernel, cutoff), max_change=max_change)
     history = []
     origin = 0.0
     t = 0.0
     converged = False
     while t < t_max - 1e-9:
         dt = min(chunk, t_max - t)
-        res = simulate(h, params, kernel, cutoff, dt, max_change=max_change)
+        res = simulate(h, params, kernel, cutoff, dt, stepper=stepper)
         t += dt
         origin += res.origin_mass
         rate = xrho_dist(res.final, h, params) / dt

@@ -11,6 +11,7 @@ from coagsim.forward import (
     EvolutionState,
     GronwallReport,
     _Engine,
+    _Stepper,
     _exp_update,
     _map_back,
     evolve,
@@ -396,6 +397,43 @@ class TestEngineOracle:
         assert over == pytest.approx(sink + ghost, rel=1e-13)
         assert over_mom == pytest.approx(sink_mom + ghost_mom, rel=1e-13)
         assert resid <= 1e-12
+
+
+class TestStepperCarry:
+    """The step size carries across _Stepper.run calls."""
+
+    def spans(self, stepper_for, n=10, span=0.05):
+        # consecutive spans of one frame; the stepper is asked for per span
+        h0 = power_law_init(PARAMS)
+        grow = PARAMS.beta * PARAMS.rho
+        masses = h0.cell_mass.copy()
+        for k in range(n):
+            amp = h0.tail_amplitude * np.exp(grow * k * span)
+            masses = stepper_for(k).run(masses, amp, k * span, (k + 1) * span)
+        return masses
+
+    def test_shared_stepper_rejects_fewer_trials(self):
+        eng = _Engine(geometric_grid(), PARAMS, constant_kernel(1.0), CUT)
+        shared = _Stepper(eng)
+        self.spans(lambda k: shared)
+        fresh = [_Stepper(eng) for _ in range(10)]
+        self.spans(lambda k: fresh[k])
+        assert shared.n_retries < sum(st.n_retries for st in fresh)
+
+    def test_cut_step_leaves_uncut_proposal(self):
+        eng = _Engine(geometric_grid(), PARAMS, constant_kernel(1.0), CUT)
+        st = _Stepper(eng)
+        h0 = power_law_init(PARAMS)
+        log = []
+        st.run(h0.cell_mass.copy(), h0.tail_amplitude, 0.0, 0.3,
+               record=lambda s, m: log.append((s, m.copy(), st.n_retries)))
+        (s_a, _, _), (s_b, m_b, n_b), (s_c, _, n_c) = log[-3:]
+        last = 0.3 - s_b
+        assert n_c == n_b  # the last step took no rejected trial
+        A = eng.rates(m_b, h0.tail_amplitude * np.exp(PARAMS.beta * PARAMS.rho * s_b), s_b)[0]
+        proposal = min(1.2 * (s_b - s_a), 0.5 / float(np.max(np.abs(A))))
+        assert proposal > 1.01 * last  # the last step was cut short
+        assert st.dt == pytest.approx(proposal, rel=1e-12)
 
 
 class TestExpUpdate:

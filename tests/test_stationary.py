@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erfcx
 
+from coagsim import forward, stationary
 from coagsim.forward import _partners
 from coagsim.kernel import (
     CutoffParams,
@@ -274,6 +275,59 @@ class TestFindStationary:
     def test_cutoff_lam_must_match_params(self):
         with pytest.raises(ValueError, match="params.lam"):
             find_stationary(PARAMS, zero_kernel(), cutoff=CutoffParams(lam=1e-2))
+
+
+@pytest.fixture
+def engine_builds(monkeypatch):
+    """Count _Engine builds, wrapping __init__ as the traced benchmark does."""
+    builds = []
+    init = forward._Engine.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(forward._Engine, "__init__", counting)
+    return builds
+
+
+class TestEngineReuse:
+    def test_one_engine_per_search(self, engine_builds):
+        edges = geometric_grid(1e-3, 1e6, RATIO)
+        res = find_stationary(
+            PARAMS, constant_kernel(2.0), edges=edges, tol=1e-12, t_max=1.5, chunk=0.5
+        )
+        assert len(res.convergence_history) == 3
+        assert len(engine_builds) == 1
+
+    def test_one_engine_per_lambda(self, engine_builds):
+        edges = geometric_grid(1e-2, 1e5, 2.0 ** (1.0 / 8.0))
+        lambda_continuation(
+            PARAMS, constant_kernel(2.0), [1e-1, 1e-2], edges=edges, tol=1e-12, t_max=1.0
+        )
+        assert len(engine_builds) == 2
+
+    def test_chunk_results_are_per_call(self, monkeypatch):
+        calls = []
+        run = stationary.simulate
+
+        def recording(*args, **kwargs):
+            res = run(*args, **kwargs)
+            calls.append((res, kwargs["stepper"]))
+            return res
+
+        monkeypatch.setattr(stationary, "simulate", recording)
+        edges = geometric_grid(1e-3, 1e6, RATIO)
+        find_stationary(PARAMS, constant_kernel(2.0), edges=edges, tol=1e-12, t_max=1.5, chunk=0.5)
+        assert len(calls) == 3
+        stepper = calls[0][1]
+        assert all(st is stepper for _, st in calls)
+        results = [res for res, _ in calls]
+        assert all(res.n_steps < stepper.n_steps for res in results)
+        assert sum(res.n_steps for res in results) == stepper.n_steps
+        assert sum(res.n_retries for res in results) == stepper.n_retries
+        assert sum(res.overflow_mass for res in results) == pytest.approx(stepper.sink_mass, rel=1e-12)
+        assert sum(res.overflow_moment for res in results) == pytest.approx(stepper.sink_moment, rel=1e-12)
 
 
 class TestLambdaContinuation:
