@@ -429,7 +429,7 @@ class TestStepperCarry:
                record=lambda s, m: log.append((s, m.copy(), st.n_retries)))
         (s_a, _, _), (s_b, m_b, n_b), (s_c, _, n_c) = log[-3:]
         last = 0.3 - s_b
-        assert n_c == n_b  # the last step took no rejected trial
+        assert s_c == pytest.approx(0.3) and n_c == n_b  # no rejected trial on the last step
         A = eng.rates(m_b, h0.tail_amplitude * np.exp(PARAMS.beta * PARAMS.rho * s_b), s_b)[0]
         proposal = min(1.2 * (s_b - s_a), 0.5 / float(np.max(np.abs(A))))
         assert proposal > 1.01 * last  # the last step was cut short

@@ -174,7 +174,7 @@ class TestGainFluxOracle:
         rng = np.random.default_rng(11)
         m = h.with_cell_mass(h.cell_mass * rng.uniform(0.5, 1.5, h.n_cells))
         cutoff = None if lam is None else CutoffParams(lam=lam)
-        # 16 points per decade: 145 per half, more than one block of points
+        # 16 points per decade: 141 per half, so the blocks include a partial one
         got = gain_flux(m, kernel, R, cutoff=cutoff, n_per_decade=16)
         assert got == pointwise_gain_flux(m, kernel, R, cutoff, n_per_decade=16)
 
