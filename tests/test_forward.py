@@ -14,6 +14,7 @@ from coagsim.forward import (
     _Stepper,
     _exp_update,
     _map_back,
+    _ratio_kernel,
     evolve,
     gain,
     gronwall_check,
@@ -274,10 +275,32 @@ class TestRearrangement:
             assert res <= 1e-12
 
 
-def array_entries(obj, seen=None):
+class TestRatioKernelSymmetry:
+    """The engine reads the partners below a cell through K(Y, Z) = K(Z, Y)."""
+
+    @given(
+        st.sampled_from(
+            [constant_kernel(1.3), product_kernel(0.5), sum_kernel(0.2, 0.5)]
+        ),
+        st.sampled_from(["cubic", "quintic"]),
+        st.floats(1e-3, 0.5, exclude_max=True),
+        st.floats(1e-4, 1e10),
+        st.floats(1e-4, 1e10),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_symmetric(self, kernel, profile, lam, Y, Z):
+        cut = CutoffParams(lam=lam, profile=profile)
+        assert _ratio_kernel(kernel, cut, Y, Z) == _ratio_kernel(kernel, cut, Z, Y)
+
+
+def array_entries(obj, seen=None, owned=False):
     """Entries of the numpy arrays an object holds, following attributes,
-    containers and package objects."""
+    containers and package objects.  With owned, each array counts its base
+    buffer once instead (views hold no entries of their own)."""
     seen = set() if seen is None else seen
+    if owned and isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
     if id(obj) in seen:
         return 0
     seen.add(id(obj))
@@ -291,7 +314,7 @@ def array_entries(obj, seen=None):
         children = vars(obj).values()
     else:
         return 0
-    return sum(array_entries(c, seen) for c in children)
+    return sum(array_entries(c, seen, owned) for c in children)
 
 
 class TestEngineMemory:
@@ -301,6 +324,13 @@ class TestEngineMemory:
         eng = _Engine(geometric_grid(), PARAMS, constant_kernel(1.0), CUT)
         assert eng.N == 638
         assert array_entries(eng) < eng.N * eng.Yall.size
+
+    def test_owned_buffers_smaller_than_one_dense_pair_table(self):
+        # the same bound on the buffers the engine owns, so that padding
+        # around a stored view counts and views of it do not
+        eng = _Engine(geometric_grid(), PARAMS, constant_kernel(1.0), CUT)
+        assert eng.N * eng.Yall.size == 520_608
+        assert array_entries(eng, owned=True) < eng.N * eng.Yall.size
 
 
 def oracle_rates(m, params, kernel, cutoff, s):
