@@ -51,7 +51,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .kernel import eval_cutoff, eval_kernel
 from .measure import GridMeasure
@@ -173,12 +173,16 @@ def _band(x, lead, width, rows):
 class _Engine:
     """Banded pair stencil for one grid/kernel/cutoff combination.
 
-    T[i, k] is the static weight of cell i with partner i + k - dmax (cells,
-    then ghost cells).  Over the unordered pairs (i, i + d), d = 0..dmax,
-    flattened row-major, in-grid sums P below the top representative split
-    with fraction f at lo, Y[lo] <= P < Y[lo + 1]; the other pairs have
-    lo = N, a discarded bin, and those with weight are listed in out, with
-    their sums P_out, for the overflow ledger.
+    T[i, d] is the static weight of cell i with partner i + d (cells, then
+    ghost cells), d = 0..dmax: the half band.  T sits below dmax zero rows
+    in its buffer, so the partners below a cell are read by kernel symmetry,
+    T[i - d, d], through a strided view of the same buffer.  Both ordered
+    pairs of (i, i + d) weigh T v_i v_(i+d) times their source size, so per
+    unit esc v_i v_(i+d) the deposits of each unordered pair are static:
+    with S = T (Y_i + Y_(i+d)) (only Y_i for d = 0 and ghost partners), a sum
+    P below the top representative puts F_lo = S f at lo and F_hi = S (1 - f)
+    at lo + 1, Y[lo] <= P < Y[lo + 1].  The other pairs have lo = N, with
+    F_lo = S and F_hi = S P, so bin N is the overflow ledger.
     """
 
     def __init__(self, edges, params, kernel, cutoff):
@@ -186,25 +190,46 @@ class _Engine:
         self.cutoff = cutoff
         self.N = N = edges.size - 1
         _, self.Yall, self.ghost_pow = _partners(edges, params.rho, cutoff.lam)
-        self.Y = self.Yall[:N]
+        self.Y = Y = self.Yall[:N]
         self.trivial = kernel.family == "zero"
         # pairs with weight lie within n_ghost - 2 cells (the partner-ratio
         # bound); the band keeps one diagonal more
         self.dmax = dmax = self.ghost_pow.size - 1
-        listed = _band(np.ones(self.Yall.size, dtype=bool), dmax, 2 * dmax + 1, N)
+        listed = _band(np.ones(self.Yall.size, dtype=bool), 0, dmax + 1, N)
         # band positions off the partner list get weight zero, and the
         # largest partner size, so that they are never in-grid pairs
-        Z = np.where(listed, _band(self.Yall, dmax, 2 * dmax + 1, N), self.Yall[-1])
-        self.T = np.where(listed, _ratio_kernel(kernel, cutoff, self.Y[:, None], Z), 0.0)
-        P = self.Y[:, None] + Z[:, dmax:]
-        k = np.searchsorted(self.Y, P, side="right") - 1
+        Z = np.where(listed, _band(self.Yall, 0, dmax + 1, N), self.Yall[-1])
+        self.T = np.zeros((dmax + N, dmax + 1))[dmax:]
+        self.T[:] = np.where(listed, _ratio_kernel(kernel, cutoff, Y[:, None], Z), 0.0)
+        P = Y[:, None] + Z
+        k = np.searchsorted(Y, P, side="right") - 1
         live = k < N - 1
         k_in = np.where(live, k, 0)
-        f = (self.Y[k_in + 1] - P) / (self.Y[k_in + 1] - self.Y[k_in])
+        f = (Y[k_in + 1] - P) / (Y[k_in + 1] - Y[k_in])
+        # the second source is a cell for d > 0 (ghosts are loss-only)
+        S = self.T * (Y[:, None] + np.where(np.arange(dmax + 1) > 0, _band(Y, 0, dmax + 1, N), 0.0))
         self.lo = np.where(live, k, N).ravel()
-        self.f = np.where(live, f, 0.0).ravel()
-        self.out = np.flatnonzero(~live & (self.T[:, dmax:] != 0.0))
-        self.P_out = P.ravel()[self.out]
+        self.F_lo = np.where(live, S * f, S)
+        self.F_hi = np.where(live, S * (1.0 - f), S * P)
+
+    def _loss(self, masses, amp, s):
+        """(Lk, vv) at time s: per-unit-mass kernel loss rates, and
+        vv[i, d] = esc v_i v_(i+d) on the half band."""
+        N, dmax = self.N, self.dmax
+        p = self.params
+        u = eval_cutoff(self.cutoff, self.Yall / (self.cutoff.lam * np.exp(p.beta * s)))
+        v = u * np.concatenate([masses, amp * self.ghost_pow]) / self.Yall
+        esc = np.exp(-p.gamma * p.beta * s)
+        V = _band(v, 0, dmax + 1, N)
+        # below[i, k] = T[i + k - dmax, dmax - k], the weight of cell i with
+        # partner i + k - dmax; the zero rows cover partners below cell 0
+        buf = self.T.base
+        rows, cols = buf.strides
+        below = as_strided(buf[0, dmax:], (N, dmax), (rows, rows - cols), writeable=False)
+        Lk = np.einsum("id,id->i", self.T, V) + np.einsum("ik,ik->i", below, _band(v, dmax, dmax, N))
+        Lk *= esc * u[:N]
+        vv = V * (esc * v[:N, None])
+        return Lk, vv
 
     def pair_weights(self, masses, amp, s):
         """(Lk, Wa, Wb) at time s: per-unit-mass kernel loss rates, and on
@@ -212,19 +237,11 @@ class _Engine:
         source i (Wa) and with source i + d (Wb; zero for d = 0, where the
         two coincide, and for ghost partners, which are loss-only)."""
         N, dmax = self.N, self.dmax
-        p = self.params
-        u = eval_cutoff(self.cutoff, self.Yall / (self.cutoff.lam * np.exp(p.beta * s)))
-        v = u * np.concatenate([masses, amp * self.ghost_pow]) / self.Yall
-        esc = np.exp(-p.gamma * p.beta * s)
-        V = _band(v, dmax, 2 * dmax + 1, N)
-        Lk = esc * u[:N] * np.einsum("ik,ik->i", self.T, V)
-        a_vec = esc * u[:N] * masses
-        Wa = self.T[:, dmax:] * V[:, dmax:]
-        Wa *= a_vec[:, None]
-        Wb = self.T[:, dmax:] * v[:N, None]
-        Wb *= _band(a_vec, 0, dmax + 1, N)
+        Lk, vv = self._loss(masses, amp, s)
+        TW = self.T * vv
+        Wb = TW * _band(self.Y, 0, dmax + 1, N)
         Wb[:, 0] = 0.0
-        return Lk, Wa, Wb
+        return Lk, TW * self.Y[:, None], Wb
 
     def rates(self, masses, amp, s):
         """Frozen-coefficient rates at time s.
@@ -235,17 +252,14 @@ class _Engine:
         between kernel loss and total deposits (machine-level identity).
         """
         N = self.N
-        Lk, W, Wb = self.pair_weights(masses, amp, s)
+        Lk, vv = self._loss(masses, amp, s)
         A = Lk - self.params.beta * self.params.rho
-        W += Wb  # in place: each pair-sized temporary costs page faults
-        w = W.ravel()
-        w_out = w[self.out]
-        over_rate = float(np.sum(w_out))
-        over_moment = float(np.sum(w_out * self.P_out))
-        wf = w * self.f
-        Q = np.bincount(self.lo, wf, minlength=N + 1)[:N]
-        w -= wf
-        Q[1:] += np.bincount(self.lo, w, minlength=N + 1)[: N - 1]
+        lo = np.bincount(self.lo, (vv * self.F_lo).ravel(), minlength=N + 1)
+        vv *= self.F_hi  # in place: each pair-sized temporary costs page faults
+        hi = np.bincount(self.lo, vv.ravel(), minlength=N + 1)
+        Q = lo[:N]
+        Q[1:] += hi[: N - 1]
+        over_rate, over_moment = float(lo[N]), float(hi[N])
         loss_total = float(np.sum(Lk * masses))
         dep_total = float(np.sum(Q)) + over_rate
         resid = abs(loss_total - dep_total) / max(loss_total, 1e-300)
@@ -306,8 +320,8 @@ class _Stepper:
             self.max_pairing_residual = max(self.max_pairing_residual, resid)
             a_max = float(np.max(np.abs(A)))
             cap = 0.5 / a_max if a_max > 0.0 else np.inf
-            dt = cap if dt is None else min(1.2 * dt, cap)
-            h = min(dt, s1 - s)
+            h = min(cap if dt is None else min(dt, cap), s1 - s)
+            cut = h == s1 - s  # a cut step leaves dt, the uncut proposal
             floor = self.mass_floor_frac * max(float(np.sum(masses)), 1e-300)
             for attempt in range(60):
                 # exponential Heun: predict with frozen rates, re-evaluate at
@@ -328,12 +342,14 @@ class _Stepper:
                 if change <= self.max_change:
                     break
                 h *= 0.5
-                dt = h
+                cut = False
                 self.n_retries += 1
             else:
                 raise IntegrationError(
                     f"step size collapsed at s={s:.6g} (change={change:.3g}, dt={h:.3g})"
                 )
+            if not cut:
+                dt = h * min(1.2, 0.9 * self.max_change / max(change, 1e-300))
             self.max_pairing_residual = max(self.max_pairing_residual, resid2)
             masses = trial
             self.sink_mass += h * 0.5 * (sink_r + sink_r2)
@@ -615,15 +631,16 @@ def rearrangement_residual(state, psi):
     masses = m.cell_mass
     Lk, Wa, Wb = eng.pair_weights(masses, m.tail_amplitude, state.t)
     W = Wa + Wb
-    w = W.ravel()
+    _, vv = eng._loss(masses, m.tail_amplitude, state.t)
     psi_rep = np.asarray(psi(eng.Y), dtype=float)
     loss_w = float(np.sum(psi_rep * Lk * masses))
-    # the discarded bracket N of the overflow pairs reads psi = 0
+    # split deposits from the static tables; the overflow bin N reads psi = 0
     psi_ext = np.concatenate([psi_rep, [0.0, 0.0]])
-    dep_in = float(np.sum(w * (eng.f * psi_ext[eng.lo] + (1.0 - eng.f) * psi_ext[eng.lo + 1])))
-    flux = float(np.sum(w[eng.out] * np.asarray(psi(eng.P_out), dtype=float)))
+    dep_lo, dep_hi = (vv * eng.F_lo).ravel(), (vv * eng.F_hi).ravel()
+    dep_in = float(np.sum(dep_lo * psi_ext[eng.lo] + dep_hi * psi_ext[eng.lo + 1]))
     # collapsed form: sum over ordered pairs of W [psi(P) - psi(source)]
     psi_P = np.asarray(psi(eng.Y[:, None] + _band(eng.Yall, 0, dmax + 1, N)), dtype=float)
+    flux = float(np.sum(W.ravel()[eng.lo == N] * psi_P.ravel()[eng.lo == N]))
     psi_partner = _band(psi_rep, 0, dmax + 1, N)
     collapsed = float(np.sum(W * psi_P - Wa * psi_rep[:, None] - Wb * psi_partner))
     scale = max(float(np.sum(Lk * masses)), 1e-300)

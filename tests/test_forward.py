@@ -457,13 +457,29 @@ class TestStepperCarry:
         log = []
         st.run(h0.cell_mass.copy(), h0.tail_amplitude, 0.0, 0.3,
                record=lambda s, m: log.append((s, m.copy(), st.n_retries)))
-        (s_a, _, _), (s_b, m_b, n_b), (s_c, _, n_c) = log[-3:]
+        (s_a, m_a, _), (s_b, m_b, n_b), (s_c, _, n_c) = log[-3:]
         last = 0.3 - s_b
         assert s_c == pytest.approx(0.3) and n_c == n_b  # no rejected trial on the last step
+        # the proposal after the step from s_a to s_b, scaled by its change
+        scale = np.maximum(m_a, st.mass_floor_frac * float(np.sum(m_a)))
+        change = float(np.max(np.abs(m_b - m_a) / scale))
+        proposal = (s_b - s_a) * min(1.2, 0.9 * st.max_change / change)
         A = eng.rates(m_b, h0.tail_amplitude * np.exp(PARAMS.beta * PARAMS.rho * s_b), s_b)[0]
-        proposal = min(1.2 * (s_b - s_a), 0.5 / float(np.max(np.abs(A))))
-        assert proposal > 1.01 * last  # the last step was cut short
+        assert min(proposal, 0.5 / float(np.max(np.abs(A)))) > 1.01 * last  # the last step was cut short
         assert st.dt == pytest.approx(proposal, rel=1e-12)
+
+    def test_fresh_run_rejects_few_trials(self):
+        # proposals from the measured change: few trials fail, and every
+        # accepted step keeps within the change cap
+        eng = _Engine(geometric_grid(), PARAMS, constant_kernel(1.0), CUT)
+        st = _Stepper(eng)
+        h0 = power_law_init(PARAMS)
+        log = [h0.cell_mass.copy()]
+        st.run(h0.cell_mass.copy(), h0.tail_amplitude, 0.0, 1.0, record=lambda s, m: log.append(m.copy()))
+        assert st.n_retries < 6
+        for m0, m1 in zip(log, log[1:]):
+            scale = np.maximum(m0, st.mass_floor_frac * float(np.sum(m0)))
+            assert float(np.max(np.abs(m1 - m0) / scale)) <= st.max_change
 
 
 class TestExpUpdate:
