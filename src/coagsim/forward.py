@@ -18,8 +18,11 @@ Each step applies the exact exponential update with frozen coefficients,
 H+ = H e^(-A dt) + Q (1 - e^(-A dt))/A, in predictor-corrector form: the
 rates are re-evaluated at the predicted endpoint and the update repeated
 with the averaged A and Q (second order, and still unconditionally
-nonnegativity-preserving since the averages are nonnegative).  The step
-size carries across frames and run calls.  Gain from a cell pair is
+nonnegativity-preserving since the averages are nonnegative).  A step is
+accepted iff its largest relative mass change is at most max_change, and the
+next step size is proposed from the measured change (Hairer, Norsett &
+Wanner, Solving ODEs I, sec. II.4); it carries across frames and run
+calls.  Gain from a cell pair is
 deposited at the representative sum P = Y_i + Y_j, split between the two
 bracketing representatives so that both mass and first moment are
 conserved; deposits beyond the top representative accumulate in an
@@ -32,8 +35,10 @@ The pair operator is built once here: _partners continues the grid with
 the tail cells and _ratio_kernel gives the static part of the regularized
 kernel; the dual tables and the flux residual share both.  The ratio cutoffs
 vanish past the partner ratio (2-lam)/lam, a fixed number of cells on the
-geometric grid, so _Engine keeps the static weights of each cell's partners
-within dmax cells as a band, and the deposit brackets once per unordered pair.
+geometric grid, so _Engine keeps the static weights of each unordered pair
+within dmax cells as a half band, reads the partners below a cell through
+kernel symmetry, and tabulates each pair's deposits per unit of its partner
+densities once.
 
 Long runs restart the rescaled frame periodically: after a frame of duration
 T the variables are mapped back to physical scale (an exact index shift when
@@ -207,7 +212,8 @@ class _Engine:
         k_in = np.where(live, k, 0)
         f = (Y[k_in + 1] - P) / (Y[k_in + 1] - Y[k_in])
         # the second source is a cell for d > 0 (ghosts are loss-only)
-        S = self.T * (Y[:, None] + np.where(np.arange(dmax + 1) > 0, _band(Y, 0, dmax + 1, N), 0.0))
+        Y2 = np.where(np.arange(dmax + 1) > 0, _band(Y, 0, dmax + 1, N), 0.0)
+        S = self.T * (Y[:, None] + Y2)
         self.lo = np.where(live, k, N).ravel()
         self.F_lo = np.where(live, S * f, S)
         self.F_hi = np.where(live, S * (1.0 - f), S * P)
@@ -226,7 +232,8 @@ class _Engine:
         buf = self.T.base
         rows, cols = buf.strides
         below = as_strided(buf[0, dmax:], (N, dmax), (rows, rows - cols), writeable=False)
-        Lk = np.einsum("id,id->i", self.T, V) + np.einsum("ik,ik->i", below, _band(v, dmax, dmax, N))
+        Lk = np.einsum("id,id->i", self.T, V)
+        Lk += np.einsum("ik,ik->i", below, _band(v, dmax, dmax, N))
         Lk *= esc * u[:N]
         vv = V * (esc * v[:N, None])
         return Lk, vv
@@ -236,10 +243,9 @@ class _Engine:
         the unordered pairs (i, i + d) the weights of the ordered pairs with
         source i (Wa) and with source i + d (Wb; zero for d = 0, where the
         two coincide, and for ghost partners, which are loss-only)."""
-        N, dmax = self.N, self.dmax
         Lk, vv = self._loss(masses, amp, s)
         TW = self.T * vv
-        Wb = TW * _band(self.Y, 0, dmax + 1, N)
+        Wb = TW * _band(self.Y, 0, self.dmax + 1, self.N)
         Wb[:, 0] = 0.0
         return Lk, TW * self.Y[:, None], Wb
 
@@ -278,8 +284,13 @@ def _exp_update(masses, A, Q, dt):
 
 
 class _Stepper:
-    """Adaptive frozen-coefficient stepping within one frame; dt carries across
-    run calls, and a step cut short to land on s1 leaves the uncut proposal."""
+    """Adaptive frozen-coefficient stepping within one frame.
+
+    A step starts from min(dt, cap), cap = 0.5 / max|A|, and is halved until
+    its largest relative change is at most max_change.  An accepted step h
+    proposes dt = h min(1.2, 0.9 max_change / change); one cut short to land
+    on s1 leaves dt, the uncut proposal, which carries across run calls.
+    """
 
     def __init__(self, engine, max_change=0.05, mass_floor_frac=1e-12):
         self.engine = engine
@@ -640,7 +651,8 @@ def rearrangement_residual(state, psi):
     dep_in = float(np.sum(dep_lo * psi_ext[eng.lo] + dep_hi * psi_ext[eng.lo + 1]))
     # collapsed form: sum over ordered pairs of W [psi(P) - psi(source)]
     psi_P = np.asarray(psi(eng.Y[:, None] + _band(eng.Yall, 0, dmax + 1, N)), dtype=float)
-    flux = float(np.sum(W.ravel()[eng.lo == N] * psi_P.ravel()[eng.lo == N]))
+    over = eng.lo == N
+    flux = float(np.sum(W.ravel()[over] * psi_P.ravel()[over]))
     psi_partner = _band(psi_rep, 0, dmax + 1, N)
     collapsed = float(np.sum(W * psi_P - Wa * psi_rep[:, None] - Wb * psi_partner))
     scale = max(float(np.sum(Lk * masses)), 1e-300)
