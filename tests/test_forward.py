@@ -465,7 +465,8 @@ class TestStepperCarry:
         change = float(np.max(np.abs(m_b - m_a) / scale))
         proposal = (s_b - s_a) * min(1.2, 0.9 * st.max_change / change)
         A = eng.rates(m_b, h0.tail_amplitude * np.exp(PARAMS.beta * PARAMS.rho * s_b), s_b)[0]
-        assert min(proposal, 0.5 / float(np.max(np.abs(A)))) > 1.01 * last  # the last step was cut short
+        cap = 0.5 / float(np.max(np.abs(A)))
+        assert min(proposal, cap) > 1.01 * last  # the last step was cut short
         assert st.dt == pytest.approx(proposal, rel=1e-12)
 
     def test_fresh_run_rejects_few_trials(self):
@@ -475,7 +476,8 @@ class TestStepperCarry:
         st = _Stepper(eng)
         h0 = power_law_init(PARAMS)
         log = [h0.cell_mass.copy()]
-        st.run(h0.cell_mass.copy(), h0.tail_amplitude, 0.0, 1.0, record=lambda s, m: log.append(m.copy()))
+        st.run(h0.cell_mass.copy(), h0.tail_amplitude, 0.0, 1.0,
+               record=lambda s, m: log.append(m.copy()))
         assert st.n_retries < 6
         for m0, m1 in zip(log, log[1:]):
             scale = np.maximum(m0, st.mass_floor_frac * float(np.sum(m0)))
