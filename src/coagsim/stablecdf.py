@@ -1,30 +1,37 @@
-"""One-sided stable-law CDF W and its density, from a real-axis
-Laplace-transform inversion.
+"""One-sided stable-law CDF W and its density, from Kanter's integral.
 
 W is the distribution function on (0, inf) whose ordinary Laplace transform
 is int_0^inf e^(-pY) W(Y) dY = exp(-c p^a) / p with index a in (0, 1) and
-scale c = Gamma(1-a) / a.  Rotating the Bromwich contour onto the negative
-real axis gives the convergent real integral
+scale c = Gamma(1-a) / a.  Kanter's representation (Kanter, Ann. Probab. 3,
+1975; Zolotarev, One-dimensional Stable Distributions, 1986, sec. 2.2)
+writes it as an integral of a positive integrand over a finite interval,
 
-    W(Y) = 1 - (1/pi) int_0^inf (1/p) exp(-Y p - c cos(pi a) p^a)
-                                 * sin(c sin(pi a) p^a) dp,
+    W(Y) = (1/pi) int_0^pi exp(-z A(phi)) d phi,    z = (Y / s)^(-a/(1-a)),
 
-and the density W' drops the 1/p factor.  For a > 1/2 the cos(pi a) factor
-turns negative and the integrand grows before the e^(-Yp) decay wins, so for
-small Y the integral suffers catastrophic cancellation; there W is
-doubly-exponentially small and is returned as exactly 0 once the positive
-exponent peak exceeds a guard threshold (absolute error below ~1e-9).
+with s = c^(1/a) and
+
+    A(phi) = (sin(a phi)^a sin((1-a) phi)^(1-a) / sin(phi))^(1/(1-a)),
+
+which increases from (1-a) a^(a/(1-a)) at phi = 0 to infinity at phi = pi.
+Differentiating in Y gives W'(Y) = (a/(1-a)) (z/Y) (1/pi) int A exp(-z A) d phi.
+Nothing cancels, so neither needs a guard zone: where exp(-z A) underflows
+at every node both are exactly 0.  Both are summed on one fixed rule,
+vectorized over Y.  For large Y the integrand's boundary layer sits at
+phi -> pi, where the rule clusters its nodes.
 
 W satisfies the integro-differential identity
 
     (1/a) Y W'(Y) = int_0^inf eta^(-1-a) [W(Y) - W(Y - eta)] d eta
 
 and the tail laws 1 - W(Y) ~ Y^(-a)/a, W'(Y) ~ Y^(-1-a); t3e4_residual
-checks the identity pointwise.  The scaled profile W((R - X) / (M tau)^(1/a))
-is the comparison barrier used alongside the dual transport problem.
+checks the identity pointwise with QUADPACK, the only scipy code this
+module runs (scipy.integrate loads on first use).  The scaled profile
+W((R - X) / (M tau)^(1/a)) is the comparison barrier used alongside the
+dual transport problem; WTable interpolates W for it in numpy.
 """
 
 import importlib.util
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,34 +51,19 @@ def _lazy_import(name):
 
 
 integrate = _lazy_import("scipy.integrate")
-interpolate = _lazy_import("scipy.interpolate")
-special = _lazy_import("scipy.special")
 
 
 @dataclass(frozen=True)
 class StableProfile:
-    """Stable-law index and quadrature policy.
+    """Stable-law index.
 
     Parameters
     ----------
     a : float
         Index in (0, 1); the CDF has tail 1 - W(Y) ~ Y^(-a)/a.
-    y_switch : float
-        Above this argument the non-oscillatory large-Y representation is
-        used (both branches agree to ~1e-14 near the default seam).
-    guard : float
-        For a > 1/2, when the positive-exponent peak of the oscillatory
-        integrand exceeds this value, W (doubly-exponentially small
-        there) is returned as 0.
-    epsabs, epsrel, limit : quadrature tolerances/subdivision budget.
     """
 
     a: float
-    y_switch: float = 30.0
-    guard: float = 9.0
-    epsabs: float = 1e-13
-    epsrel: float = 1e-11
-    limit: int = 200
 
     def __post_init__(self):
         if not (0.0 < self.a < 1.0):
@@ -80,15 +72,7 @@ class StableProfile:
     @property
     def c(self):
         """Transform scale Gamma(1-a)/a."""
-        return special.gamma(1.0 - self.a) / self.a
-
-    @property
-    def cos_term(self):
-        return self.c * np.cos(np.pi * self.a)
-
-    @property
-    def sin_term(self):
-        return self.c * np.sin(np.pi * self.a)
+        return math.gamma(1.0 - self.a) / self.a
 
 
 def w_laplace(profile, p):
@@ -109,112 +93,79 @@ def w_laplace_ode_residual(profile, p):
     p = float(p)
     h = p * float(np.finfo(float).eps) ** (1.0 / 3.0)
     dnum = (w_laplace(profile, p + h) - w_laplace(profile, p - h)) / (2.0 * h)
-    rhs = -w_laplace(profile, p) * (1.0 + special.gamma(1.0 - profile.a) * p**profile.a) / p
+    rhs = -w_laplace(profile, p) * (1.0 + math.gamma(1.0 - profile.a) * p**profile.a) / p
     return abs(dnum - rhs) / abs(rhs)
 
 
-def _guard_exponent(profile, Y):
-    """Peak of the positive exponent -Y u^(1/a) + |cos_term| u over u > 0."""
-    cc = profile.cos_term
-    if cc >= 0.0:
-        return 0.0
-    ustar = (profile.a * abs(cc) / Y) ** (profile.a / (1.0 - profile.a))
-    return abs(cc) * ustar * (1.0 - profile.a)
+def _legendre(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
 
 
-def _inversion_integral(profile, Y):
-    """The contour integral I(Y) with W(Y) = 1 - I(Y), for Y > 0.
+@lru_cache(maxsize=8)
+def _kanter_rule(a):
+    """A(phi) at the nodes of the fixed rule for index a, and the weights of (1/pi) d phi.
 
-    Small/moderate Y: substitute u = p^a so the sine phase is linear and
-    integrate the oscillatory part with the QUADPACK Fourier rule.  Large
-    Y: the z = Yp variable gives a non-oscillatory integrand under the
-    e^(-z) window.
+    phi = pi (1 - r^4) with r = (1 - x) / 2 and x the 400 Gauss-Legendre
+    nodes on [-1, 1], so (1/pi) d phi = 2 r^3 dx.  The nodes come from
+    Newton's method started at the asymptotic estimates (four steps reach
+    full precision; numpy's leggauss weights are off by up to 6e-10
+    relative at this n).  phi and pi - phi are both formed without
+    cancellation and sin(phi) is taken from the smaller of the two.  A is
+    capped at 1e250 where it overflows (a near 1); exp(-z A) is 0 there
+    either way unless z < 1e-247.
     """
-    a, cc, om = profile.a, profile.cos_term, profile.sin_term
-    kw = dict(epsabs=profile.epsabs, epsrel=profile.epsrel, limit=profile.limit)
-    ia = 1.0 / a
-    if Y >= profile.y_switch:
-        ya = Y**a
-
-        def g_small(v):
-            # v = z^a near the origin; sin(x)/x regular limit
-            if v == 0.0:
-                return om / (a * ya)
-            return np.exp(-(v**ia) - cc * v / ya) * np.sin(om * v / ya) / (a * v)
-
-        def f_large(z):
-            w = (z / Y) ** a
-            return np.exp(-z - cc * w) * np.sin(om * w) / z
-
-        i1, _ = integrate.quad(g_small, 0.0, 1.0, **kw)
-        i2, _ = integrate.quad(f_large, 1.0, np.inf, **kw)
-        return (i1 + i2) / np.pi
-
-    def g_head(u):
-        if u == 0.0:
-            return om / a
-        return np.exp(-Y * u**ia - cc * u) * np.sin(om * u) / (a * u)
-
-    def envelope(u):
-        return np.exp(-Y * u**ia - cc * u) / (a * u)
-
-    u0 = min(0.5 * np.pi / om, 1.0)
-    i1, _ = integrate.quad(g_head, 0.0, u0, **kw)
-    i2, _ = integrate.quad(
-        envelope, u0, np.inf, weight="sin", wvar=om, limlst=100, limit=profile.limit
-    )
-    return (i1 + i2) / np.pi
+    n = 400
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(4):
+        p, dp = _legendre(n, x)
+        x = x - p / dp
+    p, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    xi, r = (1.0 + x) / 2.0, (1.0 - x) / 2.0
+    phi = np.pi * xi * (4.0 - xi * (6.0 - xi * (4.0 - xi)))
+    u = np.pi * r**4
+    with np.errstate(over="ignore"):
+        A = (np.sin(a * phi) ** a * np.sin((1.0 - a) * phi) ** (1.0 - a)
+             / np.sin(np.minimum(phi, u))) ** (1.0 / (1.0 - a))
+    return np.minimum(A, 1e250), 2.0 * r**3 * w
 
 
-def _deriv_integral(profile, Y):
-    """Contour integral for the density W'(Y), Y > 0."""
-    a, cc, om = profile.a, profile.cos_term, profile.sin_term
-    kw = dict(epsabs=profile.epsabs, epsrel=profile.epsrel, limit=profile.limit)
-    ia = 1.0 / a
-    if Y >= profile.y_switch:
-
-        def f_large(z):
-            w = (z / Y) ** a
-            return np.exp(-z - cc * w) * np.sin(om * w)
-
-        val, _ = integrate.quad(f_large, 0.0, np.inf, **kw)
-        return val / (np.pi * Y)
-
-    def g_head(u):
-        return np.exp(-Y * u**ia - cc * u) * np.sin(om * u) * u ** (ia - 1.0) / a
-
-    def envelope(u):
-        return np.exp(-Y * u**ia - cc * u) * u ** (ia - 1.0) / a
-
-    u0 = min(0.5 * np.pi / om, 1.0)
-    i1, _ = integrate.quad(g_head, 0.0, u0, **kw)
-    i2, _ = integrate.quad(
-        envelope, u0, np.inf, weight="sin", wvar=om, limlst=100, limit=profile.limit
-    )
-    return (i1 + i2) / np.pi
+def _kanter(profile, Y):
+    """W and W' at the points of the 1-d array Y, from Kanter's integral."""
+    a = profile.a
+    A, wq = _kanter_rule(a)
+    wqA = wq * A
+    k = a / (1.0 - a)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z = (Y / profile.c ** (1.0 / a)) ** -k
+    W, D = np.zeros(Y.shape), np.zeros(Y.shape)
+    # A is smallest at the first node, and exp(-x) is 0 in floating point for x > 745.2
+    live = np.flatnonzero((Y > 0.0) & (z * A[0] < 750.0))
+    for i in range(0, live.size, 64):
+        j = live[i : i + 64]
+        E = np.exp(-np.outer(z[j], A))
+        W[j] = E @ wq
+        D[j] = k * z[j] / Y[j] * (E @ wqA)
+    return np.minimum(W, 1.0), D
 
 
 @lru_cache(maxsize=200_000)
 def _w_scalar(profile, Y):
-    if Y <= 0.0:
-        return 0.0
-    if profile.a > 0.5 and Y < profile.y_switch and _guard_exponent(profile, Y) > profile.guard:
-        return 0.0
-    w = 1.0 - _inversion_integral(profile, Y)
-    return float(np.clip(w, 0.0, 1.0))
-
-
-@lru_cache(maxsize=200_000)
-def _w_deriv_scalar(profile, Y):
-    if Y <= 0.0:
-        return 0.0
-    if profile.a > 0.5 and Y < profile.y_switch and _guard_exponent(profile, Y) > profile.guard:
-        return 0.0
-    return float(max(_deriv_integral(profile, Y), 0.0))
+    return float(_kanter(profile, np.array([Y]))[0][0])
 
 
 def w_eval(profile, Y):
-    """CDF W(Y); 0 for Y <= 0, increasing to 1, absolute accuracy ~1e-9.
+    """CDF W(Y); 0 for Y <= 0, increasing to 1.
+
+    Full relative accuracy down to W ~ 1e-300: against erfc(sqrt(pi / Y))
+    at a = 1/2 the relative error is at most 3e-13 on [1e-3, 1e8] (W down
+    to 1e-298), and against the Talbot-inversion oracle of the tests (a =
+    0.3 and 0.7, W down to 3.4e-38) at most 2e-14.  Exactly 0 where
+    exp(-z A) underflows at every node, e.g. Y <= 0.05 at a = 0.7.
 
     Parameters
     ----------
@@ -228,15 +179,18 @@ def w_eval(profile, Y):
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 0:
         return _w_scalar(profile, float(Y))
-    return np.array([_w_scalar(profile, float(y)) for y in Y.ravel()]).reshape(Y.shape)
+    return _kanter(profile, Y.ravel())[0].reshape(Y.shape)
 
 
 def w_deriv(profile, Y):
-    """Density W'(Y) >= 0; same conventions as w_eval."""
+    """Density W'(Y) >= 0; same conventions as w_eval.
+
+    Relative error at most 9e-14 against Y^(-3/2) exp(-pi / Y) at a = 1/2
+    on [1e-2, 1e8], and 1e-15 against the Talbot oracle of the tests.
+    """
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 0:
-        return _w_deriv_scalar(profile, float(Y))
-    return np.array([_w_deriv_scalar(profile, float(y)) for y in Y.ravel()]).reshape(Y.shape)
+    out = _kanter(profile, Y.ravel())[1].reshape(Y.shape)
+    return out if out.ndim else float(out)
 
 
 def t3e4_residual(profile, Y, relative=True):
@@ -250,13 +204,13 @@ def t3e4_residual(profile, Y, relative=True):
     ----------
     profile : StableProfile
     Y : float
-        Point where the identity is tested, > 0 and outside the
-        guarded doubly-exponentially-small zone.
+        Point where the identity is tested, > 0 and above the zone where
+        W underflows to 0.
     relative : bool
         When False the raw defect |lhs - rhs| is returned instead of
-        |lhs - rhs| / |lhs|; that is the meaningful reading where W sits
-        beneath the quadrature noise floor and the relative
-        normalization degenerates (both sides of the identity vanish).
+        |lhs - rhs| / |lhs|; that is the meaningful reading where W is
+        so small that the QUADPACK tolerances (absolute 1e-12) dominate
+        and the relative normalization degenerates.
 
     Returns
     -------
@@ -266,10 +220,10 @@ def t3e4_residual(profile, Y, relative=True):
     Y = float(Y)
     a = profile.a
     wY = _w_scalar(profile, Y)
-    wpY = _w_deriv_scalar(profile, Y)
+    wpY = w_deriv(profile, Y)
     lhs = Y * wpY / a
     if lhs == 0.0 and relative:
-        raise ValueError("identity degenerate at this Y (guarded zone?)")
+        raise ValueError("identity degenerate at this Y (W underflows to 0)")
 
     def g(eta):
         if eta < 1e-7 * Y:
@@ -277,7 +231,7 @@ def t3e4_residual(profile, Y, relative=True):
         return (wY - _w_scalar(profile, Y - eta)) / eta
 
     mid, _ = integrate.quad(
-        g, 0.0, Y, weight="alg", wvar=(-a, 0.0), limit=profile.limit, epsabs=1e-12, epsrel=1e-9
+        g, 0.0, Y, weight="alg", wvar=(-a, 0.0), limit=200, epsabs=1e-12, epsrel=1e-9
     )
     rhs = mid + wY * Y**-a / a
     return abs(lhs - rhs) / abs(lhs) if relative else abs(lhs - rhs)
@@ -317,29 +271,71 @@ def subsolution_profile(profile, X, R, M, tau):
     return out if out.ndim else float(out)
 
 
+class _Pchip:
+    """Monotone piecewise-cubic Hermite interpolant through (x, y), x increasing.
+
+    The knot derivatives follow scipy's PchipInterpolator (Fritsch &
+    Carlson, SIAM J. Numer. Anal. 17, 1980): inside, the weighted harmonic
+    mean of the two neighbouring slopes, or 0 where they differ in sign or
+    one is 0; at each end, the three-point formula limited to keep its
+    sign and monotonicity.  Needs at least three knots.
+    """
+
+    def __init__(self, x, y):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        inner = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0)
+        d = np.zeros_like(y)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(inner, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)), 0.0)
+        d[0] = self._end(h[0], h[1], m[0], m[1])
+        d[-1] = self._end(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        self.x, self.y, self.d = x, y, d
+        self.c2, self.c3 = (m - d[:-1]) / h - t, t / h
+
+    @staticmethod
+    def _end(h0, h1, m0, m1):
+        d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return d
+
+    def __call__(self, xv):
+        i = np.clip(np.searchsorted(self.x, xv, side="right") - 1, 0, self.x.size - 2)
+        s = xv - self.x[i]
+        s2 = s * s
+        return self.y[i] + self.d[i] * s + self.c2[i] * s2 + self.c3[i] * (s2 * s)
+
+
 class WTable:
     """Monotone interpolant of W for fast batched evaluation.
 
     Exact w_eval values on a log grid over [y_lo, y_hi], monotone cubic
     (PCHIP) in log Y between them, spliced to W = 0 below the grid and to
-    the tail law 1 - Y^(-a)/a above; interpolation error ~1e-7, which is
-    ample for barrier comparisons at 1e-3 tolerances.
+    the tail law 1 - Y^(-a)/a above.  With the defaults the interpolation
+    error against w_eval is at most 1.1e-7, 1.1e-7 and 3.4e-7 at a = 0.3,
+    0.5 and 0.7, ample for barrier comparisons at 1e-3 tolerances.  Built
+    in numpy alone; a cold table takes about 20 ms.
     """
 
     def __init__(self, profile, y_lo=None, y_hi=1e8, n=1200):
         a = profile.a
         if y_lo is None:
-            # below the guard zone W vanishes anyway; keep the grid useful
+            # W is negligible below these
             y_lo = 1e-6 if a <= 0.5 else 0.05
         ys = np.geomspace(y_lo, y_hi, n)
         ws = w_eval(profile, ys)
-        ws[ws < 1e-10] = 0.0  # below the quadrature noise floor
+        ws[ws < 1e-10] = 0.0  # negligible for barrier comparisons; start the knots above
         keep = ws > 0.0
         first = int(np.argmax(keep)) if np.any(keep) else n - 1
         self.profile = profile
         self.y_lo = ys[first]
         self.y_hi = y_hi
-        self._interp = interpolate.PchipInterpolator(np.log(ys[first:]), ws[first:], extrapolate=False)
+        self._interp = _Pchip(np.log(ys[first:]), ws[first:])
 
     def __call__(self, Y):
         Y = np.asarray(Y, dtype=float)

@@ -1,6 +1,7 @@
 """Config dialect parsing/round-trip and the command-line interface."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -319,6 +320,17 @@ class TestProfileWCommand:
         prof = StableProfile(a=0.5)
         for y, w, _, _ in rows:
             assert w == pytest.approx(w_eval(prof, y), abs=1e-12)
+
+    def test_half_default_grid_passes(self, tmp_path):
+        # the default 41-point grid on [1e-2, 1e4] reaches W = 3e-10 at
+        # Y = 0.158, where the identity needs W at full relative accuracy
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(tmp_path, BASE + "w.a = 0.5\n", "profile-w")
+        assert code == 0
+        assert [str(w.message) for w in caught] == []
+        manifest = json.loads((out / "profile_w.json").read_text())
+        assert manifest["n_points"] == 41 and manifest["max_residual"] <= 1e-10
 
     def test_nonpositive_rows_are_zero(self, tmp_path):
         text = BASE + "w.a = 0.5\nw.y_values = -1.0, 0.0, 100.0\n"

@@ -1,13 +1,14 @@
-"""scipy's submodules load on first use: the forward and stationary paths
-never import them, and stablecdf still calls through its module names."""
+"""scipy's submodules load on first use: the forward, stationary and dual
+paths never import them, and stablecdf still calls through its module name."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 from coagsim import stablecdf
-from coagsim.stablecdf import StableProfile, w_eval
+from coagsim.stablecdf import StableProfile, t3e4_residual
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -22,26 +23,53 @@ grid.ratio = 1.2
 run.t_max = 0.5
 """
 
+DUAL_CFG = """
+params.gamma = 0.0
+params.rho = 0.5
+kernel.family = constant
+cutoff.lambda = 1e-2
+grid.x_min = 1e-2
+grid.x_max = 1e3
+grid.ratio = 1.5
+dual.radius = 10.0
+dual.time = 0.1
+dual.max_change = 0.05
+"""
+
 PROBE = """
 import sys
 import coagsim.cli as cli
-cli.run_config(cli.load_config(sys.argv[1]))
-cli.main(["stationary", "--config", sys.argv[1], "--out", sys.argv[2]])  # one chunk, not converged
-print(" ".join(m for m in ("scipy.special._ufuncs", "scipy.integrate._quadpack") if m in sys.modules))
+command, cfg, out = sys.argv[1:]
+cli.run_config(cli.load_config(cfg))
+cli.main([command, "--config", cfg, "--out", out])  # exit code not checked here
+modules = ("scipy.special._ufuncs", "scipy.integrate._quadpack", "scipy.interpolate._cubic")
+print(" ".join(m for m in modules if m in sys.modules))
 """
 
 
-def test_stationary_command_loads_no_scipy_submodule(tmp_path):
-    cfg = tmp_path / "stationary.cfg"
-    cfg.write_text(STATIONARY_CFG)
+def run_probe(tmp_path, command, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(cfg), str(tmp_path / "out")],
+        [sys.executable, "-c", PROBE, command, str(cfg), str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    return proc.stdout.strip()
+
+
+def test_stationary_command_loads_no_scipy_submodule(tmp_path):
+    assert run_probe(tmp_path, "stationary", STATIONARY_CFG) == ""  # one chunk, not converged
     assert (tmp_path / "out" / "stationary.json").exists()
+
+
+def test_dual_check_command_loads_no_scipy_submodule(tmp_path):
+    # the M* bisection builds a cold W table: Kanter's integral and the
+    # numpy PCHIP, no scipy.special, QUADPACK or scipy.interpolate
+    assert run_probe(tmp_path, "dual-check", DUAL_CFG) == ""
+    manifest = json.loads((tmp_path / "out" / "dual_check.json").read_text())
+    assert manifest["m_star"] <= 1e4
 
 
 class _CountingIntegrate:
@@ -55,10 +83,9 @@ class _CountingIntegrate:
 
 
 def test_integrate_stand_in_sees_quad_calls(monkeypatch):
-    # the traced benchmark counts quadratures by swapping this attribute
+    # the traced benchmark counts quadratures by swapping this attribute;
+    # the identity residual is the only stablecdf path that calls quad
     counting = _CountingIntegrate(stablecdf.integrate)
     monkeypatch.setattr(stablecdf, "integrate", counting)
-    # an index no other test uses, so the W memo cannot answer
-    w = w_eval(StableProfile(a=0.4321), 1.2345)
-    assert 0.0 < w < 1.0
-    assert counting.quad_calls >= 2
+    assert t3e4_residual(StableProfile(a=0.4321), 1.2345) < 1e-8
+    assert counting.quad_calls == 1
