@@ -108,6 +108,13 @@ class TestOracleValues:
         a, Y = key
         assert w_deriv(profile(a), Y) == pytest.approx(WPRIME_ORACLE[key], rel=1e-9)
 
+    def test_density_in_boundary_layer(self):
+        # W'(1e7) = 1.3e-12 sits under approx's default abs tolerance of
+        # 1e-12, so check it relative only: at a = 0.7 the integrand peaks
+        # at pi - phi ~ sin(pi a) c Y^(-a) = 4e-5 here
+        key = (0.7, 10000000.0)
+        assert w_deriv(profile(0.7), 1e7) == pytest.approx(WPRIME_ORACLE[key], rel=1e-9, abs=0.0)
+
 
 class TestShape:
     @pytest.mark.parametrize("a", [0.3, 0.5, 0.7])
