@@ -250,7 +250,7 @@ class TestWTable:
     @pytest.mark.parametrize("a", [0.3, 0.5, 0.7])
     def test_pchip_matches_scipy(self, a):
         # the default table grid, kept whole: its run of W = 0 exercises
-        # the flat-segment and sign-change rules as well as the ends
+        # the flat-segment rule as well as the ends
         x = np.log(np.geomspace(1e-6 if a <= 0.5 else 0.05, 1e8, 1200))
         y = w_eval(profile(a), np.exp(x))
         assert y[0] == 0.0 and y[-1] > 0.98
