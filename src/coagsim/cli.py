@@ -227,6 +227,12 @@ def cmd_dual_check(cfg, out_dir, tolerance):
     R = get_float(cfg.raw, "dual.radius")
     t = get_float(cfg.raw, "dual.time", 0.5)
     mc = get_float(cfg.raw, "dual.max_change", 0.0025)
+    dump_s = get_floats(cfg.raw, "dual.dump_s", ())
+    if not (0.0 < R < np.inf and 0.0 <= t < np.inf and 0.0 < mc < 1.0):
+        raise ConfigError("dual: need 0 < radius < inf, 0 <= time < inf and 0 < max_change < 1")
+    for s_req in dump_s:
+        if not 0.0 <= s_req <= t:
+            raise ConfigError(f"dual.dump_s value {s_req} outside [0, {t}]")
     tol = tolerance if tolerance is not None else 1e-3
     h0 = power_law_init(cfg.params, geometric_grid(*cfg.grid))
     traj = rescaled_trajectory(h0, cfg.params, cfg.kernel, cfg.cutoff, t, max_change=mc)
@@ -236,9 +242,7 @@ def cmd_dual_check(cfg, out_dir, tolerance):
     m_star, m_report = find_m_star(field, profile)
     q_report = q_tail_bound(traj, R, t=t)
     files = []
-    for k, s_req in enumerate(get_floats(cfg.raw, "dual.dump_s", ())):
-        if not 0.0 <= s_req <= t:
-            raise ConfigError(f"dual.dump_s value {s_req} outside [0, {t}]")
+    for k, s_req in enumerate(dump_s):
         j = int(np.argmin(np.abs(field.s_values - s_req)))
         name = f"psi_{k:04d}.csv"
         write_table(

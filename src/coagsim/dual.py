@@ -11,25 +11,23 @@ Q(X, Z, tau) = K_lam(X e^(beta tau), Z e^(beta tau)) / Z * h(Z e^(beta tau), s).
 In this frame the jump sizes contributed by the forward grid are static:
 the forward representative Y_k at time s sits at physical size
 Y_k e^(-beta s), which is Z_k = Y_k e^(-beta t) in dual coordinates at
-every s.  Placing the dual nodes at exactly these mapped representatives
-(plus an explicit node at R) makes the discrete jump operator the adjoint
-of the forward deposit rule: the forward two-point split weight of a pair
-sum and the linear interpolation weight of Psi at the jump target are the
-same ratio.  Each backward step uses the frozen-coefficient exponential
+every s.  By homogeneity the jump rates are then those of the forward
+engine that stepped the trajectory (_Jumps).  With the dual nodes at the
+mapped representatives below R, plus R itself, Psi's interpolation
+weight at a pair sum is the forward split weight of that pair: both
+sides use one band and one set of pair sums, so the adjoint holds by
+construction.  Each backward step uses the frozen-coefficient exponential
 update, a convex combination of old values, so Psi stays in [0, 1]
-exactly.  Partners beyond the stored grid come from the same synthesized
-tail cells the forward loss term uses (forward._partners), and the
-static jump kernel is the forward one (forward._ratio_kernel); ghost jump
-targets land above R where Psi vanishes, so they act as pure decay.
+exactly.  Ghost partners lie above R, where Psi vanishes.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .forward import IntegrationError, _exp_update, _partner_ratio, _partners, _ratio_kernel
-from .kernel import eval_cutoff
-from .kernel import eval_kernel  # noqa: F401  not called here; bench/trace_run.py wraps dual.eval_kernel
+from .forward import IntegrationError, _exp_update, _ratio_kernel
+from .kernel import eval_cutoff, eval_kernel  # noqa: F401  eval_kernel: bench/trace_run.py wraps dual.eval_kernel
 from .measure import GridMeasure, cumulative_mass
 from .stablecdf import w_table
 
@@ -69,51 +67,54 @@ class DualField:
                          left=self.psi[j][0], right=0.0)
 
 
-class _DualTables:
-    """Static pair tables in the frame anchored at time t."""
+class _Jumps:
+    """The dual jump operator in the frame anchored at t, on the forward
+    engine of the trajectory.  Nodes i < n are the Z_i below R; node n is
+    R, with its own kernel row.  At backward time tau node i jumps toward
+    partner k at rate c_i T(i, k) v_k: c = esc u on the nodes, v the
+    forward partner densities at s = t - tau, T the engine's half band,
+    read both ways by _Engine.partner_sum.  Pair (i, i + d) takes node i
+    to P = Z_i + Z_(i+d), where Psi is f Psi_j + (1 - f) Psi_(j+1); every
+    target above R (all those of node R) reads appended zeros.
+    """
 
     def __init__(self, trajectory, R, t):
-        p = trajectory.params
-        cutoff = trajectory.cutoff
-        kernel = trajectory.kernel
-        edges = trajectory.edges
-        lam = cutoff.lam
-        # grid cells, then the synthesized tail partners of the forward loss term
-        _, Yall, gpow = _partners(edges, p.rho, lam)
-        scale = np.exp(-p.beta * t)
-        Zall = Yall * scale
-        # dual nodes: mapped grid representatives up to R, then R itself
-        n_grid = edges.size - 1
-        below = Zall[:n_grid] < R * (1.0 - 1e-12)
-        self.nodes = np.concatenate([Zall[:n_grid][below], [R]])
-        # partner columns beyond the ratio support of any node are dead
-        keep = Zall <= R * _partner_ratio(lam) * 1.01
-        self.k_idx = np.nonzero(keep)[0]
-        self.Zk = Zall[keep]
-        self.Yk = Yall[keep]
-        self.gpow = gpow
-        self.trivial = kernel.family == "zero"
-        if self.trivial:
-            self.Kd = np.zeros((self.nodes.size, self.Zk.size))
-        else:
-            self.Kd = _ratio_kernel(kernel, cutoff, self.nodes[:, None], self.Zk[None, :])
-        self.P = self.nodes[:, None] + self.Zk[None, :]
-        self.params = p
-        self.cutoff = cutoff
-        self.t = t
+        self.trajectory, self.t = trajectory, t
+        eng = self.engine = trajectory.engine
+        beta = trajectory.params.beta
+        self.Z = Z = eng.Yall * np.exp(-beta * t)
+        self.n = n = int(np.count_nonzero(Z[: eng.N] < R * (1.0 - 1e-12)))
+        self.nodes = nodes = np.append(Z[:n], R)
+        self.row = _ratio_kernel(trajectory.kernel, eng.cutoff, R * np.exp(beta * t), eng.Yall)
+        P = Z[:n, None] + sliding_window_view(Z, eng.dmax + 1)[:n]
+        self.j = np.minimum(np.searchsorted(nodes, P, side="right") - 1, n - 1)
+        self.f = (nodes[self.j + 1] - P) / (nodes[self.j + 1] - nodes[self.j])
+        self.j[P > R], self.f[P > R] = n + 1, 0.0
+        self.gain = np.zeros((eng.dmax + n, eng.dmax + 1))  # T weighted by Psi at the targets
 
-    def q_matrix(self, trajectory, tau):
-        """Jump rate table q[i, k] at backward time tau = t - s."""
-        p = self.params
+    def _loss(self, tau, far=False):
+        """(D, c, v) at backward time tau: each node's total jump rate
+        (toward partners beyond R only, if far), c and v."""
+        eng, p = self.engine, self.trajectory.params
         s = self.t - tau
-        masses, amp = trajectory.interp(s)
-        m_all = np.concatenate([masses, amp * self.gpow])[self.k_idx]
-        grow = np.exp(p.beta * tau)
-        u_x = eval_cutoff(self.cutoff, self.nodes * grow / self.cutoff.lam)
-        u_z = eval_cutoff(self.cutoff, self.Zk * grow / self.cutoff.lam)
-        esc = np.exp(p.gamma * p.beta * tau)
-        col = u_z * m_all / self.Yk
-        return esc * u_x[:, None] * (self.Kd * col[None, :])
+        _, v, esc = eng.densities(*self.trajectory.interp(s), s)
+        c = esc * eval_cutoff(eng.cutoff, self.nodes * np.exp(p.beta * tau) / eng.cutoff.lam)
+        w = np.where(self.Z > self.nodes[-1], v, 0.0) if far else v
+        return c * np.append(eng.partner_sum(w)[: self.n], self.row @ w), c, v
+
+    def rates(self, tau, psi):
+        """(D, G) at backward time tau: each node's total jump rate, and
+        its jump rates weighted by Psi at the targets."""
+        D, c, v = self._loss(tau)
+        psi_ext = np.concatenate([psi, [0.0, 0.0]])
+        hi = psi_ext[self.j + 1]
+        np.multiply(self.engine.T[: self.n], hi + self.f * (psi_ext[self.j] - hi),
+                    out=self.gain[self.engine.dmax :])
+        return D, np.append(c[: self.n] * self.engine.partner_sum(v, self.gain), 0.0)
+
+    def far(self, tau):
+        """Each node's jump rate at backward time tau toward partners beyond R."""
+        return self._loss(tau, far=True)[0]
 
 
 def solve_dual(trajectory, R, t, max_change=0.02):
@@ -138,14 +139,13 @@ def solve_dual(trajectory, R, t, max_change=0.02):
         raise ValueError("R must be > 0")
     if not 0.0 <= t <= trajectory.t_final + 1e-12:
         raise ValueError("trajectory does not cover [0, t]")
-    tab = _DualTables(trajectory, R, t)
-    nodes = tab.nodes
-    psi = np.ones(nodes.size)  # indicator datum: every node is <= R
+    jumps = _Jumps(trajectory, R, t)
+    psi = np.ones(jumps.nodes.size)  # indicator datum: every node is <= R
     taus = [0.0]
     rows = [psi.copy()]
     n_retries = 0
     mono_viol = 0.0
-    if tab.trivial or t == 0.0:
+    if trajectory.engine.trivial or t == 0.0:
         if t > 0.0:
             taus.append(t)
             rows.append(psi.copy())
@@ -153,10 +153,7 @@ def solve_dual(trajectory, R, t, max_change=0.02):
         tau = 0.0
         dtau = None
         while tau < t - 1e-14:
-            q = tab.q_matrix(trajectory, tau)
-            D = q.sum(axis=1)
-            psi_at = np.interp(tab.P.ravel(), nodes, psi, right=0.0).reshape(tab.P.shape)
-            G = np.sum(q * psi_at, axis=1)
+            D, G = jumps.rates(tau, psi)
             d_max = float(D.max())
             cap = 0.5 / d_max if d_max > 0.0 else np.inf
             dtau = cap if dtau is None else min(1.2 * dtau, cap)
@@ -180,7 +177,7 @@ def solve_dual(trajectory, R, t, max_change=0.02):
     # flip to ascending s = t - tau
     order = np.argsort(t - taus, kind="stable")
     return DualField(
-        nodes=nodes,
+        nodes=jumps.nodes,
         s_values=(t - taus)[order],
         psi=psi_all[order],
         R=float(R),
@@ -365,16 +362,14 @@ def q_tail_bound(trajectory, R, tau_values=None, t=None):
         t = trajectory.t_final
     if tau_values is None:
         tau_values = np.linspace(0.0, t, 5) if t > 0.0 else [0.0]
-    tab = _DualTables(trajectory, R, t)
-    far = tab.Zk > R
+    jumps = _Jumps(trajectory, R, t)
     worst, X_at, tau_at = 0.0, np.nan, np.nan
     for tau in tau_values:
         if not 0.0 <= tau <= t + 1e-12:
             raise ValueError("tau outside trajectory coverage")
-        q = tab.q_matrix(trajectory, min(float(tau), t))
-        left = q[:, far].sum(axis=1)
+        left = jumps.far(min(float(tau), t))
         k = int(np.argmax(left))
         if left[k] > worst:
-            worst, X_at, tau_at = float(left[k]), float(tab.nodes[k]), float(tau)
+            worst, X_at, tau_at = float(left[k]), float(jumps.nodes[k]), float(tau)
     K_star = worst * R ** (p.rho - p.gamma)
     return QTailReport(K_star=K_star, X_at=X_at, tau_at=tau_at, R=float(R))

@@ -33,7 +33,8 @@ ledger.
 
 The pair operator is built once here: _partners continues the grid with
 the tail cells and _ratio_kernel gives the static part of the regularized
-kernel; the dual tables and the flux residual share both.  The ratio cutoffs
+kernel, which the flux residual shares; the dual reads the engine of its
+trajectory (its half band and partner_sum).  The ratio cutoffs
 vanish past the partner ratio (2-lam)/lam, a fixed number of cells on the
 geometric grid, so _Engine keeps the static weights of each unordered pair
 within dmax cells as a half band, reads the partners below a cell through
@@ -52,7 +53,6 @@ divides the same factor out; the physical tail amplitude is a conserved
 boundary condition.
 """
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,8 +60,6 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .kernel import eval_cutoff, eval_kernel
 from .measure import GridMeasure
-
-logger = logging.getLogger(__name__)
 
 
 class IntegrationError(RuntimeError):
@@ -89,7 +87,8 @@ class Trajectory:
 
     masses[k] are the X-frame cell masses at times[k]; linear
     interpolation between stored steps is the sanctioned accuracy model
-    for consumers (the dual solver and barrier checks).
+    for consumers (the dual solver and barrier checks).  engine is the
+    _Engine that stepped the run; the dual reads its pair operator.
     """
 
     edges: np.ndarray
@@ -99,6 +98,7 @@ class Trajectory:
     params: object
     kernel: object
     cutoff: object
+    engine: object
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -169,10 +169,10 @@ def _ratio_kernel(kernel, cutoff, Y, Z):
 
 def _band(x, lead, width, rows):
     """Read-only windows out[i, k] = x[i + k - lead], zero outside x."""
-    buf = np.zeros(rows + width - 1, dtype=x.dtype)
+    buf = np.zeros(rows + width, dtype=x.dtype)
     n = min(x.size, buf.size - lead)
     buf[lead : lead + n] = x[:n]
-    return sliding_window_view(buf, width)
+    return sliding_window_view(buf, width)[:rows]
 
 
 class _Engine:
@@ -218,36 +218,35 @@ class _Engine:
         self.F_lo = np.where(live, S * f, S)
         self.F_hi = np.where(live, S * (1.0 - f), S * P)
 
-    def _loss(self, masses, amp, s):
-        """(Lk, vv) at time s: per-unit-mass kernel loss rates, and
-        vv[i, d] = esc v_i v_(i+d) on the half band."""
-        N, dmax = self.N, self.dmax
+    def densities(self, masses, amp, s):
+        """(u, v, esc) at time s: small-size cutoffs u and densities
+        v = u m / Y of all partners (cells, then ghosts), esc = e^(-gamma beta s)."""
         p = self.params
         u = eval_cutoff(self.cutoff, self.Yall / (self.cutoff.lam * np.exp(p.beta * s)))
         v = u * np.concatenate([masses, amp * self.ghost_pow]) / self.Yall
-        esc = np.exp(-p.gamma * p.beta * s)
-        V = _band(v, 0, dmax + 1, N)
-        # below[i, k] = T[i + k - dmax, dmax - k], the weight of cell i with
-        # partner i + k - dmax; the zero rows cover partners below cell 0
-        buf = self.T.base
-        rows, cols = buf.strides
-        below = as_strided(buf[0, dmax:], (N, dmax), (rows, rows - cols), writeable=False)
-        Lk = np.einsum("id,id->i", self.T, V)
-        Lk += np.einsum("ik,ik->i", below, _band(v, dmax, dmax, N))
-        Lk *= esc * u[:N]
-        vv = V * (esc * v[:N, None])
-        return Lk, vv
+        return u, v, np.exp(-p.gamma * p.beta * s)
 
-    def pair_weights(self, masses, amp, s):
-        """(Lk, Wa, Wb) at time s: per-unit-mass kernel loss rates, and on
-        the unordered pairs (i, i + d) the weights of the ordered pairs with
-        source i (Wa) and with source i + d (Wb; zero for d = 0, where the
-        two coincide, and for ghost partners, which are loss-only)."""
-        Lk, vv = self._loss(masses, amp, s)
-        TW = self.T * vv
-        Wb = TW * _band(self.Y, 0, self.dmax + 1, self.N)
-        Wb[:, 0] = 0.0
-        return Lk, TW * self.Y[:, None], Wb
+    def partner_sum(self, v, pad=None):
+        """sum_d W[i, d] v[i + d] + sum_(d>0) W[i - d, d] v[i - d] per row i
+        of a half band W = pad[dmax:] below dmax zero rows (default: T)."""
+        dmax = self.dmax
+        pad = self.T.base if pad is None else pad
+        n = pad.shape[0] - dmax
+        # below[i, k] = W[i + k - dmax, dmax - k], the weight of row i with
+        # partner i + k - dmax; the zero rows cover partners below row 0
+        rows, cols = pad.strides
+        below = as_strided(pad[0, dmax:], (n, dmax), (rows, rows - cols), writeable=False)
+        out = np.einsum("id,id->i", pad[dmax:], _band(v, 0, dmax + 1, n))
+        out += np.einsum("ik,ik->i", below, _band(v, dmax, dmax, n))
+        return out
+
+    def _loss(self, masses, amp, s):
+        """(Lk, vv) at time s: per-unit-mass kernel loss rates, and
+        vv[i, d] = esc v_i v_(i+d) on the half band."""
+        u, v, esc = self.densities(masses, amp, s)
+        Lk = self.partner_sum(v) * (esc * u[: self.N])
+        vv = _band(v, 0, self.dmax + 1, self.N) * (esc * v[: self.N, None])
+        return Lk, vv
 
     def rates(self, masses, amp, s):
         """Frozen-coefficient rates at time s.
@@ -475,10 +474,10 @@ def _map_back(masses, amp, edges, sigma, rho):
     return shifted * scale, amp * np.exp(-rho * sigma), spill * scale
 
 
-def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), frame_octaves=1.0, max_change=0.05, *, stepper=None):
+def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), max_change=0.05, *, stepper=None):
     """Chunked physical-variable evolution up to rescaled time t_final.
 
-    The run is split into frames of duration frame_octaves * ln(2)/beta
+    The run is split into frames of one octave of drift, ln(2)/beta
     (so each frame's map-back is an exact index shift), with extra frame
     boundaries at requested snapshot times.  The physical tail amplitude
     is conserved across frames (the far tail sees no coagulation under
@@ -495,8 +494,6 @@ def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), frame_octav
     t_final : float
     snapshot_times : iterable of float
         Times (in (0, t_final]) at which physical snapshots are stored.
-    frame_octaves : float
-        Frame length in octaves of drift; 1.0 gives one-octave frames.
     max_change : float
         Per-step relative change cap of the adaptive stepper.
     stepper : _Stepper or None
@@ -513,7 +510,7 @@ def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), frame_octav
         raise ValueError("t_final must be >= 0")
     edges = h0.edges
     r = edges[1] / edges[0]
-    k_per_frame = max(1, round(frame_octaves * np.log(2.0) / np.log(r)))
+    k_per_frame = max(1, round(np.log(2.0) / np.log(r)))
     T_frame = k_per_frame * np.log(r) / params.beta
     snaps = sorted(set(float(t) for t in snapshot_times if 0.0 < t <= t_final))
     boundaries = sorted(set(snaps + [t_final]))
@@ -607,6 +604,7 @@ def rescaled_trajectory(h0, params, kernel, cutoff, t_final, max_change=0.02):
         params=params,
         kernel=kernel,
         cutoff=cutoff,
+        engine=eng,
         diagnostics=diag,
     )
 
@@ -640,9 +638,14 @@ def rearrangement_residual(state, psi):
     eng = _Engine(m.edges, state.params, state.kernel, state.cutoff)
     N, dmax = eng.N, eng.dmax
     masses = m.cell_mass
-    Lk, Wa, Wb = eng.pair_weights(masses, m.tail_amplitude, state.t)
+    Lk, vv = eng._loss(masses, m.tail_amplitude, state.t)
+    # ordered-pair weights of (i, i + d) with source i (Wa) and i + d (Wb;
+    # zero for d = 0, where the two coincide, and for loss-only ghosts)
+    TW = eng.T * vv
+    Wa = TW * eng.Y[:, None]
+    Wb = TW * _band(eng.Y, 0, dmax + 1, N)
+    Wb[:, 0] = 0.0
     W = Wa + Wb
-    _, vv = eng._loss(masses, m.tail_amplitude, state.t)
     psi_rep = np.asarray(psi(eng.Y), dtype=float)
     loss_w = float(np.sum(psi_rep * Lk * masses))
     # split deposits from the static tables; the overflow bin N reads psi = 0

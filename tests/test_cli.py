@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coagsim.cli import main, read_table, write_table
+from coagsim import forward
+from coagsim.cli import cmd_dual_check, main, read_table, write_table
 from coagsim.config import (
     ConfigError,
     dumps_config,
@@ -308,6 +309,37 @@ class TestDualCheckCommand:
     def test_missing_radius_exits_1(self, tmp_path):
         code, _ = run_cli(tmp_path, BASE, "dual-check")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["dual.dump_s = 0.0, 0.9", "dual.radius = 0.0", "dual.time = -0.1", "dual.max_change = 0.0"],
+        ids=["dump_s", "radius", "time", "max_change"],
+    )
+    def test_bad_dual_key_exits_1_before_solving(self, tmp_path, bad):
+        good = {"dual.radius": "10.0", "dual.time": "0.1"}
+        key, value = bad.split(" = ")
+        good[key] = value
+        text = BASE + "".join(f"{k} = {v}\n" for k, v in good.items())
+        code, out = run_cli(tmp_path, text, "dual-check")
+        assert code == 1
+        assert not list(out.glob("psi_*.csv"))
+
+    def test_builds_one_engine(self, tmp_path, monkeypatch):
+        # the dual reads the pair operator of the engine that stepped the
+        # trajectory; a second build would hold a second copy all through
+        # the solve
+        builds = []
+        init = forward._Engine.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(forward._Engine, "__init__", counting_init)
+        text = BASE + "dual.radius = 10.0\ndual.time = 0.25\ndual.max_change = 0.02\n"
+        cfg = run_config(parse_config(text))
+        assert cmd_dual_check(cfg, tmp_path, 1e-2) == 0
+        assert len(builds) == 1
 
 
 class TestProfileWCommand:

@@ -6,14 +6,29 @@ import numpy as np
 import pytest
 
 from coagsim.dual import (
+    _Jumps,
     adjoint_consistency,
     find_m_star,
     q_tail_bound,
     solve_dual,
     subsolution_bound,
 )
-from coagsim.forward import IntegrationError, rescaled_trajectory
-from coagsim.kernel import CutoffParams, constant_kernel, zero_kernel
+from coagsim.forward import (
+    IntegrationError,
+    Trajectory,
+    _Engine,
+    _partners,
+    _ratio_kernel,
+    rescaled_trajectory,
+)
+from coagsim.kernel import (
+    CutoffParams,
+    constant_kernel,
+    eval_cutoff,
+    product_kernel,
+    sum_kernel,
+    zero_kernel,
+)
 from coagsim.measure import (
     GridMeasure,
     Params,
@@ -84,6 +99,14 @@ class TestSolveDual:
         fld = solve_dual(traj_zero, 10.0, T_FINAL)
         np.testing.assert_array_equal(fld.psi, 1.0)
         assert fld.diagnostics["n_steps"] == 1
+
+    def test_radius_below_every_node(self, traj_const):
+        # no grid node lies below R, so R is the only node; sizes below
+        # lam / 2 do not coagulate, so Psi stays the indicator
+        fld = solve_dual(traj_const, 1e-5, T_FINAL, max_change=0.005)
+        np.testing.assert_array_equal(fld.nodes, [1e-5])
+        np.testing.assert_array_equal(fld.psi, 1.0)
+        assert q_tail_bound(traj_const, 1e-5).K_star == 0.0
 
     def test_rejects_bad_inputs(self, traj_const):
         with pytest.raises(ValueError):
@@ -181,6 +204,66 @@ class TestQTail:
     def test_rejects_tau_outside_coverage(self, traj_const):
         with pytest.raises(ValueError):
             q_tail_bound(traj_const, 10.0, tau_values=[T_FINAL + 1.0])
+
+
+def oracle_jumps(traj, R, t, tau, psi):
+    """Dense nodes x partners jump table in the frame anchored at t:
+    (nodes, D, G, far sums) with G from np.interp at the pair sums."""
+    p, cut = traj.params, traj.cutoff
+    _, Yall, gpow = _partners(traj.edges, p.rho, cut.lam)
+    Zk = Yall * np.exp(-p.beta * t)
+    n = int(np.count_nonzero(Zk[: traj.edges.size - 1] < R * (1.0 - 1e-12)))
+    nodes = np.append(Zk[:n], R)
+    Kd = _ratio_kernel(traj.kernel, cut, nodes[:, None], Zk[None, :])
+    masses, amp = traj.interp(t - tau)
+    grow = np.exp(p.beta * tau)
+    u_x = eval_cutoff(cut, nodes * grow / cut.lam)
+    u_z = eval_cutoff(cut, Zk * grow / cut.lam)
+    col = u_z * np.concatenate([masses, amp * gpow]) / Yall
+    q = np.exp(p.gamma * p.beta * tau) * u_x[:, None] * Kd * col[None, :]
+    psi_at = np.interp(nodes[:, None] + Zk[None, :], nodes, psi, right=0.0)
+    return nodes, q.sum(axis=1), (q * psi_at).sum(axis=1), q[:, Zk > R].sum(axis=1)
+
+
+class TestDualOracle:
+    """_Jumps on the forward half band against the dense jump table."""
+
+    @pytest.mark.parametrize(
+        "kernel, params",
+        [
+            (constant_kernel(1.3), Params(gamma=0.0, rho=0.5)),
+            (product_kernel(0.5), Params(gamma=0.5, rho=0.75)),
+            (sum_kernel(0.2, 0.5), Params(gamma=0.5, rho=0.75)),
+        ],
+        ids=["constant", "product", "sum"],
+    )
+    @pytest.mark.parametrize("lam", [1e-3, 0.1])
+    @pytest.mark.parametrize("t", [0.0, 0.3])
+    @pytest.mark.parametrize("R_at", ["edge", "above_rep"])
+    def test_matches_dense_table(self, kernel, params, lam, t, R_at):
+        edges = geometric_grid(1e-4, 20.0, ratio=2.0 ** 0.25)
+        rng = np.random.default_rng(23)
+        times = np.array([0.0, 0.3])
+        masses = rng.uniform(0.1, 1.0, (2, edges.size - 1))
+        cut = CutoffParams(lam=lam)
+        traj = Trajectory(edges, times, masses, np.array([0.4, 0.5]), params, kernel, cut,
+                          _Engine(edges, params, kernel, cut))
+        # R just above a representative leaves a sliver interval below R
+        Y = np.sqrt(edges[:-1] * edges[1:])
+        k = np.searchsorted(edges, np.exp(params.beta * t))
+        R = (edges[k] if R_at == "edge" else Y[k] * (1.0 + 1e-9)) * np.exp(-params.beta * t)
+        jumps = _Jumps(traj, R, t)
+        for tau in sorted({0.0, t / 3.0, t}):
+            psi = np.sort(rng.uniform(0.05, 1.0, jumps.nodes.size))[::-1]
+            nodes, D, G, far = oracle_jumps(traj, R, t, tau, psi)
+            np.testing.assert_array_equal(jumps.nodes, nodes)
+            assert D.max() > 0.0 and far.max() > 0.0
+            got_D, got_G = jumps.rates(tau, psi)
+            np.testing.assert_allclose(got_D, D, rtol=1e-13, atol=0.0)
+            # G <= D termwise (Psi <= 1); D is the scale of its rounding
+            assert np.all(np.abs(got_G - G) <= 1e-13 * D)
+            assert got_G[-1] == 0.0 and G[-1] == 0.0
+            np.testing.assert_allclose(jumps.far(tau), far, rtol=1e-13, atol=0.0)
 
 
 class TestPairingAgainstCumulative:
