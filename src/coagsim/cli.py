@@ -235,7 +235,8 @@ def cmd_dual_check(cfg, out_dir, tolerance):
             raise ConfigError(f"dual.dump_s value {s_req} outside [0, {t}]")
     tol = tolerance if tolerance is not None else 1e-3
     h0 = power_law_init(cfg.params, geometric_grid(*cfg.grid))
-    traj = rescaled_trajectory(h0, cfg.params, cfg.kernel, cfg.cutoff, t, max_change=mc)
+    # dual.max_change caps the dual alone; the trajectory keeps its own cap
+    traj = rescaled_trajectory(h0, cfg.params, cfg.kernel, cfg.cutoff, t)
     field = solve_dual(traj, R, t, max_change=mc)
     residual = adjoint_consistency(h0, traj, R, t, dual_field=field)
     profile = StableProfile(a=cfg.params.a)
@@ -260,6 +261,7 @@ def cmd_dual_check(cfg, out_dir, tolerance):
         "radius": R,
         "time": t,
         "max_change": mc,
+        "trajectory_max_change": traj.diagnostics["max_change"],
         "tolerance": tol,
         "adjoint_residual": residual,
         "m_star": m_star,
@@ -267,6 +269,7 @@ def cmd_dual_check(cfg, out_dir, tolerance):
         "k_star": q_report,
         "psi_files": files,
         "n_backward_steps": int(field.s_values.size - 1),
+        "n_forward_steps": traj.diagnostics["n_steps"],
     }
     write_json(out_dir / "dual_check.json", manifest)
     _log(

@@ -292,6 +292,8 @@ class _Stepper:
     """
 
     def __init__(self, engine, max_change=0.05, mass_floor_frac=1e-12):
+        if not 0.0 < max_change < 1.0:
+            raise ValueError("max_change must lie in (0, 1)")
         self.engine = engine
         self.max_change = max_change
         self.mass_floor_frac = mass_floor_frac
@@ -591,6 +593,7 @@ def rescaled_trajectory(h0, params, kernel, cutoff, t_final, max_change=0.02):
     # amplitude grows at the exact drift rate
     amps = h0.tail_amplitude * np.exp(params.beta * params.rho * ts)
     diag = {
+        "max_change": max_change,
         "n_steps": stepper.n_steps,
         "n_retries": stepper.n_retries,
         "max_pairing_residual": stepper.max_pairing_residual,

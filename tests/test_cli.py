@@ -306,6 +306,22 @@ class TestDualCheckCommand:
         assert manifest["adjoint_residual"] > 1e-6
         assert manifest["m_star"] <= 1e4
 
+    def test_dual_cap_leaves_forward_steps(self, tmp_path):
+        # dual.max_change caps the dual alone; the trajectory keeps its own
+        # cap, and the manifest names both
+        manifests = {}
+        for mc in (0.02, 0.005):
+            text = BASE + f"dual.radius = 10.0\ndual.time = 0.25\ndual.max_change = {mc}\n"
+            run_dir = tmp_path / str(mc)
+            run_dir.mkdir()
+            code, out = run_cli(run_dir, text, "dual-check", "--tolerance", "1e-2")
+            assert code == 0
+            manifests[mc] = json.loads((out / "dual_check.json").read_text())
+        coarse, fine = manifests[0.02], manifests[0.005]
+        assert coarse["trajectory_max_change"] == fine["trajectory_max_change"] == 0.02
+        assert coarse["n_forward_steps"] == fine["n_forward_steps"] > 0
+        assert fine["n_backward_steps"] > coarse["n_backward_steps"]
+
     def test_missing_radius_exits_1(self, tmp_path):
         code, _ = run_cli(tmp_path, BASE, "dual-check")
         assert code == 1

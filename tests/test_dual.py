@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coagsim.dual import (
+    SubsolutionReport,
     _Jumps,
     adjoint_consistency,
     find_m_star,
@@ -37,7 +38,7 @@ from coagsim.measure import (
     geometric_grid,
     power_law_init,
 )
-from coagsim.stablecdf import StableProfile
+from coagsim.stablecdf import StableProfile, w_table
 
 RATIO = 2.0 ** (1.0 / 16.0)
 PARAMS = Params(gamma=0.0, rho=0.5, lam=1e-3, delta=0.2, R0=10.0)
@@ -113,6 +114,9 @@ class TestSolveDual:
             solve_dual(traj_const, -1.0, T_FINAL)
         with pytest.raises(ValueError):
             solve_dual(traj_const, 10.0, T_FINAL + 1.0)
+        for mc in (0.0, -1.0, 1.0):
+            with pytest.raises(ValueError, match="max_change"):
+                solve_dual(traj_const, 10.0, T_FINAL, max_change=mc)
 
     def test_step_collapse_raises(self, traj_const):
         # a non-finite rate meets no step cap, however small the step:
@@ -145,15 +149,21 @@ class TestAdjointConsistency:
         res = adjoint_consistency(h0, traj_const, 10.0, T_FINAL, dual_field=field_const)
         assert res <= 2e-3
 
-    def test_first_order_in_step_cap(self, h0):
-        # halving the per-step change cap halves the pairing defect
-        res = {}
-        for mc in (0.02, 0.005):
-            traj = rescaled_trajectory(h0, PARAMS, constant_kernel(2.0), CUT,
-                                       T_FINAL, max_change=mc)
-            fld = solve_dual(traj, 10.0, T_FINAL, max_change=mc)
-            res[mc] = adjoint_consistency(h0, traj, 10.0, T_FINAL, dual_field=fld)
-        assert res[0.02] / res[0.005] >= 2.5
+    def test_second_order_in_step_cap(self, traj_const):
+        # on one trajectory, quartering the dual's change cap cuts the error
+        # of Psi(., 0) against a finely stepped solve by about 14 (16 for a
+        # second-order step; a first-order step gives about 4)
+        ref = solve_dual(traj_const, 10.0, T_FINAL, max_change=0.0003125).psi[0]
+        err = {mc: np.max(np.abs(solve_dual(traj_const, 10.0, T_FINAL, max_change=mc).psi[0] - ref))
+               for mc in (0.02, 0.005)}
+        assert err[0.02] / err[0.005] >= 10.0
+
+    @pytest.mark.parametrize("R", [10.0, 100.0])
+    def test_small_at_fourfold_dual_cap(self, h0, traj_const, R):
+        # the acceptance gate 1e-3 holds with a dual cap four times the
+        # acceptance run's 0.0025
+        fld = solve_dual(traj_const, R, T_FINAL, max_change=0.01)
+        assert adjoint_consistency(h0, traj_const, R, T_FINAL, dual_field=fld) <= 1e-3
 
 
 class TestSubsolution:
@@ -180,6 +190,57 @@ class TestSubsolution:
     def test_rejects_nonpositive_m(self, field_const):
         with pytest.raises(ValueError):
             subsolution_bound(field_const, StableProfile(a=0.5), 0.0)
+
+
+def oracle_subsolution_bound(dual_field, profile, M, s=None, tol=1e-3, max_s_samples=64):
+    """The barrier check one sampled time at a time."""
+    R, t = dual_field.R, dual_field.t_final
+    tab = w_table(profile)
+    inv_a = 1.0 / profile.a
+    if s is None:
+        n = dual_field.s_values.size
+        stride = max(1, n // max_s_samples)
+        idx = sorted(set(range(0, n, stride)) | {n - 1})
+    else:
+        idx = [int(np.argmin(np.abs(dual_field.s_values - s)))]
+    worst, X_at, s_at = np.inf, np.nan, np.nan
+    X = dual_field.nodes
+    for j in idx:
+        sj = float(dual_field.s_values[j])
+        tau = t - sj
+        if tau <= 0.0:
+            barrier = np.where(X < R, 1.0, 0.0)
+        else:
+            Yarg = (R - X) / (M * tau) ** inv_a
+            barrier = np.where(X >= R, 0.0, tab(np.maximum(Yarg, 0.0)))
+        margin = dual_field.psi[j] - barrier
+        k = int(np.argmin(margin))
+        if margin[k] < worst:
+            worst, X_at, s_at = float(margin[k]), float(X[k]), sj
+    return SubsolutionReport(ok=bool(worst >= -tol), worst_margin=worst,
+                             X_at=X_at, s_at=s_at, M=M, tol=tol)
+
+
+class TestSubsolutionOracle:
+    """One barrier array per M against the per-time loop, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def fields(self, traj_const, field_const):
+        # the fine field stores more times than are sampled (stride > 1)
+        fine = solve_dual(traj_const, 100.0, T_FINAL, max_change=0.001)
+        assert fine.s_values.size > 2 * 64
+        return {"coarse": field_const, "fine": fine}
+
+    @pytest.mark.parametrize("which", ["coarse", "fine"])
+    @pytest.mark.parametrize("s", [None, 0.0, 0.2, T_FINAL], ids=["all", "s0", "mid", "tau0"])
+    @pytest.mark.parametrize("M", [1e-2, 0.1, 0.31, 1.0, 1e4])
+    def test_matches_per_time_loop(self, fields, which, s, M):
+        prof = StableProfile(a=0.5)
+        got = subsolution_bound(fields[which], prof, M, s=s)
+        assert got == oracle_subsolution_bound(fields[which], prof, M, s=s)
+        if s == T_FINAL:
+            # the tau = 0 row compares Psi with the indicator itself
+            assert got.s_at == T_FINAL and got.worst_margin == 0.0
 
 
 class TestQTail:

@@ -694,6 +694,17 @@ class TestTrajectory:
         assert traj.masses.shape == (traj.times.size, h0.n_cells)
         assert traj.diagnostics["n_steps"] == traj.times.size - 1
         assert traj.diagnostics["max_pairing_residual"] <= 1e-12
+        assert traj.diagnostics["max_change"] == 0.02
+
+    @pytest.mark.parametrize("mc", [0.0, -1.0, 1.0])
+    def test_rejects_change_cap_outside_unit_interval(self, mc):
+        # a zero cap would accept zero-length steps for ever; the stepper
+        # refuses it before stepping
+        h0 = power_law_init(PARAMS)
+        with pytest.raises(ValueError, match="max_change"):
+            rescaled_trajectory(h0, PARAMS, constant_kernel(1.0), CUT, 0.3, max_change=mc)
+        with pytest.raises(ValueError, match="max_change"):
+            simulate(h0, PARAMS, constant_kernel(1.0), CUT, 0.3, max_change=mc)
 
     def test_interp_endpoints_and_bounds(self):
         h0 = power_law_init(PARAMS)
