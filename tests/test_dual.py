@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coagsim.dual import (
+    DualField,
     SubsolutionReport,
     _Jumps,
     adjoint_consistency,
@@ -19,6 +20,7 @@ from coagsim.forward import (
     Trajectory,
     _Engine,
     _partners,
+    _exp_update,
     _ratio_kernel,
     rescaled_trajectory,
 )
@@ -126,6 +128,96 @@ class TestSolveDual:
         broken = replace(traj_const, masses=masses)
         with pytest.raises(IntegrationError, match="step size collapsed"):
             solve_dual(broken, 10.0, T_FINAL, max_change=0.005)
+
+
+def oracle_solve_dual(trajectory, R, t, max_change=0.02):
+    """solve_dual with its own copy of the exponential-Heun step loop."""
+    jumps = _Jumps(trajectory, R, t)
+    psi = np.ones(jumps.nodes.size)
+    taus = [0.0]
+    rows = [psi.copy()]
+    n_retries = 0
+    mono_viol = 0.0
+    if trajectory.engine.trivial or t == 0.0:
+        if t > 0.0:
+            taus.append(t)
+            rows.append(psi.copy())
+    else:
+        tau = 0.0
+        dt = None
+        while tau < t - 1e-14:
+            D, G = jumps.rates(tau, psi)
+            d_max = float(D.max())
+            cap = 0.5 / d_max if d_max > 0.0 else np.inf
+            h = min(cap if dt is None else min(dt, cap), t - tau)
+            for _ in range(60):
+                pred = _exp_update(psi, D, G, h)
+                D2, G2 = jumps.rates(tau + h, pred)
+                trial = _exp_update(psi, 0.5 * (D + D2), 0.5 * (G + G2), h)
+                change = float(np.max(np.abs(trial - psi)))
+                if change <= max_change and tau + h > tau:
+                    break
+                h *= 0.5
+                n_retries += 1
+            else:
+                raise IntegrationError(f"dual step size collapsed at tau={tau:.6g} (change={change:.3g})")
+            dt = h * min(1.2, 0.9 * max_change / max(change, 1e-300))
+            psi = trial
+            tau += h
+            taus.append(tau)
+            rows.append(psi.copy())
+            mono_viol = max(mono_viol, float(np.max(np.diff(psi), initial=0.0)))
+    taus = np.array(taus)
+    psi_all = np.array(rows)
+    order = np.argsort(t - taus, kind="stable")
+    return DualField(
+        nodes=jumps.nodes,
+        s_values=(t - taus)[order],
+        psi=psi_all[order],
+        R=float(R),
+        t_final=float(t),
+        params=trajectory.params,
+        diagnostics={
+            "n_steps": taus.size - 1,
+            "n_retries": n_retries,
+            "max_monotonicity_violation": mono_viol,
+        },
+    )
+
+
+def assert_same_field(got, want):
+    np.testing.assert_array_equal(got.nodes, want.nodes)
+    np.testing.assert_array_equal(got.s_values, want.s_values)
+    np.testing.assert_array_equal(got.psi, want.psi)
+    assert (got.R, got.t_final) == (want.R, want.t_final)
+    assert got.diagnostics == want.diagnostics
+
+
+class TestSolveDualOracle:
+    """solve_dual against its own step loop, bit for bit."""
+
+    @pytest.fixture(scope="class", params=["constant", "product", "sum"])
+    def traj(self, request, h0):
+        if request.param == "constant":
+            return rescaled_trajectory(h0, PARAMS, constant_kernel(2.0), CUT, T_FINAL)
+        params = Params(gamma=0.5, rho=0.75, lam=1e-3, delta=0.2, R0=10.0)
+        kernel = product_kernel(0.5) if request.param == "product" else sum_kernel(0.2, 0.5)
+        return rescaled_trajectory(power_law_init(params, h0.edges), params, kernel, CUT, T_FINAL)
+
+    @pytest.mark.parametrize("max_change", [0.02, 0.0025])
+    @pytest.mark.parametrize("R", [10.0, 100.0])
+    def test_matches_own_loop(self, traj, R, max_change):
+        want = oracle_solve_dual(traj, R, T_FINAL, max_change=max_change)
+        assert_same_field(solve_dual(traj, R, T_FINAL, max_change=max_change), want)
+        assert want.diagnostics["n_retries"] > 0  # the halving path runs
+
+    @pytest.mark.parametrize("case", ["zero_kernel", "t0", "zero_kernel_t0"])
+    def test_matches_trivial_cases(self, traj_zero, traj_const, case):
+        traj = traj_const if case == "t0" else traj_zero
+        t = 0.0 if case.endswith("t0") else T_FINAL
+        want = oracle_solve_dual(traj, 10.0, t)
+        assert_same_field(solve_dual(traj, 10.0, t), want)
+        assert want.diagnostics["n_steps"] == (1 if t > 0.0 else 0)
 
 
 class TestAdjointConsistency:

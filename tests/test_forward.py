@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from coagsim.forward import (
     EvolutionState,
     GronwallReport,
+    IntegrationError,
     _Engine,
     _Stepper,
     _exp_update,
@@ -482,6 +483,105 @@ class TestStepperCarry:
         for m0, m1 in zip(log, log[1:]):
             scale = np.maximum(m0, st.mass_floor_frac * float(np.sum(m0)))
             assert float(np.max(np.abs(m1 - m0) / scale)) <= st.max_change
+
+
+class OracleStepper(_Stepper):
+    """_Stepper with its own copy of the exponential-Heun step loop."""
+
+    def run(self, masses, amp, s0, s1, record=None):
+        eng = self.engine
+        if eng.trivial:
+            n_seg = max(1, int(np.ceil((s1 - s0) / 0.1)))
+            ds = (s1 - s0) / n_seg
+            growth = np.exp(eng.params.beta * eng.params.rho * ds)
+            for k in range(n_seg):
+                masses = masses * growth
+                self.n_steps += 1
+                if record is not None:
+                    record(s0 + (k + 1) * ds, masses)
+            return masses
+        s = s0
+        dt = self.dt
+        grow = eng.params.beta * eng.params.rho
+        while s < s1 - 1e-14 * max(1.0, abs(s1)):
+            A, Q, sink_r, sink_mom_r, resid = eng.rates(
+                masses, amp * np.exp(grow * (s - s0)), s
+            )
+            self.max_pairing_residual = max(self.max_pairing_residual, resid)
+            a_max = float(np.max(np.abs(A)))
+            cap = 0.5 / a_max if a_max > 0.0 else np.inf
+            h = min(cap if dt is None else min(dt, cap), s1 - s)
+            cut = h == s1 - s
+            floor = self.mass_floor_frac * max(float(np.sum(masses)), 1e-300)
+            for attempt in range(60):
+                pred = _exp_update(masses, A, Q, h)
+                A2, Q2, sink_r2, sink_mom_r2, resid2 = eng.rates(
+                    pred, amp * np.exp(grow * (s + h - s0)), s + h
+                )
+                trial = _exp_update(masses, 0.5 * (A + A2), 0.5 * (Q + Q2), h)
+                scale = np.maximum(masses, floor)
+                change = float(np.max(np.abs(trial - masses) / scale))
+                if change <= self.max_change:
+                    break
+                h *= 0.5
+                cut = False
+                self.n_retries += 1
+            else:
+                raise IntegrationError(
+                    f"step size collapsed at s={s:.6g} (change={change:.3g}, dt={h:.3g})"
+                )
+            if not cut:
+                dt = h * min(1.2, 0.9 * self.max_change / max(change, 1e-300))
+            self.max_pairing_residual = max(self.max_pairing_residual, resid2)
+            masses = trial
+            self.sink_mass += h * 0.5 * (sink_r + sink_r2)
+            self.sink_moment += h * 0.5 * (sink_mom_r + sink_mom_r2)
+            s += h
+            self.n_steps += 1
+            if record is not None:
+                record(s, masses)
+        self.dt = dt
+        return masses
+
+
+class TestStepperOracle:
+    """_Stepper against its own step loop, bit for bit, on the acceptance grid."""
+
+    @pytest.mark.parametrize(
+        "kernel, params",
+        [
+            (constant_kernel(1.0), PARAMS),
+            (product_kernel(0.5), Params(gamma=0.5, rho=0.75, lam=1e-3)),
+            (sum_kernel(0.2, 0.5), Params(gamma=0.5, rho=0.75, lam=1e-3)),
+            (zero_kernel(), PARAMS),
+        ],
+        ids=["constant", "product", "sum", "zero"],
+    )
+    @pytest.mark.parametrize("max_change", [0.05, 0.01])
+    def test_matches_own_loop(self, kernel, params, max_change):
+        eng = _Engine(geometric_grid(), params, kernel, CUT)
+        h0 = power_law_init(params)
+        grow = params.beta * params.rho
+        out = []
+        for cls in (_Stepper, OracleStepper):
+            st = cls(eng, max_change=max_change)
+            log = []
+            masses = h0.cell_mass.copy()
+            # the second span starts from the proposal the first one carried
+            for s0, s1 in ((0.0, 0.2), (0.2, 0.5)):
+                masses = st.run(masses, h0.tail_amplitude * np.exp(grow * s0), s0, s1,
+                                record=lambda s, m: log.append((s, m.copy())))
+            out.append((st, masses, log))
+        (got, m_got, log_got), (want, m_want, log_want) = out
+        np.testing.assert_array_equal(m_got, m_want)
+        assert [s for s, _ in log_got] == [s for s, _ in log_want]
+        for (_, a), (_, b) in zip(log_got, log_want):
+            np.testing.assert_array_equal(a, b)
+        for name in ("dt", "n_steps", "n_retries", "sink_mass", "sink_moment",
+                     "max_pairing_residual"):
+            assert getattr(got, name) == getattr(want, name), name
+        if not eng.trivial:
+            assert want.n_retries > 0 and want.sink_mass > 0.0  # both paths run
 
 
 class TestExpUpdate:
