@@ -16,13 +16,12 @@ engine that stepped the trajectory (_Jumps).  With the dual nodes at the
 mapped representatives below R, plus R itself, Psi's interpolation
 weight at a pair sum is the forward split weight of that pair: both
 sides use one band and one set of pair sums, so the adjoint holds by
-construction.  Each backward step is the forward stepper's exponential
-Heun step: predict with the frozen-coefficient exponential update,
-re-evaluate the rates at the predicted endpoint, and correct with the
-averaged coefficients.  Both updates are convex combinations of old
-values, so Psi stays in [0, 1] exactly.  The next step is proposed from
-the measured change, as forward._Stepper does.  Ghost partners lie above
-R, where Psi vanishes.
+construction.  The backward solve steps with the forward controller
+itself (forward._heun_run), not a copy of it: predict with the
+frozen-coefficient exponential update, re-evaluate the rates at the
+predicted endpoint, and correct with the averaged coefficients.  Both
+updates are convex combinations of old values, so Psi stays in [0, 1]
+exactly.  Ghost partners lie above R, where Psi vanishes.
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .forward import IntegrationError, _exp_update, _ratio_kernel
+from .forward import _heun_run, _ratio_kernel
 from .kernel import eval_cutoff, eval_kernel  # noqa: F401  eval_kernel: bench/trace_run.py wraps dual.eval_kernel
 from .measure import GridMeasure, cumulative_mass
 from .stablecdf import w_table
@@ -134,9 +133,9 @@ def solve_dual(trajectory, R, t, max_change=0.02):
         Final time, <= trajectory.t_final.
     max_change : float
         Absolute per-step change cap on Psi (Psi is order one), in (0, 1).
-        A step h that changes Psi by `change` proposes the next step
-        h min(1.2, 0.9 max_change / change); the step is second order, so
-        quartering the cap cuts the time-stepping error about sixteenfold.
+        The steps are the forward controller's (forward._heun_run), with
+        the same step proposal; they are second order, so quartering the
+        cap cuts the time-stepping error about sixteenfold.
 
     Returns
     -------
@@ -151,50 +150,26 @@ def solve_dual(trajectory, R, t, max_change=0.02):
     jumps = _Jumps(trajectory, R, t)
     psi = np.ones(jumps.nodes.size)  # indicator datum: every node is <= R
     taus = [0.0]
-    rows = [psi.copy()]
-    n_retries = 0
+    rows = [psi]
     mono_viol = 0.0
-    if trajectory.engine.trivial or t == 0.0:
-        if t > 0.0:
-            taus.append(t)
-            rows.append(psi.copy())
-    else:
-        tau = 0.0
-        dt = None
-        while tau < t - 1e-14:
-            D, G = jumps.rates(tau, psi)
-            d_max = float(D.max())
-            cap = 0.5 / d_max if d_max > 0.0 else np.inf
-            h = min(cap if dt is None else min(dt, cap), t - tau)
-            for _ in range(60):
-                # exponential Heun, as in forward._Stepper: G <= D max(Psi)
-                # at both ends, so the averaged update keeps Psi in [0, 1]
-                pred = _exp_update(psi, D, G, h)
-                D2, G2 = jumps.rates(tau + h, pred)
-                trial = _exp_update(psi, 0.5 * (D + D2), 0.5 * (G + G2), h)
-                change = float(np.max(np.abs(trial - psi)))
-                # a step too short to move tau is no step
-                if change <= max_change and tau + h > tau:
-                    break
-                h *= 0.5
-                n_retries += 1
-            else:
-                raise IntegrationError(f"dual step size collapsed at tau={tau:.6g} (change={change:.3g})")
-            # a step cut short to land on t is the last, so its proposal is unused
-            dt = h * min(1.2, 0.9 * max_change / max(change, 1e-300))
-            psi = trial
-            tau += h
-            taus.append(tau)
-            rows.append(psi.copy())
-            mono_viol = max(mono_viol, float(np.max(np.diff(psi), initial=0.0)))
+
+    def accepted(tau, psi, h, r0, r1):
+        nonlocal mono_viol
+        taus.append(tau)
+        rows.append(psi)
+        mono_viol = max(mono_viol, float(np.max(np.diff(psi), initial=0.0)))
+
+    # G <= D max(Psi) at both ends of a step, so the averaged update keeps
+    # Psi in [0, 1]; the change cap is absolute, and dividing by 1.0 is exact
+    _, _, n_retries = _heun_run(
+        jumps.rates, psi, 0.0, t, None, max_change, lambda psi: 1.0, accepted
+    )
     taus = np.array(taus)
-    psi_all = np.array(rows)
-    # flip to ascending s = t - tau
-    order = np.argsort(t - taus, kind="stable")
+    # every accepted step moves tau, so reversing gives ascending s = t - tau
     return DualField(
         nodes=jumps.nodes,
-        s_values=(t - taus)[order],
-        psi=psi_all[order],
+        s_values=(t - taus)[::-1],
+        psi=np.array(rows)[::-1],
         R=float(R),
         t_final=float(t),
         params=trajectory.params,

@@ -22,8 +22,9 @@ nonnegativity-preserving since the averages are nonnegative).  A step is
 accepted iff its largest relative mass change is at most max_change, and the
 next step size is proposed from the measured change (Hairer, Norsett &
 Wanner, Solving ODEs I, sec. II.4); it carries across frames and run
-calls.  Gain from a cell pair is
-deposited at the representative sum P = Y_i + Y_j, split between the two
+calls.  The dual solve steps with the same controller (_heun_run).
+Gain from a cell pair is deposited at the representative sum
+P = Y_i + Y_j, split between the two
 bracketing representatives so that both mass and first moment are
 conserved; deposits beyond the top representative accumulate in an
 overflow ledger.  Partners beyond the grid top (up to the cutoff's
@@ -282,13 +283,63 @@ def _exp_update(masses, A, Q, dt):
     return masses * decay + phi * Q
 
 
-class _Stepper:
-    """Adaptive frozen-coefficient stepping within one frame.
+def _heun_run(rates, y, s0, s1, dt, max_change, scale, accepted):
+    """Adaptive exponential-Heun steps of dy/ds = -A y + Q from s0 to s1.
 
-    A step starts from min(dt, cap), cap = 0.5 / max|A|, and is halved until
-    its largest relative change is at most max_change.  An accepted step h
-    proposes dt = h min(1.2, 0.9 max_change / change); one cut short to land
-    on s1 leaves dt, the uncut proposal, which carries across run calls.
+    The one step loop of the forward stepper and the dual solve; rates(s, y)
+    returns (A, Q, ...).  A step predicts with frozen rates, re-evaluates
+    them at the predicted endpoint and corrects with their averages.  It
+    starts from min(dt, 0.5 / max|A|) and is halved until it moves s and
+    its change max|trial - y| / scale(y) is at most max_change (60 halvings
+    raise IntegrationError).  It then proposes dt = h min(1.2, 0.9
+    max_change / change), unless it was cut short to land on s1.
+    accepted(s, y, h, r0, r1) sees each accepted step's end, size and rates
+    at both ends.  Returns (y, dt, n_rejected).
+    """
+    s = s0
+    n_rejected = 0
+    while s < s1 - 1e-14 * max(1.0, abs(s1)):
+        r0 = rates(s, y)
+        A, Q = r0[0], r0[1]
+        a_max = float(np.max(np.abs(A)))
+        cap = 0.5 / a_max if a_max > 0.0 else np.inf
+        h = min(cap if dt is None else min(dt, cap), s1 - s)
+        cut = h == s1 - s  # a cut step leaves dt, the uncut proposal
+        denom = scale(y)
+        for _ in range(60):
+            # the averages stay nonnegative, so positivity is unconditional,
+            # and the endpoint balancing removes the first-order defect
+            # that would otherwise bleed mass out of every cell at a
+            # constant rate (a log-growing flux bias at stationarity)
+            pred = _exp_update(y, A, Q, h)
+            r1 = rates(s + h, pred)
+            trial = _exp_update(y, 0.5 * (A + r1[0]), 0.5 * (Q + r1[1]), h)
+            change = float(np.max(np.abs(trial - y) / denom))
+            # a step too short to move s is no step
+            if change <= max_change and s + h > s:
+                break
+            h *= 0.5
+            cut = False
+            n_rejected += 1
+        else:
+            raise IntegrationError(
+                f"step size collapsed at s={s:.6g} (change={change:.3g}, dt={h:.3g})"
+            )
+        if not cut:
+            dt = h * min(1.2, 0.9 * max_change / max(change, 1e-300))
+        y = trial
+        s += h
+        accepted(s, y, h, r0, r1)
+    return y, dt, n_rejected
+
+
+class _Stepper:
+    """Adaptive stepping within one frame on one engine (see _heun_run).
+
+    Changes are relative to the cell masses, floored at mass_floor_frac of
+    the total mass.  The stepper keeps the step proposal dt across run
+    calls, and counts steps, rejected trials, the worst pairing residual
+    and the overflow ledger over all of them.
     """
 
     def __init__(self, engine, max_change=0.05, mass_floor_frac=1e-12):
@@ -307,70 +358,41 @@ class _Stepper:
     def run(self, masses, amp, s0, s1, record=None):
         """Advance masses from rescaled time s0 to s1; returns masses."""
         eng = self.engine
+        grow = eng.params.beta * eng.params.rho
         if eng.trivial:
             # pure drift: the update is exact for any step size; a modest
             # cadence is kept so trajectories sample intermediate times
             n_seg = max(1, int(np.ceil((s1 - s0) / 0.1)))
             ds = (s1 - s0) / n_seg
-            growth = np.exp(eng.params.beta * eng.params.rho * ds)
+            growth = np.exp(grow * ds)
             for k in range(n_seg):
                 masses = masses * growth
                 self.n_steps += 1
                 if record is not None:
                     record(s0 + (k + 1) * ds, masses)
             return masses
-        s = s0
-        dt = self.dt
-        grow = eng.params.beta * eng.params.rho
-        while s < s1 - 1e-14 * max(1.0, abs(s1)):
+
+        def rates(s, m):
             # beyond the partner-ratio reach the dynamics is pure drift, so
             # the X-frame tail amplitude at time s is the frame-start value
             # grown by exp(beta rho (s - s0))
-            A, Q, sink_r, sink_mom_r, resid = eng.rates(
-                masses, amp * np.exp(grow * (s - s0)), s
-            )
-            self.max_pairing_residual = max(self.max_pairing_residual, resid)
-            a_max = float(np.max(np.abs(A)))
-            cap = 0.5 / a_max if a_max > 0.0 else np.inf
-            h = min(cap if dt is None else min(dt, cap), s1 - s)
-            cut = h == s1 - s  # a cut step leaves dt, the uncut proposal
-            floor = self.mass_floor_frac * max(float(np.sum(masses)), 1e-300)
-            for attempt in range(60):
-                # exponential Heun: predict with frozen rates, re-evaluate at
-                # the endpoint, correct with the averaged coefficients.  The
-                # averages stay nonnegative, so positivity is unconditional,
-                # and the endpoint balancing removes the first-order defect
-                # that would otherwise bleed mass out of every cell at a
-                # constant rate (a log-growing flux bias at stationarity).
-                pred = _exp_update(masses, A, Q, h)
-                A2, Q2, sink_r2, sink_mom_r2, resid2 = eng.rates(
-                    pred, amp * np.exp(grow * (s + h - s0)), s + h
-                )
-                trial = _exp_update(
-                    masses, 0.5 * (A + A2), 0.5 * (Q + Q2), h
-                )
-                scale = np.maximum(masses, floor)
-                change = float(np.max(np.abs(trial - masses) / scale))
-                if change <= self.max_change:
-                    break
-                h *= 0.5
-                cut = False
-                self.n_retries += 1
-            else:
-                raise IntegrationError(
-                    f"step size collapsed at s={s:.6g} (change={change:.3g}, dt={h:.3g})"
-                )
-            if not cut:
-                dt = h * min(1.2, 0.9 * self.max_change / max(change, 1e-300))
-            self.max_pairing_residual = max(self.max_pairing_residual, resid2)
-            masses = trial
-            self.sink_mass += h * 0.5 * (sink_r + sink_r2)
-            self.sink_moment += h * 0.5 * (sink_mom_r + sink_mom_r2)
-            s += h
+            return eng.rates(m, amp * np.exp(grow * (s - s0)), s)
+
+        def scale(m):
+            return np.maximum(m, self.mass_floor_frac * max(float(np.sum(m)), 1e-300))
+
+        def accepted(s, m, h, r0, r1):
+            self.max_pairing_residual = max(self.max_pairing_residual, r0[4], r1[4])
+            self.sink_mass += h * 0.5 * (r0[2] + r1[2])
+            self.sink_moment += h * 0.5 * (r0[3] + r1[3])
             self.n_steps += 1
             if record is not None:
-                record(s, masses)
-        self.dt = dt
+                record(s, m)
+
+        masses, self.dt, n_rejected = _heun_run(
+            rates, masses, s0, s1, self.dt, self.max_change, scale, accepted
+        )
+        self.n_retries += n_rejected
         return masses
 
 
