@@ -154,6 +154,30 @@ class TestRunConfig:
         assert get_floats(m, "c", ()) == ()
 
 
+def oracle_write_table(path, kind, meta, columns, rows):
+    """The table writer as a separate format, before it shared the measure CSV's."""
+    tokens = " ".join(
+        f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}" for k, v in meta.items()
+    )
+    with open(path, "w") as fh:
+        fh.write(f"# coagsim-table schema_version=1 kind={kind}")
+        if tokens:
+            fh.write(" " + tokens)
+        fh.write("\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+TABLE_CASES = [
+    ("demo", {}, ["x"], []),
+    ("dual-field", {"s": 0.25, "requested_s": 0.2, "radius": 100.0}, ["x", "psi"],
+     [(1e-4, 1.0), (np.float64(3.5), 0.0), (1e8, -0.0)]),
+    ("w-profile", {"a": 0.5, "c": np.pi, "n": 3, "tag": "x"}, ["y", "w", "w_prime", "t3e4_residual"],
+     [(0.0, 0.0, 0.0, 0.0), (1e-300, np.nan, np.inf, -np.inf), (0.1, 1 / 3, 2.0**-1074, 7)]),
+]
+
+
 class TestTables:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -169,6 +193,14 @@ class TestTables:
         path.write_text("x,y\n1,2\n")
         with pytest.raises(ValueError, match="not a coagsim table"):
             read_table(path)
+
+
+    @pytest.mark.parametrize("case", range(len(TABLE_CASES)))
+    def test_bytes_match_oracle(self, tmp_path, case):
+        kind, meta, cols, rows = TABLE_CASES[case]
+        write_table(tmp_path / "got.csv", kind, meta, cols, rows)
+        oracle_write_table(tmp_path / "want.csv", kind, meta, cols, rows)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def run_cli(tmp_path, text, command, *extra):

@@ -377,3 +377,86 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             from_csv(path)
+
+
+def oracle_density_at(m, x):
+    """Point density with c_k derived per call from the gathered cells."""
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    xf = np.atleast_1d(x)
+    rho = m.tail_exponent
+    q = 1.0 - rho
+    k = np.searchsorted(m.edges, xf, side="right") - 1
+    out = np.zeros(xf.shape)
+    inside = (k >= 0) & (k < m.n_cells)
+    ki = k[inside]
+    el, er = m.edges[ki], m.edges[ki + 1]
+    out[inside] = m.cell_mass[ki] * q / (er**q - el**q) * xf[inside] ** (-rho)
+    beyond = k >= m.n_cells
+    out[beyond] = m.tail_amplitude * xf[beyond] ** (-rho)
+    return float(out[0]) if scalar else out
+
+
+def oracle_amplitudes(m):
+    """c_k = m_k (1-rho) / (x_(k+1)^(1-rho) - x_k^(1-rho)), as each caller wrote it."""
+    q = 1.0 - m.tail_exponent
+    el, er = m.edges[:-1], m.edges[1:]
+    return m.cell_mass * q / (er**q - el**q)
+
+
+def oracle_to_csv_text(m):
+    header = (
+        f"# coagsim-measure schema_version=1"
+        f" tail_amplitude={float(m.tail_amplitude)!r} tail_exponent={float(m.tail_exponent)!r}\n"
+    )
+    body = ["x_left,x_right,cell_mass\n"]
+    for xl, xr, w in zip(m.edges[:-1], m.edges[1:], m.cell_mass):
+        body.append(f"{float(xl)!r},{float(xr)!r},{float(w)!r}\n")
+    return header + "".join(body)
+
+
+def random_measure(seed):
+    """A measure with some empty cells, an odd grid and a random exponent."""
+    rng = np.random.default_rng(seed)
+    edges = geometric_grid(10.0 ** rng.uniform(-5, 0), 10.0 ** rng.uniform(1, 8), 1.0 + rng.uniform(0.01, 1.0))
+    n = edges.size - 1
+    mass = rng.uniform(0.0, 3.0, n) * (rng.uniform(size=n) > 0.3)
+    amp = float(rng.uniform(0.0, 2.0)) if seed % 3 else 0.0
+    return GridMeasure(edges, mass, amp, float(rng.uniform(0.05, 0.95)))
+
+
+def probe_points(m, seed):
+    """Points below the grid, on every edge, inside cells and in the tail."""
+    rng = np.random.default_rng(seed + 1000)
+    e = m.edges
+    inside = np.exp(rng.uniform(np.log(e[0]), np.log(e[-1]), 200))
+    return np.concatenate([[0.0, -1.0, 0.5 * e[0]], e, inside, e[-1] * np.array([1.0, 1.5, 1e3])])
+
+
+class TestCellAmplitudeOracle:
+    """The power-law cell shape c_k x^(-rho) against the per-caller formula."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_density_at_matches_oracle(self, seed):
+        from coagsim import density_at
+
+        m = random_measure(seed)
+        x = probe_points(m, seed)
+        got = density_at(m, x)
+        assert np.array_equal(got, oracle_density_at(m, x))
+        for xi in x[:: max(1, x.size // 40)]:
+            val = density_at(m, float(xi))
+            assert isinstance(val, float) and val == oracle_density_at(m, float(xi))
+
+
+class TestCsvWriterOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_to_csv_bytes(self, seed, tmp_path):
+        m = random_measure(seed)
+        expected = oracle_to_csv_text(m)
+        buf = io.StringIO()
+        to_csv(m, buf)
+        assert buf.getvalue() == expected
+        path = tmp_path / "m.csv"
+        to_csv(m, path)
+        assert path.read_bytes() == expected.encode()
