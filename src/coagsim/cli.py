@@ -16,8 +16,9 @@ outputs key), --tolerance X (command-specific pass threshold).
 
 Exit codes: 0 success, 1 config error, 2 numerical failure or failed
 check, 3 non-convergence.  All artifacts carry a schema_version field and
-round-trip through their own parsers (json, measure.from_csv,
-read_table); nothing time- or machine-dependent is written, so identical
+round-trip bit for bit: manifests are JSON, and profiles, snapshots and
+tables are the one tagged CSV format of the measure module (from_csv,
+read_table).  Nothing time- or machine-dependent is written, so identical
 configs produce bit-identical artifacts.
 """
 
@@ -44,12 +45,13 @@ from .measure import (
     envelope_check_upper,
     geometric_grid,
     power_law_init,
+    read_tagged_csv,
     to_csv,
+    write_tagged_csv,
 )
 from .stablecdf import StableProfile, t3e4_residual, w_deriv, w_eval
 from .stationary import find_stationary, lambda_continuation
 
-TABLE_SCHEMA_VERSION = 1
 MANIFEST_SCHEMA_VERSION = 1
 
 
@@ -76,37 +78,18 @@ def write_json(path, obj):
 
 
 def write_table(path, kind, meta, columns, rows):
-    """Write a numeric CSV table with a self-describing header comment.
+    """Write a numeric table as a tagged CSV ("coagsim-table", kind first).
 
-    Floats are rendered with repr so read_table reproduces them bit for
-    bit; meta values must be scalars without whitespace.
+    meta values must be scalars without whitespace; read_table reproduces
+    every float bit for bit.
     """
-    tokens = " ".join(
-        f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}" for k, v in meta.items()
-    )
-    with open(path, "w") as fh:
-        fh.write(f"# coagsim-table schema_version={TABLE_SCHEMA_VERSION} kind={kind}")
-        if tokens:
-            fh.write(" " + tokens)
-        fh.write("\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_tagged_csv(path, "table", {"kind": kind, **meta}, columns, rows)
 
 
 def read_table(path):
     """Read a table written by write_table: (kind, meta, columns, rows)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("# coagsim-table"):
-        raise ValueError("not a coagsim table CSV")
-    meta = dict(tok.split("=", 1) for tok in lines[0][2:].split()[1:])
-    if int(meta.pop("schema_version")) != TABLE_SCHEMA_VERSION:
-        raise ValueError("unsupported table schema_version")
-    kind = meta.pop("kind")
-    columns = lines[1].split(",")
-    rows = [[float(v) for v in ln.split(",")] for ln in lines[2:] if ln.strip()]
-    return kind, meta, columns, rows
+    meta, columns, rows = read_tagged_csv(path, "table")
+    return meta.pop("kind"), meta, columns, rows
 
 
 def _setup_dict(cfg):
@@ -130,19 +113,15 @@ def cmd_simulate(cfg, out_dir, tolerance):
         snaps = np.arange(cfg.snapshot_dt, cfg.t_final, cfg.snapshot_dt).tolist()
     else:
         snaps = []
-    try:
-        res = simulate(
-            h0,
-            cfg.params,
-            cfg.kernel,
-            cfg.cutoff,
-            cfg.t_final,
-            snapshot_times=snaps,
-            max_change=cfg.max_change,
-        )
-    except IntegrationError as exc:
-        _log(f"simulate: integration failed: {exc}")
-        return 2
+    res = simulate(
+        h0,
+        cfg.params,
+        cfg.kernel,
+        cfg.cutoff,
+        cfg.t_final,
+        snapshot_times=snaps,
+        max_change=cfg.max_change,
+    )
     files = []
     for k, snap in enumerate(res.snapshots):
         name = f"snapshot_{k:04d}.csv"

@@ -198,16 +198,10 @@ def _pairing(h0, nodes, psi0, t, beta):
         x_break = np.append(x_break, hi)
     one_m_rho = 1.0 - rho
     two_m_rho = 2.0 - rho
+    amps = np.append(h0.amplitudes, h0.tail_amplitude)
     total = 0.0
     for a, b in zip(x_break[:-1], x_break[1:]):
-        xm = np.sqrt(a * b)
-        k = np.searchsorted(h0.edges, xm, side="right") - 1
-        if k >= h0.n_cells:
-            coeff = h0.tail_amplitude
-        else:
-            el, er = h0.edges[k], h0.edges[k + 1]
-            denom = er**one_m_rho - el**one_m_rho
-            coeff = h0.cell_mass[k] * one_m_rho / denom if denom > 0 else 0.0
+        coeff = amps[np.searchsorted(h0.edges, np.sqrt(a * b), side="right") - 1]
         if coeff == 0.0:
             continue
         mass = coeff * (b**one_m_rho - a**one_m_rho) / one_m_rho

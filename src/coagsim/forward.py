@@ -342,12 +342,13 @@ class _Stepper:
     and the overflow ledger over all of them.
     """
 
-    def __init__(self, engine, max_change=0.05, mass_floor_frac=1e-12):
+    mass_floor_frac = 1e-12
+
+    def __init__(self, engine, max_change=0.05):
         if not 0.0 < max_change < 1.0:
             raise ValueError("max_change must lie in (0, 1)")
         self.engine = engine
         self.max_change = max_change
-        self.mass_floor_frac = mass_floor_frac
         self.dt = None
         self.n_steps = 0
         self.n_retries = 0

@@ -2,9 +2,17 @@
 
 A distribution is stored as nonnegative masses on geometrically spaced cells
 [x_i, x_{i+1}) plus an analytic tail A x^(-rho) dx beyond the last edge.
-Within a cell the mass is assumed to follow the same power-law shape x^(-rho),
-which makes partial-cell masses, weighted norms and inverse-power moments
-available in closed form.
+Within a cell the mass is assumed to follow the same power-law shape x^(-rho):
+cell k carries the density c_k x^(-rho) with
+c_k = m_k (1-rho) / (x_(k+1)^(1-rho) - x_k^(1-rho)) (GridMeasure.amplitudes,
+density_at), which makes partial-cell masses, weighted norms and
+inverse-power moments available in closed form.  Every other module reads
+c_k from here.
+
+Measures and numeric tables share one self-describing CSV format
+(write_tagged_csv / read_tagged_csv): a header line
+"# coagsim-<tag> schema_version=1 k=v ...", a column line, and rows of
+repr-rendered floats, so a file reads back bit for bit.
 
 The weighted quantities all refer to the target self-similar profile
 h(x) = (1 - rho) x^(-rho): the normalized cumulative F(R)/R^(1-rho), the
@@ -137,6 +145,12 @@ class GridMeasure:
         """Geometric cell midpoints, used as collision representatives."""
         return np.sqrt(self.edges[:-1] * self.edges[1:])
 
+    @property
+    def amplitudes(self):
+        """Density level c_k of each cell: the density is c_k x^(-rho) inside it."""
+        q = 1.0 - self.tail_exponent
+        return self.cell_mass * q / np.diff(_edge_powers(self))
+
     def total_mass(self):
         """Mass carried by the cells (the analytic tail is infinite)."""
         return float(np.sum(self.cell_mass))
@@ -190,6 +204,22 @@ def cumulative_mass(m, R):
     tail = cums[-1] + m.tail_amplitude * (R**one_m_rho - ep[-1]) / one_m_rho
     out = np.where(R >= m.edges[-1], tail, out)
     return out if out.ndim else float(out)
+
+
+def density_at(m, x):
+    """Pointwise density of a grid measure, power-shape within cells.
+
+    Inside cell k the density is c_k x^(-rho) (GridMeasure.amplitudes);
+    from the top edge on it is the analytic tail; below the grid it is
+    zero.  Accepts scalars or arrays.
+    """
+    x = np.asarray(x, dtype=float)
+    xf = np.atleast_1d(x)
+    k = np.searchsorted(m.edges, xf, side="right") - 1
+    live = k >= 0
+    out = np.zeros(xf.shape)
+    out[live] = np.append(m.amplitudes, m.tail_amplitude)[k[live]] * xf[live] ** (-m.tail_exponent)
+    return float(out[0]) if x.ndim == 0 else out
 
 
 def xrho_norm(m, params=None):
@@ -321,19 +351,17 @@ def dyadic_tail_integral(m, x, alpha):
     if not alpha > 1.0 - rho:
         raise ValueError(f"alpha must exceed 1 - rho = {1.0 - rho} for a finite tail moment")
     edges = m.edges
-    one_m_rho = 1.0 - rho
-    q = one_m_rho - alpha  # exponent of the integrated power, < 0 in the tail
+    q = 1.0 - rho - alpha  # exponent of the integrated power, < 0 in the tail
     lo = np.maximum(edges[:-1], x)
     hi = edges[1:]
     live = hi > x
     total = 0.0
     if np.any(live):
-        dens = m.cell_mass[live] * one_m_rho / (hi[live] ** one_m_rho - edges[:-1][live] ** one_m_rho)
         if abs(q) < 1e-13:
             seg = np.log(hi[live] / lo[live])
         else:
             seg = (hi[live] ** q - lo[live] ** q) / q
-        total += float(np.sum(dens * seg))
+        total += float(np.sum(m.amplitudes[live] * seg))
     start = max(x, edges[-1])
     total += m.tail_amplitude * start**q / (-q)
     return total
@@ -357,38 +385,32 @@ def power_law_init(params, edges=None):
 def refit_tail(m, n_cells=8, skip_top=0):
     """Refit the tail amplitude from the top cells, pinning the exponent.
 
-    Takes the geometric mean of the per-cell amplitudes
-    m_i (1-rho) / (x_r^(1-rho) - x_l^(1-rho)) over the last n_cells cells
-    (optionally ignoring skip_top synthetic cells at the very top); exact
-    for data that is a pure power law there.  Returns the current
-    amplitude unchanged when the window holds no positive mass.
+    Takes the geometric mean of the cell amplitudes c_k over the last
+    n_cells cells (optionally ignoring skip_top synthetic cells at the very
+    top); exact for data that is a pure power law there.  Returns the
+    current amplitude unchanged when the window holds no positive mass.
     """
-    one_m_rho = 1.0 - m.tail_exponent
     hi = m.n_cells - skip_top
-    lo = max(0, hi - n_cells)
-    mass = m.cell_mass[lo:hi]
-    dpow = m.edges[lo + 1 : hi + 1] ** one_m_rho - m.edges[lo:hi] ** one_m_rho
-    amps = mass * one_m_rho / dpow
+    amps = m.amplitudes[max(0, hi - n_cells) : hi]
     pos = amps > 0.0
     if not np.any(pos):
         return m.tail_amplitude
     return float(np.exp(np.mean(np.log(amps[pos]))))
 
 
-def to_csv(m, path_or_file):
-    """Write the measure as CSV with a self-describing header comment.
+def write_tagged_csv(path_or_file, tag, meta, columns, rows):
+    """Write rows of floats as CSV under a "# coagsim-<tag>" header line.
 
-    Floats are rendered with repr, so from_csv reproduces the measure
-    bit for bit.
+    The header carries schema_version and then the meta items as k=v
+    tokens, in order; float values are rendered with repr, others with
+    str, and none may contain whitespace.  Row values are rendered with
+    repr(float(v)) so read_tagged_csv reproduces them bit for bit.
+    path_or_file is a path or an open text file.
     """
-    header = (
-        f"# coagsim-measure schema_version={CSV_SCHEMA_VERSION}"
-        f" tail_amplitude={float(m.tail_amplitude)!r} tail_exponent={float(m.tail_exponent)!r}\n"
-    )
-    body = ["x_left,x_right,cell_mass\n"]
-    for xl, xr, w in zip(m.edges[:-1], m.edges[1:], m.cell_mass):
-        body.append(f"{float(xl)!r},{float(xr)!r},{float(w)!r}\n")
-    text = header + "".join(body)
+    tokens = "".join(f" {k}={v!r}" if isinstance(v, float) else f" {k}={v}" for k, v in meta.items())
+    lines = [f"# coagsim-{tag} schema_version={CSV_SCHEMA_VERSION}{tokens}", ",".join(columns)]
+    lines += [",".join(map(repr, map(float, row))) for row in rows]
+    text = "\n".join(lines) + "\n"
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     else:
@@ -396,26 +418,44 @@ def to_csv(m, path_or_file):
             fh.write(text)
 
 
-def from_csv(path_or_file):
-    """Read a measure written by to_csv."""
+def read_tagged_csv(path_or_file, tag):
+    """Read a CSV written by write_tagged_csv with this tag.
+
+    Returns (meta, columns, rows): meta maps each header key after
+    schema_version to its string value, rows are lists of floats.
+    """
     if hasattr(path_or_file, "read"):
         lines = path_or_file.read().splitlines()
     else:
         with open(path_or_file) as fh:
             lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("# coagsim-measure"):
-        raise ValueError("not a coagsim measure CSV")
+    if not lines or not lines[0].startswith(f"# coagsim-{tag}"):
+        raise ValueError(f"not a coagsim {tag} CSV")
     meta = dict(tok.split("=", 1) for tok in lines[0][2:].split()[1:])
-    if int(meta["schema_version"]) != CSV_SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {meta['schema_version']}")
-    rows = [ln.split(",") for ln in lines[2:] if ln.strip()]
-    left = np.array([float(r[0]) for r in rows])
-    right = np.array([float(r[1]) for r in rows])
-    edges = np.append(left, right[-1])
-    mass = np.array([float(r[2]) for r in rows])
+    version = meta.pop("schema_version")
+    if int(version) != CSV_SCHEMA_VERSION:
+        raise ValueError(f"unsupported {tag} schema_version {version}")
+    rows = [[float(v) for v in ln.split(",")] for ln in lines[2:] if ln.strip()]
+    return meta, lines[1].split(","), rows
+
+
+def to_csv(m, path_or_file):
+    """Write the measure as a tagged CSV, one row per cell.
+
+    from_csv reproduces the measure bit for bit.
+    """
+    meta = {"tail_amplitude": float(m.tail_amplitude), "tail_exponent": float(m.tail_exponent)}
+    rows = zip(m.edges[:-1].tolist(), m.edges[1:].tolist(), m.cell_mass.tolist())
+    write_tagged_csv(path_or_file, "measure", meta, ["x_left", "x_right", "cell_mass"], rows)
+
+
+def from_csv(path_or_file):
+    """Read a measure written by to_csv."""
+    meta, _, rows = read_tagged_csv(path_or_file, "measure")
+    cells = np.array(rows)
     return GridMeasure(
-        edges,
-        mass,
+        np.append(cells[:, 0], cells[-1, 1]),
+        cells[:, 2],
         tail_amplitude=float(meta["tail_amplitude"]),
         tail_exponent=float(meta["tail_exponent"]),
     )

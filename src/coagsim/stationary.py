@@ -25,7 +25,9 @@ pure transport, whose only stationary density is C x^(-rho); the identity
 is therefore evaluated with the cumulative closed below the grid by that
 power continuation, with C read off the bottom cell.  Without the closure
 the residual would measure grid truncation, ~ (x_min/R)^(1-rho), rather
-than the equation.
+than the equation.  Point densities and cell amplitudes follow the
+power-law cell shape of the measure module (density_at,
+GridMeasure.amplitudes).
 """
 
 from dataclasses import dataclass, replace
@@ -38,6 +40,7 @@ from .kernel import eval_cutoff, eval_kernel  # noqa: F401  not called here; ben
 from .measure import (
     GridMeasure,
     cumulative_mass,
+    density_at,
     dyadic_tail_integral,
     envelope_check_lower,
     envelope_check_upper,
@@ -55,29 +58,6 @@ __all__ = [
     "tail_fit",
     "lambda_continuation",
 ]
-
-
-def density_at(m, x):
-    """Pointwise density of a grid measure, power-shape within cells.
-
-    Inside cell k the density is c_k x^(-rho) with c_k matching the cell
-    mass; beyond the top edge it is the analytic tail; below the grid it
-    is zero.  Accepts scalars or arrays.
-    """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xf = np.atleast_1d(x)
-    rho = m.tail_exponent
-    q = 1.0 - rho
-    k = np.searchsorted(m.edges, xf, side="right") - 1
-    out = np.zeros(xf.shape)
-    inside = (k >= 0) & (k < m.n_cells)
-    ki = k[inside]
-    el, er = m.edges[ki], m.edges[ki + 1]
-    out[inside] = m.cell_mass[ki] * q / (er**q - el**q) * xf[inside] ** (-rho)
-    beyond = k >= m.n_cells
-    out[beyond] = m.tail_amplitude * xf[beyond] ** (-rho)
-    return float(out[0]) if scalar else out
 
 
 def _z_power_terms(kernel, y):
@@ -185,10 +165,9 @@ def decay0_residual(profile, params, kernel, R, cutoff=None, n_per_decade=64):
     """
     p = params
     F = cumulative_mass(profile, R)
-    if profile.n_cells > 0 and profile.cell_mass[0] > 0.0:
+    if profile.cell_mass[0] > 0.0:
         q = 1.0 - profile.tail_exponent
-        c0 = profile.cell_mass[0] * q / (profile.edges[1] ** q - profile.edges[0] ** q)
-        F += c0 * profile.edges[0] ** q / q
+        F += profile.amplitudes[0] * profile.edges[0] ** q / q
     denom = p.beta * (1.0 - p.rho) * F
     if not denom > 0.0:
         return 0.0
@@ -202,12 +181,12 @@ def tail_fit(profile, fit_window=(1e2, 1e4)):
 
     The exponent comes from least squares of log cell density against log
     position.  The amplitude is estimated at the nominal tail exponent of
-    the profile (geometric mean of the per-cell amplitudes m_k q / d(x^q),
-    q = 1 - rho), not from the free-fit intercept: over a few decades the
-    intercept is so strongly anti-correlated with the fitted slope that
-    even the exact stationary profile, whose local slope is still easing
-    toward rho inside the window, would read several percent low.  Pure
-    power data returns its exponent and amplitude to roundoff.
+    the profile (geometric mean of the cell amplitudes c_k), not from the
+    free-fit intercept: over a few decades the intercept is so strongly
+    anti-correlated with the fitted slope that even the exact stationary
+    profile, whose local slope is still easing toward rho inside the
+    window, would read several percent low.  Pure power data returns its
+    exponent and amplitude to roundoff.
 
     Returns
     -------
@@ -221,9 +200,7 @@ def tail_fit(profile, fit_window=(1e2, 1e4)):
     x = np.sqrt(el[sel] * er[sel])
     dens = profile.cell_mass[sel] / (er[sel] - el[sel])
     slope, _ = np.polyfit(np.log(x), np.log(dens), 1)
-    q = 1.0 - profile.tail_exponent
-    local_amp = profile.cell_mass[sel] * q / (er[sel] ** q - el[sel] ** q)
-    return -float(slope), float(np.exp(np.mean(np.log(local_amp))))
+    return -float(slope), float(np.exp(np.mean(np.log(profile.amplitudes[sel]))))
 
 
 @dataclass

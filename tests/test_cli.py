@@ -1,5 +1,6 @@
 """Config dialect parsing/round-trip and the command-line interface."""
 
+import io
 import json
 import warnings
 from dataclasses import replace
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coagsim import forward
+from coagsim import cli, forward
 from coagsim.cli import cmd_dual_check, main, read_table, write_table
 from coagsim.config import (
     ConfigError,
@@ -200,7 +201,13 @@ class TestTables:
         kind, meta, cols, rows = TABLE_CASES[case]
         write_table(tmp_path / "got.csv", kind, meta, cols, rows)
         oracle_write_table(tmp_path / "want.csv", kind, meta, cols, rows)
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        want = (tmp_path / "want.csv").read_bytes()
+        assert (tmp_path / "got.csv").read_bytes() == want
+        buf = io.StringIO()
+        write_table(buf, kind, meta, cols, rows)
+        assert buf.getvalue().encode() == want
+        buf.seek(0)
+        assert read_table(buf)[:3] == read_table(tmp_path / "want.csv")[:3]
 
 
 def run_cli(tmp_path, text, command, *extra):
@@ -252,6 +259,16 @@ class TestSimulateCommand:
         text = BASE.replace("params.rho = 0.5", "params.rho = -0.5")
         cfg = write_cfg(tmp_path, text)
         assert main(["simulate", "--config", cfg]) == 1
+
+    def test_integration_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise forward.IntegrationError("step size collapsed")
+
+        monkeypatch.setattr(cli, "simulate", fail)
+        code, out = run_cli(tmp_path, BASE, "simulate")
+        assert code == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (out / "simulate.json").exists()
 
     def test_missing_config_file_exits_1(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 1

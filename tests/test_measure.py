@@ -437,6 +437,18 @@ class TestCellAmplitudeOracle:
     """The power-law cell shape c_k x^(-rho) against the per-caller formula."""
 
     @pytest.mark.parametrize("seed", range(12))
+    def test_amplitudes_match_oracle(self, seed):
+        m = random_measure(seed)
+        assert np.array_equal(m.amplitudes, oracle_amplitudes(m))
+        assert np.all(m.amplitudes[m.cell_mass == 0.0] == 0.0)
+
+    def test_density_at_is_one_function(self):
+        import coagsim
+        from coagsim import measure, stationary
+
+        assert coagsim.density_at is measure.density_at is stationary.density_at
+
+    @pytest.mark.parametrize("seed", range(12))
     def test_density_at_matches_oracle(self, seed):
         from coagsim import density_at
 
