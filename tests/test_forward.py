@@ -15,6 +15,7 @@ from coagsim.forward import (
     _Stepper,
     _exp_update,
     _map_back,
+    _partners,
     _ratio_kernel,
     evolve,
     gain,
@@ -59,6 +60,20 @@ def atom_measure(edges, loaded, rho=0.5, amp=0.0):
     for idx, m in loaded.items():
         mass[idx] = m
     return GridMeasure(edges, mass, amp, rho)
+
+
+def oracle_loss_rate(state, X):
+    """A(X, t) by midpoint quadrature over the cells and the tail ghost
+    cells, with its own ghost cells and cutoff vector."""
+    p, m, cutoff = state.params, state.measure, state.cutoff
+    _, Yall, gpow = _partners(m.edges, p.rho, cutoff.lam)
+    lam_eff = cutoff.lam * np.exp(p.beta * state.t)
+    u = eval_cutoff(cutoff, Yall / lam_eff)
+    m_all = np.concatenate([m.cell_mass, m.tail_amplitude * gpow])
+    row = _ratio_kernel(state.kernel, cutoff, X, Yall)
+    esc = np.exp(-p.gamma * p.beta * state.t)
+    ux = eval_cutoff(cutoff, X / lam_eff)
+    return esc * ux * float(np.sum(row * u * m_all / Yall)) - p.beta * p.rho
 
 
 class TestLossRate:
@@ -152,6 +167,31 @@ class TestLossRate:
         got = np.array([loss_rate(st_, Y) for Y in m.reps]) + drift
         assert np.count_nonzero(A + drift) > 0.5 * m.n_cells
         np.testing.assert_allclose(got, A + drift, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "kernel, params",
+        [
+            (constant_kernel(1.3), Params(gamma=0.0, rho=0.5, lam=1e-2)),
+            (product_kernel(0.5), Params(gamma=0.5, rho=0.75, lam=1e-2)),
+            (sum_kernel(0.2, 0.5), Params(gamma=0.5, rho=0.75, lam=0.1)),
+        ],
+        ids=["constant", "product", "sum"],
+    )
+    @pytest.mark.parametrize("t", [0.3, 1.1])
+    def test_matches_cell_quadrature_oracle(self, kernel, params, t):
+        # random masses and tail, probes from below the cutoff front to
+        # past the partner reach of the top cell
+        cut = CutoffParams(lam=params.lam)
+        edges = geometric_grid(1e-3, 1e3, ratio=RATIO)
+        rng = np.random.default_rng(23)
+        m = GridMeasure(edges, rng.uniform(0.0, 1.0, edges.size - 1), 0.6, params.rho)
+        st_ = EvolutionState(m, t, params, kernel, cut)
+        drift = params.beta * params.rho
+        probes = np.geomspace(1e-4, 1e6, 41)
+        want = np.array([oracle_loss_rate(st_, X) for X in probes])
+        got = np.array([loss_rate(st_, X) for X in probes])
+        assert 10 < np.count_nonzero(want + drift) < probes.size
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=4e-16 * drift)
 
     def test_rejects_bad_probe(self):
         m = atom_measure(geometric_grid(1.0, 4.0, ratio=RATIO), {0: 1.0})
