@@ -33,8 +33,8 @@ import numpy as np
 from .config import ConfigError, get_float, get_floats, get_int, load_config, run_config
 from .dual import find_m_star, q_tail_bound, solve_dual, adjoint_consistency
 from .forward import (
-    EvolutionState,
     IntegrationError,
+    _Stepper,
     gronwall_check,
     rearrangement_residual,
     rescaled_trajectory,
@@ -89,6 +89,8 @@ def write_table(path, kind, meta, columns, rows):
 def read_table(path):
     """Read a table written by write_table: (kind, meta, columns, rows)."""
     meta, columns, rows = read_tagged_csv(path, "table")
+    if "kind" not in meta:
+        raise ValueError("table CSV header lacks kind")
     return meta.pop("kind"), meta, columns, rows
 
 
@@ -312,7 +314,8 @@ def cmd_invariance_suite(cfg, out_dir, tolerance):
     """Run envelope, growth-bound and pairing-identity checks.
 
     Emits a JUnit-style XML report plus a JSON summary; any failing case
-    makes the exit status 2.
+    makes the exit status 2.  The trajectory's engine serves every check,
+    so the command builds one pair operator.
     """
     slack = tolerance if tolerance is not None else 1e-2
     edges = geometric_grid(*cfg.grid)
@@ -322,6 +325,7 @@ def cmd_invariance_suite(cfg, out_dir, tolerance):
     def case(name, ok, detail):
         cases.append({"name": name, "ok": bool(ok), "detail": detail})
 
+    traj = rescaled_trajectory(h0, cfg.params, cfg.kernel, cfg.cutoff, 1.0, max_change=cfg.max_change)
     sample_ts = np.linspace(0.0, 1.0, 10)
     res = simulate(
         h0,
@@ -330,7 +334,7 @@ def cmd_invariance_suite(cfg, out_dir, tolerance):
         cfg.cutoff,
         1.0,
         snapshot_times=sample_ts[1:],
-        max_change=cfg.max_change,
+        stepper=_Stepper(traj.engine, max_change=cfg.max_change),
     )
     for t, snap in zip([0.0] + res.times, [h0] + res.snapshots):
         up = envelope_check_upper(snap, cfg.params, slack=slack)
@@ -338,11 +342,10 @@ def cmd_invariance_suite(cfg, out_dir, tolerance):
         case(f"envelope_upper_t{t:.3f}", up.ok, f"worst ratio {up.worst_ratio!r} at R={up.location!r}")
         case(f"envelope_lower_t{t:.3f}", lo.ok, f"worst ratio {lo.worst_ratio!r} at R={lo.location!r}")
 
-    traj = rescaled_trajectory(h0, cfg.params, cfg.kernel, cfg.cutoff, 1.0, max_change=cfg.max_change)
     gw = gronwall_check(traj, tol=slack)
     case("gronwall_growth_bound", gw.ok, f"worst ratio {gw.worst_ratio!r} at t={gw.t_at!r}, R={gw.R_at!r}")
 
-    state = EvolutionState(h0, 0.0, cfg.params, cfg.kernel, cfg.cutoff)
+    state = traj.state(0)
     res1, _ = rearrangement_residual(state, lambda x: np.ones_like(np.asarray(x, float)))
     case("rearrangement_mass", res1 <= 1e-12, f"relative residual {res1!r}")
     # the first-moment pairing cancels to float-summation noise, whose

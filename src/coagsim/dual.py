@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .forward import _heun_run, _ratio_kernel
+from .forward import _heun_run
 from .kernel import eval_cutoff, eval_kernel  # noqa: F401  eval_kernel: bench/trace_run.py wraps dual.eval_kernel
 from .measure import GridMeasure, cumulative_mass
 from .stablecdf import w_table
@@ -73,12 +73,13 @@ class DualField:
 class _Jumps:
     """The dual jump operator in the frame anchored at t, on the forward
     engine of the trajectory.  Nodes i < n are the Z_i below R; node n is
-    R, with its own kernel row.  At backward time tau node i jumps toward
-    partner k at rate c_i T(i, k) v_k: c = esc u on the nodes, v the
-    forward partner densities at s = t - tau, T the engine's half band,
-    read both ways by _Engine.partner_sum.  Pair (i, i + d) takes node i
-    to P = Z_i + Z_(i+d), where Psi is f Psi_j + (1 - f) Psi_(j+1); every
-    target above R (all those of node R) reads appended zeros.
+    R, with its own kernel row (_Engine.row).  At backward time tau node i
+    jumps toward partner k at rate c_i T(i, k) v_k: c = esc u on the
+    nodes, v the forward partner densities at s = t - tau, T the engine's
+    half band, read both ways by _Engine.partner_sum.  Pair (i, i + d)
+    takes node i to P = Z_i + Z_(i+d), where Psi is f Psi_j + (1 - f)
+    Psi_(j+1); every target above R (all those of node R) reads appended
+    zeros.
     """
 
     def __init__(self, trajectory, R, t):
@@ -88,7 +89,7 @@ class _Jumps:
         self.Z = Z = eng.Yall * np.exp(-beta * t)
         self.n = n = int(np.count_nonzero(Z[: eng.N] < R * (1.0 - 1e-12)))
         self.nodes = nodes = np.append(Z[:n], R)
-        self.row = _ratio_kernel(trajectory.kernel, eng.cutoff, R * np.exp(beta * t), eng.Yall)
+        self.row = eng.row(R * np.exp(beta * t))
         P = Z[:n, None] + sliding_window_view(Z, eng.dmax + 1)[:n]
         self.j = np.minimum(np.searchsorted(nodes, P, side="right") - 1, n - 1)
         self.f = (nodes[self.j + 1] - P) / (nodes[self.j + 1] - nodes[self.j])

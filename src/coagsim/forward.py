@@ -34,8 +34,10 @@ ledger.
 
 The pair operator is built once here: _partners continues the grid with
 the tail cells and _ratio_kernel gives the static part of the regularized
-kernel, which the flux residual shares; the dual reads the engine of its
-trajectory (its half band and partner_sum).  The ratio cutoffs
+kernel, which the flux residual shares.  Its consumers read one _Engine:
+the stepper, the diagnostics loss_rate, gain and rearrangement_residual
+(through EvolutionState.engine), and the dual (through Trajectory.engine:
+its half band, partner_sum and row).  The ratio cutoffs
 vanish past the partner ratio (2-lam)/lam, a fixed number of cells on the
 geometric grid, so _Engine keeps the static weights of each unordered pair
 within dmax cells as a half band, reads the partners below a cell through
@@ -55,12 +57,13 @@ boundary condition.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .kernel import eval_cutoff, eval_kernel
-from .measure import GridMeasure
+from .measure import GridMeasure, cumulative_mass, xrho_norm
 
 
 class IntegrationError(RuntimeError):
@@ -72,7 +75,8 @@ class EvolutionState:
     """Snapshot of the rescaled density within one frame.
 
     measure holds the X-variable masses; t is the rescaled time elapsed
-    since the frame epoch (physical sizes are X e^(-beta t)).
+    since the frame epoch (physical sizes are X e^(-beta t)).  engine is
+    the pair operator of its grid, kernel and cutoff, built on first use.
     """
 
     measure: GridMeasure
@@ -80,6 +84,10 @@ class EvolutionState:
     params: object
     kernel: object
     cutoff: object
+
+    @cached_property
+    def engine(self):
+        return _Engine(self.measure.edges, self.params, self.kernel, self.cutoff)
 
 
 @dataclass
@@ -109,6 +117,12 @@ class Trajectory:
     def measure_at(self, k):
         return GridMeasure(self.edges, self.masses[k], float(self.amps[k]), self.params.rho)
 
+    def state(self, k):
+        """EvolutionState at stored step k, on this run's engine."""
+        st = EvolutionState(self.measure_at(k), float(self.times[k]), self.params, self.kernel, self.cutoff)
+        st.__dict__["engine"] = self.engine  # fills the cached property
+        return st
+
     def interp(self, s):
         """Linearly interpolated (masses, amplitude) at rescaled time s."""
         ts = self.times
@@ -135,9 +149,6 @@ class SimulationResult:
     n_steps: int
     n_retries: int
     max_pairing_residual: float
-    params: object
-    kernel: object
-    cutoff: object
 
 
 def _partner_ratio(lam):
@@ -192,8 +203,7 @@ class _Engine:
     """
 
     def __init__(self, edges, params, kernel, cutoff):
-        self.params = params
-        self.cutoff = cutoff
+        self.params, self.kernel, self.cutoff = params, kernel, cutoff
         self.N = N = edges.size - 1
         _, self.Yall, self.ghost_pow = _partners(edges, params.rho, cutoff.lam)
         self.Y = Y = self.Yall[:N]
@@ -218,6 +228,10 @@ class _Engine:
         self.lo = np.where(live, k, N).ravel()
         self.F_lo = np.where(live, S * f, S)
         self.F_hi = np.where(live, S * (1.0 - f), S * P)
+
+    def row(self, X):
+        """Static weights of size X with every partner (cells, then ghosts)."""
+        return _ratio_kernel(self.kernel, self.cutoff, X, self.Yall)
 
     def densities(self, masses, amp, s):
         """(u, v, esc) at time s: small-size cutoffs u and densities
@@ -402,7 +416,8 @@ def loss_rate(state, X):
 
     Midpoint quadrature over the measure's cells plus tail ghost cells out
     to the partner-ratio bound, beyond which the regularized kernel
-    vanishes identically.
+    vanishes identically: the engine's row of X against its partner
+    densities.
 
     Parameters
     ----------
@@ -415,18 +430,10 @@ def loss_rate(state, X):
     """
     if not X > 0.0:
         raise ValueError("X must be > 0")
-    p = state.params
-    m = state.measure
-    cutoff = state.cutoff
-    _, Yall, gpow = _partners(m.edges, p.rho, cutoff.lam)
-    lam_eff = cutoff.lam * np.exp(p.beta * state.t)
-    u = eval_cutoff(cutoff, Yall / lam_eff)
-    m_all = np.concatenate([m.cell_mass, m.tail_amplitude * gpow])
-    row = _ratio_kernel(state.kernel, cutoff, X, Yall)
-    esc = np.exp(-p.gamma * p.beta * state.t)
-    ux = eval_cutoff(cutoff, X / lam_eff)
-    val = esc * ux * float(np.sum(row * u * m_all / Yall))
-    return val - p.beta * p.rho
+    p, m, eng = state.params, state.measure, state.engine
+    _, v, esc = eng.densities(m.cell_mass, m.tail_amplitude, state.t)
+    ux = eval_cutoff(state.cutoff, X / (state.cutoff.lam * np.exp(p.beta * state.t)))
+    return esc * ux * float(eng.row(X) @ v) - p.beta * p.rho
 
 
 def gain(state):
@@ -436,33 +443,9 @@ def gain(state):
     deposits beyond the top representative are excluded (they belong to
     the overflow ledger).
     """
-    p = state.params
     m = state.measure
-    eng = _Engine(m.edges, p, state.kernel, state.cutoff)
-    _, Q, _, _, _ = eng.rates(m.cell_mass, m.tail_amplitude, state.t)
-    return GridMeasure(m.edges, Q, 0.0, p.rho)
-
-
-def mild_step(state, dt):
-    """One frozen-coefficient exponential step of size dt.
-
-    Positivity-preserving for any dt > 0; accuracy is the caller's
-    concern (evolve applies adaptive control).
-    """
-    if not dt > 0.0:
-        raise ValueError("dt must be > 0")
-    p = state.params
-    m = state.measure
-    eng = _Engine(m.edges, p, state.kernel, state.cutoff)
-    A, Q, _, _, _ = eng.rates(m.cell_mass, m.tail_amplitude, state.t)
-    new_mass = _exp_update(m.cell_mass, A, Q, dt)
-    return EvolutionState(
-        measure=m.with_cell_mass(new_mass),
-        t=state.t + dt,
-        params=p,
-        kernel=state.kernel,
-        cutoff=state.cutoff,
-    )
+    Q = state.engine.rates(m.cell_mass, m.tail_amplitude, state.t)[1]
+    return GridMeasure(m.edges, Q, 0.0, state.params.rho)
 
 
 def _map_back(masses, amp, edges, sigma, rho):
@@ -574,15 +557,7 @@ def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), max_change=
         n_steps=stepper.n_steps - n0,
         n_retries=stepper.n_retries - r0,
         max_pairing_residual=stepper.max_pairing_residual,
-        params=params,
-        kernel=kernel,
-        cutoff=cutoff,
     )
-
-
-def evolve(h0, params, kernel, cutoff, t_final, **kwargs):
-    """Evolved physical measure at rescaled time t_final (see simulate)."""
-    return simulate(h0, params, kernel, cutoff, t_final, **kwargs).final
 
 
 def rescaled_trajectory(h0, params, kernel, cutoff, t_final, max_change=0.02):
@@ -660,8 +635,7 @@ def rearrangement_residual(state, psi):
     (residual, boundary_flux) : tuple of float
         residual is normalized by the total kernel loss rate.
     """
-    m = state.measure
-    eng = _Engine(m.edges, state.params, state.kernel, state.cutoff)
+    m, eng = state.measure, state.engine
     N, dmax = eng.N, eng.dmax
     masses = m.cell_mass
     Lk, vv = eng._loss(masses, m.tail_amplitude, state.t)
@@ -711,8 +685,6 @@ def gronwall_check(trajectory, R_values=None, tol=1e-2):
     -------
     GronwallReport
     """
-    from .measure import cumulative_mass, xrho_norm
-
     p = trajectory.params
     worst, t_at, R_at = -np.inf, np.nan, np.nan
     for k in range(trajectory.times.size):

@@ -422,21 +422,25 @@ def read_tagged_csv(path_or_file, tag):
     """Read a CSV written by write_tagged_csv with this tag.
 
     Returns (meta, columns, rows): meta maps each header key after
-    schema_version to its string value, rows are lists of floats.
+    schema_version to its string value, rows are lists of floats, one per
+    column.  A malformed file raises ValueError.
     """
     if hasattr(path_or_file, "read"):
         lines = path_or_file.read().splitlines()
     else:
         with open(path_or_file) as fh:
             lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(f"# coagsim-{tag}"):
+    if len(lines) < 2 or not lines[0].startswith(f"# coagsim-{tag}"):
         raise ValueError(f"not a coagsim {tag} CSV")
     meta = dict(tok.split("=", 1) for tok in lines[0][2:].split()[1:])
-    version = meta.pop("schema_version")
-    if int(version) != CSV_SCHEMA_VERSION:
+    version = meta.pop("schema_version", None)
+    if version != str(CSV_SCHEMA_VERSION):
         raise ValueError(f"unsupported {tag} schema_version {version}")
+    columns = lines[1].split(",")
     rows = [[float(v) for v in ln.split(",")] for ln in lines[2:] if ln.strip()]
-    return meta, lines[1].split(","), rows
+    if any(len(row) != len(columns) for row in rows):
+        raise ValueError(f"{tag} CSV rows must have {len(columns)} values")
+    return meta, columns, rows
 
 
 def to_csv(m, path_or_file):
@@ -450,8 +454,13 @@ def to_csv(m, path_or_file):
 
 
 def from_csv(path_or_file):
-    """Read a measure written by to_csv."""
-    meta, _, rows = read_tagged_csv(path_or_file, "measure")
+    """Read a measure written by to_csv; a malformed file raises ValueError."""
+    meta, columns, rows = read_tagged_csv(path_or_file, "measure")
+    if len(columns) != 3 or not rows:
+        raise ValueError("measure CSV needs rows of x_left, x_right, cell_mass")
+    missing = sorted({"tail_amplitude", "tail_exponent"} - meta.keys())
+    if missing:
+        raise ValueError(f"measure CSV header lacks {', '.join(missing)}")
     cells = np.array(rows)
     return GridMeasure(
         np.append(cells[:, 0], cells[-1, 1]),

@@ -195,6 +195,11 @@ class TestTables:
         with pytest.raises(ValueError, match="not a coagsim table"):
             read_table(path)
 
+    def test_missing_kind(self):
+        # raised KeyError once
+        with pytest.raises(ValueError, match="kind"):
+            read_table(io.StringIO("# coagsim-table schema_version=1 a=0.5\nx\n1.0\n"))
+
 
     @pytest.mark.parametrize("case", range(len(TABLE_CASES)))
     def test_bytes_match_oracle(self, tmp_path, case):
@@ -458,6 +463,21 @@ class TestInvarianceSuiteCommand:
         assert summary["n_cases"] == 23
         xml = (out / "invariance.xml").read_text()
         assert 'failures="0"' in xml and 'tests="23"' in xml
+
+    def test_builds_one_engine(self, tmp_path, monkeypatch):
+        # the trajectory's engine steps the snapshot run and serves the
+        # rearrangement checks
+        builds = []
+        init = forward._Engine.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(forward._Engine, "__init__", counting_init)
+        code, _ = run_cli(tmp_path, BASE, "invariance-suite")
+        assert code == 0
+        assert len(builds) == 1
 
     def test_zero_kernel_passes(self, tmp_path):
         text = BASE.replace("kernel.family = constant", "kernel.family = zero")

@@ -1,4 +1,4 @@
-"""Forward evolution: loss/gain quadrature, mild stepping, frame restarts."""
+"""Forward evolution: loss/gain quadrature, the pair engine, stepping, frame restarts."""
 
 import bisect
 
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coagsim import forward
 from coagsim.forward import (
     EvolutionState,
     GronwallReport,
@@ -17,11 +18,9 @@ from coagsim.forward import (
     _map_back,
     _partners,
     _ratio_kernel,
-    evolve,
     gain,
     gronwall_check,
     loss_rate,
-    mild_step,
     rearrangement_residual,
     rescaled_trajectory,
     simulate,
@@ -314,6 +313,38 @@ class TestRearrangement:
         for psi in (np.ones_like, lambda x: np.asarray(x, float)):
             res, _ = rearrangement_residual(st_, psi)
             assert res <= 1e-12
+
+
+class TestStateEngine:
+    """An EvolutionState builds its pair operator once, on first use."""
+
+    def test_diagnostics_share_one_build(self, monkeypatch):
+        builds = []
+        init = forward._Engine.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(forward._Engine, "__init__", counting_init)
+        st_ = state_of(power_law_init(PARAMS), constant_kernel(1.0), t=0.2)
+        loss_rate(st_, 10.0)
+        gain(st_)
+        rearrangement_residual(st_, np.ones_like)
+        rearrangement_residual(st_, lambda x: np.asarray(x, float))
+        assert len(builds) == 1
+        assert st_.engine is st_.engine
+
+    def test_trajectory_state_reads_its_engine(self):
+        h0 = power_law_init(PARAMS)
+        traj = rescaled_trajectory(h0, PARAMS, constant_kernel(1.0), CUT, 0.1)
+        k = traj.times.size - 1
+        st_ = traj.state(k)
+        assert st_.engine is traj.engine
+        assert st_.t == traj.times[k]
+        np.testing.assert_array_equal(st_.measure.cell_mass, traj.masses[k])
+        fresh = state_of(st_.measure, constant_kernel(1.0), t=st_.t)
+        np.testing.assert_array_equal(gain(st_).cell_mass, gain(fresh).cell_mass)
 
 
 class TestRatioKernelSymmetry:
@@ -651,43 +682,6 @@ class TestExpUpdate:
         assert out[0] >= 0.0 and np.isfinite(out[0])
 
 
-class TestMildStep:
-    def test_zero_kernel_exact_growth(self):
-        m = power_law_init(PARAMS)
-        st0 = state_of(m, zero_kernel())
-        dt = 0.37
-        st1 = mild_step(st0, dt)
-        growth = np.exp(PARAMS.beta * PARAMS.rho * dt)
-        np.testing.assert_allclose(st1.measure.cell_mass, m.cell_mass * growth, rtol=1e-14)
-        assert st1.t == dt
-
-    def test_positivity_large_step(self):
-        edges = geometric_grid(1.0, 100.0, ratio=RATIO)
-        rng = np.random.default_rng(5)
-        m = GridMeasure(edges, rng.uniform(0.0, 5.0, edges.size - 1), 0.0, 0.5)
-        st_ = state_of(m, constant_kernel(4.0))
-        out = mild_step(st_, 50.0)
-        assert np.all(out.measure.cell_mass >= 0.0)
-
-    def test_euler_limit(self):
-        # for dt -> 0 the step tends to m + dt (Q - A m)
-        edges = geometric_grid(1.0, 50.0, ratio=RATIO)
-        rng = np.random.default_rng(9)
-        m = GridMeasure(edges, rng.uniform(0.1, 1.0, edges.size - 1), 0.0, 0.5)
-        st_ = state_of(m, constant_kernel(1.0))
-        dt = 1e-7
-        stepped = mild_step(st_, dt).measure.cell_mass
-        A = np.array([loss_rate(st_, Y) for Y in m.reps])
-        Q = gain(st_).cell_mass
-        euler = m.cell_mass + dt * (Q - A * m.cell_mass)
-        np.testing.assert_allclose(stepped, euler, rtol=1e-6, atol=1e-18)
-
-    def test_rejects_bad_dt(self):
-        m = power_law_init(PARAMS)
-        with pytest.raises(ValueError):
-            mild_step(state_of(m, zero_kernel()), 0.0)
-
-
 class TestMapBack:
     def test_zero_shift_identity(self):
         edges = geometric_grid(1.0, 100.0, ratio=RATIO)
@@ -812,11 +806,6 @@ class TestSimulate:
         two = simulate(one.final, PARAMS, ker, CUT, 0.25, max_change=0.02)
         direct = simulate(h0, PARAMS, ker, CUT, 0.5, max_change=0.02)
         assert xrho_dist(two.final, direct.final) <= 0.05
-
-    def test_evolve_returns_final(self):
-        h0 = power_law_init(PARAMS)
-        out = evolve(h0, PARAMS, zero_kernel(), CUT, 0.5)
-        assert isinstance(out, GridMeasure)
 
     def test_rejects_mismatched_exponent(self):
         edges = geometric_grid()

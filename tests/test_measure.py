@@ -17,6 +17,7 @@ from coagsim.measure import (
     from_csv,
     geometric_grid,
     power_law_init,
+    read_tagged_csv,
     refit_tail,
     to_csv,
     xrho_dist,
@@ -377,6 +378,37 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             from_csv(path)
+
+    # each malformed file below raised IndexError or KeyError once
+    def test_no_rows(self):
+        buf = io.StringIO("# coagsim-measure schema_version=1 tail_amplitude=0.5 tail_exponent=0.5\n"
+                          "x_left,x_right,cell_mass\n")
+        with pytest.raises(ValueError, match="rows"):
+            from_csv(buf)
+
+    @pytest.mark.parametrize("key", ["tail_amplitude", "tail_exponent"])
+    def test_missing_tail_key(self, key):
+        buf = io.StringIO()
+        to_csv(power_law_init(PARAMS, geometric_grid(1e-2, 1e2)), buf)
+        head, rest = buf.getvalue().split("\n", 1)
+        head = " ".join(tok for tok in head.split() if not tok.startswith(key))
+        with pytest.raises(ValueError, match=key):
+            from_csv(io.StringIO(head + "\n" + rest))
+
+    def test_row_shorter_than_column_line(self):
+        buf = io.StringIO("# coagsim-measure schema_version=1 tail_amplitude=0.5 tail_exponent=0.5\n"
+                          "x_left,x_right,cell_mass\n1.0,2.0\n")
+        with pytest.raises(ValueError, match="3 values"):
+            from_csv(buf)
+
+    def test_header_without_column_line(self):
+        with pytest.raises(ValueError, match="not a coagsim measure CSV"):
+            read_tagged_csv(io.StringIO("# coagsim-measure schema_version=1\n"), "measure")
+
+    def test_missing_schema_version(self):
+        buf = io.StringIO("# coagsim-measure tail_amplitude=0.5\nx_left,x_right,cell_mass\n1.0,2.0,0.5\n")
+        with pytest.raises(ValueError, match="schema_version"):
+            read_tagged_csv(buf, "measure")
 
 
 def oracle_density_at(m, x):
