@@ -174,6 +174,7 @@ def cmd_stationary(cfg, out_dir, tolerance):
                 "converged": res.converged,
                 "t_elapsed": res.t_elapsed,
                 "convergence_history": [list(p) for p in res.convergence_history],
+                "distance_estimate": res.distance_estimate,
                 "residual_decay0": res.residual_decay0,
                 "tail_exponent_fit": res.tail_exponent_fit,
                 "tail_amplitude_fit": res.tail_amplitude_fit,

@@ -95,16 +95,26 @@ class _Jumps:
         self.f = (nodes[self.j + 1] - P) / (nodes[self.j + 1] - nodes[self.j])
         self.j[P > R], self.f[P > R] = n + 1, 0.0
         self.gain = np.zeros((eng.dmax + n, eng.dmax + 1))  # T weighted by Psi at the targets
+        self._memo = (None, None)
 
     def _loss(self, tau, far=False):
         """(D, c, v) at backward time tau: each node's total jump rate
-        (toward partners beyond R only, if far), c and v."""
+        (toward partners beyond R only, if far), c and v.
+
+        The last result is kept: D does not depend on Psi, and a step
+        starts at the exact tau where the previous step's corrector
+        evaluated its endpoint.
+        """
+        if self._memo[0] == (tau, far):
+            return self._memo[1]
         eng, p = self.engine, self.trajectory.params
         s = self.t - tau
         _, v, esc = eng.densities(*self.trajectory.interp(s), s)
         c = esc * eval_cutoff(eng.cutoff, self.nodes * np.exp(p.beta * tau) / eng.cutoff.lam)
         w = np.where(self.Z > self.nodes[-1], v, 0.0) if far else v
-        return c * np.append(eng.partner_sum(w)[: self.n], self.row @ w), c, v
+        out = c * np.append(eng.partner_sum(w)[: self.n], self.row @ w), c, v
+        self._memo = ((tau, far), out)
+        return out
 
     def rates(self, tau, psi):
         """(D, G) at backward time tau: each node's total jump rate, and

@@ -97,7 +97,8 @@ class Trajectory:
     masses[k] are the X-frame cell masses at times[k]; linear
     interpolation between stored steps is the sanctioned accuracy model
     for consumers (the dual solver and barrier checks).  engine is the
-    _Engine that stepped the run; the dual reads its pair operator.
+    _Engine that stepped the run, with its kernel and cutoff; the dual
+    reads its pair operator.
     """
 
     edges: np.ndarray
@@ -105,8 +106,6 @@ class Trajectory:
     masses: np.ndarray
     amps: np.ndarray
     params: object
-    kernel: object
-    cutoff: object
     engine: object
     diagnostics: dict = field(default_factory=dict)
 
@@ -119,8 +118,9 @@ class Trajectory:
 
     def state(self, k):
         """EvolutionState at stored step k, on this run's engine."""
-        st = EvolutionState(self.measure_at(k), float(self.times[k]), self.params, self.kernel, self.cutoff)
-        st.__dict__["engine"] = self.engine  # fills the cached property
+        eng = self.engine
+        st = EvolutionState(self.measure_at(k), float(self.times[k]), self.params, eng.kernel, eng.cutoff)
+        st.__dict__["engine"] = eng  # fills the cached property
         return st
 
     def interp(self, s):
@@ -603,8 +603,6 @@ def rescaled_trajectory(h0, params, kernel, cutoff, t_final, max_change=0.02):
         masses=ms,
         amps=amps,
         params=params,
-        kernel=kernel,
-        cutoff=cutoff,
         engine=eng,
         diagnostics=diag,
     )

@@ -284,11 +284,15 @@ class _Pchip:
     Carlson, SIAM J. Numer. Anal. 17, 1980): inside, the weighted harmonic
     mean of the two neighbouring slopes, or 0 where they differ in sign or
     one is 0; at each end, the three-point formula limited to keep its
-    sign and monotonicity.  Needs at least three knots.
+    sign and monotonicity.  Needs at least three knots, uniformly spaced
+    up to rounding (WTable's knots are uniform in log Y).
     """
 
     def __init__(self, x, y):
         h = np.diff(x)
+        self.step = (x[-1] - x[0]) / h.size
+        if np.max(np.abs(x - x[0] - self.step * np.arange(x.size))) > 0.25 * self.step:
+            raise ValueError("knots must be uniformly spaced")
         m = np.diff(y) / h
         w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
         inner = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0)
@@ -310,8 +314,20 @@ class _Pchip:
             return 3.0 * m0
         return d
 
+    def _cell(self, xv):
+        """searchsorted(x, xv, side="right") - 1, clipped to the cells.
+
+        The cell from the knot spacing is off by at most one; one
+        comparison with the stored knots on each side corrects it.
+        """
+        last = self.x.size - 2
+        i = np.clip((xv - self.x[0]) / self.step, 0.0, last).astype(np.intp)
+        i -= xv < self.x[i]
+        i += xv >= self.x[i + 1]
+        return np.clip(i, 0, last, out=i)
+
     def __call__(self, xv):
-        i = np.clip(np.searchsorted(self.x, xv, side="right") - 1, 0, self.x.size - 2)
+        i = self._cell(xv)
         s = xv - self.x[i]
         s2 = s * s
         return self.y[i] + self.d[i] * s + self.c2[i] * s2 + self.c3[i] * (s2 * s)

@@ -144,6 +144,15 @@ def test_product_kernel_stationary_tail_exponent_and_amplitude(stationary_produc
     assert elapsed < 600.0
 
 
+def test_stationary_search_starts_on_the_conserved_tail(stationary_constant, stationary_product):
+    # the default datum already carries the tail amplitude at the top of
+    # the grid, so the search does not wait for a deficit to drift down
+    # it: at most 18 chunks (constant kernel) and 16 (product kernel),
+    # against 28 and 20 from the lower-envelope datum
+    assert len(stationary_constant[0].convergence_history) <= 18
+    assert len(stationary_product[0].convergence_history) <= 16
+
+
 # --- invariant envelopes and growth bound -----------------------------------
 
 

@@ -21,7 +21,7 @@ from coagsim.config import (
 )
 from coagsim.forward import simulate
 from coagsim.kernel import CutoffParams
-from coagsim.measure import cumulative_mass, from_csv, geometric_grid, power_law_init
+from coagsim.measure import cumulative_mass, from_csv, geometric_grid, power_law_init, tail_matched_init
 from coagsim.stablecdf import StableProfile, w_eval
 
 BASE = """
@@ -299,6 +299,9 @@ class TestStationaryCommand:
         entry = manifest["results"][0]
         assert entry["converged"] is False
         assert len(entry["convergence_history"]) == 2
+        (_, r1), (_, r2) = entry["convergence_history"]
+        assert r2 < r1
+        assert entry["distance_estimate"] == r2 / r1 / (1.0 - r2 / r1) * r2
 
     def test_zero_kernel_exact_profile(self, tmp_path):
         text = BASE.replace("kernel.family = constant", "kernel.family = zero")
@@ -328,7 +331,7 @@ class TestStationaryCommand:
         code, out = run_cli(tmp_path, text, "stationary")
         assert code == 3
         cfg = run_config(parse_config(text))
-        h0 = power_law_init(cfg.params, geometric_grid(*cfg.grid))
+        h0 = tail_matched_init(cfg.params, geometric_grid(*cfg.grid))
         entries = json.loads((out / "stationary.json").read_text())["results"]
         for entry in entries:
             got = from_csv(out / entry["profile_file"]).cell_mass

@@ -70,6 +70,31 @@ def field_const(traj_const):
 
 
 class TestSolveDual:
+    def test_loss_evaluated_once_per_time(self, traj_const, monkeypatch):
+        # D does not depend on Psi, so a step starting where the previous
+        # corrector ended reuses that endpoint's loss half
+        eng = traj_const.engine
+        loss_times, rates_calls = [], []
+        densities, rates = eng.densities, _Jumps.rates
+
+        def counting_densities(masses, amp, s):
+            loss_times.append(s)
+            return densities(masses, amp, s)
+
+        def counting_rates(self, tau, psi):
+            rates_calls.append(tau)
+            return rates(self, tau, psi)
+
+        monkeypatch.setattr(eng, "densities", counting_densities)
+        monkeypatch.setattr(_Jumps, "rates", counting_rates)
+        fld = solve_dual(traj_const, 10.0, T_FINAL, max_change=0.005)
+        n, rejected = fld.diagnostics["n_steps"], fld.diagnostics["n_retries"]
+        assert rejected > 0
+        assert len(rates_calls) == 2 * n + rejected
+        # the datum, then one endpoint per trial, never twice in a row
+        assert len(loss_times) == 1 + n + rejected
+        assert all(a != b for a, b in zip(loss_times, loss_times[1:]))
+
     def test_datum_is_indicator(self, field_const):
         assert field_const.s_values[0] == 0.0
         assert field_const.s_values[-1] == pytest.approx(T_FINAL)
@@ -362,12 +387,12 @@ class TestQTail:
 def oracle_jumps(traj, R, t, tau, psi):
     """Dense nodes x partners jump table in the frame anchored at t:
     (nodes, D, G, far sums) with G from np.interp at the pair sums."""
-    p, cut = traj.params, traj.cutoff
+    p, cut = traj.params, traj.engine.cutoff
     _, Yall, gpow = _partners(traj.edges, p.rho, cut.lam)
     Zk = Yall * np.exp(-p.beta * t)
     n = int(np.count_nonzero(Zk[: traj.edges.size - 1] < R * (1.0 - 1e-12)))
     nodes = np.append(Zk[:n], R)
-    Kd = _ratio_kernel(traj.kernel, cut, nodes[:, None], Zk[None, :])
+    Kd = _ratio_kernel(traj.engine.kernel, cut, nodes[:, None], Zk[None, :])
     masses, amp = traj.interp(t - tau)
     grow = np.exp(p.beta * tau)
     u_x = eval_cutoff(cut, nodes * grow / cut.lam)
@@ -399,7 +424,7 @@ class TestDualOracle:
         times = np.array([0.0, 0.3])
         masses = rng.uniform(0.1, 1.0, (2, edges.size - 1))
         cut = CutoffParams(lam=lam)
-        traj = Trajectory(edges, times, masses, np.array([0.4, 0.5]), params, kernel, cut,
+        traj = Trajectory(edges, times, masses, np.array([0.4, 0.5]), params,
                           _Engine(edges, params, kernel, cut))
         # R just above a representative leaves a sliver interval below R
         Y = np.sqrt(edges[:-1] * edges[1:])

@@ -259,6 +259,25 @@ class TestWTable:
             expect = PchipInterpolator(x, y)(xs)
         np.testing.assert_allclose(_Pchip(x, y)(xs), expect, rtol=0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("a", [0.3, 0.5, 0.7])
+    def test_pchip_cell_matches_searchsorted(self, a):
+        pchip = WTable(profile(a))._interp
+        x = pchip.x
+        rng = np.random.default_rng(7)
+        xs = np.concatenate([
+            rng.uniform(x[0] - 1.0, x[-1] + 1.0, 100_000),
+            x,
+            np.nextafter(x, -np.inf),
+            np.nextafter(x, np.inf),
+        ])
+        want = np.clip(np.searchsorted(x, xs, side="right") - 1, 0, x.size - 2)
+        np.testing.assert_array_equal(pchip._cell(xs), want)
+
+    def test_pchip_rejects_uneven_knots(self):
+        x = np.array([0.0, 1.0, 1.5, 3.0])
+        with pytest.raises(ValueError, match="uniformly"):
+            _Pchip(x, x)
+
     def test_monotone(self):
         table = WTable(profile(0.5), n=600)
         Ys = np.geomspace(1e-7, 1e9, 5000)

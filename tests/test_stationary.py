@@ -272,6 +272,23 @@ class TestFindStationary:
         for R in (10.0, 100.0, 1000.0):
             assert abs(res.residual_decay0[R]) <= 1e-2
 
+    @pytest.mark.parametrize(
+        "dists, estimate",
+        [((0.4,), None), ((0.4, 0.1), 0.25 / 0.75 * 0.2), ((0.1, 0.1), None), ((0.1, 0.3), None)],
+        ids=["one_chunk", "contracting", "kappa_one", "growing"],
+    )
+    def test_distance_estimate_from_last_two_rates(self, monkeypatch, dists, estimate):
+        # chunk distances are scripted; rates are distance / chunk
+        seq = iter(dists)
+        monkeypatch.setattr(stationary, "xrho_dist", lambda *args: next(seq))
+        edges = geometric_grid(1e-2, 1e3, 2.0 ** 0.25)
+        res = find_stationary(PARAMS, zero_kernel(), edges=edges, tol=1e-12, t_max=0.5 * len(dists))
+        assert [r for _, r in res.convergence_history] == [2.0 * d for d in dists]
+        if estimate is None:
+            assert res.distance_estimate is None
+        else:
+            assert res.distance_estimate == pytest.approx(estimate, rel=1e-15)
+
     def test_cutoff_lam_must_match_params(self):
         with pytest.raises(ValueError, match="params.lam"):
             find_stationary(PARAMS, zero_kernel(), cutoff=CutoffParams(lam=1e-2))
