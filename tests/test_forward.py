@@ -725,6 +725,33 @@ class TestMapBack:
         )
         assert spill == pytest.approx(expected_spill, rel=1e-11)
 
+    @pytest.mark.parametrize("rho", [0.5, 0.75])
+    @pytest.mark.parametrize("km", [0, 1, 16, 40])
+    def test_whole_cell_shift_matches_index_shift_oracle(self, km, rho):
+        # at sigma = k ln r the two-cell split weight is exactly 0, so the
+        # general formula is the plain index shift, bit for bit
+        edges = geometric_grid(1e-2, 1e2, ratio=RATIO)
+        rng = np.random.default_rng(km)
+        mass = rng.uniform(0.0, 1.0, edges.size - 1)
+        sigma = km * np.log(RATIO)
+        got = _map_back(mass, 0.3, edges, sigma, rho)
+        want = oracle_index_shift_map_back(mass, 0.3, edges, sigma, rho)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+        assert (got[2] > 0.0) == (km > 0)
+
+
+def oracle_index_shift_map_back(masses, amp, edges, sigma, rho):
+    """_map_back at a whole number of cells: an index shift of the masses
+    continued by the tail cells, the cells shifted below the grid spilled."""
+    n = masses.size
+    r = edges[1] / edges[0]
+    km = int(np.floor(sigma / np.log(r) + 1e-12))
+    gedges = edges[-1] * r ** np.arange(km + 3)
+    ext = np.concatenate([masses, amp * np.diff(gedges ** (1.0 - rho)) / (1.0 - rho)])
+    scale = np.exp(-sigma)
+    return ext[km : km + n] * scale, amp * np.exp(-rho * sigma), float(np.sum(ext[:km])) * scale
+
 
 class TestSimulate:
     def test_t_zero_identity(self):
