@@ -274,11 +274,19 @@ class SubsolutionReport:
     tol: float
 
 
-def subsolution_bound(dual_field, profile, M, s=None, tol=1e-3, max_s_samples=64):
+# stored times the barrier check samples; the bracket and bisection steps
+# of the M* search; backward times of the K* sweep
+MAX_S_SAMPLES = 64
+M_LO, M_HI, M_ITERS = 1e-2, 1e4, 40
+N_TAU = 5
+
+
+def subsolution_bound(dual_field, profile, M, s=None, tol=1e-3):
     """Verify Psi(X, s) >= W((R - X) / (M (t - s))^(1/a)) - tol.
 
-    Checks every node X <= R at the given s (or a spread of stored s
-    values including both endpoints when s is None) and reports the worst
+    Checks every node X <= R at the given s or, when s is None, at every
+    max(1, n // MAX_S_SAMPLES)-th of the n stored s values and the last
+    (MAX_S_SAMPLES = 64; all of them when n < 128), and reports the worst
     margin min(Psi - W).
 
     Returns
@@ -292,7 +300,7 @@ def subsolution_bound(dual_field, profile, M, s=None, tol=1e-3, max_s_samples=64
     inv_a = 1.0 / profile.a
     if s is None:
         n = dual_field.s_values.size
-        stride = max(1, n // max_s_samples)
+        stride = max(1, n // MAX_S_SAMPLES)
         idx = sorted(set(range(0, n, stride)) | {n - 1})
     else:
         idx = [int(np.argmin(np.abs(dual_field.s_values - s)))]
@@ -312,20 +320,22 @@ def subsolution_bound(dual_field, profile, M, s=None, tol=1e-3, max_s_samples=64
                              X_at=X_at, s_at=s_at, M=M, tol=tol)
 
 
-def find_m_star(dual_field, profile, tol=1e-3, m_lo=1e-2, m_hi=1e4, iters=40):
+def find_m_star(dual_field, profile, tol=1e-3):
     """Smallest comparison constant M for which the barrier bound holds.
 
-    The barrier decreases in M, so bisection in log M applies.  Returns
-    (m_star, report_at_m_star); m_star is inf when even m_hi fails.
+    The barrier decreases in M, so bisection in log M applies: M_ITERS
+    (40) halvings of the bracket [M_LO, M_HI] = [1e-2, 1e4].  Returns
+    (m_star, report_at_m_star); m_star is M_LO when M_LO already passes,
+    and inf when even M_HI fails.
     """
-    hi_rep = subsolution_bound(dual_field, profile, m_hi, tol=tol)
+    hi_rep = subsolution_bound(dual_field, profile, M_HI, tol=tol)
     if not hi_rep.ok:
         return np.inf, hi_rep
-    lo_rep = subsolution_bound(dual_field, profile, m_lo, tol=tol)
+    lo_rep = subsolution_bound(dual_field, profile, M_LO, tol=tol)
     if lo_rep.ok:
-        return m_lo, lo_rep
-    lo, hi = np.log(m_lo), np.log(m_hi)
-    for _ in range(iters):
+        return M_LO, lo_rep
+    lo, hi = np.log(M_LO), np.log(M_HI)
+    for _ in range(M_ITERS):
         mid = 0.5 * (lo + hi)
         if subsolution_bound(dual_field, profile, float(np.exp(mid)), tol=tol).ok:
             hi = mid
@@ -343,12 +353,13 @@ class QTailReport:
     R: float
 
 
-def q_tail_bound(trajectory, R, tau_values=None, t=None):
+def q_tail_bound(trajectory, R, t=None):
     """Smallest K with int_R^inf Q(X, Z, tau) dZ <= K R^(gamma - rho).
 
     Sweeps the jump rates toward partners beyond R over all nodes X <= R
-    and the given backward times; the supremum of the left side times
-    R^(rho - gamma) is the reported constant.
+    and N_TAU (5) evenly spaced backward times from 0 to t (default: the
+    trajectory's end); the supremum of the left side times R^(rho - gamma)
+    is the reported constant.
 
     Returns
     -------
@@ -357,14 +368,10 @@ def q_tail_bound(trajectory, R, tau_values=None, t=None):
     p = trajectory.params
     if t is None:
         t = trajectory.t_final
-    if tau_values is None:
-        tau_values = np.linspace(0.0, t, 5) if t > 0.0 else [0.0]
     jumps = _Jumps(trajectory, R, t)
     worst, X_at, tau_at = 0.0, np.nan, np.nan
-    for tau in tau_values:
-        if not 0.0 <= tau <= t + 1e-12:
-            raise ValueError("tau outside trajectory coverage")
-        left = jumps.far(min(float(tau), t))
+    for tau in np.linspace(0.0, t, N_TAU):
+        left = jumps.far(float(tau))
         k = int(np.argmax(left))
         if left[k] > worst:
             worst, X_at, tau_at = float(left[k]), float(jumps.nodes[k]), float(tau)

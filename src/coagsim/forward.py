@@ -22,7 +22,10 @@ nonnegativity-preserving since the averages are nonnegative).  A step is
 accepted iff its largest relative mass change is at most max_change, and the
 next step size is proposed from the measured change (Hairer, Norsett &
 Wanner, Solving ODEs I, sec. II.4); it carries across frames and run
-calls.  The dual solve steps with the same controller (_heun_run).
+calls.  Every kernel takes these steps, the zero kernel included: there
+A = -beta rho is constant and Q = 0, so each update is exact and the
+controller only sets the cadence of the stored steps.  The dual solve
+steps with the same controller (_heun_run).
 Gain from a cell pair is deposited at the representative sum
 P = Y_i + Y_j, split between the two
 bracketing representatives so that both mass and first moment are
@@ -124,10 +127,13 @@ class Trajectory:
         return st
 
     def interp(self, s):
-        """Linearly interpolated (masses, amplitude) at rescaled time s."""
+        """Linearly interpolated (masses, amplitude) at rescaled time s;
+        a trajectory of one stored state (t_final = 0) returns that state."""
         ts = self.times
         if not (ts[0] - 1e-12 <= s <= ts[-1] + 1e-12):
             raise ValueError(f"time {s} outside stored range [{ts[0]}, {ts[-1]}]")
+        if ts.size == 1:
+            return self.masses[0].copy(), self.amps[0]
         s = min(max(s, ts[0]), ts[-1])
         k = min(np.searchsorted(ts, s, side="right") - 1, ts.size - 2)
         w = (s - ts[k]) / (ts[k + 1] - ts[k])
@@ -207,7 +213,6 @@ class _Engine:
         self.N = N = edges.size - 1
         _, self.Yall, self.ghost_pow = _partners(edges, params.rho, cutoff.lam)
         self.Y = Y = self.Yall[:N]
-        self.trivial = kernel.family == "zero"
         # pairs with weight lie within n_ghost - 2 cells (the partner-ratio
         # bound); the band keeps one diagonal more
         self.dmax = dmax = self.ghost_pow.size - 1
@@ -353,7 +358,9 @@ class _Stepper:
     Changes are relative to the cell masses, floored at mass_floor_frac of
     the total mass.  The stepper keeps the step proposal dt across run
     calls, and counts steps, rejected trials, the worst pairing residual
-    and the overflow ledger over all of them.
+    and the overflow ledger over all of them.  There is no separate
+    pure-drift path: under the zero kernel the controller's steps are
+    exact, with a zero pairing residual and sink.
     """
 
     mass_floor_frac = 1e-12
@@ -374,18 +381,6 @@ class _Stepper:
         """Advance masses from rescaled time s0 to s1; returns masses."""
         eng = self.engine
         grow = eng.params.beta * eng.params.rho
-        if eng.trivial:
-            # pure drift: the update is exact for any step size; a modest
-            # cadence is kept so trajectories sample intermediate times
-            n_seg = max(1, int(np.ceil((s1 - s0) / 0.1)))
-            ds = (s1 - s0) / n_seg
-            growth = np.exp(grow * ds)
-            for k in range(n_seg):
-                masses = masses * growth
-                self.n_steps += 1
-                if record is not None:
-                    record(s0 + (k + 1) * ds, masses)
-            return masses
 
         def rates(s, m):
             # beyond the partner-ratio reach the dynamics is pure drift, so
@@ -454,8 +449,9 @@ def _map_back(masses, amp, edges, sigma, rho):
     Returns (new_masses, new_amp, spilled_mass).  The grid shift is
     sigma / ln(r) cells; the integer part is an index shift and the
     fractional part a constant two-cell power-law split (exact for data
-    following the intra-cell shape).  Vacated top cells are synthesized
-    from the tail amplitude before the shift.
+    following the intra-cell shape; its weight is exactly 0 at a whole
+    number of cells).  Vacated top cells are synthesized from the tail
+    amplitude before the shift.
     """
     n = masses.size
     r = edges[1] / edges[0]
@@ -469,15 +465,11 @@ def _map_back(masses, amp, edges, sigma, rho):
     # synthesize tail source cells so every target has full coverage
     gedges = edges[-1] * r ** np.arange(km + 3)
     ext = np.concatenate([masses, amp * np.diff(gedges**one_m_rho) / one_m_rho])
-    if theta == 0.0:
-        shifted = ext[km : km + n]
-        spill = float(np.sum(ext[:km]))
-    else:
-        fb = (1.0 - r ** (-theta * one_m_rho)) / (
-            r ** ((1.0 - theta) * one_m_rho) - r ** (-theta * one_m_rho)
-        )
-        shifted = fb * ext[km + 1 : km + 1 + n] + (1.0 - fb) * ext[km : km + n]
-        spill = float(np.sum(ext[:km])) + fb * float(ext[km])
+    fb = (1.0 - r ** (-theta * one_m_rho)) / (
+        r ** ((1.0 - theta) * one_m_rho) - r ** (-theta * one_m_rho)
+    )
+    shifted = fb * ext[km + 1 : km + 1 + n] + (1.0 - fb) * ext[km : km + n]
+    spill = float(np.sum(ext[:km])) + fb * float(ext[km])
     scale = np.exp(-sigma)
     return shifted * scale, amp * np.exp(-rho * sigma), spill * scale
 

@@ -175,6 +175,19 @@ def eval_kernel(spec, y, z):
     return k if k.ndim else float(k)
 
 
+def _z_power_terms(spec, y):
+    """K(y, z) as a list of (coefficient(y), z-exponent) terms; none for "zero"."""
+    if spec.family == "constant":
+        return [(spec.value, 0.0)]
+    if spec.family == "product":
+        g2 = 0.5 * spec.gamma
+        return [(y**g2, g2)]
+    if spec.family == "sum":
+        a, g = spec.alpha, spec.gamma
+        return [(y**a, g - a), (y ** (g - a), a)]
+    return []
+
+
 def eval_regularized(spec, cutoff, y, z):
     """Evaluate the regularized kernel K_lam(y, z).
 
@@ -200,8 +213,6 @@ def eval_regularized(spec, cutoff, y, z):
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     k = np.asarray(eval_kernel(spec, y, z))
-    if spec.family == "zero":
-        return k if k.ndim else float(k)
     lam = cutoff.lam
     tot = y + z
     k = (

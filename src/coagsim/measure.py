@@ -155,11 +155,6 @@ class GridMeasure:
         """Mass carried by the cells (the analytic tail is infinite)."""
         return float(np.sum(self.cell_mass))
 
-    def with_cell_mass(self, cell_mass, tail_amplitude=None):
-        """Copy with replaced masses (and optionally tail amplitude)."""
-        amp = self.tail_amplitude if tail_amplitude is None else tail_amplitude
-        return GridMeasure(self.edges, cell_mass, amp, self.tail_exponent)
-
 
 def _edge_powers(m):
     """edges^(1 - rho), the cumulative of the unit power-law density."""
@@ -403,22 +398,6 @@ def tail_matched_init(params, edges=None):
     1 - rho can reach (gamma = 0, rho = 1/2).
     """
     return _power_datum(params, edges, max(params.delta, 1.0 - params.rho))
-
-
-def refit_tail(m, n_cells=8, skip_top=0):
-    """Refit the tail amplitude from the top cells, pinning the exponent.
-
-    Takes the geometric mean of the cell amplitudes c_k over the last
-    n_cells cells (optionally ignoring skip_top synthetic cells at the very
-    top); exact for data that is a pure power law there.  Returns the
-    current amplitude unchanged when the window holds no positive mass.
-    """
-    hi = m.n_cells - skip_top
-    amps = m.amplitudes[max(0, hi - n_cells) : hi]
-    pos = amps > 0.0
-    if not np.any(pos):
-        return m.tail_amplitude
-    return float(np.exp(np.mean(np.log(amps[pos]))))
 
 
 def write_tagged_csv(path_or_file, tag, meta, columns, rows):

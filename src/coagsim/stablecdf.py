@@ -333,30 +333,32 @@ class _Pchip:
         return self.y[i] + self.d[i] * s + self.c2[i] * s2 + self.c3[i] * (s2 * s)
 
 
+WTABLE_N = 1200
+WTABLE_Y_HI = 1e8
+
+
 class WTable:
     """Monotone interpolant of W for fast batched evaluation.
 
-    Exact w_eval values on a log grid over [y_lo, y_hi], monotone cubic
-    (PCHIP) in log Y between them, spliced to W = 0 below the grid and to
-    the tail law 1 - Y^(-a)/a above.  With the defaults the interpolation
-    error against w_eval is at most 1.1e-7, 1.1e-7 and 3.4e-7 at a = 0.3,
-    0.5 and 0.7, ample for barrier comparisons at 1e-3 tolerances.  Built
-    in numpy alone; a cold table takes about 20 ms.
+    Exact w_eval values at WTABLE_N (1200) points of a log grid from
+    1e-6 (a <= 1/2) or 0.05 (a > 1/2), below which W is negligible, to
+    WTABLE_Y_HI (1e8); monotone cubic (PCHIP) in log Y between them,
+    spliced to W = 0 below the grid and to the tail law 1 - Y^(-a)/a
+    above.  The interpolation error against w_eval is at most 1.1e-7,
+    1.1e-7 and 3.4e-7 at a = 0.3, 0.5 and 0.7, ample for barrier
+    comparisons at 1e-3 tolerances.  Built in numpy alone; a cold table
+    takes about 20 ms.
     """
 
-    def __init__(self, profile, y_lo=None, y_hi=1e8, n=1200):
-        a = profile.a
-        if y_lo is None:
-            # W is negligible below these
-            y_lo = 1e-6 if a <= 0.5 else 0.05
-        ys = np.geomspace(y_lo, y_hi, n)
+    def __init__(self, profile):
+        ys = np.geomspace(1e-6 if profile.a <= 0.5 else 0.05, WTABLE_Y_HI, WTABLE_N)
         ws = w_eval(profile, ys)
         ws[ws < 1e-10] = 0.0  # negligible for barrier comparisons; start the knots above
         keep = ws > 0.0
-        first = int(np.argmax(keep)) if np.any(keep) else n - 1
+        first = int(np.argmax(keep)) if np.any(keep) else WTABLE_N - 1
         self.profile = profile
         self.y_lo = ys[first]
-        self.y_hi = y_hi
+        self.y_hi = WTABLE_Y_HI
         self._interp = _Pchip(np.log(ys[first:]), ws[first:])
 
     def __call__(self, Y):

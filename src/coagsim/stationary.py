@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .forward import _Engine, _partners, _Stepper, simulate
-from .kernel import CutoffParams, eval_regularized
+from .kernel import CutoffParams, _z_power_terms, eval_regularized
 from .kernel import eval_cutoff, eval_kernel  # noqa: F401  not called here; bench/trace_run.py wraps both
 from .measure import (
     GridMeasure,
@@ -59,18 +59,11 @@ __all__ = [
     "lambda_continuation",
 ]
 
-
-def _z_power_terms(kernel, y):
-    """K(y, z) as a list of (coefficient(y), z-exponent) terms."""
-    if kernel.family == "constant":
-        return [(kernel.value, 0.0)]
-    if kernel.family == "product":
-        g2 = 0.5 * kernel.gamma
-        return [(y**g2, g2)]
-    if kernel.family == "sum":
-        a, g = kernel.alpha, kernel.gamma
-        return [(y**a, g - a), (y ** (g - a), a)]
-    return []
+# the search's chunk length in rescaled time, the tail-fit window and the
+# envelope slack of its report
+CHUNK = 0.5
+FIT_WINDOW = (1e2, 1e4)
+ENVELOPE_SLACK = 1e-2
 
 
 def _log_int_with_stub(x, g):
@@ -105,10 +98,11 @@ def gain_flux(profile, kernel, R, cutoff=None, n_per_decade=64):
     Returns
     -------
     float
+        0 for a measure with no cell mass (its tail alone is not counted).
     """
     if not R > 0.0:
         raise ValueError("R must be > 0")
-    if kernel.family == "zero" or not np.any(profile.cell_mass > 0.0):
+    if not np.any(profile.cell_mass > 0.0):
         return 0.0
     inner = _make_inner(profile, kernel, cutoff)
     half = 0.5 * R
@@ -176,7 +170,7 @@ def decay0_residual(profile, params, kernel, R, cutoff=None, n_per_decade=64):
     return lhs / denom
 
 
-def tail_fit(profile, fit_window=(1e2, 1e4)):
+def tail_fit(profile, fit_window=FIT_WINDOW):
     """Fit h(x) ~ A x^(-e) over a window from the cell masses.
 
     The exponent comes from least squares of log cell density against log
@@ -235,21 +229,21 @@ def find_stationary(
     edges=None,
     tol=1e-4,
     t_max=40.0,
-    chunk=0.5,
     h0=None,
     max_change=0.05,
     probe_radii=None,
-    fit_window=(1e2, 1e4),
-    envelope_slack=1e-2,
     cutoff=None,
 ):
     """Evolve until Cauchy in X_rho; report the profile and diagnostics.
 
-    The datum is advanced in chunks; stationarity is declared when the
-    X_rho distance per unit time between consecutive chunk ends drops
-    below tol.  Hitting t_max first yields converged=False with the full
-    history, never an exception.  cutoff defaults to the cubic profile at
-    params.lam; a given cutoff must have lam == params.lam.
+    The datum is advanced in chunks of CHUNK (0.5) rescaled time units;
+    stationarity is declared when the X_rho distance per unit time
+    between consecutive chunk ends drops below tol.  Hitting t_max first
+    yields converged=False with the full history, never an exception.
+    The tail is fitted over FIT_WINDOW (1e2 to 1e4), and both envelopes
+    are checked with slack ENVELOPE_SLACK (1e-2).  cutoff defaults to the
+    cubic profile at params.lam; a given cutoff must have
+    lam == params.lam.
 
     The default datum is tail_matched_init: above R0 it already carries
     the conserved tail (1 - rho) x^(-rho), so the search does not wait
@@ -271,7 +265,7 @@ def find_stationary(
     t = 0.0
     converged = False
     while t < t_max - 1e-9:
-        dt = min(chunk, t_max - t)
+        dt = min(CHUNK, t_max - t)
         res = simulate(h, params, kernel, cutoff, dt, stepper=stepper)
         t += dt
         origin += res.origin_mass
@@ -291,7 +285,7 @@ def find_stationary(
     residuals = {
         R: decay0_residual(h, params, kernel, R, cutoff=cutoff) for R in probe_radii
     }
-    exponent, amplitude = tail_fit(h, fit_window)
+    exponent, amplitude = tail_fit(h)
     return StationaryResult(
         profile=h,
         lam=params.lam,
@@ -302,8 +296,8 @@ def find_stationary(
         residual_decay0=residuals,
         tail_exponent_fit=exponent,
         tail_amplitude_fit=amplitude,
-        envelope_upper=envelope_check_upper(h, params, slack=envelope_slack),
-        envelope_lower=envelope_check_lower(h, params, slack=envelope_slack),
+        envelope_upper=envelope_check_upper(h, params, slack=ENVELOPE_SLACK),
+        envelope_lower=envelope_check_lower(h, params, slack=ENVELOPE_SLACK),
         origin_mass=origin,
     )
 

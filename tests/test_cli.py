@@ -379,6 +379,20 @@ class TestDualCheckCommand:
         assert coarse["n_forward_steps"] == fine["n_forward_steps"] > 0
         assert fine["n_backward_steps"] > coarse["n_backward_steps"]
 
+    def test_time_zero_checks_the_datum(self, tmp_path):
+        # dual.time = 0 is accepted: the trajectory and the dual field hold
+        # one state each, and the pairing reduces to the cumulative of the
+        # datum
+        text = BASE + "dual.radius = 10.0\ndual.time = 0.0\ndual.dump_s = 0.0\n"
+        code, out = run_cli(tmp_path, text, "dual-check")
+        assert code == 0
+        manifest = json.loads((out / "dual_check.json").read_text())
+        assert manifest["adjoint_residual"] <= 1e-12
+        assert manifest["m_star"] == 0.01
+        assert manifest["n_forward_steps"] == manifest["n_backward_steps"] == 0
+        _, meta, _, rows = read_table(out / "psi_0000.csv")
+        assert meta["s"] == "0.0" and all(psi == 1.0 for _, psi in rows)
+
     def test_missing_radius_exits_1(self, tmp_path):
         code, _ = run_cli(tmp_path, BASE, "dual-check")
         assert code == 1

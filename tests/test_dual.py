@@ -163,35 +163,30 @@ def oracle_solve_dual(trajectory, R, t, max_change=0.02):
     rows = [psi.copy()]
     n_retries = 0
     mono_viol = 0.0
-    if trajectory.engine.trivial or t == 0.0:
-        if t > 0.0:
-            taus.append(t)
-            rows.append(psi.copy())
-    else:
-        tau = 0.0
-        dt = None
-        while tau < t - 1e-14:
-            D, G = jumps.rates(tau, psi)
-            d_max = float(D.max())
-            cap = 0.5 / d_max if d_max > 0.0 else np.inf
-            h = min(cap if dt is None else min(dt, cap), t - tau)
-            for _ in range(60):
-                pred = _exp_update(psi, D, G, h)
-                D2, G2 = jumps.rates(tau + h, pred)
-                trial = _exp_update(psi, 0.5 * (D + D2), 0.5 * (G + G2), h)
-                change = float(np.max(np.abs(trial - psi)))
-                if change <= max_change and tau + h > tau:
-                    break
-                h *= 0.5
-                n_retries += 1
-            else:
-                raise IntegrationError(f"dual step size collapsed at tau={tau:.6g} (change={change:.3g})")
-            dt = h * min(1.2, 0.9 * max_change / max(change, 1e-300))
-            psi = trial
-            tau += h
-            taus.append(tau)
-            rows.append(psi.copy())
-            mono_viol = max(mono_viol, float(np.max(np.diff(psi), initial=0.0)))
+    tau = 0.0
+    dt = None
+    while tau < t - 1e-14:
+        D, G = jumps.rates(tau, psi)
+        d_max = float(D.max())
+        cap = 0.5 / d_max if d_max > 0.0 else np.inf
+        h = min(cap if dt is None else min(dt, cap), t - tau)
+        for _ in range(60):
+            pred = _exp_update(psi, D, G, h)
+            D2, G2 = jumps.rates(tau + h, pred)
+            trial = _exp_update(psi, 0.5 * (D + D2), 0.5 * (G + G2), h)
+            change = float(np.max(np.abs(trial - psi)))
+            if change <= max_change and tau + h > tau:
+                break
+            h *= 0.5
+            n_retries += 1
+        else:
+            raise IntegrationError(f"dual step size collapsed at tau={tau:.6g} (change={change:.3g})")
+        dt = h * min(1.2, 0.9 * max_change / max(change, 1e-300))
+        psi = trial
+        tau += h
+        taus.append(tau)
+        rows.append(psi.copy())
+        mono_viol = max(mono_viol, float(np.max(np.diff(psi), initial=0.0)))
     taus = np.array(taus)
     psi_all = np.array(rows)
     order = np.argsort(t - taus, kind="stable")
@@ -309,14 +304,14 @@ class TestSubsolution:
             subsolution_bound(field_const, StableProfile(a=0.5), 0.0)
 
 
-def oracle_subsolution_bound(dual_field, profile, M, s=None, tol=1e-3, max_s_samples=64):
+def oracle_subsolution_bound(dual_field, profile, M, s=None, tol=1e-3):
     """The barrier check one sampled time at a time."""
     R, t = dual_field.R, dual_field.t_final
     tab = w_table(profile)
     inv_a = 1.0 / profile.a
     if s is None:
         n = dual_field.s_values.size
-        stride = max(1, n // max_s_samples)
+        stride = max(1, n // 64)
         idx = sorted(set(range(0, n, stride)) | {n - 1})
     else:
         idx = [int(np.argmin(np.abs(dual_field.s_values - s)))]
@@ -378,10 +373,6 @@ class TestQTail:
 
     def test_zero_kernel_vanishes(self, traj_zero):
         assert q_tail_bound(traj_zero, 10.0).K_star == 0.0
-
-    def test_rejects_tau_outside_coverage(self, traj_const):
-        with pytest.raises(ValueError):
-            q_tail_bound(traj_const, 10.0, tau_values=[T_FINAL + 1.0])
 
 
 def oracle_jumps(traj, R, t, tau, psi):

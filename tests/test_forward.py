@@ -555,22 +555,31 @@ class TestStepperCarry:
             scale = np.maximum(m0, st.mass_floor_frac * float(np.sum(m0)))
             assert float(np.max(np.abs(m1 - m0) / scale)) <= st.max_change
 
+    def test_zero_kernel_steps_are_exact_drift(self):
+        # K = 0: A = -beta rho and Q = 0, so every exponential update is
+        # exact and the controller only chooses the step sizes
+        eng = _Engine(geometric_grid(), PARAMS, zero_kernel(), CUT)
+        st = _Stepper(eng)
+        h0 = power_law_init(PARAMS)
+        s0, s1 = 0.2, 1.0
+        amp = h0.tail_amplitude * np.exp(PARAMS.beta * PARAMS.rho * s0)
+        log = [h0.cell_mass.copy()]
+        out = st.run(h0.cell_mass.copy(), amp, s0, s1, record=lambda s, m: log.append(m.copy()))
+        growth = np.exp(PARAMS.beta * PARAMS.rho * (s1 - s0))
+        np.testing.assert_allclose(out, h0.cell_mass * growth, rtol=1e-13, atol=0.0)
+        assert st.n_steps == len(log) - 1 > 1
+        for m0, m1 in zip(log, log[1:]):
+            scale = np.maximum(m0, st.mass_floor_frac * float(np.sum(m0)))
+            assert float(np.max(np.abs(m1 - m0) / scale)) <= st.max_change
+        assert st.max_pairing_residual == 0.0
+        assert st.sink_mass == 0.0 and st.sink_moment == 0.0
+
 
 class OracleStepper(_Stepper):
     """_Stepper with its own copy of the exponential-Heun step loop."""
 
     def run(self, masses, amp, s0, s1, record=None):
         eng = self.engine
-        if eng.trivial:
-            n_seg = max(1, int(np.ceil((s1 - s0) / 0.1)))
-            ds = (s1 - s0) / n_seg
-            growth = np.exp(eng.params.beta * eng.params.rho * ds)
-            for k in range(n_seg):
-                masses = masses * growth
-                self.n_steps += 1
-                if record is not None:
-                    record(s0 + (k + 1) * ds, masses)
-            return masses
         s = s0
         dt = self.dt
         grow = eng.params.beta * eng.params.rho
@@ -651,7 +660,7 @@ class TestStepperOracle:
         for name in ("dt", "n_steps", "n_retries", "sink_mass", "sink_moment",
                      "max_pairing_residual"):
             assert getattr(got, name) == getattr(want, name), name
-        if not eng.trivial:
+        if kernel.family != "zero":
             assert want.n_retries > 0 and want.sink_mass > 0.0  # both paths run
 
 
@@ -870,6 +879,18 @@ class TestTrajectory:
         assert a0 == h0.tail_amplitude
         with pytest.raises(ValueError):
             traj.interp(0.5)
+
+    def test_interp_on_one_stored_state(self):
+        # a trajectory to t = 0 holds the datum alone; interpolating between
+        # two stored steps would divide 0 by 0
+        h0 = power_law_init(PARAMS)
+        traj = rescaled_trajectory(h0, PARAMS, constant_kernel(1.0), CUT, 0.0)
+        assert traj.times.size == 1
+        m0, a0 = traj.interp(0.0)
+        np.testing.assert_array_equal(m0, h0.cell_mass)
+        assert a0 == h0.tail_amplitude
+        with pytest.raises(ValueError):
+            traj.interp(0.1)
 
     def test_zero_kernel_growth_between_snapshots(self):
         h0 = power_law_init(PARAMS)

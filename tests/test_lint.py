@@ -56,3 +56,36 @@ def test_package_has_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert found == []
+
+
+def family_reads(source):
+    """Lines that read an attribute named family (a kernel's family name)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "family" and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_checker_flags_family_reads():
+    source = (
+        '"""kernel.family in a docstring is text."""\n'
+        'key = "kernel.family"\n'
+        "if spec.family == 'zero':\n"
+        "    pass\n"
+        "name = getattr(spec, 'family')\n"
+        "terms = f(kernel).family\n"
+    )
+    assert family_reads(source) == [3, 6]
+
+
+def test_kernel_families_are_read_in_kernel_only():
+    # what each family means (its terms, its degree, its zero) lives in
+    # kernel.py; other modules go through its functions
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "kernel.py"
+        for line in family_reads(path.read_text())
+    ]
+    assert found == []

@@ -1,6 +1,7 @@
 """Grid measures: cumulative mass, weighted norms, envelopes, tail moments."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from coagsim.measure import (
     geometric_grid,
     power_law_init,
     read_tagged_csv,
-    refit_tail,
     tail_matched_init,
     to_csv,
     xrho_dist,
@@ -188,13 +188,13 @@ class TestNorm:
     @given(measure_strategy())
     def test_metric_identity(self, m):
         assert xrho_dist(m, m) == 0.0
-        assert xrho_dist(m, m.with_cell_mass(m.cell_mass.copy())) == 0.0
+        assert xrho_dist(m, replace(m, cell_mass=m.cell_mass.copy())) == 0.0
 
     def test_metric_separates(self):
         m1 = GridMeasure(small_grid(), np.ones(8), 0.0, 0.5)
         bumped = m1.cell_mass.copy()
         bumped[4] += 1e-9
-        m2 = m1.with_cell_mass(bumped)
+        m2 = replace(m1, cell_mass=bumped)
         assert xrho_dist(m1, m2) > 0.0
 
     def test_grid_mismatch_rejected(self):
@@ -214,7 +214,7 @@ class TestEnvelopes:
 
     def test_upper_violation_detected(self):
         m = power_law_init(PARAMS)
-        m2 = m.with_cell_mass(1.5 * m.cell_mass)
+        m2 = replace(m, cell_mass=1.5 * m.cell_mass)
         rep = envelope_check_upper(m2, PARAMS, slack=0.0)
         assert not rep.ok
         assert rep.worst_ratio > 1.0
@@ -222,7 +222,7 @@ class TestEnvelopes:
 
     def test_tail_violation_detected(self):
         m = power_law_init(PARAMS)
-        m2 = m.with_cell_mass(m.cell_mass, tail_amplitude=0.6)
+        m2 = replace(m, tail_amplitude=0.6)
         rep = envelope_check_upper(m2, PARAMS, slack=0.0)
         assert not rep.ok
         assert rep.location == np.inf
@@ -231,14 +231,14 @@ class TestEnvelopes:
         m = power_law_init(PARAMS)
         drained = m.cell_mass.copy()
         drained[300:] *= 0.9
-        rep = envelope_check_lower(m.with_cell_mass(drained), PARAMS, slack=0.0)
+        rep = envelope_check_lower(replace(m, cell_mass=drained), PARAMS, slack=0.0)
         assert not rep.ok
         assert rep.worst_ratio < 1.0
 
     def test_slack_tolerates_small_excess(self):
         m = power_law_init(PARAMS)
         bumped = m.cell_mass * 1.005
-        rep = envelope_check_upper(m.with_cell_mass(bumped), PARAMS, slack=1e-2)
+        rep = envelope_check_upper(replace(m, cell_mass=bumped), PARAMS, slack=1e-2)
         assert rep.ok
 
     def test_no_constraint_below_onset(self):
@@ -378,24 +378,6 @@ class TestTailMatchedInit:
         edges = geometric_grid(1e-2, 1e5)
         want = power_law_init(Params(gamma=0.0, rho=0.75, delta=0.25), edges)
         np.testing.assert_array_equal(tail_matched_init(p, edges).cell_mass, want.cell_mass)
-
-
-class TestRefit:
-    def test_exact_power_data(self):
-        edges = geometric_grid(1.0, 1e4)
-        m = GridMeasure(edges, np.diff(0.7 * edges**0.5 / 0.5), 0.0, 0.5)
-        assert refit_tail(m) == pytest.approx(0.7, rel=1e-12)
-
-    def test_skip_top(self):
-        edges = geometric_grid(1.0, 1e4)
-        mass = np.diff(0.7 * edges**0.5 / 0.5)
-        mass[-4:] = 0.0  # corrupt the top; skip it
-        m = GridMeasure(edges, mass, 0.0, 0.5)
-        assert refit_tail(m, n_cells=8, skip_top=4) == pytest.approx(0.7, rel=1e-12)
-
-    def test_empty_window_keeps_amplitude(self):
-        m = GridMeasure(small_grid(), np.zeros(8), 0.9, 0.5)
-        assert refit_tail(m) == 0.9
 
 
 class TestCsvRoundTrip:

@@ -242,7 +242,7 @@ class TestWTable:
     @pytest.mark.parametrize("a", [0.3, 0.7])
     def test_matches_direct(self, a):
         prof = profile(a)
-        table = WTable(prof, n=600)
+        table = WTable(prof)
         Ys = np.geomspace(0.5 if a == 0.3 else 2.0, 5e7, 60)
         direct = w_eval(prof, Ys)
         np.testing.assert_allclose(table(Ys), direct, atol=5e-6)
@@ -279,7 +279,7 @@ class TestWTable:
             _Pchip(x, x)
 
     def test_monotone(self):
-        table = WTable(profile(0.5), n=600)
+        table = WTable(profile(0.5))
         Ys = np.geomspace(1e-7, 1e9, 5000)
         vals = table(Ys)
         assert np.all(np.diff(vals) >= -1e-10)

@@ -1,5 +1,7 @@
 """Stationary profiles: flux identity, tail fits, long-time search."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import erfcx
@@ -8,6 +10,7 @@ from coagsim import forward, stationary
 from coagsim.forward import _partners
 from coagsim.kernel import (
     CutoffParams,
+    _z_power_terms,
     constant_kernel,
     eval_regularized,
     product_kernel,
@@ -24,7 +27,6 @@ from coagsim.measure import (
 )
 from coagsim.stationary import (
     _log_int_with_stub,
-    _z_power_terms,
     decay0_residual,
     density_at,
     find_stationary,
@@ -172,7 +174,7 @@ class TestGainFluxOracle:
     def test_matches_pointwise_loop(self, kernel, params, lam, R):
         h = power_law_init(params, geometric_grid(1e-3, 1e5, RATIO))
         rng = np.random.default_rng(11)
-        m = h.with_cell_mass(h.cell_mass * rng.uniform(0.5, 1.5, h.n_cells))
+        m = replace(h, cell_mass=h.cell_mass * rng.uniform(0.5, 1.5, h.n_cells))
         cutoff = None if lam is None else CutoffParams(lam=lam)
         # 16 points per decade: 141 per half, so the blocks include a partial one
         got = gain_flux(m, kernel, R, cutoff=cutoff, n_per_decade=16)
@@ -246,7 +248,7 @@ class TestFindStationary:
     def test_stationary_datum_stops_after_one_chunk(self):
         edges = geometric_grid(1e-3, 1e6, RATIO)
         h0 = power_measure(edges, 0.5)
-        res = find_stationary(PARAMS, zero_kernel(), edges=edges, h0=h0, chunk=0.5)
+        res = find_stationary(PARAMS, zero_kernel(), edges=edges, h0=h0)
         assert res.converged
         assert res.t_elapsed == pytest.approx(0.5)
         assert len(res.convergence_history) == 1
@@ -312,7 +314,7 @@ class TestEngineReuse:
     def test_one_engine_per_search(self, engine_builds):
         edges = geometric_grid(1e-3, 1e6, RATIO)
         res = find_stationary(
-            PARAMS, constant_kernel(2.0), edges=edges, tol=1e-12, t_max=1.5, chunk=0.5
+            PARAMS, constant_kernel(2.0), edges=edges, tol=1e-12, t_max=1.5
         )
         assert len(res.convergence_history) == 3
         assert len(engine_builds) == 1
@@ -335,7 +337,7 @@ class TestEngineReuse:
 
         monkeypatch.setattr(stationary, "simulate", recording)
         edges = geometric_grid(1e-3, 1e6, RATIO)
-        find_stationary(PARAMS, constant_kernel(2.0), edges=edges, tol=1e-12, t_max=1.5, chunk=0.5)
+        find_stationary(PARAMS, constant_kernel(2.0), edges=edges, tol=1e-12, t_max=1.5)
         assert len(calls) == 3
         stepper = calls[0][1]
         assert all(st is stepper for _, st in calls)
