@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .forward import _heun_run
+from .forward import _heun_run, _partners
 from .kernel import eval_cutoff, eval_kernel  # noqa: F401  eval_kernel: bench/trace_run.py wraps dual.eval_kernel
 from .measure import GridMeasure, cumulative_mass
 from .stablecdf import w_table
@@ -86,7 +86,9 @@ class _Jumps:
         self.trajectory, self.t = trajectory, t
         eng = self.engine = trajectory.engine
         beta = trajectory.params.beta
-        self.Z = Z = eng.Yall * np.exp(-beta * t)
+        # the grid's own representatives, which the engine's lattice
+        # matches to rounding
+        self.Z = Z = _partners(trajectory.edges, trajectory.params.rho, eng.cutoff.lam)[1] * np.exp(-beta * t)
         self.n = n = int(np.count_nonzero(Z[: eng.N] < R * (1.0 - 1e-12)))
         self.nodes = nodes = np.append(Z[:n], R)
         self.row = eng.row(R * np.exp(beta * t))

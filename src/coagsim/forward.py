@@ -42,10 +42,16 @@ the stepper, the diagnostics loss_rate, gain and rearrangement_residual
 (through EvolutionState.engine), and the dual (through Trajectory.engine:
 its half band, partner_sum and row).  The ratio cutoffs
 vanish past the partner ratio (2-lam)/lam, a fixed number of cells on the
-geometric grid, so _Engine keeps the static weights of each unordered pair
-within dmax cells as a half band, reads the partners below a cell through
-kernel symmetry, and tabulates each pair's deposits per unit of its partner
-densities once.
+geometric grid, and every pair (i, i + d) is a scaled copy of (0, d): its
+weight is Y_i^gamma t_d and its sum P lands at the fixed offsets k_d and
+k_d + 1 from i with the fixed split f_d.  So _Engine keeps per-diagonal
+vectors (t, k, f), and rates takes the loss as one correlation and one
+convolution with t, and the gain as one short convolution per deposit
+offset from the larger partner; a static corner table over the top rows
+gives the overflow ledger.  The per-pair half band T is built only when
+the dual or rearrangement_residual first reads it.  The convolutions are
+direct sums: v spans many decades, and FFT rounding, relative to the
+largest entry, would swamp the small cells.
 
 Long runs restart the rescaled frame periodically: after a frame of duration
 T the variables are mapped back to physical scale (an exact index shift when
@@ -194,45 +200,88 @@ def _band(x, lead, width, rows):
 
 
 class _Engine:
-    """Banded pair stencil for one grid/kernel/cutoff combination.
+    """Shift-invariant pair operator for one grid/kernel/cutoff combination.
 
-    T[i, d] is the static weight of cell i with partner i + d (cells, then
-    ghost cells), d = 0..dmax: the half band.  T sits below dmax zero rows
-    in its buffer, so the partners below a cell are read by kernel symmetry,
-    T[i - d, d], through a strided view of the same buffer.  Both ordered
-    pairs of (i, i + d) weigh T v_i v_(i+d) times their source size, so per
-    unit esc v_i v_(i+d) the deposits of each unordered pair are static:
-    with S = T (Y_i + Y_(i+d)) (only Y_i for d = 0 and ghost partners), a sum
-    P below the top representative puts F_lo = S f at lo and F_hi = S (1 - f)
-    at lo + 1, Y[lo] <= P < Y[lo + 1].  The other pairs have lo = N, with
-    F_lo = S and F_hi = S P, so bin N is the overflow ledger.
+    The engine places its partners (cells, then ghost cells) on the exact
+    lattice Y_i = Y_0 r^i through the grid's end edges; on a grid off the
+    lattice by rounding (GridMeasure accepts 1e-9) the pairing identities
+    then still hold to machine level.  The kernel is
+    homogeneous of degree gamma and the ratio cutoffs are scale-free, so
+    the static weight of cell i with partner i + d is Y_i^gamma t_d, and
+    the pair's sum P = Y_i (1 + r^d) sits at the fixed offset k_d from i,
+    Y[i + k_d] <= P < Y[i + k_d + 1] (a tie takes the upper bracket,
+    f_d = 1), splitting the mass and moment as f_d and 1 - f_d.  Both
+    ordered pairs of (i, i + d) weigh esc v_i v_(i+d) Y_i^gamma t_d times
+    their source size, so with z = Y^(gamma+1) v a pair deposits
+    esc v_(i+d) g_d z_i, g_d = t_d (1 + r^d) (t_0 for the self pair).
+    The loss is one correlation and one convolution with t; the gain is one
+    convolution per offset c = k_d - d from the larger member, whose
+    group merges the lo-weights of offset c with the hi-weights of c - 1.
+    Groups without weight are dropped.  Only rows within max k_d + 1 of
+    the top reach the overflow ledger or the hi half of the top cell; a
+    static corner table over those rows gives both, so the pairing
+    residual compares two independent sums.  The half band T[i, d] of the
+    per-pair weights is built on first use, for the dual (which needs
+    per-pair targets) and rearrangement_residual.
     """
 
     def __init__(self, edges, params, kernel, cutoff):
         self.params, self.kernel, self.cutoff = params, kernel, cutoff
         self.N = N = edges.size - 1
-        _, self.Yall, self.ghost_pow = _partners(edges, params.rho, cutoff.lam)
-        self.Y = Y = self.Yall[:N]
+        self.ghost_pow = _partners(edges, params.rho, cutoff.lam)[2]
         # pairs with weight lie within n_ghost - 2 cells (the partner-ratio
         # bound); the band keeps one diagonal more
         self.dmax = dmax = self.ghost_pow.size - 1
+        r = (edges[-1] / edges[0]) ** (1.0 / N)  # exact to rounding on geometric_grid
+        self.Yall = edges[0] * r ** (np.arange(N + dmax + 1) + 0.5)
+        self.Y = Y = self.Yall[:N]
+        self.Yg = Y**kernel.gamma
+        d = np.arange(dmax + 1)
+        rd = r**d
+        t = _ratio_kernel(kernel, cutoff, 1.0, rd)
+        self.t = t[: 1 + np.max(np.flatnonzero(t), initial=0)]
+        self.t_below = np.concatenate([[0.0], self.t[1:]])
+        # P / Y_(i+d) = r^c; a tie (c whole up to the rounding of the log,
+        # e.g. 2 Y_i = Y_(i+n) on a 2^(1/n) grid) takes the upper bracket
+        c = np.log1p(1.0 / rd) / np.log(r)
+        off = np.floor(c + 1e-12)
+        f = np.where(np.abs(c - off) < 1e-12, 1.0, (r ** (off + 1) - 1 - 1 / rd) / (r ** (off + 1) - r**off))
+        off = off.astype(int)
+        self.k = k = d + off
+        g = t * np.where(d > 0, 1.0 + rd, 1.0)
+        self.groups = []  # (first target, first larger member, taps)
+        for ci in range(off.max() + 2):
+            h = np.where(off == ci, g * f, 0.0) + np.where(off == ci - 1, g * (1.0 - f), 0.0)
+            nz = np.flatnonzero(h)
+            if nz.size and ci + nz[0] < N - 1:
+                self.groups.append((ci + nz[0], nz[0], h[nz[0] : nz[-1] + 1]))
+        # the corner: rows whose pairs feed the top cell's hi half (lo = N - 2)
+        # or the ledger (lo >= N - 1, ghost partners included), with the
+        # mass weights S of both ordered pairs (ghosts are loss-only)
+        i0 = max(0, N - 2 - k.max())
+        i = np.arange(i0, N)[:, None]
+        Yi, Yp = self.Yall[i0:N, None], self.Yall[i + d]
+        S = self.Yg[i0:, None] * t * (Yi + np.where((d > 0) & (i + d < N), Yp, 0.0))
+        over = i + k >= N - 1
+        top = np.where(i + k == N - 2, S * (1.0 - f), 0.0)
+        C = np.stack([top, np.where(over, S, 0.0), np.where(over, S * (Yi + Yp), 0.0)])
+        rows, ds = np.nonzero(C.any(axis=0))
+        self.corner, self.corner_pairs = C[:, rows, ds], (i0 + rows, i0 + rows + ds)
+
+    @cached_property
+    def T(self):
+        """The half band: T[i, d] is the static weight of cell i with
+        partner i + d, d = 0..dmax.  T sits below dmax zero rows in its
+        buffer, so the partners below a cell are read by kernel symmetry,
+        T[i - d, d], through a strided view of the same buffer."""
+        N, dmax, Y = self.N, self.dmax, self.Y
         listed = _band(np.ones(self.Yall.size, dtype=bool), 0, dmax + 1, N)
         # band positions off the partner list get weight zero, and the
         # largest partner size, so that they are never in-grid pairs
         Z = np.where(listed, _band(self.Yall, 0, dmax + 1, N), self.Yall[-1])
-        self.T = np.zeros((dmax + N, dmax + 1))[dmax:]
-        self.T[:] = np.where(listed, _ratio_kernel(kernel, cutoff, Y[:, None], Z), 0.0)
-        P = Y[:, None] + Z
-        k = np.searchsorted(Y, P, side="right") - 1
-        live = k < N - 1
-        k_in = np.where(live, k, 0)
-        f = (Y[k_in + 1] - P) / (Y[k_in + 1] - Y[k_in])
-        # the second source is a cell for d > 0 (ghosts are loss-only)
-        Y2 = np.where(np.arange(dmax + 1) > 0, _band(Y, 0, dmax + 1, N), 0.0)
-        S = self.T * (Y[:, None] + Y2)
-        self.lo = np.where(live, k, N).ravel()
-        self.F_lo = np.where(live, S * f, S)
-        self.F_hi = np.where(live, S * (1.0 - f), S * P)
+        T = np.zeros((dmax + N, dmax + 1))[dmax:]
+        T[:] = np.where(listed, _ratio_kernel(self.kernel, self.cutoff, Y[:, None], Z), 0.0)
+        return T
 
     def row(self, X):
         """Static weights of size X with every partner (cells, then ghosts)."""
@@ -261,12 +310,15 @@ class _Engine:
         return out
 
     def _loss(self, masses, amp, s):
-        """(Lk, vv) at time s: per-unit-mass kernel loss rates, and
-        vv[i, d] = esc v_i v_(i+d) on the half band."""
+        """(Lk, v, esc) at time s: per-unit-mass kernel loss rates, and v
+        and esc of densities()."""
         u, v, esc = self.densities(masses, amp, s)
-        Lk = self.partner_sum(v) * (esc * u[: self.N])
-        vv = _band(v, 0, self.dmax + 1, self.N) * (esc * v[: self.N, None])
-        return Lk, vv
+        N, t = self.N, self.t
+        # partners above each cell, then below it by kernel symmetry
+        Lk = self.Yg * np.correlate(v[: N + t.size - 1], t, "valid")
+        Lk += np.convolve(self.Yg * v[:N], self.t_below)[:N]
+        Lk *= esc * u[:N]
+        return Lk, v, esc
 
     def rates(self, masses, amp, s):
         """Frozen-coefficient rates at time s.
@@ -277,14 +329,19 @@ class _Engine:
         between kernel loss and total deposits (machine-level identity).
         """
         N = self.N
-        Lk, vv = self._loss(masses, amp, s)
+        Lk, v, esc = self._loss(masses, amp, s)
         A = Lk - self.params.beta * self.params.rho
-        lo = np.bincount(self.lo, (vv * self.F_lo).ravel(), minlength=N + 1)
-        vv *= self.F_hi  # in place: each pair-sized temporary costs page faults
-        hi = np.bincount(self.lo, vv.ravel(), minlength=N + 1)
-        Q = lo[:N]
-        Q[1:] += hi[: N - 1]
-        over_rate, over_moment = float(lo[N]), float(hi[N])
+        z = self.Yg * self.Y * v[:N]
+        Q = np.zeros(N)
+        # group (j0, p0, h) deposits at j = p + c from each larger member p
+        # >= p0, up to cell N - 2, where lo and hi halves are all in-grid
+        for j0, p0, h in self.groups:
+            n = N - 1 - j0
+            Q[j0:-1] += v[p0 : p0 + n] * np.convolve(z[:n], h)[:n]
+        rows, partners = self.corner_pairs
+        Q[N - 1], over_rate, over_moment = self.corner @ (v[rows] * v[partners])
+        Q *= esc
+        over_rate, over_moment = esc * float(over_rate), esc * float(over_moment)
         loss_total = float(np.sum(Lk * masses))
         dep_total = float(np.sum(Q)) + over_rate
         resid = abs(loss_total - dep_total) / max(loss_total, 1e-300)
@@ -604,10 +661,11 @@ def rearrangement_residual(state, psi):
     """Pairing defect of the loss/gain rearrangement for a test function.
 
     Compares the discrete weak pairing <psi, deposits> - <psi, loss>
-    (in-grid deposits evaluated at the split representatives, overflow
-    and ghost-pair deposits at their exact positions P) against the
-    collapsed double sum over ordered pairs of W_ij [psi(P) - psi(Y_i)]
-    with exact P throughout.  The two agree to roundoff whenever the
+    (the loss and in-grid deposits that the stepper reads from
+    _Engine.rates, the deposits evaluated at the split representatives;
+    overflow and ghost-pair deposits at their exact positions P) against
+    the collapsed double sum over ordered pairs of W_ij [psi(P) - psi(Y_i)]
+    with exact P throughout, from the per-pair half band.  The two agree to roundoff whenever the
     two-point split represents psi exactly at each deposit, hence for
     constants (mass conservation), for psi = x (the split conserves the
     first moment), and for indicators that do not cut between the two
@@ -628,24 +686,24 @@ def rearrangement_residual(state, psi):
     m, eng = state.measure, state.engine
     N, dmax = eng.N, eng.dmax
     masses = m.cell_mass
-    Lk, vv = eng._loss(masses, m.tail_amplitude, state.t)
+    Lk, v, esc = eng._loss(masses, m.tail_amplitude, state.t)
+    Q = eng.rates(masses, m.tail_amplitude, state.t)[1]
     # ordered-pair weights of (i, i + d) with source i (Wa) and i + d (Wb;
     # zero for d = 0, where the two coincide, and for loss-only ghosts)
-    TW = eng.T * vv
+    TW = eng.T * _band(v, 0, dmax + 1, N) * (esc * v[:N, None])
     Wa = TW * eng.Y[:, None]
     Wb = TW * _band(eng.Y, 0, dmax + 1, N)
     Wb[:, 0] = 0.0
     W = Wa + Wb
     psi_rep = np.asarray(psi(eng.Y), dtype=float)
     loss_w = float(np.sum(psi_rep * Lk * masses))
-    # split deposits from the static tables; the overflow bin N reads psi = 0
-    psi_ext = np.concatenate([psi_rep, [0.0, 0.0]])
-    dep_lo, dep_hi = (vv * eng.F_lo).ravel(), (vv * eng.F_hi).ravel()
-    dep_in = float(np.sum(dep_lo * psi_ext[eng.lo] + dep_hi * psi_ext[eng.lo + 1]))
+    # the stepped deposits; psi is 0 in the overflow bins
+    dep_in = float(psi_rep @ Q)
     # collapsed form: sum over ordered pairs of W [psi(P) - psi(source)]
     psi_P = np.asarray(psi(eng.Y[:, None] + _band(eng.Yall, 0, dmax + 1, N)), dtype=float)
-    over = eng.lo == N
-    flux = float(np.sum(W.ravel()[over] * psi_P.ravel()[over]))
+    # P >= Y[N - 1], with ties bracketed as the engine brackets them
+    over = np.arange(N)[:, None] + eng.k >= N - 1
+    flux = float(np.sum(W[over] * psi_P[over]))
     psi_partner = _band(psi_rep, 0, dmax + 1, N)
     collapsed = float(np.sum(W * psi_P - Wa * psi_rep[:, None] - Wb * psi_partner))
     scale = max(float(np.sum(Lk * masses)), 1e-300)

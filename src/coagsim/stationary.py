@@ -131,15 +131,28 @@ def _make_inner(profile, kernel, cutoff):
     base = np.concatenate([profile.cell_mass, profile.tail_amplitude * gpow])
     epow = edges**qpow
 
+    lam = cutoff.lam
+
     def inner(ys, us):
-        out = np.empty(ys.size)
+        out = np.zeros(ys.size)
         for b in range(0, ys.size, 64):  # a 64 x partners temporary stays under 0.5 MB
             y, u = ys[b : b + 64, None], us[b : b + 64, None]
+            if y.max() <= 0.5 * lam:
+                continue  # zeta(y / lam) = 0
+            # outside [k0, k1) a partner has no mass beyond u, sits at or
+            # under lam/2, or lies outside the partner-ratio window of every
+            # y (with a margin for rounding): its term is exactly 0
+            z_lo = max(0.5 * lam, y.min() * lam / (2.0 - lam) * (1.0 - 1e-9))
+            k0 = max(np.searchsorted(edges[1:], u.min(), side="right"), np.searchsorted(reps, z_lo, side="right"))
+            k1 = np.searchsorted(reps, y.max() * (2.0 - lam) / lam * (1.0 + 1e-9), side="right")
             # exact power-shape mass of each cell beyond u
-            cut_at = np.maximum(u, edges[:-1]) ** qpow
-            frac = np.clip((epow[1:] - cut_at) / (epow[1:] - epow[:-1]), 0.0, 1.0)
-            k = eval_regularized(kernel, cutoff, y, reps)
-            out[b : b + 64] = np.sum(k / reps * (base * frac), axis=1)
+            e, p = edges[k0 : k1 + 1], epow[k0 : k1 + 1]
+            frac = np.clip((p[1:] - np.maximum(u, e[:-1]) ** qpow) / (p[1:] - p[:-1]), 0.0, 1.0)
+            # zeros elsewhere keep the row sum of every partner bit for bit
+            terms = np.zeros((y.size, reps.size))
+            k = eval_regularized(kernel, cutoff, y, reps[k0:k1])
+            terms[:, k0:k1] = k / reps[k0:k1] * (base[k0:k1] * frac)
+            out[b : b + 64] = np.sum(terms, axis=1)
         return out
 
     return inner

@@ -587,6 +587,76 @@ class TestBandOracle:
             assert_rates_close(got, want)
 
 
+def index_bracket_oracle(m, params, kernel, cutoff, s, per_octave):
+    """Ordered-pair double loop on a grid of per_octave cells per octave,
+    with each sum P = Y_i + Y_j bracketed by index arithmetic: 2 Y_i is
+    exactly Y_(i + per_octave), a tie that takes the upper bracket (f = 1),
+    and for i != j the offset from the smaller index is the integer part of
+    per_octave log2(1 + 2^(|i - j| / per_octave)).  Returns the tuple of
+    _Engine.rates."""
+    Y = m.reps
+    N = Y.size
+    _, Yp, gpow = _partners(m.edges, params.rho, cutoff.lam)
+    mp = np.concatenate([m.cell_mass, m.tail_amplitude * gpow])
+    lam_eff = cutoff.lam * np.exp(params.beta * s)
+    esc = np.exp(-params.gamma * params.beta * s)
+    Lk, Q = np.zeros(N), np.zeros(N)
+    over = over_mom = 0.0
+    for i in range(N):
+        K = esc * _ratio_kernel(kernel, cutoff, Y[i], Yp) * eval_cutoff(cutoff, Yp / lam_eff)
+        rate = K * eval_cutoff(cutoff, Y[i] / lam_eff) * mp / Yp
+        Lk[i] = np.sum(rate)
+        for j in range(Yp.size):
+            w, P = rate[j] * m.cell_mass[i], Y[i] + Yp[j]
+            d = abs(i - j)
+            x = per_octave * np.log2(1.0 + 2.0 ** (d / per_octave))
+            assert d == 0 or 1e-9 < x % 1.0 < 1.0 - 1e-9  # the only tie is d = 0
+            lo = min(i, j) + (per_octave if d == 0 else int(x))
+            if j >= N or lo >= N - 1:
+                over, over_mom = over + w, over_mom + w * P
+                continue
+            f = 1.0 if d == 0 else (Y[lo + 1] - P) / (Y[lo + 1] - Y[lo])
+            Q[lo] += w * f
+            Q[lo + 1] += w * (1.0 - f)
+    loss_total = float(np.sum(Lk * m.cell_mass))
+    resid = abs(loss_total - float(np.sum(Q)) - over) / max(loss_total, 1e-300)
+    return Lk - params.beta * params.rho, Q, over, over_mom, resid
+
+
+class TestTieGrids:
+    """On 2^(1/n) grids the self pair sums exactly to a representative."""
+
+    @pytest.mark.parametrize("kernel, params", ORACLE_KERNELS[:3], ids=["constant", "product", "sum"])
+    @pytest.mark.parametrize("lam", [1e-3, 0.1])
+    @pytest.mark.parametrize("per_octave", [2, 8])
+    def test_matches_index_brackets(self, kernel, params, lam, per_octave):
+        edges = geometric_grid(1e-2, 10.0, ratio=2.0 ** (1.0 / per_octave))
+        cut = CutoffParams(lam=lam)
+        eng = _Engine(edges, params, kernel, cut)
+        for s in (0.0, 0.7):
+            m = random_measure(edges, params.rho, seed=round(10 * s) + per_octave)
+            got = eng.rates(m.cell_mass, m.tail_amplitude, s)
+            assert_rates_close(got, index_bracket_oracle(m, params, kernel, cut, s, per_octave))
+
+
+class TestEngineBuild:
+    def test_equal_inputs_give_identical_rates(self):
+        eng = _Engine(geometric_grid(), PARAMS, constant_kernel(1.0), CUT)
+        m = power_law_init(PARAMS)
+        first = eng.rates(m.cell_mass.copy(), m.tail_amplitude, 0.3)
+        second = eng.rates(m.cell_mass.copy(), m.tail_amplitude, 0.3)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+
+    def test_rates_leave_the_half_band_unbuilt(self):
+        # only the dual and rearrangement_residual read the per-pair band
+        eng = _Engine(geometric_grid(), PARAMS, constant_kernel(1.0), CUT)
+        m = power_law_init(PARAMS)
+        eng.rates(m.cell_mass, m.tail_amplitude, 0.0)
+        assert "T" not in vars(eng)
+        assert eng.T.shape == (eng.N, eng.dmax + 1)
+
+
 class TestStepperCarry:
     """The step size carries across _Stepper.run calls."""
 
