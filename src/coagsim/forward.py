@@ -203,12 +203,12 @@ class _Engine:
     """Shift-invariant pair operator for one grid/kernel/cutoff combination.
 
     The engine places its partners (cells, then ghost cells) on the exact
-    lattice Y_i = Y_0 r^i through the grid's end edges; on a grid off the
-    lattice by rounding (GridMeasure accepts 1e-9) the pairing identities
-    then still hold to machine level.  The kernel is
-    homogeneous of degree gamma and the ratio cutoffs are scale-free, so
-    the static weight of cell i with partner i + d is Y_i^gamma t_d, and
-    the pair's sum P = Y_i (1 + r^d) sits at the fixed offset k_d from i,
+    lattice Y_i = Y_0 r^i through the grid's end edges, so that on a grid
+    off the lattice by rounding (GridMeasure accepts 1e-9) the pairing
+    identities still hold to machine level.  The kernel is homogeneous of
+    degree gamma and the ratio cutoffs are scale-free, so the static weight
+    of cell i with partner i + d is Y_i^gamma t_d, and the pair's sum
+    P = Y_i (1 + r^d) sits at the fixed offset k_d from i,
     Y[i + k_d] <= P < Y[i + k_d + 1] (a tie takes the upper bracket,
     f_d = 1), splitting the mass and moment as f_d and 1 - f_d.  Both
     ordered pairs of (i, i + d) weigh esc v_i v_(i+d) Y_i^gamma t_d times
