@@ -434,6 +434,52 @@ class TestDualOracle:
             assert got_G[-1] == 0.0 and G[-1] == 0.0
             np.testing.assert_allclose(jumps.far(tau), far, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize(
+        "kernel, params",
+        [
+            (constant_kernel(1.3), Params(gamma=0.0, rho=0.5)),
+            (product_kernel(0.5), Params(gamma=0.5, rho=0.75)),
+        ],
+        ids=["constant", "product"],
+    )
+    @pytest.mark.parametrize(
+        "grid, lam, R_x, nodes_below",
+        [
+            # self pairs tie on the 2^(1/16) grid (2 Y_i = Y_(i+16)), R mid-grid
+            ((1e-4, 20.0, 2.0 ** (1.0 / 16.0)), 1e-3, 0.7, "some"),
+            # R above the top representative: every cell is a node, and
+            # pairs with a ghost partner can land below R
+            ((1e-4, 20.0, 2.0**0.25), 1e-2, 60.0, "all"),
+            ((1e-4, 20.0, 2.0**0.25), 0.1, 60.0, "all"),
+            # R below every node: R is the only node, and it coagulates
+            ((1e-2, 20.0, 2.0**0.25), 1e-3, 5e-3, "none"),
+        ],
+        ids=["tie_mid", "top_lam1e-2", "top_lam0.1", "below"],
+    )
+    def test_matches_dense_table_at_the_edges(self, kernel, params, grid, lam, R_x, nodes_below):
+        edges = geometric_grid(*grid)
+        N = edges.size - 1
+        rng = np.random.default_rng(29)
+        t = 0.3
+        masses = rng.uniform(0.1, 1.0, (2, N))
+        traj = Trajectory(edges, np.array([0.0, t]), masses, np.array([0.4, 0.5]), params,
+                          _Engine(edges, params, kernel, CutoffParams(lam=lam)))
+        # R_x is the cut in the trajectory's own frame
+        R = R_x * np.exp(-params.beta * t)
+        jumps = _Jumps(traj, R, t)
+        n = jumps.nodes.size - 1
+        assert {"some": 0 < n < N, "all": n == N, "none": n == 0}[nodes_below]
+        for tau in (0.0, t / 3.0, t):
+            psi = np.sort(rng.uniform(0.05, 1.0, n + 1))[::-1]
+            nodes, D, G, far = oracle_jumps(traj, R, t, tau, psi)
+            np.testing.assert_array_equal(jumps.nodes, nodes)
+            assert D.max() > 0.0 and far.max() > 0.0
+            got_D, got_G = jumps.rates(tau, psi)
+            np.testing.assert_allclose(got_D, D, rtol=1e-13, atol=0.0)
+            assert np.all(np.abs(got_G - G) <= 1e-13 * D)
+            assert got_G[-1] == 0.0 and G[-1] == 0.0
+            np.testing.assert_allclose(jumps.far(tau), far, rtol=1e-13, atol=0.0)
+
 
 class TestPairingAgainstCumulative:
     def test_indicator_pairing_is_cumulative(self, h0, traj_zero):
