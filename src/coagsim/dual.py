@@ -12,16 +12,22 @@ In this frame the jump sizes contributed by the forward grid are static:
 the forward representative Y_k at time s sits at physical size
 Y_k e^(-beta s), which is Z_k = Y_k e^(-beta t) in dual coordinates at
 every s.  By homogeneity the jump rates are then those of the forward
-engine that stepped the trajectory (_Jumps).  With the dual nodes at the
-mapped representatives below R, plus R itself, Psi's interpolation
-weight at a pair sum is the forward split weight of that pair: both
-sides use one band and one set of pair sums, so the adjoint holds by
-construction.  The backward solve steps with the forward controller
+engine that stepped the trajectory (_Jumps), and they take the same
+per-diagonal form: one correlation and one convolution with the
+engine's weights t for the total rate, and one of each per deposit
+offset for the Psi-weighted rate.  With the dual nodes at the mapped
+representatives below R, plus R itself, Psi's interpolation weight at a
+pair sum is the forward split weight of that pair (the engine's f_d),
+except next to R, where a static corner list splits toward R itself:
+both sides use one set of pair weights and pair sums, so the adjoint
+holds by construction.  The backward solve steps with the forward controller
 itself (forward._heun_run), not a copy of it: predict with the
 frozen-coefficient exponential update, re-evaluate the rates at the
 predicted endpoint, and correct with the averaged coefficients.  Both
 updates are convex combinations of old values, so Psi stays in [0, 1]
-exactly.  Ghost partners lie above R, where Psi vanishes.
+exactly.  A pair sum above R reads Psi = 0; below the grid's top
+representative that holds for every ghost partner, and with R above it
+the corner list carries the ghost pairs that land below R.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .forward import _heun_run, _partners
+from .forward import _heun_run, _offset_groups, _partners
 from .kernel import eval_cutoff, eval_kernel  # noqa: F401  eval_kernel: bench/trace_run.py wraps dual.eval_kernel
 from .measure import GridMeasure, cumulative_mass
 from .stablecdf import w_table
@@ -74,12 +80,22 @@ class _Jumps:
     """The dual jump operator in the frame anchored at t, on the forward
     engine of the trajectory.  Nodes i < n are the Z_i below R; node n is
     R, with its own kernel row (_Engine.row).  At backward time tau node i
-    jumps toward partner k at rate c_i T(i, k) v_k: c = esc u on the
-    nodes, v the forward partner densities at s = t - tau, T the engine's
-    half band, read both ways by _Engine.partner_sum.  Pair (i, i + d)
-    takes node i to P = Z_i + Z_(i+d), where Psi is f Psi_j + (1 - f)
-    Psi_(j+1); every target above R (all those of node R) reads appended
-    zeros.
+    jumps toward partner k at rate c_i W(i, k) v_k: c = esc u on the
+    nodes, v the forward partner densities at s = t - tau, and W(i, k) the
+    engine's static pair weight, so D is c times _Engine.pair_sums.  The
+    pair of cells a and a + d takes either member to P = Z_a + Z_(a+d),
+    where Psi is f Psi_j + (1 - f) Psi_(j+1); targets above R read zero.
+
+    Below node n - 1 the split is the engine's lattice split: P sits at
+    offset k_d - d from the larger member with weight f_d.  So the gain
+    takes one correlation (node a the smaller member) and one convolution
+    (node a + d the larger) per deposit offset, with the engine's offset
+    groups of t, reading Psi as zero from node n on.  The convolutions
+    from below do not depend on Psi and are kept with D for each tau.  A
+    static corner list carries the pairs whose lattice bracket is
+    [n - 1, n] or whose sum lies between node n - 1 and R: per pair and
+    gaining member, the node weights of the exact split toward R (none,
+    above R) less the lattice weights that the convolutions read.
     """
 
     def __init__(self, trajectory, R, t):
@@ -92,45 +108,107 @@ class _Jumps:
         self.n = n = int(np.count_nonzero(Z[: eng.N] < R * (1.0 - 1e-12)))
         self.nodes = nodes = np.append(Z[:n], R)
         self.row = eng.row(R * np.exp(beta * t))
-        P = Z[:n, None] + sliding_window_view(Z, eng.dmax + 1)[:n]
-        self.j = np.minimum(np.searchsorted(nodes, P, side="right") - 1, n - 1)
-        self.f = (nodes[self.j + 1] - P) / (nodes[self.j + 1] - nodes[self.j])
-        self.j[P > R], self.f[P > R] = n + 1, 0.0
-        self.gain = np.zeros((eng.dmax + n, eng.dmax + 1))  # T weighted by Psi at the targets
+        L = eng.t.size
+        k, f = eng.k[:L], eng.f
+        self.above, self.below = [], []
+        for o, d0, h in _offset_groups(eng.t, k, f):
+            # node i with partner i + d above it reads Psi at i + d + o < n
+            if n - o - d0 > 0:
+                self.above.append((d0, n - o, o, h))
+            # node i with partner i - d below it (d > 0) reads it at i + o
+            if d0 == 0:
+                d0, h = 1, h[1:]
+            if h.size and n - o - d0 > 0:
+                self.below.append((o, d0, h))
+        self.n_off = 1 + max((o for o, _, _ in self.below), default=0)
+        # the corner: the pairs whose lattice bracket is [n - 1, n], where
+        # the convolutions read Psi_(n-1) and zero, and those whose sum
+        # lies between node n - 1 and R; both have lattice bracket n - 2 or
+        # above
+        a = np.arange(max(0, n - 2 - int(k.max())), n)[:, None]
+        P = Z[a] + Z[a + np.arange(L)]
+        j = np.minimum(np.searchsorted(nodes, P, side="right") - 1, n - 1)
+        lo = a + k
+        ai, d = np.nonzero((eng.t > 0.0) & ((lo == n - 1) | ((P <= R) & (j == n - 1))))
+        a, P, j, lo, f = a[ai, 0], P[ai, d], j[ai, d], lo[ai, d], f[d]
+        b = a + d
+        fe = np.where(P <= R, (nodes[j + 1] - P) / (nodes[j + 1] - nodes[j]), 0.0)
+        node = np.concatenate([j, j + 1, lo, lo + 1])
+        w = np.concatenate([fe, np.where(P <= R, 1.0 - fe, 0.0),
+                            np.where(lo < n, -f, 0.0), np.where(lo + 1 < n, f - 1.0, 0.0)])
+        pair = np.tile(np.arange(a.size), 4)
+        keep = w != 0.0
+        node, pair = node[keep], pair[keep]
+        w = w[keep] * eng.Yg[a[pair]] * eng.t[d[pair]]
+        # both members gain, the larger only if it is a node below R
+        both = (d[pair] > 0) & (b[pair] < n)
+        self.corner_rows = np.concatenate([a[pair], b[pair][both]])
+        self.corner_partners = np.concatenate([b[pair], a[pair][both]])
+        self.corner_nodes = np.concatenate([node, node[both]])
+        self.corner_w = np.concatenate([w, w[both]])
         self._memo = (None, None)
 
-    def _loss(self, tau, far=False):
-        """(D, c, v) at backward time tau: each node's total jump rate
-        (toward partners beyond R only, if far), c and v.
-
-        The last result is kept: D does not depend on Psi, and a step
-        starts at the exact tau where the previous step's corrector
-        evaluated its endpoint.
-        """
-        if self._memo[0] == (tau, far):
-            return self._memo[1]
+    def _densities(self, tau):
+        """(c, v) at backward time tau."""
         eng, p = self.engine, self.trajectory.params
         s = self.t - tau
         _, v, esc = eng.densities(*self.trajectory.interp(s), s)
-        c = esc * eval_cutoff(eng.cutoff, self.nodes * np.exp(p.beta * tau) / eng.cutoff.lam)
-        w = np.where(self.Z > self.nodes[-1], v, 0.0) if far else v
-        out = c * np.append(eng.partner_sum(w)[: self.n], self.row @ w), c, v
-        self._memo = ((tau, far), out)
+        return esc * eval_cutoff(eng.cutoff, self.nodes * np.exp(p.beta * tau) / eng.cutoff.lam), v
+
+    def _total(self, c, w):
+        """Each node's jump rate toward partners of density w."""
+        return c * np.append(self.engine.pair_sums(w)[: self.n], self.row @ w)
+
+    def _loss(self, tau):
+        """(D, c, v, low) at backward time tau: each node's total jump
+        rate, c and v, and low[o, i], node i's sum over the partners
+        below it of the larger-member taps of offset o times Y^gamma v.
+
+        The last result is kept: none of it depends on Psi, and a step
+        starts at the exact tau where the previous step's corrector
+        evaluated its endpoint.
+        """
+        if self._memo[0] == tau:
+            return self._memo[1]
+        c, v = self._densities(tau)
+        n = self.n
+        y = self.engine.Yg[:n] * v[:n]
+        low = np.zeros((self.n_off, n))
+        for o, d1, h in self.below:
+            m = n - o - d1
+            low[o, d1 : n - o] = np.convolve(y[:m], h)[:m]
+        out = self._total(c, v), c, v, low
+        self._memo = (tau, out)
         return out
 
     def rates(self, tau, psi):
         """(D, G) at backward time tau: each node's total jump rate, and
         its jump rates weighted by Psi at the targets."""
-        D, c, v = self._loss(tau)
-        psi_ext = np.concatenate([psi, [0.0, 0.0]])
-        hi = psi_ext[self.j + 1]
-        np.multiply(self.engine.T[: self.n], hi + self.f * (psi_ext[self.j] - hi),
-                    out=self.gain[self.engine.dmax :])
-        return D, np.append(c[: self.n] * self.engine.partner_sum(v, self.gain), 0.0)
+        D, c, v, low = self._loss(tau)
+        n = self.n
+        up = np.zeros(n)
+        for d0, e, o, h in self.above:
+            up[: e - d0] += np.correlate(v[d0:e] * psi[d0 + o : e + o], h, "full")[h.size - 1 :]
+        up *= self.engine.Yg[:n]
+        # low is zero wherever i + o is node n or the padding
+        psi_ext = np.concatenate([psi, np.zeros(self.n_off)])
+        up += np.einsum("oi,io->i", low, sliding_window_view(psi_ext, self.n_off)[:n])
+        up += np.bincount(self.corner_rows, self.corner_w * v[self.corner_partners] * psi[self.corner_nodes],
+                          minlength=n)
+        return D, np.append(c[:n] * up, 0.0)
 
     def far(self, tau):
         """Each node's jump rate at backward time tau toward partners beyond R."""
-        return self._loss(tau, far=True)[0]
+        c, v = self._densities(tau)
+        return self._total(c, np.where(self.Z > self.nodes[-1], v, 0.0))
+
+
+def _check_cut(trajectory, R, t):
+    """Reject a cut R or final time t that no dual on trajectory has."""
+    if not 0.0 < R < np.inf:
+        raise ValueError("R must be finite and > 0")
+    if not 0.0 <= t <= trajectory.t_final + 1e-12:
+        raise ValueError("trajectory does not cover [0, t]")
 
 
 def solve_dual(trajectory, R, t, max_change=0.02):
@@ -154,12 +232,9 @@ def solve_dual(trajectory, R, t, max_change=0.02):
     -------
     DualField
     """
-    if not R > 0.0:
-        raise ValueError("R must be > 0")
+    _check_cut(trajectory, R, t)
     if not 0.0 < max_change < 1.0:
         raise ValueError("max_change must lie in (0, 1)")
-    if not 0.0 <= t <= trajectory.t_final + 1e-12:
-        raise ValueError("trajectory does not cover [0, t]")
     jumps = _Jumps(trajectory, R, t)
     psi = np.ones(jumps.nodes.size)  # indicator datum: every node is <= R
     taus = [0.0]
@@ -370,6 +445,7 @@ def q_tail_bound(trajectory, R, t=None):
     p = trajectory.params
     if t is None:
         t = trajectory.t_final
+    _check_cut(trajectory, R, t)
     jumps = _Jumps(trajectory, R, t)
     worst, X_at, tau_at = 0.0, np.nan, np.nan
     for tau in np.linspace(0.0, t, N_TAU):

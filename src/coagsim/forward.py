@@ -40,18 +40,18 @@ the tail cells and _ratio_kernel gives the static part of the regularized
 kernel, which the flux residual shares.  Its consumers read one _Engine:
 the stepper, the diagnostics loss_rate, gain and rearrangement_residual
 (through EvolutionState.engine), and the dual (through Trajectory.engine:
-its half band, partner_sum and row).  The ratio cutoffs
-vanish past the partner ratio (2-lam)/lam, a fixed number of cells on the
-geometric grid, and every pair (i, i + d) is a scaled copy of (0, d): its
-weight is Y_i^gamma t_d and its sum P lands at the fixed offsets k_d and
-k_d + 1 from i with the fixed split f_d.  So _Engine keeps per-diagonal
-vectors (t, k, f), and rates takes the loss as one correlation and one
-convolution with t, and the gain as one short convolution per deposit
-offset from the larger partner; a static corner table over the top rows
-gives the overflow ledger.  The per-pair half band T is built only when
-the dual or rearrangement_residual first reads it.  The convolutions are
-direct sums: v spans many decades, and FFT rounding, relative to the
-largest entry, would swamp the small cells.
+pair_sums, the per-diagonal vectors, _offset_groups and row).  The ratio
+cutoffs vanish past the partner ratio (2-lam)/lam, a fixed number of
+cells on the geometric grid, and every pair (i, i + d) is a scaled copy
+of (0, d): its weight is Y_i^gamma t_d and its sum P lands at the fixed
+offsets k_d and k_d + 1 from i with the fixed split f_d.  So _Engine
+keeps per-diagonal vectors (t, k, f), and rates takes the loss as one
+correlation and one convolution with t (pair_sums), and the gain as one
+short convolution per deposit offset from the larger partner; a static
+corner table over the top rows gives the overflow ledger.  The per-pair
+half band T is built only when rearrangement_residual first reads it.
+The convolutions are direct sums: v spans many decades, and FFT
+rounding, relative to the largest entry, would swamp the small cells.
 
 Long runs restart the rescaled frame periodically: after a frame of duration
 T the variables are mapped back to physical scale (an exact index shift when
@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernel import eval_cutoff, eval_kernel
 from .measure import GridMeasure, cumulative_mass, xrho_norm
@@ -199,6 +199,22 @@ def _band(x, lead, width, rows):
     return sliding_window_view(buf, width)[:rows]
 
 
+def _offset_groups(w, k, f):
+    """Per-diagonal weights w_d grouped by deposit offset o = k_d - d from
+    the larger member of each pair: group o takes w_d f_d from the
+    diagonals of offset o (their lower bracket) and w_d (1 - f_d) from
+    those of offset o - 1 (their upper bracket).  Returns (o, d0, taps)
+    for each group with weight, taps[j] belonging to diagonal d0 + j."""
+    off = k - np.arange(k.size)
+    groups = []
+    for o in range(off.max() + 2):
+        h = np.where(off == o, w * f, 0.0) + np.where(off == o - 1, w * (1.0 - f), 0.0)
+        nz = np.flatnonzero(h)
+        if nz.size:
+            groups.append((o, nz[0], h[nz[0] : nz[-1] + 1]))
+    return groups
+
+
 class _Engine:
     """Shift-invariant pair operator for one grid/kernel/cutoff combination.
 
@@ -216,13 +232,14 @@ class _Engine:
     esc v_(i+d) g_d z_i, g_d = t_d (1 + r^d) (t_0 for the self pair).
     The loss is one correlation and one convolution with t; the gain is one
     convolution per offset c = k_d - d from the larger member, whose
-    group merges the lo-weights of offset c with the hi-weights of c - 1.
-    Groups without weight are dropped.  Only rows within max k_d + 1 of
+    group merges the lo-weights of offset c with the hi-weights of c - 1
+    (_offset_groups, which also groups t for the dual's gain).  Groups
+    without weight are dropped.  Only rows within max k_d + 1 of
     the top reach the overflow ledger or the hi half of the top cell; a
     static corner table over those rows gives both, so the pairing
     residual compares two independent sums.  The half band T[i, d] of the
-    per-pair weights is built on first use, for the dual (which needs
-    per-pair targets) and rearrangement_residual.
+    per-pair weights is built on first use, for rearrangement_residual
+    alone, which checks the split against each pair's exact sum.
     """
 
     def __init__(self, edges, params, kernel, cutoff):
@@ -240,21 +257,16 @@ class _Engine:
         rd = r**d
         t = _ratio_kernel(kernel, cutoff, 1.0, rd)
         self.t = t[: 1 + np.max(np.flatnonzero(t), initial=0)]
-        self.t_below = np.concatenate([[0.0], self.t[1:]])
         # P / Y_(i+d) = r^c; a tie (c whole up to the rounding of the log,
         # e.g. 2 Y_i = Y_(i+n) on a 2^(1/n) grid) takes the upper bracket
         c = np.log1p(1.0 / rd) / np.log(r)
         off = np.floor(c + 1e-12)
         f = np.where(np.abs(c - off) < 1e-12, 1.0, (r ** (off + 1) - 1 - 1 / rd) / (r ** (off + 1) - r**off))
-        off = off.astype(int)
-        self.k = k = d + off
+        self.k = k = d + off.astype(int)
+        self.f = f[: self.t.size]  # the split of each diagonal with weight
         g = t * np.where(d > 0, 1.0 + rd, 1.0)
-        self.groups = []  # (first target, first larger member, taps)
-        for ci in range(off.max() + 2):
-            h = np.where(off == ci, g * f, 0.0) + np.where(off == ci - 1, g * (1.0 - f), 0.0)
-            nz = np.flatnonzero(h)
-            if nz.size and ci + nz[0] < N - 1:
-                self.groups.append((ci + nz[0], nz[0], h[nz[0] : nz[-1] + 1]))
+        # (first target, first larger member, taps)
+        self.groups = [(o + d0, d0, h) for o, d0, h in _offset_groups(g, k, f) if o + d0 < N - 1]
         # the corner: rows whose pairs feed the top cell's hi half (lo = N - 2)
         # or the ledger (lo >= N - 1, ghost partners included), with the
         # mass weights S of both ordered pairs (ghosts are loss-only)
@@ -295,29 +307,21 @@ class _Engine:
         v = u * np.concatenate([masses, amp * self.ghost_pow]) / self.Yall
         return u, v, np.exp(-p.gamma * p.beta * s)
 
-    def partner_sum(self, v, pad=None):
-        """sum_d W[i, d] v[i + d] + sum_(d>0) W[i - d, d] v[i - d] per row i
-        of a half band W = pad[dmax:] below dmax zero rows (default: T)."""
-        dmax = self.dmax
-        pad = self.T.base if pad is None else pad
-        n = pad.shape[0] - dmax
-        # below[i, k] = W[i + k - dmax, dmax - k], the weight of row i with
-        # partner i + k - dmax; the zero rows cover partners below row 0
-        rows, cols = pad.strides
-        below = as_strided(pad[0, dmax:], (n, dmax), (rows, rows - cols), writeable=False)
-        out = np.einsum("id,id->i", pad[dmax:], _band(v, 0, dmax + 1, n))
-        out += np.einsum("ik,ik->i", below, _band(v, dmax, dmax, n))
+    def pair_sums(self, v):
+        """sum over partners k of each cell's static weight with k times
+        v_k: partners above the cell by one correlation with t, those
+        below it by kernel symmetry, one convolution."""
+        N, t = self.N, self.t
+        out = self.Yg * np.correlate(v[: N + t.size - 1], t, "valid")
+        out += np.convolve(self.Yg * v[:N], np.concatenate([[0.0], t[1:]]))[:N]
         return out
 
     def _loss(self, masses, amp, s):
         """(Lk, v, esc) at time s: per-unit-mass kernel loss rates, and v
         and esc of densities()."""
         u, v, esc = self.densities(masses, amp, s)
-        N, t = self.N, self.t
-        # partners above each cell, then below it by kernel symmetry
-        Lk = self.Yg * np.correlate(v[: N + t.size - 1], t, "valid")
-        Lk += np.convolve(self.Yg * v[:N], self.t_below)[:N]
-        Lk *= esc * u[:N]
+        Lk = self.pair_sums(v)
+        Lk *= esc * u[: self.N]
         return Lk, v, esc
 
     def rates(self, masses, amp, s):

@@ -145,6 +145,17 @@ class TestSolveDual:
             with pytest.raises(ValueError, match="max_change"):
                 solve_dual(traj_const, 10.0, T_FINAL, max_change=mc)
 
+    def test_q_tail_rejects_bad_inputs(self, traj_const):
+        # q_tail_bound checks R and t as solve_dual does, before any
+        # kernel is evaluated
+        for R in (0.0, -1.0, np.inf, np.nan):
+            for fn in (q_tail_bound, solve_dual):
+                with pytest.raises(ValueError, match="R must be finite and > 0"):
+                    fn(traj_const, R, T_FINAL)
+        for t in (-0.1, T_FINAL + 1.0, np.nan):
+            with pytest.raises(ValueError, match="trajectory does not cover"):
+                q_tail_bound(traj_const, 10.0, t=t)
+
     def test_step_collapse_raises(self, traj_const):
         # a non-finite rate meets no step cap, however small the step:
         # the solver must fail loudly rather than accept the step

@@ -300,10 +300,13 @@ class TestRearrangement:
     )
     def test_near_geometric_grid(self, kernel, params):
         # edges off the geometric lattice by up to 1e-10 relative, which
-        # GridMeasure accepts: the split fractions must come from each pair's
-        # own representatives, not from the lattice ratio r^d.  The psi = x
-        # pairing cancels to summation noise of order x_max * 1e-16, hence
-        # the six decades of sizes.
+        # GridMeasure accepts.  The engine places its partners on the exact
+        # lattice through the grid's end edges and takes the splits from
+        # r^d, and rearrangement_residual evaluates psi at those lattice
+        # positions: so this checks that the engine stays self-consistent
+        # on such a grid, its pairing identities holding to machine level.
+        # The psi = x pairing cancels to summation noise of order
+        # x_max * 1e-16, hence the six decades of sizes.
         rng = np.random.default_rng(5)
         edges = geometric_grid(1e-3, 1e3)
         edges = edges * (1.0 + 1e-10 * rng.uniform(-1.0, 1.0, edges.size))
