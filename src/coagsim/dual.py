@@ -20,8 +20,8 @@ representatives below R, plus R itself, Psi's interpolation weight at a
 pair sum is the forward split weight of that pair (the engine's f_d),
 except next to R, where a static corner list splits toward R itself:
 both sides use one set of pair weights and pair sums, so the adjoint
-holds by construction.  The backward solve steps with the forward controller
-itself (forward._heun_run), not a copy of it: predict with the
+holds by construction.  The backward solve steps with the forward
+controller itself (forward._heun_run), not a copy of it: predict with the
 frozen-coefficient exponential update, re-evaluate the rates at the
 predicted endpoint, and correct with the averaged coefficients.  Both
 updates are convex combinations of old values, so Psi stays in [0, 1]

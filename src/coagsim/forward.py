@@ -40,18 +40,19 @@ the tail cells and _ratio_kernel gives the static part of the regularized
 kernel, which the flux residual shares.  Its consumers read one _Engine:
 the stepper, the diagnostics loss_rate, gain and rearrangement_residual
 (through EvolutionState.engine), and the dual (through Trajectory.engine:
-pair_sums, the per-diagonal vectors, _offset_groups and row).  The ratio
-cutoffs vanish past the partner ratio (2-lam)/lam, a fixed number of
-cells on the geometric grid, and every pair (i, i + d) is a scaled copy
-of (0, d): its weight is Y_i^gamma t_d and its sum P lands at the fixed
-offsets k_d and k_d + 1 from i with the fixed split f_d.  So _Engine
-keeps per-diagonal vectors (t, k, f), and rates takes the loss as one
-correlation and one convolution with t (pair_sums), and the gain as one
-short convolution per deposit offset from the larger partner; a static
-corner table over the top rows gives the overflow ledger.  The per-pair
-half band T is built only when rearrangement_residual first reads it.
-The convolutions are direct sums: v spans many decades, and FFT
-rounding, relative to the largest entry, would swamp the small cells.
+pair_sums, row, and the per-diagonal vectors as _offset_groups groups
+them).  The ratio cutoffs vanish past the partner ratio (2-lam)/lam, a
+fixed number of cells on the geometric grid, and every pair (i, i + d)
+is a scaled copy of (0, d): its weight is Y_i^gamma t_d and its sum P
+lands at the fixed offsets k_d and k_d + 1 from i with the fixed split
+f_d.  So _Engine keeps per-diagonal vectors (t, k, f), and rates takes
+the loss as one correlation and one convolution with t (pair_sums), and
+the gain as one short convolution per deposit offset from the larger
+partner; a static corner table over the top rows gives the overflow
+ledger.  The per-pair half band T is built only when
+rearrangement_residual first reads it.  The convolutions are direct
+sums: v spans many decades, and FFT rounding, relative to the largest
+entry, would swamp the small cells.
 
 Long runs restart the rescaled frame periodically: after a frame of duration
 T the variables are mapped back to physical scale (an exact index shift when
