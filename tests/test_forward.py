@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from coagsim import forward
 from coagsim.forward import (
@@ -504,6 +505,14 @@ class TestEngineOracle:
         assert resid <= 1e-12
 
 
+def _band(x, lead, width, rows):
+    """Read-only windows out[i, k] = x[i + k - lead], zero outside x."""
+    buf = np.zeros(rows + width, dtype=x.dtype)
+    n = min(x.size, buf.size - lead)
+    buf[lead : lead + n] = x[:n]
+    return sliding_window_view(buf, width)[:rows]
+
+
 def band_oracle_rates(edges, params, kernel, cutoff, masses, amp, s):
     """The per-pair half-band operator: static weights T[i, d] of cell i
     with partner i + d, and per-pair deposit tables scattered by bincount,
@@ -513,15 +522,15 @@ def band_oracle_rates(edges, params, kernel, cutoff, masses, amp, s):
     _, Yall, ghost_pow = _partners(edges, params.rho, cutoff.lam)
     Y = Yall[:N]
     dmax = ghost_pow.size - 1
-    listed = forward._band(np.ones(Yall.size, dtype=bool), 0, dmax + 1, N)
-    Z = np.where(listed, forward._band(Yall, 0, dmax + 1, N), Yall[-1])
+    listed = _band(np.ones(Yall.size, dtype=bool), 0, dmax + 1, N)
+    Z = np.where(listed, _band(Yall, 0, dmax + 1, N), Yall[-1])
     T = np.where(listed, _ratio_kernel(kernel, cutoff, Y[:, None], Z), 0.0)
     P = Y[:, None] + Z
     k = np.searchsorted(Y, P, side="right") - 1
     live = k < N - 1
     k_in = np.where(live, k, 0)
     f = (Y[k_in + 1] - P) / (Y[k_in + 1] - Y[k_in])
-    Y2 = np.where(np.arange(dmax + 1) > 0, forward._band(Y, 0, dmax + 1, N), 0.0)
+    Y2 = np.where(np.arange(dmax + 1) > 0, _band(Y, 0, dmax + 1, N), 0.0)
     S = T * (Y[:, None] + Y2)
     lo = np.where(live, k, N).ravel()
     F_lo = np.where(live, S * f, S)
@@ -530,11 +539,11 @@ def band_oracle_rates(edges, params, kernel, cutoff, masses, amp, s):
     v = u * np.concatenate([masses, amp * ghost_pow]) / Yall
     esc = np.exp(-params.gamma * params.beta * s)
     # partners above each cell, then below it by kernel symmetry
-    Lk = np.einsum("id,id->i", T, forward._band(v, 0, dmax + 1, N))
+    Lk = np.einsum("id,id->i", T, _band(v, 0, dmax + 1, N))
     for d in range(1, min(dmax + 1, N)):
         Lk[d:] += T[: N - d, d] * v[: N - d]
     Lk *= esc * u[:N]
-    vv = forward._band(v, 0, dmax + 1, N) * (esc * v[:N, None])
+    vv = _band(v, 0, dmax + 1, N) * (esc * v[:N, None])
     dep_lo = np.bincount(lo, (vv * F_lo).ravel(), minlength=N + 1)
     dep_hi = np.bincount(lo, (vv * F_hi).ravel(), minlength=N + 1)
     Q = dep_lo[:N].copy()
@@ -588,6 +597,104 @@ class TestBandOracle:
             got = eng.rates(m.cell_mass, m.tail_amplitude, s)
             want = band_oracle_rates(edges, params, kernel, cut, m.cell_mass, m.tail_amplitude, s)
             assert_rates_close(got, want)
+
+
+def band_weights(eng):
+    """The per-pair half band: T[i, d] is the static weight of cell i with
+    partner i + d, d = 0..dmax, as the engine once built it."""
+    N, dmax, Y = eng.N, eng.dmax, eng.Y
+    listed = _band(np.ones(eng.Yall.size, dtype=bool), 0, dmax + 1, N)
+    # band positions off the partner list get weight zero, and the
+    # largest partner size, so that they are never in-grid pairs
+    Z = np.where(listed, _band(eng.Yall, 0, dmax + 1, N), eng.Yall[-1])
+    T = np.zeros((dmax + N, dmax + 1))[dmax:]
+    T[:] = np.where(listed, _ratio_kernel(eng.kernel, eng.cutoff, Y[:, None], Z), 0.0)
+    return T
+
+
+def band_rearrangement_residual(state, psi):
+    """rearrangement_residual with its ordered-pair weights read from the
+    per-pair half band (band_weights).  Returns (residual, boundary_flux)."""
+    m, eng = state.measure, state.engine
+    N, dmax = eng.N, eng.dmax
+    masses = m.cell_mass
+    Lk, v, esc = eng._loss(masses, m.tail_amplitude, state.t)
+    Q = eng.rates(masses, m.tail_amplitude, state.t)[1]
+    # ordered-pair weights of (i, i + d) with source i (Wa) and i + d (Wb;
+    # zero for d = 0, where the two coincide, and for loss-only ghosts)
+    TW = band_weights(eng) * _band(v, 0, dmax + 1, N) * (esc * v[:N, None])
+    Wa = TW * eng.Y[:, None]
+    Wb = TW * _band(eng.Y, 0, dmax + 1, N)
+    Wb[:, 0] = 0.0
+    W = Wa + Wb
+    psi_rep = np.asarray(psi(eng.Y), dtype=float)
+    loss_w = float(np.sum(psi_rep * Lk * masses))
+    # the stepped deposits; psi is 0 in the overflow bins
+    dep_in = float(psi_rep @ Q)
+    # collapsed form: sum over ordered pairs of W [psi(P) - psi(source)]
+    psi_P = np.asarray(psi(eng.Y[:, None] + _band(eng.Yall, 0, dmax + 1, N)), dtype=float)
+    # P >= Y[N - 1], with ties bracketed as the engine brackets them
+    over = np.arange(N)[:, None] + eng.k >= N - 1
+    flux = float(np.sum(W[over] * psi_P[over]))
+    psi_partner = _band(psi_rep, 0, dmax + 1, N)
+    collapsed = float(np.sum(W * psi_P - Wa * psi_rep[:, None] - Wb * psi_partner))
+    scale = max(float(np.sum(Lk * masses)), 1e-300)
+    residual = abs(dep_in + flux - loss_w - collapsed) / scale
+    return residual, flux
+
+
+def assert_residuals_match(state, cut_at):
+    """rearrangement_residual against band_rearrangement_residual for
+    psi = 1, psi = x and the indicator of [0, cut_at], which straddles a
+    deposit: the flux within 1e-12 relative, a residual at noise level at
+    most 1e-12, and the indicator's real defect within 1e-9 relative."""
+
+    def ind(x):
+        return (np.asarray(x, float) <= cut_at).astype(float)
+
+    for psi in (np.ones_like, lambda x: np.asarray(x, float), ind):
+        got, want = rearrangement_residual(state, psi), band_rearrangement_residual(state, psi)
+        assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
+        if psi is ind:
+            assert want[0] >= 1e-6
+            assert got[0] == pytest.approx(want[0], rel=1e-9)
+        else:
+            assert want[0] <= 1e-12 and got[0] <= 1e-12
+
+
+class TestRearrangementOracle:
+    """rearrangement_residual against a copy of its per-pair half-band form."""
+
+    @pytest.mark.parametrize("kernel, params", ORACLE_KERNELS[:3], ids=["constant", "product", "sum"])
+    @pytest.mark.parametrize("lam", [1e-3, 0.1])
+    @pytest.mark.parametrize("s", [0.0, 0.7])
+    def test_matches_half_band(self, kernel, params, lam, s):
+        edges = geometric_grid(1e-2, 10.0, ratio=RATIO)
+        m = random_measure(edges, params.rho, seed=round(100 * (lam + s)))
+        st_ = EvolutionState(m, s, params, kernel, CutoffParams(lam=lam))
+        # midway between two representatives near the top, which the
+        # sums of active pairs reach at every lambda and s here
+        k = 9 * m.reps.size // 10
+        assert_residuals_match(st_, 0.5 * (m.reps[k] + m.reps[k + 1]))
+
+    @pytest.mark.parametrize(
+        "kernel, params",
+        [
+            (constant_kernel(1.0), Params(gamma=0.0, rho=0.5)),
+            (product_kernel(0.5), Params(gamma=0.5, rho=0.75)),
+        ],
+        ids=["constant", "product"],
+    )
+    def test_near_geometric_grid(self, kernel, params):
+        # the grid and measure of TestRearrangement.test_near_geometric_grid
+        rng = np.random.default_rng(5)
+        edges = geometric_grid(1e-3, 1e3)
+        edges = edges * (1.0 + 1e-10 * rng.uniform(-1.0, 1.0, edges.size))
+        one_m_rho = 1.0 - params.rho
+        m = GridMeasure(edges, np.diff(edges**one_m_rho), one_m_rho, params.rho)
+        st_ = EvolutionState(m, 0.3, params, kernel, CutoffParams(lam=params.lam))
+        k = 9 * m.reps.size // 10
+        assert_residuals_match(st_, 0.5 * (m.reps[k] + m.reps[k + 1]))
 
 
 def index_bracket_oracle(m, params, kernel, cutoff, s, per_octave):
