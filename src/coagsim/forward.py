@@ -45,14 +45,14 @@ them).  The ratio cutoffs vanish past the partner ratio (2-lam)/lam, a
 fixed number of cells on the geometric grid, and every pair (i, i + d)
 is a scaled copy of (0, d): its weight is Y_i^gamma t_d and its sum P
 lands at the fixed offsets k_d and k_d + 1 from i with the fixed split
-f_d.  So _Engine keeps per-diagonal vectors (t, k, f), and rates takes
-the loss as one correlation and one convolution with t (pair_sums), and
-the gain as one short convolution per deposit offset from the larger
-partner; a static corner table over the top rows gives the overflow
-ledger.  The per-pair half band T is built only when
-rearrangement_residual first reads it.  The convolutions are direct
-sums: v spans many decades, and FFT rounding, relative to the largest
-entry, would swamp the small cells.
+f_d.  So _Engine keeps per-diagonal vectors (t, k, f) and nothing per
+pair: rates takes the loss as one correlation and one convolution with
+t (pair_sums), and the gain as one short convolution per deposit offset
+from the larger partner; a static corner table over the top rows gives
+the overflow ledger; rearrangement_residual weighs each pair by
+Y_i^gamma t_d too.  The convolutions are direct sums: v spans many
+decades, and FFT rounding, relative to the largest entry, would swamp
+the small cells.
 
 Long runs restart the rescaled frame periodically: after a frame of duration
 T the variables are mapped back to physical scale (an exact index shift when
@@ -70,7 +70,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernel import eval_cutoff, eval_kernel
 from .measure import GridMeasure, cumulative_mass, xrho_norm
@@ -192,14 +191,6 @@ def _ratio_kernel(kernel, cutoff, Y, Z):
     )
 
 
-def _band(x, lead, width, rows):
-    """Read-only windows out[i, k] = x[i + k - lead], zero outside x."""
-    buf = np.zeros(rows + width, dtype=x.dtype)
-    n = min(x.size, buf.size - lead)
-    buf[lead : lead + n] = x[:n]
-    return sliding_window_view(buf, width)[:rows]
-
-
 def _offset_groups(w, k, f):
     """Per-diagonal weights w_d grouped by deposit offset o = k_d - d from
     the larger member of each pair: group o takes w_d f_d from the
@@ -238,9 +229,7 @@ class _Engine:
     without weight are dropped.  Only rows within max k_d + 1 of
     the top reach the overflow ledger or the hi half of the top cell; a
     static corner table over those rows gives both, so the pairing
-    residual compares two independent sums.  The half band T[i, d] of the
-    per-pair weights is built on first use, for rearrangement_residual
-    alone, which checks the split against each pair's exact sum.
+    residual compares two independent sums.
     """
 
     def __init__(self, edges, params, kernel, cutoff):
@@ -248,7 +237,7 @@ class _Engine:
         self.N = N = edges.size - 1
         self.ghost_pow = _partners(edges, params.rho, cutoff.lam)[2]
         # pairs with weight lie within n_ghost - 2 cells (the partner-ratio
-        # bound); the band keeps one diagonal more
+        # bound), so t, cut after its last weight, fits in dmax + 1 taps
         self.dmax = dmax = self.ghost_pow.size - 1
         r = (edges[-1] / edges[0]) ** (1.0 / N)  # exact to rounding on geometric_grid
         self.Yall = edges[0] * r ** (np.arange(N + dmax + 1) + 0.5)
@@ -280,21 +269,6 @@ class _Engine:
         C = np.stack([top, np.where(over, S, 0.0), np.where(over, S * (Yi + Yp), 0.0)])
         rows, ds = np.nonzero(C.any(axis=0))
         self.corner, self.corner_pairs = C[:, rows, ds], (i0 + rows, i0 + rows + ds)
-
-    @cached_property
-    def T(self):
-        """The half band: T[i, d] is the static weight of cell i with
-        partner i + d, d = 0..dmax.  T sits below dmax zero rows in its
-        buffer, so the partners below a cell are read by kernel symmetry,
-        T[i - d, d], through a strided view of the same buffer."""
-        N, dmax, Y = self.N, self.dmax, self.Y
-        listed = _band(np.ones(self.Yall.size, dtype=bool), 0, dmax + 1, N)
-        # band positions off the partner list get weight zero, and the
-        # largest partner size, so that they are never in-grid pairs
-        Z = np.where(listed, _band(self.Yall, 0, dmax + 1, N), self.Yall[-1])
-        T = np.zeros((dmax + N, dmax + 1))[dmax:]
-        T[:] = np.where(listed, _ratio_kernel(self.kernel, self.cutoff, Y[:, None], Z), 0.0)
-        return T
 
     def row(self, X):
         """Static weights of size X with every partner (cells, then ghosts)."""
@@ -670,7 +644,8 @@ def rearrangement_residual(state, psi):
     _Engine.rates, the deposits evaluated at the split representatives;
     overflow and ghost-pair deposits at their exact positions P) against
     the collapsed double sum over ordered pairs of W_ij [psi(P) - psi(Y_i)]
-    with exact P throughout, from the per-pair half band.  The two agree to roundoff whenever the
+    with exact P throughout, each pair weighed from the engine's
+    per-diagonal vectors.  The two agree to roundoff whenever the
     two-point split represents psi exactly at each deposit, hence for
     constants (mass conservation), for psi = x (the split conserves the
     first moment), and for indicators that do not cut between the two
@@ -689,28 +664,31 @@ def rearrangement_residual(state, psi):
         residual is normalized by the total kernel loss rate.
     """
     m, eng = state.measure, state.engine
-    N, dmax = eng.N, eng.dmax
+    N, Y, t = eng.N, eng.Y, eng.t
     masses = m.cell_mass
     Lk, v, esc = eng._loss(masses, m.tail_amplitude, state.t)
     Q = eng.rates(masses, m.tail_amplitude, state.t)[1]
-    # ordered-pair weights of (i, i + d) with source i (Wa) and i + d (Wb;
-    # zero for d = 0, where the two coincide, and for loss-only ghosts)
-    TW = eng.T * _band(v, 0, dmax + 1, N) * (esc * v[:N, None])
-    Wa = TW * eng.Y[:, None]
-    Wb = TW * _band(eng.Y, 0, dmax + 1, N)
-    Wb[:, 0] = 0.0
+    # partners j = i + d on the diagonals with weight; the ordered pairs of
+    # (i, j) weigh esc v_i v_j Y_i^gamma t_d times their source size, i
+    # (Wa) or j (Wb; zero for d = 0, where the two coincide, and for
+    # loss-only ghosts)
+    i = np.arange(N)[:, None]
+    j = i + np.arange(t.size)
+    TW = (esc * eng.Yg * v[:N])[:, None] * t * v[j]
+    Wa = TW * Y[:, None]
+    Wb = np.where((j > i) & (j < N), TW * eng.Yall[j], 0.0)
     W = Wa + Wb
-    psi_rep = np.asarray(psi(eng.Y), dtype=float)
+    psi_all = np.asarray(psi(eng.Yall), dtype=float)
+    psi_rep = psi_all[:N]
     loss_w = float(np.sum(psi_rep * Lk * masses))
     # the stepped deposits; psi is 0 in the overflow bins
     dep_in = float(psi_rep @ Q)
     # collapsed form: sum over ordered pairs of W [psi(P) - psi(source)]
-    psi_P = np.asarray(psi(eng.Y[:, None] + _band(eng.Yall, 0, dmax + 1, N)), dtype=float)
+    psi_P = np.asarray(psi(Y[:, None] + eng.Yall[j]), dtype=float)
     # P >= Y[N - 1], with ties bracketed as the engine brackets them
-    over = np.arange(N)[:, None] + eng.k >= N - 1
+    over = i + eng.k[: t.size] >= N - 1
     flux = float(np.sum(W[over] * psi_P[over]))
-    psi_partner = _band(psi_rep, 0, dmax + 1, N)
-    collapsed = float(np.sum(W * psi_P - Wa * psi_rep[:, None] - Wb * psi_partner))
+    collapsed = float(np.sum(W * psi_P - Wa * psi_rep[:, None] - Wb * psi_all[j]))
     scale = max(float(np.sum(Lk * masses)), 1e-300)
     residual = abs(dep_in + flux - loss_w - collapsed) / scale
     return residual, flux

@@ -406,7 +406,7 @@ def oracle_jumps(traj, R, t, tau, psi):
 
 
 class TestDualOracle:
-    """_Jumps on the forward half band against the dense jump table."""
+    """_Jumps on the engine's per-diagonal vectors against the dense jump table."""
 
     @pytest.mark.parametrize(
         "kernel, params",

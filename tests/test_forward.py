@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from coagsim import forward
+from coagsim.dual import solve_dual
 from coagsim.forward import (
     EvolutionState,
     GronwallReport,
@@ -395,8 +396,9 @@ def array_entries(obj, seen=None, owned=False):
 
 class TestEngineMemory:
     def test_smaller_than_one_dense_pair_table(self):
-        # the acceptance grid at lambda = 1e-3: the band and the deposit
-        # brackets together hold less than one cell-by-partner table
+        # the acceptance grid at lambda = 1e-3: the per-diagonal vectors,
+        # the offset groups and the corner together hold less than one
+        # cell-by-partner table
         eng = _Engine(geometric_grid(), PARAMS, constant_kernel(1.0), CUT)
         assert eng.N == 638
         assert array_entries(eng) < eng.N * eng.Yall.size
@@ -482,7 +484,7 @@ class TestEngineOracle:
     @pytest.mark.parametrize(
         "x_min, x_max, ratio",
         # 70 and 159 cells: at lambda = 1e-3 both grids are narrower than
-        # the pair band (91 and 355 diagonals), at 0.1 and 0.3 wider
+        # the partner reach (91 and 355 diagonals), at 0.1 and 0.3 wider
         [(1e-4, 20.0, 2.0 ** 0.25), (1e-2, 10.0, RATIO)],
         ids=["coarse", "fine"],
     )
@@ -758,13 +760,26 @@ class TestEngineBuild:
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
-    def test_rates_leave_the_half_band_unbuilt(self):
-        # only the dual and rearrangement_residual read the per-pair band
-        eng = _Engine(geometric_grid(), PARAMS, constant_kernel(1.0), CUT)
-        m = power_law_init(PARAMS)
-        eng.rates(m.cell_mass, m.tail_amplitude, 0.0)
-        assert "T" not in vars(eng)
-        assert eng.T.shape == (eng.N, eng.dmax + 1)
+    def test_consumers_cache_nothing_on_the_engine(self, monkeypatch):
+        # the stepper, the diagnostics and the dual read the engine's
+        # per-diagonal vectors and keep no table of their own on it
+        keys = []
+        init = forward._Engine.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            keys.append(set(vars(self)))
+
+        monkeypatch.setattr(forward._Engine, "__init__", recording_init)
+        params = Params(gamma=0.0, rho=0.5, lam=1e-2)
+        h0 = power_law_init(params, geometric_grid(1e-3, 1e4))
+        traj = rescaled_trajectory(h0, params, constant_kernel(1.0), CutoffParams(lam=1e-2), 0.25)
+        eng = traj.engine
+        eng.rates(h0.cell_mass, h0.tail_amplitude, 0.1)
+        rearrangement_residual(traj.state(0), np.ones_like)
+        rearrangement_residual(traj.state(0), lambda x: np.asarray(x, float))
+        solve_dual(traj, 10.0, 0.25)
+        assert keys == [set(vars(eng))]
 
 
 class TestStepperCarry:

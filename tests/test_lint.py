@@ -58,6 +58,82 @@ def test_package_has_no_unused_imports():
     assert found == []
 
 
+def private_definitions(source):
+    """(line, name) of each private name a module binds at top level: its
+    functions, classes and assigned names with one leading underscore."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        out += [(node.lineno, n) for n in names if n.startswith("_") and not n.startswith("__")]
+    return out
+
+
+def loaded_names(source):
+    """Names a module reads, bare (Name) or as an attribute (mod._name)."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_private_names(sources):
+    """(module, line, name) of each top-level private name that no module
+    of sources ({module: source}) reads; an import alone is no read."""
+    read = set().union(*(loaded_names(src) for src in sources.values()))
+    return [
+        (mod, line, name)
+        for mod, src in sources.items()
+        for line, name in private_definitions(src)
+        if name not in read
+    ]
+
+
+def test_checker_flags_unread_private_names():
+    sources = {
+        "a.py": (
+            "import numpy as np\n"
+            "_SCALE, _unused = 2.0, 3.0\n"
+            "__version__ = '1'\n"
+            "def _helper(x):\n"
+            "    return _SCALE * x\n"
+            "def _dead():\n"
+            "    pass\n"
+            "class _Table:\n"
+            "    def _row(self):\n"
+            "        pass\n"
+            "def public(x):\n"
+            "    return _helper(np.asarray(x))\n"
+        ),
+        "b.py": (
+            "from . import a\n"
+            "from .a import _Table\n"
+            "_cache = a._dead\n"
+            "_cache = None\n"
+        ),
+    }
+    assert unread_private_names(sources) == [
+        ("a.py", 2, "_unused"),
+        ("a.py", 8, "_Table"),
+        ("b.py", 3, "_cache"),
+        ("b.py", 4, "_cache"),
+    ]
+
+
+def test_package_reads_every_private_name():
+    # a private helper kept in the package only for a test to read is dead
+    # code there; it belongs to the test
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    found = [f"{mod}:{line}: {name}" for mod, line, name in unread_private_names(sources)]
+    assert found == []
+
+
 def family_reads(source):
     """Lines that read an attribute named family (a kernel's family name)."""
     return sorted(
