@@ -244,6 +244,27 @@ class TestGain:
         assert g.total_mass() == 0.0
 
 
+NEAR_GEOMETRIC_KERNELS = pytest.mark.parametrize(
+    "kernel, params",
+    [
+        (constant_kernel(1.0), Params(gamma=0.0, rho=0.5)),
+        (product_kernel(0.5), Params(gamma=0.5, rho=0.75)),
+    ],
+    ids=["constant", "product"],
+)
+
+
+def near_geometric_state(kernel, params):
+    """The power-law measure at t = 0.3 on [1e-3, 1e3], with edges off the
+    geometric lattice by up to 1e-10 relative, which GridMeasure accepts."""
+    rng = np.random.default_rng(5)
+    edges = geometric_grid(1e-3, 1e3)
+    edges = edges * (1.0 + 1e-10 * rng.uniform(-1.0, 1.0, edges.size))
+    one_m_rho = 1.0 - params.rho
+    m = GridMeasure(edges, np.diff(edges**one_m_rho), one_m_rho, params.rho)
+    return EvolutionState(m, 0.3, params, kernel, CutoffParams(lam=params.lam))
+
+
 class TestRearrangement:
     def setup_method(self):
         edges = geometric_grid(1.0, 2.0 ** (40.0 / 16.0), ratio=RATIO)
@@ -292,29 +313,16 @@ class TestRearrangement:
         res, flux = rearrangement_residual(state_of(self.m, zero_kernel()), lambda x: x)
         assert res == 0.0 and flux == 0.0
 
-    @pytest.mark.parametrize(
-        "kernel, params",
-        [
-            (constant_kernel(1.0), Params(gamma=0.0, rho=0.5)),
-            (product_kernel(0.5), Params(gamma=0.5, rho=0.75)),
-        ],
-        ids=["constant", "product"],
-    )
+    @NEAR_GEOMETRIC_KERNELS
     def test_near_geometric_grid(self, kernel, params):
-        # edges off the geometric lattice by up to 1e-10 relative, which
-        # GridMeasure accepts.  The engine places its partners on the exact
-        # lattice through the grid's end edges and takes the splits from
-        # r^d, and rearrangement_residual evaluates psi at those lattice
-        # positions: so this checks that the engine stays self-consistent
-        # on such a grid, its pairing identities holding to machine level.
+        # The engine places its partners on the exact lattice through the
+        # grid's end edges and takes the splits from r^d, and
+        # rearrangement_residual evaluates psi at those lattice positions:
+        # so this checks that the engine stays self-consistent on a grid
+        # off the lattice, its pairing identities holding to machine level.
         # The psi = x pairing cancels to summation noise of order
         # x_max * 1e-16, hence the six decades of sizes.
-        rng = np.random.default_rng(5)
-        edges = geometric_grid(1e-3, 1e3)
-        edges = edges * (1.0 + 1e-10 * rng.uniform(-1.0, 1.0, edges.size))
-        one_m_rho = 1.0 - params.rho
-        m = GridMeasure(edges, np.diff(edges**one_m_rho), one_m_rho, params.rho)
-        st_ = EvolutionState(m, 0.3, params, kernel, CutoffParams(lam=params.lam))
+        st_ = near_geometric_state(kernel, params)
         for psi in (np.ones_like, lambda x: np.asarray(x, float)):
             res, _ = rearrangement_residual(st_, psi)
             assert res <= 1e-12
@@ -603,7 +611,7 @@ class TestBandOracle:
 
 def band_weights(eng):
     """The per-pair half band: T[i, d] is the static weight of cell i with
-    partner i + d, d = 0..dmax, as the engine once built it."""
+    partner i + d, d = 0..dmax, each evaluated from its own pair of sizes."""
     N, dmax, Y = eng.N, eng.dmax, eng.Y
     listed = _band(np.ones(eng.Yall.size, dtype=bool), 0, dmax + 1, N)
     # band positions off the partner list get weight zero, and the
@@ -679,24 +687,12 @@ class TestRearrangementOracle:
         k = 9 * m.reps.size // 10
         assert_residuals_match(st_, 0.5 * (m.reps[k] + m.reps[k + 1]))
 
-    @pytest.mark.parametrize(
-        "kernel, params",
-        [
-            (constant_kernel(1.0), Params(gamma=0.0, rho=0.5)),
-            (product_kernel(0.5), Params(gamma=0.5, rho=0.75)),
-        ],
-        ids=["constant", "product"],
-    )
+    @NEAR_GEOMETRIC_KERNELS
     def test_near_geometric_grid(self, kernel, params):
-        # the grid and measure of TestRearrangement.test_near_geometric_grid
-        rng = np.random.default_rng(5)
-        edges = geometric_grid(1e-3, 1e3)
-        edges = edges * (1.0 + 1e-10 * rng.uniform(-1.0, 1.0, edges.size))
-        one_m_rho = 1.0 - params.rho
-        m = GridMeasure(edges, np.diff(edges**one_m_rho), one_m_rho, params.rho)
-        st_ = EvolutionState(m, 0.3, params, kernel, CutoffParams(lam=params.lam))
-        k = 9 * m.reps.size // 10
-        assert_residuals_match(st_, 0.5 * (m.reps[k] + m.reps[k + 1]))
+        st_ = near_geometric_state(kernel, params)
+        reps = st_.measure.reps
+        k = 9 * reps.size // 10
+        assert_residuals_match(st_, 0.5 * (reps[k] + reps[k + 1]))
 
 
 def index_bracket_oracle(m, params, kernel, cutoff, s, per_octave):
