@@ -428,6 +428,25 @@ class TestDualCheckCommand:
         assert cmd_dual_check(cfg, tmp_path, 1e-2) == 0
         assert len(builds) == 1
 
+    def test_leaves_the_half_band_unbuilt(self, tmp_path, monkeypatch):
+        # the dual steps on the engine's per-diagonal vectors; no per-pair
+        # half band is built on the engine through the whole command
+        engines = []
+        init = forward._Engine.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            engines.append((self, set(vars(self))))
+
+        monkeypatch.setattr(forward._Engine, "__init__", recording_init)
+        text = BASE + "dual.radius = 10.0\ndual.time = 0.25\ndual.max_change = 0.02\n"
+        cfg = run_config(parse_config(text))
+        assert cmd_dual_check(cfg, tmp_path, 1e-2) == 0
+        assert len(engines) == 1
+        engine, keys = engines[0]
+        assert "T" not in vars(engine) and not hasattr(engine, "T")
+        assert set(vars(engine)) == keys
+
 
 class TestProfileWCommand:
     def test_half_matches_closed_form(self, tmp_path):

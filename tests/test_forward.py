@@ -777,6 +777,16 @@ class TestEngineBuild:
         solve_dual(traj, 10.0, 0.25)
         assert keys == [set(vars(eng))]
 
+    def test_rates_leave_the_half_band_unbuilt(self):
+        # rates steps on the per-diagonal vectors and builds no per-pair
+        # half band, on the engine or lazily behind it
+        eng = _Engine(geometric_grid(), PARAMS, constant_kernel(1.0), CUT)
+        before = set(vars(eng))
+        m = power_law_init(PARAMS)
+        eng.rates(m.cell_mass, m.tail_amplitude, 0.0)
+        assert "T" not in vars(eng) and not hasattr(eng, "T")
+        assert set(vars(eng)) == before
+
 
 class TestStepperCarry:
     """The step size carries across _Stepper.run calls."""
