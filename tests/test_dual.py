@@ -9,6 +9,7 @@ from coagsim.dual import (
     DualField,
     SubsolutionReport,
     _Jumps,
+    _pairing,
     adjoint_consistency,
     find_m_star,
     q_tail_bound,
@@ -502,3 +503,61 @@ class TestPairingAgainstCumulative:
         got = _pairing(h0, fld.nodes, fld.psi[0], T_FINAL, PARAMS.beta)
         want = cumulative_mass(h0, 10.0 * np.exp(PARAMS.beta * T_FINAL))
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def oracle_pairing(h0, nodes, psi0, t, beta):
+    """_pairing one overlap piece at a time."""
+    rho = h0.tail_exponent
+    scale = np.exp(beta * t)
+    hi = nodes[-1] * scale
+    x_break = np.concatenate([h0.edges, nodes * scale])
+    x_break = np.unique(x_break[(x_break >= h0.edges[0]) & (x_break <= hi)])
+    if x_break.size == 0 or x_break[-1] < hi:
+        x_break = np.append(x_break, hi)
+    one_m_rho = 1.0 - rho
+    two_m_rho = 2.0 - rho
+    amps = np.append(h0.amplitudes, h0.tail_amplitude)
+    total = 0.0
+    for a, b in zip(x_break[:-1], x_break[1:]):
+        coeff = amps[np.searchsorted(h0.edges, np.sqrt(a * b), side="right") - 1]
+        if coeff == 0.0:
+            continue
+        mass = coeff * (b**one_m_rho - a**one_m_rho) / one_m_rho
+        moment = coeff * (b**two_m_rho - a**two_m_rho) / two_m_rho
+        pa = float(np.interp(min(a / scale, nodes[-1]), nodes, psi0, left=psi0[0]))
+        pb = float(np.interp(min(b / scale, nodes[-1]), nodes, psi0, left=psi0[0]))
+        if b > a:
+            kappa = (pb - pa) / (b - a)
+            alpha = pa - kappa * a
+        else:
+            kappa, alpha = 0.0, pa
+        total += alpha * mass + kappa * moment
+    return total
+
+
+class TestPairingOracle:
+    """The closed-form dual pairing against its per-piece loop."""
+
+    @pytest.fixture(scope="class", params=["constant", "product", "zero"])
+    def case(self, request):
+        edges = geometric_grid(1e-3, 1e6, 2.0**0.25)
+        params, kernel = {
+            "constant": (PARAMS, constant_kernel(2.0)),
+            "product": (Params(gamma=0.5, rho=0.75), product_kernel(0.5)),
+            "zero": (PARAMS, zero_kernel()),
+        }[request.param]
+        h0 = power_law_init(params, edges)
+        return h0, rescaled_trajectory(h0, params, kernel, CUT, T_FINAL)
+
+    @pytest.mark.parametrize("R", [1e-3, 1.0, 10.0, 100.0, 1e5])
+    @pytest.mark.parametrize("t", [0.0, 0.2, T_FINAL])
+    def test_matches_per_piece_loop(self, case, R, t):
+        h0, traj = case
+        beta = traj.params.beta
+        fld = solve_dual(traj, R, t)
+        rng = np.random.default_rng(31)
+        rows = [fld.psi[0], fld.psi[fld.psi.shape[0] // 2], np.sort(rng.uniform(0.0, 1.0, fld.nodes.size))[::-1]]
+        for psi0 in rows:
+            got = _pairing(h0, fld.nodes, psi0, t, beta)
+            want = oracle_pairing(h0, fld.nodes, psi0, t, beta)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)

@@ -1215,3 +1215,36 @@ class TestGronwall:
         z = GridMeasure(edges, np.zeros(edges.size - 1), 0.0, PARAMS.rho)
         traj = rescaled_trajectory(z, PARAMS, constant_kernel(1.0), CUT, 0.2)
         assert gronwall_check(traj).ok
+
+
+def oracle_gronwall_check(trajectory, tol=1e-2):
+    """gronwall_check one stored step at a time, through xrho_norm."""
+    p = trajectory.params
+    worst, t_at, R_at = -np.inf, np.nan, np.nan
+    for k in range(trajectory.times.size):
+        t = float(trajectory.times[k])
+        bound = np.exp(p.beta * p.rho * t)
+        ratio = xrho_norm(trajectory.measure_at(k)) / bound
+        if ratio > worst:
+            worst, t_at, R_at = ratio, t, np.inf
+    return GronwallReport(ok=worst <= 1.0 + tol, worst_ratio=worst, t_at=t_at, R_at=R_at, tol=tol)
+
+
+class TestGronwallOracle:
+    """The norm-growth check against its per-step loop, bit for bit."""
+
+    @pytest.fixture(scope="class", params=["constant", "product", "zero", "empty"])
+    def traj(self, request):
+        edges = geometric_grid(1e-3, 1e6, 2.0**0.25)
+        if request.param == "product":
+            params = Params(gamma=0.5, rho=0.75)
+            return rescaled_trajectory(power_law_init(params, edges), params, product_kernel(0.5), CUT, 0.5)
+        h0 = power_law_init(PARAMS, edges)
+        if request.param == "empty":
+            h0 = GridMeasure(edges, np.zeros(edges.size - 1), 0.0, PARAMS.rho)
+        kernel = zero_kernel() if request.param == "zero" else constant_kernel(2.0)
+        return rescaled_trajectory(h0, PARAMS, kernel, CUT, 0.5)
+
+    @pytest.mark.parametrize("tol", [1e-2, 0.0, -1e-3])
+    def test_matches_per_step_loop(self, traj, tol):
+        assert gronwall_check(traj, tol=tol) == oracle_gronwall_check(traj, tol=tol)
