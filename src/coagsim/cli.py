@@ -152,16 +152,16 @@ def cmd_stationary(cfg, out_dir, tolerance):
     """Run the stationary search; write profile CSV(s) and a manifest."""
     tol = tolerance if tolerance is not None else cfg.tol
     edges = geometric_grid(*cfg.grid)
-    kwargs = {"tol": tol, "t_max": cfg.t_max, "max_change": cfg.max_change, "cutoff": cfg.cutoff}
+    kwargs = {"edges": edges, "tol": tol, "t_max": cfg.t_max, "max_change": cfg.max_change}
     if "stationary.probe_radii" in cfg.raw:
         kwargs["probe_radii"] = list(get_floats(cfg.raw, "stationary.probe_radii"))
     if "stationary.lambdas" in cfg.raw:
         lambdas = get_floats(cfg.raw, "stationary.lambdas")
-        report = lambda_continuation(cfg.params, cfg.kernel, lambdas, edges=edges, **kwargs)
+        report = lambda_continuation(cfg.params, cfg.kernel, lambdas, cutoff=cfg.cutoff, **kwargs)
         results = report.results
         extra = {"lambdas": list(report.lambdas), "xrho_distances": report.distances}
     else:
-        results = [find_stationary(cfg.params, cfg.kernel, edges=edges, **kwargs)]
+        results = [find_stationary(cfg.params, cfg.kernel, cfg.cutoff, **kwargs)]
         extra = {}
     entries, files = [], []
     for k, res in enumerate(results):

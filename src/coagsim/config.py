@@ -230,7 +230,6 @@ def run_config(mapping):
         params = Params(
             gamma=gamma,
             rho=rho,
-            lam=lam,
             delta=get_float(mapping, "params.delta", 0.2),
             R0=get_float(mapping, "params.r0", 10.0),
         )

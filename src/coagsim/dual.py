@@ -284,29 +284,21 @@ def _pairing(h0, nodes, psi0, t, beta):
     x_break = np.unique(x_break[(x_break >= h0.edges[0]) & (x_break <= hi)])
     if x_break.size == 0 or x_break[-1] < hi:
         x_break = np.append(x_break, hi)
+    a, b = x_break[:-1], x_break[1:]
     one_m_rho = 1.0 - rho
     two_m_rho = 2.0 - rho
     amps = np.append(h0.amplitudes, h0.tail_amplitude)
-    total = 0.0
-    for a, b in zip(x_break[:-1], x_break[1:]):
-        coeff = amps[np.searchsorted(h0.edges, np.sqrt(a * b), side="right") - 1]
-        if coeff == 0.0:
-            continue
-        mass = coeff * (b**one_m_rho - a**one_m_rho) / one_m_rho
-        moment = coeff * (b**two_m_rho - a**two_m_rho) / two_m_rho
-        # Psi restricted to the piece is linear in x; reconstruct the line.
-        # Pieces end at hi = nodes[-1] * scale, so division by scale may
-        # only exceed nodes[-1] by roundoff: clamp rather than fall off
-        # the right=0 cliff of the interpolant.
-        pa = float(np.interp(min(a / scale, nodes[-1]), nodes, psi0, left=psi0[0]))
-        pb = float(np.interp(min(b / scale, nodes[-1]), nodes, psi0, left=psi0[0]))
-        if b > a:
-            kappa = (pb - pa) / (b - a)
-            alpha = pa - kappa * a
-        else:
-            kappa, alpha = 0.0, pa
-        total += alpha * mass + kappa * moment
-    return total
+    coeff = amps[np.searchsorted(h0.edges, np.sqrt(a * b), side="right") - 1]
+    mass = coeff * (b**one_m_rho - a**one_m_rho) / one_m_rho
+    moment = coeff * (b**two_m_rho - a**two_m_rho) / two_m_rho
+    # Psi restricted to a piece is linear in x; reconstruct the line.
+    # Pieces end at hi = nodes[-1] * scale, so division by scale may only
+    # exceed nodes[-1] by roundoff: clamp rather than fall off the right=0
+    # cliff of the interpolant.
+    pa = np.interp(np.minimum(a / scale, nodes[-1]), nodes, psi0, left=psi0[0])
+    pb = np.interp(np.minimum(b / scale, nodes[-1]), nodes, psi0, left=psi0[0])
+    kappa = (pb - pa) / (b - a)  # the breaks are distinct, so b > a
+    return float(np.sum((pa - kappa * a) * mass + kappa * moment))
 
 
 def adjoint_consistency(h0, trajectory, R, t, dual_field=None):
@@ -351,20 +343,22 @@ class SubsolutionReport:
     tol: float
 
 
-# stored times the barrier check samples; the bracket and bisection steps
-# of the M* search; backward times of the K* sweep
+# stored times the barrier check samples and the margin it allows; the
+# bracket and bisection steps of the M* search; backward times of the K*
+# sweep
 MAX_S_SAMPLES = 64
+BARRIER_TOL = 1e-3
 M_LO, M_HI, M_ITERS = 1e-2, 1e4, 40
 N_TAU = 5
 
 
-def subsolution_bound(dual_field, profile, M, s=None, tol=1e-3):
-    """Verify Psi(X, s) >= W((R - X) / (M (t - s))^(1/a)) - tol.
+def subsolution_bound(dual_field, profile, M):
+    """Verify Psi(X, s) >= W((R - X) / (M (t - s))^(1/a)) - BARRIER_TOL.
 
-    Checks every node X <= R at the given s or, when s is None, at every
-    max(1, n // MAX_S_SAMPLES)-th of the n stored s values and the last
-    (MAX_S_SAMPLES = 64; all of them when n < 128), and reports the worst
-    margin min(Psi - W).
+    Checks every node X <= R at every max(1, n // MAX_S_SAMPLES)-th of the
+    n stored s values and the last (MAX_S_SAMPLES = 64; all of them when
+    n < 128), and reports the worst margin min(Psi - W); BARRIER_TOL is
+    1e-3.
 
     Returns
     -------
@@ -375,12 +369,8 @@ def subsolution_bound(dual_field, profile, M, s=None, tol=1e-3):
     R, t = dual_field.R, dual_field.t_final
     tab = w_table(profile)
     inv_a = 1.0 / profile.a
-    if s is None:
-        n = dual_field.s_values.size
-        stride = max(1, n // MAX_S_SAMPLES)
-        idx = sorted(set(range(0, n, stride)) | {n - 1})
-    else:
-        idx = [int(np.argmin(np.abs(dual_field.s_values - s)))]
+    n = dual_field.s_values.size
+    idx = sorted(set(range(0, n, max(1, n // MAX_S_SAMPLES))) | {n - 1})
     X = dual_field.nodes
     s_rows = dual_field.s_values[idx]
     taus = t - s_rows
@@ -393,11 +383,11 @@ def subsolution_bound(dual_field, profile, M, s=None, tol=1e-3):
     k = int(np.argmin(margin))  # row-major: the earliest sample, then the lowest node
     row, col = divmod(k, X.size)
     worst, X_at, s_at = float(margin[row, col]), float(X[col]), float(s_rows[row])
-    return SubsolutionReport(ok=bool(worst >= -tol), worst_margin=worst,
-                             X_at=X_at, s_at=s_at, M=M, tol=tol)
+    return SubsolutionReport(ok=worst >= -BARRIER_TOL, worst_margin=worst,
+                             X_at=X_at, s_at=s_at, M=M, tol=BARRIER_TOL)
 
 
-def find_m_star(dual_field, profile, tol=1e-3):
+def find_m_star(dual_field, profile):
     """Smallest comparison constant M for which the barrier bound holds.
 
     The barrier decreases in M, so bisection in log M applies: M_ITERS
@@ -405,21 +395,21 @@ def find_m_star(dual_field, profile, tol=1e-3):
     (m_star, report_at_m_star); m_star is M_LO when M_LO already passes,
     and inf when even M_HI fails.
     """
-    hi_rep = subsolution_bound(dual_field, profile, M_HI, tol=tol)
+    hi_rep = subsolution_bound(dual_field, profile, M_HI)
     if not hi_rep.ok:
         return np.inf, hi_rep
-    lo_rep = subsolution_bound(dual_field, profile, M_LO, tol=tol)
+    lo_rep = subsolution_bound(dual_field, profile, M_LO)
     if lo_rep.ok:
         return M_LO, lo_rep
     lo, hi = np.log(M_LO), np.log(M_HI)
     for _ in range(M_ITERS):
         mid = 0.5 * (lo + hi)
-        if subsolution_bound(dual_field, profile, float(np.exp(mid)), tol=tol).ok:
+        if subsolution_bound(dual_field, profile, float(np.exp(mid))).ok:
             hi = mid
         else:
             lo = mid
     m_star = float(np.exp(hi))
-    return m_star, subsolution_bound(dual_field, profile, m_star, tol=tol)
+    return m_star, subsolution_bound(dual_field, profile, m_star)
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,6 @@ class Params:
         Kernel homogeneity degree, in [0, 1).
     rho : float
         Tail exponent of the target profile, in (gamma, 1).
-    lam : float
-        Kernel cutoff scale, in (0, 1/2).
     delta : float
         Lower-envelope correction exponent, in (0, rho - gamma).
     R0 : float
@@ -47,7 +45,6 @@ class Params:
 
     gamma: float
     rho: float
-    lam: float = 1e-3
     delta: float = 0.2
     R0: float = 10.0
 
@@ -56,8 +53,6 @@ class Params:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         if not (self.gamma < self.rho < 1.0):
             raise ValueError(f"rho must lie in (gamma, 1), got {self.rho}")
-        if not (0.0 < self.lam < 0.5):
-            raise ValueError(f"lam must lie in (0, 1/2), got {self.lam}")
         if not (0.0 < self.delta < self.rho - self.gamma):
             raise ValueError(f"delta must lie in (0, rho - gamma), got {self.delta}")
         if not self.R0 > 0.0:
@@ -217,7 +212,7 @@ def density_at(m, x):
     return float(out[0]) if x.ndim == 0 else out
 
 
-def xrho_norm(m, params=None):
+def xrho_norm(m):
     """Weighted sup norm sup_R F(R) / R^(1-rho), including the tail limit.
 
     Inside a cell F(R)/R^(1-rho) is monotone in R (it equals
@@ -227,8 +222,6 @@ def xrho_norm(m, params=None):
     representation, not a sampled estimate.
     """
     rho = m.tail_exponent
-    if params is not None and params.rho != rho:
-        raise ValueError("params.rho disagrees with the measure's tail exponent")
     cums = edge_cumulative(m)
     ep = _edge_powers(m)
     edge_vals = cums[1:] / ep[1:]
@@ -236,7 +229,7 @@ def xrho_norm(m, params=None):
     return float(max(np.max(edge_vals, initial=0.0), tail_limit))
 
 
-def xrho_dist(m1, m2, params=None):
+def xrho_dist(m1, m2):
     """Weighted sup distance sup_R |F1(R) - F2(R)| / R^(1-rho).
 
     Requires both measures on the same grid with the same tail exponent;
@@ -291,7 +284,7 @@ def envelope_check_upper(m, params, slack=0.0):
     ratios = cums[1:] / ep[1:]
     i = int(np.argmax(ratios))
     worst, where = float(ratios[i]), float(m.edges[1 + i])
-    tail_limit = m.tail_amplitude / (1.0 - rho)
+    tail_limit = float(m.tail_amplitude / (1.0 - rho))
     if tail_limit > worst:
         worst, where = tail_limit, np.inf
     ok = worst <= 1.0 + slack + _ROUNDOFF

@@ -30,7 +30,7 @@ power-law cell shape of the measure module (density_at,
 GridMeasure.amplitudes).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,8 +183,8 @@ def decay0_residual(profile, params, kernel, R, cutoff=None, n_per_decade=64):
     return lhs / denom
 
 
-def tail_fit(profile, fit_window=FIT_WINDOW):
-    """Fit h(x) ~ A x^(-e) over a window from the cell masses.
+def tail_fit(profile):
+    """Fit h(x) ~ A x^(-e) over FIT_WINDOW (1e2 to 1e4) from the cell masses.
 
     The exponent comes from least squares of log cell density against log
     position.  The amplitude is estimated at the nominal tail exponent of
@@ -199,7 +199,7 @@ def tail_fit(profile, fit_window=FIT_WINDOW):
     -------
     (exponent, amplitude) : tuple of floats
     """
-    lo, hi = fit_window
+    lo, hi = FIT_WINDOW
     el, er = profile.edges[:-1], profile.edges[1:]
     sel = (el >= lo) & (er <= hi) & (profile.cell_mass > 0.0)
     if np.count_nonzero(sel) < 3:
@@ -239,13 +239,13 @@ class StationaryResult:
 def find_stationary(
     params,
     kernel,
+    cutoff,
     edges=None,
     tol=1e-4,
     t_max=40.0,
     h0=None,
     max_change=0.05,
     probe_radii=None,
-    cutoff=None,
 ):
     """Evolve until Cauchy in X_rho; report the profile and diagnostics.
 
@@ -254,9 +254,7 @@ def find_stationary(
     between consecutive chunk ends drops below tol.  Hitting t_max first
     yields converged=False with the full history, never an exception.
     The tail is fitted over FIT_WINDOW (1e2 to 1e4), and both envelopes
-    are checked with slack ENVELOPE_SLACK (1e-2).  cutoff defaults to the
-    cubic profile at params.lam; a given cutoff must have
-    lam == params.lam.
+    are checked with slack ENVELOPE_SLACK (1e-2).
 
     The default datum is tail_matched_init: above R0 it already carries
     the conserved tail (1 - rho) x^(-rho), so the search does not wait
@@ -268,9 +266,6 @@ def find_stationary(
     -------
     StationaryResult
     """
-    cutoff = cutoff if cutoff is not None else CutoffParams(lam=params.lam)
-    if cutoff.lam != params.lam:
-        raise ValueError(f"cutoff.lam = {cutoff.lam} must equal params.lam = {params.lam}")
     h = h0 if h0 is not None else tail_matched_init(params, edges)
     stepper = _Stepper(_Engine(h.edges, params, kernel, cutoff), max_change=max_change)
     history = []
@@ -282,7 +277,7 @@ def find_stationary(
         res = simulate(h, params, kernel, cutoff, dt, stepper=stepper)
         t += dt
         origin += res.origin_mass
-        rate = xrho_dist(res.final, h, params) / dt
+        rate = xrho_dist(res.final, h) / dt
         history.append((t, rate))
         h = res.final
         if rate < tol:
@@ -301,7 +296,7 @@ def find_stationary(
     exponent, amplitude = tail_fit(h)
     return StationaryResult(
         profile=h,
-        lam=params.lam,
+        lam=cutoff.lam,
         converged=converged,
         t_elapsed=t,
         convergence_history=history,
@@ -324,26 +319,24 @@ class ContinuationReport:
     distances: list
 
 
-def lambda_continuation(params, kernel, lambdas, edges=None, cutoff=None, **kwargs):
+def lambda_continuation(params, kernel, lambdas, cutoff=None, **kwargs):
     """Run find_stationary for each cutoff scale; report X_rho gaps.
 
-    Each run replaces lam in both params and cutoff (default: the cubic
-    profile).  Distances between consecutive profiles are reported, never
-    asserted; a decreasing sequence is evidence of a weak limit as the
-    cutoff is removed.
+    Each run uses the cutoff at that scale, with the switching profile of
+    cutoff (default: cubic); cutoff's own lam is not used.  kwargs go to
+    every find_stationary call.  Distances between consecutive profiles
+    are reported, never asserted; a decreasing sequence is evidence of a
+    weak limit as the cutoff is removed.
 
     Returns
     -------
     ContinuationReport
     """
-    cutoff = cutoff if cutoff is not None else CutoffParams(lam=params.lam)
+    profile = cutoff.profile if cutoff is not None else "cubic"
     results = [
-        find_stationary(replace(params, lam=lv), kernel, edges=edges, cutoff=replace(cutoff, lam=lv), **kwargs)
+        find_stationary(params, kernel, CutoffParams(lam=lv, profile=profile), **kwargs)
         for lv in map(float, lambdas)
     ]
-    distances = [
-        xrho_dist(a.profile, b.profile, params)
-        for a, b in zip(results[:-1], results[1:])
-    ]
+    distances = [xrho_dist(a.profile, b.profile) for a, b in zip(results[:-1], results[1:])]
     return ContinuationReport(lambdas=tuple(float(v) for v in lambdas),
                               results=results, distances=distances)

@@ -44,8 +44,8 @@ from coagsim import (
 )
 
 EDGES = geometric_grid()  # 1e-4 .. 1e8 at ratio 2^(1/16), 638 cells
-CONST = Params(gamma=0.0, rho=0.5, lam=1e-3)
-PROD = Params(gamma=0.5, rho=0.75, lam=1e-3)
+CONST = Params(gamma=0.0, rho=0.5)
+PROD = Params(gamma=0.5, rho=0.75)
 CUT = CutoffParams(lam=1e-3)
 K_CONST = constant_kernel(1.0)
 K_PROD = product_kernel(0.5)
@@ -55,14 +55,14 @@ SNAP_TIMES = np.linspace(0.1, 1.0, 10)
 @pytest.fixture(scope="module")
 def stationary_constant():
     t0 = time.monotonic()
-    res = find_stationary(CONST, K_CONST, edges=EDGES)
+    res = find_stationary(CONST, K_CONST, CUT, edges=EDGES)
     return res, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
 def stationary_product():
     t0 = time.monotonic()
-    res = find_stationary(PROD, K_PROD, edges=EDGES)
+    res = find_stationary(PROD, K_PROD, CUT, edges=EDGES)
     return res, time.monotonic() - t0
 
 
@@ -100,7 +100,7 @@ def test_zero_kernel_stationary_profile_is_exact_power_law():
     # (1 - rho) x^(-rho); sup relative cell error must be <= 1e-3 and the
     # search must finish inside a minute on the ~640-cell grid
     t0 = time.monotonic()
-    res = find_stationary(CONST, zero_kernel(), edges=EDGES, tol=1e-5)
+    res = find_stationary(CONST, zero_kernel(), CUT, edges=EDGES, tol=1e-5)
     elapsed = time.monotonic() - t0
     assert res.converged
     exact_cells = np.diff(EDGES ** (1.0 - CONST.rho))

@@ -3,7 +3,6 @@
 import io
 import json
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,8 +119,7 @@ class TestRoundTrip:
 class TestRunConfig:
     def test_defaults_fill_in(self):
         cfg = run_config(parse_config(BASE))
-        assert cfg.params.rho == 0.5 and cfg.params.lam == 1e-2
-        assert cfg.cutoff.lam == 1e-2
+        assert cfg.params.rho == 0.5 and cfg.cutoff.lam == 1e-2
         assert cfg.kernel.family == "constant"
         assert cfg.grid == (1e-3, 1e4, 2.0 ** (1.0 / 16.0))
         assert cfg.tol == 1e-4 and cfg.t_max == 40.0
@@ -336,9 +334,8 @@ class TestStationaryCommand:
         for entry in entries:
             got = from_csv(out / entry["profile_file"]).cell_mass
             lam = entry["lambda"]
-            params = replace(cfg.params, lam=lam)
             for profile in ("quintic", "cubic"):
-                direct = simulate(h0, params, cfg.kernel, CutoffParams(lam=lam, profile=profile), 0.5)
+                direct = simulate(h0, cfg.params, cfg.kernel, CutoffParams(lam=lam, profile=profile), 0.5)
                 assert np.array_equal(got, direct.final.cell_mass) == (profile == "quintic")
 
 
@@ -499,6 +496,15 @@ class TestInvarianceSuiteCommand:
         assert summary["n_cases"] == 23
         xml = (out / "invariance.xml").read_text()
         assert 'failures="0"' in xml and 'tests="23"' in xml
+
+    def test_details_print_python_floats(self, tmp_path):
+        # the upper envelope's tail limit and the Gronwall ratio once
+        # printed as np.float64(1.0)
+        code, out = run_cli(tmp_path, BASE, "invariance-suite")
+        assert code == 0
+        text = (out / "invariance.json").read_text()
+        assert "np.float64(" not in text
+        assert "worst ratio 1.0 at R=inf" in text
 
     def test_builds_one_engine(self, tmp_path, monkeypatch):
         # the trajectory's engine steps the snapshot run and serves the

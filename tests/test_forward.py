@@ -47,7 +47,7 @@ from coagsim.measure import (
     xrho_norm,
 )
 
-PARAMS = Params(gamma=0.0, rho=0.5, lam=1e-3, delta=0.2, R0=10.0)
+PARAMS = Params(gamma=0.0, rho=0.5, delta=0.2, R0=10.0)
 CUT = CutoffParams(lam=1e-3)
 RATIO = 2.0 ** (1.0 / 16.0)
 
@@ -130,7 +130,7 @@ class TestLossRate:
         # midpoint quadrature vs dense sub-cell integration with every
         # cutoff active (large lambda)
         cut = CutoffParams(lam=0.2)
-        params = Params(gamma=0.0, rho=0.5, lam=0.2)
+        params = Params(gamma=0.0, rho=0.5)
         edges = geometric_grid(0.05, 50.0, ratio=RATIO)
         rng = np.random.default_rng(3)
         mass = rng.uniform(0.1, 1.0, edges.size - 1)
@@ -152,14 +152,14 @@ class TestLossRate:
     @pytest.mark.parametrize(
         "kernel, params",
         [
-            (constant_kernel(1.0), Params(gamma=0.0, rho=0.5, lam=1e-2)),
-            (product_kernel(0.5), Params(gamma=0.5, rho=0.75, lam=1e-2)),
+            (constant_kernel(1.0), Params(gamma=0.0, rho=0.5)),
+            (product_kernel(0.5), Params(gamma=0.5, rho=0.75)),
         ],
     )
     def test_matches_engine_rates_at_representatives(self, kernel, params):
         # loss_rate evaluates one row of the pair operator that the engine
         # tabulates; t > 0 moves the small-size cutoff front into the grid
-        cut = CutoffParams(lam=params.lam)
+        cut = CutoffParams(lam=1e-2)
         m = power_law_init(params, geometric_grid(1e-3, 1e4, ratio=RATIO))
         t = 0.3
         st_ = EvolutionState(m, t, params, kernel, cut)
@@ -170,19 +170,19 @@ class TestLossRate:
         np.testing.assert_allclose(got, A + drift, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize(
-        "kernel, params",
+        "kernel, params, lam",
         [
-            (constant_kernel(1.3), Params(gamma=0.0, rho=0.5, lam=1e-2)),
-            (product_kernel(0.5), Params(gamma=0.5, rho=0.75, lam=1e-2)),
-            (sum_kernel(0.2, 0.5), Params(gamma=0.5, rho=0.75, lam=0.1)),
+            (constant_kernel(1.3), Params(gamma=0.0, rho=0.5), 1e-2),
+            (product_kernel(0.5), Params(gamma=0.5, rho=0.75), 1e-2),
+            (sum_kernel(0.2, 0.5), Params(gamma=0.5, rho=0.75), 0.1),
         ],
         ids=["constant", "product", "sum"],
     )
     @pytest.mark.parametrize("t", [0.3, 1.1])
-    def test_matches_cell_quadrature_oracle(self, kernel, params, t):
+    def test_matches_cell_quadrature_oracle(self, kernel, params, lam, t):
         # random masses and tail, probes from below the cutoff front to
         # past the partner reach of the top cell
-        cut = CutoffParams(lam=params.lam)
+        cut = CutoffParams(lam=lam)
         edges = geometric_grid(1e-3, 1e3, ratio=RATIO)
         rng = np.random.default_rng(23)
         m = GridMeasure(edges, rng.uniform(0.0, 1.0, edges.size - 1), 0.6, params.rho)
@@ -262,7 +262,7 @@ def near_geometric_state(kernel, params):
     edges = edges * (1.0 + 1e-10 * rng.uniform(-1.0, 1.0, edges.size))
     one_m_rho = 1.0 - params.rho
     m = GridMeasure(edges, np.diff(edges**one_m_rho), one_m_rho, params.rho)
-    return EvolutionState(m, 0.3, params, kernel, CutoffParams(lam=params.lam))
+    return EvolutionState(m, 0.3, params, kernel, CUT)
 
 
 class TestRearrangement:
@@ -748,6 +748,16 @@ class TestTieGrids:
 
 
 class TestEngineBuild:
+    @pytest.mark.parametrize("kernel", [constant_kernel(1.0), zero_kernel(), product_kernel(0.25)])
+    def test_kernel_degree_must_match_params(self, kernel):
+        # e^(-gamma beta s) rescales the kernel with params.gamma, so a
+        # kernel of another degree would evolve silently wrong
+        params = Params(gamma=0.5, rho=0.75)
+        with pytest.raises(ValueError, match="kernel.gamma"):
+            _Engine(geometric_grid(1e-2, 1e2), params, kernel, CUT)
+        with pytest.raises(ValueError, match="kernel.gamma"):
+            simulate(power_law_init(params, geometric_grid(1e-2, 1e2)), params, kernel, CUT, 0.1)
+
     def test_equal_inputs_give_identical_rates(self):
         eng = _Engine(geometric_grid(), PARAMS, constant_kernel(1.0), CUT)
         m = power_law_init(PARAMS)
@@ -767,7 +777,7 @@ class TestEngineBuild:
             keys.append(set(vars(self)))
 
         monkeypatch.setattr(forward._Engine, "__init__", recording_init)
-        params = Params(gamma=0.0, rho=0.5, lam=1e-2)
+        params = Params(gamma=0.0, rho=0.5)
         h0 = power_law_init(params, geometric_grid(1e-3, 1e4))
         traj = rescaled_trajectory(h0, params, constant_kernel(1.0), CutoffParams(lam=1e-2), 0.25)
         eng = traj.engine
@@ -918,8 +928,8 @@ class TestStepperOracle:
         "kernel, params",
         [
             (constant_kernel(1.0), PARAMS),
-            (product_kernel(0.5), Params(gamma=0.5, rho=0.75, lam=1e-3)),
-            (sum_kernel(0.2, 0.5), Params(gamma=0.5, rho=0.75, lam=1e-3)),
+            (product_kernel(0.5), Params(gamma=0.5, rho=0.75)),
+            (sum_kernel(0.2, 0.5), Params(gamma=0.5, rho=0.75)),
             (zero_kernel(), PARAMS),
         ],
         ids=["constant", "product", "sum", "zero"],
@@ -1095,7 +1105,7 @@ class TestSimulate:
     def test_origin_ledger_single_frame(self):
         # pure power datum, zero kernel, exactly one frame: the spill is
         # the grown bottom cells
-        params = Params(gamma=0.0, rho=0.5, lam=1e-3, R0=1e-5)
+        params = Params(gamma=0.0, rho=0.5, R0=1e-5)
         h0 = power_law_init(params)
         T = 16.0 * np.log(RATIO) / params.beta
         res = simulate(h0, params, zero_kernel(), CUT, T)
@@ -1115,7 +1125,7 @@ class TestSimulate:
         assert res.overflow_moment >= res.overflow_mass * top_rep
 
     def test_product_kernel_runs_clean(self):
-        params = Params(gamma=0.5, rho=0.75, lam=1e-3)
+        params = Params(gamma=0.5, rho=0.75)
         cut = CutoffParams(lam=1e-3)
         h0 = power_law_init(params)
         res = simulate(h0, params, product_kernel(0.5), cut, 0.5)
@@ -1203,12 +1213,11 @@ class TestGronwall:
         assert rep.ok
         assert rep.worst_ratio <= 1.0 + 1e-2
 
-    def test_explicit_radii(self):
-        h0 = power_law_init(PARAMS)
-        traj = rescaled_trajectory(h0, PARAMS, constant_kernel(1.0), CUT, 0.3)
-        rep = gronwall_check(traj, R_values=[1.0, 100.0, 1e4])
-        assert rep.ok
-        assert rep.R_at in (1.0, 100.0, 1e4)
+    def test_report_holds_python_floats(self):
+        traj = rescaled_trajectory(power_law_init(PARAMS), PARAMS, zero_kernel(), CUT, 0.2)
+        rep = gronwall_check(traj)
+        assert all(type(v) is float for v in (rep.worst_ratio, rep.t_at, rep.R_at, rep.tol))
+        assert type(rep.ok) is bool
 
     def test_zero_data_trivial(self):
         edges = geometric_grid()

@@ -165,3 +165,62 @@ def test_kernel_families_are_read_in_kernel_only():
         for line in family_reads(path.read_text())
     ]
     assert found == []
+
+
+def class_fields(source, names):
+    """{class: set of its annotated field names} for the named top-level
+    classes of a module."""
+    return {
+        node.name: {
+            stmt.target.id
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        }
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and node.name in names
+    }
+
+
+def shared_fields(fields, allowed=()):
+    """(field, classes) of each field name that two or more classes of
+    fields ({class: names}) declare, except the allowed names."""
+    owners = {}
+    for cls, names in fields.items():
+        for name in names:
+            owners.setdefault(name, []).append(cls)
+    return sorted((name, sorted(cls)) for name, cls in owners.items() if len(cls) > 1 and name not in allowed)
+
+
+def test_checker_flags_shared_fields():
+    source = (
+        "class A:\n"
+        "    gamma: float\n"
+        "    lam: float = 1e-3\n"
+        "    def f(self):\n"
+        "        lam: float = 2.0\n"
+        "class B:\n"
+        "    gamma: float\n"
+        "    lam: float\n"
+        "    other = 1\n"
+        "class C:\n"
+        "    other: int\n"
+        "class D:\n"
+        "    lam: float\n"
+    )
+    fields = class_fields(source, ("A", "B", "C"))
+    assert fields == {"A": {"gamma", "lam"}, "B": {"gamma", "lam"}, "C": {"other"}}
+    assert shared_fields(fields, allowed={"gamma"}) == [("lam", ["A", "B"])]
+
+
+SETTING_CLASSES = ("Params", "KernelSpec", "CutoffParams")
+
+
+def test_run_settings_have_one_home():
+    # each setting of a run lives in one of these objects; gamma alone is
+    # in two, the problem's exponent and the kernel's degree, which the
+    # engine requires to be equal
+    fields = {}
+    for path in sorted(SRC.glob("*.py")):
+        fields.update(class_fields(path.read_text(), SETTING_CLASSES))
+    assert sorted(fields) == sorted(SETTING_CLASSES)
+    assert shared_fields(fields, allowed={"gamma"}) == []

@@ -35,7 +35,8 @@ from coagsim.stationary import (
     tail_fit,
 )
 
-PARAMS = Params(gamma=0.0, rho=0.5, lam=1e-3, delta=0.2, R0=10.0)
+PARAMS = Params(gamma=0.0, rho=0.5, delta=0.2, R0=10.0)
+CUT = CutoffParams(lam=1e-3)
 RATIO = 2.0 ** (1.0 / 16.0)
 
 
@@ -228,16 +229,24 @@ class TestTailFit:
         assert abs(a - 0.5) <= 0.05 * 0.5
 
     def test_too_few_cells_raises(self):
+        # the fit window [1e2, 1e4] holds the first n of its cells populated
         edges = geometric_grid(1e-2, 1e6, RATIO)
         m = power_measure(edges, 0.5)
-        with pytest.raises(ValueError):
-            tail_fit(m, fit_window=(1e2, 1.04e2))
+        inside = np.flatnonzero((edges[:-1] >= 1e2) & (edges[1:] <= 1e4))
+        for n in (0, 1, 2, 3):
+            mass = m.cell_mass.copy()
+            mass[inside[n:]] = 0.0
+            if n < 3:
+                with pytest.raises(ValueError, match="fewer than 3"):
+                    tail_fit(replace(m, cell_mass=mass))
+            else:
+                assert tail_fit(replace(m, cell_mass=mass))[0] == pytest.approx(0.5, abs=1e-12)
 
 
 class TestFindStationary:
     def test_zero_kernel_reaches_exact_power(self):
         edges = geometric_grid(1e-3, 1e6, RATIO)
-        res = find_stationary(PARAMS, zero_kernel(), edges=edges, tol=1e-6)
+        res = find_stationary(PARAMS, zero_kernel(), CUT, edges=edges, tol=1e-6)
         assert res.converged
         target = 0.5 * np.diff(edges**0.5) / 0.5
         err = np.abs(res.profile.cell_mass - target) / target
@@ -248,7 +257,7 @@ class TestFindStationary:
     def test_stationary_datum_stops_after_one_chunk(self):
         edges = geometric_grid(1e-3, 1e6, RATIO)
         h0 = power_measure(edges, 0.5)
-        res = find_stationary(PARAMS, zero_kernel(), edges=edges, h0=h0)
+        res = find_stationary(PARAMS, zero_kernel(), CUT, edges=edges, h0=h0)
         assert res.converged
         assert res.t_elapsed == pytest.approx(0.5)
         assert len(res.convergence_history) == 1
@@ -256,7 +265,7 @@ class TestFindStationary:
     def test_nonconvergence_reports_instead_of_raising(self):
         edges = geometric_grid(1e-3, 1e6, RATIO)
         res = find_stationary(
-            PARAMS, constant_kernel(2.0), edges=edges, tol=1e-12, t_max=1.0
+            PARAMS, constant_kernel(2.0), CUT, edges=edges, tol=1e-12, t_max=1.0
         )
         assert not res.converged
         assert res.t_elapsed == pytest.approx(1.0)
@@ -266,7 +275,7 @@ class TestFindStationary:
         # reduced grid keeps this a unit test; the wide-grid run lives in
         # the acceptance suite
         edges = geometric_grid(1e-3, 1e6, RATIO)
-        res = find_stationary(PARAMS, constant_kernel(2.0), edges=edges, tol=2e-4)
+        res = find_stationary(PARAMS, constant_kernel(2.0), CUT, edges=edges, tol=2e-4)
         assert res.converged
         assert abs(res.tail_exponent_fit - 0.5) <= 0.02
         assert abs(res.tail_amplitude_fit - 0.5) <= 0.05 * 0.5
@@ -284,16 +293,12 @@ class TestFindStationary:
         seq = iter(dists)
         monkeypatch.setattr(stationary, "xrho_dist", lambda *args: next(seq))
         edges = geometric_grid(1e-2, 1e3, 2.0 ** 0.25)
-        res = find_stationary(PARAMS, zero_kernel(), edges=edges, tol=1e-12, t_max=0.5 * len(dists))
+        res = find_stationary(PARAMS, zero_kernel(), CUT, edges=edges, tol=1e-12, t_max=0.5 * len(dists))
         assert [r for _, r in res.convergence_history] == [2.0 * d for d in dists]
         if estimate is None:
             assert res.distance_estimate is None
         else:
             assert res.distance_estimate == pytest.approx(estimate, rel=1e-15)
-
-    def test_cutoff_lam_must_match_params(self):
-        with pytest.raises(ValueError, match="params.lam"):
-            find_stationary(PARAMS, zero_kernel(), cutoff=CutoffParams(lam=1e-2))
 
 
 @pytest.fixture
@@ -314,7 +319,7 @@ class TestEngineReuse:
     def test_one_engine_per_search(self, engine_builds):
         edges = geometric_grid(1e-3, 1e6, RATIO)
         res = find_stationary(
-            PARAMS, constant_kernel(2.0), edges=edges, tol=1e-12, t_max=1.5
+            PARAMS, constant_kernel(2.0), CUT, edges=edges, tol=1e-12, t_max=1.5
         )
         assert len(res.convergence_history) == 3
         assert len(engine_builds) == 1
@@ -337,7 +342,7 @@ class TestEngineReuse:
 
         monkeypatch.setattr(stationary, "simulate", recording)
         edges = geometric_grid(1e-3, 1e6, RATIO)
-        find_stationary(PARAMS, constant_kernel(2.0), edges=edges, tol=1e-12, t_max=1.5)
+        find_stationary(PARAMS, constant_kernel(2.0), CUT, edges=edges, tol=1e-12, t_max=1.5)
         assert len(calls) == 3
         stepper = calls[0][1]
         assert all(st is stepper for _, st in calls)
