@@ -1,5 +1,6 @@
 """Stationary profiles: flux identity, tail fits, long-time search."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from coagsim.measure import (
     dyadic_tail_integral,
     geometric_grid,
     power_law_init,
+    xrho_dist,
 )
 from coagsim.stationary import (
     _log_int_with_stub,
@@ -369,3 +371,43 @@ class TestLambdaContinuation:
         edges = geometric_grid(1e-2, 1e5, 2.0 ** (1.0 / 8.0))
         rep = lambda_continuation(PARAMS, zero_kernel(), [1e-1, 1e-2], edges=edges)
         assert rep.distances[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def assert_same_search(got, want):
+    """Every field of two StationaryResults agrees bit for bit."""
+    for name in vars(want):
+        a, b = getattr(got, name), getattr(want, name)
+        if name == "profile":
+            assert np.array_equal(a.edges, b.edges)
+            assert np.array_equal(a.cell_mass, b.cell_mass)
+            assert (a.tail_amplitude, a.tail_exponent) == (b.tail_amplitude, b.tail_exponent)
+        else:
+            assert a == b, name
+
+
+class TestContinuationOracle:
+    """lambda_continuation against a serial loop of find_stationary."""
+
+    LAMBDAS = [1e-1, 3e-2, 1e-2]
+
+    @pytest.mark.parametrize("cpus", [None, 1, 2], ids=["affinity", "one_cpu", "two_cpus"])
+    def test_matches_serial_loop(self, monkeypatch, cpus):
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        edges = geometric_grid(1e-2, 1e5, 2.0 ** (1.0 / 8.0))
+        kw = {"edges": edges, "tol": 1e-12, "t_max": 1.0, "probe_radii": [10.0, 100.0]}
+        rep = lambda_continuation(PARAMS, constant_kernel(2.0), self.LAMBDAS,
+                                  cutoff=CutoffParams(lam=0.25, profile="quintic"), **kw)
+        want = [
+            find_stationary(PARAMS, constant_kernel(2.0), CutoffParams(lam=lv, profile="quintic"), **kw)
+            for lv in self.LAMBDAS
+        ]
+        assert rep.lambdas == tuple(self.LAMBDAS)
+        assert len(rep.results) == len(want)
+        for got, ref in zip(rep.results, want):
+            assert_same_search(got, ref)
+        assert rep.distances == [xrho_dist(a.profile, b.profile) for a, b in zip(want[:-1], want[1:])]
+
+    def test_empty_lambda_list(self):
+        rep = lambda_continuation(PARAMS, constant_kernel(2.0), [])
+        assert (rep.lambdas, rep.results, rep.distances) == ((), [], [])
