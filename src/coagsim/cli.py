@@ -181,6 +181,9 @@ def cmd_stationary(cfg, out_dir, tolerance):
                 "envelope_upper": res.envelope_upper,
                 "envelope_lower": res.envelope_lower,
                 "origin_mass": res.origin_mass,
+                "n_steps": res.n_steps,
+                "n_retries": res.n_retries,
+                "max_pairing_residual": res.max_pairing_residual,
                 "profile_file": name,
             }
         )

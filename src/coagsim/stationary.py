@@ -30,6 +30,9 @@ power-law cell shape of the measure module (density_at,
 GridMeasure.amplitudes).
 """
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,6 +223,10 @@ class StationaryResult:
     from the profile to the fixed point, per unit chunk time (the units of
     the rate and of tol).  It is None with fewer than two chunks or when
     kappa >= 1.  It is recorded only; the stop rule reads the rate.
+
+    n_steps, n_retries and max_pairing_residual are the search stepper's
+    accepted steps, rejected trials and worst pairing residual over all
+    chunks.
     """
 
     profile: GridMeasure
@@ -234,6 +241,9 @@ class StationaryResult:
     envelope_upper: object
     envelope_lower: object
     origin_mass: float
+    n_steps: int
+    n_retries: int
+    max_pairing_residual: float
 
 
 def find_stationary(
@@ -307,6 +317,9 @@ def find_stationary(
         envelope_upper=envelope_check_upper(h, params, slack=ENVELOPE_SLACK),
         envelope_lower=envelope_check_lower(h, params, slack=ENVELOPE_SLACK),
         origin_mass=origin,
+        n_steps=stepper.n_steps,
+        n_retries=stepper.n_retries,
+        max_pairing_residual=stepper.max_pairing_residual,
     )
 
 
@@ -319,6 +332,75 @@ class ContinuationReport:
     distances: list
 
 
+def _forked_map(fn, items):
+    """[fn(x) for x in items], with the items dealt over one process per CPU.
+
+    n is the number of CPUs this process may run on (os.sched_getaffinity;
+    1 where that is missing), at most len(items).  The calling process
+    keeps items[0::n] and forks n - 1 children, child k taking items[k::n].
+    Each child sends its list of results, or the exception it raised,
+    pickled through a pipe and leaves with os._exit; a child's exception
+    is raised again here.  Every child is killed and reaped before this
+    returns or raises: one that has sent its share has only os._exit left
+    to do.  With n = 1 nothing forks.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n = min(len(items), cpus)
+    if n <= 1:
+        return [fn(x) for x in items]
+    pids, pipes = [], []
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(fn, items[k::n], r, w)
+            pids.append(pid)
+            os.close(w)
+            pipes.append(os.fdopen(r, "rb"))
+        shares = [[fn(x) for x in items[0::n]]]
+        shares += [_receive(fh) for fh in pipes]
+    finally:
+        for fh in pipes:
+            fh.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    out = [None] * len(items)
+    for k, share in enumerate(shares):
+        out[k::n] = share
+    return out
+
+
+def _child(fn, share, r, w):
+    """A forked child's whole life: run its share, send it, exit."""
+    try:
+        os.close(r)
+        try:
+            payload = (True, [fn(x) for x in share])
+        except BaseException as exc:  # sent to the parent, which raises it
+            payload = (False, exc)
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:  # it cannot cross the pipe as itself
+                payload = (False, RuntimeError(f"{type(exc).__name__}: {exc}"))
+        with os.fdopen(w, "wb") as fh:
+            pickle.dump(payload, fh)
+    finally:
+        os._exit(0)
+
+
+def _receive(fh):
+    """A child's results, read to EOF; its exception is raised instead."""
+    data = fh.read()
+    if not data:
+        raise RuntimeError("a search process ended without sending its results")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
+
+
 def lambda_continuation(params, kernel, lambdas, cutoff=None, **kwargs):
     """Run find_stationary for each cutoff scale; report X_rho gaps.
 
@@ -328,15 +410,22 @@ def lambda_continuation(params, kernel, lambdas, cutoff=None, **kwargs):
     are reported, never asserted; a decreasing sequence is evidence of a
     weak limit as the cutoff is removed.
 
+    The searches share nothing, so they run in parallel processes, at
+    most one per CPU available to this process (os.sched_getaffinity),
+    the calling process included; with one CPU they run one after the
+    other here.  The results are identical to those of the serial loop,
+    and an exception raised in any search is raised here.
+
     Returns
     -------
     ContinuationReport
     """
     profile = cutoff.profile if cutoff is not None else "cubic"
-    results = [
-        find_stationary(params, kernel, CutoffParams(lam=lv, profile=profile), **kwargs)
-        for lv in map(float, lambdas)
-    ]
+    lams = [float(v) for v in lambdas]
+
+    def search(lv):
+        return find_stationary(params, kernel, CutoffParams(lam=lv, profile=profile), **kwargs)
+
+    results = _forked_map(search, lams)
     distances = [xrho_dist(a.profile, b.profile) for a, b in zip(results[:-1], results[1:])]
-    return ContinuationReport(lambdas=tuple(float(v) for v in lambdas),
-                              results=results, distances=distances)
+    return ContinuationReport(lambdas=tuple(lams), results=results, distances=distances)

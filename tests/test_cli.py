@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coagsim import cli, forward
+from coagsim import cli, forward, stationary
 from coagsim.cli import cmd_dual_check, main, read_table, write_table
 from coagsim.config import (
     ConfigError,
@@ -286,6 +287,8 @@ class TestStationaryCommand:
         entry = manifest["results"][0]
         assert entry["converged"] is True
         assert entry["tail_exponent_fit"] == pytest.approx(0.5, abs=0.05)
+        assert entry["n_steps"] > 0 and entry["n_retries"] >= 0
+        assert 0.0 <= entry["max_pairing_residual"] <= 1e-12
         profile = from_csv(out / entry["profile_file"])
         assert profile.cell_mass.min() >= 0.0
 
@@ -320,6 +323,26 @@ class TestStationaryCommand:
         assert len(manifest["results"]) == 2
         assert len(manifest["xrho_distances"]) == 1
         assert (out / "profile_0001.csv").exists()
+
+    def test_forked_search_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the second cutoff scale runs in a forked process, which inherits
+        # the patched search
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        parent = os.getpid()
+
+        def failing(params, kernel, cutoff, **kwargs):
+            if os.getpid() != parent:
+                raise forward.IntegrationError("step size collapsed")
+            return None
+
+        monkeypatch.setattr(stationary, "find_stationary", failing)
+        text = BASE + "stationary.lambdas = 5e-2, 1e-2\n"
+        code, out = run_cli(tmp_path, text, "stationary")
+        assert code == 2
+        assert "numerical failure: step size collapsed" in capsys.readouterr().err
+        assert not (out / "stationary.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("extra", ["", "stationary.lambdas = 5e-2, 1e-2\n"])
     def test_cutoff_profile_reaches_the_search(self, tmp_path, extra):

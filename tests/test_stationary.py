@@ -1,7 +1,9 @@
 """Stationary profiles: flux identity, tail fits, long-time search."""
 
 import os
+import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -304,17 +306,23 @@ class TestFindStationary:
 
 
 @pytest.fixture
-def engine_builds(monkeypatch):
-    """Count _Engine builds, wrapping __init__ as the traced benchmark does."""
-    builds = []
+def engine_builds(monkeypatch, tmp_path):
+    """Count _Engine builds, wrapping __init__ as the traced benchmark does.
+
+    Each build appends a line to a file, so that the builds of forked
+    cutoff searches count too; the fixture returns the counter.
+    """
+    log = tmp_path / "engine_builds"
+    log.touch()
     init = forward._Engine.__init__
 
     def counting(self, *args, **kwargs):
-        builds.append(1)
+        with open(log, "a") as fh:
+            fh.write("build\n")
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(forward._Engine, "__init__", counting)
-    return builds
+    return lambda: len(log.read_text().splitlines())
 
 
 class TestEngineReuse:
@@ -324,14 +332,14 @@ class TestEngineReuse:
             PARAMS, constant_kernel(2.0), CUT, edges=edges, tol=1e-12, t_max=1.5
         )
         assert len(res.convergence_history) == 3
-        assert len(engine_builds) == 1
+        assert engine_builds() == 1
 
     def test_one_engine_per_lambda(self, engine_builds):
         edges = geometric_grid(1e-2, 1e5, 2.0 ** (1.0 / 8.0))
         lambda_continuation(
             PARAMS, constant_kernel(2.0), [1e-1, 1e-2], edges=edges, tol=1e-12, t_max=1.0
         )
-        assert len(engine_builds) == 2
+        assert engine_builds() == 2
 
     def test_chunk_results_are_per_call(self, monkeypatch):
         calls = []
@@ -344,7 +352,7 @@ class TestEngineReuse:
 
         monkeypatch.setattr(stationary, "simulate", recording)
         edges = geometric_grid(1e-3, 1e6, RATIO)
-        find_stationary(PARAMS, constant_kernel(2.0), CUT, edges=edges, tol=1e-12, t_max=1.5)
+        found = find_stationary(PARAMS, constant_kernel(2.0), CUT, edges=edges, tol=1e-12, t_max=1.5)
         assert len(calls) == 3
         stepper = calls[0][1]
         assert all(st is stepper for _, st in calls)
@@ -354,6 +362,10 @@ class TestEngineReuse:
         assert sum(res.n_retries for res in results) == stepper.n_retries
         assert sum(res.overflow_mass for res in results) == pytest.approx(stepper.sink_mass, rel=1e-12)
         assert sum(res.overflow_moment for res in results) == pytest.approx(stepper.sink_moment, rel=1e-12)
+        # the search reports its stepper's counts, summed over the chunks
+        assert found.n_steps == sum(res.n_steps for res in results) > 0
+        assert found.n_retries == sum(res.n_retries for res in results)
+        assert found.max_pairing_residual == max(res.max_pairing_residual for res in results)
 
 
 class TestLambdaContinuation:
@@ -371,6 +383,98 @@ class TestLambdaContinuation:
         edges = geometric_grid(1e-2, 1e5, 2.0 ** (1.0 / 8.0))
         rep = lambda_continuation(PARAMS, zero_kernel(), [1e-1, 1e-2], edges=edges)
         assert rep.distances[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def no_child_left():
+    """True when this process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+class TestContinuationProcesses:
+    """lambda_continuation's forked searches: failures, reaping, CPU count."""
+
+    EDGES = geometric_grid(1e-2, 1e5, 2.0 ** (1.0 / 8.0))
+
+    def test_child_error_reaches_caller(self, monkeypatch):
+        two_cpus(monkeypatch)
+        parent = os.getpid()
+
+        def failing(params, kernel, cutoff, **kwargs):
+            if os.getpid() != parent:
+                raise forward.IntegrationError(f"step size collapsed at lambda={cutoff.lam:g}")
+            return None
+
+        monkeypatch.setattr(stationary, "find_stationary", failing)
+        with pytest.raises(forward.IntegrationError, match=r"^step size collapsed at lambda=0\.01$"):
+            lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1, 1e-2], edges=self.EDGES)
+        assert no_child_left()
+
+    def test_parent_error_kills_children(self, monkeypatch, tmp_path):
+        two_cpus(monkeypatch)
+        parent = os.getpid()
+        started = tmp_path / "child.pid"
+
+        def stalling(params, kernel, cutoff, **kwargs):
+            if os.getpid() != parent:
+                started.write_text(str(os.getpid()))
+                time.sleep(60.0)
+            while not started.exists() or not started.read_text():
+                time.sleep(0.01)
+            raise ValueError("parent search failed")
+
+        monkeypatch.setattr(stationary, "find_stationary", stalling)
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="parent search failed"):
+            lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1, 1e-2], edges=self.EDGES)
+        assert time.monotonic() - t0 < 30.0
+        assert no_child_left()
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(started.read_text()), 0)
+
+    @pytest.mark.parametrize("affinity", ["one_cpu", "absent"])
+    def test_one_cpu_never_forks(self, monkeypatch, affinity):
+        if affinity == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+
+        def no_fork():
+            raise AssertionError("forked with one CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        rep = lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1, 1e-2], edges=self.EDGES, t_max=0.5)
+        assert len(rep.results) == 2
+        assert no_child_left()
+
+    @pytest.mark.parametrize("cpus, n_lambdas, forks", [(2, 3, 1), (3, 2, 1), (3, 3, 2), (2, 1, 0)])
+    def test_at_most_one_process_per_cpu(self, monkeypatch, cpus, n_lambdas, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        forked = []
+        fork = os.fork
+
+        def counting_fork():
+            forked.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        h = power_measure(self.EDGES, 0.5)
+        # each result names the process that made it
+        monkeypatch.setattr(stationary, "find_stationary",
+                            lambda params, kernel, cutoff, **kw: SimpleNamespace(profile=h, pid=os.getpid()))
+        lams = [10.0**-k for k in range(1, n_lambdas + 1)]
+        rep = lambda_continuation(PARAMS, constant_kernel(2.0), lams, edges=self.EDGES)
+        assert len(forked) == forks
+        pids = [r.pid for r in rep.results]
+        # dealt round-robin, the calling process first
+        assert len(set(pids)) == forks + 1 and pids[0] == os.getpid()
+        assert pids == [pids[k % (forks + 1)] for k in range(n_lambdas)]
+        assert no_child_left()
 
 
 def assert_same_search(got, want):
