@@ -347,7 +347,7 @@ def cmd_invariance_suite(cfg, out_dir, tolerance):
         case(f"envelope_lower_t{t:.3f}", lo.ok, f"worst ratio {lo.worst_ratio!r} at R={lo.location!r}")
 
     gw = gronwall_check(traj, tol=slack)
-    case("gronwall_growth_bound", gw.ok, f"worst ratio {gw.worst_ratio!r} at t={gw.t_at!r}, R={gw.R_at!r}")
+    case("gronwall_growth_bound", gw.ok, f"worst ratio {gw.worst_ratio!r} at t={gw.t_at!r}")
 
     state = traj.state(0)
     res1, _ = rearrangement_residual(state, lambda x: np.ones_like(np.asarray(x, float)))

@@ -699,7 +699,6 @@ class GronwallReport:
     ok: bool
     worst_ratio: float
     t_at: float
-    R_at: float
     tol: float
 
 
@@ -724,4 +723,4 @@ def gronwall_check(trajectory, tol=1e-2):
     k = int(np.argmax(ratios))
     worst = float(ratios[k])
     return GronwallReport(ok=worst <= 1.0 + tol, worst_ratio=worst, t_at=float(trajectory.times[k]),
-                          R_at=np.inf, tol=float(tol))
+                          tol=float(tol))

@@ -528,6 +528,9 @@ class TestInvarianceSuiteCommand:
         text = (out / "invariance.json").read_text()
         assert "np.float64(" not in text
         assert "worst ratio 1.0 at R=inf" in text
+        # the Gronwall check covers the supremum over all R, so its detail
+        # names the time alone
+        assert '"worst ratio 1.0 at t=0.0"' in text
 
     def test_builds_one_engine(self, tmp_path, monkeypatch):
         # the trajectory's engine steps the snapshot run and serves the
