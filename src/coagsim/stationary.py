@@ -380,10 +380,6 @@ def _child(fn, share, r, w):
             payload = (True, [fn(x) for x in share])
         except BaseException as exc:  # sent to the parent, which raises it
             payload = (False, exc)
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:  # it cannot cross the pipe as itself
-                payload = (False, RuntimeError(f"{type(exc).__name__}: {exc}"))
         with os.fdopen(w, "wb") as fh:
             pickle.dump(payload, fh)
     finally:

@@ -385,11 +385,10 @@ class TestLambdaContinuation:
         assert rep.distances[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def no_child_left():
-    """True when this process has no child, running or unreaped."""
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    return True
 
 
 def two_cpus(monkeypatch):
@@ -413,7 +412,20 @@ class TestContinuationProcesses:
         monkeypatch.setattr(stationary, "find_stationary", failing)
         with pytest.raises(forward.IntegrationError, match=r"^step size collapsed at lambda=0\.01$"):
             lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1, 1e-2], edges=self.EDGES)
-        assert no_child_left()
+        assert_no_child_left()
+
+    def test_child_that_dies_is_reported(self, monkeypatch):
+        two_cpus(monkeypatch)
+        parent = os.getpid()
+
+        def dying(params, kernel, cutoff, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+
+        monkeypatch.setattr(stationary, "find_stationary", dying)
+        with pytest.raises(RuntimeError, match="ended without sending its results"):
+            lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1, 1e-2], edges=self.EDGES)
+        assert_no_child_left()
 
     def test_parent_error_kills_children(self, monkeypatch, tmp_path):
         two_cpus(monkeypatch)
@@ -433,7 +445,7 @@ class TestContinuationProcesses:
         with pytest.raises(ValueError, match="parent search failed"):
             lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1, 1e-2], edges=self.EDGES)
         assert time.monotonic() - t0 < 30.0
-        assert no_child_left()
+        assert_no_child_left()
         with pytest.raises(ProcessLookupError):
             os.kill(int(started.read_text()), 0)
 
@@ -450,7 +462,7 @@ class TestContinuationProcesses:
         monkeypatch.setattr(os, "fork", no_fork)
         rep = lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1, 1e-2], edges=self.EDGES, t_max=0.5)
         assert len(rep.results) == 2
-        assert no_child_left()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("cpus, n_lambdas, forks", [(2, 3, 1), (3, 2, 1), (3, 3, 2), (2, 1, 0)])
     def test_at_most_one_process_per_cpu(self, monkeypatch, cpus, n_lambdas, forks):
@@ -474,7 +486,7 @@ class TestContinuationProcesses:
         # dealt round-robin, the calling process first
         assert len(set(pids)) == forks + 1 and pids[0] == os.getpid()
         assert pids == [pids[k % (forks + 1)] for k in range(n_lambdas)]
-        assert no_child_left()
+        assert_no_child_left()
 
 
 def assert_same_search(got, want):
