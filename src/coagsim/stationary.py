@@ -336,30 +336,36 @@ def _forked_map(fn, items):
     """[fn(x) for x in items], with the items dealt over one process per CPU.
 
     n is the number of CPUs this process may run on (os.sched_getaffinity;
-    1 where that is missing), at most len(items).  The calling process
-    keeps items[0::n] and forks n - 1 children, child k taking items[k::n].
-    Each child sends its list of results, or the exception it raised,
-    pickled through a pipe and leaves with os._exit; a child's exception
-    is raised again here.  Every child is killed and reaped before this
-    returns or raises: one that has sent its share has only os._exit left
-    to do.  With n = 1 nothing forks.
+    1 where that is missing), at most len(items) and at least 1.  The
+    calling process keeps items[0::n] and forks n - 1 children, child k
+    taking items[k::n]; should a fork fail, the shares left unforked run
+    here after items[0::n].  Each child sends its list of results, or the
+    exception it raised, pickled through a pipe and leaves with os._exit;
+    a child's exception is raised again here.  Every child is killed and
+    reaped before this returns or raises: one that has sent its share has
+    only os._exit left to do.  With n = 1 nothing forks.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n = min(len(items), cpus)
-    if n <= 1:
-        return [fn(x) for x in items]
+    n = max(1, min(len(items), cpus))
     pids, pipes = [], []
     try:
         for k in range(1, n):
             r, w = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
             if pid == 0:
                 _child(fn, items[k::n], r, w)
             pids.append(pid)
             os.close(w)
             pipes.append(os.fdopen(r, "rb"))
-        shares = [[fn(x) for x in items[0::n]]]
-        shares += [_receive(fh) for fh in pipes]
+        here = [0] + list(range(len(pids) + 1, n))
+        shares = {k: [fn(x) for x in items[k::n]] for k in here}
+        for k, fh in enumerate(pipes, 1):
+            shares[k] = _receive(fh)
     finally:
         for fh in pipes:
             fh.close()
@@ -367,7 +373,7 @@ def _forked_map(fn, items):
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     out = [None] * len(items)
-    for k, share in enumerate(shares):
+    for k, share in shares.items():
         out[k::n] = share
     return out
 
@@ -408,8 +414,8 @@ def lambda_continuation(params, kernel, lambdas, cutoff=None, **kwargs):
 
     The searches share nothing, so they run in parallel processes, at
     most one per CPU available to this process (os.sched_getaffinity),
-    the calling process included; with one CPU they run one after the
-    other here.  The results are identical to those of the serial loop,
+    the calling process included; with one CPU, or where a fork fails,
+    they run one after the other here.  The results are identical to those of the serial loop,
     and an exception raised in any search is raised here.
 
     Returns

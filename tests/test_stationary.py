@@ -488,6 +488,38 @@ class TestContinuationProcesses:
         assert pids == [pids[k % (forks + 1)] for k in range(n_lambdas)]
         assert_no_child_left()
 
+    @pytest.mark.parametrize("fails_at, owners", [(1, [0, 0, 0]), (2, [0, 1, 0])])
+    def test_failed_fork_runs_share_here(self, monkeypatch, fails_at, owners):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        fork, pipe = os.fork, os.pipe
+        forks, fds = [], []
+
+        def failing_fork():
+            forks.append(1)
+            if len(forks) == fails_at:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            return fork()
+
+        def recording_pipe():
+            fds.extend(pipe())
+            return fds[-2:]
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        monkeypatch.setattr(os, "pipe", recording_pipe)
+        h = power_measure(self.EDGES, 0.5)
+        monkeypatch.setattr(stationary, "find_stationary",
+                            lambda params, kernel, cutoff, **kw: SimpleNamespace(profile=h, pid=os.getpid(),
+                                                                                 lam=cutoff.lam))
+        rep = lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1, 1e-2, 1e-3], edges=self.EDGES)
+        assert len(forks) == fails_at
+        assert [r.lam for r in rep.results] == [1e-1, 1e-2, 1e-3]
+        pids = [r.pid for r in rep.results]
+        assert [pids.index(p) for p in pids] == owners and pids[0] == os.getpid()
+        for fd in fds:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        assert_no_child_left()
+
 
 def assert_same_search(got, want):
     """Every field of two StationaryResults agrees bit for bit."""
