@@ -415,8 +415,9 @@ def lambda_continuation(params, kernel, lambdas, cutoff=None, **kwargs):
     The searches share nothing, so they run in parallel processes, at
     most one per CPU available to this process (os.sched_getaffinity),
     the calling process included; with one CPU, or where a fork fails,
-    they run one after the other here.  The results are identical to those of the serial loop,
-    and an exception raised in any search is raised here.
+    they run one after the other here.  The results are identical to
+    those of the serial loop, and an exception raised in any search is
+    raised here.
 
     Returns
     -------
