@@ -1189,6 +1189,23 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             traj.interp(0.1)
 
+    @pytest.mark.parametrize("t_final", [0.0, 0.3])
+    @pytest.mark.parametrize("case", ["constant", "product", "zero"])
+    def test_first_stored_state_is_the_datum(self, case, t_final):
+        # the dual checks read the datum back from the trajectory, so it
+        # must be the datum the run was given, bit for bit
+        params, kernel = {
+            "constant": (PARAMS, constant_kernel(1.0)),
+            "product": (Params(gamma=0.5, rho=0.75), product_kernel(0.5)),
+            "zero": (PARAMS, zero_kernel()),
+        }[case]
+        h0 = power_law_init(params, geometric_grid(1e-3, 1e6, 2.0**0.25))
+        got = rescaled_trajectory(h0, params, kernel, CUT, t_final).measure_at(0)
+        assert got.edges.tobytes() == h0.edges.tobytes()
+        assert got.cell_mass.tobytes() == h0.cell_mass.tobytes()
+        assert np.float64(got.tail_amplitude).tobytes() == np.float64(h0.tail_amplitude).tobytes()
+        assert np.float64(got.tail_exponent).tobytes() == np.float64(h0.tail_exponent).tobytes()
+
     def test_zero_kernel_growth_between_snapshots(self):
         h0 = power_law_init(PARAMS)
         traj = rescaled_trajectory(h0, PARAMS, zero_kernel(), CUT, 0.4)
