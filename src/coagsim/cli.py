@@ -12,7 +12,8 @@ key-value config format of the config module:
                       JUnit XML plus JSON summary
 
 Common flags: --config PATH (required), --out DIR (default: the config's
-outputs key), --tolerance X (command-specific pass threshold).
+outputs key).  Every command but simulate also takes --tolerance X, its
+pass threshold.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure or failed
 check, 3 non-convergence.  All artifacts carry a schema_version field and
@@ -108,7 +109,7 @@ def _log(msg):
     print(msg, file=sys.stderr)
 
 
-def cmd_simulate(cfg, out_dir, tolerance):
+def cmd_simulate(cfg, out_dir):
     """Evolve the power-law datum; write snapshot CSVs and a manifest."""
     h0 = power_law_init(cfg.params, geometric_grid(*cfg.grid))
     if cfg.snapshot_dt > 0.0:
@@ -157,7 +158,7 @@ def cmd_stationary(cfg, out_dir, tolerance):
         kwargs["probe_radii"] = list(get_floats(cfg.raw, "stationary.probe_radii"))
     if "stationary.lambdas" in cfg.raw:
         lambdas = get_floats(cfg.raw, "stationary.lambdas")
-        report = lambda_continuation(cfg.params, cfg.kernel, lambdas, cutoff=cfg.cutoff, **kwargs)
+        report = lambda_continuation(cfg.params, cfg.kernel, lambdas, cutoff_profile=cfg.cutoff.profile, **kwargs)
         results = report.results
         extra = {"lambdas": list(report.lambdas), "xrho_distances": report.distances}
     else:
@@ -223,10 +224,9 @@ def cmd_dual_check(cfg, out_dir, tolerance):
     # dual.max_change caps the dual alone; the trajectory keeps its own cap
     traj = rescaled_trajectory(h0, cfg.params, cfg.kernel, cfg.cutoff, t)
     field = solve_dual(traj, R, t, max_change=mc)
-    residual = adjoint_consistency(h0, traj, R, t, dual_field=field)
-    profile = StableProfile(a=cfg.params.a)
-    m_star, m_report = find_m_star(field, profile)
-    q_report = q_tail_bound(traj, R, t=t)
+    residual = adjoint_consistency(traj, field)
+    m_star, m_report = find_m_star(field)
+    q_report = q_tail_bound(traj, R)
     files = []
     for k, s_req in enumerate(dump_s):
         j = int(np.argmin(np.abs(field.s_values - s_req)))
@@ -421,13 +421,15 @@ def main(argv=None):
         p = sub.add_parser(name, help=fn.__doc__.splitlines()[0])
         p.add_argument("--config", required=True, metavar="PATH", help="run configuration file")
         p.add_argument("--out", metavar="DIR", help="output directory (default: config outputs key)")
-        p.add_argument("--tolerance", type=float, metavar="X", help="pass/fail threshold for this command")
+        if name != "simulate":  # the one command without a pass threshold
+            p.add_argument("--tolerance", type=float, metavar="X", help="pass/fail threshold for this command")
     args = parser.parse_args(argv)
     try:
         cfg = run_config(load_config(args.config))
         out_dir = Path(args.out if args.out is not None else cfg.outputs)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out_dir, args.tolerance)
+        opts = {"tolerance": args.tolerance} if "tolerance" in args else {}
+        return _COMMANDS[args.command](cfg, out_dir, **opts)
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return 1

@@ -38,7 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .forward import _heun_run, _offset_groups, _partners
 from .kernel import eval_cutoff, eval_kernel  # noqa: F401  eval_kernel: bench/trace_run.py wraps dual.eval_kernel
 from .measure import GridMeasure, cumulative_mass
-from .stablecdf import w_table
+from .stablecdf import StableProfile, w_table
 
 __all__ = [
     "DualField",
@@ -58,7 +58,8 @@ class DualField:
 
     psi[j] holds Psi(nodes, s_values[j]); s_values ascend from 0 to
     t_final and nodes ascend with nodes[-1] == R.  Psi vanishes
-    identically above R.
+    identically above R.  params are the trajectory's; the barrier check
+    reads its stable index a from them.
     """
 
     nodes: np.ndarray
@@ -99,6 +100,12 @@ class _Jumps:
     """
 
     def __init__(self, trajectory, R, t):
+        # a cut R or final time t that no dual on trajectory has is refused
+        # before any kernel is evaluated
+        if not 0.0 < R < np.inf:
+            raise ValueError("R must be finite and > 0")
+        if not 0.0 <= t <= trajectory.t_final + 1e-12:
+            raise ValueError("trajectory does not cover [0, t]")
         self.trajectory, self.t = trajectory, t
         eng = self.engine = trajectory.engine
         beta = trajectory.params.beta
@@ -203,14 +210,6 @@ class _Jumps:
         return self._total(c, np.where(self.Z > self.nodes[-1], v, 0.0))
 
 
-def _check_cut(trajectory, R, t):
-    """Reject a cut R or final time t that no dual on trajectory has."""
-    if not 0.0 < R < np.inf:
-        raise ValueError("R must be finite and > 0")
-    if not 0.0 <= t <= trajectory.t_final + 1e-12:
-        raise ValueError("trajectory does not cover [0, t]")
-
-
 def solve_dual(trajectory, R, t, max_change=0.02):
     """Integrate the dual field backward from s = t to s = 0.
 
@@ -232,7 +231,6 @@ def solve_dual(trajectory, R, t, max_change=0.02):
     -------
     DualField
     """
-    _check_cut(trajectory, R, t)
     if not 0.0 < max_change < 1.0:
         raise ValueError("max_change must lie in (0, 1)")
     jumps = _Jumps(trajectory, R, t)
@@ -241,7 +239,7 @@ def solve_dual(trajectory, R, t, max_change=0.02):
     rows = [psi]
     mono_viol = 0.0
 
-    def accepted(tau, psi, h, r0, r1):
+    def accepted(tau, psi, _h, _r0, _r1):
         nonlocal mono_viol
         taus.append(tau)
         rows.append(psi)
@@ -250,7 +248,7 @@ def solve_dual(trajectory, R, t, max_change=0.02):
     # G <= D max(Psi) at both ends of a step, so the averaged update keeps
     # Psi in [0, 1]; the change cap is absolute, and dividing by 1.0 is exact
     _, _, n_retries = _heun_run(
-        jumps.rates, psi, 0.0, t, None, max_change, lambda psi: 1.0, accepted
+        jumps.rates, psi, 0.0, t, None, max_change, lambda _psi: 1.0, accepted
     )
     taus = np.array(taus)
     # every accepted step moves tau, so reversing gives ascending s = t - tau
@@ -301,16 +299,18 @@ def _pairing(h0, nodes, psi0, t, beta):
     return float(np.sum((pa - kappa * a) * mass + kappa * moment))
 
 
-def adjoint_consistency(h0, trajectory, R, t, dual_field=None):
+def adjoint_consistency(trajectory, dual_field):
     """Relative defect of the forward/dual conservation pairing.
 
     Compares the cumulative mass of the evolved state on [0, R] against
-    the dual pairing with the initial datum,
+    the dual pairing with the initial datum h0,
 
         F_t(R)  vs  e^(-beta (1-rho) t) * <h0, Psi(. e^(-beta t), 0)>,
 
-    normalized by the former.  Machine-level for a zero kernel (the dual
-    field stays the indicator and both sides reduce to the same
+    normalized by the former.  R and t are the dual field's cut and final
+    time, and h0 is the trajectory's first stored state, the datum that
+    rescaled_trajectory was given.  Machine-level for a zero kernel (the
+    dual field stays the indicator and both sides reduce to the same
     cumulative).  Otherwise it is no longer limited by the dual's time
     stepping, which is second order: it settles at the level the grid and
     the forward solve leave as the dual cap shrinks (constant kernel,
@@ -322,13 +322,12 @@ def adjoint_consistency(h0, trajectory, R, t, dual_field=None):
     float
     """
     p = trajectory.params
-    if dual_field is None:
-        dual_field = solve_dual(trajectory, R, t)
+    R, t = dual_field.R, dual_field.t_final
     masses_t, amp_t = trajectory.interp(t)
     Ht = GridMeasure(trajectory.edges, masses_t, float(amp_t), p.rho)
     lhs = np.exp(-p.beta * t) * cumulative_mass(Ht, R * np.exp(p.beta * t))
     rhs = np.exp(-p.beta * (1.0 - p.rho) * t) * _pairing(
-        h0, dual_field.nodes, dual_field.psi[0], t, p.beta
+        trajectory.measure_at(0), dual_field.nodes, dual_field.psi[0], t, p.beta
     )
     return abs(lhs - rhs) / max(abs(lhs), 1e-300)
 
@@ -352,13 +351,14 @@ M_LO, M_HI, M_ITERS = 1e-2, 1e4, 40
 N_TAU = 5
 
 
-def subsolution_bound(dual_field, profile, M):
+def subsolution_bound(dual_field, M):
     """Verify Psi(X, s) >= W((R - X) / (M (t - s))^(1/a)) - BARRIER_TOL.
 
-    Checks every node X <= R at every max(1, n // MAX_S_SAMPLES)-th of the
-    n stored s values and the last (MAX_S_SAMPLES = 64; all of them when
-    n < 128), and reports the worst margin min(Psi - W); BARRIER_TOL is
-    1e-3.
+    W is the stable-law profile of index a = rho - gamma, the field's
+    params.a.  Checks every node X <= R at every
+    max(1, n // MAX_S_SAMPLES)-th of the n stored s values and the last
+    (MAX_S_SAMPLES = 64; all of them when n < 128), and reports the worst
+    margin min(Psi - W); BARRIER_TOL is 1e-3.
 
     Returns
     -------
@@ -367,8 +367,9 @@ def subsolution_bound(dual_field, profile, M):
     if not M > 0.0:
         raise ValueError("M must be > 0")
     R, t = dual_field.R, dual_field.t_final
-    tab = w_table(profile)
-    inv_a = 1.0 / profile.a
+    a = dual_field.params.a
+    tab = w_table(StableProfile(a=a))
+    inv_a = 1.0 / a
     n = dual_field.s_values.size
     idx = sorted(set(range(0, n, max(1, n // MAX_S_SAMPLES))) | {n - 1})
     X = dual_field.nodes
@@ -387,29 +388,30 @@ def subsolution_bound(dual_field, profile, M):
                              X_at=X_at, s_at=s_at, M=M, tol=BARRIER_TOL)
 
 
-def find_m_star(dual_field, profile):
-    """Smallest comparison constant M for which the barrier bound holds.
+def find_m_star(dual_field):
+    """Smallest comparison constant M for which the barrier bound of
+    subsolution_bound holds.
 
     The barrier decreases in M, so bisection in log M applies: M_ITERS
     (40) halvings of the bracket [M_LO, M_HI] = [1e-2, 1e4].  Returns
     (m_star, report_at_m_star); m_star is M_LO when M_LO already passes,
     and inf when even M_HI fails.
     """
-    hi_rep = subsolution_bound(dual_field, profile, M_HI)
+    hi_rep = subsolution_bound(dual_field, M_HI)
     if not hi_rep.ok:
         return np.inf, hi_rep
-    lo_rep = subsolution_bound(dual_field, profile, M_LO)
+    lo_rep = subsolution_bound(dual_field, M_LO)
     if lo_rep.ok:
         return M_LO, lo_rep
     lo, hi = np.log(M_LO), np.log(M_HI)
     for _ in range(M_ITERS):
         mid = 0.5 * (lo + hi)
-        if subsolution_bound(dual_field, profile, float(np.exp(mid))).ok:
+        if subsolution_bound(dual_field, float(np.exp(mid))).ok:
             hi = mid
         else:
             lo = mid
     m_star = float(np.exp(hi))
-    return m_star, subsolution_bound(dual_field, profile, m_star)
+    return m_star, subsolution_bound(dual_field, m_star)
 
 
 @dataclass(frozen=True)
@@ -420,22 +422,20 @@ class QTailReport:
     R: float
 
 
-def q_tail_bound(trajectory, R, t=None):
+def q_tail_bound(trajectory, R):
     """Smallest K with int_R^inf Q(X, Z, tau) dZ <= K R^(gamma - rho).
 
     Sweeps the jump rates toward partners beyond R over all nodes X <= R
-    and N_TAU (5) evenly spaced backward times from 0 to t (default: the
-    trajectory's end); the supremum of the left side times R^(rho - gamma)
-    is the reported constant.
+    and N_TAU (5) evenly spaced backward times over the whole trajectory,
+    from 0 to its t_final; the supremum of the left side times
+    R^(rho - gamma) is the reported constant.
 
     Returns
     -------
     QTailReport
     """
     p = trajectory.params
-    if t is None:
-        t = trajectory.t_final
-    _check_cut(trajectory, R, t)
+    t = trajectory.t_final
     jumps = _Jumps(trajectory, R, t)
     worst, X_at, tau_at = 0.0, np.nan, np.nan
     for tau in np.linspace(0.0, t, N_TAU):

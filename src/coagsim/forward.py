@@ -532,7 +532,9 @@ def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), max_change=
     t_final : float
     snapshot_times : iterable of float
         Times (in (0, t_final]) at which physical snapshots are stored;
-        the state at t_final is always stored, as the last snapshot.
+        the state at t_final is always stored, as the last snapshot.  A
+        time within 1e-12 of the next one, or of t_final, merges into it,
+        so the stored times strictly increase.
     max_change : float
         Per-step relative change cap of the adaptive stepper.
     stepper : _Stepper or None
@@ -551,7 +553,10 @@ def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), max_change=
     r = edges[1] / edges[0]
     k_per_frame = max(1, round(np.log(2.0) / np.log(r)))
     T_frame = k_per_frame * np.log(r) / params.beta
-    boundaries = sorted({float(t) for t in snapshot_times if 0.0 < t <= t_final} | {t_final})
+    # a requested time within the loop's 1e-12 of the next one merges into
+    # it, so that no boundary is reached without a step
+    times = sorted({float(t) for t in snapshot_times if 0.0 < t < t_final})
+    boundaries = [t for t, t_next in zip(times, times[1:] + [t_final]) if t < t_next - 1e-12] + [t_final]
     if stepper is None:
         stepper = _Stepper(_Engine(edges, params, kernel, cutoff), max_change=max_change)
     n0, r0, m0, p0 = stepper.n_steps, stepper.n_retries, stepper.sink_mass, stepper.sink_moment

@@ -63,10 +63,12 @@ __all__ = [
 ]
 
 # the search's chunk length in rescaled time, the tail-fit window and the
-# envelope slack of its report
+# envelope slack of its report; the flux quadrature's outer points per
+# decade
 CHUNK = 0.5
 FIT_WINDOW = (1e2, 1e4)
 ENVELOPE_SLACK = 1e-2
+N_PER_DECADE = 64
 
 
 def _log_int_with_stub(x, g):
@@ -83,8 +85,11 @@ def _log_int_with_stub(x, g):
     return total
 
 
-def gain_flux(profile, kernel, R, cutoff=None, n_per_decade=64):
+def gain_flux(profile, kernel, R, cutoff=None):
     """Coagulation mass flux across R, the double integral I[h](R).
+
+    Each half is integrated on an outer log grid of N_PER_DECADE (64)
+    points per decade.
 
     Parameters
     ----------
@@ -95,8 +100,6 @@ def gain_flux(profile, kernel, R, cutoff=None, n_per_decade=64):
     cutoff : CutoffParams or None
         With a cutoff the regularized kernel is used (cell-representative
         sums); without, the inner integral is an exact tail moment.
-    n_per_decade : int
-        Outer log-grid resolution.
 
     Returns
     -------
@@ -110,7 +113,7 @@ def gain_flux(profile, kernel, R, cutoff=None, n_per_decade=64):
     inner = _make_inner(profile, kernel, cutoff)
     half = 0.5 * R
     lo = R * 1e-9
-    n = max(8, int(np.ceil(np.log10(half / lo) * n_per_decade)) + 1)
+    n = max(8, int(np.ceil(np.log10(half / lo) * N_PER_DECADE)) + 1)
     grid = np.geomspace(lo, half, n)
     # near-R half: u = R - y is the small variable
     g_u = density_at(profile, R - grid) * inner(R - grid, grid)
@@ -161,7 +164,7 @@ def _make_inner(profile, kernel, cutoff):
     return inner
 
 
-def decay0_residual(profile, params, kernel, R, cutoff=None, n_per_decade=64):
+def decay0_residual(profile, params, kernel, R, cutoff=None):
     """Signed defect of the stationary flux identity at R, normalized.
 
     Evaluates I[h](R) - beta R h(R) + beta (1-rho) F(R) over
@@ -181,7 +184,7 @@ def decay0_residual(profile, params, kernel, R, cutoff=None, n_per_decade=64):
     denom = p.beta * (1.0 - p.rho) * F
     if not denom > 0.0:
         return 0.0
-    flux = gain_flux(profile, kernel, R, cutoff=cutoff, n_per_decade=n_per_decade)
+    flux = gain_flux(profile, kernel, R, cutoff=cutoff)
     lhs = flux - p.beta * R * density_at(profile, R) + p.beta * (1.0 - p.rho) * F
     return lhs / denom
 
@@ -253,7 +256,6 @@ def find_stationary(
     edges=None,
     tol=1e-4,
     t_max=40.0,
-    h0=None,
     max_change=0.05,
     probe_radii=None,
 ):
@@ -266,17 +268,17 @@ def find_stationary(
     The tail is fitted over FIT_WINDOW (1e2 to 1e4), and both envelopes
     are checked with slack ENVELOPE_SLACK (1e-2).
 
-    The default datum is tail_matched_init: above R0 it already carries
-    the conserved tail (1 - rho) x^(-rho), so the search does not wait
-    for a tail deficit to drift down from the top of the grid, as it does
-    from power_law_init (constant kernel on the 638-cell grid: 18 chunks
-    against 28).  h0 replaces it.
+    The datum is tail_matched_init on edges (default: geometric_grid()):
+    above R0 it already carries the conserved tail (1 - rho) x^(-rho), so
+    the search does not wait for a tail deficit to drift down from the
+    top of the grid, as it does from power_law_init (constant kernel on
+    the 638-cell grid: 18 chunks against 28).
 
     Returns
     -------
     StationaryResult
     """
-    h = h0 if h0 is not None else tail_matched_init(params, edges)
+    h = tail_matched_init(params, edges)
     stepper = _Stepper(_Engine(h.edges, params, kernel, cutoff), max_change=max_change)
     history = []
     origin = 0.0
@@ -403,12 +405,12 @@ def _receive(fh):
     return value
 
 
-def lambda_continuation(params, kernel, lambdas, cutoff=None, **kwargs):
+def lambda_continuation(params, kernel, lambdas, cutoff_profile="cubic", **kwargs):
     """Run find_stationary for each cutoff scale; report X_rho gaps.
 
-    Each run uses the cutoff at that scale, with the switching profile of
-    cutoff (default: cubic); cutoff's own lam is not used.  kwargs go to
-    every find_stationary call.  Distances between consecutive profiles
+    Each run uses CutoffParams(lam, cutoff_profile), the cutoff at that
+    scale with the given switching profile.  kwargs go to every
+    find_stationary call.  Distances between consecutive profiles
     are reported, never asserted; a decreasing sequence is evidence of a
     weak limit as the cutoff is removed.
 
@@ -423,11 +425,10 @@ def lambda_continuation(params, kernel, lambdas, cutoff=None, **kwargs):
     -------
     ContinuationReport
     """
-    profile = cutoff.profile if cutoff is not None else "cubic"
     lams = [float(v) for v in lambdas]
 
     def search(lv):
-        return find_stationary(params, kernel, CutoffParams(lam=lv, profile=profile), **kwargs)
+        return find_stationary(params, kernel, CutoffParams(lam=lv, profile=cutoff_profile), **kwargs)
 
     results = _forked_map(search, lams)
     distances = [xrho_dist(a.profile, b.profile) for a, b in zip(results[:-1], results[1:])]

@@ -187,7 +187,7 @@ def test_adjoint_pairing_conserved_constant_kernel(dual_setup):
     # <h(t), psi(t)> against <h0, psi(0)> stays below 1e-3
     h0, traj, fields = dual_setup
     for R, field in fields.items():
-        assert adjoint_consistency(h0, traj, R, 0.5, dual_field=field) <= 1e-3
+        assert adjoint_consistency(traj, field) <= 1e-3
 
 
 def test_adjoint_pairing_exact_zero_kernel():
@@ -195,16 +195,15 @@ def test_adjoint_pairing_exact_zero_kernel():
     h0 = power_law_init(CONST, EDGES)
     traj = rescaled_trajectory(h0, CONST, zero_kernel(), CUT, 0.5)
     for R in (10.0, 100.0):
-        assert adjoint_consistency(h0, traj, R, 0.5) <= 1e-12
+        assert adjoint_consistency(traj, solve_dual(traj, R, 0.5)) <= 1e-12
 
 
 def test_barrier_comparison_constant_found_by_bisection(dual_setup):
     # some finite M* <= 1e4 makes Psi(X, s) >= W((R - X) / (M (t-s))^(1/a))
     # - 1e-3 at every node and stored time
     _, _, fields = dual_setup
-    profile = StableProfile(a=CONST.a)
     for field in fields.values():
-        m_star, report = find_m_star(field, profile)
+        m_star, report = find_m_star(field)
         assert np.isfinite(m_star) and m_star <= 1e4
         assert report.ok
 

@@ -277,6 +277,22 @@ class TestSimulateCommand:
     def test_missing_config_file_exits_1(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 1
 
+    @pytest.mark.parametrize("t_final, dt", [(2.2, 0.05), (4.4, 0.1), (0.4, 0.1), (1.0, 0.25)])
+    def test_snapshot_times_strictly_increase_to_t_final(self, tmp_path, t_final, dt):
+        # np.arange(dt, t_final, dt) can end within the stepping tolerance
+        # of t_final (2.1999999999999997 for 2.2 and 0.05), which once
+        # stored the final state twice, at that time
+        text = BASE.replace("kernel.family = constant", "kernel.family = zero")
+        text = text.replace("run.t_final = 0.2", f"run.t_final = {t_final}")
+        text = text.replace("run.snapshot_dt = 0.1", f"run.snapshot_dt = {dt}")
+        code, out = run_cli(tmp_path, text, "simulate")
+        assert code == 0
+        manifest = json.loads((out / "simulate.json").read_text())
+        times = manifest["times"]
+        assert len(times) == len(manifest["snapshot_files"]) == round(t_final / dt)
+        assert all(a < b for a, b in zip(times, times[1:]))
+        assert times[-1] == t_final
+
 
 class TestStationaryCommand:
     def test_converged_manifest(self, tmp_path):
@@ -587,3 +603,17 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as exc:
             main(["simulate"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_tolerance_only_on_commands_that_read_it(self, tmp_path, capsys, command):
+        # simulate has no pass threshold, so --tolerance is a usage error
+        # there; elsewhere it parses, and the missing config file exits 1
+        argv = [command, "--config", str(tmp_path / "nope.cfg"), "--tolerance", "1e-3"]
+        if command == "simulate":
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
+            assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+        else:
+            assert main(argv) == 1
+            assert "config error" in capsys.readouterr().err

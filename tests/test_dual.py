@@ -147,15 +147,16 @@ class TestSolveDual:
                 solve_dual(traj_const, 10.0, T_FINAL, max_change=mc)
 
     def test_q_tail_rejects_bad_inputs(self, traj_const):
-        # q_tail_bound checks R and t as solve_dual does, before any
-        # kernel is evaluated
+        # q_tail_bound checks R as solve_dual does, before any kernel is
+        # evaluated
         for R in (0.0, -1.0, np.inf, np.nan):
-            for fn in (q_tail_bound, solve_dual):
-                with pytest.raises(ValueError, match="R must be finite and > 0"):
-                    fn(traj_const, R, T_FINAL)
+            with pytest.raises(ValueError, match="R must be finite and > 0"):
+                q_tail_bound(traj_const, R)
+            with pytest.raises(ValueError, match="R must be finite and > 0"):
+                solve_dual(traj_const, R, T_FINAL)
         for t in (-0.1, T_FINAL + 1.0, np.nan):
             with pytest.raises(ValueError, match="trajectory does not cover"):
-                q_tail_bound(traj_const, 10.0, t=t)
+                solve_dual(traj_const, 10.0, t)
 
     def test_step_collapse_raises(self, traj_const):
         # a non-finite rate meets no step cap, however small the step:
@@ -253,9 +254,9 @@ class TestSolveDualOracle:
 
 
 class TestAdjointConsistency:
-    def test_zero_kernel_exact(self, h0, traj_zero):
+    def test_zero_kernel_exact(self, traj_zero):
         # both sides reduce to the same closed-form cumulative
-        assert adjoint_consistency(h0, traj_zero, 10.0, T_FINAL) <= 1e-12
+        assert adjoint_consistency(traj_zero, solve_dual(traj_zero, 10.0, T_FINAL)) <= 1e-12
 
     def test_zero_kernel_exact_at_seam_times(self, h0):
         # (R e^(beta t)) / e^(beta t) may round just above R; the pairing
@@ -263,14 +264,15 @@ class TestAdjointConsistency:
         # (t = 0.25 rounds high with beta = 2, R = 10)
         for t in (0.25, 0.37):
             traj = rescaled_trajectory(h0, PARAMS, zero_kernel(), CUT, t)
-            assert adjoint_consistency(h0, traj, 10.0, t) <= 1e-12
+            assert adjoint_consistency(traj, solve_dual(traj, 10.0, t)) <= 1e-12
 
-    def test_time_zero_identity(self, h0, traj_const):
+    def test_time_zero_identity(self, traj_const):
+        # a dual cut at t = 0 pairs with the trajectory's state at 0
         fld = solve_dual(traj_const, 10.0, 0.0)
-        assert adjoint_consistency(h0, traj_const, 10.0, 0.0, dual_field=fld) <= 1e-12
+        assert adjoint_consistency(traj_const, fld) <= 1e-12
 
-    def test_constant_kernel_small(self, h0, traj_const, field_const):
-        res = adjoint_consistency(h0, traj_const, 10.0, T_FINAL, dual_field=field_const)
+    def test_constant_kernel_small(self, traj_const, field_const):
+        res = adjoint_consistency(traj_const, field_const)
         assert res <= 2e-3
 
     def test_second_order_in_step_cap(self, traj_const):
@@ -283,40 +285,41 @@ class TestAdjointConsistency:
         assert err[0.02] / err[0.005] >= 10.0
 
     @pytest.mark.parametrize("R", [10.0, 100.0])
-    def test_small_at_fourfold_dual_cap(self, h0, traj_const, R):
+    def test_small_at_fourfold_dual_cap(self, traj_const, R):
         # the acceptance gate 1e-3 holds with a dual cap four times the
         # acceptance run's 0.0025
         fld = solve_dual(traj_const, R, T_FINAL, max_change=0.01)
-        assert adjoint_consistency(h0, traj_const, R, T_FINAL, dual_field=fld) <= 1e-3
+        assert adjoint_consistency(traj_const, fld) <= 1e-3
 
 
 class TestSubsolution:
     def test_m_star_finite_and_small(self, field_const):
-        prof = StableProfile(a=0.5)
-        m_star, rep = find_m_star(field_const, prof)
+        m_star, rep = find_m_star(field_const)
         assert rep.ok
         assert m_star <= 1e4
         # monotone in M: double passes, quarter fails
-        assert subsolution_bound(field_const, prof, 2.0 * m_star).ok
-        assert not subsolution_bound(field_const, prof, m_star / 4.0).ok
+        assert subsolution_bound(field_const, 2.0 * m_star).ok
+        assert not subsolution_bound(field_const, m_star / 4.0).ok
 
     def test_zero_kernel_trivial(self, traj_zero):
         # Psi equals 1 below R, which dominates any barrier
         fld = solve_dual(traj_zero, 10.0, T_FINAL)
-        rep = subsolution_bound(fld, StableProfile(a=0.5), 1e-2)
+        rep = subsolution_bound(fld, 1e-2)
         assert rep.ok
         assert rep.worst_margin >= 0.0
 
     def test_rejects_nonpositive_m(self, field_const):
         with pytest.raises(ValueError):
-            subsolution_bound(field_const, StableProfile(a=0.5), 0.0)
+            subsolution_bound(field_const, 0.0)
 
 
-def oracle_subsolution_bound(dual_field, profile, M):
-    """The barrier check one sampled time at a time."""
+def oracle_subsolution_bound(dual_field, M):
+    """The barrier check one sampled time at a time, at the stable index
+    a = rho - gamma of the field's params."""
     R, t = dual_field.R, dual_field.t_final
-    tab = w_table(profile)
-    inv_a = 1.0 / profile.a
+    a = dual_field.params.rho - dual_field.params.gamma
+    tab = w_table(StableProfile(a=a))
+    inv_a = 1.0 / a
     n = dual_field.s_values.size
     stride = max(1, n // 64)
     idx = sorted(set(range(0, n, stride)) | {n - 1})
@@ -354,13 +357,12 @@ class TestSubsolutionOracle:
     @pytest.mark.parametrize("s", [None, 0.0, 0.2, T_FINAL], ids=["all", "s0", "mid", "tau0"])
     @pytest.mark.parametrize("M", [1e-2, 0.1, 0.31, 1.0, 1e4])
     def test_matches_per_time_loop(self, fields, which, s, M):
-        prof = StableProfile(a=0.5)
         fld = fields[which]
         if s is not None:
             j = int(np.argmin(np.abs(fld.s_values - s)))
             fld = replace(fld, s_values=fld.s_values[j : j + 1], psi=fld.psi[j : j + 1])
-        got = subsolution_bound(fld, prof, M)
-        assert got == oracle_subsolution_bound(fld, prof, M)
+        got = subsolution_bound(fld, M)
+        assert got == oracle_subsolution_bound(fld, M)
         if s == T_FINAL:
             # the tau = 0 row compares Psi with the indicator itself
             assert got.s_at == T_FINAL and got.worst_margin == 0.0

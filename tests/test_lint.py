@@ -224,3 +224,70 @@ def test_run_settings_have_one_home():
         fields.update(class_fields(path.read_text(), SETTING_CLASSES))
     assert sorted(fields) == sorted(SETTING_CLASSES)
     assert shared_fields(fields, allowed={"gamma"}) == []
+
+
+def unread_parameters(source):
+    """(line, function, name) of each parameter of a def or lambda that
+    its body never reads.
+
+    A read anywhere in the body counts, nested functions included, so a
+    parameter that only a closure reads is read.  Names that start with
+    "_" are exempt: they mark the parameters of a callback whose
+    signature its caller fixes.
+    """
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        out += [(a.lineno, name, a.arg) for a in params if not a.arg.startswith("_") and a.arg not in read]
+    return sorted(out)
+
+
+def test_checker_flags_unread_parameters():
+    source = (
+        "def run(cfg, out_dir, tolerance=None, *args, key, **kwargs):\n"
+        "    '''tolerance in a docstring is text.'''\n"
+        "    return cfg, key\n"
+        "def outer(x, y):\n"
+        "    def inner(z):\n"
+        "        return x + z\n"
+        "    return inner\n"
+        "def callback(s, _h, _r0):\n"
+        "    return s\n"
+        "scale = lambda psi: 1.0\n"
+        "kept = lambda _psi: 1.0\n"
+        "class A:\n"
+        "    def f(self, n):\n"
+        "        return self.g(n)\n"
+        "    def g(self, n):\n"
+        "        return 2 * n\n"
+    )
+    assert unread_parameters(source) == [
+        (1, "run", "args"),
+        (1, "run", "kwargs"),
+        (1, "run", "out_dir"),
+        (1, "run", "tolerance"),
+        (4, "outer", "y"),
+        (10, "<lambda>", "psi"),
+        (15, "g", "self"),
+    ]
+
+
+def test_package_reads_every_parameter():
+    # a parameter that no code path reads is a setting that does nothing
+    found = [
+        f"{path.name}:{line}: {name}({param})"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name, param in unread_parameters(path.read_text())
+    ]
+    assert found == []

@@ -99,16 +99,17 @@ class TestGainFlux:
         assert gain_flux(m, ker, 10.0) == pytest.approx(np.pi, rel=1e-3)
         assert gain_flux(m, ker, 100.0) == pytest.approx(np.pi, rel=1e-3)
 
-    def test_quadrature_refinement(self):
+    def test_quadrature_refinement(self, monkeypatch):
         # the limit in n carries a fixed truncation part from the measure's
         # bottom edge, so refinement is asserted against a fine reference
         edges = geometric_grid(1e-6, 1e6, RATIO)
         m = power_measure(edges, 0.5)
         ker = constant_kernel(2.0)
-        ref = gain_flux(m, ker, 1.0, n_per_decade=192)
-        coarse = abs(gain_flux(m, ker, 1.0, n_per_decade=24) - ref)
-        fine = abs(gain_flux(m, ker, 1.0, n_per_decade=96) - ref)
-        assert fine < coarse
+        flux = {}
+        for n in (192, 24, 96):
+            monkeypatch.setattr(stationary, "N_PER_DECADE", n)
+            flux[n] = gain_flux(m, ker, 1.0)
+        assert abs(flux[96] - flux[192]) < abs(flux[24] - flux[192])
 
     def test_cutoff_reduces_flux(self):
         edges = geometric_grid(1e-6, 1e6, RATIO)
@@ -176,13 +177,14 @@ class TestGainFluxOracle:
     )
     @pytest.mark.parametrize("lam", [None, 1e-3, 1e-2, 0.1], ids=["bare", "1e-3", "1e-2", "0.1"])
     @pytest.mark.parametrize("R", [10.0, 1e4])
-    def test_matches_pointwise_loop(self, kernel, params, lam, R):
+    def test_matches_pointwise_loop(self, monkeypatch, kernel, params, lam, R):
         h = power_law_init(params, geometric_grid(1e-3, 1e5, RATIO))
         rng = np.random.default_rng(11)
         m = replace(h, cell_mass=h.cell_mass * rng.uniform(0.5, 1.5, h.n_cells))
         cutoff = None if lam is None else CutoffParams(lam=lam)
         # 16 points per decade: 141 per half, so the blocks include a partial one
-        got = gain_flux(m, kernel, R, cutoff=cutoff, n_per_decade=16)
+        monkeypatch.setattr(stationary, "N_PER_DECADE", 16)
+        got = gain_flux(m, kernel, R, cutoff=cutoff)
         assert got == pointwise_gain_flux(m, kernel, R, cutoff, n_per_decade=16)
 
 
@@ -259,9 +261,11 @@ class TestFindStationary:
         assert res.residual_decay0[10.0] == pytest.approx(0.0, abs=1e-10)
 
     def test_stationary_datum_stops_after_one_chunk(self):
+        # with R0 far below the grid the datum is the pure power law, which
+        # the zero kernel leaves stationary
         edges = geometric_grid(1e-3, 1e6, RATIO)
-        h0 = power_measure(edges, 0.5)
-        res = find_stationary(PARAMS, zero_kernel(), CUT, edges=edges, h0=h0)
+        params = replace(PARAMS, R0=1e-30)
+        res = find_stationary(params, zero_kernel(), CUT, edges=edges)
         assert res.converged
         assert res.t_elapsed == pytest.approx(0.5)
         assert len(res.convergence_history) == 1
@@ -545,7 +549,7 @@ class TestContinuationOracle:
         edges = geometric_grid(1e-2, 1e5, 2.0 ** (1.0 / 8.0))
         kw = {"edges": edges, "tol": 1e-12, "t_max": 1.0, "probe_radii": [10.0, 100.0]}
         rep = lambda_continuation(PARAMS, constant_kernel(2.0), self.LAMBDAS,
-                                  cutoff=CutoffParams(lam=0.25, profile="quintic"), **kw)
+                                  cutoff_profile="quintic", **kw)
         want = [
             find_stationary(PARAMS, constant_kernel(2.0), CutoffParams(lam=lv, profile="quintic"), **kw)
             for lv in self.LAMBDAS
