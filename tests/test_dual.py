@@ -368,6 +368,43 @@ class TestSubsolutionOracle:
             assert got.s_at == T_FINAL and got.worst_margin == 0.0
 
 
+def oracle_m_star(dual_field):
+    """M* by bisection in log M: 40 halvings of the bracket [1e-2, 1e4],
+    whose ends must fail and pass; the upper end of the last bracket."""
+    lo, hi = np.log(1e-2), np.log(1e4)
+    assert not subsolution_bound(dual_field, 1e-2).ok
+    assert subsolution_bound(dual_field, 1e4).ok
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if subsolution_bound(dual_field, float(np.exp(mid))).ok:
+            hi = mid
+        else:
+            lo = mid
+    return float(np.exp(hi))
+
+
+class TestMStarOracle:
+    """find_m_star against the bisection, whose bracket is 1.3e-11 wide in
+    relative terms after 40 halvings."""
+
+    @pytest.fixture(scope="class", params=["constant-R10", "constant-R100", "product-R10"])
+    def field(self, request, h0, traj_const, field_const):
+        if request.param == "constant-R10":
+            return field_const
+        if request.param == "constant-R100":
+            return solve_dual(traj_const, 100.0, T_FINAL, max_change=0.005)
+        params = Params(gamma=0.5, rho=0.75, delta=0.2, R0=10.0)
+        traj = rescaled_trajectory(power_law_init(params, h0.edges), params, product_kernel(0.5), CUT,
+                                   T_FINAL)
+        return solve_dual(traj, 10.0, T_FINAL, max_change=0.005)
+
+    def test_matches_bisection(self, field):
+        m_star, rep = find_m_star(field)
+        assert m_star == pytest.approx(oracle_m_star(field), rel=2e-11, abs=0.0)
+        assert rep.M == m_star and rep.ok
+        assert not subsolution_bound(field, m_star * (1.0 - 1e-9)).ok
+
+
 class TestQTail:
     def test_matches_tail_moment_oracle(self, traj_const):
         # far-jump rate vs the cutoff-free closed form; the ratio cutoffs
