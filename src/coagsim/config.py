@@ -38,8 +38,6 @@ from dataclasses import dataclass
 from .kernel import CutoffParams, KernelSpec
 from .measure import Params
 
-CONFIG_SCHEMA_VERSION = 1
-
 _KEY_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 

@@ -342,13 +342,18 @@ class SubsolutionReport:
     tol: float
 
 
-# stored times the barrier check samples and the margin it allows; the
-# bracket and bisection steps of the M* search; backward times of the K*
-# sweep
+# stored times the barrier check samples and the margin it allows;
+# backward times of the K* sweep
 MAX_S_SAMPLES = 64
 BARRIER_TOL = 1e-3
-M_LO, M_HI, M_ITERS = 1e-2, 1e4, 40
 N_TAU = 5
+
+
+def _samples(dual_field):
+    """Indices of the stored times the barrier check samples: every
+    max(1, n // MAX_S_SAMPLES)-th of the n stored s values, and the last."""
+    n = dual_field.s_values.size
+    return sorted(set(range(0, n, max(1, n // MAX_S_SAMPLES))) | {n - 1})
 
 
 def subsolution_bound(dual_field, M):
@@ -358,28 +363,28 @@ def subsolution_bound(dual_field, M):
     params.a.  Checks every node X <= R at every
     max(1, n // MAX_S_SAMPLES)-th of the n stored s values and the last
     (MAX_S_SAMPLES = 64; all of them when n < 128), and reports the worst
-    margin min(Psi - W); BARRIER_TOL is 1e-3.
+    margin min(Psi - W); BARRIER_TOL is 1e-3.  M may be 0: where
+    M (t - s) = 0 the barrier is its limit, the indicator of X < R.
 
     Returns
     -------
     SubsolutionReport
     """
-    if not M > 0.0:
-        raise ValueError("M must be > 0")
+    if not M >= 0.0:
+        raise ValueError("M must be >= 0")
     R, t = dual_field.R, dual_field.t_final
     a = dual_field.params.a
     tab = w_table(StableProfile(a=a))
     inv_a = 1.0 / a
-    n = dual_field.s_values.size
-    idx = sorted(set(range(0, n, max(1, n // MAX_S_SAMPLES))) | {n - 1})
+    idx = _samples(dual_field)
     X = dual_field.nodes
     s_rows = dual_field.s_values[idx]
     taus = t - s_rows
     # one barrier array over the sampled times, each row scaled by the same
     # scalar power as a per-time evaluation would use
-    scale = np.array([(M * float(tau)) ** inv_a if tau > 0.0 else 1.0 for tau in taus])
+    scale = np.array([(M * float(tau)) ** inv_a if M * tau > 0.0 else 1.0 for tau in taus])
     barrier = np.where(X >= R, 0.0, tab(np.maximum((R - X) / scale[:, None], 0.0)))
-    barrier[taus <= 0.0] = np.where(X < R, 1.0, 0.0)
+    barrier[M * taus <= 0.0] = np.where(X < R, 1.0, 0.0)
     margin = dual_field.psi[idx] - barrier
     k = int(np.argmin(margin))  # row-major: the earliest sample, then the lowest node
     row, col = divmod(k, X.size)
@@ -388,29 +393,38 @@ def subsolution_bound(dual_field, M):
                              X_at=X_at, s_at=s_at, M=M, tol=BARRIER_TOL)
 
 
+def _m_bound(dual_field):
+    """Largest ((R - X) / W^(-1)(Psi + BARRIER_TOL))^a / tau over the
+    samples of subsolution_bound with X < R, tau > 0 and
+    Psi + BARRIER_TOL < 1; 0 when there are none.  Kept apart from
+    find_m_star so that its sample arrays are freed before the report,
+    which holds a barrier array of its own, is built."""
+    R, a = dual_field.R, dual_field.params.a
+    idx = _samples(dual_field)
+    w = dual_field.psi[idx] + BARRIER_TOL
+    X, tau = np.broadcast_arrays(dual_field.nodes, (dual_field.t_final - dual_field.s_values[idx])[:, None])
+    live = (X < R) & (tau > 0.0) & (w < 1.0)
+    Y = w_table(StableProfile(a=a)).inverse(w[live])
+    return float(np.max(((R - X[live]) / Y) ** a / tau[live], initial=0.0))
+
+
 def find_m_star(dual_field):
     """Smallest comparison constant M for which the barrier bound of
-    subsolution_bound holds.
+    subsolution_bound holds, and the report at it.
 
-    The barrier decreases in M, so bisection in log M applies: M_ITERS
-    (40) halvings of the bracket [M_LO, M_HI] = [1e-2, 1e4].  Returns
-    (m_star, report_at_m_star); m_star is M_LO when M_LO already passes,
-    and inf when even M_HI fails.
+    W increases, so a sample (X, s) with tau = t - s > 0, X < R and
+    Psi + BARRIER_TOL < 1 passes iff M >= ((R - X) / Y)^a / tau, where Y
+    is the largest point with W(Y) <= Psi + BARRIER_TOL (WTable.inverse);
+    every other sample passes at every M >= 0.  M* is the largest of these
+    bounds, or 0 when no sample has one (a zero kernel, or t = 0), raised
+    by 1e-12 relative: at the bound itself the check can fail by the
+    rounding of the barrier's scale (M tau)^(1/a).
+
+    Returns
+    -------
+    (m_star, SubsolutionReport)
     """
-    hi_rep = subsolution_bound(dual_field, M_HI)
-    if not hi_rep.ok:
-        return np.inf, hi_rep
-    lo_rep = subsolution_bound(dual_field, M_LO)
-    if lo_rep.ok:
-        return M_LO, lo_rep
-    lo, hi = np.log(M_LO), np.log(M_HI)
-    for _ in range(M_ITERS):
-        mid = 0.5 * (lo + hi)
-        if subsolution_bound(dual_field, float(np.exp(mid))).ok:
-            hi = mid
-        else:
-            lo = mid
-    m_star = float(np.exp(hi))
+    m_star = _m_bound(dual_field) * (1.0 + 1e-12)
     return m_star, subsolution_bound(dual_field, m_star)
 
 

@@ -27,7 +27,8 @@ and the tail laws 1 - W(Y) ~ Y^(-a)/a, W'(Y) ~ Y^(-1-a); t3e4_residual
 checks the identity pointwise with QUADPACK, the only scipy code this
 module runs (scipy.integrate loads on first use).  The scaled profile
 W((R - X) / (M tau)^(1/a)) is the comparison barrier used alongside the
-dual transport problem; WTable interpolates W for it in numpy.
+dual transport problem; WTable interpolates W for it in numpy, and inverts
+the interpolant for the closed-form comparison constant M*.
 """
 
 import importlib.util
@@ -284,15 +285,12 @@ class _Pchip:
     Carlson, SIAM J. Numer. Anal. 17, 1980): inside, the weighted harmonic
     mean of the two neighbouring slopes, or 0 where they differ in sign or
     one is 0; at each end, the three-point formula limited to keep its
-    sign and monotonicity.  Needs at least three knots, uniformly spaced
-    up to rounding (WTable's knots are uniform in log Y).
+    sign and monotonicity.  Needs at least three knots, spaced as they
+    come; each point finds its cell by binary search.
     """
 
     def __init__(self, x, y):
         h = np.diff(x)
-        self.step = (x[-1] - x[0]) / h.size
-        if np.max(np.abs(x - x[0] - self.step * np.arange(x.size))) > 0.25 * self.step:
-            raise ValueError("knots must be uniformly spaced")
         m = np.diff(y) / h
         w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
         inner = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0)
@@ -314,20 +312,8 @@ class _Pchip:
             return 3.0 * m0
         return d
 
-    def _cell(self, xv):
-        """searchsorted(x, xv, side="right") - 1, clipped to the cells.
-
-        The cell from the knot spacing is off by at most one; one
-        comparison with the stored knots on each side corrects it.
-        """
-        last = self.x.size - 2
-        i = np.clip((xv - self.x[0]) / self.step, 0.0, last).astype(np.intp)
-        i -= xv < self.x[i]
-        i += xv >= self.x[i + 1]
-        return np.clip(i, 0, last, out=i)
-
     def __call__(self, xv):
-        i = self._cell(xv)
+        i = np.clip(np.searchsorted(self.x, xv, side="right") - 1, 0, self.x.size - 2)
         s = xv - self.x[i]
         s2 = s * s
         return self.y[i] + self.d[i] * s + self.c2[i] * s2 + self.c3[i] * (s2 * s)
@@ -338,16 +324,17 @@ WTABLE_Y_HI = 1e8
 
 
 class WTable:
-    """Monotone interpolant of W for fast batched evaluation.
+    """Monotone interpolant of W for fast batched evaluation, and its inverse.
 
-    Exact w_eval values at WTABLE_N (1200) points of a log grid from
+    Exact w_eval values at WTABLE_N (1200) points ys of a log grid from
     1e-6 (a <= 1/2) or 0.05 (a > 1/2), below which W is negligible, to
     WTABLE_Y_HI (1e8); monotone cubic (PCHIP) in log Y between them,
     spliced to W = 0 below the grid and to the tail law 1 - Y^(-a)/a
     above.  The interpolation error against w_eval is at most 1.1e-7,
     1.1e-7 and 3.4e-7 at a = 0.3, 0.5 and 0.7, ample for barrier
     comparisons at 1e-3 tolerances.  Built in numpy alone; a cold table
-    takes about 20 ms.
+    takes about 20 ms.  inverse(w) is the largest Y at which the table
+    does not exceed w, which dual.find_m_star reads.
     """
 
     def __init__(self, profile):
@@ -357,21 +344,43 @@ class WTable:
         keep = ws > 0.0
         first = int(np.argmax(keep)) if np.any(keep) else WTABLE_N - 1
         self.profile = profile
-        self.y_lo = ys[first]
-        self.y_hi = WTABLE_Y_HI
-        self._interp = _Pchip(np.log(ys[first:]), ws[first:])
+        self.ys = ys[first:]
+        self._interp = _Pchip(np.log(self.ys), ws[first:])
 
     def __call__(self, Y):
         Y = np.asarray(Y, dtype=float)
         a = self.profile.a
         flat = np.atleast_1d(Y)
         res = np.zeros(flat.shape)
-        upper = flat >= self.y_hi
+        upper = flat >= self.ys[-1]
         res[upper] = 1.0 - flat[upper] ** -a / a
-        mid = (flat > self.y_lo) & ~upper
+        mid = (flat > self.ys[0]) & ~upper
         res[mid] = self._interp(np.log(flat[mid]))
         res = np.clip(res, 0.0, 1.0)
         return res.reshape(Y.shape) if Y.ndim else float(res[0])
+
+    def inverse(self, w):
+        """Largest Y with self(Y) <= w, for an array w in [0, 1).
+
+        At and above self(ys[-1]) it is the tail law's inverse
+        (a (1 - w))^(-1/a).  Below, searchsorted on the knot values finds
+        the cell [ys[i], ys[i + 1]] whose values bracket w, and 60
+        bisections in log Y on that cell's cubic, its coefficients
+        gathered once, close in on the crossing to rounding.  The cubic is
+        evaluated at log Y in self's own arithmetic, so self(Y) <= w holds
+        at the returned Y wherever self picks the same cell.  Below the
+        first knot value it is ys[0], where self is 0.
+        """
+        p, a = self._interp, self.profile.a
+        i = np.clip(np.searchsorted(p.y, w, side="right") - 1, 0, p.x.size - 2)
+        x, y, d, c2, c3 = p.x[i], p.y[i], p.d[i], p.c2[i], p.c3[i]
+        lo, hi = self.ys[i], self.ys[i + 1]
+        for _ in range(60):
+            mid = np.sqrt(lo * hi)
+            s = np.log(mid) - x
+            below = y + d * s + c2 * (s * s) + c3 * (s * s * s) <= w
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        return np.where(w < self(self.ys[-1]), lo, np.maximum((a * (1.0 - w)) ** (-1.0 / a), self.ys[-1]))
 
 
 @lru_cache(maxsize=8)

@@ -410,7 +410,8 @@ def lambda_continuation(params, kernel, lambdas, cutoff_profile="cubic", **kwarg
 
     Each run uses CutoffParams(lam, cutoff_profile), the cutoff at that
     scale with the given switching profile.  kwargs go to every
-    find_stationary call.  Distances between consecutive profiles
+    find_stationary call, except cutoff, which is refused with a
+    TypeError before any search.  Distances between consecutive profiles
     are reported, never asserted; a decreasing sequence is evidence of a
     weak limit as the cutoff is removed.
 
@@ -425,6 +426,8 @@ def lambda_continuation(params, kernel, lambdas, cutoff_profile="cubic", **kwarg
     -------
     ContinuationReport
     """
+    if "cutoff" in kwargs:
+        raise TypeError("lambda_continuation() takes lambdas and cutoff_profile, not cutoff")
     lams = [float(v) for v in lambdas]
 
     def search(lv):

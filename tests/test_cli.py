@@ -424,7 +424,7 @@ class TestDualCheckCommand:
         assert code == 0
         manifest = json.loads((out / "dual_check.json").read_text())
         assert manifest["adjoint_residual"] <= 1e-12
-        assert manifest["m_star"] == 0.01
+        assert manifest["m_star"] == 0.0
         assert manifest["n_forward_steps"] == manifest["n_backward_steps"] == 0
         _, meta, _, rows = read_table(out / "psi_0000.csv")
         assert meta["s"] == "0.0" and all(psi == 1.0 for _, psi in rows)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coagsim.dual import (
+    BARRIER_TOL,
     DualField,
     SubsolutionReport,
     _Jumps,
@@ -309,8 +310,24 @@ class TestSubsolution:
         assert rep.worst_margin >= 0.0
 
     def test_rejects_nonpositive_m(self, field_const):
-        with pytest.raises(ValueError):
-            subsolution_bound(field_const, 0.0)
+        for M in (-1.0, np.nan):
+            with pytest.raises(ValueError):
+                subsolution_bound(field_const, M)
+
+    def test_zero_m_compares_with_the_indicator(self, field_const):
+        rep = subsolution_bound(field_const, 0.0)
+        margin = field_const.psi - np.where(field_const.nodes < field_const.R, 1.0, 0.0)
+        assert field_const.s_values.size < 128  # every stored time is sampled
+        assert rep.worst_margin == margin.min() < -BARRIER_TOL and not rep.ok
+        assert rep.M == 0.0
+
+    def test_m_star_zero_where_no_sample_binds(self, traj_zero, traj_const):
+        # Psi = 1 below R for a zero kernel, and t = 0 stores the datum
+        # alone: the barrier holds at every M >= 0, so M* is 0
+        for fld in (solve_dual(traj_zero, 10.0, T_FINAL), solve_dual(traj_const, 10.0, 0.0)):
+            m_star, rep = find_m_star(fld)
+            assert m_star == 0.0
+            assert rep.ok and rep.M == 0.0 and rep.worst_margin == 0.0
 
 
 def oracle_subsolution_bound(dual_field, M):

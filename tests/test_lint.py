@@ -134,6 +134,68 @@ def test_package_reads_every_private_name():
     assert found == []
 
 
+def constant_definitions(source):
+    """(line, name) of each upper-case name a module assigns at top level."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [
+                (node.lineno, n.id)
+                for t in targets
+                for n in ast.walk(t)
+                if isinstance(n, ast.Name) and n.id.isupper()
+            ]
+    return out
+
+
+def unread_constants(sources):
+    """(module, line, name) of each top-level upper-case constant that no
+    module of sources ({module: source}) reads, bare or as an attribute."""
+    read = set().union(*(loaded_names(src) for src in sources.values()))
+    return [
+        (mod, line, name)
+        for mod, src in sources.items()
+        for line, name in constant_definitions(src)
+        if name not in read
+    ]
+
+
+def test_checker_flags_unread_constants():
+    sources = {
+        "a.py": (
+            "LO, HI, ITERS = 1e-2, 1e4, 40\n"
+            "SCHEMA_VERSION = 1\n"
+            "TOL: float = 1e-3\n"
+            "scale = 2.0\n"
+            "__version__ = '1'\n"
+            "def f(x):\n"
+            "    N_LOCAL = 3\n"
+            "    return LO * x + N_LOCAL\n"
+        ),
+        "b.py": (
+            "from . import a\n"
+            "from .a import HI\n"
+            "_ROUNDOFF = a.TOL\n"
+            "SCHEMA_VERSION = 2\n"
+            "print(_ROUNDOFF)\n"
+        ),
+    }
+    assert unread_constants(sources) == [
+        ("a.py", 1, "HI"),
+        ("a.py", 1, "ITERS"),
+        ("a.py", 2, "SCHEMA_VERSION"),
+        ("b.py", 4, "SCHEMA_VERSION"),
+    ]
+
+
+def test_package_reads_every_constant():
+    # a module constant that nothing reads is a setting that does nothing
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    found = [f"{mod}:{line}: {name}" for mod, line, name in unread_constants(sources)]
+    assert found == []
+
+
 def family_reads(source):
     """Lines that read an attribute named family (a kernel's family name)."""
     return sorted(

@@ -259,24 +259,36 @@ class TestWTable:
             expect = PchipInterpolator(x, y)(xs)
         np.testing.assert_allclose(_Pchip(x, y)(xs), expect, rtol=0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("a", [0.3, 0.5, 0.7])
-    def test_pchip_cell_matches_searchsorted(self, a):
-        pchip = WTable(profile(a))._interp
-        x = pchip.x
-        rng = np.random.default_rng(7)
-        xs = np.concatenate([
-            rng.uniform(x[0] - 1.0, x[-1] + 1.0, 100_000),
-            x,
-            np.nextafter(x, -np.inf),
-            np.nextafter(x, np.inf),
-        ])
-        want = np.clip(np.searchsorted(x, xs, side="right") - 1, 0, x.size - 2)
-        np.testing.assert_array_equal(pchip._cell(xs), want)
+    def test_pchip_uneven_knots_match_scipy(self):
+        # the cells are found by binary search, so any increasing knots do
+        x = np.cumsum(np.random.default_rng(3).uniform(0.01, 1.0, 40))
+        y = np.tanh(x - x.mean())
+        xs = np.linspace(x[0], x[-1], 5001)
+        np.testing.assert_allclose(_Pchip(x, y)(xs), PchipInterpolator(x, y)(xs), rtol=0.0, atol=1e-15)
 
-    def test_pchip_rejects_uneven_knots(self):
-        x = np.array([0.0, 1.0, 1.5, 3.0])
-        with pytest.raises(ValueError, match="uniformly"):
-            _Pchip(x, x)
+    @pytest.mark.parametrize("a", [0.3, 0.5, 0.7, 0.9])
+    def test_inverse_is_largest_preimage(self, a):
+        # inverse(w) is the largest Y with table(Y) <= w: at the knot
+        # values, at the values in mid-cell, at tail-law values, and below
+        # the first knot value (W >= 1e-10), where it is the grid's start
+        table = WTable(profile(a))
+        ys = table.ys
+        cases = {
+            "below": np.array([0.0, 1e-11]),
+            "knots": table._interp.y,
+            "mid-cell": table(np.sqrt(ys[:-1] * ys[1:])),
+            "tail": table(ys[-1] * np.geomspace(1.0, 100.0, 50)),
+        }
+        for name, w in cases.items():
+            Y = table.inverse(w)
+            assert np.all(table(Y) <= w), name
+            # near 1 the doubles cannot resolve W's rise over a 1e-9 step
+            # (at a = 0.9 and Y = 1e8 it is 6e-17), so the tail takes a wider one
+            step = 1e-6 if name == "tail" else 1e-9
+            assert np.all(w < table(Y * (1.0 + step))), name
+        np.testing.assert_array_equal(table.inverse(cases["below"]), ys[0])
+        tail = cases["tail"][cases["tail"] > table(ys[-1])]
+        np.testing.assert_allclose(table.inverse(tail), (a * (1.0 - tail)) ** (-1.0 / a), rtol=1e-15)
 
     def test_monotone(self):
         table = WTable(profile(0.5))

@@ -388,6 +388,16 @@ class TestLambdaContinuation:
         rep = lambda_continuation(PARAMS, zero_kernel(), [1e-1, 1e-2], edges=edges)
         assert rep.distances[0] == pytest.approx(0.0, abs=1e-12)
 
+    def test_rejects_cutoff_before_any_search(self, monkeypatch):
+        # the cutoff is built from lambdas and cutoff_profile; a cutoff=
+        # meant for find_stationary is refused here, naming both
+        calls = []
+        monkeypatch.setattr(stationary, "find_stationary", lambda *a, **k: calls.append(k))
+        monkeypatch.setattr(stationary, "_forked_map", lambda f, xs: calls.append(xs))
+        with pytest.raises(TypeError, match=r"lambda_continuation\(\).*cutoff_profile"):
+            lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1], cutoff=CutoffParams(0.1))
+        assert calls == []
+
 
 def assert_no_child_left():
     """This process has no child, running or unreaped."""
