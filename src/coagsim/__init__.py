@@ -1,6 +1,21 @@
 """Deterministic simulator and verification suite for self-similar
 fat-tail profiles of Smoluchowski's coagulation equation."""
 
+import os
+import sys
+
+# OpenBLAS starts a worker pool as wide as the machine when numpy loads it,
+# and reads its width from these variables then and only then.  Every BLAS
+# call here is a short matrix-vector product that the pool does not speed
+# up, yet starting it costs CPU time that a short CLI run feels.  So pin one
+# thread before the first import below loads numpy, unless the user chose
+# a width or numpy is already loaded.  The variable stays set for scipy's
+# own OpenBLAS, the continuation's forked searches and any child process.
+if "numpy" not in sys.modules and not any(
+    v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .config import ConfigError, RunConfig, dumps_config, load_config, parse_config, run_config
 from .dual import (
     DualField,

@@ -329,8 +329,10 @@ class WTable:
     Exact w_eval values at WTABLE_N (1200) points ys of a log grid from
     1e-6 (a <= 1/2) or 0.05 (a > 1/2), below which W is negligible, to
     WTABLE_Y_HI (1e8); monotone cubic (PCHIP) in log Y between them,
-    spliced to W = 0 below the grid and to the tail law 1 - Y^(-a)/a
-    above.  The interpolation error against w_eval is at most 1.1e-7,
+    spliced to W = 0 below the grid and above it to the tail law
+    1 - Y^(-a)/a, held at the last knot value until the law reaches it
+    (at a = 0.25 the law starts 6.7e-4 below it), so the whole table is
+    monotone.  The interpolation error against w_eval is at most 1.1e-7,
     1.1e-7 and 3.4e-7 at a = 0.3, 0.5 and 0.7, ample for barrier
     comparisons at 1e-3 tolerances.  Built in numpy alone; a cold table
     takes about 20 ms.  inverse(w) is the largest Y at which the table
@@ -353,7 +355,7 @@ class WTable:
         flat = np.atleast_1d(Y)
         res = np.zeros(flat.shape)
         upper = flat >= self.ys[-1]
-        res[upper] = 1.0 - flat[upper] ** -a / a
+        res[upper] = np.maximum(1.0 - flat[upper] ** -a / a, self._interp.y[-1])
         mid = (flat > self.ys[0]) & ~upper
         res[mid] = self._interp(np.log(flat[mid]))
         res = np.clip(res, 0.0, 1.0)

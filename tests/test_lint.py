@@ -353,3 +353,86 @@ def test_package_reads_every_parameter():
         for line, name, param in unread_parameters(path.read_text())
     ]
     assert found == []
+
+
+def _is_os_environ(node):
+    return isinstance(node, ast.Attribute) and node.attr == "environ" and isinstance(node.value, ast.Name) and node.value.id == "os"
+
+
+def environ_writes(tree):
+    """Lines where code under tree writes to the process environment: an
+    item of os.environ set or deleted, one of its mutating methods called,
+    or os.putenv / os.unsetenv."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and _is_os_environ(node.value) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            out.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+            (_is_os_environ(node.func.value) and node.func.attr in ("update", "setdefault", "pop", "popitem", "clear"))
+            or (isinstance(node.func.value, ast.Name) and node.func.value.id == "os"
+                and node.func.attr in ("putenv", "unsetenv"))
+        ):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def imports_before_pin(source):
+    """Lines of the imports, of the package's own modules or of numpy or
+    scipy (which load numpy), that run at import time before the first
+    top-level statement writing os.environ: the thread-count pin must
+    precede them, since OpenBLAS sizes its pool once, when numpy loads it.
+    [0] when no top-level statement writes os.environ."""
+    body = ast.parse(source).body
+    pin = next((i for i, stmt in enumerate(body) if environ_writes(stmt)), None)
+    if pin is None:
+        return [0]
+    out = []
+    for stmt in body[:pin]:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.ImportFrom):
+                loads = node.level > 0 or node.module.split(".")[0] in ("numpy", "scipy")
+            elif isinstance(node, ast.Import):
+                loads = any(alias.name.split(".")[0] in ("numpy", "scipy") for alias in node.names)
+            else:
+                loads = False
+            if loads:
+                out.append(node.lineno)
+    return sorted(out)
+
+
+def test_checker_flags_environ_writes_and_late_pins():
+    source = (
+        "import os\n"
+        "import sys\n"
+        "if 'numpy' not in sys.modules:\n"
+        "    os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+        "x = os.environ.get('HOME')\n"
+        "os.environ.setdefault('A', '1')\n"
+        "del os.environ['A']\n"
+        "os.putenv('B', '2')\n"
+        "from .config import load_config\n"
+    )
+    assert environ_writes(ast.parse(source)) == [4, 6, 7, 8]
+    assert imports_before_pin(source) == []
+    late = (
+        "import os\n"
+        "from . import forward\n"
+        "import numpy.linalg as la\n"
+        "try:\n"
+        "    from scipy import integrate\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "from .config import load_config\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+    )
+    assert imports_before_pin(late) == [2, 3, 5, 8]
+    assert imports_before_pin("import numpy\n") == [0]
+
+
+def test_thread_pin_precedes_numpy_and_is_the_only_environ_write():
+    # an import sorter that moved the pin below the imports would leave
+    # OpenBLAS at the machine's width without failing any numerical test
+    assert imports_before_pin((SRC / "__init__.py").read_text()) == []
+    writes = {path.name: environ_writes(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))}
+    assert len(writes.pop("__init__.py")) == 1
+    assert {name: lines for name, lines in writes.items() if lines} == {}

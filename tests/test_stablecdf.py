@@ -290,6 +290,23 @@ class TestWTable:
         tail = cases["tail"][cases["tail"] > table(ys[-1])]
         np.testing.assert_allclose(table.inverse(tail), (a * (1.0 - tail)) ** (-1.0 / a), rtol=1e-15)
 
+    @pytest.mark.parametrize("a", [0.25, 0.3, 0.5, 0.7, 0.9])
+    def test_tail_splice_is_monotone(self, a):
+        # above the last knot the tail law 1 - Y^(-a)/a can start below the
+        # knot value (by 6.7e-4 at a = 0.25); the table holds the knot value
+        # until the law reaches it, so it never drops at the splice
+        table = WTable(profile(a))
+        Ys = np.geomspace(1e7, 1e9, 4001)
+        vals = table(Ys)
+        assert np.all(np.diff(vals) >= 0.0)
+        knot, law = table._interp.y[-1], 1.0 - table.ys[-1] ** -a / a
+        if law < knot:  # w inside the old gap [law, knot)
+            w = np.linspace(law, knot, 9)[:-1]
+            Y = table.inverse(w)
+            assert np.all(table(Y) <= w)
+            # every Y below inverse(w) passes too: the preimage is an interval
+            assert np.all((vals <= w[:, None]) | (Ys > Y[:, None]))
+
     def test_monotone(self):
         table = WTable(profile(0.5))
         Ys = np.geomspace(1e-7, 1e9, 5000)
