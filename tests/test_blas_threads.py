@@ -25,8 +25,9 @@ def threads():
         for sym in ("openblas_get_num_threads", "scipy_openblas_get_num_threads",
                     "scipy_openblas_get_num_threads64_"):
             if hasattr(lib, sym):
-                getattr(lib, sym).restype = ctypes.c_int
-                out[path.rsplit("/", 1)[-1]] = getattr(lib, sym)()
+                get = getattr(lib, sym)
+                get.argtypes, get.restype = [], ctypes.c_int
+                out[path.rsplit("/", 1)[-1]] = get()
                 break
     return out
 
@@ -58,7 +59,6 @@ def test_import_pins_one_thread_for_numpy_and_scipy():
     assert set(steps["import"]["threads"].values()) == {1}
     # scipy's own OpenBLAS loads later, on first use, and reads the same variable
     assert set(steps["integrate"]["threads"].values()) == {1}
-    assert len(steps["integrate"]["threads"]) >= len(steps["import"]["threads"])
 
 
 def test_user_width_is_kept():
