@@ -7,10 +7,13 @@ import pytest
 
 from coagsim.dual import (
     BARRIER_TOL,
+    MAX_S_SAMPLES,
     DualField,
     SubsolutionReport,
     _Jumps,
+    _m_bound,
     _pairing,
+    _samples,
     adjoint_consistency,
     find_m_star,
     q_tail_bound,
@@ -420,6 +423,79 @@ class TestMStarOracle:
         assert m_star == pytest.approx(oracle_m_star(field), rel=2e-11, abs=0.0)
         assert rep.M == m_star and rep.ok
         assert not subsolution_bound(field, m_star * (1.0 - 1e-9)).ok
+
+
+
+def oracle_m_bound_whole(dual_field):
+    """_m_bound over one array of every sampled row at once."""
+    R, a = dual_field.R, dual_field.params.a
+    idx = _samples(dual_field)
+    w = dual_field.psi[idx] + BARRIER_TOL
+    X, tau = np.broadcast_arrays(dual_field.nodes, (dual_field.t_final - dual_field.s_values[idx])[:, None])
+    live = (X < R) & (tau > 0.0) & (w < 1.0)
+    Y = w_table(StableProfile(a=a)).inverse(w[live])
+    return float(np.max(((R - X[live]) / Y) ** a / tau[live], initial=0.0))
+
+
+def oracle_subsolution_whole(dual_field, M):
+    """subsolution_bound over one barrier array of every sampled row."""
+    R, t = dual_field.R, dual_field.t_final
+    a = dual_field.params.a
+    tab = w_table(StableProfile(a=a))
+    inv_a = 1.0 / a
+    idx = _samples(dual_field)
+    X = dual_field.nodes
+    s_rows = dual_field.s_values[idx]
+    taus = t - s_rows
+    scale = np.array([(M * float(tau)) ** inv_a if M * tau > 0.0 else 1.0 for tau in taus])
+    barrier = np.where(X >= R, 0.0, tab(np.maximum((R - X) / scale[:, None], 0.0)))
+    barrier[M * taus <= 0.0] = np.where(X < R, 1.0, 0.0)
+    margin = dual_field.psi[idx] - barrier
+    k = int(np.argmin(margin))
+    row, col = divmod(k, X.size)
+    worst, X_at, s_at = float(margin[row, col]), float(X[col]), float(s_rows[row])
+    return SubsolutionReport(ok=worst >= -BARRIER_TOL, worst_margin=worst,
+                             X_at=X_at, s_at=s_at, M=M, tol=BARRIER_TOL)
+
+
+BARRIER_CASES = {
+    "constant": (PARAMS, constant_kernel(2.0)),
+    "product": (Params(gamma=0.5, rho=0.75), product_kernel(0.5)),
+    "sum": (Params(gamma=0.5, rho=0.75), sum_kernel(0.2, 0.5)),
+}
+
+
+class TestBarrierWholeArrayOracle:
+    """_m_bound and subsolution_bound against their whole-array forms,
+    bit for bit, on fields that store more times than are sampled."""
+
+    @pytest.fixture(scope="class", params=[(k, lam) for k in BARRIER_CASES for lam in (1e-3, 1e-2, 0.1)],
+                    ids=lambda p: f"{p[0]}-{p[1]:g}")
+    def field(self, request):
+        family, lam = request.param
+        params, kernel = BARRIER_CASES[family]
+        h0 = power_law_init(params, geometric_grid(1e-3, 1e4, 2.0**0.125))
+        traj = rescaled_trajectory(h0, params, kernel, CutoffParams(lam=lam), T_FINAL)
+        return solve_dual(traj, 10.0, T_FINAL, max_change=0.001)
+
+    def test_m_bound(self, field):
+        assert field.s_values.size > 2 * MAX_S_SAMPLES  # a sampling stride > 1
+        assert _m_bound(field) == oracle_m_bound_whole(field)
+
+    @pytest.mark.parametrize("M", [0.0, 1e-2, "m_star", 1e4])
+    def test_subsolution_bound(self, field, M):
+        M = find_m_star(field)[0] if M == "m_star" else M
+        assert subsolution_bound(field, M) == oracle_subsolution_whole(field, M)
+
+    def test_dual_check_config(self):
+        # the dual-check bench config: acceptance grid, lambda = 1e-3, R = 100
+        h0 = power_law_init(PARAMS, geometric_grid(1e-4, 1e8, RATIO))
+        traj = rescaled_trajectory(h0, PARAMS, constant_kernel(), CUT, T_FINAL, max_change=0.0025)
+        fld = solve_dual(traj, 100.0, T_FINAL, max_change=0.0025)
+        m_star = _m_bound(fld)
+        assert m_star == oracle_m_bound_whole(fld)
+        for M in (0.0, m_star, 1e4):
+            assert subsolution_bound(fld, M) == oracle_subsolution_whole(fld, M)
 
 
 class TestQTail:

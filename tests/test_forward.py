@@ -515,6 +515,77 @@ class TestEngineOracle:
         assert resid <= 1e-12
 
 
+
+def oracle_corner(edges, params, kernel, cutoff):
+    """_Engine's corner table built whole: one 3 x rows x taps array of
+    (top, over, over moment) weights, its live entries listed by
+    np.nonzero.  Returns (corner, (rows, partners), first row)."""
+    N = edges.size - 1
+    dmax = _partners(edges, params.rho, cutoff.lam)[2].size - 1
+    r = (edges[-1] / edges[0]) ** (1.0 / N)
+    Yall = edges[0] * r ** (np.arange(N + dmax + 1) + 0.5)
+    Yg = Yall[:N] ** kernel.gamma
+    d = np.arange(dmax + 1)
+    rd = r**d
+    t = _ratio_kernel(kernel, cutoff, 1.0, rd)
+    c = np.log1p(1.0 / rd) / np.log(r)
+    off = np.floor(c + 1e-12)
+    f = np.where(np.abs(c - off) < 1e-12, 1.0, (r ** (off + 1) - 1 - 1 / rd) / (r ** (off + 1) - r**off))
+    k = d + off.astype(int)
+    i0 = max(0, N - 2 - k.max())
+    i = np.arange(i0, N)[:, None]
+    Yi, Yp = Yall[i0:N, None], Yall[i + d]
+    S = Yg[i0:, None] * t * (Yi + np.where((d > 0) & (i + d < N), Yp, 0.0))
+    over = i + k >= N - 1
+    top = np.where(i + k == N - 2, S * (1.0 - f), 0.0)
+    C = np.stack([top, np.where(over, S, 0.0), np.where(over, S * (Yi + Yp), 0.0)])
+    rows, ds = np.nonzero(C.any(axis=0))
+    return C[:, rows, ds], (i0 + rows, i0 + rows + ds), i0
+
+
+def off_lattice(edges, seed=5):
+    """edges moved off the geometric lattice by up to 1e-10 relative."""
+    rng = np.random.default_rng(seed)
+    return edges * (1.0 + 1e-10 * rng.uniform(-1.0, 1.0, edges.size))
+
+
+CORNER_GRIDS = {
+    # the acceptance grid, 638 cells
+    "acceptance": geometric_grid(1e-4, 1e8, RATIO),
+    # 53 cells: the corner covers every row (i0 = 0) at each lambda
+    "small": geometric_grid(1.0, 10.0, RATIO),
+    "off-lattice": off_lattice(geometric_grid(1e-3, 1e3, RATIO)),
+}
+
+
+class TestCornerOracle:
+    """The engine's corner table and its pair lists against the whole-array
+    build, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kernel, params",
+        [
+            (constant_kernel(1.3), Params(gamma=0.0, rho=0.5)),
+            (product_kernel(0.5), Params(gamma=0.5, rho=0.75)),
+            (sum_kernel(0.2, 0.5), Params(gamma=0.5, rho=0.75)),
+        ],
+        ids=["constant", "product", "sum"],
+    )
+    @pytest.mark.parametrize("lam", [1e-3, 1e-2, 0.1])
+    @pytest.mark.parametrize("grid", list(CORNER_GRIDS))
+    def test_matches_whole_array_build(self, kernel, params, lam, grid):
+        edges = CORNER_GRIDS[grid]
+        cut = CutoffParams(lam=lam)
+        eng = _Engine(edges, params, kernel, cut)
+        corner, (rows, partners), i0 = oracle_corner(edges, params, kernel, cut)
+        assert (i0 == 0) == (grid == "small")
+        assert eng.corner.shape == corner.shape and eng.corner.dtype == corner.dtype
+        np.testing.assert_array_equal(eng.corner, corner, strict=True)
+        assert eng.corner.tobytes() == corner.tobytes()  # signed zeros too
+        np.testing.assert_array_equal(eng.corner_pairs[0], rows, strict=True)
+        np.testing.assert_array_equal(eng.corner_pairs[1], partners, strict=True)
+
+
 def _band(x, lead, width, rows):
     """Read-only windows out[i, k] = x[i + k - lead], zero outside x."""
     buf = np.zeros(rows + width, dtype=x.dtype)

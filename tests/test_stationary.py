@@ -3,6 +3,7 @@
 import os
 import time
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from scipy.special import erfcx
 
 from coagsim import forward, stationary
+from coagsim.config import load_config, run_config
 from coagsim.forward import _partners
 from coagsim.kernel import (
     CutoffParams,
@@ -42,6 +44,7 @@ from coagsim.stationary import (
 PARAMS = Params(gamma=0.0, rho=0.5, delta=0.2, R0=10.0)
 CUT = CutoffParams(lam=1e-3)
 RATIO = 2.0 ** (1.0 / 16.0)
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
 
 def power_measure(edges, amp, rho=0.5):
@@ -188,6 +191,74 @@ class TestGainFluxOracle:
         assert got == pointwise_gain_flux(m, kernel, R, cutoff, n_per_decade=16)
 
 
+
+def oracle_inner_64(profile, kernel, cutoff):
+    """_make_inner's cutoff branch as it was built: blocks of 64 points,
+    each with a fresh 64 x partners terms array summed along its rows."""
+    edges, reps, gpow = _partners(profile.edges, profile.tail_exponent, cutoff.lam)
+    qpow = 1.0 - profile.tail_exponent
+    base = np.concatenate([profile.cell_mass, profile.tail_amplitude * gpow])
+    epow = edges**qpow
+    lam = cutoff.lam
+
+    def inner(ys, us):
+        out = np.zeros(ys.size)
+        for b in range(0, ys.size, 64):
+            y, u = ys[b : b + 64, None], us[b : b + 64, None]
+            if y.max() <= 0.5 * lam:
+                continue
+            z_lo = max(0.5 * lam, y.min() * lam / (2.0 - lam) * (1.0 - 1e-9))
+            k0 = max(np.searchsorted(edges[1:], u.min(), side="right"), np.searchsorted(reps, z_lo, side="right"))
+            k1 = np.searchsorted(reps, y.max() * (2.0 - lam) / lam * (1.0 + 1e-9), side="right")
+            e, p = edges[k0 : k1 + 1], epow[k0 : k1 + 1]
+            frac = np.clip((p[1:] - np.maximum(u, e[:-1]) ** qpow) / (p[1:] - p[:-1]), 0.0, 1.0)
+            terms = np.zeros((y.size, reps.size))
+            k = eval_regularized(kernel, cutoff, y, reps[k0:k1])
+            terms[:, k0:k1] = k / reps[k0:k1] * (base[k0:k1] * frac)
+            out[b : b + 64] = np.sum(terms, axis=1)
+        return out
+
+    return inner
+
+
+INNER_GRIDS = {
+    "acceptance": geometric_grid(1e-4, 1e8, RATIO),
+    "small": geometric_grid(1.0, 10.0, RATIO),
+    # off the geometric lattice by up to 1e-10 relative, which GridMeasure accepts
+    "off-lattice": geometric_grid(1e-3, 1e3, RATIO)
+    * (1.0 + 1e-10 * np.random.default_rng(5).uniform(-1.0, 1.0, 320)),
+}
+
+
+class TestInnerOracle:
+    """The flux quadrature's inner sums against the 64-point-block build,
+    bit for bit, at the points gain_flux evaluates."""
+
+    @pytest.mark.parametrize(
+        "kernel, params",
+        [
+            (constant_kernel(2.0), Params(gamma=0.0, rho=0.5)),
+            (product_kernel(0.5), Params(gamma=0.5, rho=0.75)),
+            (sum_kernel(0.2, 0.5), Params(gamma=0.5, rho=0.75)),
+        ],
+        ids=["constant", "product", "sum"],
+    )
+    @pytest.mark.parametrize("lam", [1e-3, 1e-2, 0.1])
+    @pytest.mark.parametrize("grid", list(INNER_GRIDS))
+    def test_matches_64_point_blocks(self, kernel, params, lam, grid):
+        edges = INNER_GRIDS[grid]
+        h = power_law_init(params, edges)
+        rng = np.random.default_rng(11)
+        m = replace(h, cell_mass=h.cell_mass * rng.uniform(0.5, 1.5, h.n_cells))
+        cutoff = CutoffParams(lam=lam)
+        inner, want = stationary._make_inner(m, kernel, cutoff), oracle_inner_64(m, kernel, cutoff)
+        for R in [R for R in (np.sqrt(edges[0] * edges[-1]), 10.0, 1e4) if edges[0] < R < edges[-1]]:
+            half, lo = 0.5 * R, R * 1e-9
+            grid_pts = np.geomspace(lo, half, max(8, int(np.ceil(np.log10(half / lo) * 64)) + 1))
+            for ys, us in ((R - grid_pts, grid_pts), (grid_pts, R - grid_pts)):
+                assert inner(ys, us).tobytes() == want(ys, us).tobytes()
+
+
 class TestDecay0Residual:
     def test_zero_kernel_power_is_exact(self):
         # pure transport: beta R h(R) = beta (1 - rho) F(R) for exact power
@@ -247,6 +318,47 @@ class TestTailFit:
                     tail_fit(replace(m, cell_mass=mass))
             else:
                 assert tail_fit(replace(m, cell_mass=mass))[0] == pytest.approx(0.5, abs=1e-12)
+
+
+
+def polyfit_exponent(profile):
+    """tail_fit's exponent as np.polyfit reads it from the same window."""
+    lo, hi = stationary.FIT_WINDOW
+    el, er = profile.edges[:-1], profile.edges[1:]
+    sel = (el >= lo) & (er <= hi) & (profile.cell_mass > 0.0)
+    x = np.sqrt(el[sel] * er[sel])
+    dens = profile.cell_mass[sel] / (er[sel] - el[sel])
+    return -float(np.polyfit(np.log(x), np.log(dens), 1)[0])
+
+
+@pytest.fixture(scope="module")
+def bench_profiles():
+    """The profiles of the two stationary bench configs: lambda = 1e-3,
+    then the continuation's 0.1 and 0.01, on the acceptance grid."""
+    cfg = run_config(load_config(BENCH_CONFIGS / "stationary-const.cfg"))
+    edges = geometric_grid(*cfg.grid)
+    return [
+        find_stationary(cfg.params, cfg.kernel, CutoffParams(lam=lam), edges=edges, tol=cfg.tol,
+                        t_max=cfg.t_max, max_change=cfg.max_change).profile
+        for lam in (1e-3, 0.1, 0.01)
+    ]
+
+
+class TestTailFitOracle:
+    """The closed-form slope against np.polyfit's least squares."""
+
+    def test_bench_profiles(self, bench_profiles):
+        for h in bench_profiles:
+            assert abs(tail_fit(h)[0] - polyfit_exponent(h)) <= 1e-14
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    @pytest.mark.parametrize("noise", [1e-2, 0.3])
+    def test_noisy_power(self, seed, noise):
+        edges = geometric_grid(1e-2, 1e6, RATIO)
+        m = power_measure(edges, 0.5)
+        rng = np.random.default_rng(seed)
+        noisy = GridMeasure(edges, m.cell_mass * np.exp(noise * rng.standard_normal(m.n_cells)), 0.5, 0.5)
+        assert abs(tail_fit(noisy)[0] - polyfit_exponent(noisy)) <= 1e-14
 
 
 class TestFindStationary:
