@@ -279,7 +279,10 @@ def _pairing(h0, nodes, psi0, t, beta):
     scale = np.exp(beta * t)
     hi = nodes[-1] * scale
     x_break = np.concatenate([h0.edges, nodes * scale])
-    x_break = np.unique(x_break[(x_break >= h0.edges[0]) & (x_break <= hi)])
+    x_break = np.sort(x_break[(x_break >= h0.edges[0]) & (x_break <= hi)])
+    distinct = np.ones(x_break.size, dtype=bool)
+    distinct[1:] = x_break[1:] != x_break[:-1]
+    x_break = x_break[distinct]  # as np.unique, which would import numpy.ma
     if x_break.size == 0 or x_break[-1] < hi:
         x_break = np.append(x_break, hi)
     a, b = x_break[:-1], x_break[1:]
@@ -343,9 +346,11 @@ class SubsolutionReport:
 
 
 # stored times the barrier check samples and the margin it allows;
-# backward times of the K* sweep
+# entries (sampled rows x nodes) that the check and the M* bound take at a
+# time; backward times of the K* sweep
 MAX_S_SAMPLES = 64
 BARRIER_TOL = 1e-3
+SAMPLE_BLOCK = 4096
 N_TAU = 5
 
 
@@ -354,6 +359,14 @@ def _samples(dual_field):
     max(1, n // MAX_S_SAMPLES)-th of the n stored s values, and the last."""
     n = dual_field.s_values.size
     return sorted(set(range(0, n, max(1, n // MAX_S_SAMPLES))) | {n - 1})
+
+
+def _sample_blocks(dual_field):
+    """_samples in blocks of whole rows, about SAMPLE_BLOCK entries
+    (rows x nodes) each, in order."""
+    idx = _samples(dual_field)
+    step = max(1, SAMPLE_BLOCK // dual_field.nodes.size)
+    return [idx[j : j + step] for j in range(0, len(idx), step)]
 
 
 def subsolution_bound(dual_field, M):
@@ -376,19 +389,21 @@ def subsolution_bound(dual_field, M):
     a = dual_field.params.a
     tab = w_table(StableProfile(a=a))
     inv_a = 1.0 / a
-    idx = _samples(dual_field)
     X = dual_field.nodes
-    s_rows = dual_field.s_values[idx]
-    taus = t - s_rows
-    # one barrier array over the sampled times, each row scaled by the same
-    # scalar power as a per-time evaluation would use
-    scale = np.array([(M * float(tau)) ** inv_a if M * tau > 0.0 else 1.0 for tau in taus])
-    barrier = np.where(X >= R, 0.0, tab(np.maximum((R - X) / scale[:, None], 0.0)))
-    barrier[M * taus <= 0.0] = np.where(X < R, 1.0, 0.0)
-    margin = dual_field.psi[idx] - barrier
-    k = int(np.argmin(margin))  # row-major: the earliest sample, then the lowest node
-    row, col = divmod(k, X.size)
-    worst, X_at, s_at = float(margin[row, col]), float(X[col]), float(s_rows[row])
+    worst, X_at, s_at = np.inf, np.nan, np.nan
+    for idx in _sample_blocks(dual_field):
+        s_rows = dual_field.s_values[idx]
+        taus = t - s_rows
+        # one barrier array over the block's times, each row scaled by the
+        # same scalar power as a per-time evaluation would use
+        scale = np.array([(M * float(tau)) ** inv_a if M * tau > 0.0 else 1.0 for tau in taus])
+        barrier = np.where(X >= R, 0.0, tab(np.maximum((R - X) / scale[:, None], 0.0)))
+        barrier[M * taus <= 0.0] = np.where(X < R, 1.0, 0.0)
+        margin = dual_field.psi[idx] - barrier
+        k = int(np.argmin(margin))  # row-major: the earliest sample, then the lowest node
+        row, col = divmod(k, X.size)
+        if margin[row, col] < worst:  # a later block must be strictly lower
+            worst, X_at, s_at = float(margin[row, col]), float(X[col]), float(s_rows[row])
     return SubsolutionReport(ok=worst >= -BARRIER_TOL, worst_margin=worst,
                              X_at=X_at, s_at=s_at, M=M, tol=BARRIER_TOL)
 
@@ -400,12 +415,15 @@ def _m_bound(dual_field):
     find_m_star so that its sample arrays are freed before the report,
     which holds a barrier array of its own, is built."""
     R, a = dual_field.R, dual_field.params.a
-    idx = _samples(dual_field)
-    w = dual_field.psi[idx] + BARRIER_TOL
-    X, tau = np.broadcast_arrays(dual_field.nodes, (dual_field.t_final - dual_field.s_values[idx])[:, None])
-    live = (X < R) & (tau > 0.0) & (w < 1.0)
-    Y = w_table(StableProfile(a=a)).inverse(w[live])
-    return float(np.max(((R - X[live]) / Y) ** a / tau[live], initial=0.0))
+    table = w_table(StableProfile(a=a))
+    bound = 0.0
+    for idx in _sample_blocks(dual_field):
+        w = dual_field.psi[idx] + BARRIER_TOL
+        X, tau = np.broadcast_arrays(dual_field.nodes, (dual_field.t_final - dual_field.s_values[idx])[:, None])
+        live = (X < R) & (tau > 0.0) & (w < 1.0)
+        Y = table.inverse(w[live])
+        bound = max(bound, float(np.max(((R - X[live]) / Y) ** a / tau[live], initial=0.0)))
+    return bound
 
 
 def find_m_star(dual_field):

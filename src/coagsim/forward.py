@@ -74,6 +74,11 @@ import numpy as np
 from .kernel import eval_cutoff, eval_kernel
 from .measure import GridMeasure
 
+# entries (rows x taps) per block of the corner table's build: its
+# temporaries take about 0.4 MB, where the whole table at once took 2 MB
+# on the acceptance grid and 12 MB on a 32-per-octave grid at lam = 1e-4
+CORNER_BLOCK = 4096
+
 
 class IntegrationError(RuntimeError):
     """Step-size control failed to meet the accuracy target."""
@@ -262,15 +267,34 @@ class _Engine:
         # the corner: rows whose pairs feed the top cell's hi half (lo = N - 2)
         # or the ledger (lo >= N - 1, ghost partners included), with the
         # mass weights S of both ordered pairs (ghosts are loss-only)
+        def block(a, b):
+            """The corner's (top, over, over moment) weights of rows a..b-1."""
+            i = np.arange(a, b)[:, None]
+            Yi, Yp = self.Yall[a:b, None], self.Yall[i + d]
+            S = self.Yg[a:b, None] * t * (Yi + np.where((d > 0) & (i + d < N), Yp, 0.0))
+            over = i + k >= N - 1
+            top = np.where(i + k == N - 2, S * (1.0 - f), 0.0)
+            return np.stack([top, np.where(over, S, 0.0), np.where(over, S * (Yi + Yp), 0.0)])
+
+        # every entry with weight (t_d > 0) is live unless its S underflows:
+        # rows N - 1 - k_d and up, and row N - 2 - k_d unless f_d = 1.  So the
+        # table is allocated at that size and filled, rows in blocks of about
+        # CORNER_BLOCK entries, in row-major order, as one np.nonzero lists them
         i0 = max(0, N - 2 - k.max())
-        i = np.arange(i0, N)[:, None]
-        Yi, Yp = self.Yall[i0:N, None], self.Yall[i + d]
-        S = self.Yg[i0:, None] * t * (Yi + np.where((d > 0) & (i + d < N), Yp, 0.0))
-        over = i + k >= N - 1
-        top = np.where(i + k == N - 2, S * (1.0 - f), 0.0)
-        C = np.stack([top, np.where(over, S, 0.0), np.where(over, S * (Yi + Yp), 0.0)])
-        rows, ds = np.nonzero(C.any(axis=0))
-        self.corner, self.corner_pairs = C[:, rows, ds], (i0 + rows, i0 + rows + ds)
+        size = int(np.sum((t != 0.0) * (N - np.maximum(i0, N - 1 - k) + ((N - 2 - k >= i0) & (f != 1.0)))))
+        # (3, size) over a (size, 3) buffer: the layout of a fancy-indexed
+        # C[:, rows, ds], which sets the order of rates' corner @ sums
+        corner, rows, partners = np.empty((size, 3)).T, np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+        n, step = 0, max(1, CORNER_BLOCK // d.size)
+        for a in range(i0, N, step):
+            C = block(a, min(a + step, N))
+            ri, di = np.nonzero(C.any(axis=0))
+            corner[:, n : n + ri.size] = C[:, ri, di]
+            rows[n : n + ri.size], partners[n : n + ri.size] = a + ri, a + ri + di
+            n += ri.size
+        if n < size:  # an S underflowed: trim
+            corner, rows, partners = corner[:, :n], rows[:n], partners[:n]
+        self.corner, self.corner_pairs = corner, (rows, partners)
 
     def row(self, X):
         """Static weights of size X with every partner (cells, then ghosts)."""

@@ -133,15 +133,33 @@ def eval_cutoff(cutoff, s):
     -------
     float or ndarray
     """
-    s = np.asarray(s, dtype=float)
+    z = _zeta(cutoff, np.array(s, dtype=float))
+    return z if z.ndim else float(z)
+
+
+def _zeta(cutoff, s):
+    """eval_cutoff's zeta, computed in the float array s, which it
+    overwrites and returns, with one array of scratch (two for quintic)."""
     if np.any(s < 0.0) or not np.all(np.isfinite(s)):
         raise ValueError("cutoff argument must be finite and >= 0")
-    u = np.clip(2.0 * s - 1.0, 0.0, 1.0)
+    s *= 2.0
+    s -= 1.0
+    u = np.clip(s, 0.0, 1.0, out=s)
+    w = np.empty_like(u)
     if cutoff.profile == "cubic":
-        z = u * u * (3.0 - 2.0 * u)
+        np.multiply(u, 2.0, out=w)
+        np.subtract(3.0, w, out=w)
+        u *= u
+        u *= w  # u u (3 - 2 u)
     else:
-        z = u * u * u * (u * (6.0 * u - 15.0) + 10.0)
-    return z if z.ndim else float(z)
+        np.multiply(u, 6.0, out=w)
+        w -= 15.0
+        w *= u
+        w += 10.0
+        u3 = u * u
+        u3 *= u
+        np.multiply(u3, w, out=u)  # u u u (u (6 u - 15) + 10)
+    return u
 
 
 def eval_kernel(spec, y, z):
@@ -214,12 +232,12 @@ def eval_regularized(spec, cutoff, y, z):
     z = np.asarray(z, dtype=float)
     k = np.asarray(eval_kernel(spec, y, z))
     lam = cutoff.lam
-    tot = y + z
-    k = (
-        k
-        * eval_cutoff(cutoff, y / lam)
-        * eval_cutoff(cutoff, z / lam)
-        * eval_cutoff(cutoff, y / (lam * tot))
-        * eval_cutoff(cutoff, z / (lam * tot))
-    )
+    # factor by factor into k, in the order of the product above; the ratio
+    # arguments share one array of lam (y + z)
+    k *= eval_cutoff(cutoff, y / lam)
+    k *= eval_cutoff(cutoff, z / lam)
+    tot = np.add(y, z, out=np.empty_like(k))
+    tot *= lam
+    k *= _zeta(cutoff, np.divide(y, tot, out=np.empty_like(k)))
+    k *= _zeta(cutoff, np.divide(z, tot, out=tot))
     return k if k.ndim else float(k)

@@ -31,27 +31,27 @@ dual transport problem; WTable interpolates W for it in numpy, and inverts
 the interpolant for the closed-form comparison constant M*.
 """
 
-import importlib.util
+import importlib
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 
-def _lazy_import(name):
-    """Module name, executed on first attribute access (scipy's are slow to import)."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+class _OnDemand:
+    """Stands for the module name, imported on the first attribute read:
+    scipy is slow to import and heavy to hold, and only t3e4_residual
+    calls it.  Nothing is imported, not even the scipy package, before."""
+
+    def __init__(self, name):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
 
 
-integrate = _lazy_import("scipy.integrate")
+integrate = _OnDemand("scipy.integrate")
 
 
 @dataclass(frozen=True)

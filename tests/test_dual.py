@@ -13,6 +13,7 @@ from coagsim.dual import (
     _Jumps,
     _m_bound,
     _pairing,
+    _sample_blocks,
     _samples,
     adjoint_consistency,
     find_m_star,
@@ -487,11 +488,21 @@ class TestBarrierWholeArrayOracle:
         M = find_m_star(field)[0] if M == "m_star" else M
         assert subsolution_bound(field, M) == oracle_subsolution_whole(field, M)
 
+    def test_ties_keep_the_earliest_sample(self, field):
+        # Psi = 1 against the indicator (M = 0): every margin below R is 0,
+        # in every block, so the report names the first sample and node
+        flat = replace(field, psi=np.ones_like(field.psi))
+        assert len(_sample_blocks(flat)) > 1
+        rep = subsolution_bound(flat, 0.0)
+        assert rep == oracle_subsolution_whole(flat, 0.0)
+        assert rep.worst_margin == 0.0 and rep.s_at == flat.s_values[0] and rep.X_at == flat.nodes[0]
+
     def test_dual_check_config(self):
         # the dual-check bench config: acceptance grid, lambda = 1e-3, R = 100
         h0 = power_law_init(PARAMS, geometric_grid(1e-4, 1e8, RATIO))
         traj = rescaled_trajectory(h0, PARAMS, constant_kernel(), CUT, T_FINAL, max_change=0.0025)
         fld = solve_dual(traj, 100.0, T_FINAL, max_change=0.0025)
+        assert len(_sample_blocks(fld)) > 1
         m_star = _m_bound(fld)
         assert m_star == oracle_m_bound_whole(fld)
         for M in (0.0, m_star, 1e4):
@@ -679,6 +690,18 @@ class TestPairingOracle:
         }[request.param]
         h0 = power_law_init(params, edges)
         return h0, rescaled_trajectory(h0, params, kernel, CUT, T_FINAL)
+
+    @pytest.mark.parametrize("t", [0.0, 0.2, T_FINAL])
+    def test_no_break_points_inside_the_range(self, case, t):
+        # R e^(beta t) lies below the grid: no edge or node falls in
+        # [edges[0], R e^(beta t)], the break list is empty and h0 has no
+        # mass there
+        h0, traj = case
+        fld = solve_dual(traj, 1e-4, t)
+        assert fld.nodes[-1] * np.exp(traj.params.beta * t) < h0.edges[0]
+        for psi0 in (fld.psi[0], np.full(fld.nodes.size, 0.7)):
+            assert _pairing(h0, fld.nodes, psi0, t, traj.params.beta) == 0.0
+            assert oracle_pairing(h0, fld.nodes, psi0, t, traj.params.beta) == 0.0
 
     @pytest.mark.parametrize("R", [1e-3, 1.0, 10.0, 100.0, 1e5])
     @pytest.mark.parametrize("t", [0.0, 0.2, T_FINAL])

@@ -1,6 +1,7 @@
 """Static checks on the package source, with the standard library's ast."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "coagsim"
@@ -436,3 +437,64 @@ def test_thread_pin_precedes_numpy_and_is_the_only_environ_write():
     writes = {path.name: environ_writes(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))}
     assert len(writes.pop("__init__.py")) == 1
     assert {name: lines for name, lines in writes.items() if lines} == {}
+
+
+def foreign_imports(source):
+    """(line, name) of each import the module runs when it is imported
+    (outside any function or class body) of a top-level package other than
+    the standard library, numpy or the package itself (relative imports,
+    or coagsim)."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "coagsim"}
+    out = []
+
+    def visit(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Import):
+                out.extend((node.lineno, a.name) for a in node.names if a.name.split(".")[0] not in allowed)
+            elif isinstance(node, ast.ImportFrom):
+                if node.level == 0 and node.module.split(".")[0] not in allowed:
+                    out.append((node.lineno, node.module))
+            else:
+                visit(ast.iter_child_nodes(node))
+
+    visit(ast.parse(source).body)
+    return out
+
+
+def test_checker_flags_foreign_imports():
+    source = (
+        "import os.path\n"
+        "import numpy as np\n"
+        "from numpy.lib.stride_tricks import sliding_window_view\n"
+        "from . import forward\n"
+        "from .kernel import eval_kernel\n"
+        "import coagsim.measure\n"
+        "import scipy\n"
+        "from scipy import integrate\n"
+        "try:\n"
+        "    import matplotlib.pyplot as plt\n"
+        "except ImportError:\n"
+        "    plt = None\n"
+        "def f():\n"
+        "    import pandas\n"
+        "class C:\n"
+        "    import yaml\n"
+        "if True:\n"
+        "    import hypothesis, json\n"
+    )
+    assert foreign_imports(source) == [
+        (7, "scipy"), (8, "scipy"), (10, "matplotlib.pyplot"), (18, "hypothesis"),
+    ]
+
+
+def test_package_imports_only_stdlib_numpy_and_itself_at_import_time():
+    # scipy and any other library load on first use, inside the function
+    # that needs them, so a run that never calls them never holds them
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in foreign_imports(path.read_text())
+    ]
+    assert found == []

@@ -1,5 +1,6 @@
-"""scipy's submodules load on first use: the forward, stationary and dual
-paths never import them, and stablecdf still calls through its module name."""
+"""scipy loads on first use: the forward, stationary and dual paths never
+import it, not even its package, and stablecdf still calls through its
+module name.  Nor do they import numpy.ma."""
 
 import json
 import os
@@ -42,7 +43,7 @@ import coagsim.cli as cli
 command, cfg, out = sys.argv[1:]
 cli.run_config(cli.load_config(cfg))
 cli.main([command, "--config", cfg, "--out", out])  # exit code not checked here
-modules = ("scipy.special._ufuncs", "scipy.integrate._quadpack", "scipy.interpolate._cubic")
+modules = ("scipy", "scipy.special._ufuncs", "scipy.integrate._quadpack", "scipy.interpolate._cubic", "numpy.ma")
 print(" ".join(m for m in modules if m in sys.modules))
 """
 
@@ -65,11 +66,27 @@ def test_stationary_command_loads_no_scipy_submodule(tmp_path):
 
 
 def test_dual_check_command_loads_no_scipy_submodule(tmp_path):
-    # the M* bisection builds a cold W table: Kanter's integral and the
-    # numpy PCHIP, no scipy.special, QUADPACK or scipy.interpolate
+    # the closed-form M* builds a cold W table from Kanter's integral and
+    # the numpy PCHIP, with no scipy; the adjoint pairing drops repeated
+    # break points without np.unique, which would import numpy.ma
     assert run_probe(tmp_path, "dual-check", DUAL_CFG) == ""
     manifest = json.loads((tmp_path / "out" / "dual_check.json").read_text())
     assert manifest["m_star"] <= 1e4
+
+
+def test_integrate_imports_nothing_until_read():
+    # a fresh interpreter: importing coagsim leaves scipy unloaded, and the
+    # first attribute read imports scipy.integrate
+    probe = (
+        "import sys, coagsim.stablecdf as s\n"
+        "print('scipy' in sys.modules)\n"
+        "s.integrate.quad\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 class _CountingIntegrate:

@@ -2,6 +2,7 @@
 
 import os
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,6 +30,7 @@ from coagsim.measure import (
     dyadic_tail_integral,
     geometric_grid,
     power_law_init,
+    tail_matched_init,
     xrho_dist,
 )
 from coagsim.stationary import (
@@ -279,6 +281,24 @@ class TestDecay0Residual:
         edges = geometric_grid(1e-2, 1e2, RATIO)
         empty = GridMeasure(edges, np.zeros(edges.size - 1), 0.0, 0.5)
         assert decay0_residual(empty, PARAMS, constant_kernel(2.0), 1.0) == 0.0
+
+
+
+class TestFluxWorkingMemory:
+    def test_decay0_residual_peak(self):
+        # one flux residual on the acceptance grid at lambda = 1e-3 peaks
+        # under 1 MiB (2.2 MiB with fresh 64-point blocks)
+        h = tail_matched_init(PARAMS, geometric_grid(1e-4, 1e8, RATIO))
+        ker = constant_kernel()
+        decay0_residual(h, PARAMS, ker, 10.0, cutoff=CUT)  # warm every import and cache
+        tracemalloc.start()
+        try:
+            value = decay0_residual(h, PARAMS, ker, 10.0, cutoff=CUT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(value)
+        assert peak <= 2**20
 
 
 class TestTailFit:
