@@ -74,9 +74,8 @@ import numpy as np
 from .kernel import eval_cutoff, eval_kernel
 from .measure import GridMeasure
 
-# entries (rows x taps) per block of the corner table's build: its
-# temporaries take about 0.4 MB, where the whole table at once took 2 MB
-# on the acceptance grid and 12 MB on a 32-per-octave grid at lam = 1e-4
+# entries (rows x taps) per block of the corner table's build; a block's
+# temporaries take about 0.4 MB
 CORNER_BLOCK = 4096
 
 

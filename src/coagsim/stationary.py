@@ -206,8 +206,8 @@ def tail_fit(profile):
 
     The exponent is the least-squares slope of log cell density against
     log position, in closed form about the centred means
-    (sum dx dy / sum dx^2), which np.polyfit matches to 1e-14 without
-    starting LAPACK.  The amplitude is estimated at the nominal tail exponent of
+    (sum dx dy / sum dx^2): np.polyfit's slope to 1e-14, without starting
+    LAPACK.  The amplitude is estimated at the nominal tail exponent of
     the profile (geometric mean of the cell amplitudes c_k), not from the
     free-fit intercept: over a few decades the intercept is so strongly
     anti-correlated with the fitted slope that even the exact stationary
