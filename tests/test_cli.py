@@ -4,6 +4,7 @@ import io
 import json
 import os
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -376,6 +377,118 @@ class TestStationaryCommand:
             for profile in ("quintic", "cubic"):
                 direct = simulate(h0, cfg.params, cfg.kernel, CutoffParams(lam=lam, profile=profile), 0.5)
                 assert np.array_equal(got, direct.final.cell_mass) == (profile == "quintic")
+
+
+def oracle_setup(cfg):
+    """The manifests' setup entry as the CLI first wrote it."""
+    return {
+        "params": asdict(cfg.params),
+        "kernel": asdict(cfg.kernel),
+        "cutoff": asdict(cfg.cutoff),
+        "grid": list(cfg.grid),
+        "seed": cfg.seed,
+    }
+
+
+def oracle_stationary_manifest(cfg, results, extra):
+    """stationary.json with each result entry listed by hand, as the CLI
+    first wrote it."""
+    entries = []
+    for k, res in enumerate(results):
+        entries.append(
+            {
+                "lambda": res.lam,
+                "converged": res.converged,
+                "t_elapsed": res.t_elapsed,
+                "convergence_history": [list(p) for p in res.convergence_history],
+                "distance_estimate": res.distance_estimate,
+                "residual_decay0": res.residual_decay0,
+                "tail_exponent_fit": res.tail_exponent_fit,
+                "tail_amplitude_fit": res.tail_amplitude_fit,
+                "envelope_upper": res.envelope_upper,
+                "envelope_lower": res.envelope_lower,
+                "origin_mass": res.origin_mass,
+                "n_steps": res.n_steps,
+                "n_retries": res.n_retries,
+                "max_pairing_residual": res.max_pairing_residual,
+                "profile_file": f"profile_{k:04d}.csv",
+            }
+        )
+    return {
+        "schema_version": 1,
+        "command": "stationary",
+        "setup": oracle_setup(cfg),
+        "tol": cfg.tol,
+        "t_max": cfg.t_max,
+        "results": entries,
+        **extra,
+    }
+
+
+def oracle_simulate_manifest(cfg, res):
+    """simulate.json with its counters listed by hand, as the CLI first
+    wrote it."""
+    return {
+        "schema_version": 1,
+        "command": "simulate",
+        "setup": oracle_setup(cfg),
+        "t_final": cfg.t_final,
+        "times": res.times,
+        "snapshot_files": [f"snapshot_{k:04d}.csv" for k in range(len(res.snapshots))],
+        "origin_mass": res.origin_mass,
+        "overflow_mass": res.overflow_mass,
+        "overflow_moment": res.overflow_moment,
+        "n_steps": res.n_steps,
+        "n_retries": res.n_retries,
+        "max_pairing_residual": res.max_pairing_residual,
+    }
+
+
+def recording(monkeypatch, name):
+    """Wrap cli.<name> so that each call's return value is kept."""
+    fn, seen = getattr(cli, name), []
+
+    def wrapped(*args, **kwargs):
+        seen.append(fn(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, name, wrapped)
+    return seen
+
+
+ORACLE_STATIONARY = BASE + "run.tol = 5e-3\nrun.t_max = 12.0\nstationary.probe_radii = 10.0, 100.0\n"
+ORACLE_CONTINUATION = (
+    BASE.replace("cutoff.lambda = 1e-2\n", "") + "run.tol = 5e-3\nrun.t_max = 12.0\nstationary.lambdas = 5e-2, 1e-2\n"
+)
+
+
+class TestManifestOracle:
+    def test_stationary_entry(self, tmp_path, monkeypatch):
+        seen = recording(monkeypatch, "find_stationary")
+        code, out = run_cli(tmp_path, ORACLE_STATIONARY, "stationary")
+        assert code == 0 and len(seen) == 1
+        cfg = run_config(parse_config(ORACLE_STATIONARY))
+        cli.write_json(tmp_path / "want.json", oracle_stationary_manifest(cfg, seen, {}))
+        assert (out / "stationary.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    def test_continuation_entries(self, tmp_path, monkeypatch):
+        seen = recording(monkeypatch, "lambda_continuation")
+        code, out = run_cli(tmp_path, ORACLE_CONTINUATION, "stationary")
+        assert code == 0 and len(seen) == 1
+        report = seen[0]
+        cfg = run_config(parse_config(ORACLE_CONTINUATION))
+        extra = {"lambdas": list(report.lambdas), "xrho_distances": report.distances}
+        want = oracle_stationary_manifest(cfg, report.results, extra)
+        cli.write_json(tmp_path / "want.json", want)
+        assert (out / "stationary.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    def test_simulate_counters(self, tmp_path, monkeypatch):
+        seen = recording(monkeypatch, "simulate")
+        code, out = run_cli(tmp_path, BASE, "simulate")
+        assert code == 0 and len(seen) == 1
+        cfg = run_config(parse_config(BASE))
+        cli.write_json(tmp_path / "want.json", oracle_simulate_manifest(cfg, seen[0]))
+        assert (out / "simulate.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
 class TestDualCheckCommand:
