@@ -12,8 +12,9 @@ key-value config format of the config module:
                       JUnit XML plus JSON summary
 
 Common flags: --config PATH (required), --out DIR (default: the config's
-outputs key).  Every command but simulate also takes --tolerance X, its
-pass threshold.
+outputs key).  The three checking commands, dual-check, profile-w and
+invariance-suite, also take --tolerance X, their pass threshold; the
+stationary search stops at the config's run.tol alone.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure or failed
 check, 3 non-convergence.  All artifacts carry a schema_version field and
@@ -24,9 +25,10 @@ configs produce bit-identical artifacts.
 """
 
 import argparse
+import inspect
 import json
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +46,7 @@ from .forward import (
 from .measure import (
     envelope_check_lower,
     envelope_check_upper,
+    GridMeasure,
     geometric_grid,
     power_law_init,
     read_tagged_csv,
@@ -101,8 +104,23 @@ def _setup_dict(cfg):
         "kernel": asdict(cfg.kernel),
         "cutoff": asdict(cfg.cutoff),
         "grid": list(cfg.grid),
-        "seed": cfg.seed,
     }
+
+
+def _result_entry(res):
+    """A result dataclass's fields, lam written as lambda, but for the
+    measures, which go to CSV."""
+    return {
+        "lambda" if f.name == "lam" else f.name: getattr(res, f.name)
+        for f in fields(res)
+        if not _holds_measures(getattr(res, f.name))
+    }
+
+
+def _holds_measures(value):
+    return isinstance(value, GridMeasure) or (
+        isinstance(value, list) and any(isinstance(v, GridMeasure) for v in value)
+    )
 
 
 def _log(msg):
@@ -135,64 +153,44 @@ def cmd_simulate(cfg, out_dir):
         "command": "simulate",
         "setup": _setup_dict(cfg),
         "t_final": cfg.t_final,
-        "times": res.times,
         "snapshot_files": files,
-        "origin_mass": res.origin_mass,
-        "overflow_mass": res.overflow_mass,
-        "overflow_moment": res.overflow_moment,
-        "n_steps": res.n_steps,
-        "n_retries": res.n_retries,
-        "max_pairing_residual": res.max_pairing_residual,
+        **_result_entry(res),
     }
     write_json(out_dir / "simulate.json", manifest)
     _log(f"simulate: {len(files)} snapshots, {res.n_steps} steps -> {out_dir}")
     return 0
 
 
-def cmd_stationary(cfg, out_dir, tolerance):
+def cmd_stationary(cfg, out_dir):
     """Run the stationary search; write profile CSV(s) and a manifest."""
-    tol = tolerance if tolerance is not None else cfg.tol
     edges = geometric_grid(*cfg.grid)
-    kwargs = {"edges": edges, "tol": tol, "t_max": cfg.t_max, "max_change": cfg.max_change}
+    kwargs = {"edges": edges, "tol": cfg.tol, "t_max": cfg.t_max, "max_change": cfg.max_change}
     if "stationary.probe_radii" in cfg.raw:
         kwargs["probe_radii"] = list(get_floats(cfg.raw, "stationary.probe_radii"))
+        for R in kwargs["probe_radii"]:
+            if not edges[0] < R < edges[-1]:
+                raise ConfigError(f"stationary.probe_radii value {R} outside the grid ({edges[0]}, {edges[-1]})")
+    setup = _setup_dict(cfg)
     if "stationary.lambdas" in cfg.raw:
         lambdas = get_floats(cfg.raw, "stationary.lambdas")
         report = lambda_continuation(cfg.params, cfg.kernel, lambdas, cutoff_profile=cfg.cutoff.profile, **kwargs)
         results = report.results
         extra = {"lambdas": list(report.lambdas), "xrho_distances": report.distances}
+        # the searches ran at the lambdas, each recorded in its result
+        del setup["cutoff"]["lam"]
     else:
         results = [find_stationary(cfg.params, cfg.kernel, cfg.cutoff, **kwargs)]
         extra = {}
-    entries, files = [], []
+    entries = []
     for k, res in enumerate(results):
         name = f"profile_{k:04d}.csv"
         to_csv(res.profile, out_dir / name)
-        files.append(name)
-        entries.append(
-            {
-                "lambda": res.lam,
-                "converged": res.converged,
-                "t_elapsed": res.t_elapsed,
-                "convergence_history": [list(p) for p in res.convergence_history],
-                "distance_estimate": res.distance_estimate,
-                "residual_decay0": res.residual_decay0,
-                "tail_exponent_fit": res.tail_exponent_fit,
-                "tail_amplitude_fit": res.tail_amplitude_fit,
-                "envelope_upper": res.envelope_upper,
-                "envelope_lower": res.envelope_lower,
-                "origin_mass": res.origin_mass,
-                "n_steps": res.n_steps,
-                "n_retries": res.n_retries,
-                "max_pairing_residual": res.max_pairing_residual,
-                "profile_file": name,
-            }
-        )
+        entries.append({**_result_entry(res), "profile_file": name})
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "command": "stationary",
-        "setup": _setup_dict(cfg),
-        "tol": tol,
+        "setup": setup,
+        "tol": cfg.tol,
         "t_max": cfg.t_max,
         "results": entries,
         **extra,
@@ -272,7 +270,7 @@ def cmd_profile_w(cfg, out_dir, tolerance):
         profile = StableProfile(a=a)
     except ValueError as exc:
         raise ConfigError(f"w.a: {exc}") from exc
-    if "w.y_values" in cfg.raw:
+    if "w.y_values" in cfg.raw:  # the config refuses it beside w.y_min, w.y_max or w.n
         ys = np.array(get_floats(cfg.raw, "w.y_values"))
     else:
         y_lo = get_float(cfg.raw, "w.y_min", 1e-2)
@@ -421,7 +419,7 @@ def main(argv=None):
         p = sub.add_parser(name, help=fn.__doc__.splitlines()[0])
         p.add_argument("--config", required=True, metavar="PATH", help="run configuration file")
         p.add_argument("--out", metavar="DIR", help="output directory (default: config outputs key)")
-        if name != "simulate":  # the one command without a pass threshold
+        if "tolerance" in inspect.signature(fn).parameters:  # the checking commands
             p.add_argument("--tolerance", type=float, metavar="X", help="pass/fail threshold for this command")
     args = parser.parse_args(argv)
     try:

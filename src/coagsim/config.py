@@ -23,13 +23,17 @@ typos; whole unknown sections are rejected too):
 
     params.gamma params.rho params.delta params.r0
     cutoff.lambda cutoff.profile
-    kernel.family kernel.gamma kernel.alpha kernel.value
+    kernel.family kernel.alpha kernel.value
     grid.x_min grid.x_max grid.ratio
     run.t_final run.snapshot_dt run.tol run.t_max run.max_change
     stationary.lambdas stationary.probe_radii
     dual.radius dual.time dual.max_change dual.dump_s
     w.a w.y_min w.y_max w.n w.y_values
-    outputs seed
+    outputs
+
+Each setting has one key: the kernel's degree is params.gamma, and a
+config that sets one thing twice (w.y_values with w.y_min, w.y_max or
+w.n; cutoff.lambda with stationary.lambdas) is rejected.
 """
 
 import re
@@ -44,13 +48,19 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 _KNOWN_KEYS = {
     "params": {"gamma", "rho", "delta", "r0"},
     "cutoff": {"lambda", "profile"},
-    "kernel": {"family", "gamma", "alpha", "value"},
+    "kernel": {"family", "alpha", "value"},
     "grid": {"x_min", "x_max", "ratio"},
     "run": {"t_final", "snapshot_dt", "tol", "t_max", "max_change"},
     "stationary": {"lambdas", "probe_radii"},
     "dual": {"radius", "time", "max_change", "dump_s"},
     "w": {"a", "y_min", "y_max", "n", "y_values"},
-    "": {"outputs", "seed"},
+    "": {"outputs"},
+}
+
+# each key against the keys that set the same thing another way
+_EXCLUSIVE = {
+    "w.y_values": ("w.y_min", "w.y_max", "w.n"),
+    "stationary.lambdas": ("cutoff.lambda",),
 }
 
 
@@ -152,6 +162,10 @@ def _check_known(mapping):
         section, _, leaf = key.rpartition(".")
         if section not in _KNOWN_KEYS or leaf not in _KNOWN_KEYS[section]:
             raise ConfigError(f"unknown config key {key!r}")
+    for key, others in _EXCLUSIVE.items():
+        twice = [k for k in others if k in mapping]
+        if key in mapping and twice:
+            raise ConfigError(f"{key} and {', '.join(twice)} set the same thing; set one")
 
 
 def _typed(mapping, key, kinds, default, label):
@@ -210,7 +224,6 @@ class RunConfig:
     t_max: float
     max_change: float
     outputs: str
-    seed: int
     raw: dict
 
 
@@ -234,17 +247,10 @@ def run_config(mapping):
         cutoff = CutoffParams(lam=lam, profile=get_str(mapping, "cutoff.profile", "cubic"))
     except ValueError as exc:
         raise ConfigError(f"params/cutoff: {exc}") from exc
-    family = get_str(mapping, "kernel.family")
-    kgamma = get_float(mapping, "kernel.gamma", gamma)
-    if kgamma != gamma:
-        raise ConfigError(
-            f"kernel.gamma = {kgamma} must equal params.gamma = {gamma}"
-            " (the kernel homogeneity degree is a shared exponent)"
-        )
     try:
         kernel = KernelSpec(
-            family=family,
-            gamma=kgamma,
+            family=get_str(mapping, "kernel.family"),
+            gamma=gamma,
             alpha=get_float(mapping, "kernel.alpha", 0.0),
             value=get_float(mapping, "kernel.value", 1.0),
         )
@@ -277,6 +283,5 @@ def run_config(mapping):
         t_max=t_max,
         max_change=max_change,
         outputs=get_str(mapping, "outputs", "out"),
-        seed=get_int(mapping, "seed", 0),
         raw=dict(mapping),
     )

@@ -559,10 +559,13 @@ def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), max_change=
         time within 1e-12 of the next one, or of t_final, merges into it,
         so the stored times strictly increase.
     max_change : float
-        Per-step relative change cap of the adaptive stepper.
+        Per-step relative change cap of the adaptive stepper; not read
+        when a stepper is given, whose own cap governs.
     stepper : _Stepper or None
-        Internal: continue with this stepper of the same grid, kernel and
-        cutoff; the step counts and overflow ledger cover this call only.
+        Internal: continue with this stepper, whose engine must have been
+        built for params, kernel and cutoff on a grid of h0's size
+        (ValueError otherwise); the step counts and overflow ledger cover
+        this call only.
 
     Returns
     -------
@@ -582,6 +585,10 @@ def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), max_change=
     boundaries = [t for t, t_next in zip(times, times[1:] + [t_final]) if t < t_next - 1e-12] + [t_final]
     if stepper is None:
         stepper = _Stepper(_Engine(edges, params, kernel, cutoff), max_change=max_change)
+    else:
+        eng = stepper.engine
+        if (eng.params, eng.kernel, eng.cutoff, eng.N) != (params, kernel, cutoff, edges.size - 1):
+            raise ValueError("the stepper's engine was built for another grid size, params, kernel or cutoff")
     n0, r0, m0, p0 = stepper.n_steps, stepper.n_retries, stepper.sink_mass, stepper.sink_moment
     masses = h0.cell_mass.copy()
     amp = h0.tail_amplitude

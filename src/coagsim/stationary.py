@@ -183,12 +183,15 @@ def decay0_residual(profile, params, kernel, R, cutoff=None):
     beta (1-rho) F(R), with F closed below the grid by the power
     continuation of the transport-stationary dead zone (amplitude from
     the bottom cell).  Degenerate profiles with no mass below R return 0.
+    A profile whose tail exponent is not params.rho raises ValueError.
 
     Returns
     -------
     float
     """
     p = params
+    if profile.tail_exponent != p.rho:
+        raise ValueError("params.rho disagrees with the profile's tail exponent")
     F = cumulative_mass(profile, R)
     if profile.cell_mass[0] > 0.0:
         q = 1.0 - profile.tail_exponent

@@ -36,8 +36,11 @@ grid.x_min = 1e-3
 grid.x_max = 1e4
 run.t_final = 0.2
 run.snapshot_dt = 0.1
-seed = 7
 """
+
+# stationary.lambdas sets the cutoff scale, so a continuation sets no
+# cutoff.lambda
+CONTINUATION_BASE = BASE.replace("cutoff.lambda = 1e-2\n", "")
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -48,10 +51,10 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 class TestParseConfig:
     def test_scalars_and_types(self):
-        m = parse_config(BASE)
+        m = parse_config(BASE + "w.n = 7\n")
         assert m["params.gamma"] == 0.0
         assert m["kernel.family"] == "constant"
-        assert m["seed"] == 7 and isinstance(m["seed"], int)
+        assert m["w.n"] == 7 and isinstance(m["w.n"], int)
         assert isinstance(m["params.rho"], float)
 
     def test_comments_and_blanks(self):
@@ -125,7 +128,7 @@ class TestRunConfig:
         assert cfg.kernel.family == "constant"
         assert cfg.grid == (1e-3, 1e4, 2.0 ** (1.0 / 16.0))
         assert cfg.tol == 1e-4 and cfg.t_max == 40.0
-        assert cfg.outputs == "out" and cfg.seed == 7
+        assert cfg.outputs == "out"
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="params.rho"):
@@ -143,6 +146,34 @@ class TestRunConfig:
     def test_kernel_gamma_mismatch(self):
         with pytest.raises(ConfigError, match="kernel.gamma"):
             run_config(parse_config(BASE + "kernel.gamma = 0.25\n"))
+
+    @pytest.mark.parametrize(
+        "command, extra, names",
+        [
+            ("simulate", "seed = 0\n", ["seed"]),
+            ("simulate", "kernel.gamma = 0.0\n", ["kernel.gamma"]),
+            ("profile-w", "w.a = 0.5\nw.y_values = 1.0, 2.0\nw.n = 3\n", ["w.y_values", "w.n"]),
+            ("profile-w", "w.a = 0.5\nw.y_values = 1.0, 2.0\nw.y_min = 0.5\n", ["w.y_values", "w.y_min"]),
+            ("profile-w", "w.a = 0.5\nw.y_values = 1.0, 2.0\nw.y_max = 5.0\n", ["w.y_values", "w.y_max"]),
+            ("stationary", "stationary.lambdas = 5e-2, 1e-2\n", ["stationary.lambdas", "cutoff.lambda"]),
+            ("stationary", "stationary.probe_radii = 10.0, 1e9\n", ["stationary.probe_radii", "1000000000.0"]),
+            ("stationary", "stationary.probe_radii = 1e-5\n", ["stationary.probe_radii", "1e-05"]),
+        ],
+        ids=["seed", "kernel_gamma", "y_values_n", "y_values_y_min", "y_values_y_max", "lambdas", "radius_high", "radius_low"],
+    )
+    def test_refused_before_any_solve(self, tmp_path, monkeypatch, capsys, command, extra, names):
+        # an unread key, a second home for one setting, or a probe radius
+        # the search would drop, exits 1 naming the keys, before any solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(forward._Engine, "__init__", no_solve)
+        monkeypatch.setattr(cli, "w_eval", no_solve)
+        code, out = run_cli(tmp_path, BASE + extra, command)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and all(name in err for name in names)
+        assert not out.exists() or not list(out.iterdir())
 
     def test_type_errors_name_the_key(self):
         with pytest.raises(ConfigError, match="params.rho"):
@@ -332,7 +363,7 @@ class TestStationaryCommand:
         assert entry["tail_amplitude_fit"] == pytest.approx(0.5, rel=1e-6)
 
     def test_lambda_continuation_manifest(self, tmp_path):
-        text = BASE + "run.tol = 5e-3\nrun.t_max = 12.0\nstationary.lambdas = 5e-2, 1e-2\n"
+        text = CONTINUATION_BASE + "run.tol = 5e-3\nrun.t_max = 12.0\nstationary.lambdas = 5e-2, 1e-2\n"
         code, out = run_cli(tmp_path, text, "stationary")
         assert code == 0
         manifest = json.loads((out / "stationary.json").read_text())
@@ -353,7 +384,7 @@ class TestStationaryCommand:
             return None
 
         monkeypatch.setattr(stationary, "find_stationary", failing)
-        text = BASE + "stationary.lambdas = 5e-2, 1e-2\n"
+        text = CONTINUATION_BASE + "stationary.lambdas = 5e-2, 1e-2\n"
         code, out = run_cli(tmp_path, text, "stationary")
         assert code == 2
         assert "numerical failure: step size collapsed" in capsys.readouterr().err
@@ -365,7 +396,7 @@ class TestStationaryCommand:
     def test_cutoff_profile_reaches_the_search(self, tmp_path, extra):
         # with t_max = chunk each search is a single simulate call, which
         # must run with the configured (quintic) cutoff profile
-        text = BASE + "cutoff.profile = quintic\nrun.tol = 1e-12\nrun.t_max = 0.5\n" + extra
+        text = (CONTINUATION_BASE if extra else BASE) + "cutoff.profile = quintic\nrun.tol = 1e-12\nrun.t_max = 0.5\n" + extra
         code, out = run_cli(tmp_path, text, "stationary")
         assert code == 3
         cfg = run_config(parse_config(text))
@@ -380,13 +411,13 @@ class TestStationaryCommand:
 
 
 def oracle_setup(cfg):
-    """The manifests' setup entry as the CLI first wrote it."""
+    """The manifests' setup entry as the CLI first wrote it, without the
+    seed, which no code read."""
     return {
         "params": asdict(cfg.params),
         "kernel": asdict(cfg.kernel),
         "cutoff": asdict(cfg.cutoff),
         "grid": list(cfg.grid),
-        "seed": cfg.seed,
     }
 
 
@@ -457,9 +488,7 @@ def recording(monkeypatch, name):
 
 
 ORACLE_STATIONARY = BASE + "run.tol = 5e-3\nrun.t_max = 12.0\nstationary.probe_radii = 10.0, 100.0\n"
-ORACLE_CONTINUATION = (
-    BASE.replace("cutoff.lambda = 1e-2\n", "") + "run.tol = 5e-3\nrun.t_max = 12.0\nstationary.lambdas = 5e-2, 1e-2\n"
-)
+ORACLE_CONTINUATION = CONTINUATION_BASE + "run.tol = 5e-3\nrun.t_max = 12.0\nstationary.lambdas = 5e-2, 1e-2\n"
 
 
 class TestManifestOracle:
@@ -479,6 +508,8 @@ class TestManifestOracle:
         cfg = run_config(parse_config(ORACLE_CONTINUATION))
         extra = {"lambdas": list(report.lambdas), "xrho_distances": report.distances}
         want = oracle_stationary_manifest(cfg, report.results, extra)
+        # the searches ran at the lambdas alone, not at a setup cutoff scale
+        del want["setup"]["cutoff"]["lam"]
         cli.write_json(tmp_path / "want.json", want)
         assert (out / "stationary.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
@@ -719,10 +750,11 @@ class TestArgumentHandling:
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_tolerance_only_on_commands_that_read_it(self, tmp_path, capsys, command):
-        # simulate has no pass threshold, so --tolerance is a usage error
-        # there; elsewhere it parses, and the missing config file exits 1
+        # simulate has no pass threshold and the stationary search stops at
+        # run.tol, so --tolerance is a usage error there; on the checking
+        # commands it parses, and the missing config file exits 1
         argv = [command, "--config", str(tmp_path / "nope.cfg"), "--tolerance", "1e-3"]
-        if command == "simulate":
+        if command in ("simulate", "stationary"):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 1

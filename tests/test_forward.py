@@ -1249,6 +1249,30 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(m, PARAMS, zero_kernel(), CUT, 1.0)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"kernel": constant_kernel(5.0)},
+            {"cutoff": CutoffParams(lam=0.1)},
+            {"params": Params(gamma=0.0, rho=0.5, delta=0.1, R0=10.0)},
+            {"edges": geometric_grid(1e-2, 1e3, 2.0 ** 0.25)},
+        ],
+        ids=["kernel", "cutoff", "params", "grid"],
+    )
+    def test_stepper_must_match_its_arguments(self, change):
+        # a stepper's engine steps with its own kernel, cutoff, params and
+        # grid, so arguments that differ would be ignored without a word
+        edges = geometric_grid(1e-2, 1e2, 2.0 ** 0.25)
+        ker = constant_kernel(1.0)
+        stepper = _Stepper(_Engine(edges, PARAMS, ker, CUT))
+        args = {"params": PARAMS, "kernel": ker, "cutoff": CUT, "edges": edges, **change}
+        h0 = power_law_init(args["params"], args["edges"])
+        with pytest.raises(ValueError, match="stepper"):
+            simulate(h0, args["params"], args["kernel"], args["cutoff"], 0.1, stepper=stepper)
+        assert stepper.n_steps == 0
+        same = simulate(power_law_init(PARAMS, edges), PARAMS, ker, CUT, 0.1, stepper=stepper)
+        assert same.n_steps == stepper.n_steps > 0
+
 
 class TestTrajectory:
     def test_records_every_step(self):

@@ -498,3 +498,74 @@ def test_package_imports_only_stdlib_numpy_and_itself_at_import_time():
         for line, name in foreign_imports(path.read_text())
     ]
     assert found == []
+
+
+def config_keys(config_source, sources):
+    """(listed, known, read): the config keys that the config module's
+    docstring lists after "Recognized sections", the keys of its
+    _KNOWN_KEYS, and the keys that sources read by name, as the key
+    argument of a get_* call or a string tested with in against a .raw
+    mapping."""
+    tree = ast.parse(config_source)
+    section_list = ast.get_docstring(tree).split("Recognized sections", 1)[1]
+    listed = {w for line in section_list.splitlines() if line.startswith("    ") for w in line.split()}
+    known = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "_KNOWN_KEYS" for t in node.targets):
+            for section, leaves in ast.literal_eval(node.value).items():
+                known |= {f"{section}.{leaf}" if section else leaf for leaf in leaves}
+    read = set()
+    for node in (n for src in sources for n in ast.walk(ast.parse(src))):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+            if name.startswith("get_") and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+                read.add(node.args[1].value)
+        elif (
+            isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Constant)
+            and isinstance(node.ops[0], (ast.In, ast.NotIn))
+            and getattr(node.comparators[0], "attr", None) == "raw"
+        ):
+            read.add(node.left.value)
+    return listed, known, read
+
+
+def test_checker_reads_the_three_key_lists():
+    config = (
+        '"""Config.\n'
+        "\n"
+        "    key := segment\n"
+        "\n"
+        "Recognized sections (unknown keys are rejected):\n"
+        "\n"
+        "    params.gamma params.rho\n"
+        "    outputs seed\n"
+        "\n"
+        "A seed is a number.\n"
+        '"""\n'
+        "_KNOWN_KEYS = {'params': {'gamma', 'rho'}, '': {'outputs'}}\n"
+        "def run_config(mapping, key):\n"
+        "    get_float(mapping, 'params.gamma')\n"
+        "    get_float(mapping, key)\n"
+        "    return get_str(mapping, 'outputs', 'out')\n"
+    )
+    cli = (
+        "def cmd(cfg):\n"
+        "    if 'w.y_values' in cfg.raw and 'x' in 'xyz':\n"
+        "        return config.get_floats(cfg.raw, 'w.y_values')\n"
+        "    return getattr(cfg, 'tol')\n"
+    )
+    listed, known, read = config_keys(config, [config, cli])
+    assert listed == {"params.gamma", "params.rho", "outputs", "seed"}
+    assert known == {"params.gamma", "params.rho", "outputs"}
+    assert read == {"params.gamma", "outputs", "w.y_values"}
+
+
+def test_config_keys_are_listed_known_and_read_alike():
+    # a key the docstring lists but the parser refuses, or one the parser
+    # accepts but no code reads, is a setting that does nothing
+    listed, known, read = config_keys(
+        (SRC / "config.py").read_text(), [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    )
+    assert listed == known
+    assert read == known

@@ -282,6 +282,15 @@ class TestDecay0Residual:
         empty = GridMeasure(edges, np.zeros(edges.size - 1), 0.0, 0.5)
         assert decay0_residual(empty, PARAMS, constant_kernel(2.0), 1.0) == 0.0
 
+    def test_rejects_params_of_another_rho(self):
+        # the closure below the grid reads the profile's tail exponent and
+        # the flux identity reads params.rho; they are one rho
+        h = tail_matched_init(PARAMS, geometric_grid(1e-2, 1e4, RATIO))
+        ker = constant_kernel(1.0)
+        assert np.isfinite(decay0_residual(h, PARAMS, ker, 10.0, cutoff=CUT))
+        with pytest.raises(ValueError, match="rho"):
+            decay0_residual(h, replace(PARAMS, rho=0.6), ker, 10.0, cutoff=CUT)
+
 
 
 class TestFluxWorkingMemory:
