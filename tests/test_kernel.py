@@ -126,6 +126,58 @@ class TestCutoffProfile:
             CutoffParams(lam=lam)
 
 
+def _cubic_zeta_oracle(s):
+    """A frozen copy of the cubic switching profile's in-place arithmetic:
+    u = clip(2s - 1, 0, 1), zeta = u u (3 - 2 u)."""
+    s = np.array(s, dtype=float)
+    s *= 2.0
+    s -= 1.0
+    u = np.clip(s, 0.0, 1.0, out=s)
+    w = np.empty_like(u)
+    np.multiply(u, 2.0, out=w)
+    np.subtract(3.0, w, out=w)
+    u *= u
+    u *= w
+    return u if u.ndim else float(u)
+
+
+class TestCutoffOracle:
+    # both plateaus, the switching region between them, and the floats
+    # next to its two ends
+    S = np.concatenate(
+        [
+            np.linspace(0.0, 0.5, 1001),
+            np.linspace(0.5, 1.0, 20001),
+            np.geomspace(1.0, 1e12, 1001),
+            np.nextafter([0.5, 0.5, 1.0, 1.0], [0.0, 1.0, 0.0, 2.0]),
+        ]
+    )
+
+    def test_array_bit_for_bit(self):
+        got = eval_cutoff(CutoffParams(lam=0.1), self.S.copy())
+        want = _cubic_zeta_oracle(self.S)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_array_leaves_its_argument(self):
+        s = self.S.copy()
+        eval_cutoff(CutoffParams(lam=0.1), s)
+        assert np.array_equal(s, self.S)
+
+    def test_2d_array_bit_for_bit(self):
+        s = self.S[:22000].reshape(40, 550)
+        got = eval_cutoff(CutoffParams(lam=0.1), s)
+        assert got.shape == (40, 550)
+        assert np.array_equal(got.view(np.uint64), _cubic_zeta_oracle(s).view(np.uint64))
+
+    def test_scalar_bit_for_bit(self):
+        for s in self.S[::97].tolist() + [0.0, 0.5, 0.75, 1.0, 3, np.float64(0.6)]:
+            got = eval_cutoff(CutoffParams(lam=0.1), s)
+            want = _cubic_zeta_oracle(s)
+            assert type(got) is float
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), s
+
+
 class TestRegularizedKernel:
     def test_all_factors_on(self):
         # y = z = 1, lam = 0.1: sizes well above lam, ratio factors at
