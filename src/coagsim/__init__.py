@@ -16,7 +16,7 @@ if "numpy" not in sys.modules and not any(
 ):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .config import ConfigError, RunConfig, dumps_config, load_config, parse_config, run_config
+from .config import ConfigError, RunConfig, load_config, parse_config, run_config
 from .dual import (
     DualField,
     QTailReport,
@@ -71,7 +71,6 @@ from .measure import (
 from .stablecdf import (
     StableProfile,
     WTable,
-    subsolution_profile,
     t3e4_residual,
     w_deriv,
     w_eval,
@@ -115,7 +114,6 @@ __all__ = [
     "cumulative_mass",
     "decay0_residual",
     "density_at",
-    "dumps_config",
     "dyadic_tail_integral",
     "envelope_check_lower",
     "envelope_check_upper",
@@ -142,7 +140,6 @@ __all__ = [
     "simulate",
     "solve_dual",
     "subsolution_bound",
-    "subsolution_profile",
     "sum_kernel",
     "t3e4_residual",
     "tail_fit",

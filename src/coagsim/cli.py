@@ -173,11 +173,11 @@ def cmd_stationary(cfg, out_dir):
     setup = _setup_dict(cfg)
     if "stationary.lambdas" in cfg.raw:
         lambdas = get_floats(cfg.raw, "stationary.lambdas")
-        report = lambda_continuation(cfg.params, cfg.kernel, lambdas, cutoff_profile=cfg.cutoff.profile, **kwargs)
+        report = lambda_continuation(cfg.params, cfg.kernel, lambdas, **kwargs)
         results = report.results
         extra = {"lambdas": list(report.lambdas), "xrho_distances": report.distances}
         # the searches ran at the lambdas, each recorded in its result
-        del setup["cutoff"]["lam"]
+        del setup["cutoff"]
     else:
         results = [find_stationary(cfg.params, cfg.kernel, cfg.cutoff, **kwargs)]
         extra = {}
@@ -202,6 +202,7 @@ def cmd_stationary(cfg, out_dir):
             f"stationary: lambda={res.lam:g} converged={res.converged}"
             f" t={res.t_elapsed:g} exponent={res.tail_exponent_fit:.4f}"
             f" amplitude={res.tail_amplitude_fit:.4f}"
+            f" flux_radii={','.join(f'{R:g}' for R in res.residual_decay0)}"
         )
     return 0 if ok else 3
 
@@ -270,20 +271,13 @@ def cmd_profile_w(cfg, out_dir, tolerance):
         profile = StableProfile(a=a)
     except ValueError as exc:
         raise ConfigError(f"w.a: {exc}") from exc
-    if "w.y_values" in cfg.raw:  # the config refuses it beside w.y_min, w.y_max or w.n
-        ys = np.array(get_floats(cfg.raw, "w.y_values"))
-    else:
-        y_lo = get_float(cfg.raw, "w.y_min", 1e-2)
-        y_hi = get_float(cfg.raw, "w.y_max", 1e4)
-        n = get_int(cfg.raw, "w.n", 41)
-        if not (0.0 < y_lo < y_hi and n >= 2):
-            raise ConfigError("w: need 0 < y_min < y_max and n >= 2")
-        ys = np.geomspace(y_lo, y_hi, n)
+    y_lo = get_float(cfg.raw, "w.y_min", 1e-2)
+    y_hi = get_float(cfg.raw, "w.y_max", 1e4)
+    n = get_int(cfg.raw, "w.n", 41)
+    if not (0.0 < y_lo < y_hi and n >= 2):
+        raise ConfigError("w: need 0 < y_min < y_max and n >= 2")
     rows, worst = [], 0.0
-    for y in ys:
-        if y <= 0.0:
-            rows.append((y, 0.0, 0.0, 0.0))
-            continue
+    for y in np.geomspace(y_lo, y_hi, n):
         w = w_eval(profile, y)
         # beneath the quadrature noise floor both sides of the defining
         # identity vanish; the absolute defect is the meaningful reading

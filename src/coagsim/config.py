@@ -1,4 +1,4 @@
-"""Flat key-value run configuration: parsing, validation, serialization.
+"""Flat key-value run configuration: parsing and validation.
 
 The on-disk format is a line-oriented dialect chosen to stay diff-friendly
 and nesting-free:
@@ -13,33 +13,31 @@ and nesting-free:
 Numbers parse as int when they look integral, float otherwise; bare words
 that are not numbers or booleans are strings; text values may not contain
 a double quote or a comma.  All physical quantities are dimensionless
-(self-similar
-variables throughout), so keys carry no unit suffixes.
-parse_config/dumps_config round-trip exactly: floats are serialized with
-repr.
+(self-similar variables throughout), so keys carry no unit suffixes.
 
 Recognized sections (unknown keys in them are rejected, which catches
 typos; whole unknown sections are rejected too):
 
     params.gamma params.rho params.delta params.r0
-    cutoff.lambda cutoff.profile
+    cutoff.lambda
     kernel.family kernel.alpha kernel.value
     grid.x_min grid.x_max grid.ratio
     run.t_final run.snapshot_dt run.tol run.t_max run.max_change
     stationary.lambdas stationary.probe_radii
     dual.radius dual.time dual.max_change dual.dump_s
-    w.a w.y_min w.y_max w.n w.y_values
+    w.a w.y_min w.y_max w.n
     outputs
 
 Each setting has one key: the kernel's degree is params.gamma, and a
-config that sets one thing twice (w.y_values with w.y_min, w.y_max or
-w.n; cutoff.lambda with stationary.lambdas) is rejected.
+config that sets one thing twice (cutoff.lambda with stationary.lambdas)
+is rejected, as is kernel.alpha for a family other than sum and
+kernel.value for a family other than constant.
 """
 
 import re
 from dataclasses import dataclass
 
-from .kernel import CutoffParams, KernelSpec
+from .kernel import FAMILY_FIELDS, CutoffParams, KernelSpec
 from .measure import Params
 
 _KEY_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
@@ -47,19 +45,18 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 
 _KNOWN_KEYS = {
     "params": {"gamma", "rho", "delta", "r0"},
-    "cutoff": {"lambda", "profile"},
+    "cutoff": {"lambda"},
     "kernel": {"family", "alpha", "value"},
     "grid": {"x_min", "x_max", "ratio"},
     "run": {"t_final", "snapshot_dt", "tol", "t_max", "max_change"},
     "stationary": {"lambdas", "probe_radii"},
     "dual": {"radius", "time", "max_change", "dump_s"},
-    "w": {"a", "y_min", "y_max", "n", "y_values"},
+    "w": {"a", "y_min", "y_max", "n"},
     "": {"outputs"},
 }
 
 # each key against the keys that set the same thing another way
 _EXCLUSIVE = {
-    "w.y_values": ("w.y_min", "w.y_max", "w.n"),
     "stationary.lambdas": ("cutoff.lambda",),
 }
 
@@ -131,30 +128,6 @@ def load_config(path):
             return parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-
-def _format_scalar(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, float)):
-        return repr(v)
-    v = str(v)
-    if v in ("true", "false") or _INT_RE.match(v) or "," in v or "#" in v or v != v.strip():
-        return f'"{v}"'
-    try:
-        float(v)
-    except ValueError:
-        return v if v else '""'
-    return f'"{v}"'
-
-
-def dumps_config(mapping):
-    """Serialize a mapping back to config text (inverse of parse_config)."""
-    lines = []
-    for key, value in mapping.items():
-        vals = value if isinstance(value, tuple) else (value,)
-        lines.append(f"{key} = {', '.join(_format_scalar(v) for v in vals)}")
-    return "\n".join(lines) + "\n"
 
 
 def _check_known(mapping):
@@ -244,18 +217,22 @@ def run_config(mapping):
             delta=get_float(mapping, "params.delta", 0.2),
             R0=get_float(mapping, "params.r0", 10.0),
         )
-        cutoff = CutoffParams(lam=lam, profile=get_str(mapping, "cutoff.profile", "cubic"))
+        cutoff = CutoffParams(lam=lam)
     except ValueError as exc:
         raise ConfigError(f"params/cutoff: {exc}") from exc
+    family = get_str(mapping, "kernel.family")
     try:
         kernel = KernelSpec(
-            family=get_str(mapping, "kernel.family"),
+            family=family,
             gamma=gamma,
             alpha=get_float(mapping, "kernel.alpha", 0.0),
             value=get_float(mapping, "kernel.value", 1.0),
         )
     except ValueError as exc:
         raise ConfigError(f"kernel: {exc}") from exc
+    for leaf in ("alpha", "value"):
+        if f"kernel.{leaf}" in mapping and leaf not in FAMILY_FIELDS[family]:
+            raise ConfigError(f"kernel.{leaf} is not read by the {family!r} kernel")
     grid = (
         get_float(mapping, "grid.x_min", 1e-4),
         get_float(mapping, "grid.x_max", 1e8),

@@ -160,7 +160,7 @@ class _Jumps:
         eng, p = self.engine, self.trajectory.params
         s = self.t - tau
         _, v, esc = eng.densities(*self.trajectory.interp(s), s)
-        return esc * eval_cutoff(eng.cutoff, self.nodes * np.exp(p.beta * tau) / eng.cutoff.lam), v
+        return esc * eval_cutoff(self.nodes * np.exp(p.beta * tau) / eng.cutoff.lam), v
 
     def _total(self, c, w):
         """Each node's jump rate toward partners of density w."""

@@ -190,8 +190,8 @@ def _ratio_kernel(kernel, cutoff, Y, Z):
     tot = Y + Z
     return (
         eval_kernel(kernel, Y, Z)
-        * eval_cutoff(cutoff, Y / (lam * tot))
-        * eval_cutoff(cutoff, Z / (lam * tot))
+        * eval_cutoff(Y / (lam * tot))
+        * eval_cutoff(Z / (lam * tot))
     )
 
 
@@ -303,7 +303,7 @@ class _Engine:
         """(u, v, esc) at time s: small-size cutoffs u and densities
         v = u m / Y of all partners (cells, then ghosts), esc = e^(-gamma beta s)."""
         p = self.params
-        u = eval_cutoff(self.cutoff, self.Yall / (self.cutoff.lam * np.exp(p.beta * s)))
+        u = eval_cutoff(self.Yall / (self.cutoff.lam * np.exp(p.beta * s)))
         v = u * np.concatenate([masses, amp * self.ghost_pow]) / self.Yall
         return u, v, np.exp(-p.gamma * p.beta * s)
 
@@ -488,7 +488,7 @@ def loss_rate(state, X):
         raise ValueError("X must be > 0")
     p, m, eng = state.params, state.measure, state.engine
     _, v, esc = eng.densities(m.cell_mass, m.tail_amplitude, state.t)
-    ux = eval_cutoff(state.cutoff, X / (state.cutoff.lam * np.exp(p.beta * state.t)))
+    ux = eval_cutoff(X / (state.cutoff.lam * np.exp(p.beta * state.t)))
     return esc * ux * float(eng.row(X) @ v) - p.beta * p.rho
 
 

@@ -8,17 +8,18 @@ growth bound K(y, z) <= C (y^gamma + z^gamma) for a family-specific constant C.
 The regularized kernel multiplies K by smooth cutoff factors that switch off
 collisions involving very small particles (absolute size below a threshold
 lam) as well as collisions where one partner carries less than a fraction
-lam/2 of the combined size.  The cutoff profile zeta is monotone, vanishes on
-[0, 1/2] and equals 1 on [1, inf), so the regularized kernel vanishes
-identically on a neighborhood of the axes and of the degenerate rays.
+lam/2 of the combined size.  The cutoff profile zeta is the C^1 smoothstep
+in 2s - 1: it is monotone, vanishes on [0, 1/2] and equals 1 on [1, inf),
+so the regularized kernel vanishes identically on a neighborhood of the
+axes and of the degenerate rays.  Only the scale lam is settable.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-_FAMILIES = ("constant", "product", "sum", "zero")
-_PROFILES = ("cubic", "quintic")
+# each family, with the fields of KernelSpec besides gamma that it reads
+FAMILY_FIELDS = {"constant": ("value",), "product": (), "sum": ("alpha",), "zero": ()}
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class KernelSpec:
     value: float = 1.0
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILY_FIELDS:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
@@ -93,7 +94,7 @@ def zero_kernel():
 
 @dataclass(frozen=True)
 class CutoffParams:
-    """Cutoff scale and smoothness of the switching profile.
+    """Cutoff scale of the switching profile.
 
     Parameters
     ----------
@@ -101,31 +102,24 @@ class CutoffParams:
         Cutoff scale, in (0, 1/2).  Collisions with a particle of size
         below lam/2, or where one partner holds less than (roughly) a
         fraction lam/2 of the pair, are switched off.
-    profile : str
-        "cubic" for the C^1 smoothstep 3u^2 - 2u^3 (default) or "quintic"
-        for the C^2 smoothstep 6u^5 - 15u^4 + 10u^3, both with
-        u = clip(2s - 1, 0, 1).
     """
 
     lam: float
-    profile: str = "cubic"
 
     def __post_init__(self):
         if not (0.0 < self.lam < 0.5):
             raise ValueError(f"lam must lie in (0, 1/2), got {self.lam}")
-        if self.profile not in _PROFILES:
-            raise ValueError(f"unknown cutoff profile {self.profile!r}")
 
 
-def eval_cutoff(cutoff, s):
+def eval_cutoff(s):
     """Evaluate the switching profile zeta at s >= 0.
 
-    zeta is 0 on [0, 1/2], 1 on [1, inf) and strictly increasing in
-    between; the plateaus are exact (no rounding fuzz).
+    zeta is the C^1 smoothstep 3u^2 - 2u^3 with u = clip(2s - 1, 0, 1):
+    0 on [0, 1/2], 1 on [1, inf) and strictly increasing in between; the
+    plateaus are exact (no rounding fuzz).
 
     Parameters
     ----------
-    cutoff : CutoffParams
     s : float or ndarray
         Nonnegative argument(s).
 
@@ -133,32 +127,23 @@ def eval_cutoff(cutoff, s):
     -------
     float or ndarray
     """
-    z = _zeta(cutoff, np.array(s, dtype=float))
+    z = _zeta(np.array(s, dtype=float))
     return z if z.ndim else float(z)
 
 
-def _zeta(cutoff, s):
+def _zeta(s):
     """eval_cutoff's zeta, computed in the float array s, which it
-    overwrites and returns, with one array of scratch (two for quintic)."""
+    overwrites and returns, with one array of scratch."""
     if np.any(s < 0.0) or not np.all(np.isfinite(s)):
         raise ValueError("cutoff argument must be finite and >= 0")
     s *= 2.0
     s -= 1.0
     u = np.clip(s, 0.0, 1.0, out=s)
     w = np.empty_like(u)
-    if cutoff.profile == "cubic":
-        np.multiply(u, 2.0, out=w)
-        np.subtract(3.0, w, out=w)
-        u *= u
-        u *= w  # u u (3 - 2 u)
-    else:
-        np.multiply(u, 6.0, out=w)
-        w -= 15.0
-        w *= u
-        w += 10.0
-        u3 = u * u
-        u3 *= u
-        np.multiply(u3, w, out=u)  # u u u (u (6 u - 15) + 10)
+    np.multiply(u, 2.0, out=w)
+    np.subtract(3.0, w, out=w)
+    u *= u
+    u *= w  # u u (3 - 2 u)
     return u
 
 
@@ -234,10 +219,10 @@ def eval_regularized(spec, cutoff, y, z):
     lam = cutoff.lam
     # factor by factor into k, in the order of the product above; the ratio
     # arguments share one array of lam (y + z)
-    k *= eval_cutoff(cutoff, y / lam)
-    k *= eval_cutoff(cutoff, z / lam)
+    k *= eval_cutoff(y / lam)
+    k *= eval_cutoff(z / lam)
     tot = np.add(y, z, out=np.empty_like(k))
     tot *= lam
-    k *= _zeta(cutoff, np.divide(y, tot, out=np.empty_like(k)))
-    k *= _zeta(cutoff, np.divide(z, tot, out=tot))
+    k *= _zeta(np.divide(y, tot, out=np.empty_like(k)))
+    k *= _zeta(np.divide(z, tot, out=tot))
     return k if k.ndim else float(k)

@@ -87,19 +87,6 @@ def w_laplace(profile, p):
     return out if out.ndim else float(out)
 
 
-def w_laplace_ode_residual(profile, p):
-    """Relative residual of the transform ODE p What' + (1 + Gamma(1-a) p^a) What = 0.
-
-    The derivative is taken by central differences with an eps^(1/3) step,
-    so the residual is limited by roundoff near 1e-10, not by the model.
-    """
-    p = float(p)
-    h = p * float(np.finfo(float).eps) ** (1.0 / 3.0)
-    dnum = (w_laplace(profile, p + h) - w_laplace(profile, p - h)) / (2.0 * h)
-    rhs = -w_laplace(profile, p) * (1.0 + math.gamma(1.0 - profile.a) * p**profile.a) / p
-    return abs(dnum - rhs) / abs(rhs)
-
-
 def _legendre(n, x):
     """P_n(x) and P_n'(x) by the three-term recurrence."""
     p0, p1 = np.ones_like(x), x
@@ -244,40 +231,6 @@ def t3e4_residual(profile, Y, relative=True):
     )
     rhs = mid + wY * Y**-a / a
     return abs(lhs - rhs) / abs(lhs) if relative else abs(lhs - rhs)
-
-
-def subsolution_profile(profile, X, R, M, tau):
-    """Scaled barrier W((R - X) / (M tau)^(1/a)).
-
-    At tau = 0 this degenerates to the indicator of X < R (taking
-    W(inf) = 1); for X >= R the value is 0 at every tau.
-
-    Parameters
-    ----------
-    profile : StableProfile
-    X : float or ndarray
-        Evaluation points.
-    R : float
-        Barrier location, > 0.
-    M : float
-        Comparison constant, > 0.
-    tau : float
-        Elapsed dual time, >= 0.
-
-    Returns
-    -------
-    float or ndarray
-    """
-    if not (R > 0.0 and M > 0.0 and tau >= 0.0):
-        raise ValueError("need R > 0, M > 0, tau >= 0")
-    X = np.asarray(X, dtype=float)
-    if tau == 0.0:
-        out = np.where(X < R, 1.0, 0.0)
-        return out if out.ndim else float(out)
-    Y = (R - X) / (M * tau) ** (1.0 / profile.a)
-    out = w_eval(profile, np.maximum(Y, 0.0))
-    out = np.where(X >= R, 0.0, out)
-    return out if out.ndim else float(out)
 
 
 class _Pchip:

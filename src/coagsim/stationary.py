@@ -283,8 +283,10 @@ def find_stationary(
     stationarity is declared when the X_rho distance per unit time
     between consecutive chunk ends drops below tol.  Hitting t_max first
     yields converged=False with the full history, never an exception.
-    The tail is fitted over FIT_WINDOW (1e2 to 1e4), and both envelopes
-    are checked with slack ENVELOPE_SLACK (1e-2).
+    The tail is fitted over FIT_WINDOW (1e2 to 1e4), both envelopes are
+    checked with slack ENVELOPE_SLACK (1e-2), and the flux identity at the
+    probe_radii strictly inside the grid, by default the powers of ten
+    from 10 to 1e4.
 
     The datum is tail_matched_init on edges (default: geometric_grid()):
     above R0 it already carries the conserved tail (1 - rho) x^(-rho), so
@@ -423,12 +425,11 @@ def _receive(fh):
     return value
 
 
-def lambda_continuation(params, kernel, lambdas, cutoff_profile="cubic", **kwargs):
+def lambda_continuation(params, kernel, lambdas, **kwargs):
     """Run find_stationary for each cutoff scale; report X_rho gaps.
 
-    Each run uses CutoffParams(lam, cutoff_profile), the cutoff at that
-    scale with the given switching profile.  kwargs go to every
-    find_stationary call, except cutoff, which is refused with a
+    Each run uses CutoffParams(lam), the cutoff at that scale.  kwargs go
+    to every find_stationary call, except cutoff, which is refused with a
     TypeError before any search.  Distances between consecutive profiles
     are reported, never asserted; a decreasing sequence is evidence of a
     weak limit as the cutoff is removed.
@@ -445,11 +446,11 @@ def lambda_continuation(params, kernel, lambdas, cutoff_profile="cubic", **kwarg
     ContinuationReport
     """
     if "cutoff" in kwargs:
-        raise TypeError("lambda_continuation() takes lambdas and cutoff_profile, not cutoff")
+        raise TypeError("lambda_continuation() takes its cutoff scales as lambdas, not cutoff")
     lams = [float(v) for v in lambdas]
 
     def search(lv):
-        return find_stationary(params, kernel, CutoffParams(lam=lv, profile=cutoff_profile), **kwargs)
+        return find_stationary(params, kernel, CutoffParams(lam=lv), **kwargs)
 
     results = _forked_map(search, lams)
     distances = [xrho_dist(a.profile, b.profile) for a, b in zip(results[:-1], results[1:])]

@@ -1,4 +1,4 @@
-"""Config dialect parsing/round-trip and the command-line interface."""
+"""Config dialect parsing and the command-line interface."""
 
 import io
 import json
@@ -8,21 +8,16 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from coagsim import cli, forward, stationary
 from coagsim.cli import cmd_dual_check, main, read_table, write_table
 from coagsim.config import (
     ConfigError,
-    dumps_config,
     get_floats,
     parse_config,
     run_config,
 )
-from coagsim.forward import simulate
-from coagsim.kernel import CutoffParams
-from coagsim.measure import cumulative_mass, from_csv, geometric_grid, power_law_init, tail_matched_init
+from coagsim.measure import cumulative_mass, from_csv, geometric_grid, power_law_init
 from coagsim.stablecdf import StableProfile, w_eval
 
 BASE = """
@@ -31,7 +26,6 @@ params.gamma = 0.0
 params.rho = 0.5
 cutoff.lambda = 1e-2
 kernel.family = constant
-kernel.value = 1.0
 grid.x_min = 1e-3
 grid.x_max = 1e4
 run.t_final = 0.2
@@ -94,33 +88,6 @@ class TestParseConfig:
             parse_config("a = 1,,2")
 
 
-class TestRoundTrip:
-    def test_base_round_trips(self):
-        m = parse_config(BASE)
-        assert parse_config(dumps_config(m)) == m
-
-    def test_quoting_of_number_like_strings(self):
-        m = {"a": "1.5", "b": "true", "c": 1.5, "d": True}
-        assert parse_config(dumps_config(m)) == m
-
-    @given(
-        st.dictionaries(
-            st.from_regex(r"[a-z][a-z0-9_]{0,6}(\.[a-z][a-z0-9_]{0,6}){0,2}", fullmatch=True),
-            st.one_of(
-                st.booleans(),
-                st.integers(-(10**9), 10**9),
-                st.floats(allow_nan=False, allow_infinity=False),
-                st.from_regex(r"[ -!#-+\--~]*", fullmatch=True),
-                st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 9)),
-            ),
-            max_size=8,
-        )
-    )
-    def test_round_trip_property(self, mapping):
-        # printable values without double quotes, per the documented grammar
-        assert parse_config(dumps_config(mapping)) == mapping
-
-
 class TestRunConfig:
     def test_defaults_fill_in(self):
         cfg = run_config(parse_config(BASE))
@@ -143,6 +110,38 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="rho"):
             run_config(parse_config(text.replace("kernel.family = constant", "kernel.family = product")))
 
+    @pytest.mark.parametrize(
+        "family, key",
+        [
+            ("product", "kernel.value"),
+            ("sum", "kernel.value"),
+            ("zero", "kernel.value"),
+            ("product", "kernel.alpha"),
+            ("constant", "kernel.alpha"),
+            ("zero", "kernel.alpha"),
+        ],
+    )
+    def test_kernel_key_of_another_family_exits_1(self, tmp_path, monkeypatch, capsys, family, key):
+        # kernel.value is read by the constant family alone and kernel.alpha
+        # by the sum family alone; for any other family the value would go
+        # to the manifest's setup although no code read it
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(forward._Engine, "__init__", no_solve)
+        text = BASE.replace("kernel.family = constant", f"kernel.family = {family}") + f"{key} = 0.0\n"
+        code, out = run_cli(tmp_path, text, "simulate")
+        assert code == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and repr(family) in err
+
+    def test_kernel_keys_of_their_own_family(self):
+        text = BASE.replace("params.gamma = 0.0", "params.gamma = 0.2").replace("family = constant", "family = sum")
+        cfg = run_config(parse_config(text + "kernel.alpha = 0.1\n"))
+        assert (cfg.kernel.family, cfg.kernel.alpha) == ("sum", 0.1)
+        cfg = run_config(parse_config(BASE + "kernel.value = 5.0\n"))
+        assert (cfg.kernel.family, cfg.kernel.value) == ("constant", 5.0)
+
     def test_kernel_gamma_mismatch(self):
         with pytest.raises(ConfigError, match="kernel.gamma"):
             run_config(parse_config(BASE + "kernel.gamma = 0.25\n"))
@@ -152,18 +151,23 @@ class TestRunConfig:
         [
             ("simulate", "seed = 0\n", ["seed"]),
             ("simulate", "kernel.gamma = 0.0\n", ["kernel.gamma"]),
-            ("profile-w", "w.a = 0.5\nw.y_values = 1.0, 2.0\nw.n = 3\n", ["w.y_values", "w.n"]),
-            ("profile-w", "w.a = 0.5\nw.y_values = 1.0, 2.0\nw.y_min = 0.5\n", ["w.y_values", "w.y_min"]),
-            ("profile-w", "w.a = 0.5\nw.y_values = 1.0, 2.0\nw.y_max = 5.0\n", ["w.y_values", "w.y_max"]),
+            ("profile-w", "w.a = 0.5\nw.y_values = 1.0, 2.0\nw.n = 3\n", ["unknown", "w.y_values"]),
+            ("profile-w", "w.a = 0.5\nw.y_values = 1.0, 2.0\nw.y_min = 0.5\n", ["unknown", "w.y_values"]),
+            ("profile-w", "w.a = 0.5\nw.y_values = 1.0, 2.0\nw.y_max = 5.0\n", ["unknown", "w.y_values"]),
+            ("stationary", "cutoff.profile = cubic\n", ["unknown", "cutoff.profile"]),
             ("stationary", "stationary.lambdas = 5e-2, 1e-2\n", ["stationary.lambdas", "cutoff.lambda"]),
             ("stationary", "stationary.probe_radii = 10.0, 1e9\n", ["stationary.probe_radii", "1000000000.0"]),
             ("stationary", "stationary.probe_radii = 1e-5\n", ["stationary.probe_radii", "1e-05"]),
         ],
-        ids=["seed", "kernel_gamma", "y_values_n", "y_values_y_min", "y_values_y_max", "lambdas", "radius_high", "radius_low"],
+        ids=[
+            "seed", "kernel_gamma", "y_values_n", "y_values_y_min", "y_values_y_max", "cutoff_profile",
+            "lambdas", "radius_high", "radius_low",
+        ],
     )
     def test_refused_before_any_solve(self, tmp_path, monkeypatch, capsys, command, extra, names):
-        # an unread key, a second home for one setting, or a probe radius
-        # the search would drop, exits 1 naming the keys, before any solve
+        # an unknown or unread key, a second home for one setting, or a
+        # probe radius the search would drop, exits 1 naming the keys,
+        # before any solve
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve started")
 
@@ -352,6 +356,17 @@ class TestStationaryCommand:
         assert r2 < r1
         assert entry["distance_estimate"] == r2 / r1 / (1.0 - r2 / r1) * r2
 
+    def test_log_names_the_default_flux_radii(self, tmp_path, capsys):
+        # this grid's top edge lies below x_max = 1e4, so the default radii
+        # strictly inside it are 10, 100 and 1000, and the log says so
+        text = BASE + "run.tol = 1e-12\nrun.t_max = 0.5\n"
+        assert geometric_grid(*run_config(parse_config(text)).grid)[-1] < 1e4
+        code, out = run_cli(tmp_path, text, "stationary")
+        assert code == 3
+        entry = json.loads((out / "stationary.json").read_text())["results"][0]
+        assert sorted(map(float, entry["residual_decay0"])) == [10.0, 100.0, 1000.0]
+        assert " flux_radii=10,100,1000\n" in capsys.readouterr().err
+
     def test_zero_kernel_exact_profile(self, tmp_path):
         text = BASE.replace("kernel.family = constant", "kernel.family = zero")
         text += "run.tol = 1e-6\nrun.t_max = 30.0\n"
@@ -391,23 +406,6 @@ class TestStationaryCommand:
         assert not (out / "stationary.json").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.parametrize("extra", ["", "stationary.lambdas = 5e-2, 1e-2\n"])
-    def test_cutoff_profile_reaches_the_search(self, tmp_path, extra):
-        # with t_max = chunk each search is a single simulate call, which
-        # must run with the configured (quintic) cutoff profile
-        text = (CONTINUATION_BASE if extra else BASE) + "cutoff.profile = quintic\nrun.tol = 1e-12\nrun.t_max = 0.5\n" + extra
-        code, out = run_cli(tmp_path, text, "stationary")
-        assert code == 3
-        cfg = run_config(parse_config(text))
-        h0 = tail_matched_init(cfg.params, geometric_grid(*cfg.grid))
-        entries = json.loads((out / "stationary.json").read_text())["results"]
-        for entry in entries:
-            got = from_csv(out / entry["profile_file"]).cell_mass
-            lam = entry["lambda"]
-            for profile in ("quintic", "cubic"):
-                direct = simulate(h0, cfg.params, cfg.kernel, CutoffParams(lam=lam, profile=profile), 0.5)
-                assert np.array_equal(got, direct.final.cell_mass) == (profile == "quintic")
 
 
 def oracle_setup(cfg):
@@ -508,8 +506,9 @@ class TestManifestOracle:
         cfg = run_config(parse_config(ORACLE_CONTINUATION))
         extra = {"lambdas": list(report.lambdas), "xrho_distances": report.distances}
         want = oracle_stationary_manifest(cfg, report.results, extra)
-        # the searches ran at the lambdas alone, not at a setup cutoff scale
-        del want["setup"]["cutoff"]["lam"]
+        # the searches ran at the lambdas alone, and the cutoff holds
+        # nothing else, so the setup records no cutoff
+        del want["setup"]["cutoff"]
         cli.write_json(tmp_path / "want.json", want)
         assert (out / "stationary.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
@@ -649,15 +648,6 @@ class TestProfileWCommand:
         assert [str(w.message) for w in caught] == []
         manifest = json.loads((out / "profile_w.json").read_text())
         assert manifest["n_points"] == 41 and manifest["max_residual"] <= 1e-10
-
-    def test_nonpositive_rows_are_zero(self, tmp_path):
-        text = BASE + "w.a = 0.5\nw.y_values = -1.0, 0.0, 100.0\n"
-        code, out = run_cli(tmp_path, text, "profile-w")
-        assert code == 0
-        _, _, _, rows = read_table(out / "w_profile.csv")
-        assert rows[0][1:] == [0.0, 0.0, 0.0]
-        assert rows[1][1:] == [0.0, 0.0, 0.0]
-        assert rows[2][1] > 0.5
 
     def test_a_outside_range_exits_1(self, tmp_path):
         code, _ = run_cli(tmp_path, BASE + "w.a = 1.5\n", "profile-w")

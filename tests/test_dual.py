@@ -540,8 +540,8 @@ def oracle_jumps(traj, R, t, tau, psi):
     Kd = _ratio_kernel(traj.engine.kernel, cut, nodes[:, None], Zk[None, :])
     masses, amp = traj.interp(t - tau)
     grow = np.exp(p.beta * tau)
-    u_x = eval_cutoff(cut, nodes * grow / cut.lam)
-    u_z = eval_cutoff(cut, Zk * grow / cut.lam)
+    u_x = eval_cutoff(nodes * grow / cut.lam)
+    u_z = eval_cutoff(Zk * grow / cut.lam)
     col = u_z * np.concatenate([masses, amp * gpow]) / Yall
     q = np.exp(p.gamma * p.beta * tau) * u_x[:, None] * Kd * col[None, :]
     psi_at = np.interp(nodes[:, None] + Zk[None, :], nodes, psi, right=0.0)

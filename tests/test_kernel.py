@@ -96,29 +96,25 @@ class TestBareKernel:
 
 
 class TestCutoffProfile:
-    @pytest.mark.parametrize("profile", ["cubic", "quintic"])
-    def test_plateaus_exact(self, profile):
-        cut = CutoffParams(lam=0.1, profile=profile)
+    def test_plateaus_exact(self):
         s = np.array([0.0, 0.2, 0.5, 1.0, 2.0, 1e9])
-        z = eval_cutoff(cut, s)
+        z = eval_cutoff(s)
         np.testing.assert_array_equal(z[:3], [0.0, 0.0, 0.0])
         np.testing.assert_array_equal(z[3:], [1.0, 1.0, 1.0])
 
     def test_midpoint_value(self):
         # u = 0.5 -> 3/4 - 2/8 = 0.5 for the cubic profile
-        assert eval_cutoff(CutoffParams(lam=0.1), 0.75) == pytest.approx(0.5, abs=1e-15)
+        assert eval_cutoff(0.75) == pytest.approx(0.5, abs=1e-15)
 
-    @pytest.mark.parametrize("profile", ["cubic", "quintic"])
-    def test_monotone(self, profile):
-        cut = CutoffParams(lam=0.1, profile=profile)
+    def test_monotone(self):
         s = np.linspace(0.0, 1.5, 4001)
-        z = eval_cutoff(cut, s)
+        z = eval_cutoff(s)
         assert np.all(np.diff(z) >= 0.0)
         assert np.all((z >= 0.0) & (z <= 1.0))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            eval_cutoff(CutoffParams(lam=0.1), -0.01)
+            eval_cutoff(-0.01)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 0.7, -0.1])
     def test_invalid_scale(self, lam):
@@ -154,25 +150,25 @@ class TestCutoffOracle:
     )
 
     def test_array_bit_for_bit(self):
-        got = eval_cutoff(CutoffParams(lam=0.1), self.S.copy())
+        got = eval_cutoff(self.S.copy())
         want = _cubic_zeta_oracle(self.S)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_array_leaves_its_argument(self):
         s = self.S.copy()
-        eval_cutoff(CutoffParams(lam=0.1), s)
+        eval_cutoff(s)
         assert np.array_equal(s, self.S)
 
     def test_2d_array_bit_for_bit(self):
         s = self.S[:22000].reshape(40, 550)
-        got = eval_cutoff(CutoffParams(lam=0.1), s)
+        got = eval_cutoff(s)
         assert got.shape == (40, 550)
         assert np.array_equal(got.view(np.uint64), _cubic_zeta_oracle(s).view(np.uint64))
 
     def test_scalar_bit_for_bit(self):
         for s in self.S[::97].tolist() + [0.0, 0.5, 0.75, 1.0, 3, np.float64(0.6)]:
-            got = eval_cutoff(CutoffParams(lam=0.1), s)
+            got = eval_cutoff(s)
             want = _cubic_zeta_oracle(s)
             assert type(got) is float
             assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), s

@@ -1,10 +1,12 @@
 """Static checks on the package source, with the standard library's ast."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "coagsim"
+README = SRC.parents[1] / "README.md"
 
 
 def unused_imports(source):
@@ -551,14 +553,14 @@ def test_checker_reads_the_three_key_lists():
     )
     cli = (
         "def cmd(cfg):\n"
-        "    if 'w.y_values' in cfg.raw and 'x' in 'xyz':\n"
-        "        return config.get_floats(cfg.raw, 'w.y_values')\n"
+        "    if 'w.n' in cfg.raw and 'x' in 'xyz':\n"
+        "        return config.get_floats(cfg.raw, 'w.n')\n"
         "    return getattr(cfg, 'tol')\n"
     )
     listed, known, read = config_keys(config, [config, cli])
     assert listed == {"params.gamma", "params.rho", "outputs", "seed"}
     assert known == {"params.gamma", "params.rho", "outputs"}
-    assert read == {"params.gamma", "outputs", "w.y_values"}
+    assert read == {"params.gamma", "outputs", "w.n"}
 
 
 def test_config_keys_are_listed_known_and_read_alike():
@@ -569,3 +571,63 @@ def test_config_keys_are_listed_known_and_read_alike():
     )
     assert listed == known
     assert read == known
+
+
+# the suffixes of the file names the README gives, such as stationary.json
+FILE_SUFFIXES = {"cfg", "csv", "json", "md", "py", "xml"}
+
+
+def readme_config_keys(readme, known):
+    """The config keys a README names: the key of each assignment in its
+    ini blocks, and in its inline code spans each dotted name that starts
+    with a config section (but for file names) and each span that is a
+    sectionless key.  Other fenced blocks are skipped, and so are dotted
+    names of other roots, such as the manifest's setup.cutoff."""
+    sections = {k.split(".")[0] for k in known if "." in k}
+    bare = {k for k in known if "." not in k}
+    named = set()
+    for i, part in enumerate(re.split(r"^```", readme, flags=re.M)):
+        if i % 2:  # a fenced block, its info string on the first line
+            info, _, body = part.partition("\n")
+            if info.strip() == "ini":
+                named |= {line.split("=", 1)[0].strip() for line in body.splitlines() if "=" in line.split("#", 1)[0]}
+            continue
+        for span in re.findall(r"`([^`]+)`", part):
+            named |= {span} & bare
+            for name in re.findall(r"[a-z0-9_]+(?:\.[a-z0-9_]+)+", span):
+                parts = name.split(".")
+                if parts[0] in sections and parts[-1] not in FILE_SUFFIXES:
+                    named.add(name)
+    return named
+
+
+def test_checker_reads_the_readme_keys():
+    known = {"params.gamma", "cutoff.lambda", "run.snapshot_dt", "w.n", "outputs"}
+    readme = (
+        "Run `coagsim stationary`; it writes `stationary.json`, whose\n"
+        "`setup.cutoff` records the cutoff, and `run.snapshot_dt = 0` writes one\n"
+        "snapshot; `outputs` names the directory and `coagsim.measure` the module.\n"
+        "\n"
+        "```ini\n"
+        "params.gamma   = 0.0     # degree = 0\n"
+        "cutoff.lambda  = 1e-3\n"
+        'cutoff.profile = "cubic" # a key the parser refuses\n'
+        "# w.n = 3\n"
+        "```\n"
+        "\n"
+        "```python\n"
+        "cfg.raw['w.n'] = `w.n`\n"
+        "```\n"
+    )
+    named = readme_config_keys(readme, known)
+    assert named == {"params.gamma", "cutoff.lambda", "cutoff.profile", "run.snapshot_dt", "outputs"}
+    assert named - known == {"cutoff.profile"} and known - named == {"w.n"}
+
+
+def test_readme_names_every_config_key_and_no_other():
+    # a key the README names but the parser refuses is documentation of a
+    # setting that is gone; a key it never names is a setting nobody finds
+    _, known, _ = config_keys((SRC / "config.py").read_text(), [])
+    named = readme_config_keys(README.read_text(), known)
+    assert sorted(named - known) == []
+    assert sorted(known - named) == []

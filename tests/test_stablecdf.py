@@ -10,12 +10,10 @@ from coagsim.stablecdf import (
     StableProfile,
     WTable,
     _Pchip,
-    subsolution_profile,
     t3e4_residual,
     w_deriv,
     w_eval,
     w_laplace,
-    w_laplace_ode_residual,
 )
 
 # Frozen oracle: mpmath Talbot inversion of exp(-c p^a)/p and exp(-c p^a)
@@ -59,11 +57,6 @@ class TestTransform:
         # the approach is O(p^a), so probe far down.
         p = profile(0.4)
         assert 1e-12 * w_laplace(p, 1e-12) == pytest.approx(1.0, rel=1e-3)
-
-    @pytest.mark.parametrize("a", [0.3, 0.5, 0.7])
-    @pytest.mark.parametrize("pt", [0.1, 1.0, 10.0])
-    def test_ode_residual(self, a, pt):
-        assert w_laplace_ode_residual(profile(a), pt) < 1e-6
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -202,40 +195,6 @@ class TestTailLaws:
             cst = prof.c * np.sin(np.pi * a) * gamma_func(1.0 + a) / np.pi
             assert cst == pytest.approx(1.0, rel=1e-12)
             assert 1e6 ** (1.0 + a) * w_deriv(prof, 1e6) == pytest.approx(1.0, rel=2e-2)
-
-
-class TestBarrier:
-    def test_indicator_at_zero_time(self):
-        prof = profile(0.5)
-        X = np.array([0.5, 0.99, 1.0, 1.5])
-        np.testing.assert_array_equal(
-            subsolution_profile(prof, X, R=1.0, M=2.0, tau=0.0), [1.0, 1.0, 0.0, 0.0]
-        )
-
-    def test_zero_beyond_barrier(self):
-        prof = profile(0.5)
-        assert subsolution_profile(prof, 2.0, R=1.0, M=2.0, tau=0.5) == 0.0
-
-    def test_matches_direct_eval(self):
-        prof = profile(0.5)
-        X, R, M, tau = 0.3, 1.0, 2.0, 0.25
-        Y = (R - X) / (M * tau) ** 2.0  # 1/a = 2
-        assert subsolution_profile(prof, X, R, M, tau) == pytest.approx(
-            w_eval(prof, Y), rel=1e-12
-        )
-
-    def test_monotone_in_M(self):
-        # larger M shrinks the argument, lowering the barrier; the 1e-9
-        # allowance is the quadrature noise floor near W = 0
-        prof = profile(0.5)
-        X = np.linspace(0.0, 0.999, 50)
-        lo = subsolution_profile(prof, X, 1.0, 1.0, 0.3)
-        hi = subsolution_profile(prof, X, 1.0, 10.0, 0.3)
-        assert np.all(hi <= lo + 1e-9)
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            subsolution_profile(profile(0.5), 0.5, R=-1.0, M=1.0, tau=0.1)
 
 
 class TestWTable:

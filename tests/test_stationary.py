@@ -530,12 +530,12 @@ class TestLambdaContinuation:
         assert rep.distances[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_cutoff_before_any_search(self, monkeypatch):
-        # the cutoff is built from lambdas and cutoff_profile; a cutoff=
-        # meant for find_stationary is refused here, naming both
+        # the cutoff is built from lambdas; a cutoff= meant for
+        # find_stationary is refused here, naming both
         calls = []
         monkeypatch.setattr(stationary, "find_stationary", lambda *a, **k: calls.append(k))
         monkeypatch.setattr(stationary, "_forked_map", lambda f, xs: calls.append(xs))
-        with pytest.raises(TypeError, match=r"lambda_continuation\(\).*cutoff_profile"):
+        with pytest.raises(TypeError, match=r"lambda_continuation\(\).*lambdas.*cutoff"):
             lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1], cutoff=CutoffParams(0.1))
         assert calls == []
 
@@ -699,10 +699,9 @@ class TestContinuationOracle:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         edges = geometric_grid(1e-2, 1e5, 2.0 ** (1.0 / 8.0))
         kw = {"edges": edges, "tol": 1e-12, "t_max": 1.0, "probe_radii": [10.0, 100.0]}
-        rep = lambda_continuation(PARAMS, constant_kernel(2.0), self.LAMBDAS,
-                                  cutoff_profile="quintic", **kw)
+        rep = lambda_continuation(PARAMS, constant_kernel(2.0), self.LAMBDAS, **kw)
         want = [
-            find_stationary(PARAMS, constant_kernel(2.0), CutoffParams(lam=lv, profile="quintic"), **kw)
+            find_stationary(PARAMS, constant_kernel(2.0), CutoffParams(lam=lv), **kw)
             for lv in self.LAMBDAS
         ]
         assert rep.lambdas == tuple(self.LAMBDAS)
