@@ -10,7 +10,7 @@ import sys
 # up, yet starting it costs CPU time that a short CLI run feels.  So pin one
 # thread before the first import below loads numpy, unless the user chose
 # a width or numpy is already loaded.  The variable stays set for scipy's
-# own OpenBLAS, the continuation's forked searches and any child process.
+# own OpenBLAS and any child process.
 if "numpy" not in sys.modules and not any(
     v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 ):

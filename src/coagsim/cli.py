@@ -4,7 +4,7 @@ Five subcommands drive the library end to end, all reading the flat
 key-value config format of the config module:
 
     simulate          chunked evolution, snapshot CSVs plus a JSON manifest
-    stationary        long-time stationary search (or cutoff continuation)
+    stationary        stationary profile solve (or cutoff continuation)
     dual-check        backward dual solve, adjoint residual, barrier bounds
     profile-w         table of the stable-law profile W, W' and its
                       integral-equation residual on a Y grid
@@ -43,6 +43,7 @@ from .forward import (
     rescaled_trajectory,
     simulate,
 )
+from .kernel import kernel_setup
 from .measure import (
     envelope_check_lower,
     envelope_check_upper,
@@ -101,7 +102,7 @@ def read_table(path):
 def _setup_dict(cfg):
     return {
         "params": asdict(cfg.params),
-        "kernel": asdict(cfg.kernel),
+        "kernel": kernel_setup(cfg.kernel),
         "cutoff": asdict(cfg.cutoff),
         "grid": list(cfg.grid),
     }
@@ -162,7 +163,11 @@ def cmd_simulate(cfg, out_dir):
 
 
 def cmd_stationary(cfg, out_dir):
-    """Run the stationary search; write profile CSV(s) and a manifest."""
+    """Run the stationary search; write profile CSV(s) and a manifest.
+
+    Exits 3 if a search did not converge, and otherwise 2 if one failed a
+    verdict, naming the failed gates on stderr.
+    """
     edges = geometric_grid(*cfg.grid)
     kwargs = {"edges": edges, "tol": cfg.tol, "t_max": cfg.t_max, "max_change": cfg.max_change}
     if "stationary.probe_radii" in cfg.raw:
@@ -196,15 +201,21 @@ def cmd_stationary(cfg, out_dir):
         **extra,
     }
     write_json(out_dir / "stationary.json", manifest)
-    ok = all(res.converged for res in results)
+    failed_gates = False
     for res in results:
         _log(
-            f"stationary: lambda={res.lam:g} converged={res.converged}"
+            f"stationary: lambda={res.lam:g} solver={res.solver} converged={res.converged}"
             f" t={res.t_elapsed:g} exponent={res.tail_exponent_fit:.4f}"
             f" amplitude={res.tail_amplitude_fit:.4f}"
             f" flux_radii={','.join(f'{R:g}' for R in res.residual_decay0)}"
         )
-    return 0 if ok else 3
+        failed = [gate for gate, ok in res.verdicts.items() if not ok]
+        if failed:
+            failed_gates = True
+            _log(f"stationary: lambda={res.lam:g} failed gates: {', '.join(failed)}")
+    if not all(res.converged for res in results):
+        return 3
+    return 2 if failed_gates else 0
 
 
 def cmd_dual_check(cfg, out_dir, tolerance):

@@ -240,6 +240,7 @@ class _Engine:
         if kernel.gamma != params.gamma:
             raise ValueError(f"kernel.gamma = {kernel.gamma} must equal params.gamma = {params.gamma}")
         self.params, self.kernel, self.cutoff = params, kernel, cutoff
+        self.rates_calls = 0  # the calls of rates, which the stationary search reports
         self.N = N = edges.size - 1
         self.ghost_pow = _partners(edges, params.rho, cutoff.lam)[2]
         # pairs with weight lie within n_ghost - 2 cells (the partner-ratio
@@ -332,6 +333,7 @@ class _Engine:
         deposit rates Q_i, the overflow rates, and the relative mismatch
         between kernel loss and total deposits (machine-level identity).
         """
+        self.rates_calls += 1
         N = self.N
         Lk, v, esc = self._loss(masses, amp, s)
         A = Lk - self.params.beta * self.params.rho

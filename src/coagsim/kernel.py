@@ -72,6 +72,12 @@ class KernelSpec:
         return 0.0
 
 
+def kernel_setup(spec):
+    """The settings spec's family reads: family, gamma and the family's
+    FAMILY_FIELDS, as a dict for a manifest."""
+    return {"family": spec.family, "gamma": spec.gamma, **{f: getattr(spec, f) for f in FAMILY_FIELDS[spec.family]}}
+
+
 def constant_kernel(value=1.0):
     """Constant kernel K = value."""
     return KernelSpec(family="constant", value=value)

@@ -2,7 +2,6 @@
 
 import io
 import json
-import os
 import warnings
 from dataclasses import asdict
 
@@ -339,18 +338,23 @@ class TestStationaryCommand:
         entry = manifest["results"][0]
         assert entry["converged"] is True
         assert entry["tail_exponent_fit"] == pytest.approx(0.5, abs=0.05)
-        assert entry["n_steps"] > 0 and entry["n_retries"] >= 0
+        assert entry["verdicts"] == dict.fromkeys(["tail_exponent", "tail_amplitude", "flux_residual", "envelopes"], True)
+        assert entry["solver"] == "ptc" and (entry["n_steps"], entry["n_retries"]) == (0, 0)
+        assert entry["ptc_iterations"] > 0 and entry["krylov_iterations"] > 0 and entry["rates_calls"] > 0
         assert 0.0 <= entry["max_pairing_residual"] <= 1e-12
         profile = from_csv(out / entry["profile_file"])
         assert profile.cell_mass.min() >= 0.0
 
-    def test_non_convergence_exits_3_with_history(self, tmp_path):
+    def test_non_convergence_exits_3_with_history(self, tmp_path, monkeypatch):
+        # the pseudo-transient solve fails, and its fallback, the march,
+        # runs out of time
+        monkeypatch.setattr(stationary._PseudoTransient, "solve", lambda self, m, tol: None)
         text = BASE + "run.tol = 1e-12\nrun.t_max = 1.0\n"
         code, out = run_cli(tmp_path, text, "stationary")
         assert code == 3
         manifest = json.loads((out / "stationary.json").read_text())
         entry = manifest["results"][0]
-        assert entry["converged"] is False
+        assert entry["converged"] is False and entry["solver"] == "march"
         assert len(entry["convergence_history"]) == 2
         (_, r1), (_, r2) = entry["convergence_history"]
         assert r2 < r1
@@ -362,7 +366,7 @@ class TestStationaryCommand:
         text = BASE + "run.tol = 1e-12\nrun.t_max = 0.5\n"
         assert geometric_grid(*run_config(parse_config(text)).grid)[-1] < 1e4
         code, out = run_cli(tmp_path, text, "stationary")
-        assert code == 3
+        assert code == 0
         entry = json.loads((out / "stationary.json").read_text())["results"][0]
         assert sorted(map(float, entry["residual_decay0"])) == [10.0, 100.0, 1000.0]
         assert " flux_radii=10,100,1000\n" in capsys.readouterr().err
@@ -387,16 +391,14 @@ class TestStationaryCommand:
         assert len(manifest["xrho_distances"]) == 1
         assert (out / "profile_0001.csv").exists()
 
-    def test_forked_search_error_exits_2(self, tmp_path, monkeypatch, capsys):
-        # the second cutoff scale runs in a forked process, which inherits
-        # the patched search
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        parent = os.getpid()
+    def test_search_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the second cutoff scale's search fails after the first one ran
+        run = stationary.find_stationary
 
         def failing(params, kernel, cutoff, **kwargs):
-            if os.getpid() != parent:
+            if cutoff.lam == 1e-2:
                 raise forward.IntegrationError("step size collapsed")
-            return None
+            return run(params, kernel, cutoff, **kwargs)
 
         monkeypatch.setattr(stationary, "find_stationary", failing)
         text = CONTINUATION_BASE + "stationary.lambdas = 5e-2, 1e-2\n"
@@ -404,16 +406,71 @@ class TestStationaryCommand:
         assert code == 2
         assert "numerical failure: step size collapsed" in capsys.readouterr().err
         assert not (out / "stationary.json").exists()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+
+
+# the theorem's range at (gamma, rho) = (0, 0.1) on the acceptance grid
+SMALL_RHO = """
+params.gamma = 0.0
+params.rho = 0.1
+params.delta = 0.05
+kernel.family = constant
+cutoff.lambda = 1e-3
+"""
+
+
+class TestStationaryVerdicts:
+    def test_failed_gates_exit_2_and_are_named(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, SMALL_RHO, "stationary")
+        assert code == 2
+        entry = json.loads((out / "stationary.json").read_text())["results"][0]
+        assert entry["converged"] is True and entry["solver"] == "ptc"
+        assert entry["verdicts"] == {
+            "tail_exponent": False, "tail_amplitude": False, "flux_residual": True, "envelopes": True,
+        }
+        err = capsys.readouterr().err
+        assert "stationary: lambda=0.001 solver=ptc converged=True" in err
+        assert "stationary: lambda=0.001 failed gates: tail_exponent, tail_amplitude\n" in err
+
+    def test_passing_gates_exit_0(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, SMALL_RHO.replace("params.rho = 0.1", "params.rho = 0.9"), "stationary")
+        assert code == 0
+        entry = json.loads((out / "stationary.json").read_text())["results"][0]
+        assert all(entry["verdicts"].values())
+        assert "failed gates" not in capsys.readouterr().err
+
+
+class TestKernelSetup:
+    @pytest.mark.parametrize(
+        "lines, want",
+        [
+            ("kernel.family = product\n", {"family": "product", "gamma": 0.5}),
+            ("kernel.family = sum\nkernel.alpha = 0.2\n", {"family": "sum", "gamma": 0.5, "alpha": 0.2}),
+        ],
+        ids=["product", "sum"],
+    )
+    def test_records_the_fields_the_family_reads(self, tmp_path, lines, want):
+        text = BASE.replace("params.gamma = 0.0", "params.gamma = 0.5").replace("params.rho = 0.5", "params.rho = 0.75")
+        text = text.replace("kernel.family = constant\n", lines)
+        code, out = run_cli(tmp_path, text, "simulate")
+        assert code == 0
+        assert json.loads((out / "simulate.json").read_text())["setup"]["kernel"] == want
+
+    def test_constant_records_its_value(self, tmp_path):
+        code, out = run_cli(tmp_path, BASE + "kernel.value = 2.0\n", "simulate")
+        assert code == 0
+        kernel = json.loads((out / "simulate.json").read_text())["setup"]["kernel"]
+        assert kernel == {"family": "constant", "gamma": 0.0, "value": 2.0}
 
 
 def oracle_setup(cfg):
     """The manifests' setup entry as the CLI first wrote it, without the
-    seed, which no code read."""
+    seed, which no code read, and without the kernel's alpha, which the
+    constant family of these configs does not read."""
+    kernel = asdict(cfg.kernel)
+    assert kernel.pop("alpha") == 0.0 and kernel["family"] == "constant"
     return {
         "params": asdict(cfg.params),
-        "kernel": asdict(cfg.kernel),
+        "kernel": kernel,
         "cutoff": asdict(cfg.cutoff),
         "grid": list(cfg.grid),
     }
@@ -421,12 +478,17 @@ def oracle_setup(cfg):
 
 def oracle_stationary_manifest(cfg, results, extra):
     """stationary.json with each result entry listed by hand, as the CLI
-    first wrote it."""
+    first wrote it, plus the solver's name and counts and the verdicts."""
     entries = []
     for k, res in enumerate(results):
         entries.append(
             {
                 "lambda": res.lam,
+                "solver": res.solver,
+                "ptc_iterations": res.ptc_iterations,
+                "krylov_iterations": res.krylov_iterations,
+                "rates_calls": res.rates_calls,
+                "verdicts": res.verdicts,
                 "converged": res.converged,
                 "t_elapsed": res.t_elapsed,
                 "convergence_history": [list(p) for p in res.convergence_history],
@@ -722,6 +784,21 @@ class TestDeterminism:
             assert main(["stationary", "--config", cfg, "--out", str(out)]) in (0, 3)
             outs.append(out)
         names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+    def test_identical_continuation_bit_identical_artifacts(self, tmp_path):
+        text = CONTINUATION_BASE + "stationary.lambdas = 5e-2, 1e-2\n"
+        outs = []
+        for tag in ("a", "b"):
+            cfg = write_cfg(tmp_path, text, name=f"{tag}.cfg")
+            out = tmp_path / tag
+            assert main(["stationary", "--config", cfg, "--out", str(out)]) == 0
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == ["profile_0000.csv", "profile_0001.csv", "stationary.json"]
         assert names == sorted(p.name for p in outs[1].iterdir())
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

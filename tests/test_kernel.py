@@ -12,6 +12,7 @@ from coagsim.kernel import (
     eval_cutoff,
     eval_kernel,
     eval_regularized,
+    kernel_setup,
     product_kernel,
     sum_kernel,
     zero_kernel,
@@ -93,6 +94,21 @@ class TestBareKernel:
     def test_invalid_specs(self, kwargs):
         with pytest.raises(ValueError):
             KernelSpec(**kwargs)
+
+
+class TestKernelSetup:
+    @pytest.mark.parametrize(
+        "spec, want",
+        [
+            (constant_kernel(2.0), {"family": "constant", "gamma": 0.0, "value": 2.0}),
+            (product_kernel(0.5), {"family": "product", "gamma": 0.5}),
+            (sum_kernel(0.2, 0.5), {"family": "sum", "gamma": 0.5, "alpha": 0.2}),
+            (zero_kernel(), {"family": "zero", "gamma": 0.0}),
+        ],
+        ids=["constant", "product", "sum", "zero"],
+    )
+    def test_only_the_fields_the_family_reads(self, spec, want):
+        assert kernel_setup(spec) == want
 
 
 class TestCutoffProfile:

@@ -1,11 +1,9 @@
 """Stationary profiles: flux identity, tail fits, long-time search."""
 
 import os
-import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -390,6 +388,13 @@ class TestTailFitOracle:
         assert abs(tail_fit(noisy)[0] - polyfit_exponent(noisy)) <= 1e-14
 
 
+@pytest.fixture
+def march(monkeypatch):
+    """Make every pseudo-transient solve fail, so that the search runs its
+    fallback, the long-time march."""
+    monkeypatch.setattr(stationary._PseudoTransient, "solve", lambda self, m, tol: None)
+
+
 class TestFindStationary:
     def test_zero_kernel_reaches_exact_power(self):
         edges = geometric_grid(1e-3, 1e6, RATIO)
@@ -401,17 +406,17 @@ class TestFindStationary:
         assert res.tail_exponent_fit == pytest.approx(0.5, abs=1e-6)
         assert res.residual_decay0[10.0] == pytest.approx(0.0, abs=1e-10)
 
-    def test_stationary_datum_stops_after_one_chunk(self):
-        # with R0 far below the grid the datum is the pure power law, which
-        # the zero kernel leaves stationary
+    def test_stationary_datum_stops_after_one_chunk(self, march):
+        # with R0 far below the grid the march's datum is the pure power
+        # law, which the zero kernel leaves stationary
         edges = geometric_grid(1e-3, 1e6, RATIO)
         params = replace(PARAMS, R0=1e-30)
         res = find_stationary(params, zero_kernel(), CUT, edges=edges)
-        assert res.converged
+        assert res.converged and res.solver == "march"
         assert res.t_elapsed == pytest.approx(0.5)
         assert len(res.convergence_history) == 1
 
-    def test_nonconvergence_reports_instead_of_raising(self):
+    def test_nonconvergence_reports_instead_of_raising(self, march):
         edges = geometric_grid(1e-3, 1e6, RATIO)
         res = find_stationary(
             PARAMS, constant_kernel(2.0), CUT, edges=edges, tol=1e-12, t_max=1.0
@@ -437,7 +442,7 @@ class TestFindStationary:
         [((0.4,), None), ((0.4, 0.1), 0.25 / 0.75 * 0.2), ((0.1, 0.1), None), ((0.1, 0.3), None)],
         ids=["one_chunk", "contracting", "kappa_one", "growing"],
     )
-    def test_distance_estimate_from_last_two_rates(self, monkeypatch, dists, estimate):
+    def test_distance_estimate_from_last_two_rates(self, monkeypatch, march, dists, estimate):
         # chunk distances are scripted; rates are distance / chunk
         seq = iter(dists)
         monkeypatch.setattr(stationary, "xrho_dist", lambda *args: next(seq))
@@ -451,31 +456,30 @@ class TestFindStationary:
 
 
 @pytest.fixture
-def engine_builds(monkeypatch, tmp_path):
-    """Count _Engine builds, wrapping __init__ as the traced benchmark does.
-
-    Each build appends a line to a file, so that the builds of forked
-    cutoff searches count too; the fixture returns the counter.
-    """
-    log = tmp_path / "engine_builds"
-    log.touch()
+def engine_builds(monkeypatch):
+    """Count _Engine builds, wrapping __init__ as the traced benchmark
+    does; the fixture returns the counter."""
+    builds = []
     init = forward._Engine.__init__
 
     def counting(self, *args, **kwargs):
-        with open(log, "a") as fh:
-            fh.write("build\n")
+        builds.append(1)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(forward._Engine, "__init__", counting)
-    return lambda: len(log.read_text().splitlines())
+    return lambda: len(builds)
 
 
 class TestEngineReuse:
-    def test_one_engine_per_search(self, engine_builds):
+    def test_one_engine_per_search(self, monkeypatch, engine_builds):
+        # one pseudo-transient step cannot reach tol, so the march takes
+        # over, on the same engine
+        monkeypatch.setattr(stationary, "PTC_MAX_ITER", 1)
         edges = geometric_grid(1e-3, 1e6, RATIO)
         res = find_stationary(
             PARAMS, constant_kernel(2.0), CUT, edges=edges, tol=1e-12, t_max=1.5
         )
+        assert (res.solver, res.ptc_iterations) == ("march", 1)
         assert len(res.convergence_history) == 3
         assert engine_builds() == 1
 
@@ -486,7 +490,7 @@ class TestEngineReuse:
         )
         assert engine_builds() == 2
 
-    def test_chunk_results_are_per_call(self, monkeypatch):
+    def test_chunk_results_are_per_call(self, monkeypatch, march):
         calls = []
         run = stationary.simulate
 
@@ -534,146 +538,41 @@ class TestLambdaContinuation:
         # find_stationary is refused here, naming both
         calls = []
         monkeypatch.setattr(stationary, "find_stationary", lambda *a, **k: calls.append(k))
-        monkeypatch.setattr(stationary, "_forked_map", lambda f, xs: calls.append(xs))
         with pytest.raises(TypeError, match=r"lambda_continuation\(\).*lambdas.*cutoff"):
             lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1], cutoff=CutoffParams(0.1))
         assert calls == []
 
-
-def assert_no_child_left():
-    """This process has no child, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def two_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
-class TestContinuationProcesses:
-    """lambda_continuation's forked searches: failures, reaping, CPU count."""
-
-    EDGES = geometric_grid(1e-2, 1e5, 2.0 ** (1.0 / 8.0))
-
-    def test_child_error_reaches_caller(self, monkeypatch):
-        two_cpus(monkeypatch)
-        parent = os.getpid()
+    def test_search_error_reaches_caller(self, monkeypatch):
+        # the second scale's search fails after the first one ran
+        run, lams = stationary.find_stationary, []
 
         def failing(params, kernel, cutoff, **kwargs):
-            if os.getpid() != parent:
-                raise forward.IntegrationError(f"step size collapsed at lambda={cutoff.lam:g}")
-            return None
+            lams.append(cutoff.lam)
+            if cutoff.lam == 1e-2:
+                raise forward.IntegrationError("step size collapsed at lambda=0.01")
+            return run(params, kernel, cutoff, **kwargs)
 
         monkeypatch.setattr(stationary, "find_stationary", failing)
+        edges = geometric_grid(1e-2, 1e5, 2.0 ** (1.0 / 8.0))
         with pytest.raises(forward.IntegrationError, match=r"^step size collapsed at lambda=0\.01$"):
-            lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1, 1e-2], edges=self.EDGES)
-        assert_no_child_left()
+            lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1, 1e-2, 1e-3], edges=edges)
+        assert lams == [1e-1, 1e-2]
 
-    def test_child_that_dies_is_reported(self, monkeypatch):
-        two_cpus(monkeypatch)
-        parent = os.getpid()
-
-        def dying(params, kernel, cutoff, **kwargs):
-            if os.getpid() != parent:
-                os._exit(1)
-
-        monkeypatch.setattr(stationary, "find_stationary", dying)
-        with pytest.raises(RuntimeError, match="ended without sending its results"):
-            lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1, 1e-2], edges=self.EDGES)
-        assert_no_child_left()
-
-    def test_parent_error_kills_children(self, monkeypatch, tmp_path):
-        two_cpus(monkeypatch)
-        parent = os.getpid()
-        started = tmp_path / "child.pid"
-
-        def stalling(params, kernel, cutoff, **kwargs):
-            if os.getpid() != parent:
-                started.write_text(str(os.getpid()))
-                time.sleep(60.0)
-            while not started.exists() or not started.read_text():
-                time.sleep(0.01)
-            raise ValueError("parent search failed")
-
-        monkeypatch.setattr(stationary, "find_stationary", stalling)
-        t0 = time.monotonic()
-        with pytest.raises(ValueError, match="parent search failed"):
-            lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1, 1e-2], edges=self.EDGES)
-        assert time.monotonic() - t0 < 30.0
-        assert_no_child_left()
-        with pytest.raises(ProcessLookupError):
-            os.kill(int(started.read_text()), 0)
-
-    @pytest.mark.parametrize("affinity", ["one_cpu", "absent"])
-    def test_one_cpu_never_forks(self, monkeypatch, affinity):
-        if affinity == "one_cpu":
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        else:
-            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    def test_never_forks(self, monkeypatch):
+        # the scales run in this process, one after the other, whatever
+        # the CPUs available
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
 
         def no_fork():
-            raise AssertionError("forked with one CPU")
+            raise AssertionError("forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        rep = lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1, 1e-2], edges=self.EDGES, t_max=0.5)
+        edges = geometric_grid(1e-2, 1e5, 2.0 ** (1.0 / 8.0))
+        rep = lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1, 1e-2], edges=edges)
         assert len(rep.results) == 2
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("cpus, n_lambdas, forks", [(2, 3, 1), (3, 2, 1), (3, 3, 2), (2, 1, 0)])
-    def test_at_most_one_process_per_cpu(self, monkeypatch, cpus, n_lambdas, forks):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        forked = []
-        fork = os.fork
-
-        def counting_fork():
-            forked.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
-        h = power_measure(self.EDGES, 0.5)
-        # each result names the process that made it
-        monkeypatch.setattr(stationary, "find_stationary",
-                            lambda params, kernel, cutoff, **kw: SimpleNamespace(profile=h, pid=os.getpid()))
-        lams = [10.0**-k for k in range(1, n_lambdas + 1)]
-        rep = lambda_continuation(PARAMS, constant_kernel(2.0), lams, edges=self.EDGES)
-        assert len(forked) == forks
-        pids = [r.pid for r in rep.results]
-        # dealt round-robin, the calling process first
-        assert len(set(pids)) == forks + 1 and pids[0] == os.getpid()
-        assert pids == [pids[k % (forks + 1)] for k in range(n_lambdas)]
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("fails_at, owners", [(1, [0, 0, 0]), (2, [0, 1, 0])])
-    def test_failed_fork_runs_share_here(self, monkeypatch, fails_at, owners):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        fork, pipe = os.fork, os.pipe
-        forks, fds = [], []
-
-        def failing_fork():
-            forks.append(1)
-            if len(forks) == fails_at:
-                raise BlockingIOError("fork: resource temporarily unavailable")
-            return fork()
-
-        def recording_pipe():
-            fds.extend(pipe())
-            return fds[-2:]
-
-        monkeypatch.setattr(os, "fork", failing_fork)
-        monkeypatch.setattr(os, "pipe", recording_pipe)
-        h = power_measure(self.EDGES, 0.5)
-        monkeypatch.setattr(stationary, "find_stationary",
-                            lambda params, kernel, cutoff, **kw: SimpleNamespace(profile=h, pid=os.getpid(),
-                                                                                 lam=cutoff.lam))
-        rep = lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1, 1e-2, 1e-3], edges=self.EDGES)
-        assert len(forks) == fails_at
-        assert [r.lam for r in rep.results] == [1e-1, 1e-2, 1e-3]
-        pids = [r.pid for r in rep.results]
-        assert [pids.index(p) for p in pids] == owners and pids[0] == os.getpid()
-        for fd in fds:
-            with pytest.raises(OSError):
-                os.fstat(fd)
-        assert_no_child_left()
+        assert rep.results[1].rates_calls < find_stationary(
+            PARAMS, constant_kernel(2.0), CutoffParams(lam=1e-2), edges=edges
+        ).rates_calls
 
 
 def assert_same_search(got, want):
@@ -689,21 +588,23 @@ def assert_same_search(got, want):
 
 
 class TestContinuationOracle:
-    """lambda_continuation against a serial loop of find_stationary."""
+    """lambda_continuation against a serial loop of find_stationary, each
+    search started from the profile before it."""
 
     LAMBDAS = [1e-1, 3e-2, 1e-2]
 
     @pytest.mark.parametrize("cpus", [None, 1, 2], ids=["affinity", "one_cpu", "two_cpus"])
     def test_matches_serial_loop(self, monkeypatch, cpus):
+        # the CPUs available change nothing: the searches run in this process
         if cpus is not None:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         edges = geometric_grid(1e-2, 1e5, 2.0 ** (1.0 / 8.0))
         kw = {"edges": edges, "tol": 1e-12, "t_max": 1.0, "probe_radii": [10.0, 100.0]}
         rep = lambda_continuation(PARAMS, constant_kernel(2.0), self.LAMBDAS, **kw)
-        want = [
-            find_stationary(PARAMS, constant_kernel(2.0), CutoffParams(lam=lv), **kw)
-            for lv in self.LAMBDAS
-        ]
+        want = []
+        for lv in self.LAMBDAS:
+            start = want[-1].profile if want else None
+            want.append(find_stationary(PARAMS, constant_kernel(2.0), CutoffParams(lam=lv), start=start, **kw))
         assert rep.lambdas == tuple(self.LAMBDAS)
         assert len(rep.results) == len(want)
         for got, ref in zip(rep.results, want):
@@ -713,3 +614,211 @@ class TestContinuationOracle:
     def test_empty_lambda_list(self):
         rep = lambda_continuation(PARAMS, constant_kernel(2.0), [])
         assert (rep.lambdas, rep.results, rep.distances) == ((), [], [])
+
+
+def residual_on(edges, params, kernel, cutoff):
+    return stationary._Residual(forward._Engine(edges, params, kernel, cutoff), edges)
+
+
+def range_point(gamma, rho):
+    """A point of the theorem's range (gamma, rho) with its kernel: the
+    constant kernel at gamma = 0, the product kernel otherwise, and
+    delta = min(0.2, (rho - gamma) / 2)."""
+    params = Params(gamma=gamma, rho=rho, delta=min(0.2, (rho - gamma) / 2))
+    return params, constant_kernel() if gamma == 0.0 else product_kernel(gamma)
+
+
+class TestResidual:
+    @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 0.97])
+    @pytest.mark.parametrize("grid", [(1e-4, 1e8, RATIO), (1e-2, 1e3, 2.0**0.5)], ids=["acceptance", "coarse"])
+    def test_zero_at_pure_power_law_with_zero_kernel(self, rho, grid):
+        edges = geometric_grid(*grid)
+        res = residual_on(edges, Params(gamma=0.0, rho=rho, delta=0.05), zero_kernel(), CUT)
+        G, A, pairing = res(res.w.copy())
+        assert np.all(G == 0.0)
+        assert pairing == 0.0
+
+    @pytest.mark.parametrize(
+        "gamma, rho, lam", [(0.0, 0.5, 0.1), (0.5, 0.75, 0.05), (0.0, 0.9, 0.2)], ids=["constant", "product", "rho09"]
+    )
+    def test_two_call_product_matches_dense_difference(self, gamma, rho, lam):
+        # 27 cells, fewer than the partner-ratio window: every cell has
+        # ghost partners, and the top cells feed the corner table
+        edges = geometric_grid(1e-2, 1e2, 2.0**0.5)
+        params, kernel = range_point(gamma, rho)
+        res = residual_on(edges, params, kernel, CutoffParams(lam=lam))
+        rng = np.random.default_rng(3)
+        m = res.w * rng.uniform(0.2, 2.0, res.w.size)
+        # the dense Jacobian, one column per cell, by central differences
+        # of a step far smaller than the product's
+        J = np.empty((m.size, m.size))
+        for j in range(m.size):
+            h = np.zeros(m.size)
+            h[j] = 1e-4 * res.w[j]
+            J[:, j] = (res(m + h)[0] - res(m - h)[0]) / (2.0 * h[j])
+        for _ in range(3):
+            z = rng.standard_normal(m.size)
+            want = J @ (res.w * z) / res.w
+            np.testing.assert_allclose(res.product(m, z), want, rtol=0.0, atol=1e-8 * np.max(np.abs(want)))
+
+
+class TestGmres:
+    def test_solves_nonsymmetric_system(self):
+        rng = np.random.default_rng(5)
+        n = 150
+        M = np.eye(n) * 4.0 + rng.standard_normal((n, n)) / np.sqrt(n)
+        b = rng.standard_normal(n)
+        diag = np.diag(M).copy()
+        x, iterations = stationary._gmres(lambda z: M @ z, lambda r: r / diag, b)
+        assert np.linalg.norm(M @ x - b) <= stationary.KRYLOV_RTOL * np.linalg.norm(b)
+        assert 0 < iterations <= stationary.KRYLOV_RESTART
+
+    def test_restarts_until_the_tolerance(self, monkeypatch):
+        # cycles of 5 iterations each, as many as it takes
+        monkeypatch.setattr(stationary, "KRYLOV_RESTART", 5)
+        monkeypatch.setattr(stationary, "KRYLOV_CYCLES", 100)
+        rng = np.random.default_rng(6)
+        n = 80
+        M = np.eye(n) * 3.0 + rng.standard_normal((n, n)) / np.sqrt(n)
+        b = rng.standard_normal(n)
+        x, iterations = stationary._gmres(lambda z: M @ z, lambda r: r, b)
+        assert iterations > 5
+        assert np.linalg.norm(M @ x - b) <= stationary.KRYLOV_RTOL * np.linalg.norm(b)
+
+    def test_stops_after_its_cycles(self, monkeypatch):
+        monkeypatch.setattr(stationary, "KRYLOV_RESTART", 2)
+        rng = np.random.default_rng(6)
+        M = np.eye(80) * 3.0 + rng.standard_normal((80, 80)) / np.sqrt(80)
+        x, iterations = stationary._gmres(lambda z: M @ z, lambda r: r, rng.standard_normal(80))
+        assert iterations == 2 * stationary.KRYLOV_CYCLES
+
+    def test_zero_right_hand_side(self):
+        x, iterations = stationary._gmres(lambda z: 2.0 * z, lambda r: r, np.zeros(7))
+        assert np.all(x == 0.0) and iterations == 0
+
+    def test_tridiagonal_solve_matches_dense(self):
+        rng = np.random.default_rng(7)
+        n = 40
+        lower, upper = rng.uniform(0.1, 5.0, n - 1), -rng.uniform(0.1, 5.0, n - 1)
+        diag = rng.uniform(0.01, 1.0, n)
+        T = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        rhs = rng.standard_normal(n)
+        got = stationary._tridiagonal_solve(stationary._tridiagonal_factor(lower, diag, upper), rhs)
+        np.testing.assert_allclose(got, np.linalg.solve(T, rhs), rtol=1e-10, atol=1e-12)
+
+
+@pytest.fixture
+def rates_calls(monkeypatch):
+    """Count _Engine.rates calls; the fixture returns the counter."""
+    calls = []
+    rates = forward._Engine.rates
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return rates(self, *args, **kwargs)
+
+    monkeypatch.setattr(forward._Engine, "rates", counting)
+    return lambda: len(calls)
+
+
+class TestPseudoTransient:
+    def test_counts_match_the_calls(self, monkeypatch, rates_calls):
+        products = []
+        product = stationary._Residual.product
+
+        def counting(self, m, z):
+            products.append(1)
+            return product(self, m, z)
+
+        monkeypatch.setattr(stationary._Residual, "product", counting)
+        edges = geometric_grid(1e-3, 1e6, RATIO)
+        res = find_stationary(PARAMS, constant_kernel(2.0), CUT, edges=edges)
+        assert res.solver == "ptc" and res.converged
+        assert res.rates_calls == rates_calls() == 1 + res.ptc_iterations + 2 * len(products)
+        assert 0 < res.ptc_iterations < len(products) and res.krylov_iterations <= len(products)
+        assert len(res.convergence_history) <= res.ptc_iterations + 1
+        assert res.convergence_history[-1][1] < 1e-4 <= res.convergence_history[-2][1]
+        assert res.t_elapsed == res.convergence_history[-1][0] > 0.0
+        assert (res.n_steps, res.n_retries, res.origin_mass) == (0, 0, 0.0)
+
+    def test_fallback_runs_and_is_recorded(self, monkeypatch, rates_calls):
+        # one step cannot reach this tol, so the march takes over
+        monkeypatch.setattr(stationary, "PTC_MAX_ITER", 1)
+        edges = geometric_grid(1e-3, 1e6, RATIO)
+        res = find_stationary(PARAMS, constant_kernel(2.0), CUT, edges=edges, tol=1e-12, t_max=1.0)
+        assert (res.solver, res.converged, res.ptc_iterations) == ("march", False, 1)
+        assert res.krylov_iterations > 0 and res.n_steps > 0
+        assert [t for t, _ in res.convergence_history] == [0.5, 1.0] and res.t_elapsed == 1.0
+        assert res.rates_calls == rates_calls()
+
+    def test_zero_with_a_nonpositive_cell_is_refused(self):
+        edges = geometric_grid(1e-2, 1e3, 2.0**0.5)
+        ptc = stationary._PseudoTransient(residual_on(edges, PARAMS, zero_kernel(), CUT))
+        m = ptc.residual.w.copy()
+        m[3] = -m[3]
+        assert ptc.solve(m, np.inf) is None
+        assert ptc.solve(ptc.residual.w.copy(), np.inf) is not None
+
+    def test_zero_kernel_takes_no_step(self, rates_calls):
+        edges = geometric_grid(1e-3, 1e6, RATIO)
+        res = find_stationary(PARAMS, zero_kernel(), CUT, edges=edges, tol=1e-12)
+        assert (res.solver, res.ptc_iterations, res.rates_calls, rates_calls()) == ("ptc", 0, 1, 1)
+        assert res.convergence_history == [(0.0, 0.0)]
+
+    def test_zero_is_a_fixed_point_of_the_march(self):
+        # the semi-discrete zero barely moves under one chunk of the
+        # march, whose own discretization differs (upwind map-back,
+        # exponential Heun steps)
+        cfg = run_config(load_config(BENCH_CONFIGS / "stationary-const.cfg"))
+        edges = geometric_grid(*cfg.grid)
+        res = find_stationary(cfg.params, cfg.kernel, cfg.cutoff, edges=edges)
+        assert res.solver == "ptc"
+        moved = forward.simulate(res.profile, cfg.params, cfg.kernel, cfg.cutoff, stationary.CHUNK).final
+        assert xrho_dist(moved, res.profile) < 1e-3
+
+    def test_start_must_fit_the_grid(self):
+        edges = geometric_grid(1e-2, 1e3, 2.0**0.5)
+        with pytest.raises(ValueError, match="start"):
+            find_stationary(PARAMS, zero_kernel(), CUT, edges=edges, start=power_measure(edges[:-1], 0.5))
+        with pytest.raises(ValueError, match="start"):
+            find_stationary(PARAMS, zero_kernel(), CUT, edges=edges, start=power_measure(edges, 0.4, rho=0.6))
+
+
+class TestSolveWorkingMemory:
+    def test_one_solve_peak(self):
+        # one pseudo-transient solve on the acceptance grid at lambda =
+        # 1e-3 holds no dense Jacobian: 638^2 doubles would be 3.3 MB,
+        # and the solve peaks at 0.89 MB
+        cfg = run_config(load_config(BENCH_CONFIGS / "stationary-const.cfg"))
+        edges = geometric_grid(*cfg.grid)
+        res = residual_on(edges, cfg.params, cfg.kernel, cfg.cutoff)
+        stationary._PseudoTransient(res).solve(res.w.copy(), 1e-4)  # warm every import and cache
+        ptc = stationary._PseudoTransient(res)
+        tracemalloc.start()
+        try:
+            m = ptc.solve(res.w.copy(), 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m is not None
+        assert peak <= 1.5 * 2**20
+
+
+class TestTheoremRange:
+    """Edge points of the theorem's range on the acceptance grid."""
+
+    @pytest.mark.parametrize("gamma, rho", [(0.0, 0.9), (0.0, 0.97), (0.5, 0.95)])
+    def test_edge_points_pass_every_verdict(self, gamma, rho):
+        params, kernel = range_point(gamma, rho)
+        res = find_stationary(params, kernel, CUT, edges=geometric_grid())
+        assert res.solver == "ptc" and res.converged
+        assert all(res.verdicts.values()), res.verdicts
+
+    def test_small_rho_fails_the_exponent_gate(self):
+        # at (0, 0.1) the semi-discrete zero itself reads exponent -0.006
+        # on this grid: the failure must surface in the verdicts
+        params, kernel = range_point(0.0, 0.1)
+        res = find_stationary(params, kernel, CUT, edges=geometric_grid())
+        assert res.converged
+        assert res.verdicts["tail_exponent"] is False
+        assert abs(res.tail_exponent_fit - 0.1) > stationary.EXPONENT_GATE
