@@ -455,12 +455,6 @@ class TestKernelSetup:
         assert code == 0
         assert json.loads((out / "simulate.json").read_text())["setup"]["kernel"] == want
 
-    def test_constant_records_its_value(self, tmp_path):
-        code, out = run_cli(tmp_path, BASE + "kernel.value = 2.0\n", "simulate")
-        assert code == 0
-        kernel = json.loads((out / "simulate.json").read_text())["setup"]["kernel"]
-        assert kernel == {"family": "constant", "gamma": 0.0, "value": 2.0}
-
 
 def oracle_setup(cfg):
     """The manifests' setup entry as the CLI first wrote it, without the
