@@ -575,6 +575,29 @@ class TestLambdaContinuation:
         ).rates_calls
 
 
+class TestContinuationProcesses:
+    """lambda_continuation runs in this process: with one CPU, or with no
+    CPU affinity to read, it neither forks nor leaves a child behind."""
+
+    EDGES = geometric_grid(1e-2, 1e5, 2.0 ** (1.0 / 8.0))
+
+    @pytest.mark.parametrize("affinity", ["one_cpu", "absent"])
+    def test_one_cpu_never_forks(self, monkeypatch, affinity):
+        if affinity == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+
+        def no_fork():
+            raise AssertionError("forked with one CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        rep = lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1, 1e-2], edges=self.EDGES, t_max=0.5)
+        assert len(rep.results) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 def assert_same_search(got, want):
     """Every field of two StationaryResults agrees bit for bit."""
     for name in vars(want):
