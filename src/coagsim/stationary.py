@@ -13,7 +13,8 @@ semi-discrete stationary equation F(m) = -A(m) m + Q(m) + beta (-m + D(m))
 = 0 for the cell masses m, with the forward engine's rates and a centred
 drift D, by pseudo-transient continuation: linearly implicit pseudo-time
 steps, each a matrix-free GMRES solve on the exact two-call Jacobian
-products of the quadratic F, numpy only.  Should that fail, the long-time
+products of the quadratic F, numpy only, carried only as far as the
+step can use (Eisenstat-Walker forcing).  Should that fail, the long-time
 march (evolving an envelope-interior datum until the trajectory is
 Cauchy in the X_rho metric) takes over.  Either way the profile is then
 re-verified: the envelopes, the identity at several radii and the
@@ -27,7 +28,9 @@ a logarithmic grid in the distance to its endpoint.  Without cutoffs each
 kernel family is a sum of powers of z, so the inner integral reduces to
 exact tail moments of the measure; with cutoffs it is summed over cell
 representatives with exact partial-cell masses, for a block of quadrature
-points at a time.
+points at a time, computing the ratio cutoffs and the partial-cell
+fractions only on the partners where some point of the block has them
+below 1.
 
 Below the grid (and below the kernel cutoff) the stationary dynamics is
 pure transport, whose only stationary density is C x^(-rho); the identity
@@ -45,8 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import _Engine, _partners, _Stepper, simulate
-from .kernel import CutoffParams, _z_power_terms, eval_regularized
-from .kernel import eval_cutoff, eval_kernel  # noqa: F401  not called here; bench/trace_run.py wraps both
+from .kernel import CutoffParams, _z_power_terms, _zeta, eval_cutoff, eval_kernel
 from .measure import (
     GridMeasure,
     cumulative_mass,
@@ -78,16 +80,20 @@ FIT_WINDOW = (1e2, 1e4)
 ENVELOPE_SLACK = 1e-2
 N_PER_DECADE = 64
 # quadrature points per block of the flux's inner sums: a block's arrays,
-# 32 x partners and four 32 x window, take about 0.6 MB on the
-# acceptance grid at lam = 1e-3
-FLUX_BLOCK = 32
+# 64 x partners and 64 x window (the kernel, the ratio cutoffs on the
+# window's two ends, the partial-cell fractions below the block's largest
+# u), bring one flux residual on the acceptance grid at lam = 1e-3 to a
+# peak of about 0.83 MiB
+FLUX_BLOCK = 64
 # the pseudo-transient solve: its cap on steps tried, its first pseudo-time
-# step, and GMRES's restart length, cycles and relative tolerance
+# step, GMRES's restart length and cycles, and the floor and cap of the
+# forcing term, GMRES's relative tolerance
 PTC_MAX_ITER = 40
 DTAU0 = 1.0
 KRYLOV_RESTART = 60
 KRYLOV_CYCLES = 3
 KRYLOV_RTOL = 1e-3
+KRYLOV_RTOL_MAX = 0.1
 # the acceptance gates of verdicts: |tail exponent - rho|, |tail amplitude
 # / (1 - rho) - 1| and |flux residual| at each radius checked
 EXPONENT_GATE = 0.02
@@ -162,6 +168,9 @@ def _make_inner(profile, kernel, cutoff):
     epow = edges**qpow
 
     lam = cutoff.lam
+    # both ratio cutoffs of K_lam(y, z) are exactly 1 for y / ratio <= z <=
+    # y ratio
+    ratio = (1.0 - lam) / lam
 
     def inner(ys, us):
         out = np.zeros(ys.size)
@@ -178,17 +187,33 @@ def _make_inner(profile, kernel, cutoff):
             z_lo = max(0.5 * lam, y.min() * lam / (2.0 - lam) * (1.0 - 1e-9))
             k0 = max(np.searchsorted(edges[1:], u.min(), side="right"), np.searchsorted(reps, z_lo, side="right"))
             k1 = np.searchsorted(reps, y.max() * (2.0 - lam) / lam * (1.0 + 1e-9), side="right")
-            k = eval_regularized(kernel, cutoff, y, reps[k0:k1])
-            k /= reps[k0:k1]
-            # exact power-shape mass of each cell beyond u, in place
-            frac = np.maximum(u, edges[k0:k1])
+            z = reps[k0:k1]
+            # eval_regularized's product, factor by factor in its order,
+            # with the ratio cutoffs only on z[:j0] and z[j1:]: between,
+            # they are exactly 1 for every y (same margin)
+            k = eval_kernel(kernel, y, z)
+            k *= eval_cutoff(y / lam)
+            k *= eval_cutoff(z / lam)
+            j0 = np.searchsorted(z, y.max() / ratio * (1.0 + 1e-9))
+            j1 = max(j0, np.searchsorted(z, y.min() * ratio * (1.0 - 1e-9), side="right"))
+            for c in (slice(0, j0), slice(j1, z.size)):
+                tot = (y + z[c]) * lam
+                k[:, c] *= _zeta(y / tot)
+                k[:, c] *= _zeta(np.divide(z[c], tot, out=tot))
+            k /= z
+            # exact power-shape mass of each cell beyond u, in place; from
+            # the first edge at or above every u on, that mass is the whole
+            # cell's, its fraction exactly 1
+            kc = k0 + np.searchsorted(edges[k0:k1], u.max())
+            frac = np.maximum(u, edges[k0:kc])
             frac **= qpow
-            np.subtract(epow[k0 + 1 : k1 + 1], frac, out=frac)
-            frac /= epow[k0 + 1 : k1 + 1] - epow[k0:k1]
+            np.subtract(epow[k0 + 1 : kc + 1], frac, out=frac)
+            frac /= epow[k0 + 1 : kc + 1] - epow[k0:kc]
             np.clip(frac, 0.0, 1.0, out=frac)
-            frac *= base[k0:k1]
+            frac *= base[k0:kc]
             block = terms[: y.size]
-            np.multiply(k, frac, out=block[:, k0:k1])
+            np.multiply(k[:, : kc - k0], frac, out=block[:, k0:kc])
+            np.multiply(k[:, kc - k0 :], base[kc:k1], out=block[:, kc:k1])
             out[b : b + FLUX_BLOCK] = np.sum(block, axis=1)
             block[:, k0:k1] = 0.0
         return out
@@ -279,7 +304,9 @@ class StationaryResult:
 
     ptc_iterations counts the pseudo-transient steps tried, rejected
     ones included, krylov_iterations the GMRES iterations of their linear
-    solves, and rates_calls every _Engine.rates evaluation of the search
+    solves, each solved to the forcing term of _PseudoTransient (between
+    KRYLOV_RTOL and KRYLOV_RTOL_MAX), and rates_calls every _Engine.rates
+    evaluation of the search
     (the pseudo-transient residuals and Jacobian products, then the
     march's steps if it ran).  n_steps, n_retries and origin_mass are the
     march's accepted steps, rejected trials and mass let out through the
@@ -409,8 +436,11 @@ def _tridiagonal_solve(factor, rhs):
     return np.array(x)
 
 
-def _gmres(product, precondition, b):
-    """Solve product(x) = b to KRYLOV_RTOL relative by restarted GMRES.
+def _gmres(product, precondition, b, rtol):
+    """Solve product(x) = b to rtol relative by restarted GMRES.
+
+    rtol is the forcing term of the pseudo-transient step that calls it
+    (_PseudoTransient), between KRYLOV_RTOL and KRYLOV_RTOL_MAX.
 
     Right-preconditioned GMRES(KRYLOV_RESTART) (Saad & Schultz, SIAM J.
     Sci. Stat. Comput. 7, 1986), at most KRYLOV_CYCLES cycles: each runs
@@ -421,7 +451,7 @@ def _gmres(product, precondition, b):
     """
     n = KRYLOV_RESTART
     x = np.zeros_like(b)
-    target = KRYLOV_RTOL * float(np.linalg.norm(b))
+    target = rtol * float(np.linalg.norm(b))
     r, iterations = b, 0
     for _ in range(KRYLOV_CYCLES):
         beta = float(np.linalg.norm(r))
@@ -477,7 +507,13 @@ class _PseudoTransient:
     and follows switched evolution relaxation: an accepted step
     multiplies it by the ratio of the scaled residual norms before and
     after.  A step whose scaled residual norm is not finite, or more than
-    doubles, is rejected and cuts dtau by four.  Iterates may have
+    doubles, is rejected and cuts dtau by four.  GMRES stops at the
+    forcing term eta of inexact Newton (Eisenstat & Walker, SIAM J. Sci.
+    Comput. 17, 1996), not at a fixed tolerance: eta starts at
+    KRYLOV_RTOL_MAX, and an accepted step that takes the scaled norm from
+    |G_old| to |G_new| sets it to 0.9 (|G_new| / |G_old|)^2, their choice
+    2, clipped to [KRYLOV_RTOL, KRYLOV_RTOL_MAX] (with this cap their
+    safeguard never acts); a rejected step leaves it.  Iterates may have
     nonpositive cells: G is a polynomial in m, and on the way to a
     positive zero the centred drift's transients cross 0 (at
     (gamma, rho) = (0, 0.9), refusing them pins cells near 1e-94 and the
@@ -505,13 +541,13 @@ class _PseudoTransient:
         G, A, self.pairing = res(m)
         norm = res.scaled_norm(G)
         self.history.append((0.0, res.xrho_norm(G)))
-        dtau = DTAU0
+        dtau, eta = DTAU0, KRYLOV_RTOL_MAX
         with np.errstate(over="ignore", invalid="ignore"):
             while not self.history[-1][1] < tol:
                 if self.iterations == PTC_MAX_ITER:
                     return None
                 self.iterations += 1
-                trial = m + self._step(m, G, A, dtau)
+                trial = m + self._step(m, G, A, dtau, eta)
                 G_t, A_t, pairing = res(trial)
                 norm_t = res.scaled_norm(G_t)
                 if not norm_t <= 2.0 * norm:
@@ -520,12 +556,14 @@ class _PseudoTransient:
                 self.tau += dtau
                 if norm_t > 0.0:
                     dtau *= norm / norm_t
+                    eta = min(KRYLOV_RTOL_MAX, max(KRYLOV_RTOL, 0.9 * (norm_t / norm) ** 2))
                 m, G, A, norm, self.pairing = trial, G_t, A_t, norm_t, pairing
                 self.history.append((self.tau, res.xrho_norm(G)))
         return m if np.all(m > 0.0) else None
 
-    def _step(self, m, G, A, dtau):
-        """The step d of one linear solve at pseudo-time step dtau."""
+    def _step(self, m, G, A, dtau, eta):
+        """The step d of one linear solve at pseudo-time step dtau, to
+        relative tolerance eta."""
         res = self.residual
         diag = (1.0 / dtau + res.drift_diag) + np.maximum(A + res.grow, 0.0)
         factor = _tridiagonal_factor(res.lower, diag, res.upper)
@@ -533,6 +571,7 @@ class _PseudoTransient:
             lambda z: z / dtau + res.product(m, z),
             lambda r: _tridiagonal_solve(factor, r),
             -G / res.w,
+            eta,
         )
         self.krylov_iterations += iterations
         return res.w * x
@@ -685,8 +724,8 @@ def lambda_continuation(params, kernel, lambdas, **kwargs):
     Each run uses CutoffParams(lam), the cutoff at that scale, and starts
     from the profile of the scale before it (the first from
     find_stationary's default start), in one process.  kwargs go to
-    every find_stationary call, except cutoff, which is refused with a
-    TypeError before any search, and start, which the chain sets.
+    every find_stationary call, except cutoff and start, which the chain
+    sets: either is refused with a TypeError before any search.
     Distances between consecutive profiles are reported, never asserted;
     a decreasing sequence is evidence of a weak limit as the cutoff is
     removed.
@@ -697,6 +736,8 @@ def lambda_continuation(params, kernel, lambdas, **kwargs):
     """
     if "cutoff" in kwargs:
         raise TypeError("lambda_continuation() takes its cutoff scales as lambdas, not cutoff")
+    if "start" in kwargs:
+        raise TypeError("lambda_continuation() starts each scale from the profile before it, not from start")
     lams = [float(v) for v in lambdas]
     results = []
     for lv in lams:

@@ -533,13 +533,19 @@ class TestLambdaContinuation:
         rep = lambda_continuation(PARAMS, zero_kernel(), [1e-1, 1e-2], edges=edges)
         assert rep.distances[0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_rejects_cutoff_before_any_search(self, monkeypatch):
-        # the cutoff is built from lambdas; a cutoff= meant for
-        # find_stationary is refused here, naming both
+    @pytest.mark.parametrize("key", ["cutoff", "start"])
+    def test_rejects_cutoff_before_any_search(self, monkeypatch, key):
+        # the cutoff is built from lambdas and each start is the profile
+        # before it; a cutoff= or start= meant for find_stationary is
+        # refused here, naming it
         calls = []
         monkeypatch.setattr(stationary, "find_stationary", lambda *a, **k: calls.append(k))
-        with pytest.raises(TypeError, match=r"lambda_continuation\(\).*lambdas.*cutoff"):
-            lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1], cutoff=CutoffParams(0.1))
+        value, match = {
+            "cutoff": (CutoffParams(0.1), r"lambda_continuation\(\).*lambdas.*cutoff"),
+            "start": (tail_matched_init(PARAMS, geometric_grid()), r"lambda_continuation\(\).*start"),
+        }[key]
+        with pytest.raises(TypeError, match=match):
+            lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1], **{key: value})
         assert calls == []
 
     def test_search_error_reaches_caller(self, monkeypatch):
@@ -686,15 +692,18 @@ class TestResidual:
 
 
 class TestGmres:
-    def test_solves_nonsymmetric_system(self):
+    @pytest.mark.parametrize("rtol_name", ["KRYLOV_RTOL", "KRYLOV_RTOL_MAX"])
+    def test_solves_nonsymmetric_system(self, rtol_name):
         rng = np.random.default_rng(5)
         n = 150
         M = np.eye(n) * 4.0 + rng.standard_normal((n, n)) / np.sqrt(n)
         b = rng.standard_normal(n)
         diag = np.diag(M).copy()
-        x, iterations = stationary._gmres(lambda z: M @ z, lambda r: r / diag, b)
-        assert np.linalg.norm(M @ x - b) <= stationary.KRYLOV_RTOL * np.linalg.norm(b)
-        assert 0 < iterations <= stationary.KRYLOV_RESTART
+        rtol = getattr(stationary, rtol_name)
+        x, iterations = stationary._gmres(lambda z: M @ z, lambda r: r / diag, b, rtol)
+        assert np.linalg.norm(M @ x - b) <= rtol * np.linalg.norm(b)
+        _, tight = stationary._gmres(lambda z: M @ z, lambda r: r / diag, b, stationary.KRYLOV_RTOL)
+        assert 0 < iterations <= tight <= stationary.KRYLOV_RESTART
 
     def test_restarts_until_the_tolerance(self, monkeypatch):
         # cycles of 5 iterations each, as many as it takes
@@ -704,7 +713,7 @@ class TestGmres:
         n = 80
         M = np.eye(n) * 3.0 + rng.standard_normal((n, n)) / np.sqrt(n)
         b = rng.standard_normal(n)
-        x, iterations = stationary._gmres(lambda z: M @ z, lambda r: r, b)
+        x, iterations = stationary._gmres(lambda z: M @ z, lambda r: r, b, stationary.KRYLOV_RTOL)
         assert iterations > 5
         assert np.linalg.norm(M @ x - b) <= stationary.KRYLOV_RTOL * np.linalg.norm(b)
 
@@ -712,11 +721,12 @@ class TestGmres:
         monkeypatch.setattr(stationary, "KRYLOV_RESTART", 2)
         rng = np.random.default_rng(6)
         M = np.eye(80) * 3.0 + rng.standard_normal((80, 80)) / np.sqrt(80)
-        x, iterations = stationary._gmres(lambda z: M @ z, lambda r: r, rng.standard_normal(80))
+        b = rng.standard_normal(80)
+        x, iterations = stationary._gmres(lambda z: M @ z, lambda r: r, b, stationary.KRYLOV_RTOL)
         assert iterations == 2 * stationary.KRYLOV_CYCLES
 
     def test_zero_right_hand_side(self):
-        x, iterations = stationary._gmres(lambda z: 2.0 * z, lambda r: r, np.zeros(7))
+        x, iterations = stationary._gmres(lambda z: 2.0 * z, lambda r: r, np.zeros(7), stationary.KRYLOV_RTOL)
         assert np.all(x == 0.0) and iterations == 0
 
     def test_tridiagonal_solve_matches_dense(self):
@@ -763,6 +773,40 @@ class TestPseudoTransient:
         assert res.convergence_history[-1][1] < 1e-4 <= res.convergence_history[-2][1]
         assert res.t_elapsed == res.convergence_history[-1][0] > 0.0
         assert (res.n_steps, res.n_retries, res.origin_mass) == (0, 0, 0.0)
+
+    def test_forcing_follows_the_residual_ratio(self, monkeypatch):
+        # the acceptance grid at (0, 0.5), lambda = 1e-3: GMRES starts at
+        # the forcing cap; after an accepted step it stops
+        # at 0.9 (|G_new| / |G_old|)^2 in [KRYLOV_RTOL, KRYLOV_RTOL_MAX]
+        # (Eisenstat-Walker's choice 2), and a rejected step leaves it
+        rtols, norms = [], []
+        gmres, scaled_norm = stationary._gmres, stationary._Residual.scaled_norm
+
+        def recording_gmres(product, precondition, b, rtol):
+            rtols.append(rtol)
+            return gmres(product, precondition, b, rtol)
+
+        def recording_norm(self, G):
+            norms.append(scaled_norm(self, G))
+            return norms[-1]
+
+        monkeypatch.setattr(stationary, "_gmres", recording_gmres)
+        monkeypatch.setattr(stationary._Residual, "scaled_norm", recording_norm)
+        cfg = run_config(load_config(BENCH_CONFIGS / "stationary-const.cfg"))
+        res = find_stationary(cfg.params, cfg.kernel, cfg.cutoff, edges=geometric_grid(*cfg.grid))
+        assert res.solver == "ptc" and res.converged
+        # one norm at the start, then one per step tried, each after its solve
+        assert len(rtols) == res.ptc_iterations == len(norms) - 1
+        want, eta, norm = [], stationary.KRYLOV_RTOL_MAX, norms[0]
+        for norm_t in norms[1:]:
+            want.append(eta)
+            if norm_t <= 2.0 * norm:
+                ratio = 0.9 * (norm_t / norm) ** 2
+                eta = min(stationary.KRYLOV_RTOL_MAX, max(stationary.KRYLOV_RTOL, ratio))
+                norm = norm_t
+        assert rtols == want
+        assert rtols[0] == stationary.KRYLOV_RTOL_MAX
+        assert res.rates_calls <= 80
 
     def test_fallback_runs_and_is_recorded(self, monkeypatch, rates_calls):
         # one step cannot reach this tol, so the march takes over
@@ -836,6 +880,7 @@ class TestTheoremRange:
         res = find_stationary(params, kernel, CUT, edges=geometric_grid())
         assert res.solver == "ptc" and res.converged
         assert all(res.verdicts.values()), res.verdicts
+        assert res.ptc_iterations <= 10
 
     def test_small_rho_fails_the_exponent_gate(self):
         # at (0, 0.1) the semi-discrete zero itself reads exponent -0.006
