@@ -63,7 +63,6 @@ from .measure import (
     from_csv,
     geometric_grid,
     power_law_init,
-    tail_matched_init,
     to_csv,
     xrho_dist,
     xrho_norm,
@@ -143,7 +142,6 @@ __all__ = [
     "sum_kernel",
     "t3e4_residual",
     "tail_fit",
-    "tail_matched_init",
     "to_csv",
     "w_deriv",
     "w_eval",

@@ -169,7 +169,7 @@ def cmd_stationary(cfg, out_dir):
     verdict, naming the failed gates on stderr.
     """
     edges = geometric_grid(*cfg.grid)
-    kwargs = {"edges": edges, "tol": cfg.tol, "t_max": cfg.t_max, "max_change": cfg.max_change}
+    kwargs = {"edges": edges, "tol": cfg.tol}
     if "stationary.probe_radii" in cfg.raw:
         kwargs["probe_radii"] = list(get_floats(cfg.raw, "stationary.probe_radii"))
         for R in kwargs["probe_radii"]:
@@ -196,7 +196,6 @@ def cmd_stationary(cfg, out_dir):
         "command": "stationary",
         "setup": setup,
         "tol": cfg.tol,
-        "t_max": cfg.t_max,
         "results": entries,
         **extra,
     }
@@ -204,7 +203,7 @@ def cmd_stationary(cfg, out_dir):
     failed_gates = False
     for res in results:
         _log(
-            f"stationary: lambda={res.lam:g} solver={res.solver} converged={res.converged}"
+            f"stationary: lambda={res.lam:g} converged={res.converged}"
             f" t={res.t_elapsed:g} exponent={res.tail_exponent_fit:.4f}"
             f" amplitude={res.tail_amplitude_fit:.4f}"
             f" flux_radii={','.join(f'{R:g}' for R in res.residual_decay0)}"

@@ -22,7 +22,7 @@ typos; whole unknown sections are rejected too):
     cutoff.lambda
     kernel.family kernel.alpha kernel.value
     grid.x_min grid.x_max grid.ratio
-    run.t_final run.snapshot_dt run.tol run.t_max run.max_change
+    run.t_final run.snapshot_dt run.tol run.max_change
     stationary.lambdas stationary.probe_radii
     dual.radius dual.time dual.max_change dual.dump_s
     w.a w.y_min w.y_max w.n
@@ -48,7 +48,7 @@ _KNOWN_KEYS = {
     "cutoff": {"lambda"},
     "kernel": {"family", "alpha", "value"},
     "grid": {"x_min", "x_max", "ratio"},
-    "run": {"t_final", "snapshot_dt", "tol", "t_max", "max_change"},
+    "run": {"t_final", "snapshot_dt", "tol", "max_change"},
     "stationary": {"lambdas", "probe_radii"},
     "dual": {"radius", "time", "max_change", "dump_s"},
     "w": {"a", "y_min", "y_max", "n"},
@@ -194,7 +194,6 @@ class RunConfig:
     t_final: float
     snapshot_dt: float
     tol: float
-    t_max: float
     max_change: float
     outputs: str
     raw: dict
@@ -245,10 +244,9 @@ def run_config(mapping):
     if t_final < 0.0 or snapshot_dt < 0.0:
         raise ConfigError("run: t_final and snapshot_dt must be >= 0")
     tol = get_float(mapping, "run.tol", 1e-4)
-    t_max = get_float(mapping, "run.t_max", 40.0)
     max_change = get_float(mapping, "run.max_change", 0.05)
-    if not (tol > 0.0 and t_max > 0.0 and 0.0 < max_change < 1.0):
-        raise ConfigError("run: need tol > 0, t_max > 0 and 0 < max_change < 1")
+    if not (tol > 0.0 and 0.0 < max_change < 1.0):
+        raise ConfigError("run: need tol > 0 and 0 < max_change < 1")
     return RunConfig(
         params=params,
         kernel=kernel,
@@ -257,7 +255,6 @@ def run_config(mapping):
         t_final=t_final,
         snapshot_dt=snapshot_dt,
         tol=tol,
-        t_max=t_max,
         max_change=max_change,
         outputs=get_str(mapping, "outputs", "out"),
         raw=dict(mapping),

@@ -355,42 +355,20 @@ def dyadic_tail_integral(m, x, alpha):
     return total
 
 
-def _power_datum(params, edges, delta):
-    """Datum with cumulative F(R) = R^(1-rho) (1 - (R0/R)^delta)_+.
+def power_law_init(params, edges=None):
+    """Initial datum with cumulative F(R) = R^(1-rho) (1 - (R0/R)^delta)_+.
 
     Cell masses reproduce that cumulative exactly at every edge, and the
     analytic tail amplitude is the asymptotic density level (1 - rho).
-    For delta >= params.delta the datum lies inside both envelopes.
+    It sits on the lower envelope, so both envelope checks pass with zero
+    slack and the invariance checks start at the edge of the set.
     """
     if edges is None:
         edges = geometric_grid()
     rho, R0 = params.rho, params.R0
-    F = edges ** (1.0 - rho) * np.clip(1.0 - (R0 / edges) ** delta, 0.0, None)
+    F = edges ** (1.0 - rho) * np.clip(1.0 - (R0 / edges) ** params.delta, 0.0, None)
     mass = np.clip(np.diff(F), 0.0, None)
     return GridMeasure(edges, mass, tail_amplitude=1.0 - rho, tail_exponent=rho)
-
-
-def power_law_init(params, edges=None):
-    """Initial datum with cumulative F(R) = R^(1-rho) (1 - (R0/R)^delta)_+.
-
-    It sits on the lower envelope, so both envelope checks pass with zero
-    slack and the invariance checks start at the edge of the set.
-    """
-    return _power_datum(params, edges, params.delta)
-
-
-def tail_matched_init(params, edges=None):
-    """Initial datum F(R) = R^(1-rho) (1 - (R0/R)^delta')_+, delta' = max(delta, 1 - rho).
-
-    With delta' = 1 - rho the cumulative is R^(1-rho) - R0^(1-rho) above
-    R0, so the density there is exactly the conserved tail
-    (1 - rho) x^(-rho), where power_law_init still lacks (R0/R)^delta of
-    it at the top of the grid.  Any delta' >= delta keeps the datum inside
-    both envelopes.  This is find_stationary's default start.  delta'
-    is not a Params field: Params requires delta < rho - gamma, which
-    1 - rho can reach (gamma = 0, rho = 1/2).
-    """
-    return _power_datum(params, edges, max(params.delta, 1.0 - params.rho))
 
 
 def write_tagged_csv(path_or_file, tag, meta, columns, rows):

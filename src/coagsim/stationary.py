@@ -14,9 +14,7 @@ semi-discrete stationary equation F(m) = -A(m) m + Q(m) + beta (-m + D(m))
 drift D, by pseudo-transient continuation: linearly implicit pseudo-time
 steps, each a matrix-free GMRES solve on the exact two-call Jacobian
 products of the quadratic F, numpy only, carried only as far as the
-step can use (Eisenstat-Walker forcing).  Should that fail, the long-time
-march (evolving an envelope-interior datum until the trajectory is
-Cauchy in the X_rho metric) takes over.  Either way the profile is then
+step can use (Eisenstat-Walker forcing).  The profile is then
 re-verified: the envelopes, the identity at several radii and the
 fat-tail asymptotics h(x) ~ (1-rho) x^(-rho), read against the
 acceptance gates as verdicts.  lambda_continuation chains the solve
@@ -47,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import _Engine, _partners, _Stepper, simulate
+from .forward import _Engine, _partners
+from .forward import simulate  # noqa: F401  bench/trace_run.py wraps stationary.simulate
 from .kernel import CutoffParams, _z_power_terms, _zeta, eval_cutoff, eval_kernel
 from .measure import (
     GridMeasure,
@@ -57,7 +56,6 @@ from .measure import (
     envelope_check_lower,
     envelope_check_upper,
     geometric_grid,
-    tail_matched_init,
     xrho_dist,
 )
 
@@ -72,10 +70,8 @@ __all__ = [
     "lambda_continuation",
 ]
 
-# the search's chunk length in rescaled time, the tail-fit window and the
-# envelope slack of its report; the flux quadrature's outer points per
-# decade
-CHUNK = 0.5
+# the tail-fit window and the envelope slack of the search's report; the
+# flux quadrature's outer points per decade
 FIT_WINDOW = (1e2, 1e4)
 ENVELOPE_SLACK = 1e-2
 N_PER_DECADE = 64
@@ -88,7 +84,7 @@ FLUX_BLOCK = 64
 # the pseudo-transient solve: its cap on steps tried, its first pseudo-time
 # step, GMRES's restart length and cycles, and the floor and cap of the
 # forcing term, GMRES's relative tolerance
-PTC_MAX_ITER = 40
+PTC_MAX_ITER = 100
 DTAU0 = 1.0
 KRYLOV_RESTART = 60
 KRYLOV_CYCLES = 3
@@ -283,36 +279,22 @@ def tail_fit(profile):
 class StationaryResult:
     """Outcome of the stationary search.
 
-    solver names what produced the profile: "ptc", the pseudo-transient
-    solve of the semi-discrete stationary equation, or "march", the
-    long-time evolution it falls back to (see find_stationary).  Under
-    "ptc", t_elapsed is the pseudo-time summed over the accepted steps,
-    and convergence_history lists (pseudo-time, X_rho norm of F) at the
-    start and after each accepted step: F is the rate of the
-    semi-discrete flow at the profile, so its norm is an X_rho distance
-    per unit time, in the units of the march's rate and of tol.  Under
-    "march", t_elapsed is the rescaled time simulated, and
-    convergence_history lists (t, X_rho distance per unit time between
-    consecutive chunk ends) after each chunk.
-
-    distance_estimate is kappa / (1 - kappa) times the last rate of the
-    history, with kappa the ratio of its last two rates: if the solver
-    contracts by kappa per entry, it bounds the X_rho distance from the
-    profile to the fixed point, in the units of the rate and of tol.  It
-    is None with fewer than two entries or when kappa >= 1.  It is
-    recorded only; the stop rules read the rate.
+    The profile is the pseudo-transient solve's zero of the semi-discrete
+    stationary equation, or, when converged is False, its last accepted
+    iterate with every cell positive (see find_stationary).  t_elapsed is
+    the pseudo-time summed over the accepted steps, and
+    convergence_history lists (pseudo-time, X_rho norm of F) at the start
+    and after each accepted step: F is the rate of the semi-discrete flow
+    at the profile, so its norm is an X_rho distance per unit of rescaled
+    time, in the units of tol.
 
     ptc_iterations counts the pseudo-transient steps tried, rejected
     ones included, krylov_iterations the GMRES iterations of their linear
     solves, each solved to the forcing term of _PseudoTransient (between
     KRYLOV_RTOL and KRYLOV_RTOL_MAX), and rates_calls every _Engine.rates
-    evaluation of the search
-    (the pseudo-transient residuals and Jacobian products, then the
-    march's steps if it ran).  n_steps, n_retries and origin_mass are the
-    march's accepted steps, rejected trials and mass let out through the
-    bottom edge, all 0 under "ptc".  max_pairing_residual is the worst
-    pairing residual of the rates at the states the solver accepted: the
-    march's steps, or the profile that "ptc" returns.
+    evaluation of the search (the residuals and Jacobian products).
+    max_pairing_residual is the pairing residual of the rates at the
+    profile returned.
 
     verdicts holds the acceptance gates at their tolerances, each True
     when it passes: "tail_exponent" (within EXPONENT_GATE of rho),
@@ -323,23 +305,18 @@ class StationaryResult:
 
     profile: GridMeasure
     lam: float
-    solver: str
     converged: bool
     t_elapsed: float
     convergence_history: list
-    distance_estimate: object
     residual_decay0: dict
     tail_exponent_fit: float
     tail_amplitude_fit: float
     envelope_upper: object
     envelope_lower: object
     verdicts: dict
-    origin_mass: float
     ptc_iterations: int
     krylov_iterations: int
     rates_calls: int
-    n_steps: int
-    n_retries: int
     max_pairing_residual: float
 
 
@@ -517,10 +494,12 @@ class _PseudoTransient:
     nonpositive cells: G is a polynomial in m, and on the way to a
     positive zero the centred drift's transients cross 0 (at
     (gamma, rho) = (0, 0.9), refusing them pins cells near 1e-94 and the
-    solve stalls).  The profile returned must be positive.
+    solve stalls).  The zero must be positive, and so is every iterate
+    that solve returns short of one.
 
     iterations counts the steps tried, krylov_iterations their GMRES
-    iterations; history, tau and pairing are those of StationaryResult.
+    iterations; history and tau are those of StationaryResult, pairing
+    the pairing residual at the masses solve returns.
     """
 
     def __init__(self, residual):
@@ -534,18 +513,21 @@ class _PseudoTransient:
     def solve(self, m, tol):
         """Step from masses m until the X_rho norm of G is below tol.
 
-        Returns the masses, or None when PTC_MAX_ITER steps do not get
-        there or the zero found has a nonpositive cell.
+        Returns (masses, converged): the zero and True, or, when
+        PTC_MAX_ITER steps do not get there or the zero found has a
+        nonpositive cell, the last accepted iterate whose cells are all
+        positive (at worst m itself) and False.
         """
         res = self.residual
         G, A, self.pairing = res(m)
+        kept = m
         norm = res.scaled_norm(G)
         self.history.append((0.0, res.xrho_norm(G)))
         dtau, eta = DTAU0, KRYLOV_RTOL_MAX
         with np.errstate(over="ignore", invalid="ignore"):
             while not self.history[-1][1] < tol:
                 if self.iterations == PTC_MAX_ITER:
-                    return None
+                    return kept, False
                 self.iterations += 1
                 trial = m + self._step(m, G, A, dtau, eta)
                 G_t, A_t, pairing = res(trial)
@@ -557,9 +539,11 @@ class _PseudoTransient:
                 if norm_t > 0.0:
                     dtau *= norm / norm_t
                     eta = min(KRYLOV_RTOL_MAX, max(KRYLOV_RTOL, 0.9 * (norm_t / norm) ** 2))
-                m, G, A, norm, self.pairing = trial, G_t, A_t, norm_t, pairing
+                m, G, A, norm = trial, G_t, A_t, norm_t
+                if np.all(m > 0.0):
+                    kept, self.pairing = m, pairing
                 self.history.append((self.tau, res.xrho_norm(G)))
-        return m if np.all(m > 0.0) else None
+        return kept, bool(np.all(m > 0.0))
 
     def _step(self, m, G, A, dtau, eta):
         """The step d of one linear solve at pseudo-time step dtau, to
@@ -575,31 +559,6 @@ class _PseudoTransient:
         )
         self.krylov_iterations += iterations
         return res.w * x
-
-
-def _march(h, stepper, params, kernel, cutoff, tol, t_max):
-    """The long-time search from datum h: (profile, converged, t,
-    history, origin mass), as StationaryResult reads them under "march".
-
-    The datum is advanced in chunks of CHUNK (0.5) rescaled time units;
-    stationarity is declared when the X_rho distance per unit time
-    between consecutive chunk ends drops below tol.  Hitting t_max first
-    returns converged False with the full history.
-    """
-    history = []
-    origin = 0.0
-    t = 0.0
-    while t < t_max - 1e-9:
-        dt = min(CHUNK, t_max - t)
-        res = simulate(h, params, kernel, cutoff, dt, stepper=stepper)
-        t += dt
-        origin += res.origin_mass
-        rate = xrho_dist(res.final, h) / dt
-        history.append((t, rate))
-        h = res.final
-        if rate < tol:
-            return h, True, t, history, origin
-    return h, False, t, history, origin
 
 
 def _verdicts(params, exponent, amplitude, residuals, upper, lower):
@@ -620,8 +579,6 @@ def find_stationary(
     cutoff,
     edges=None,
     tol=1e-4,
-    t_max=40.0,
-    max_change=0.05,
     probe_radii=None,
     start=None,
 ):
@@ -634,16 +591,12 @@ def find_stationary(
     (_Residual).  Pseudo-transient continuation (_PseudoTransient) finds
     it from start's cell masses, or from the pure power law
     (1 - rho) x^(-rho) when start is None, and stops once the X_rho norm
-    of F, the flow's distance per unit time, is below tol: the march's
-    stop rule, read at the profile itself.
+    of F, the flow's distance per unit time, is below tol.
 
-    If that takes more than PTC_MAX_ITER steps, or ends on a profile with
-    a nonpositive cell, the long-time march takes over, from
-    tail_matched_init, on the same engine: it advances in chunks of CHUNK
-    (0.5) rescaled time, each stepped with the change cap max_change,
-    until the X_rho distance per unit time between chunk ends is below
-    tol; reaching t_max first yields converged=False, never an
-    exception.  t_max and max_change bound this fallback only.
+    If that takes more than PTC_MAX_ITER steps, or ends on a zero with a
+    nonpositive cell, the search yields converged=False, never an
+    exception, and reports the last accepted iterate whose cells are all
+    positive (at worst the start).
 
     The tail is fitted over FIT_WINDOW (1e2 to 1e4), both envelopes are
     checked with slack ENVELOPE_SLACK (1e-2), and the flux identity at the
@@ -661,21 +614,8 @@ def find_stationary(
     eng = _Engine(edges, params, kernel, cutoff)
     residual = _Residual(eng, edges)
     ptc = _PseudoTransient(residual)
-    masses = ptc.solve(residual.w.copy() if start is None else start.cell_mass, tol)
-    if masses is not None:
-        h = GridMeasure(edges, masses, 1.0 - params.rho, params.rho)
-        solver, converged, t, history, origin = "ptc", True, ptc.tau, ptc.history, 0.0
-        n_steps, n_retries, pairing = 0, 0, ptc.pairing
-    else:
-        stepper = _Stepper(eng, max_change=max_change)
-        h, converged, t, history, origin = _march(
-            tail_matched_init(params, edges), stepper, params, kernel, cutoff, tol, t_max
-        )
-        solver, n_steps, n_retries, pairing = "march", stepper.n_steps, stepper.n_retries, stepper.max_pairing_residual
-    estimate = None
-    if len(history) >= 2 and history[-1][1] < history[-2][1]:
-        kappa = history[-1][1] / history[-2][1]
-        estimate = kappa / (1.0 - kappa) * history[-1][1]
+    masses, converged = ptc.solve(residual.w.copy() if start is None else start.cell_mass, tol)
+    h = GridMeasure(edges, masses, 1.0 - params.rho, params.rho)
     if probe_radii is None:
         probe_radii = [10.0**k for k in range(1, 5)]
     probe_radii = [R for R in probe_radii if h.edges[0] < R < h.edges[-1]]
@@ -688,24 +628,19 @@ def find_stationary(
     return StationaryResult(
         profile=h,
         lam=cutoff.lam,
-        solver=solver,
         converged=converged,
-        t_elapsed=t,
-        convergence_history=history,
-        distance_estimate=estimate,
+        t_elapsed=ptc.tau,
+        convergence_history=ptc.history,
         residual_decay0=residuals,
         tail_exponent_fit=exponent,
         tail_amplitude_fit=amplitude,
         envelope_upper=upper,
         envelope_lower=lower,
         verdicts=_verdicts(params, exponent, amplitude, residuals, upper, lower),
-        origin_mass=origin,
         ptc_iterations=ptc.iterations,
         krylov_iterations=ptc.krylov_iterations,
         rates_calls=eng.rates_calls,
-        n_steps=n_steps,
-        n_retries=n_retries,
-        max_pairing_residual=pairing,
+        max_pairing_residual=ptc.pairing,
     )
 
 

@@ -93,7 +93,7 @@ class TestRunConfig:
         assert cfg.params.rho == 0.5 and cfg.cutoff.lam == 1e-2
         assert cfg.kernel.family == "constant"
         assert cfg.grid == (1e-3, 1e4, 2.0 ** (1.0 / 16.0))
-        assert cfg.tol == 1e-4 and cfg.t_max == 40.0
+        assert cfg.tol == 1e-4 and cfg.max_change == 0.05
         assert cfg.outputs == "out"
 
     def test_missing_required_key(self):
@@ -154,13 +154,14 @@ class TestRunConfig:
             ("profile-w", "w.a = 0.5\nw.y_values = 1.0, 2.0\nw.y_min = 0.5\n", ["unknown", "w.y_values"]),
             ("profile-w", "w.a = 0.5\nw.y_values = 1.0, 2.0\nw.y_max = 5.0\n", ["unknown", "w.y_values"]),
             ("stationary", "cutoff.profile = cubic\n", ["unknown", "cutoff.profile"]),
+            ("stationary", "run.t_max = 12.0\n", ["unknown", "run.t_max"]),
             ("stationary", "stationary.lambdas = 5e-2, 1e-2\n", ["stationary.lambdas", "cutoff.lambda"]),
             ("stationary", "stationary.probe_radii = 10.0, 1e9\n", ["stationary.probe_radii", "1000000000.0"]),
             ("stationary", "stationary.probe_radii = 1e-5\n", ["stationary.probe_radii", "1e-05"]),
         ],
         ids=[
             "seed", "kernel_gamma", "y_values_n", "y_values_y_min", "y_values_y_max", "cutoff_profile",
-            "lambdas", "radius_high", "radius_low",
+            "run_t_max", "lambdas", "radius_high", "radius_low",
         ],
     )
     def test_refused_before_any_solve(self, tmp_path, monkeypatch, capsys, command, extra, names):
@@ -331,7 +332,7 @@ class TestSimulateCommand:
 
 class TestStationaryCommand:
     def test_converged_manifest(self, tmp_path):
-        text = BASE + "run.tol = 5e-3\nrun.t_max = 12.0\nstationary.probe_radii = 10.0\n"
+        text = BASE + "run.tol = 5e-3\nstationary.probe_radii = 10.0\n"
         code, out = run_cli(tmp_path, text, "stationary")
         assert code == 0
         manifest = json.loads((out / "stationary.json").read_text())
@@ -339,31 +340,32 @@ class TestStationaryCommand:
         assert entry["converged"] is True
         assert entry["tail_exponent_fit"] == pytest.approx(0.5, abs=0.05)
         assert entry["verdicts"] == dict.fromkeys(["tail_exponent", "tail_amplitude", "flux_residual", "envelopes"], True)
-        assert entry["solver"] == "ptc" and (entry["n_steps"], entry["n_retries"]) == (0, 0)
         assert entry["ptc_iterations"] > 0 and entry["krylov_iterations"] > 0 and entry["rates_calls"] > 0
         assert 0.0 <= entry["max_pairing_residual"] <= 1e-12
         profile = from_csv(out / entry["profile_file"])
         assert profile.cell_mass.min() >= 0.0
 
-    def test_non_convergence_exits_3_with_history(self, tmp_path, monkeypatch):
-        # the pseudo-transient solve fails, and its fallback, the march,
-        # runs out of time
-        monkeypatch.setattr(stationary._PseudoTransient, "solve", lambda self, m, tol: None)
-        text = BASE + "run.tol = 1e-12\nrun.t_max = 1.0\n"
+    def test_non_convergence_exits_3_with_history(self, tmp_path, monkeypatch, capsys):
+        # one pseudo-transient step cannot reach this tol: the search
+        # reports its last positive iterate, and the command exits 3
+        monkeypatch.setattr(stationary, "PTC_MAX_ITER", 1)
+        text = BASE + "run.tol = 1e-12\n"
         code, out = run_cli(tmp_path, text, "stationary")
         assert code == 3
         manifest = json.loads((out / "stationary.json").read_text())
         entry = manifest["results"][0]
-        assert entry["converged"] is False and entry["solver"] == "march"
+        assert entry["converged"] is False and entry["ptc_iterations"] == 1
         assert len(entry["convergence_history"]) == 2
         (_, r1), (_, r2) = entry["convergence_history"]
         assert r2 < r1
-        assert entry["distance_estimate"] == r2 / r1 / (1.0 - r2 / r1) * r2
+        assert from_csv(out / entry["profile_file"]).cell_mass.min() > 0.0
+        err = capsys.readouterr().err
+        assert "stationary: lambda=0.01 converged=False t=" in err and "solver=" not in err
 
     def test_log_names_the_default_flux_radii(self, tmp_path, capsys):
         # this grid's top edge lies below x_max = 1e4, so the default radii
         # strictly inside it are 10, 100 and 1000, and the log says so
-        text = BASE + "run.tol = 1e-12\nrun.t_max = 0.5\n"
+        text = BASE + "run.tol = 1e-12\n"
         assert geometric_grid(*run_config(parse_config(text)).grid)[-1] < 1e4
         code, out = run_cli(tmp_path, text, "stationary")
         assert code == 0
@@ -373,7 +375,7 @@ class TestStationaryCommand:
 
     def test_zero_kernel_exact_profile(self, tmp_path):
         text = BASE.replace("kernel.family = constant", "kernel.family = zero")
-        text += "run.tol = 1e-6\nrun.t_max = 30.0\n"
+        text += "run.tol = 1e-6\n"
         code, out = run_cli(tmp_path, text, "stationary")
         assert code == 0
         manifest = json.loads((out / "stationary.json").read_text())
@@ -382,7 +384,7 @@ class TestStationaryCommand:
         assert entry["tail_amplitude_fit"] == pytest.approx(0.5, rel=1e-6)
 
     def test_lambda_continuation_manifest(self, tmp_path):
-        text = CONTINUATION_BASE + "run.tol = 5e-3\nrun.t_max = 12.0\nstationary.lambdas = 5e-2, 1e-2\n"
+        text = CONTINUATION_BASE + "run.tol = 5e-3\nstationary.lambdas = 5e-2, 1e-2\n"
         code, out = run_cli(tmp_path, text, "stationary")
         assert code == 0
         manifest = json.loads((out / "stationary.json").read_text())
@@ -423,12 +425,12 @@ class TestStationaryVerdicts:
         code, out = run_cli(tmp_path, SMALL_RHO, "stationary")
         assert code == 2
         entry = json.loads((out / "stationary.json").read_text())["results"][0]
-        assert entry["converged"] is True and entry["solver"] == "ptc"
+        assert entry["converged"] is True
         assert entry["verdicts"] == {
             "tail_exponent": False, "tail_amplitude": False, "flux_residual": True, "envelopes": True,
         }
         err = capsys.readouterr().err
-        assert "stationary: lambda=0.001 solver=ptc converged=True" in err
+        assert "stationary: lambda=0.001 converged=True t=" in err
         assert "stationary: lambda=0.001 failed gates: tail_exponent, tail_amplitude\n" in err
 
     def test_passing_gates_exit_0(self, tmp_path, capsys):
@@ -471,14 +473,13 @@ def oracle_setup(cfg):
 
 
 def oracle_stationary_manifest(cfg, results, extra):
-    """stationary.json with each result entry listed by hand, as the CLI
-    first wrote it, plus the solver's name and counts and the verdicts."""
+    """stationary.json with each result entry's fields listed by hand:
+    the search's counts, verdicts and diagnostics."""
     entries = []
     for k, res in enumerate(results):
         entries.append(
             {
                 "lambda": res.lam,
-                "solver": res.solver,
                 "ptc_iterations": res.ptc_iterations,
                 "krylov_iterations": res.krylov_iterations,
                 "rates_calls": res.rates_calls,
@@ -486,15 +487,11 @@ def oracle_stationary_manifest(cfg, results, extra):
                 "converged": res.converged,
                 "t_elapsed": res.t_elapsed,
                 "convergence_history": [list(p) for p in res.convergence_history],
-                "distance_estimate": res.distance_estimate,
                 "residual_decay0": res.residual_decay0,
                 "tail_exponent_fit": res.tail_exponent_fit,
                 "tail_amplitude_fit": res.tail_amplitude_fit,
                 "envelope_upper": res.envelope_upper,
                 "envelope_lower": res.envelope_lower,
-                "origin_mass": res.origin_mass,
-                "n_steps": res.n_steps,
-                "n_retries": res.n_retries,
                 "max_pairing_residual": res.max_pairing_residual,
                 "profile_file": f"profile_{k:04d}.csv",
             }
@@ -504,7 +501,6 @@ def oracle_stationary_manifest(cfg, results, extra):
         "command": "stationary",
         "setup": oracle_setup(cfg),
         "tol": cfg.tol,
-        "t_max": cfg.t_max,
         "results": entries,
         **extra,
     }
@@ -541,8 +537,8 @@ def recording(monkeypatch, name):
     return seen
 
 
-ORACLE_STATIONARY = BASE + "run.tol = 5e-3\nrun.t_max = 12.0\nstationary.probe_radii = 10.0, 100.0\n"
-ORACLE_CONTINUATION = CONTINUATION_BASE + "run.tol = 5e-3\nrun.t_max = 12.0\nstationary.lambdas = 5e-2, 1e-2\n"
+ORACLE_STATIONARY = BASE + "run.tol = 5e-3\nstationary.probe_radii = 10.0, 100.0\n"
+ORACLE_CONTINUATION = CONTINUATION_BASE + "run.tol = 5e-3\nstationary.lambdas = 5e-2, 1e-2\n"
 
 
 class TestManifestOracle:
@@ -770,7 +766,7 @@ class TestInvarianceSuiteCommand:
 
 class TestDeterminism:
     def test_identical_config_bit_identical_artifacts(self, tmp_path):
-        text = BASE + "run.tol = 5e-3\nrun.t_max = 6.0\n"
+        text = BASE + "run.tol = 5e-3\n"
         outs = []
         for tag in ("a", "b"):
             cfg = write_cfg(tmp_path, text, name=f"{tag}.cfg")

@@ -19,7 +19,6 @@ from coagsim.measure import (
     geometric_grid,
     power_law_init,
     read_tagged_csv,
-    tail_matched_init,
     to_csv,
     xrho_dist,
     xrho_norm,
@@ -340,51 +339,6 @@ class TestPowerLawInit:
     def test_tail_amplitude_is_profile_level(self):
         m = power_law_init(PARAMS)
         assert m.tail_amplitude == 0.5
-
-
-# (gamma, rho, delta): delta below 1 - rho in the first three, above it in
-# the last two, where tail_matched_init is power_law_init
-DATUM_CASES = [(0.0, 0.5, 0.2), (0.5, 0.75, 0.2), (0.3, 0.6, 0.25), (0.0, 0.9, 0.3), (0.2, 0.95, 0.5)]
-
-
-class TestTailMatchedInit:
-    @pytest.mark.parametrize("gamma, rho, delta", DATUM_CASES[:3])
-    def test_conserved_tail_above_onset(self, gamma, rho, delta):
-        p = Params(gamma=gamma, rho=rho, delta=delta)
-        edges = geometric_grid()
-        m = tail_matched_init(p, edges)
-        q = 1.0 - rho
-        above = edges[:-1] >= p.R0
-        exact = np.diff(edges**q)[above]
-        # each cell mass is a difference of two cumulatives, so rounding
-        # leaves about eps / (r^q - 1) of it (1.0e-14 at rho = 1/2 here, and
-        # np.diff(edges**q) itself is 8.8e-15 from the exact masses): hold
-        # the error to 1e-14 of the cumulative at the cell's top edge
-        bound = 1e-14 * edges[1:][above] ** q
-        assert np.all(np.abs(m.cell_mass[above] - exact) <= bound)
-        assert m.tail_amplitude == q
-        # the lower-envelope datum fails the same check
-        assert np.any(np.abs(power_law_init(p, edges).cell_mass[above] - exact) > bound)
-
-    @pytest.mark.parametrize("gamma, rho, delta", DATUM_CASES)
-    def test_inside_both_envelopes_at_zero_slack(self, gamma, rho, delta):
-        p = Params(gamma=gamma, rho=rho, delta=delta)
-        m = tail_matched_init(p)
-        assert envelope_check_upper(m, p, slack=0.0).ok
-        assert envelope_check_lower(m, p, slack=0.0).ok
-
-    @pytest.mark.parametrize("gamma, rho, delta", DATUM_CASES[3:])
-    def test_is_power_law_init_when_delta_exceeds_tail_exponent(self, gamma, rho, delta):
-        p = Params(gamma=gamma, rho=rho, delta=delta)
-        edges = geometric_grid(1e-2, 1e5)
-        np.testing.assert_array_equal(tail_matched_init(p, edges).cell_mass, power_law_init(p, edges).cell_mass)
-
-    def test_is_power_law_init_at_the_raised_exponent(self):
-        # gamma 0, rho 3/4: delta' = 1/4 is itself a valid Params.delta
-        p = Params(gamma=0.0, rho=0.75, delta=0.1)
-        edges = geometric_grid(1e-2, 1e5)
-        want = power_law_init(Params(gamma=0.0, rho=0.75, delta=0.25), edges)
-        np.testing.assert_array_equal(tail_matched_init(p, edges).cell_mass, want.cell_mass)
 
 
 class TestCsvRoundTrip:

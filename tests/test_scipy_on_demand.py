@@ -21,7 +21,6 @@ cutoff.lambda = 1e-2
 grid.x_min = 1e-2
 grid.x_max = 1e4
 grid.ratio = 1.2
-run.t_max = 0.5
 """
 
 DUAL_CFG = """
@@ -61,7 +60,7 @@ def run_probe(tmp_path, command, text):
 
 
 def test_stationary_command_loads_no_scipy_submodule(tmp_path):
-    assert run_probe(tmp_path, "stationary", STATIONARY_CFG) == ""  # one chunk, not converged
+    assert run_probe(tmp_path, "stationary", STATIONARY_CFG) == ""
     assert (tmp_path / "out" / "stationary.json").exists()
 
 

@@ -1,4 +1,4 @@
-"""Stationary profiles: flux identity, tail fits, long-time search."""
+"""Stationary profiles: flux identity, tail fits, the pseudo-transient search."""
 
 import os
 import tracemalloc
@@ -28,7 +28,6 @@ from coagsim.measure import (
     dyadic_tail_integral,
     geometric_grid,
     power_law_init,
-    tail_matched_init,
     xrho_dist,
 )
 from coagsim.stationary import (
@@ -283,7 +282,7 @@ class TestDecay0Residual:
     def test_rejects_params_of_another_rho(self):
         # the closure below the grid reads the profile's tail exponent and
         # the flux identity reads params.rho; they are one rho
-        h = tail_matched_init(PARAMS, geometric_grid(1e-2, 1e4, RATIO))
+        h = power_law_init(PARAMS, geometric_grid(1e-2, 1e4, RATIO))
         ker = constant_kernel(1.0)
         assert np.isfinite(decay0_residual(h, PARAMS, ker, 10.0, cutoff=CUT))
         with pytest.raises(ValueError, match="rho"):
@@ -295,7 +294,7 @@ class TestFluxWorkingMemory:
     def test_decay0_residual_peak(self):
         # one flux residual on the acceptance grid at lambda = 1e-3 peaks
         # under 1 MiB (2.2 MiB with fresh 64-point blocks)
-        h = tail_matched_init(PARAMS, geometric_grid(1e-4, 1e8, RATIO))
+        h = power_law_init(PARAMS, geometric_grid(1e-4, 1e8, RATIO))
         ker = constant_kernel()
         decay0_residual(h, PARAMS, ker, 10.0, cutoff=CUT)  # warm every import and cache
         tracemalloc.start()
@@ -365,8 +364,7 @@ def bench_profiles():
     cfg = run_config(load_config(BENCH_CONFIGS / "stationary-const.cfg"))
     edges = geometric_grid(*cfg.grid)
     return [
-        find_stationary(cfg.params, cfg.kernel, CutoffParams(lam=lam), edges=edges, tol=cfg.tol,
-                        t_max=cfg.t_max, max_change=cfg.max_change).profile
+        find_stationary(cfg.params, cfg.kernel, CutoffParams(lam=lam), edges=edges, tol=cfg.tol).profile
         for lam in (1e-3, 0.1, 0.01)
     ]
 
@@ -388,13 +386,6 @@ class TestTailFitOracle:
         assert abs(tail_fit(noisy)[0] - polyfit_exponent(noisy)) <= 1e-14
 
 
-@pytest.fixture
-def march(monkeypatch):
-    """Make every pseudo-transient solve fail, so that the search runs its
-    fallback, the long-time march."""
-    monkeypatch.setattr(stationary._PseudoTransient, "solve", lambda self, m, tol: None)
-
-
 class TestFindStationary:
     def test_zero_kernel_reaches_exact_power(self):
         edges = geometric_grid(1e-3, 1e6, RATIO)
@@ -406,24 +397,16 @@ class TestFindStationary:
         assert res.tail_exponent_fit == pytest.approx(0.5, abs=1e-6)
         assert res.residual_decay0[10.0] == pytest.approx(0.0, abs=1e-10)
 
-    def test_stationary_datum_stops_after_one_chunk(self, march):
-        # with R0 far below the grid the march's datum is the pure power
-        # law, which the zero kernel leaves stationary
+    def test_nonconvergence_reports_instead_of_raising(self, monkeypatch):
+        # one pseudo-transient step cannot reach this tol
+        monkeypatch.setattr(stationary, "PTC_MAX_ITER", 1)
         edges = geometric_grid(1e-3, 1e6, RATIO)
-        params = replace(PARAMS, R0=1e-30)
-        res = find_stationary(params, zero_kernel(), CUT, edges=edges)
-        assert res.converged and res.solver == "march"
-        assert res.t_elapsed == pytest.approx(0.5)
-        assert len(res.convergence_history) == 1
-
-    def test_nonconvergence_reports_instead_of_raising(self, march):
-        edges = geometric_grid(1e-3, 1e6, RATIO)
-        res = find_stationary(
-            PARAMS, constant_kernel(2.0), CUT, edges=edges, tol=1e-12, t_max=1.0
-        )
-        assert not res.converged
-        assert res.t_elapsed == pytest.approx(1.0)
+        res = find_stationary(PARAMS, constant_kernel(2.0), CUT, edges=edges, tol=1e-12)
+        assert not res.converged and res.ptc_iterations == 1
+        assert np.all(res.profile.cell_mass > 0.0)
         assert len(res.convergence_history) == 2
+        assert res.t_elapsed == res.convergence_history[-1][0] > 0.0
+        assert set(res.verdicts) == {"tail_exponent", "tail_amplitude", "flux_residual", "envelopes"}
 
     def test_constant_kernel_window_readings(self):
         # reduced grid keeps this a unit test; the wide-grid run lives in
@@ -436,24 +419,6 @@ class TestFindStationary:
         assert res.envelope_upper.ok and res.envelope_lower.ok
         for R in (10.0, 100.0, 1000.0):
             assert abs(res.residual_decay0[R]) <= 1e-2
-
-    @pytest.mark.parametrize(
-        "dists, estimate",
-        [((0.4,), None), ((0.4, 0.1), 0.25 / 0.75 * 0.2), ((0.1, 0.1), None), ((0.1, 0.3), None)],
-        ids=["one_chunk", "contracting", "kappa_one", "growing"],
-    )
-    def test_distance_estimate_from_last_two_rates(self, monkeypatch, march, dists, estimate):
-        # chunk distances are scripted; rates are distance / chunk
-        seq = iter(dists)
-        monkeypatch.setattr(stationary, "xrho_dist", lambda *args: next(seq))
-        edges = geometric_grid(1e-2, 1e3, 2.0 ** 0.25)
-        res = find_stationary(PARAMS, zero_kernel(), CUT, edges=edges, tol=1e-12, t_max=0.5 * len(dists))
-        assert [r for _, r in res.convergence_history] == [2.0 * d for d in dists]
-        if estimate is None:
-            assert res.distance_estimate is None
-        else:
-            assert res.distance_estimate == pytest.approx(estimate, rel=1e-15)
-
 
 @pytest.fixture
 def engine_builds(monkeypatch):
@@ -472,50 +437,19 @@ def engine_builds(monkeypatch):
 
 class TestEngineReuse:
     def test_one_engine_per_search(self, monkeypatch, engine_builds):
-        # one pseudo-transient step cannot reach tol, so the march takes
-        # over, on the same engine
+        # a failed search builds no second engine either
         monkeypatch.setattr(stationary, "PTC_MAX_ITER", 1)
         edges = geometric_grid(1e-3, 1e6, RATIO)
-        res = find_stationary(
-            PARAMS, constant_kernel(2.0), CUT, edges=edges, tol=1e-12, t_max=1.5
-        )
-        assert (res.solver, res.ptc_iterations) == ("march", 1)
-        assert len(res.convergence_history) == 3
+        res = find_stationary(PARAMS, constant_kernel(2.0), CUT, edges=edges, tol=1e-12)
+        assert (res.converged, res.ptc_iterations) == (False, 1)
         assert engine_builds() == 1
 
     def test_one_engine_per_lambda(self, engine_builds):
         edges = geometric_grid(1e-2, 1e5, 2.0 ** (1.0 / 8.0))
         lambda_continuation(
-            PARAMS, constant_kernel(2.0), [1e-1, 1e-2], edges=edges, tol=1e-12, t_max=1.0
+            PARAMS, constant_kernel(2.0), [1e-1, 1e-2], edges=edges, tol=1e-12
         )
         assert engine_builds() == 2
-
-    def test_chunk_results_are_per_call(self, monkeypatch, march):
-        calls = []
-        run = stationary.simulate
-
-        def recording(*args, **kwargs):
-            res = run(*args, **kwargs)
-            calls.append((res, kwargs["stepper"]))
-            return res
-
-        monkeypatch.setattr(stationary, "simulate", recording)
-        edges = geometric_grid(1e-3, 1e6, RATIO)
-        found = find_stationary(PARAMS, constant_kernel(2.0), CUT, edges=edges, tol=1e-12, t_max=1.5)
-        assert len(calls) == 3
-        stepper = calls[0][1]
-        assert all(st is stepper for _, st in calls)
-        results = [res for res, _ in calls]
-        assert all(res.n_steps < stepper.n_steps for res in results)
-        assert sum(res.n_steps for res in results) == stepper.n_steps
-        assert sum(res.n_retries for res in results) == stepper.n_retries
-        assert sum(res.overflow_mass for res in results) == pytest.approx(stepper.sink_mass, rel=1e-12)
-        assert sum(res.overflow_moment for res in results) == pytest.approx(stepper.sink_moment, rel=1e-12)
-        # the search reports its stepper's counts, summed over the chunks
-        assert found.n_steps == sum(res.n_steps for res in results) > 0
-        assert found.n_retries == sum(res.n_retries for res in results)
-        assert found.max_pairing_residual == max(res.max_pairing_residual for res in results)
-
 
 class TestLambdaContinuation:
     def test_distances_decrease_with_cutoff(self):
@@ -542,7 +476,7 @@ class TestLambdaContinuation:
         monkeypatch.setattr(stationary, "find_stationary", lambda *a, **k: calls.append(k))
         value, match = {
             "cutoff": (CutoffParams(0.1), r"lambda_continuation\(\).*lambdas.*cutoff"),
-            "start": (tail_matched_init(PARAMS, geometric_grid()), r"lambda_continuation\(\).*start"),
+            "start": (power_law_init(PARAMS, geometric_grid()), r"lambda_continuation\(\).*start"),
         }[key]
         with pytest.raises(TypeError, match=match):
             lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1], **{key: value})
@@ -598,7 +532,7 @@ class TestContinuationProcesses:
             raise AssertionError("forked with one CPU")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        rep = lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1, 1e-2], edges=self.EDGES, t_max=0.5)
+        rep = lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1, 1e-2], edges=self.EDGES)
         assert len(rep.results) == 2
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -628,7 +562,7 @@ class TestContinuationOracle:
         if cpus is not None:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         edges = geometric_grid(1e-2, 1e5, 2.0 ** (1.0 / 8.0))
-        kw = {"edges": edges, "tol": 1e-12, "t_max": 1.0, "probe_radii": [10.0, 100.0]}
+        kw = {"edges": edges, "tol": 1e-12, "probe_radii": [10.0, 100.0]}
         rep = lambda_continuation(PARAMS, constant_kernel(2.0), self.LAMBDAS, **kw)
         want = []
         for lv in self.LAMBDAS:
@@ -766,13 +700,12 @@ class TestPseudoTransient:
         monkeypatch.setattr(stationary._Residual, "product", counting)
         edges = geometric_grid(1e-3, 1e6, RATIO)
         res = find_stationary(PARAMS, constant_kernel(2.0), CUT, edges=edges)
-        assert res.solver == "ptc" and res.converged
+        assert res.converged
         assert res.rates_calls == rates_calls() == 1 + res.ptc_iterations + 2 * len(products)
         assert 0 < res.ptc_iterations < len(products) and res.krylov_iterations <= len(products)
         assert len(res.convergence_history) <= res.ptc_iterations + 1
         assert res.convergence_history[-1][1] < 1e-4 <= res.convergence_history[-2][1]
         assert res.t_elapsed == res.convergence_history[-1][0] > 0.0
-        assert (res.n_steps, res.n_retries, res.origin_mass) == (0, 0, 0.0)
 
     def test_forcing_follows_the_residual_ratio(self, monkeypatch):
         # the acceptance grid at (0, 0.5), lambda = 1e-3: GMRES starts at
@@ -794,7 +727,7 @@ class TestPseudoTransient:
         monkeypatch.setattr(stationary._Residual, "scaled_norm", recording_norm)
         cfg = run_config(load_config(BENCH_CONFIGS / "stationary-const.cfg"))
         res = find_stationary(cfg.params, cfg.kernel, cfg.cutoff, edges=geometric_grid(*cfg.grid))
-        assert res.solver == "ptc" and res.converged
+        assert res.converged
         # one norm at the start, then one per step tried, each after its solve
         assert len(rtols) == res.ptc_iterations == len(norms) - 1
         want, eta, norm = [], stationary.KRYLOV_RTOL_MAX, norms[0]
@@ -808,39 +741,51 @@ class TestPseudoTransient:
         assert rtols[0] == stationary.KRYLOV_RTOL_MAX
         assert res.rates_calls <= 80
 
-    def test_fallback_runs_and_is_recorded(self, monkeypatch, rates_calls):
-        # one step cannot reach this tol, so the march takes over
+    def test_failure_is_recorded(self, monkeypatch, rates_calls):
+        # one step cannot reach this tol: the search reports the positive
+        # iterate it reached, with the counts of the one step it tried
         monkeypatch.setattr(stationary, "PTC_MAX_ITER", 1)
         edges = geometric_grid(1e-3, 1e6, RATIO)
-        res = find_stationary(PARAMS, constant_kernel(2.0), CUT, edges=edges, tol=1e-12, t_max=1.0)
-        assert (res.solver, res.converged, res.ptc_iterations) == ("march", False, 1)
-        assert res.krylov_iterations > 0 and res.n_steps > 0
-        assert [t for t, _ in res.convergence_history] == [0.5, 1.0] and res.t_elapsed == 1.0
+        res = find_stationary(PARAMS, constant_kernel(2.0), CUT, edges=edges, tol=1e-12)
+        assert (res.converged, res.ptc_iterations) == (False, 1)
+        assert res.krylov_iterations > 0
+        assert np.all(res.profile.cell_mass > 0.0)
         assert res.rates_calls == rates_calls()
+        # the profile is the iterate the history ends on
+        residual = residual_on(edges, PARAMS, constant_kernel(2.0), CUT)
+        G, _, pairing = residual(res.profile.cell_mass)
+        assert res.convergence_history[-1][1] == residual.xrho_norm(G)
+        assert res.max_pairing_residual == pairing
 
     def test_zero_with_a_nonpositive_cell_is_refused(self):
+        # the start already meets the tolerance, with a negative cell: it
+        # is returned unconverged, and the positive start converges
         edges = geometric_grid(1e-2, 1e3, 2.0**0.5)
         ptc = stationary._PseudoTransient(residual_on(edges, PARAMS, zero_kernel(), CUT))
         m = ptc.residual.w.copy()
         m[3] = -m[3]
-        assert ptc.solve(m, np.inf) is None
-        assert ptc.solve(ptc.residual.w.copy(), np.inf) is not None
+        got, converged = ptc.solve(m, np.inf)
+        assert got is m and converged is False
+        w = ptc.residual.w.copy()
+        got, converged = ptc.solve(w, np.inf)
+        assert got is w and converged is True
 
     def test_zero_kernel_takes_no_step(self, rates_calls):
         edges = geometric_grid(1e-3, 1e6, RATIO)
         res = find_stationary(PARAMS, zero_kernel(), CUT, edges=edges, tol=1e-12)
-        assert (res.solver, res.ptc_iterations, res.rates_calls, rates_calls()) == ("ptc", 0, 1, 1)
+        assert (res.converged, res.ptc_iterations, res.rates_calls, rates_calls()) == (True, 0, 1, 1)
         assert res.convergence_history == [(0.0, 0.0)]
 
     def test_zero_is_a_fixed_point_of_the_march(self):
-        # the semi-discrete zero barely moves under one chunk of the
-        # march, whose own discretization differs (upwind map-back,
-        # exponential Heun steps)
+        # the semi-discrete zero barely moves under half a unit of rescaled
+        # time of the forward march, whose own discretization differs
+        # (upwind map-back, exponential Heun steps)
+        chunk = 0.5
         cfg = run_config(load_config(BENCH_CONFIGS / "stationary-const.cfg"))
         edges = geometric_grid(*cfg.grid)
         res = find_stationary(cfg.params, cfg.kernel, cfg.cutoff, edges=edges)
-        assert res.solver == "ptc"
-        moved = forward.simulate(res.profile, cfg.params, cfg.kernel, cfg.cutoff, stationary.CHUNK).final
+        assert res.converged
+        moved = forward.simulate(res.profile, cfg.params, cfg.kernel, cfg.cutoff, chunk).final
         assert xrho_dist(moved, res.profile) < 1e-3
 
     def test_start_must_fit_the_grid(self):
@@ -863,24 +808,30 @@ class TestSolveWorkingMemory:
         ptc = stationary._PseudoTransient(res)
         tracemalloc.start()
         try:
-            m = ptc.solve(res.w.copy(), 1e-4)
+            _, converged = ptc.solve(res.w.copy(), 1e-4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert m is not None
+        assert converged
         assert peak <= 1.5 * 2**20
 
 
 class TestTheoremRange:
     """Edge points of the theorem's range on the acceptance grid."""
 
-    @pytest.mark.parametrize("gamma, rho", [(0.0, 0.9), (0.0, 0.97), (0.5, 0.95)])
-    def test_edge_points_pass_every_verdict(self, gamma, rho):
+    @pytest.mark.parametrize(
+        "gamma, rho, lam, max_steps",
+        [(0.0, 0.9, 1e-3, 10), (0.0, 0.97, 1e-3, 10), (0.5, 0.95, 1e-3, 10), (0.0, 0.99, 1e-2, 70)],
+        ids=["0.0-0.9", "0.0-0.97", "0.5-0.95", "0.0-0.99-lam1e-2"],
+    )
+    def test_edge_points_pass_every_verdict(self, gamma, rho, lam, max_steps):
+        # near rho = 1 the solve is slow, not stuck: (0, 0.99) at lambda =
+        # 1e-2 takes 64 steps
         params, kernel = range_point(gamma, rho)
-        res = find_stationary(params, kernel, CUT, edges=geometric_grid())
-        assert res.solver == "ptc" and res.converged
+        res = find_stationary(params, kernel, CutoffParams(lam=lam), edges=geometric_grid())
+        assert res.converged
         assert all(res.verdicts.values()), res.verdicts
-        assert res.ptc_iterations <= 10
+        assert res.ptc_iterations <= max_steps
 
     def test_small_rho_fails_the_exponent_gate(self):
         # at (0, 0.1) the semi-discrete zero itself reads exponent -0.006
