@@ -37,7 +37,6 @@ from .config import ConfigError, get_float, get_floats, get_int, load_config, ru
 from .dual import find_m_star, q_tail_bound, solve_dual, adjoint_consistency
 from .forward import (
     IntegrationError,
-    _Stepper,
     gronwall_check,
     rearrangement_residual,
     rescaled_trajectory,
@@ -61,15 +60,13 @@ MANIFEST_SCHEMA_VERSION = 1
 
 
 def _jsonable(obj):
-    """Recursively convert numpy scalars/arrays and dataclasses for json."""
+    """Recursively convert numpy scalars and dataclasses for json."""
     if is_dataclass(obj) and not isinstance(obj, type):
         return _jsonable(asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     return obj
@@ -340,7 +337,8 @@ def cmd_invariance_suite(cfg, out_dir, tolerance):
         cfg.cutoff,
         1.0,
         snapshot_times=sample_ts[1:],
-        stepper=_Stepper(traj.engine, max_change=cfg.max_change),
+        max_change=cfg.max_change,
+        engine=traj.engine,
     )
     for t, snap in zip([0.0] + res.times, [h0] + res.snapshots):
         up = envelope_check_upper(snap, cfg.params, slack=slack)

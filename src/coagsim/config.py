@@ -7,13 +7,14 @@ and nesting-free:
     assignment :=  key "=" value
     key        :=  segment ("." segment)*      segment = [a-z0-9_]+
     value      :=  scalar ("," scalar)*        two or more -> tuple
-    scalar     :=  "true" | "false" | number | '"' text '"' | bare-word
+    scalar     :=  number | '"' text '"' | bare-word
     comment    :=  "#" anything                (outside quoted text)
 
 Numbers parse as int when they look integral, float otherwise; bare words
-that are not numbers or booleans are strings; text values may not contain
-a double quote or a comma.  All physical quantities are dimensionless
-(self-similar variables throughout), so keys carry no unit suffixes.
+that are not numbers are strings (true and false among them); text
+values may not contain a double quote or a comma.  All physical
+quantities are dimensionless (self-similar variables throughout), so keys
+carry no unit suffixes.
 
 Recognized sections (unknown keys in them are rejected, which catches
 typos; whole unknown sections are rejected too):
@@ -34,6 +35,7 @@ is rejected, as is kernel.alpha for a family other than sum and
 kernel.value for a family other than constant.
 """
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -55,11 +57,6 @@ _KNOWN_KEYS = {
     "": {"outputs"},
 }
 
-# each key against the keys that set the same thing another way
-_EXCLUSIVE = {
-    "stationary.lambdas": ("cutoff.lambda",),
-}
-
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration (exit code 1)."""
@@ -73,10 +70,6 @@ def _parse_scalar(tok, key, lineno):
         if not (tok.endswith('"') and len(tok) >= 2):
             raise ConfigError(f"line {lineno}: unterminated string for key {key!r}")
         return tok[1:-1]
-    if tok == "true":
-        return True
-    if tok == "false":
-        return False
     if _INT_RE.match(tok):
         return int(tok)
     try:
@@ -99,7 +92,7 @@ def _strip_comment(line):
 def parse_config(text):
     """Parse config text into an ordered {dotted key: value} mapping.
 
-    Values are scalars (bool, int, float, str) or tuples of scalars for
+    Values are scalars (int, float, str) or tuples of scalars for
     comma-separated lists.  Duplicate keys and malformed lines raise
     ConfigError with the line number.
     """
@@ -135,10 +128,8 @@ def _check_known(mapping):
         section, _, leaf = key.rpartition(".")
         if section not in _KNOWN_KEYS or leaf not in _KNOWN_KEYS[section]:
             raise ConfigError(f"unknown config key {key!r}")
-    for key, others in _EXCLUSIVE.items():
-        twice = [k for k in others if k in mapping]
-        if key in mapping and twice:
-            raise ConfigError(f"{key} and {', '.join(twice)} set the same thing; set one")
+    if "stationary.lambdas" in mapping and "cutoff.lambda" in mapping:
+        raise ConfigError("stationary.lambdas and cutoff.lambda set the same thing; set one")
 
 
 def _typed(mapping, key, kinds, default, label):
@@ -147,7 +138,7 @@ def _typed(mapping, key, kinds, default, label):
             raise ConfigError(f"missing required key {key!r}")
         return default
     v = mapping[key]
-    if isinstance(v, bool) or not isinstance(v, kinds):
+    if not isinstance(v, kinds):
         raise ConfigError(f"key {key!r} must be {label}, got {v!r}")
     return v
 
@@ -172,7 +163,7 @@ def get_floats(mapping, key, default=None):
         return default
     v = mapping[key]
     vals = v if isinstance(v, tuple) else (v,)
-    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in vals):
+    if not all(isinstance(x, (int, float)) for x in vals):
         raise ConfigError(f"key {key!r} must be a list of numbers, got {v!r}")
     return tuple(float(x) for x in vals)
 
@@ -237,12 +228,12 @@ def run_config(mapping):
         get_float(mapping, "grid.x_max", 1e8),
         get_float(mapping, "grid.ratio", 2.0 ** (1.0 / 16.0)),
     )
-    if not (0.0 < grid[0] < grid[1] and grid[2] > 1.0):
-        raise ConfigError("grid: need 0 < x_min < x_max and ratio > 1")
+    if not (0.0 < grid[0] < grid[1] < math.inf and 1.0 < grid[2] < math.inf):
+        raise ConfigError("grid: need finite 0 < x_min < x_max and finite ratio > 1")
     t_final = get_float(mapping, "run.t_final", 1.0)
     snapshot_dt = get_float(mapping, "run.snapshot_dt", 0.0)
-    if t_final < 0.0 or snapshot_dt < 0.0:
-        raise ConfigError("run: t_final and snapshot_dt must be >= 0")
+    if not (0.0 <= t_final < math.inf and 0.0 <= snapshot_dt < math.inf):
+        raise ConfigError("run: t_final and snapshot_dt must be finite and >= 0")
     tol = get_float(mapping, "run.tol", 1e-4)
     max_change = get_float(mapping, "run.max_change", 0.05)
     if not (tol > 0.0 and 0.0 < max_change < 1.0):

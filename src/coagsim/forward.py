@@ -537,7 +537,7 @@ def _map_back(masses, amp, edges, sigma, rho):
     return shifted * scale, amp * np.exp(-rho * sigma), spill * scale
 
 
-def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), max_change=0.05, *, stepper=None):
+def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), max_change=0.05, *, engine=None):
     """Chunked physical-variable evolution up to rescaled time t_final.
 
     The run is split into frames of one octave of drift, ln(2)/beta
@@ -561,13 +561,11 @@ def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), max_change=
         time within 1e-12 of the next one, or of t_final, merges into it,
         so the stored times strictly increase.
     max_change : float
-        Per-step relative change cap of the adaptive stepper; not read
-        when a stepper is given, whose own cap governs.
-    stepper : _Stepper or None
-        Internal: continue with this stepper, whose engine must have been
-        built for params, kernel and cutoff on a grid of h0's size
-        (ValueError otherwise); the step counts and overflow ledger cover
-        this call only.
+        Per-step relative change cap of the adaptive stepper.
+    engine : _Engine or None
+        Internal: step on this engine, which must have been built for
+        params, kernel and cutoff on a grid of h0's size (ValueError
+        otherwise), instead of building one.
 
     Returns
     -------
@@ -575,8 +573,8 @@ def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), max_change=
     """
     if h0.tail_exponent != params.rho:
         raise ValueError("h0 tail exponent must equal params.rho")
-    if not t_final >= 0.0:
-        raise ValueError("t_final must be >= 0")
+    if not 0.0 <= t_final < np.inf:
+        raise ValueError("t_final must be finite and >= 0")
     edges = h0.edges
     r = edges[1] / edges[0]
     k_per_frame = max(1, round(np.log(2.0) / np.log(r)))
@@ -585,13 +583,11 @@ def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), max_change=
     # it, so that no boundary is reached without a step
     times = sorted({float(t) for t in snapshot_times if 0.0 < t < t_final})
     boundaries = [t for t, t_next in zip(times, times[1:] + [t_final]) if t < t_next - 1e-12] + [t_final]
-    if stepper is None:
-        stepper = _Stepper(_Engine(edges, params, kernel, cutoff), max_change=max_change)
-    else:
-        eng = stepper.engine
-        if (eng.params, eng.kernel, eng.cutoff, eng.N) != (params, kernel, cutoff, edges.size - 1):
-            raise ValueError("the stepper's engine was built for another grid size, params, kernel or cutoff")
-    n0, r0, m0, p0 = stepper.n_steps, stepper.n_retries, stepper.sink_mass, stepper.sink_moment
+    if engine is None:
+        engine = _Engine(edges, params, kernel, cutoff)
+    elif (engine.params, engine.kernel, engine.cutoff, engine.N) != (params, kernel, cutoff, edges.size - 1):
+        raise ValueError("the engine was built for another grid size, params, kernel or cutoff")
+    stepper = _Stepper(engine, max_change=max_change)
     masses = h0.cell_mass.copy()
     amp = h0.tail_amplitude
     origin = 0.0
@@ -617,10 +613,10 @@ def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), max_change=
         snapshots=out_snaps,
         final=out_snaps[-1],
         origin_mass=origin,
-        overflow_mass=stepper.sink_mass - m0,
-        overflow_moment=stepper.sink_moment - p0,
-        n_steps=stepper.n_steps - n0,
-        n_retries=stepper.n_retries - r0,
+        overflow_mass=stepper.sink_mass,
+        overflow_moment=stepper.sink_moment,
+        n_steps=stepper.n_steps,
+        n_retries=stepper.n_retries,
         max_pairing_residual=stepper.max_pairing_residual,
     )
 

@@ -133,15 +133,17 @@ def eval_cutoff(s):
     -------
     float or ndarray
     """
-    z = _zeta(np.array(s, dtype=float))
+    s = np.array(s, dtype=float)
+    if np.any(s < 0.0) or not np.all(np.isfinite(s)):
+        raise ValueError("cutoff argument must be finite and >= 0")
+    z = _zeta(s)
     return z if z.ndim else float(z)
 
 
 def _zeta(s):
     """eval_cutoff's zeta, computed in the float array s, which it
-    overwrites and returns, with one array of scratch."""
-    if np.any(s < 0.0) or not np.all(np.isfinite(s)):
-        raise ValueError("cutoff argument must be finite and >= 0")
+    overwrites and returns, with one array of scratch.  s is not
+    validated: its callers pass finite, nonnegative arguments."""
     s *= 2.0
     s -= 1.0
     u = np.clip(s, 0.0, 1.0, out=s)

@@ -76,8 +76,8 @@ def geometric_grid(x_min=1e-4, x_max=1e8, ratio=2.0 ** (1.0 / 16.0)):
     sequence x_min * ratio^i; the realized top edge is the lattice point
     closest to x_max.
     """
-    if not (x_min > 0.0 and x_max > x_min and ratio > 1.0):
-        raise ValueError("need 0 < x_min < x_max and ratio > 1")
+    if not (0.0 < x_min < x_max < np.inf and 1.0 < ratio < np.inf):
+        raise ValueError("need finite 0 < x_min < x_max and finite ratio > 1")
     n = max(1, round(np.log(x_max / x_min) / np.log(ratio)))
     return x_min * ratio ** np.arange(n + 1)
 

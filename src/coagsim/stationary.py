@@ -82,12 +82,11 @@ N_PER_DECADE = 64
 # peak of about 0.83 MiB
 FLUX_BLOCK = 64
 # the pseudo-transient solve: its cap on steps tried, its first pseudo-time
-# step, GMRES's restart length and cycles, and the floor and cap of the
-# forcing term, GMRES's relative tolerance
+# step, GMRES's cap on iterations (one Arnoldi cycle, no restarts), and the
+# floor and cap of the forcing term, GMRES's relative tolerance
 PTC_MAX_ITER = 100
 DTAU0 = 1.0
-KRYLOV_RESTART = 60
-KRYLOV_CYCLES = 3
+KRYLOV_MAX_ITER = 60
 KRYLOV_RTOL = 1e-3
 KRYLOV_RTOL_MAX = 0.1
 # the acceptance gates of verdicts: |tail exponent - rho|, |tail amplitude
@@ -414,63 +413,56 @@ def _tridiagonal_solve(factor, rhs):
 
 
 def _gmres(product, precondition, b, rtol):
-    """Solve product(x) = b to rtol relative by restarted GMRES.
+    """Solve product(x) = b to rtol relative by GMRES.
 
     rtol is the forcing term of the pseudo-transient step that calls it
     (_PseudoTransient), between KRYLOV_RTOL and KRYLOV_RTOL_MAX.
 
-    Right-preconditioned GMRES(KRYLOV_RESTART) (Saad & Schultz, SIAM J.
-    Sci. Stat. Comput. 7, 1986), at most KRYLOV_CYCLES cycles: each runs
-    the Arnoldi process on product(precondition(.)), orthogonalizing by
-    classical Gram-Schmidt twice, and keeps the least-squares problem
-    triangular by Givens rotations.  Returns (x, iterations); x is the
-    last iterate, whether or not it met the tolerance.
+    Right-preconditioned GMRES (Saad & Schultz, SIAM J. Sci. Stat.
+    Comput. 7, 1986), one cycle of at most KRYLOV_MAX_ITER iterations
+    without restarts: the Arnoldi process on product(precondition(.)),
+    orthogonalizing by classical Gram-Schmidt twice, keeps the
+    least-squares problem triangular by Givens rotations.  Returns
+    (x, iterations); x is the last iterate, whether or not it met the
+    tolerance, and 0 when b is.
     """
-    n = KRYLOV_RESTART
-    x = np.zeros_like(b)
-    target = rtol * float(np.linalg.norm(b))
-    r, iterations = b, 0
-    for _ in range(KRYLOV_CYCLES):
-        beta = float(np.linalg.norm(r))
-        if beta <= target:
+    n = KRYLOV_MAX_ITER
+    beta = float(np.linalg.norm(b))
+    target = rtol * beta
+    if beta <= target:
+        return np.zeros_like(b), 0
+    V = np.empty((n + 1, b.size))
+    V[0] = b / beta
+    R = np.zeros((n, n))
+    g, rotations = [beta], []
+    k = 0
+    while k < n:
+        w = product(precondition(V[k]))
+        h = V[: k + 1] @ w
+        w -= h @ V[: k + 1]
+        dh = V[: k + 1] @ w
+        w -= dh @ V[: k + 1]
+        hn = float(np.linalg.norm(w))
+        col = (h + dh).tolist() + [hn]
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        d = math.hypot(col[k], col[k + 1])
+        if d == 0.0:
             break
-        V = np.empty((n + 1, b.size))
-        V[0] = r / beta
-        R = np.zeros((n, n))
-        g, rotations = [beta], []
-        k = 0
-        while k < n:
-            w = product(precondition(V[k]))
-            iterations += 1
-            h = V[: k + 1] @ w
-            w -= h @ V[: k + 1]
-            dh = V[: k + 1] @ w
-            w -= dh @ V[: k + 1]
-            hn = float(np.linalg.norm(w))
-            col = (h + dh).tolist() + [hn]
-            for i, (c, s) in enumerate(rotations):
-                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
-            d = math.hypot(col[k], col[k + 1])
-            if d == 0.0:
-                break
-            c, s = col[k] / d, col[k + 1] / d
-            rotations.append((c, s))
-            col[k] = d
-            R[: k + 1, k] = col[: k + 1]
-            g.append(-s * g[k])
-            g[k] *= c
-            k += 1
-            if abs(g[k]) <= target or hn == 0.0:
-                break
-            V[k] = w / hn
-        y = np.zeros(k)
-        for i in range(k - 1, -1, -1):
-            y[i] = (g[i] - R[i, i + 1 : k] @ y[i + 1 :]) / R[i, i]
-        x = x + precondition(y @ V[:k])
-        if abs(g[k]) <= target:
+        c, s = col[k] / d, col[k + 1] / d
+        rotations.append((c, s))
+        col[k] = d
+        R[: k + 1, k] = col[: k + 1]
+        g.append(-s * g[k])
+        g[k] *= c
+        k += 1
+        if abs(g[k]) <= target or hn == 0.0:
             break
-        r = b - product(x)
-    return x, iterations
+        V[k] = w / hn
+    y = np.zeros(k)
+    for i in range(k - 1, -1, -1):
+        y[i] = (g[i] - R[i, i + 1 : k] @ y[i + 1 :]) / R[i, i]
+    return precondition(y @ V[:k]), k
 
 
 class _PseudoTransient:

@@ -59,7 +59,8 @@ class TestParseConfig:
         assert m == {"p": "a b", "q": "bare", "r": "1.5"}
 
     def test_booleans(self):
-        assert parse_config("x = true\ny = false\n") == {"x": True, "y": False}
+        # no key takes a boolean: true and false are bare words
+        assert parse_config("x = true\ny = false, 1\n") == {"x": "true", "y": ("false", 1)}
 
     def test_lists(self):
         m = parse_config("xs = 1e-1, 1e-2, 1e-3\nys = a, 2\n")
@@ -141,6 +142,13 @@ class TestRunConfig:
         cfg = run_config(parse_config(BASE + "kernel.value = 5.0\n"))
         assert (cfg.kernel.family, cfg.kernel.value) == ("constant", 5.0)
 
+    @pytest.mark.parametrize("key", ["run.tol", "stationary.probe_radii"])
+    def test_numeric_key_set_to_true_exits_1(self, tmp_path, capsys, key):
+        code, _ = run_cli(tmp_path, BASE + f"{key} = true\n", "stationary")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and "'true'" in err
+
     def test_kernel_gamma_mismatch(self):
         with pytest.raises(ConfigError, match="kernel.gamma"):
             run_config(parse_config(BASE + "kernel.gamma = 0.25\n"))
@@ -158,22 +166,30 @@ class TestRunConfig:
             ("stationary", "stationary.lambdas = 5e-2, 1e-2\n", ["stationary.lambdas", "cutoff.lambda"]),
             ("stationary", "stationary.probe_radii = 10.0, 1e9\n", ["stationary.probe_radii", "1000000000.0"]),
             ("stationary", "stationary.probe_radii = 1e-5\n", ["stationary.probe_radii", "1e-05"]),
+            ("simulate", "run.t_final = inf\n", ["run", "t_final"]),
+            ("simulate", "run.snapshot_dt = nan\n", ["run", "snapshot_dt"]),
+            ("stationary", "grid.x_max = inf\n", ["grid", "x_max"]),
+            ("simulate", "grid.ratio = inf\n", ["grid", "ratio"]),
         ],
         ids=[
             "seed", "kernel_gamma", "y_values_n", "y_values_y_min", "y_values_y_max", "cutoff_profile",
-            "run_t_max", "lambdas", "radius_high", "radius_low",
+            "run_t_max", "lambdas", "radius_high", "radius_low", "t_final_inf", "snapshot_dt_nan",
+            "x_max_inf", "ratio_inf",
         ],
     )
     def test_refused_before_any_solve(self, tmp_path, monkeypatch, capsys, command, extra, names):
-        # an unknown or unread key, a second home for one setting, or a
-        # probe radius the search would drop, exits 1 naming the keys,
-        # before any solve
+        # an unknown or unread key, a second home for one setting, a
+        # probe radius the search would drop, or a non-finite grid or run
+        # value, exits 1 naming the keys, before any solve.  A key of BASE
+        # set in extra replaces BASE's line.
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve started")
 
         monkeypatch.setattr(forward._Engine, "__init__", no_solve)
         monkeypatch.setattr(cli, "w_eval", no_solve)
-        code, out = run_cli(tmp_path, BASE + extra, command)
+        keys = set(parse_config(extra))
+        text = "".join(f"{line}\n" for line in BASE.splitlines() if line.partition("=")[0].strip() not in keys)
+        code, out = run_cli(tmp_path, text + extra, command)
         assert code == 1
         err = capsys.readouterr().err
         assert "config error" in err and all(name in err for name in names)

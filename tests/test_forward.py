@@ -1258,19 +1258,33 @@ class TestSimulate:
         ],
         ids=["kernel", "cutoff", "params", "grid"],
     )
-    def test_stepper_must_match_its_arguments(self, change):
-        # a stepper's engine steps with its own kernel, cutoff, params and
-        # grid, so arguments that differ would be ignored without a word
+    def test_engine_must_match_its_arguments(self, change):
+        # the engine steps with its own kernel, cutoff, params and grid, so
+        # arguments that differ would be ignored without a word
         edges = geometric_grid(1e-2, 1e2, 2.0 ** 0.25)
         ker = constant_kernel(1.0)
-        stepper = _Stepper(_Engine(edges, PARAMS, ker, CUT))
+        eng = _Engine(edges, PARAMS, ker, CUT)
         args = {"params": PARAMS, "kernel": ker, "cutoff": CUT, "edges": edges, **change}
         h0 = power_law_init(args["params"], args["edges"])
-        with pytest.raises(ValueError, match="stepper"):
-            simulate(h0, args["params"], args["kernel"], args["cutoff"], 0.1, stepper=stepper)
-        assert stepper.n_steps == 0
-        same = simulate(power_law_init(PARAMS, edges), PARAMS, ker, CUT, 0.1, stepper=stepper)
-        assert same.n_steps == stepper.n_steps > 0
+        with pytest.raises(ValueError, match="engine"):
+            simulate(h0, args["params"], args["kernel"], args["cutoff"], 0.1, engine=eng)
+        assert eng.rates_calls == 0
+        h0 = power_law_init(PARAMS, edges)
+        same = simulate(h0, PARAMS, ker, CUT, 0.1, engine=eng)
+        own = simulate(h0, PARAMS, ker, CUT, 0.1)
+        assert same.n_steps == own.n_steps > 0
+        assert np.array_equal(same.final.cell_mass, own.final.cell_mass)
+
+    @pytest.mark.parametrize("t_final", [np.inf, np.nan])
+    def test_rejects_non_finite_t_final(self, monkeypatch, t_final):
+        # an infinite run would step for ever: refused before any step
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(_Stepper, "run", no_step)
+        edges = geometric_grid(1e-2, 1e2, 2.0 ** 0.25)
+        with pytest.raises(ValueError, match="t_final"):
+            simulate(power_law_init(PARAMS, edges), PARAMS, constant_kernel(1.0), CUT, t_final)
 
 
 class TestTrajectory:

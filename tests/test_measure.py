@@ -49,6 +49,17 @@ class TestConstruction:
         np.testing.assert_allclose(np.diff(np.log(edges)), np.log(2.0) / 16.0, rtol=1e-12)
 
     @pytest.mark.parametrize(
+        "grid",
+        [(1e-4, np.inf, 2.0), (1e-4, 1e8, np.inf), (1e-4, np.nan, 2.0), (np.inf, np.inf, 2.0)],
+        ids=["x_max_inf", "ratio_inf", "x_max_nan", "x_min_inf"],
+    )
+    def test_geometric_grid_refuses_non_finite(self, grid):
+        # an infinite top edge overflowed the cell count, and an infinite
+        # ratio gave one cell reaching to inf
+        with pytest.raises(ValueError, match="finite"):
+            geometric_grid(*grid)
+
+    @pytest.mark.parametrize(
         "kwargs",
         [
             dict(gamma=0.5, rho=0.4),

@@ -637,27 +637,49 @@ class TestGmres:
         x, iterations = stationary._gmres(lambda z: M @ z, lambda r: r / diag, b, rtol)
         assert np.linalg.norm(M @ x - b) <= rtol * np.linalg.norm(b)
         _, tight = stationary._gmres(lambda z: M @ z, lambda r: r / diag, b, stationary.KRYLOV_RTOL)
-        assert 0 < iterations <= tight <= stationary.KRYLOV_RESTART
+        assert 0 < iterations <= tight <= stationary.KRYLOV_MAX_ITER
 
-    def test_restarts_until_the_tolerance(self, monkeypatch):
-        # cycles of 5 iterations each, as many as it takes
-        monkeypatch.setattr(stationary, "KRYLOV_RESTART", 5)
-        monkeypatch.setattr(stationary, "KRYLOV_CYCLES", 100)
-        rng = np.random.default_rng(6)
-        n = 80
-        M = np.eye(n) * 3.0 + rng.standard_normal((n, n)) / np.sqrt(n)
-        b = rng.standard_normal(n)
-        x, iterations = stationary._gmres(lambda z: M @ z, lambda r: r, b, stationary.KRYLOV_RTOL)
-        assert iterations > 5
-        assert np.linalg.norm(M @ x - b) <= stationary.KRYLOV_RTOL * np.linalg.norm(b)
-
-    def test_stops_after_its_cycles(self, monkeypatch):
-        monkeypatch.setattr(stationary, "KRYLOV_RESTART", 2)
+    def test_stops_at_its_cap(self, monkeypatch):
+        # two iterations cannot meet the tolerance: GMRES stops there and
+        # returns the minimal-residual iterate of the two-dimensional
+        # Krylov space span(b, M b)
+        monkeypatch.setattr(stationary, "KRYLOV_MAX_ITER", 2)
         rng = np.random.default_rng(6)
         M = np.eye(80) * 3.0 + rng.standard_normal((80, 80)) / np.sqrt(80)
         b = rng.standard_normal(80)
-        x, iterations = stationary._gmres(lambda z: M @ z, lambda r: r, b, stationary.KRYLOV_RTOL)
-        assert iterations == 2 * stationary.KRYLOV_CYCLES
+        products = []
+
+        def product(z):
+            products.append(1)
+            return M @ z
+
+        x, iterations = stationary._gmres(product, lambda r: r, b, stationary.KRYLOV_RTOL)
+        assert iterations == len(products) == 2
+        K = np.column_stack([b, M @ b])
+        want = K @ np.linalg.lstsq(M @ K, b, rcond=None)[0]
+        np.testing.assert_allclose(x, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))
+        assert np.linalg.norm(M @ x - b) > stationary.KRYLOV_RTOL * np.linalg.norm(b)
+
+    def test_hardest_sweep_solve_stays_under_the_cap(self, monkeypatch):
+        # the range sweep's largest GMRES solve, 40 iterations: (0.5, 0.99)
+        # with the sum kernel at alpha = 0.15, lambda = 1e-4, on the coarse
+        # acceptance grid.  GMRES no longer restarts, so the cap must stay
+        # well above what the solves take.
+        counts = []
+        gmres = stationary._gmres
+
+        def counting(product, precondition, b, rtol):
+            x, iterations = gmres(product, precondition, b, rtol)
+            counts.append(iterations)
+            return x, iterations
+
+        monkeypatch.setattr(stationary, "_gmres", counting)
+        params = Params(gamma=0.5, rho=0.99, delta=0.2)
+        edges = geometric_grid(1e-4, 1e8, 2.0 ** (1.0 / 8.0))
+        res = find_stationary(params, sum_kernel(0.15, 0.5), CutoffParams(lam=1e-4), edges=edges)
+        assert res.converged
+        assert sum(counts) == res.krylov_iterations
+        assert max(counts) < stationary.KRYLOV_MAX_ITER
 
     def test_zero_right_hand_side(self):
         x, iterations = stationary._gmres(lambda z: 2.0 * z, lambda r: r, np.zeros(7), stationary.KRYLOV_RTOL)
