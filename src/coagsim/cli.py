@@ -220,8 +220,8 @@ def cmd_dual_check(cfg, out_dir, tolerance):
     t = get_float(cfg.raw, "dual.time", 0.5)
     mc = get_float(cfg.raw, "dual.max_change", 0.0025)
     dump_s = get_floats(cfg.raw, "dual.dump_s", ())
-    if not (0.0 < R < np.inf and 0.0 <= t < np.inf and 0.0 < mc < 1.0):
-        raise ConfigError("dual: need 0 < radius < inf, 0 <= time < inf and 0 < max_change < 1")
+    if not (R > 0.0 and t >= 0.0 and 0.0 < mc < 1.0):
+        raise ConfigError("dual: need radius > 0, time >= 0 and 0 < max_change < 1")
     for s_req in dump_s:
         if not 0.0 <= s_req <= t:
             raise ConfigError(f"dual.dump_s value {s_req} outside [0, {t}]")

@@ -143,8 +143,15 @@ def _typed(mapping, key, kinds, default, label):
     return v
 
 
+def _finite(key, x):
+    # inf and nan parse as floats, and no setting reads them as a value
+    if not math.isfinite(x):
+        raise ConfigError(f"key {key!r} must be finite, got {x!r}")
+    return x
+
+
 def get_float(mapping, key, default=None):
-    return float(_typed(mapping, key, (int, float), default, "a number"))
+    return _finite(key, float(_typed(mapping, key, (int, float), default, "a number")))
 
 
 def get_int(mapping, key, default=None):
@@ -165,7 +172,7 @@ def get_floats(mapping, key, default=None):
     vals = v if isinstance(v, tuple) else (v,)
     if not all(isinstance(x, (int, float)) for x in vals):
         raise ConfigError(f"key {key!r} must be a list of numbers, got {v!r}")
-    return tuple(float(x) for x in vals)
+    return tuple(_finite(key, float(x)) for x in vals)
 
 
 @dataclass(frozen=True)
@@ -228,12 +235,12 @@ def run_config(mapping):
         get_float(mapping, "grid.x_max", 1e8),
         get_float(mapping, "grid.ratio", 2.0 ** (1.0 / 16.0)),
     )
-    if not (0.0 < grid[0] < grid[1] < math.inf and 1.0 < grid[2] < math.inf):
-        raise ConfigError("grid: need finite 0 < x_min < x_max and finite ratio > 1")
+    if not (0.0 < grid[0] < grid[1] and grid[2] > 1.0):
+        raise ConfigError("grid: need 0 < x_min < x_max and ratio > 1")
     t_final = get_float(mapping, "run.t_final", 1.0)
     snapshot_dt = get_float(mapping, "run.snapshot_dt", 0.0)
-    if not (0.0 <= t_final < math.inf and 0.0 <= snapshot_dt < math.inf):
-        raise ConfigError("run: t_final and snapshot_dt must be finite and >= 0")
+    if not (t_final >= 0.0 and snapshot_dt >= 0.0):
+        raise ConfigError("run: t_final and snapshot_dt must be >= 0")
     tol = get_float(mapping, "run.tol", 1e-4)
     max_change = get_float(mapping, "run.max_change", 0.05)
     if not (tol > 0.0 and 0.0 < max_change < 1.0):

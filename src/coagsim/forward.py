@@ -48,8 +48,9 @@ lands at the fixed offsets k_d and k_d + 1 from i with the fixed split
 f_d.  So _Engine keeps per-diagonal vectors (t, k, f) and nothing per
 pair: rates takes the loss as one correlation and one convolution with
 t (pair_sums), and the gain as one short convolution per deposit offset
-from the larger partner; a static corner table over the top rows gives
-the overflow ledger; rearrangement_residual weighs each pair by
+from the larger partner.  The overflow ledger takes a small static block
+over the top rows for in-grid pairs and two convolutions of the top
+cells with t for ghost pairs; rearrangement_residual weighs each pair by
 Y_i^gamma t_d too.  The convolutions are direct sums: v spans many
 decades, and FFT rounding, relative to the largest entry, would swamp
 the small cells.
@@ -73,11 +74,6 @@ import numpy as np
 
 from .kernel import eval_cutoff, eval_kernel
 from .measure import GridMeasure
-
-# entries (rows x taps) per block of the corner table's build; a block's
-# temporaries take about 0.4 MB
-CORNER_BLOCK = 4096
-
 
 class IntegrationError(RuntimeError):
     """Step-size control failed to meet the accuracy target."""
@@ -230,10 +226,14 @@ class _Engine:
     convolution per offset c = k_d - d from the larger member, whose
     group merges the lo-weights of offset c with the hi-weights of c - 1
     (_offset_groups, which also groups t for the dual's gain).  Groups
-    without weight are dropped.  Only rows within max k_d + 1 of
-    the top reach the overflow ledger or the hi half of the top cell; a
-    static corner table over those rows gives both, so the pairing
-    residual compares two independent sums.
+    without weight are dropped.  Only the pairs whose larger member p
+    lies within max c + 2 of the top reach the overflow ledger or the hi
+    half of the top cell.  A pair with a ghost partner p >= N deposits all
+    of its mass in the ledger, so rates takes those pairs as two
+    convolutions of the top cells' z and z Y with t.  The in-grid ones
+    sit in a static (top, over, over moment) block top[:, p, d], rows
+    p = N - rows .. N - 1, against the partners top_partners[p, d] =
+    p - d.  So the pairing residual compares two independent sums.
     """
 
     def __init__(self, edges, params, kernel, cutoff):
@@ -264,37 +264,21 @@ class _Engine:
         g = t * np.where(d > 0, 1.0 + rd, 1.0)
         # (first target, first larger member, taps)
         self.groups = [(o + d0, d0, h) for o, d0, h in _offset_groups(g, k, f) if o + d0 < N - 1]
-        # the corner: rows whose pairs feed the top cell's hi half (lo = N - 2)
-        # or the ledger (lo >= N - 1, ghost partners included), with the
-        # mass weights S of both ordered pairs (ghosts are loss-only)
-        def block(a, b):
-            """The corner's (top, over, over moment) weights of rows a..b-1."""
-            i = np.arange(a, b)[:, None]
-            Yi, Yp = self.Yall[a:b, None], self.Yall[i + d]
-            S = self.Yg[a:b, None] * t * (Yi + np.where((d > 0) & (i + d < N), Yp, 0.0))
-            over = i + k >= N - 1
-            top = np.where(i + k == N - 2, S * (1.0 - f), 0.0)
-            return np.stack([top, np.where(over, S, 0.0), np.where(over, S * (Yi + Yp), 0.0)])
-
-        # every entry with weight (t_d > 0) is live unless its S underflows:
-        # rows N - 1 - k_d and up, and row N - 2 - k_d unless f_d = 1.  So the
-        # table is allocated at that size and filled, rows in blocks of about
-        # CORNER_BLOCK entries, in row-major order, as one np.nonzero lists them
-        i0 = max(0, N - 2 - k.max())
-        size = int(np.sum((t != 0.0) * (N - np.maximum(i0, N - 1 - k) + ((N - 2 - k >= i0) & (f != 1.0)))))
-        # (3, size) over a (size, 3) buffer: the layout of a fancy-indexed
-        # C[:, rows, ds], which sets the order of rates' corner @ sums
-        corner, rows, partners = np.empty((size, 3)).T, np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
-        n, step = 0, max(1, CORNER_BLOCK // d.size)
-        for a in range(i0, N, step):
-            C = block(a, min(a + step, N))
-            ri, di = np.nonzero(C.any(axis=0))
-            corner[:, n : n + ri.size] = C[:, ri, di]
-            rows[n : n + ri.size], partners[n : n + ri.size] = a + ri, a + ri + di
-            n += ri.size
-        if n < size:  # an S underflowed: trim
-            corner, rows, partners = corner[:, :n], rows[:n], partners[:n]
-        self.corner, self.corner_pairs = corner, (rows, partners)
+        # the top rows: larger members p whose pairs (p - d, p) feed the top
+        # cell's hi half (lo = p + o_d = N - 2) or the ledger (lo >= N - 1),
+        # with the mass weights S of both ordered pairs; a row's partners
+        # below cell 0 weigh nothing
+        L = self.t.size
+        d, k, f = d[:L], k[:L], self.f
+        p = np.arange(max(0, N - 2 - int(np.max(k - d))), N)[:, None]
+        i = np.maximum(p - d, 0)
+        Yi, Yp = Y[i], Y[p]
+        S = np.where(p >= d, self.Yg[i] * self.t * (Yi + np.where(d > 0, Yp, 0.0)), 0.0)
+        lo = p + k - d
+        over = lo >= N - 1
+        top = np.where(lo == N - 2, S * (1.0 - f), 0.0)
+        self.top = np.stack([top, np.where(over, S, 0.0), np.where(over, S * (Yi + Yp), 0.0)])
+        self.top_partners = i
 
     def row(self, X):
         """Static weights of size X with every partner (cells, then ghosts)."""
@@ -344,8 +328,16 @@ class _Engine:
         for j0, p0, h in self.groups:
             n = N - 1 - j0
             Q[j0:-1] += v[p0 : p0 + n] * np.convolve(z[:n], h)[:n]
-        rows, partners = self.corner_pairs
-        Q[N - 1], over_rate, over_moment = self.corner @ (v[rows] * v[partners])
+        rows, L = self.top_partners.shape
+        Q[N - 1], over_rate, over_moment = np.tensordot(self.top, v[N - rows : N, None] * v[self.top_partners], 2)
+        # a ghost partner p >= N always deposits the pair's mass in the
+        # ledger: one convolution of the top cells' z with t, and one of
+        # z Y for the moment
+        a = max(0, N - L)
+        zt, vg, Yh = z[a:], v[N : N + L - 1], self.Yall[N : N + L - 1]
+        zc = np.convolve(zt, self.t)[N - a :]
+        over_rate += vg @ zc
+        over_moment += vg @ (np.convolve(zt * self.Y[a:], self.t)[N - a :] + Yh * zc)
         Q *= esc
         over_rate, over_moment = esc * float(over_rate), esc * float(over_moment)
         loss_total = float(np.sum(Lk * masses))

@@ -652,7 +652,8 @@ def lambda_continuation(params, kernel, lambdas, **kwargs):
     from the profile of the scale before it (the first from
     find_stationary's default start), in one process.  kwargs go to
     every find_stationary call, except cutoff and start, which the chain
-    sets: either is refused with a TypeError before any search.
+    sets: either is refused with a TypeError before any search, as is
+    (with a ValueError) a scale that CutoffParams refuses.
     Distances between consecutive profiles are reported, never asserted;
     a decreasing sequence is evidence of a weak limit as the cutoff is
     removed.
@@ -665,10 +666,11 @@ def lambda_continuation(params, kernel, lambdas, **kwargs):
         raise TypeError("lambda_continuation() takes its cutoff scales as lambdas, not cutoff")
     if "start" in kwargs:
         raise TypeError("lambda_continuation() starts each scale from the profile before it, not from start")
-    lams = [float(v) for v in lambdas]
+    # a scale CutoffParams refuses is refused before the first search
+    cutoffs = [CutoffParams(lam=float(v)) for v in lambdas]
     results = []
-    for lv in lams:
+    for cutoff in cutoffs:
         start = results[-1].profile if results else None
-        results.append(find_stationary(params, kernel, CutoffParams(lam=lv), start=start, **kwargs))
+        results.append(find_stationary(params, kernel, cutoff, start=start, **kwargs))
     distances = [xrho_dist(a.profile, b.profile) for a, b in zip(results[:-1], results[1:])]
-    return ContinuationReport(lambdas=tuple(lams), results=results, distances=distances)
+    return ContinuationReport(lambdas=tuple(c.lam for c in cutoffs), results=results, distances=distances)

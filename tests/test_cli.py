@@ -170,17 +170,21 @@ class TestRunConfig:
             ("simulate", "run.snapshot_dt = nan\n", ["run", "snapshot_dt"]),
             ("stationary", "grid.x_max = inf\n", ["grid", "x_max"]),
             ("simulate", "grid.ratio = inf\n", ["grid", "ratio"]),
+            ("stationary", "run.tol = inf\n", ["run.tol", "finite"]),
+            ("profile-w", "w.a = 0.5\nw.y_max = inf\n", ["w.y_max", "finite"]),
+            ("dual-check", "params.r0 = inf\ndual.radius = 100.0\n", ["params.r0", "finite"]),
+            ("simulate", "kernel.value = inf\n", ["kernel.value", "finite"]),
         ],
         ids=[
             "seed", "kernel_gamma", "y_values_n", "y_values_y_min", "y_values_y_max", "cutoff_profile",
             "run_t_max", "lambdas", "radius_high", "radius_low", "t_final_inf", "snapshot_dt_nan",
-            "x_max_inf", "ratio_inf",
+            "x_max_inf", "ratio_inf", "tol_inf", "y_max_inf", "r0_inf", "value_inf",
         ],
     )
     def test_refused_before_any_solve(self, tmp_path, monkeypatch, capsys, command, extra, names):
         # an unknown or unread key, a second home for one setting, a
-        # probe radius the search would drop, or a non-finite grid or run
-        # value, exits 1 naming the keys, before any solve.  A key of BASE
+        # probe radius the search would drop, or a non-finite number,
+        # exits 1 naming the keys, before any solve.  A key of BASE
         # set in extra replaces BASE's line.
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve started")

@@ -405,7 +405,7 @@ def array_entries(obj, seen=None, owned=False):
 class TestEngineMemory:
     def test_smaller_than_one_dense_pair_table(self):
         # the acceptance grid at lambda = 1e-3: the per-diagonal vectors,
-        # the offset groups and the corner together hold less than one
+        # the offset groups and the top rows together hold less than one
         # cell-by-partner table
         eng = _Engine(geometric_grid(), PARAMS, constant_kernel(1.0), CUT)
         assert eng.N == 638
@@ -492,9 +492,11 @@ class TestEngineOracle:
     @pytest.mark.parametrize(
         "x_min, x_max, ratio",
         # 70 and 159 cells: at lambda = 1e-3 both grids are narrower than
-        # the partner reach (91 and 355 diagonals), at 0.1 and 0.3 wider
-        [(1e-4, 20.0, 2.0 ** 0.25), (1e-2, 10.0, RATIO)],
-        ids=["coarse", "fine"],
+        # the partner reach (91 and 355 diagonals), at 0.1 and 0.3 wider;
+        # 53 cells: narrower than the partner reach at lambda <= 0.1 too
+        # (68 diagonals at 0.1), so every cell has ghost partners there
+        [(1e-4, 20.0, 2.0 ** 0.25), (1e-2, 10.0, RATIO), (1.0, 10.0, RATIO)],
+        ids=["coarse", "fine", "small"],
     )
     def test_matches_double_loop(self, kernel, params, lam, s, x_min, x_max, ratio):
         edges = geometric_grid(x_min, x_max, ratio=ratio)
@@ -516,78 +518,6 @@ class TestEngineOracle:
 
 
 
-def oracle_corner(edges, params, kernel, cutoff):
-    """_Engine's corner table built whole: one 3 x rows x taps array of
-    (top, over, over moment) weights, its live entries listed by
-    np.nonzero.  Returns (corner, (rows, partners), first row)."""
-    N = edges.size - 1
-    dmax = _partners(edges, params.rho, cutoff.lam)[2].size - 1
-    r = (edges[-1] / edges[0]) ** (1.0 / N)
-    Yall = edges[0] * r ** (np.arange(N + dmax + 1) + 0.5)
-    Yg = Yall[:N] ** kernel.gamma
-    d = np.arange(dmax + 1)
-    rd = r**d
-    t = _ratio_kernel(kernel, cutoff, 1.0, rd)
-    c = np.log1p(1.0 / rd) / np.log(r)
-    off = np.floor(c + 1e-12)
-    f = np.where(np.abs(c - off) < 1e-12, 1.0, (r ** (off + 1) - 1 - 1 / rd) / (r ** (off + 1) - r**off))
-    k = d + off.astype(int)
-    i0 = max(0, N - 2 - k.max())
-    i = np.arange(i0, N)[:, None]
-    Yi, Yp = Yall[i0:N, None], Yall[i + d]
-    S = Yg[i0:, None] * t * (Yi + np.where((d > 0) & (i + d < N), Yp, 0.0))
-    over = i + k >= N - 1
-    top = np.where(i + k == N - 2, S * (1.0 - f), 0.0)
-    C = np.stack([top, np.where(over, S, 0.0), np.where(over, S * (Yi + Yp), 0.0)])
-    rows, ds = np.nonzero(C.any(axis=0))
-    return C[:, rows, ds], (i0 + rows, i0 + rows + ds), i0
-
-
-def off_lattice(edges, seed=5):
-    """edges moved off the geometric lattice by up to 1e-10 relative."""
-    rng = np.random.default_rng(seed)
-    return edges * (1.0 + 1e-10 * rng.uniform(-1.0, 1.0, edges.size))
-
-
-CORNER_GRIDS = {
-    # the acceptance grid, 638 cells
-    "acceptance": geometric_grid(1e-4, 1e8, RATIO),
-    # 53 cells: the corner covers every row (i0 = 0) at each lambda
-    "small": geometric_grid(1.0, 10.0, RATIO),
-    "off-lattice": off_lattice(geometric_grid(1e-3, 1e3, RATIO)),
-}
-
-
-class TestCornerOracle:
-    """The engine's corner table and its pair lists against the whole-array
-    build, bit for bit."""
-
-    @pytest.mark.parametrize(
-        "kernel, params",
-        [
-            (constant_kernel(1.3), Params(gamma=0.0, rho=0.5)),
-            (product_kernel(0.5), Params(gamma=0.5, rho=0.75)),
-            (sum_kernel(0.2, 0.5), Params(gamma=0.5, rho=0.75)),
-        ],
-        ids=["constant", "product", "sum"],
-    )
-    @pytest.mark.parametrize("lam", [1e-3, 1e-2, 0.1])
-    @pytest.mark.parametrize("grid", list(CORNER_GRIDS))
-    def test_matches_whole_array_build(self, kernel, params, lam, grid):
-        edges = CORNER_GRIDS[grid]
-        cut = CutoffParams(lam=lam)
-        eng = _Engine(edges, params, kernel, cut)
-        corner, (rows, partners), i0 = oracle_corner(edges, params, kernel, cut)
-        assert (i0 == 0) == (grid == "small")
-        # the layout too: it sets the summation order of the corner product
-        assert eng.corner.shape == corner.shape and eng.corner.strides == corner.strides
-        np.testing.assert_array_equal(eng.corner, corner, strict=True)
-        assert eng.corner.tobytes() == corner.tobytes()  # signed zeros too
-        np.testing.assert_array_equal(eng.corner_pairs[0], rows, strict=True)
-        np.testing.assert_array_equal(eng.corner_pairs[1], partners, strict=True)
-
-
-
 def traced_peak(fn):
     """(result, peak, kept): fn's return value, and the traced bytes at
     the peak of the call and still allocated after it."""
@@ -601,19 +531,24 @@ def traced_peak(fn):
 
 
 class TestEngineWorkingMemory:
-    """The engine build holds at most 1 MiB beyond the tables it keeps:
-    the whole-array corner build took 1.9 MiB on the acceptance grid and
-    11.6 MiB on the 32-per-octave grid at lambda = 1e-4."""
+    """The engine build holds at most 1 MiB beyond the tables it keeps,
+    and keeps little: a table of every pair near the grid top, ghost
+    pairs included, kept 0.66 MiB on the acceptance grid and 4.25 MiB on
+    the 32-per-octave grid at lambda = 1e-4, growing with the square of
+    the partner reach."""
 
     @pytest.mark.parametrize(
-        "ratio, lam", [(RATIO, 1e-3), (2.0 ** (1.0 / 32.0), 1e-4)], ids=["acceptance", "fine"]
+        "ratio, lam, kept_max",
+        [(RATIO, 1e-3, 2**18), (2.0 ** (1.0 / 32.0), 1e-4, 2**20)],
+        ids=["acceptance", "fine"],
     )
-    def test_build_peak_over_kept(self, ratio, lam):
+    def test_build_peak_over_kept(self, ratio, lam, kept_max):
         edges = geometric_grid(1e-4, 1e8, ratio)
         cut = CutoffParams(lam=lam)
         _Engine(edges, PARAMS, constant_kernel(), cut)  # warm every import and cache
         eng, peak, kept = traced_peak(lambda: _Engine(edges, PARAMS, constant_kernel(), cut))
-        assert eng.corner.size > 0
+        assert np.any(eng.top[0] > 0.0) and np.any(eng.top[1] > 0.0)  # the top rows feed both
+        assert kept <= kept_max
         assert peak - kept <= 2**20
 
 

@@ -482,6 +482,16 @@ class TestLambdaContinuation:
             lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1], **{key: value})
         assert calls == []
 
+    def test_rejects_bad_lambda_before_any_search(self, monkeypatch):
+        # the second scale is outside (0, 1/2): refused before the first
+        # search builds an engine
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(forward._Engine, "__init__", no_engine)
+        with pytest.raises(ValueError, match="lam must lie in"):
+            lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1, 0.7], edges=geometric_grid(1e-2, 1e5))
+
     def test_search_error_reaches_caller(self, monkeypatch):
         # the second scale's search fails after the first one ran
         run, lams = stationary.find_stationary, []
@@ -606,7 +616,7 @@ class TestResidual:
     )
     def test_two_call_product_matches_dense_difference(self, gamma, rho, lam):
         # 27 cells, fewer than the partner-ratio window: every cell has
-        # ghost partners, and the top cells feed the corner table
+        # ghost partners, and the top cells feed the engine's top rows
         edges = geometric_grid(1e-2, 1e2, 2.0**0.5)
         params, kernel = range_point(gamma, rho)
         res = residual_on(edges, params, kernel, CutoffParams(lam=lam))
