@@ -13,8 +13,9 @@ key-value config format of the config module:
 
 Common flags: --config PATH (required), --out DIR (default: the config's
 outputs key).  The three checking commands, dual-check, profile-w and
-invariance-suite, also take --tolerance X, their pass threshold; the
-stationary search stops at the config's run.tol alone.
+invariance-suite, also take --tolerance X, their pass threshold, which
+must be finite; the stationary search stops at the config's run.tol
+alone.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure or failed
 check, 3 non-convergence.  All artifacts carry a schema_version field and
@@ -27,6 +28,7 @@ configs produce bit-identical artifacts.
 import argparse
 import inspect
 import json
+import math
 import sys
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
@@ -406,6 +408,18 @@ _COMMANDS = {
 }
 
 
+def _finite_float(text):
+    """argparse type of --tolerance: a finite float, so that NaN or an
+    infinite threshold is a usage error before any solve."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
 class _Parser(argparse.ArgumentParser):
     # usage problems are configuration problems under the exit-code contract
     def error(self, message):
@@ -422,7 +436,7 @@ def main(argv=None):
         p.add_argument("--config", required=True, metavar="PATH", help="run configuration file")
         p.add_argument("--out", metavar="DIR", help="output directory (default: config outputs key)")
         if "tolerance" in inspect.signature(fn).parameters:  # the checking commands
-            p.add_argument("--tolerance", type=float, metavar="X", help="pass/fail threshold for this command")
+            p.add_argument("--tolerance", type=_finite_float, metavar="X", help="pass/fail threshold for this command")
     args = parser.parse_args(argv)
     try:
         cfg = run_config(load_config(args.config))

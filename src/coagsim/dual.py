@@ -31,6 +31,7 @@ the corner list carries the ghost pairs that land below R.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -97,6 +98,11 @@ class _Jumps:
     [n - 1, n] or whose sum lies between node n - 1 and R: per pair and
     gaining member, the node weights of the exact split toward R (none,
     above R) less the lattice weights that the convolutions read.
+
+    The constructor keeps what far and rates both read: Z, n, nodes and
+    row.  The gain tables, the offset groups and the corner list, are
+    built once, on the first rates call (groups, corner), so a sweep of
+    far alone, as in q_tail_bound, builds neither.
     """
 
     def __init__(self, trajectory, R, t):
@@ -113,21 +119,36 @@ class _Jumps:
         # matches to rounding
         self.Z = Z = _partners(trajectory.edges, trajectory.params.rho, eng.cutoff.lam)[1] * np.exp(-beta * t)
         self.n = n = int(np.count_nonzero(Z[: eng.N] < R * (1.0 - 1e-12)))
-        self.nodes = nodes = np.append(Z[:n], R)
+        self.nodes = np.append(Z[:n], R)
         self.row = eng.row(R * np.exp(beta * t))
-        L = eng.t.size
-        k, f = eng.k[:L], eng.f
-        self.above, self.below = [], []
-        for o, d0, h in _offset_groups(eng.t, k, f):
+        self._memo = (None, None)
+
+    @cached_property
+    def groups(self):
+        """(above, below, n_off): the engine's offset groups of t, as the
+        correlations from above and the convolutions from below read them,
+        and the number of offsets that low holds."""
+        eng, n = self.engine, self.n
+        above, below = [], []
+        for o, d0, h in _offset_groups(eng.t, eng.k[: eng.t.size], eng.f):
             # node i with partner i + d above it reads Psi at i + d + o < n
             if n - o - d0 > 0:
-                self.above.append((d0, n - o, o, h))
+                above.append((d0, n - o, o, h))
             # node i with partner i - d below it (d > 0) reads it at i + o
             if d0 == 0:
                 d0, h = 1, h[1:]
             if h.size and n - o - d0 > 0:
-                self.below.append((o, d0, h))
-        self.n_off = 1 + max((o for o, _, _ in self.below), default=0)
+                below.append((o, d0, h))
+        return above, below, 1 + max((o for o, _, _ in below), default=0)
+
+    @cached_property
+    def corner(self):
+        """(rows, partners, nodes, w): the static corner list, one entry
+        per pair, gaining member and node weight."""
+        eng, Z, n, nodes = self.engine, self.Z, self.n, self.nodes
+        R = nodes[-1]
+        L = eng.t.size
+        k, f = eng.k[:L], eng.f
         # the corner: the pairs whose lattice bracket is [n - 1, n], where
         # the convolutions read Psi_(n-1) and zero, and those whose sum
         # lies between node n - 1 and R; both have lattice bracket n - 2 or
@@ -149,11 +170,8 @@ class _Jumps:
         w = w[keep] * eng.Yg[a[pair]] * eng.t[d[pair]]
         # both members gain, the larger only if it is a node below R
         both = (d[pair] > 0) & (b[pair] < n)
-        self.corner_rows = np.concatenate([a[pair], b[pair][both]])
-        self.corner_partners = np.concatenate([b[pair], a[pair][both]])
-        self.corner_nodes = np.concatenate([node, node[both]])
-        self.corner_w = np.concatenate([w, w[both]])
-        self._memo = (None, None)
+        return (np.concatenate([a[pair], b[pair][both]]), np.concatenate([b[pair], a[pair][both]]),
+                np.concatenate([node, node[both]]), np.concatenate([w, w[both]]))
 
     def _densities(self, tau):
         """(c, v) at backward time tau."""
@@ -179,9 +197,10 @@ class _Jumps:
             return self._memo[1]
         c, v = self._densities(tau)
         n = self.n
+        _, below, n_off = self.groups
         y = self.engine.Yg[:n] * v[:n]
-        low = np.zeros((self.n_off, n))
-        for o, d1, h in self.below:
+        low = np.zeros((n_off, n))
+        for o, d1, h in below:
             m = n - o - d1
             low[o, d1 : n - o] = np.convolve(y[:m], h)[:m]
         out = self._total(c, v), c, v, low
@@ -191,17 +210,19 @@ class _Jumps:
     def rates(self, tau, psi):
         """(D, G) at backward time tau: each node's total jump rate, and
         its jump rates weighted by Psi at the targets."""
+        # the corner first, so its build overlaps no array of this call
+        rows, partners, nodes, w = self.corner
         D, c, v, low = self._loss(tau)
         n = self.n
+        above, _, n_off = self.groups
         up = np.zeros(n)
-        for d0, e, o, h in self.above:
+        for d0, e, o, h in above:
             up[: e - d0] += np.correlate(v[d0:e] * psi[d0 + o : e + o], h, "full")[h.size - 1 :]
         up *= self.engine.Yg[:n]
         # low is zero wherever i + o is node n or the padding
-        psi_ext = np.concatenate([psi, np.zeros(self.n_off)])
-        up += np.einsum("oi,io->i", low, sliding_window_view(psi_ext, self.n_off)[:n])
-        up += np.bincount(self.corner_rows, self.corner_w * v[self.corner_partners] * psi[self.corner_nodes],
-                          minlength=n)
+        psi_ext = np.concatenate([psi, np.zeros(n_off)])
+        up += np.einsum("oi,io->i", low, sliding_window_view(psi_ext, n_off)[:n])
+        up += np.bincount(rows, w * v[partners] * psi[nodes], minlength=n)
         return D, np.append(c[:n] * up, 0.0)
 
     def far(self, tau):
@@ -460,7 +481,8 @@ def q_tail_bound(trajectory, R):
     Sweeps the jump rates toward partners beyond R over all nodes X <= R
     and N_TAU (5) evenly spaced backward times over the whole trajectory,
     from 0 to its t_final; the supremum of the left side times
-    R^(rho - gamma) is the reported constant.
+    R^(rho - gamma) is the reported constant.  It reads only _Jumps.far,
+    so no gain table (offset groups or corner list) is built.
 
     Returns
     -------

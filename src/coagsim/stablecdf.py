@@ -125,7 +125,11 @@ def _kanter_rule(a):
 
 
 def _kanter(profile, Y):
-    """W and W' at the points of the 1-d array Y, from Kanter's integral."""
+    """W and W' at the points of the 1-d array Y, from Kanter's integral.
+
+    The integrand exp(-z A) is formed 64 points at a time in one
+    (64, nodes) buffer, by the operations of np.exp(-np.outer(z, A)) done
+    in place, so no block's table is alive while the next is formed."""
     a = profile.a
     A, wq = _kanter_rule(a)
     wqA = wq * A
@@ -135,9 +139,12 @@ def _kanter(profile, Y):
     W, D = np.zeros(Y.shape), np.zeros(Y.shape)
     # A is smallest at the first node, and exp(-x) is 0 in floating point for x > 745.2
     live = np.flatnonzero((Y > 0.0) & (z * A[0] < 750.0))
+    buf = np.empty((min(64, live.size), A.size))
     for i in range(0, live.size, 64):
         j = live[i : i + 64]
-        E = np.exp(-np.outer(z[j], A))
+        E = np.multiply(z[j, None], A, out=buf[: j.size])
+        np.negative(E, out=E)
+        np.exp(E, out=E)
         W[j] = E @ wq
         D[j] = k * z[j] / Y[j] * (E @ wqA)
     return np.minimum(W, 1.0), D

@@ -839,3 +839,14 @@ class TestArgumentHandling:
         else:
             assert main(argv) == 1
             assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["dual-check", "profile-w", "invariance-suite"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_tolerance_is_a_usage_error(self, tmp_path, capsys, command, value):
+        # refused by the parser, before the (missing) config is read, so no
+        # solve starts and no non-standard JSON token is written
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(tmp_path / "nope.cfg"), f"--tolerance={value}"])
+        assert exc.value.code == 1
+        assert f"--tolerance: expected a finite number, got {value!r}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())

@@ -1,10 +1,13 @@
 """Backward dual field: adjoint pairing, barrier bound, far-jump constant."""
 
+import tracemalloc
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 
+from coagsim import dual
 from coagsim.dual import (
     BARRIER_TOL,
     MAX_S_SAMPLES,
@@ -46,7 +49,7 @@ from coagsim.measure import (
     geometric_grid,
     power_law_init,
 )
-from coagsim.stablecdf import StableProfile, w_table
+from coagsim.stablecdf import StableProfile, WTable, _kanter_rule, w_table
 
 RATIO = 2.0 ** (1.0 / 16.0)
 PARAMS = Params(gamma=0.0, rho=0.5, delta=0.2, R0=10.0)
@@ -633,6 +636,62 @@ class TestDualOracle:
             assert np.all(np.abs(got_G - G) <= 1e-13 * D)
             assert got_G[-1] == 0.0 and G[-1] == 0.0
             np.testing.assert_allclose(jumps.far(tau), far, rtol=1e-13, atol=0.0)
+
+
+def traced_peak(fn):
+    """(result, peak): fn's return value and the traced bytes at the peak
+    of the call."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDualWorkingMemory:
+    """Traced peaks on the dual-check bench inputs (acceptance grid,
+    lambda = 1e-3, R = 100).  The K* sweep built the dense (rows x taps)
+    corner selection that it never reads, 0.883 MiB; a Kanter table
+    allocated per block of 64 points peaked at 0.563 MiB."""
+
+    @pytest.fixture(scope="class")
+    def traj(self):
+        h0 = power_law_init(PARAMS, geometric_grid(1e-4, 1e8, RATIO))
+        return rescaled_trajectory(h0, PARAMS, constant_kernel(), CUT, T_FINAL)
+
+    def test_q_tail_bound(self, traj):
+        q_tail_bound(traj, 100.0)
+        rep, peak = traced_peak(lambda: q_tail_bound(traj, 100.0))
+        assert rep.K_star > 0.0
+        assert peak <= 2**17
+
+    def test_cold_w_table(self):
+        profile = StableProfile(a=PARAMS.a)
+        _kanter_rule(profile.a)  # the rule is cached apart from the table
+        _, peak = traced_peak(lambda: WTable(profile))
+        assert peak <= 2**19
+
+
+class TestGainTablesOnDemand:
+    def test_q_tail_bound_builds_none(self, traj_const, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("gain table built")
+
+        monkeypatch.setattr(dual, "_offset_groups", refuse)
+        monkeypatch.setattr(_Jumps, "corner", property(refuse))
+        assert q_tail_bound(traj_const, 10.0).K_star > 0.0
+
+    def test_solve_dual_builds_each_once(self, traj_const, monkeypatch):
+        calls = []
+        groups = dual._offset_groups
+        monkeypatch.setattr(dual, "_offset_groups", lambda *args: calls.append("groups") or groups(*args))
+        corner = _Jumps.__dict__["corner"].func
+        counted = cached_property(lambda jumps: calls.append("corner") or corner(jumps))
+        counted.__set_name__(_Jumps, "corner")
+        monkeypatch.setattr(_Jumps, "corner", counted)
+        fld = solve_dual(traj_const, 10.0, T_FINAL, max_change=0.02)
+        assert fld.diagnostics["n_steps"] > 1
+        assert sorted(calls) == ["corner", "groups"]
 
 
 class TestPairingAgainstCumulative:
