@@ -191,6 +191,41 @@ class TestGainFluxOracle:
 
 
 
+class TestGainFluxRadius:
+    """Radii the flux cannot evaluate are refused, naming R."""
+
+    def setup_method(self):
+        self.h = power_law_init(PARAMS, geometric_grid(1e-2, 1e4, RATIO))
+
+    @pytest.mark.parametrize("lam", [None, 1e-2])
+    def test_infinite_radius(self, lam):
+        cutoff = None if lam is None else CutoffParams(lam=lam)
+        with pytest.raises(ValueError, match="R = inf"):
+            gain_flux(self.h, constant_kernel(), np.inf, cutoff=cutoff)
+        with pytest.raises(ValueError, match="R = inf"):
+            decay0_residual(self.h, PARAMS, constant_kernel(), np.inf, cutoff=cutoff)
+
+    @pytest.mark.parametrize("where", ["top", "above"])
+    def test_cutoff_radius_at_or_above_top_edge(self, where):
+        # the partner cells end at the top cell's partner reach, so R = 1e9
+        # read exactly 0.0 here where the bare kernel reads 1.57
+        top = self.h.edges[-1]
+        R = top if where == "top" else 1e9
+        cutoff = CutoffParams(lam=1e-2)
+        for call in (
+            lambda: gain_flux(self.h, constant_kernel(), R, cutoff=cutoff),
+            lambda: decay0_residual(self.h, PARAMS, constant_kernel(), R, cutoff=cutoff),
+        ):
+            with pytest.raises(ValueError, match=rf"top edge {top}, got R = {R}"):
+                call()
+        # the bare kernel's tail moments reach past the grid
+        assert gain_flux(self.h, constant_kernel(), R) > 0.0
+
+    def test_cutoff_radius_below_top_edge(self):
+        R = 0.999 * self.h.edges[-1]
+        assert gain_flux(self.h, constant_kernel(), R, cutoff=CutoffParams(lam=1e-2)) > 0.0
+
+
 def oracle_inner_64(profile, kernel, cutoff):
     """_make_inner's cutoff branch as it was built: blocks of 64 points,
     each with a fresh 64 x partners terms array summed along its rows."""
@@ -258,6 +293,26 @@ class TestInnerOracle:
                 assert inner(ys, us).tobytes() == want(ys, us).tobytes()
 
 
+class TestInnerPartialChunks:
+    """The inner sums against the 64-point-block build, bit for bit, at
+    point counts that end in a partial chunk of FLUX_ROWS rows, a partial
+    block, or a block holding a single point."""
+
+    @pytest.mark.parametrize("lam", [1e-3, 1e-2, 0.1])
+    @pytest.mark.parametrize("n", [1, 15, 17, 63, 65, 129])
+    def test_matches_64_point_blocks(self, lam, n):
+        h = power_law_init(PARAMS, INNER_GRIDS["acceptance"])
+        rng = np.random.default_rng(13)
+        m = replace(h, cell_mass=h.cell_mass * rng.uniform(0.5, 1.5, h.n_cells))
+        cutoff = CutoffParams(lam=lam)
+        inner, want = stationary._make_inner(m, constant_kernel(2.0), cutoff), oracle_inner_64(m, constant_kernel(2.0), cutoff)
+        for R in (10.0, 1e4):
+            pts = np.geomspace(R * 1e-9, 0.5 * R, n)
+            assert np.all(inner(R - pts, pts) > 0.0)
+            for ys, us in ((R - pts, pts), (pts, R - pts)):
+                assert inner(ys, us).tobytes() == want(ys, us).tobytes()
+
+
 class TestDecay0Residual:
     def test_zero_kernel_power_is_exact(self):
         # pure transport: beta R h(R) = beta (1 - rho) F(R) for exact power
@@ -305,6 +360,23 @@ class TestFluxWorkingMemory:
             tracemalloc.stop()
         assert np.isfinite(value)
         assert peak <= 2**20
+
+    @pytest.mark.parametrize("lam, bound", [(0.1, 0.5), (1e-2, 0.625)])
+    def test_decay0_residual_peak_continuation_lambdas(self, lam, bound):
+        # the continuation's lambdas, bound in MiB: a block's 64 points
+        # summed at once peaked at 0.651 and 0.749 MiB, 16 at a time at 0.34
+        # and 0.46 MiB
+        h = power_law_init(PARAMS, geometric_grid(1e-4, 1e8, RATIO))
+        ker, cutoff = constant_kernel(), CutoffParams(lam=lam)
+        decay0_residual(h, PARAMS, ker, 10.0, cutoff=cutoff)  # warm every import and cache
+        tracemalloc.start()
+        try:
+            value = decay0_residual(h, PARAMS, ker, 10.0, cutoff=cutoff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(value)
+        assert peak <= bound * 2**20
 
 
 class TestTailFit:
