@@ -169,11 +169,6 @@ def cmd_stationary(cfg, out_dir):
     """
     edges = geometric_grid(*cfg.grid)
     kwargs = {"edges": edges, "tol": cfg.tol}
-    if "stationary.probe_radii" in cfg.raw:
-        kwargs["probe_radii"] = list(get_floats(cfg.raw, "stationary.probe_radii"))
-        for R in kwargs["probe_radii"]:
-            if not edges[0] < R < edges[-1]:
-                raise ConfigError(f"stationary.probe_radii value {R} outside the grid ({edges[0]}, {edges[-1]})")
     setup = _setup_dict(cfg)
     if "stationary.lambdas" in cfg.raw:
         lambdas = get_floats(cfg.raw, "stationary.lambdas")

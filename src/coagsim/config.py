@@ -24,7 +24,7 @@ typos; whole unknown sections are rejected too):
     kernel.family kernel.alpha kernel.value
     grid.x_min grid.x_max grid.ratio
     run.t_final run.snapshot_dt run.tol run.max_change
-    stationary.lambdas stationary.probe_radii
+    stationary.lambdas
     dual.radius dual.time dual.max_change dual.dump_s
     w.a w.y_min w.y_max w.n
     outputs
@@ -51,7 +51,7 @@ _KNOWN_KEYS = {
     "kernel": {"family", "alpha", "value"},
     "grid": {"x_min", "x_max", "ratio"},
     "run": {"t_final", "snapshot_dt", "tol", "max_change"},
-    "stationary": {"lambdas", "probe_radii"},
+    "stationary": {"lambdas"},
     "dual": {"radius", "time", "max_change", "dump_s"},
     "w": {"a", "y_min", "y_max", "n"},
     "": {"outputs"},

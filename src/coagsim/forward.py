@@ -73,7 +73,7 @@ from functools import cached_property
 import numpy as np
 
 from .kernel import eval_cutoff, eval_kernel
-from .measure import GridMeasure
+from .measure import GridMeasure, _tail_cells, _xrho_sup
 
 class IntegrationError(RuntimeError):
     """Step-size control failed to meet the accuracy target."""
@@ -172,12 +172,10 @@ def _partners(edges, rho, lam):
     """The grid continued by loss-only tail (ghost) cells out to the
     partner-ratio bound of its top cell: (edges, representatives, mass of
     each ghost cell per unit tail amplitude)."""
-    r = edges[1] / edges[0]
-    n_ghost = int(np.ceil(np.log(_partner_ratio(lam)) / np.log(r))) + 2
-    gedges = edges[-1] * r ** np.arange(n_ghost + 1)
-    one_m_rho = 1.0 - rho
+    n_ghost = int(np.ceil(np.log(_partner_ratio(lam)) / np.log(edges[1] / edges[0]))) + 2
+    gedges, gpow = _tail_cells(edges, rho, n_ghost)
     pedges = np.concatenate([edges, gedges[1:]])
-    return pedges, np.sqrt(pedges[:-1] * pedges[1:]), np.diff(gedges**one_m_rho) / one_m_rho
+    return pedges, np.sqrt(pedges[:-1] * pedges[1:]), gpow / (1.0 - rho)
 
 
 def _ratio_kernel(kernel, cutoff, Y, Z):
@@ -518,8 +516,7 @@ def _map_back(masses, amp, edges, sigma, rho):
         theta = 0.0
     one_m_rho = 1.0 - rho
     # synthesize tail source cells so every target has full coverage
-    gedges = edges[-1] * r ** np.arange(km + 3)
-    ext = np.concatenate([masses, amp * np.diff(gedges**one_m_rho) / one_m_rho])
+    ext = np.concatenate([masses, amp * _tail_cells(edges, rho, km + 2)[1] / one_m_rho])
     fb = (1.0 - r ** (-theta * one_m_rho)) / (
         r ** ((1.0 - theta) * one_m_rho) - r ** (-theta * one_m_rho)
     )
@@ -733,17 +730,16 @@ def gronwall_check(trajectory, tol=1e-2):
     For every stored time t the cumulative of H(t) must satisfy
     F(R) <= (1 + tol) R^(1-rho) e^(beta rho t) for all R whenever the
     initial datum lies under the upper envelope.  The supremum over R is
-    the weighted norm of xrho_norm, attained at a cell edge or in the
-    tail limit; it is taken for every stored step at once.
+    the weighted norm of xrho_norm (measure._xrho_sup), taken for every
+    stored step at once.
 
     Returns
     -------
     GronwallReport
     """
     p = trajectory.params
-    edge_pow = trajectory.edges ** (1.0 - p.rho)
-    norms = np.max(np.cumsum(trajectory.masses, axis=1) / edge_pow[1:], axis=1, initial=0.0)
-    norms = np.maximum(norms, trajectory.amps / (1.0 - p.rho))
+    q = 1.0 - p.rho
+    norms = _xrho_sup(np.cumsum(trajectory.masses, axis=1), trajectory.edges[1:] ** q, trajectory.amps / q)
     ratios = norms / np.exp(p.beta * p.rho * trajectory.times)
     k = int(np.argmax(ratios))
     worst = float(ratios[k])

@@ -18,6 +18,19 @@ The weighted quantities all refer to the target self-similar profile
 h(x) = (1 - rho) x^(-rho): the normalized cumulative F(R)/R^(1-rho), the
 weighted sup distance between two distributions, and upper/lower envelope
 checks against F(R) = R^(1-rho) and R^(1-rho) (1 - (R0/R)^delta)_+.
+
+Three conventions of the invariant set live here alone, and the forward
+evolution and the stationary search read them from here:
+
+- the X_rho supremum sup_R |F(R)| / R^(1-rho) is the largest value at a
+  cell edge or the tail limit (_xrho_sup, one value per row, so a whole
+  trajectory at once);
+- the lower envelope R^(1-rho) (1 - (R0/R)^delta)_+ (_lower_envelope),
+  which the initial datum and its check share; no other module reads
+  R0 or delta;
+- the tail cells: the grid continued above its top edge at its own
+  ratio, where a tail A x^(-rho) dx puts A times each cell's
+  x^(1-rho) increment, divided by 1 - rho (_tail_cells).
 """
 
 from dataclasses import dataclass
@@ -132,10 +145,6 @@ class GridMeasure:
         return self.cell_mass.size
 
     @property
-    def ratio(self):
-        return self.edges[1] / self.edges[0]
-
-    @property
     def reps(self):
         """Geometric cell midpoints, used as collision representatives."""
         return np.sqrt(self.edges[:-1] * self.edges[1:])
@@ -154,6 +163,15 @@ class GridMeasure:
 def _edge_powers(m):
     """edges^(1 - rho), the cumulative of the unit power-law density."""
     return m.edges ** (1.0 - m.tail_exponent)
+
+
+def _tail_cells(edges, rho, n):
+    """The grid's ratio continued for n tail cells above its top edge:
+    (their n + 1 edges, the increment of x^(1-rho) across each).  A tail
+    A x^(-rho) dx puts A times the increment, divided by 1 - rho, in each
+    cell; callers scale and divide in that order."""
+    gedges = edges[-1] * (edges[1] / edges[0]) ** np.arange(n + 1)
+    return gedges, np.diff(gedges ** (1.0 - rho))
 
 
 def edge_cumulative(m):
@@ -212,21 +230,24 @@ def density_at(m, x):
     return float(out[0]) if x.ndim == 0 else out
 
 
-def xrho_norm(m):
-    """Weighted sup norm sup_R F(R) / R^(1-rho), including the tail limit.
+def _xrho_sup(cum, ep, tail):
+    """sup_R |F(R)| / R^(1-rho), row by row along the last axis.
 
-    Inside a cell F(R)/R^(1-rho) is monotone in R (it equals
-    B + A R^(rho-1) for cell constants A, B), so the supremum over all R
-    is attained at a cell edge or in the R -> inf limit
-    tail_amplitude / (1-rho); the returned value is exact for the stored
-    representation, not a sampled estimate.
+    cum is F at the upper cell edges, ep those edges^(1-rho) and tail the
+    R -> inf limit of the ratio, one per row.  Inside a cell
+    F(R)/R^(1-rho) is monotone in R (it equals B + A R^(rho-1) for cell
+    constants A, B), so the supremum over all R is the largest edge value
+    or the tail limit: exact for the stored representation, not a sampled
+    estimate.
     """
-    rho = m.tail_exponent
-    cums = edge_cumulative(m)
-    ep = _edge_powers(m)
-    edge_vals = cums[1:] / ep[1:]
-    tail_limit = m.tail_amplitude / (1.0 - rho)
-    return float(max(np.max(edge_vals, initial=0.0), tail_limit))
+    return np.maximum(np.max(np.abs(cum) / ep, axis=-1, initial=0.0), tail)
+
+
+def xrho_norm(m):
+    """Weighted sup norm sup_R F(R) / R^(1-rho), including the tail limit
+    tail_amplitude / (1-rho) (_xrho_sup)."""
+    tail = m.tail_amplitude / (1.0 - m.tail_exponent)
+    return float(_xrho_sup(np.cumsum(m.cell_mass), _edge_powers(m)[1:], tail))
 
 
 def xrho_dist(m1, m2):
@@ -242,12 +263,13 @@ def xrho_dist(m1, m2):
         m1.edges, m2.edges, rtol=1e-12, atol=0.0
     ):
         raise ValueError("measures must live on the same grid")
-    rho = m1.tail_exponent
-    diff = edge_cumulative(m1) - edge_cumulative(m2)
-    ep = _edge_powers(m1)
-    edge_vals = np.abs(diff[1:]) / ep[1:]
-    tail_limit = abs(m1.tail_amplitude - m2.tail_amplitude) / (1.0 - rho)
-    return float(max(np.max(edge_vals, initial=0.0), tail_limit))
+    tail = abs(m1.tail_amplitude - m2.tail_amplitude) / (1.0 - m1.tail_exponent)
+    return float(_xrho_sup(np.cumsum(m1.cell_mass) - np.cumsum(m2.cell_mass), _edge_powers(m1)[1:], tail))
+
+
+def _lower_envelope(params, R):
+    """The lower envelope R^(1-rho) (1 - (R0/R)^delta)_+ at R."""
+    return R ** (1.0 - params.rho) * np.clip(1.0 - (params.R0 / R) ** params.delta, 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -273,20 +295,15 @@ def envelope_check_upper(m, params, slack=0.0):
     """Check F(R) <= (1 + slack) R^(1-rho) at all edges and in the tail.
 
     The upper envelope is the cumulative of the target profile
-    (1-rho) x^(-rho); the check covers every cell edge and the
-    R -> inf limit of the ratio.
+    (1-rho) x^(-rho), so worst_ratio is xrho_norm(m); its location is the
+    first edge that attains it, else the R -> inf limit.
     """
-    rho = params.rho
-    if m.tail_exponent != rho:
+    if m.tail_exponent != params.rho:
         raise ValueError("params.rho disagrees with the measure's tail exponent")
-    cums = edge_cumulative(m)
-    ep = _edge_powers(m)
-    ratios = cums[1:] / ep[1:]
+    worst = xrho_norm(m)
+    ratios = np.cumsum(m.cell_mass) / _edge_powers(m)[1:]
     i = int(np.argmax(ratios))
-    worst, where = float(ratios[i]), float(m.edges[1 + i])
-    tail_limit = float(m.tail_amplitude / (1.0 - rho))
-    if tail_limit > worst:
-        worst, where = tail_limit, np.inf
+    where = float(m.edges[1 + i]) if ratios[i] == worst else np.inf
     ok = worst <= 1.0 + slack + _ROUNDOFF
     return EnvelopeReport(ok=ok, worst_ratio=worst, location=where, slack=slack)
 
@@ -297,19 +314,15 @@ def envelope_check_lower(m, params, slack=0.0):
     Edges at or below R0 impose no constraint (the envelope vanishes
     there); worst_ratio is the minimal F(R)/envelope(R) over the rest.
     """
-    rho = params.rho
-    if m.tail_exponent != rho:
+    if m.tail_exponent != params.rho:
         raise ValueError("params.rho disagrees with the measure's tail exponent")
-    cums = edge_cumulative(m)
-    ep = _edge_powers(m)
-    edges = m.edges
-    live = edges[1:] > params.R0
+    live = m.edges[1:] > params.R0
     if not np.any(live):
         return EnvelopeReport(ok=True, worst_ratio=np.inf, location=np.nan, slack=slack)
-    target = ep[1:][live] * (1.0 - (params.R0 / edges[1:][live]) ** params.delta)
-    ratios = cums[1:][live] / target
+    edges = m.edges[1:][live]
+    ratios = np.cumsum(m.cell_mass)[live] / _lower_envelope(params, edges)
     i = int(np.argmin(ratios))
-    worst, where = float(ratios[i]), float(edges[1:][live][i])
+    worst, where = float(ratios[i]), float(edges[i])
     ok = worst >= 1.0 - slack - _ROUNDOFF
     return EnvelopeReport(ok=ok, worst_ratio=worst, location=where, slack=slack)
 
@@ -365,10 +378,8 @@ def power_law_init(params, edges=None):
     """
     if edges is None:
         edges = geometric_grid()
-    rho, R0 = params.rho, params.R0
-    F = edges ** (1.0 - rho) * np.clip(1.0 - (R0 / edges) ** params.delta, 0.0, None)
-    mass = np.clip(np.diff(F), 0.0, None)
-    return GridMeasure(edges, mass, tail_amplitude=1.0 - rho, tail_exponent=rho)
+    mass = np.clip(np.diff(_lower_envelope(params, edges)), 0.0, None)
+    return GridMeasure(edges, mass, tail_amplitude=1.0 - params.rho, tail_exponent=params.rho)
 
 
 def write_tagged_csv(path_or_file, tag, meta, columns, rows):

@@ -50,6 +50,7 @@ from .forward import simulate  # noqa: F401  bench/trace_run.py wraps stationary
 from .kernel import CutoffParams, _z_power_terms, _zeta, eval_cutoff, eval_kernel
 from .measure import (
     GridMeasure,
+    _xrho_sup,
     cumulative_mass,
     density_at,
     dyadic_tail_integral,
@@ -70,10 +71,12 @@ __all__ = [
     "lambda_continuation",
 ]
 
-# the tail-fit window and the envelope slack of the search's report; the
-# flux quadrature's outer points per decade
+# the tail-fit window, the envelope slack and the flux identity's radii
+# (those strictly inside the grid) of the search's report; the flux
+# quadrature's outer points per decade
 FIT_WINDOW = (1e2, 1e4)
 ENVELOPE_SLACK = 1e-2
+PROBE_RADII = (1e1, 1e2, 1e3, 1e4)
 N_PER_DECADE = 64
 # quadrature points per block of the flux's inner sums, whose kernel,
 # cutoffs and partial-cell fractions are evaluated once (64 x window); and
@@ -394,9 +397,8 @@ class _Residual:
 
     def xrho_norm(self, G):
         """sup over the edges of |cumulative G| / R^(1-rho): the X_rho norm
-        of G as a measure without tail (xrho_norm's form, which needs no
-        sign)."""
-        return float(np.max(np.abs(np.cumsum(G)) / self.E[1:]))
+        of G as a measure without tail (measure._xrho_sup)."""
+        return float(_xrho_sup(np.cumsum(G), self.E[1:], 0.0))
 
     def scaled_norm(self, G):
         """The 2-norm of G / w, which the step control reads."""
@@ -577,7 +579,7 @@ def _verdicts(params, exponent, amplitude, residuals, upper, lower):
     return {
         "tail_exponent": bool(abs(exponent - params.rho) <= EXPONENT_GATE),
         "tail_amplitude": bool(abs(amplitude - q) <= AMPLITUDE_GATE * q),
-        "flux_residual": all(abs(v) <= FLUX_GATE for v in residuals.values()),
+        "flux_residual": bool(residuals) and all(abs(v) <= FLUX_GATE for v in residuals.values()),
         "envelopes": bool(upper.ok and lower.ok),
     }
 
@@ -588,7 +590,6 @@ def find_stationary(
     cutoff,
     edges=None,
     tol=1e-4,
-    probe_radii=None,
     start=None,
 ):
     """Solve for the stationary profile; report it and its diagnostics.
@@ -609,8 +610,9 @@ def find_stationary(
 
     The tail is fitted over FIT_WINDOW (1e2 to 1e4), both envelopes are
     checked with slack ENVELOPE_SLACK (1e-2), and the flux identity at the
-    probe_radii strictly inside the grid, by default the powers of ten
-    from 10 to 1e4; verdicts reads them against the acceptance gates.
+    PROBE_RADII (the powers of ten from 10 to 1e4) strictly inside the
+    grid; verdicts reads them against the acceptance gates, and the flux
+    verdict fails on a grid that holds none of them.
 
     Returns
     -------
@@ -625,11 +627,8 @@ def find_stationary(
     ptc = _PseudoTransient(residual)
     masses, converged = ptc.solve(residual.w.copy() if start is None else start.cell_mass, tol)
     h = GridMeasure(edges, masses, 1.0 - params.rho, params.rho)
-    if probe_radii is None:
-        probe_radii = [10.0**k for k in range(1, 5)]
-    probe_radii = [R for R in probe_radii if h.edges[0] < R < h.edges[-1]]
     residuals = {
-        R: decay0_residual(h, params, kernel, R, cutoff=cutoff) for R in probe_radii
+        R: decay0_residual(h, params, kernel, R, cutoff=cutoff) for R in PROBE_RADII if edges[0] < R < edges[-1]
     }
     exponent, amplitude = tail_fit(h)
     upper = envelope_check_upper(h, params, slack=ENVELOPE_SLACK)

@@ -142,7 +142,7 @@ class TestRunConfig:
         cfg = run_config(parse_config(BASE + "kernel.value = 5.0\n"))
         assert (cfg.kernel.family, cfg.kernel.value) == ("constant", 5.0)
 
-    @pytest.mark.parametrize("key", ["run.tol", "stationary.probe_radii"])
+    @pytest.mark.parametrize("key", ["run.tol"])
     def test_numeric_key_set_to_true_exits_1(self, tmp_path, capsys, key):
         code, _ = run_cli(tmp_path, BASE + f"{key} = true\n", "stationary")
         assert code == 1
@@ -164,8 +164,7 @@ class TestRunConfig:
             ("stationary", "cutoff.profile = cubic\n", ["unknown", "cutoff.profile"]),
             ("stationary", "run.t_max = 12.0\n", ["unknown", "run.t_max"]),
             ("stationary", "stationary.lambdas = 5e-2, 1e-2\n", ["stationary.lambdas", "cutoff.lambda"]),
-            ("stationary", "stationary.probe_radii = 10.0, 1e9\n", ["stationary.probe_radii", "1000000000.0"]),
-            ("stationary", "stationary.probe_radii = 1e-5\n", ["stationary.probe_radii", "1e-05"]),
+            ("stationary", "stationary.probe_radii = 10.0\n", ["unknown", "stationary.probe_radii"]),
             ("simulate", "run.t_final = inf\n", ["run", "t_final"]),
             ("simulate", "run.snapshot_dt = nan\n", ["run", "snapshot_dt"]),
             ("stationary", "grid.x_max = inf\n", ["grid", "x_max"]),
@@ -177,7 +176,7 @@ class TestRunConfig:
         ],
         ids=[
             "seed", "kernel_gamma", "y_values_n", "y_values_y_min", "y_values_y_max", "cutoff_profile",
-            "run_t_max", "lambdas", "radius_high", "radius_low", "t_final_inf", "snapshot_dt_nan",
+            "run_t_max", "lambdas", "probe_radii", "t_final_inf", "snapshot_dt_nan",
             "x_max_inf", "ratio_inf", "tol_inf", "y_max_inf", "r0_inf", "value_inf",
         ],
     )
@@ -352,7 +351,7 @@ class TestSimulateCommand:
 
 class TestStationaryCommand:
     def test_converged_manifest(self, tmp_path):
-        text = BASE + "run.tol = 5e-3\nstationary.probe_radii = 10.0\n"
+        text = BASE + "run.tol = 5e-3\n"
         code, out = run_cli(tmp_path, text, "stationary")
         assert code == 0
         manifest = json.loads((out / "stationary.json").read_text())
@@ -557,7 +556,7 @@ def recording(monkeypatch, name):
     return seen
 
 
-ORACLE_STATIONARY = BASE + "run.tol = 5e-3\nstationary.probe_radii = 10.0, 100.0\n"
+ORACLE_STATIONARY = BASE + "run.tol = 5e-3\n"
 ORACLE_CONTINUATION = CONTINUATION_BASE + "run.tol = 5e-3\nstationary.lambdas = 5e-2, 1e-2\n"
 
 

@@ -232,6 +232,41 @@ def test_kernel_families_are_read_in_kernel_only():
     assert found == []
 
 
+def envelope_reads(source):
+    """Lines that read an attribute named R0 or delta (the lower envelope's
+    onset scale and exponent)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ("R0", "delta") and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_checker_flags_envelope_reads():
+    source = (
+        '"""params.R0 in a docstring is text."""\n'
+        'key = "params.delta"\n'
+        "x = (params.R0 / R) ** params.delta\n"
+        "params = Params(gamma=0.0, rho=0.5, delta=0.2, R0=10.0)\n"
+        "y = getattr(params, 'R0')\n"
+        "z = f(params).delta\n"
+        "w = params.r0\n"
+    )
+    assert envelope_reads(source) == [3, 3, 6]
+
+
+def test_lower_envelope_is_read_in_measure_only():
+    # the lower envelope R^(1-rho) (1 - (R0/R)^delta)_+ lives in
+    # measure.py; other modules go through its functions
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "measure.py"
+        for line in envelope_reads(path.read_text())
+    ]
+    assert found == []
+
+
 def class_fields(source, names):
     """{class: set of its annotated field names} for the named top-level
     classes of a module."""

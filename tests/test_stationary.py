@@ -492,6 +492,14 @@ class TestFindStationary:
         for R in (10.0, 100.0, 1000.0):
             assert abs(res.residual_decay0[R]) <= 1e-2
 
+    def test_flux_verdict_fails_without_a_radius(self):
+        # a grid inside the fit window but around no probe radius: the
+        # flux identity is checked nowhere, so its verdict cannot pass
+        edges = geometric_grid(150.0, 900.0, RATIO)
+        res = find_stationary(PARAMS, constant_kernel(), CutoffParams(lam=0.1), edges=edges)
+        assert res.converged and res.residual_decay0 == {}
+        assert res.verdicts["flux_residual"] is False
+
 @pytest.fixture
 def engine_builds(monkeypatch):
     """Count _Engine builds, wrapping __init__ as the traced benchmark
@@ -644,7 +652,7 @@ class TestContinuationOracle:
         if cpus is not None:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         edges = geometric_grid(1e-2, 1e5, 2.0 ** (1.0 / 8.0))
-        kw = {"edges": edges, "tol": 1e-12, "probe_radii": [10.0, 100.0]}
+        kw = {"edges": edges, "tol": 1e-12}
         rep = lambda_continuation(PARAMS, constant_kernel(2.0), self.LAMBDAS, **kw)
         want = []
         for lv in self.LAMBDAS:
