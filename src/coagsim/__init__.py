@@ -35,7 +35,6 @@ from .forward import (
     Trajectory,
     gain,
     gronwall_check,
-    loss_rate,
     rearrangement_residual,
     rescaled_trajectory,
     simulate,
@@ -88,66 +87,5 @@ from .stationary import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "ContinuationReport",
-    "CutoffParams",
-    "DualField",
-    "EnvelopeReport",
-    "EvolutionState",
-    "GridMeasure",
-    "GronwallReport",
-    "IntegrationError",
-    "KernelSpec",
-    "Params",
-    "QTailReport",
-    "RunConfig",
-    "SimulationResult",
-    "StableProfile",
-    "StationaryResult",
-    "SubsolutionReport",
-    "Trajectory",
-    "WTable",
-    "adjoint_consistency",
-    "constant_kernel",
-    "cumulative_mass",
-    "decay0_residual",
-    "density_at",
-    "dyadic_tail_integral",
-    "envelope_check_lower",
-    "envelope_check_upper",
-    "eval_cutoff",
-    "eval_kernel",
-    "eval_regularized",
-    "find_m_star",
-    "find_stationary",
-    "from_csv",
-    "gain",
-    "gain_flux",
-    "geometric_grid",
-    "gronwall_check",
-    "lambda_continuation",
-    "load_config",
-    "loss_rate",
-    "parse_config",
-    "power_law_init",
-    "product_kernel",
-    "q_tail_bound",
-    "rearrangement_residual",
-    "rescaled_trajectory",
-    "run_config",
-    "simulate",
-    "solve_dual",
-    "subsolution_bound",
-    "sum_kernel",
-    "t3e4_residual",
-    "tail_fit",
-    "to_csv",
-    "w_deriv",
-    "w_eval",
-    "w_laplace",
-    "w_table",
-    "xrho_dist",
-    "xrho_norm",
-    "zero_kernel",
-]
+# every public name imported above, and no module (os, sys, the submodules)
+__all__ = sorted(n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, type(os)))

@@ -41,17 +41,6 @@ from .kernel import eval_cutoff, eval_kernel  # noqa: F401  eval_kernel: bench/t
 from .measure import GridMeasure, cumulative_mass
 from .stablecdf import StableProfile, w_table
 
-__all__ = [
-    "DualField",
-    "solve_dual",
-    "adjoint_consistency",
-    "subsolution_bound",
-    "find_m_star",
-    "q_tail_bound",
-    "SubsolutionReport",
-    "QTailReport",
-]
-
 
 @dataclass
 class DualField:
@@ -70,12 +59,6 @@ class DualField:
     t_final: float
     params: object
     diagnostics: dict = field(default_factory=dict)
-
-    def eval(self, j, X):
-        """Piecewise-linear Psi(X, s_values[j]); zero above R, constant
-        below the lowest node."""
-        return np.interp(np.asarray(X, dtype=float), self.nodes, self.psi[j],
-                         left=self.psi[j][0], right=0.0)
 
 
 class _Jumps:
@@ -151,14 +134,28 @@ class _Jumps:
         k, f = eng.k[:L], eng.f
         # the corner: the pairs whose lattice bracket is [n - 1, n], where
         # the convolutions read Psi_(n-1) and zero, and those whose sum
-        # lies between node n - 1 and R; both have lattice bracket n - 2 or
-        # above
-        a = np.arange(max(0, n - 2 - int(k.max())), n)[:, None]
-        P = Z[a] + Z[a + np.arange(L)]
+        # lies between node n - 1 and R.  Only candidates are tested: per
+        # diagonal d, the rows a >= n - 2 - max k whose bracket a + k_d is
+        # n - 3 or above and whose larger member Z_(a+d) is at or below R.
+        # No other pair is selected.  A sum at or above Z_(n-1) lies below
+        # the upper end of its bracket, so the bracket is n - 1 or above
+        # (n - 3 leaves two cells for the rounding of Z against the
+        # engine's lattice), and a sum at or below R has its larger member
+        # below R.  A bracket of n - 1 has its larger member at or below
+        # Z_(n-1) < R.  The candidates are sorted back to the (a, d) order
+        # of the rows x diagonals block, in which bincount sums them.
+        d = np.arange(L)
+        first = np.maximum(max(0, n - 2 - int(k.max())), n - 3 - k)
+        count = np.maximum(np.minimum(n - 1, np.searchsorted(Z, R, side="right") - 1 - d) - first + 1, 0)
+        d = np.repeat(d, count)
+        a = np.repeat(first - np.cumsum(count) + count, count) + np.arange(d.size)
+        order = np.argsort(a * L + d)
+        a, d = a[order], d[order]
+        P = Z[a] + Z[a + d]
         j = np.minimum(np.searchsorted(nodes, P, side="right") - 1, n - 1)
-        lo = a + k
-        ai, d = np.nonzero((eng.t > 0.0) & ((lo == n - 1) | ((P <= R) & (j == n - 1))))
-        a, P, j, lo, f = a[ai, 0], P[ai, d], j[ai, d], lo[ai, d], f[d]
+        lo = a + k[d]
+        sel = (eng.t[d] > 0.0) & ((lo == n - 1) | ((P <= R) & (j == n - 1)))
+        a, d, P, j, lo, f = a[sel], d[sel], P[sel], j[sel], lo[sel], f[d[sel]]
         b = a + d
         fe = np.where(P <= R, (nodes[j + 1] - P) / (nodes[j + 1] - nodes[j]), 0.0)
         node = np.concatenate([j, j + 1, lo, lo + 1])

@@ -38,8 +38,8 @@ ledger.
 The pair operator is built once here: _partners continues the grid with
 the tail cells and _ratio_kernel gives the static part of the regularized
 kernel, which the flux residual shares.  Its consumers read one _Engine:
-the stepper, the diagnostics loss_rate, gain and rearrangement_residual
-(through EvolutionState.engine), and the dual (through Trajectory.engine:
+the stepper, the diagnostics gain and rearrangement_residual (through
+EvolutionState.engine), and the dual (through Trajectory.engine:
 pair_sums, row, and the per-diagonal vectors as _offset_groups groups
 them).  The ratio cutoffs vanish past the partner ratio (2-lam)/lam, a
 fixed number of cells on the geometric grid, and every pair (i, i + d)
@@ -457,31 +457,6 @@ class _Stepper:
         )
         self.n_retries += n_rejected
         return masses
-
-
-def loss_rate(state, X):
-    """Net per-unit-mass loss rate A(X, t) at an arbitrary size X > 0.
-
-    Midpoint quadrature over the measure's cells plus tail ghost cells out
-    to the partner-ratio bound, beyond which the regularized kernel
-    vanishes identically: the engine's row of X against its partner
-    densities.
-
-    Parameters
-    ----------
-    state : EvolutionState
-    X : float
-
-    Returns
-    -------
-    float
-    """
-    if not X > 0.0:
-        raise ValueError("X must be > 0")
-    p, m, eng = state.params, state.measure, state.engine
-    _, v, esc = eng.densities(m.cell_mass, m.tail_amplitude, state.t)
-    ux = eval_cutoff(X / (state.cutoff.lam * np.exp(p.beta * state.t)))
-    return esc * ux * float(eng.row(X) @ v) - p.beta * p.rho
 
 
 def gain(state):

@@ -155,10 +155,6 @@ class GridMeasure:
         q = 1.0 - self.tail_exponent
         return self.cell_mass * q / np.diff(_edge_powers(self))
 
-    def total_mass(self):
-        """Mass carried by the cells (the analytic tail is infinite)."""
-        return float(np.sum(self.cell_mass))
-
 
 def _edge_powers(m):
     """edges^(1 - rho), the cumulative of the unit power-law density."""

@@ -60,17 +60,6 @@ from .measure import (
     xrho_dist,
 )
 
-__all__ = [
-    "StationaryResult",
-    "ContinuationReport",
-    "density_at",
-    "gain_flux",
-    "decay0_residual",
-    "find_stationary",
-    "tail_fit",
-    "lambda_continuation",
-]
-
 # the tail-fit window, the envelope slack and the flux identity's radii
 # (those strictly inside the grid) of the search's report; the flux
 # quadrature's outer points per decade

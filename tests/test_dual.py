@@ -122,16 +122,6 @@ class TestSolveDual:
         # survival probability decreases toward the cut
         assert field_const.diagnostics["max_monotonicity_violation"] <= 1e-12
 
-    def test_eval_interpolates(self, field_const):
-        nodes = field_const.nodes
-        psi0 = field_const.psi[0]
-        mid = np.sqrt(nodes[3] * nodes[4])
-        got = field_const.eval(0, mid)
-        w = (mid - nodes[3]) / (nodes[4] - nodes[3])
-        assert got == pytest.approx((1 - w) * psi0[3] + w * psi0[4], rel=1e-12)
-        assert field_const.eval(0, 11.0) == 0.0
-        assert field_const.eval(0, nodes[0] / 2) == psi0[0]
-
     def test_zero_kernel_stays_indicator(self, traj_zero):
         fld = solve_dual(traj_zero, 10.0, T_FINAL)
         np.testing.assert_array_equal(fld.psi, 1.0)
@@ -638,6 +628,67 @@ class TestDualOracle:
             np.testing.assert_allclose(jumps.far(tau), far, rtol=1e-13, atol=0.0)
 
 
+def dense_corner(jumps):
+    """_Jumps.corner as it was built from the dense block of rows
+    n - 2 - max k .. n - 1 by every diagonal, verbatim."""
+    eng, Z, n, nodes = jumps.engine, jumps.Z, jumps.n, jumps.nodes
+    R = nodes[-1]
+    L = eng.t.size
+    k, f = eng.k[:L], eng.f
+    a = np.arange(max(0, n - 2 - int(k.max())), n)[:, None]
+    P = Z[a] + Z[a + np.arange(L)]
+    j = np.minimum(np.searchsorted(nodes, P, side="right") - 1, n - 1)
+    lo = a + k
+    ai, d = np.nonzero((eng.t > 0.0) & ((lo == n - 1) | ((P <= R) & (j == n - 1))))
+    a, P, j, lo, f = a[ai, 0], P[ai, d], j[ai, d], lo[ai, d], f[d]
+    b = a + d
+    fe = np.where(P <= R, (nodes[j + 1] - P) / (nodes[j + 1] - nodes[j]), 0.0)
+    node = np.concatenate([j, j + 1, lo, lo + 1])
+    w = np.concatenate([fe, np.where(P <= R, 1.0 - fe, 0.0),
+                        np.where(lo < n, -f, 0.0), np.where(lo + 1 < n, f - 1.0, 0.0)])
+    pair = np.tile(np.arange(a.size), 4)
+    keep = w != 0.0
+    node, pair = node[keep], pair[keep]
+    w = w[keep] * eng.Yg[a[pair]] * eng.t[d[pair]]
+    both = (d[pair] > 0) & (b[pair] < n)
+    return (np.concatenate([a[pair], b[pair][both]]), np.concatenate([b[pair], a[pair][both]]),
+            np.concatenate([node, node[both]]), np.concatenate([w, w[both]]))
+
+
+class TestCornerOracle:
+    """The corner list from its candidate rows, bit for bit and in the same
+    order as from the dense block, with R from below the grid's first
+    representatives to above its ghost cells."""
+
+    @pytest.mark.parametrize(
+        "kernel, params",
+        [
+            (constant_kernel(1.0), Params(gamma=0.0, rho=0.5)),
+            (product_kernel(0.5), Params(gamma=0.5, rho=0.75)),
+            (constant_kernel(2.0), Params(gamma=0.0, rho=0.1, delta=0.05)),
+            (sum_kernel(0.1, 0.3), Params(gamma=0.3, rho=0.35, delta=0.02)),
+        ],
+        ids=["constant", "product", "rho0.1", "sum"],
+    )
+    @pytest.mark.parametrize("lam", [0.1, 1e-2, 1e-3])
+    @pytest.mark.parametrize("ratio", [2.0 ** (1.0 / 8.0), 2.0 ** (1.0 / 16.0)], ids=["r8", "r16"])
+    def test_matches_dense_block(self, kernel, params, lam, ratio):
+        edges = geometric_grid(1e-4, 1e8, ratio)
+        masses = np.ones((2, edges.size - 1))
+        traj = Trajectory(edges, np.array([0.0, 0.1]), masses, np.array([0.5, 0.5]), params,
+                          _Engine(edges, params, kernel, CutoffParams(lam=lam)))
+        sizes = set()
+        for R in (0.05, 1.0, 100.0, 1e6, 3e8, 1e12):
+            for t in (0.0, 0.1):
+                jumps = _Jumps(traj, R, t)
+                got, want = jumps.corner, dense_corner(jumps)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.shape == w.shape, (R, t)
+                    assert g.tobytes() == w.tobytes(), (R, t)
+                sizes.add(got[0].size)
+        assert len(sizes) > 1 and max(sizes) > 0
+
+
 def traced_peak(fn):
     """(result, peak): fn's return value and the traced bytes at the peak
     of the call."""
@@ -663,6 +714,13 @@ class TestDualWorkingMemory:
         q_tail_bound(traj, 100.0)
         rep, peak = traced_peak(lambda: q_tail_bound(traj, 100.0))
         assert rep.K_star > 0.0
+        assert peak <= 2**17
+
+    def test_corner(self, traj):
+        # the dense (rows x taps) selection block peaked at 0.84 MiB
+        jumps = _Jumps(traj, 100.0, T_FINAL)
+        corner, peak = traced_peak(lambda: jumps.corner)
+        assert corner[0].size > 0
         assert peak <= 2**17
 
     def test_cold_w_table(self):

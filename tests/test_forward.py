@@ -23,7 +23,6 @@ from coagsim.forward import (
     _ratio_kernel,
     gain,
     gronwall_check,
-    loss_rate,
     rearrangement_residual,
     rescaled_trajectory,
     simulate,
@@ -64,6 +63,16 @@ def atom_measure(edges, loaded, rho=0.5, amp=0.0):
     return GridMeasure(edges, mass, amp, rho)
 
 
+def engine_loss_rate(state, X):
+    """A(X, t) on the state's engine, read as the dual's _Jumps._total
+    reads a node's rate: esc u(X) times the row of X against the partner
+    densities, less the drift."""
+    p, m, eng = state.params, state.measure, state.engine
+    _, v, esc = eng.densities(m.cell_mass, m.tail_amplitude, state.t)
+    ux = eval_cutoff(X / (state.cutoff.lam * np.exp(p.beta * state.t)))
+    return esc * ux * float(eng.row(X) @ v) - p.beta * p.rho
+
+
 def oracle_loss_rate(state, X):
     """A(X, t) by midpoint quadrature over the cells and the tail ghost
     cells, with its own ghost cells and cutoff vector."""
@@ -86,21 +95,21 @@ class TestLossRate:
         st_ = state_of(m, constant_kernel(2.0))
         Y3 = np.sqrt(edges[3] * edges[4])
         expected = 2.0 * 0.7 / Y3 - PARAMS.beta * PARAMS.rho
-        assert loss_rate(st_, Y3) == pytest.approx(expected, rel=1e-12)
+        assert engine_loss_rate(st_, Y3) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_kernel_is_pure_drift(self):
         edges = geometric_grid(1.0, 4.0, ratio=RATIO)
         m = atom_measure(edges, {0: 1.0})
         st_ = state_of(m, zero_kernel())
         for X in [0.5, 3.0, 1e4]:
-            assert loss_rate(st_, X) == -PARAMS.beta * PARAMS.rho
+            assert engine_loss_rate(st_, X) == -PARAMS.beta * PARAMS.rho
 
     def test_dead_zone_below_cutoff(self):
         # probe size below lam/2 kills the kernel part entirely
         edges = geometric_grid(1.0, 4.0, ratio=RATIO)
         m = atom_measure(edges, {5: 2.0})
         st_ = state_of(m, constant_kernel(3.0))
-        assert loss_rate(st_, 0.25 * CUT.lam) == -PARAMS.beta * PARAMS.rho
+        assert engine_loss_rate(st_, 0.25 * CUT.lam) == -PARAMS.beta * PARAMS.rho
 
     def test_full_window_exact_sum(self):
         # support and probe inside the cutoff-free window: quadrature is an
@@ -113,7 +122,7 @@ class TestLossRate:
         st_ = state_of(m, constant_kernel(2.0), cutoff=cut)
         reps = m.reps
         expected = 2.0 * np.sum(mass / reps) - PARAMS.beta * PARAMS.rho
-        assert loss_rate(st_, 10.0) == pytest.approx(expected, rel=1e-12)
+        assert engine_loss_rate(st_, 10.0) == pytest.approx(expected, rel=1e-12)
 
     def test_dyadic_upper_bound(self):
         # cutoffs only remove mass: kernel part <= value * integral of
@@ -124,7 +133,7 @@ class TestLossRate:
         st_ = state_of(m, constant_kernel(2.0))
         bound = 2.0 * dyadic_tail_integral(m, CUT.lam / 2.0, 1.0)
         for X in [1.0, 25.0, 1e3, 1e6]:
-            kernel_part = loss_rate(st_, X) + PARAMS.beta * PARAMS.rho
+            kernel_part = engine_loss_rate(st_, X) + PARAMS.beta * PARAMS.rho
             assert 0.0 <= kernel_part <= bound * (1.0 + 1e-12)
 
     def test_fine_grid_oracle(self):
@@ -139,7 +148,7 @@ class TestLossRate:
         ker = constant_kernel(1.0)
         st_ = EvolutionState(m, 0.0, params, ker, cut)
         X = 1.0
-        got = loss_rate(st_, X) + params.beta * params.rho
+        got = engine_loss_rate(st_, X) + params.beta * params.rho
         # reference: integrate K_lam(X, z)/z against the intra-cell density
         total = 0.0
         for k in range(m.n_cells):
@@ -158,15 +167,16 @@ class TestLossRate:
         ],
     )
     def test_matches_engine_rates_at_representatives(self, kernel, params):
-        # loss_rate evaluates one row of the pair operator that the engine
-        # tabulates; t > 0 moves the small-size cutoff front into the grid
+        # a representative's row, as the dual reads R's, against the loss
+        # that rates takes by pair_sums; t > 0 moves the small-size cutoff
+        # front into the grid
         cut = CutoffParams(lam=1e-2)
         m = power_law_init(params, geometric_grid(1e-3, 1e4, ratio=RATIO))
         t = 0.3
         st_ = EvolutionState(m, t, params, kernel, cut)
         A = _Engine(m.edges, params, kernel, cut).rates(m.cell_mass, m.tail_amplitude, t)[0]
         drift = params.beta * params.rho
-        got = np.array([loss_rate(st_, Y) for Y in m.reps]) + drift
+        got = np.array([engine_loss_rate(st_, Y) for Y in m.reps]) + drift
         assert np.count_nonzero(A + drift) > 0.5 * m.n_cells
         np.testing.assert_allclose(got, A + drift, rtol=1e-12, atol=0.0)
 
@@ -191,7 +201,7 @@ class TestLossRate:
         drift = params.beta * params.rho
         probes = np.geomspace(1e-4, 1e6, 41)
         want = np.array([oracle_loss_rate(st_, X) for X in probes])
-        got = np.array([loss_rate(st_, X) for X in probes])
+        got = np.array([engine_loss_rate(st_, X) for X in probes])
         assert 10 < np.count_nonzero(want + drift) < probes.size
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=4e-16 * drift)
 
@@ -199,7 +209,7 @@ class TestLossRate:
         m = atom_measure(geometric_grid(1.0, 4.0, ratio=RATIO), {0: 1.0})
         st_ = state_of(m, constant_kernel(1.0))
         with pytest.raises(ValueError):
-            loss_rate(st_, 0.0)
+            engine_loss_rate(st_, 0.0)
 
 
 class TestGain:
@@ -218,7 +228,7 @@ class TestGain:
             + 2.0 * 0.5**2 / Y2
         )
         g = gain(self.state)
-        assert g.total_mass() == pytest.approx(expected, rel=1e-12)
+        assert np.sum(g.cell_mass) == pytest.approx(expected, rel=1e-12)
 
     def test_two_atom_deposit_locations(self):
         # each pair sum lands split across the two bracketing cells
@@ -242,7 +252,7 @@ class TestGain:
 
     def test_zero_kernel_gain_vanishes(self):
         g = gain(state_of(self.m, zero_kernel()))
-        assert g.total_mass() == 0.0
+        assert np.sum(g.cell_mass) == 0.0
 
 
 NEAR_GEOMETRIC_KERNELS = pytest.mark.parametrize(
@@ -342,7 +352,7 @@ class TestStateEngine:
 
         monkeypatch.setattr(forward._Engine, "__init__", counting_init)
         st_ = state_of(power_law_init(PARAMS), constant_kernel(1.0), t=0.2)
-        loss_rate(st_, 10.0)
+        engine_loss_rate(st_, 10.0)
         gain(st_)
         rearrangement_residual(st_, np.ones_like)
         rearrangement_residual(st_, lambda x: np.asarray(x, float))
@@ -1136,7 +1146,7 @@ class TestSimulate:
         edges = geometric_grid()
         z = GridMeasure(edges, np.zeros(edges.size - 1), 0.0, PARAMS.rho)
         res = simulate(z, PARAMS, constant_kernel(1.0), CUT, 0.3)
-        assert res.final.total_mass() == 0.0
+        assert np.sum(res.final.cell_mass) == 0.0
         assert res.origin_mass == 0.0 and res.overflow_mass == 0.0
 
     def test_origin_ledger_single_frame(self):

@@ -13,7 +13,11 @@ def unused_imports(source):
     """(line, name) of each imported name the module never reads.
 
     A name counts as read when it appears as a Name node or in a literal
-    __all__ list.  Imports whose line carries "# noqa: F401" are skipped.
+    __all__ list.  An __all__ that is no literal is derived from the
+    module's globals, as the package's is: every public name (no leading
+    underscore) that a top-level from-import binds counts as read, and a
+    private one still needs a reader.  Imports whose line carries
+    "# noqa: F401" are skipped.
     """
     tree = ast.parse(source)
     lines = source.splitlines()
@@ -22,7 +26,16 @@ def unused_imports(source):
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            read.update(ast.literal_eval(node.value))
+            try:
+                read.update(ast.literal_eval(node.value))
+            except ValueError:
+                read.update(
+                    alias.asname or alias.name
+                    for imp in tree.body
+                    if isinstance(imp, ast.ImportFrom)
+                    for alias in imp.names
+                    if not (alias.asname or alias.name).startswith("_")
+                )
     out = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -52,6 +65,20 @@ def test_checker_flags_unread_imports():
     assert unused_imports(source) == [(1, "os"), (5, "_ratio_kernel")]
 
 
+def test_checker_reads_a_derived_export_list():
+    # __init__'s form: the export list is every public global that is no
+    # module, so its public imports are read by it, and its private ones
+    # and plain module imports are not
+    source = (
+        "import os\n"
+        "import json\n"
+        "from .measure import GridMeasure, _tail_cells\n"
+        "from .forward import gain as rate_of_gain, _Engine as Engine\n"
+        "__all__ = sorted(n for n, v in globals().items() if not isinstance(v, type(os)))\n"
+    )
+    assert unused_imports(source) == [(2, "json"), (3, "_tail_cells")]
+
+
 def test_package_has_no_unused_imports():
     found = [
         f"{path.name}:{line}: {name}"
@@ -77,13 +104,20 @@ def private_definitions(source):
     return out
 
 
+def read_names(nodes):
+    """Names the code under nodes reads, bare (Name) or as an attribute
+    (mod._name)."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for node in nodes
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
 def loaded_names(source):
     """Names a module reads, bare (Name) or as an attribute (mod._name)."""
-    return {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-    }
+    return read_names([ast.parse(source)])
 
 
 def unread_private_names(sources):
@@ -666,3 +700,128 @@ def test_readme_names_every_config_key_and_no_other():
     named = readme_config_keys(README.read_text(), known)
     assert sorted(named - known) == []
     assert sorted(known - named) == []
+
+
+def unreached_definitions(sources, roots):
+    """(module, line, name) of each public function, method or class of
+    sources ({module: source}) that no chain of reads reaches from the
+    names in roots.
+
+    Reachability goes by name: a definition is reached when reached code
+    reads its name, bare or as an attribute, and then the names its own
+    code reads are reached.  A top-level assignment reaches what its value
+    reads, and the other top-level statements, which run at import, are
+    reached.  A class holds its decorators, bases, fields and dunder
+    methods; the methods of a class with a base class are its own too,
+    since the base may call them.  Other methods are reached by name.
+    """
+    defs, reads, todo = [], {}, list(roots)
+
+    def add(name, nodes):
+        reads.setdefault(name, set()).update(read_names(nodes))
+
+    for mod, src in sources.items():
+        for node in ast.parse(src).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((mod, node.lineno, node.name, node.name))
+                add(node.name, [node])
+            elif isinstance(node, ast.ClassDef):
+                defs.append((mod, node.lineno, node.name, node.name))
+                own = [*node.decorator_list, *node.bases]
+                for stmt in node.body:
+                    if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not stmt.name.startswith("__") and not node.bases):
+                        defs.append((mod, stmt.lineno, f"{node.name}.{stmt.name}", stmt.name))
+                        add(stmt.name, [stmt])
+                    else:
+                        own.append(stmt)
+                add(node.name, own)
+            elif isinstance(node, ast.Assign) and all(isinstance(t, ast.Name) for t in node.targets):
+                for target in node.targets:
+                    add(target.id, [node.value])
+            else:
+                todo += read_names([node])
+    seen = set()
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += reads.get(name, ())
+    return [
+        (mod, line, qual)
+        for mod, line, qual, name in defs
+        if not name.startswith("_") and name not in seen
+    ]
+
+
+def readme_names(readme):
+    """The identifiers a README shows in code: in its fenced blocks, below
+    their info string, and in its inline code spans."""
+    parts = re.split(r"^```", readme, flags=re.M)
+    code = [p.partition("\n")[2] for i, p in enumerate(parts) if i % 2]
+    code += [span for i, p in enumerate(parts) if not i % 2 for span in re.findall(r"`([^`]+)`", p)]
+    return set(re.findall(r"[A-Za-z_]\w*", "\n".join(code)))
+
+
+def test_checker_flags_unreached_definitions():
+    sources = {
+        "cli.py": (
+            "import argparse\n"
+            "from .kernel import Spec, build\n"
+            "_COMMANDS = {'run': lambda cfg: build(cfg).rate(2.0)}\n"
+            "class _Parser(argparse.ArgumentParser):\n"
+            "    def error(self, message):\n"
+            "        pass\n"
+            "def main(argv=None):\n"
+            "    return _COMMANDS[argv[0]](_Parser().parse_args(argv))\n"
+            "def helper():\n"
+            "    pass\n"
+        ),
+        "kernel.py": (
+            "from dataclasses import dataclass\n"
+            "TABLE = {'zero': 0.0}\n"
+            "@dataclass\n"
+            "class Spec:\n"
+            "    value: float = TABLE['zero']\n"
+            "    def __post_init__(self):\n"
+            "        check(self.value)\n"
+            "    def rate(self, x):\n"
+            "        return self.value * x\n"
+            "    def bound(self):\n"
+            "        return 2.0 * self.value\n"
+            "    def _scale(self):\n"
+            "        return 1.0\n"
+            "def check(x):\n"
+            "    pass\n"
+            "def build(cfg):\n"
+            "    return Spec()\n"
+            "def documented():\n"
+            "    return dead()\n"
+            "def dead():\n"
+            "    pass\n"
+            "def orphan():\n"
+            "    return Spec().bound()\n"
+        ),
+    }
+    assert unreached_definitions(sources, {"main"}) == [
+        ("cli.py", 9, "helper"),
+        ("kernel.py", 10, "Spec.bound"),
+        ("kernel.py", 18, "documented"),
+        ("kernel.py", 20, "dead"),
+        ("kernel.py", 22, "orphan"),
+    ]
+    readme = "Call `kernel.documented(x)`:\n\n```python\nfrom coagsim import helper\n```\n"
+    assert readme_names(readme) == {"kernel", "documented", "x", "from", "coagsim", "import", "helper"}
+    assert unreached_definitions(sources, {"main"} | readme_names(readme)) == [
+        ("kernel.py", 10, "Spec.bound"),
+        ("kernel.py", 22, "orphan"),
+    ]
+
+
+def test_every_public_definition_is_reached_by_the_cli_or_the_readme():
+    # a public function that only tests call is API nobody is told about;
+    # it goes, or the README shows it
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    roots = {"main"} | readme_names(README.read_text())
+    found = [f"{mod}:{line}: {name}" for mod, line, name in unreached_definitions(sources, roots)]
+    assert found == []
