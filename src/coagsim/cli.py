@@ -11,22 +11,23 @@ key-value config format of the config module:
     invariance-suite  envelope, growth-bound and pairing-identity checks,
                       JUnit XML plus JSON summary
 
-Common flags: --config PATH (required), --out DIR (default: the config's
-outputs key).  The three checking commands, dual-check, profile-w and
-invariance-suite, also take --tolerance X, their pass threshold, which
-must be finite; the stationary search stops at the config's run.tol
-alone.
+Every subcommand takes two flags: --config PATH (required) and --out DIR
+(default: out).  The three checking commands pass at fixed gates, the
+module constants DUAL_CHECK_TOL (dual-check's adjoint residual),
+PROFILE_W_TOL (profile-w's identity residual) and INVARIANCE_SLACK
+(invariance-suite's envelope and growth-bound slack), and record them in
+their manifests; the stationary search stops at the config's run.tol.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure or failed
 check, 3 non-convergence.  All artifacts carry a schema_version field and
-round-trip bit for bit: manifests are JSON, and profiles, snapshots and
-tables are the one tagged CSV format of the measure module (from_csv,
-read_table).  Nothing time- or machine-dependent is written, so identical
-configs produce bit-identical artifacts.
+round-trip bit for bit: manifests are strict JSON, with null for a
+non-finite float, and profiles, snapshots and tables are the one tagged
+CSV format of the measure module (from_csv, read_table).  Nothing time-
+or machine-dependent is written, so identical configs produce
+bit-identical artifacts.
 """
 
 import argparse
-import inspect
 import json
 import math
 import sys
@@ -59,10 +60,15 @@ from .stablecdf import StableProfile, t3e4_residual, w_deriv, w_eval
 from .stationary import find_stationary, lambda_continuation
 
 MANIFEST_SCHEMA_VERSION = 1
+# the pass gates of the checking commands
+DUAL_CHECK_TOL = 1e-3
+PROFILE_W_TOL = 1e-4
+INVARIANCE_SLACK = 1e-2
 
 
 def _jsonable(obj):
-    """Recursively convert numpy scalars and dataclasses for json."""
+    """Recursively convert numpy scalars and dataclasses for json, writing
+    a non-finite float as None (null)."""
     if is_dataclass(obj) and not isinstance(obj, type):
         return _jsonable(asdict(obj))
     if isinstance(obj, dict):
@@ -70,14 +76,20 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
 def write_json(path, obj):
-    """Write a manifest dict as deterministic, sorted, round-trip JSON."""
+    """Write a manifest dict as deterministic, sorted, strict JSON.
+
+    A non-finite float is written as null; one that escapes _jsonable
+    raises ValueError rather than write NaN or Infinity.
+    """
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -211,7 +223,7 @@ def cmd_stationary(cfg, out_dir):
     return 2 if failed_gates else 0
 
 
-def cmd_dual_check(cfg, out_dir, tolerance):
+def cmd_dual_check(cfg, out_dir):
     """Solve the backward dual problem and report pairing/barrier bounds."""
     R = get_float(cfg.raw, "dual.radius")
     t = get_float(cfg.raw, "dual.time", 0.5)
@@ -222,7 +234,6 @@ def cmd_dual_check(cfg, out_dir, tolerance):
     for s_req in dump_s:
         if not 0.0 <= s_req <= t:
             raise ConfigError(f"dual.dump_s value {s_req} outside [0, {t}]")
-    tol = tolerance if tolerance is not None else 1e-3
     h0 = power_law_init(cfg.params, geometric_grid(*cfg.grid))
     # dual.max_change caps the dual alone; the trajectory keeps its own cap
     traj = rescaled_trajectory(h0, cfg.params, cfg.kernel, cfg.cutoff, t)
@@ -250,7 +261,7 @@ def cmd_dual_check(cfg, out_dir, tolerance):
         "time": t,
         "max_change": mc,
         "trajectory_max_change": traj.diagnostics["max_change"],
-        "tolerance": tol,
+        "tolerance": DUAL_CHECK_TOL,
         "adjoint_residual": residual,
         "m_star": m_star,
         "subsolution": m_report,
@@ -262,15 +273,14 @@ def cmd_dual_check(cfg, out_dir, tolerance):
     write_json(out_dir / "dual_check.json", manifest)
     _log(
         f"dual-check: R={R:g} t={t:g} adjoint residual {residual:.3e}"
-        f" (tolerance {tol:g}), M*={m_star:.4g}, K*={q_report.K_star:.4g}"
+        f" (tolerance {DUAL_CHECK_TOL:g}), M*={m_star:.4g}, K*={q_report.K_star:.4g}"
     )
-    return 0 if residual <= tol else 2
+    return 0 if residual <= DUAL_CHECK_TOL else 2
 
 
-def cmd_profile_w(cfg, out_dir, tolerance):
+def cmd_profile_w(cfg, out_dir):
     """Tabulate W, W' and the integral-equation residual on a Y grid."""
     a = get_float(cfg.raw, "w.a")
-    tol = tolerance if tolerance is not None else 1e-4
     try:
         profile = StableProfile(a=a)
     except ValueError as exc:
@@ -300,24 +310,23 @@ def cmd_profile_w(cfg, out_dir, tolerance):
         "command": "profile-w",
         "a": a,
         "c": profile.c,
-        "tolerance": tol,
+        "tolerance": PROFILE_W_TOL,
         "max_residual": worst,
         "n_points": len(rows),
         "table_file": "w_profile.csv",
     }
     write_json(out_dir / "profile_w.json", manifest)
     _log(f"profile-w: a={a:g}, {len(rows)} points, max residual {worst:.3e}")
-    return 0 if worst <= tol else 2
+    return 0 if worst <= PROFILE_W_TOL else 2
 
 
-def cmd_invariance_suite(cfg, out_dir, tolerance):
+def cmd_invariance_suite(cfg, out_dir):
     """Run envelope, growth-bound and pairing-identity checks.
 
     Emits a JUnit-style XML report plus a JSON summary; any failing case
     makes the exit status 2.  The trajectory's engine serves every check,
     so the command builds one pair operator.
     """
-    slack = tolerance if tolerance is not None else 1e-2
     edges = geometric_grid(*cfg.grid)
     h0 = power_law_init(cfg.params, edges)
     cases = []
@@ -338,12 +347,12 @@ def cmd_invariance_suite(cfg, out_dir, tolerance):
         engine=traj.engine,
     )
     for t, snap in zip([0.0] + res.times, [h0] + res.snapshots):
-        up = envelope_check_upper(snap, cfg.params, slack=slack)
-        lo = envelope_check_lower(snap, cfg.params, slack=slack)
+        up = envelope_check_upper(snap, cfg.params, slack=INVARIANCE_SLACK)
+        lo = envelope_check_lower(snap, cfg.params, slack=INVARIANCE_SLACK)
         case(f"envelope_upper_t{t:.3f}", up.ok, f"worst ratio {up.worst_ratio!r} at R={up.location!r}")
         case(f"envelope_lower_t{t:.3f}", lo.ok, f"worst ratio {lo.worst_ratio!r} at R={lo.location!r}")
 
-    gw = gronwall_check(traj, tol=slack)
+    gw = gronwall_check(traj, tol=INVARIANCE_SLACK)
     case("gronwall_growth_bound", gw.ok, f"worst ratio {gw.worst_ratio!r} at t={gw.t_at!r}")
 
     state = traj.state(0)
@@ -363,7 +372,7 @@ def cmd_invariance_suite(cfg, out_dir, tolerance):
             "schema_version": MANIFEST_SCHEMA_VERSION,
             "command": "invariance-suite",
             "setup": _setup_dict(cfg),
-            "slack": slack,
+            "slack": INVARIANCE_SLACK,
             "n_cases": len(cases),
             "n_failures": n_fail,
             "cases": cases,
@@ -403,18 +412,6 @@ _COMMANDS = {
 }
 
 
-def _finite_float(text):
-    """argparse type of --tolerance: a finite float, so that NaN or an
-    infinite threshold is a usage error before any solve."""
-    try:
-        x = float(text)
-    except ValueError:
-        x = math.nan
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return x
-
-
 class _Parser(argparse.ArgumentParser):
     # usage problems are configuration problems under the exit-code contract
     def error(self, message):
@@ -429,16 +426,13 @@ def main(argv=None):
     for name, fn in _COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__.splitlines()[0])
         p.add_argument("--config", required=True, metavar="PATH", help="run configuration file")
-        p.add_argument("--out", metavar="DIR", help="output directory (default: config outputs key)")
-        if "tolerance" in inspect.signature(fn).parameters:  # the checking commands
-            p.add_argument("--tolerance", type=_finite_float, metavar="X", help="pass/fail threshold for this command")
+        p.add_argument("--out", default="out", metavar="DIR", help="output directory (default: out)")
     args = parser.parse_args(argv)
     try:
         cfg = run_config(load_config(args.config))
-        out_dir = Path(args.out if args.out is not None else cfg.outputs)
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        opts = {"tolerance": args.tolerance} if "tolerance" in args else {}
-        return _COMMANDS[args.command](cfg, out_dir, **opts)
+        return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return 1

@@ -27,8 +27,8 @@ typos; whole unknown sections are rejected too):
     stationary.lambdas
     dual.radius dual.time dual.max_change dual.dump_s
     w.a w.y_min w.y_max w.n
-    outputs
 
+No key names the output directory: that is the command line's --out.
 Each setting has one key: the kernel's degree is params.gamma, and a
 config that sets one thing twice (cutoff.lambda with stationary.lambdas)
 is rejected, as is kernel.alpha for a family other than sum and
@@ -54,7 +54,6 @@ _KNOWN_KEYS = {
     "stationary": {"lambdas"},
     "dual": {"radius", "time", "max_change", "dump_s"},
     "w": {"a", "y_min", "y_max", "n"},
-    "": {"outputs"},
 }
 
 
@@ -193,7 +192,6 @@ class RunConfig:
     snapshot_dt: float
     tol: float
     max_change: float
-    outputs: str
     raw: dict
 
 
@@ -254,6 +252,5 @@ def run_config(mapping):
         snapshot_dt=snapshot_dt,
         tol=tol,
         max_change=max_change,
-        outputs=get_str(mapping, "outputs", "out"),
         raw=dict(mapping),
     )

@@ -601,7 +601,9 @@ def find_stationary(
     checked with slack ENVELOPE_SLACK (1e-2), and the flux identity at the
     PROBE_RADII (the powers of ten from 10 to 1e4) strictly inside the
     grid; verdicts reads them against the acceptance gates, and the flux
-    verdict fails on a grid that holds none of them.
+    verdict fails on a grid that holds none of them.  A grid with fewer
+    than 3 cells inside FIT_WINDOW is refused with a ValueError before
+    any solve.
 
     Returns
     -------
@@ -611,6 +613,9 @@ def find_stationary(
         edges = geometric_grid()
     if start is not None and (start.tail_exponent != params.rho or start.cell_mass.shape != (edges.size - 1,)):
         raise ValueError("start must have the grid's cell count and tail exponent params.rho")
+    lo, hi = FIT_WINDOW
+    if np.count_nonzero((edges[:-1] >= lo) & (edges[1:] <= hi)) < 3:
+        raise ValueError(f"fit window [{lo:g}, {hi:g}] covers fewer than 3 cells of grid [{edges[0]:g}, {edges[-1]:g}]")
     eng = _Engine(edges, params, kernel, cutoff)
     residual = _Residual(eng, edges)
     ptc = _PseudoTransient(residual)

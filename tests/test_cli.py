@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import warnings
 from dataclasses import asdict
 
@@ -95,7 +96,6 @@ class TestRunConfig:
         assert cfg.kernel.family == "constant"
         assert cfg.grid == (1e-3, 1e4, 2.0 ** (1.0 / 16.0))
         assert cfg.tol == 1e-4 and cfg.max_change == 0.05
-        assert cfg.outputs == "out"
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="params.rho"):
@@ -173,17 +173,21 @@ class TestRunConfig:
             ("profile-w", "w.a = 0.5\nw.y_max = inf\n", ["w.y_max", "finite"]),
             ("dual-check", "params.r0 = inf\ndual.radius = 100.0\n", ["params.r0", "finite"]),
             ("simulate", "kernel.value = inf\n", ["kernel.value", "finite"]),
+            ("simulate", 'outputs = "results"\n', ["unknown", "outputs"]),
+            ("stationary", "grid.x_max = 90.0\n", ["fit window [100, 10000]", "grid [0.001, 88.75"]),
         ],
         ids=[
             "seed", "kernel_gamma", "y_values_n", "y_values_y_min", "y_values_y_max", "cutoff_profile",
             "run_t_max", "lambdas", "probe_radii", "t_final_inf", "snapshot_dt_nan",
             "x_max_inf", "ratio_inf", "tol_inf", "y_max_inf", "r0_inf", "value_inf",
+            "outputs", "grid_below_fit_window",
         ],
     )
     def test_refused_before_any_solve(self, tmp_path, monkeypatch, capsys, command, extra, names):
-        # an unknown or unread key, a second home for one setting, a
-        # probe radius the search would drop, or a non-finite number,
-        # exits 1 naming the keys, before any solve.  A key of BASE
+        # an unknown or unread key (the output directory is --out alone),
+        # a second home for one setting, a probe radius the search would
+        # drop, a non-finite number, or a grid that cannot hold the tail
+        # fit, exits 1 naming the keys, before any solve.  A key of BASE
         # set in extra replaces BASE's line.
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve started")
@@ -596,7 +600,7 @@ class TestDualCheckCommand:
     def test_zero_kernel_exact(self, tmp_path):
         text = BASE.replace("kernel.family = constant", "kernel.family = zero")
         text += "dual.radius = 10.0\ndual.time = 0.25\ndual.max_change = 0.02\ndual.dump_s = 0.0, 0.25\n"
-        code, out = run_cli(tmp_path, text, "dual-check", "--tolerance", "1e-12")
+        code, out = run_cli(tmp_path, text, "dual-check")
         assert code == 0
         manifest = json.loads((out / "dual_check.json").read_text())
         assert manifest["adjoint_residual"] <= 1e-12
@@ -605,12 +609,13 @@ class TestDualCheckCommand:
         psi = np.array(rows)[:, 1]
         assert psi.min() >= 0.0 and psi.max() <= 1.0
 
-    def test_coarse_steps_fail_tolerance(self, tmp_path):
+    def test_coarse_steps_fail_tolerance(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "DUAL_CHECK_TOL", 1e-6)
         text = BASE + "dual.radius = 10.0\ndual.time = 0.25\ndual.max_change = 0.2\n"
-        code, out = run_cli(tmp_path, text, "dual-check", "--tolerance", "1e-6")
+        code, out = run_cli(tmp_path, text, "dual-check")
         assert code == 2
         manifest = json.loads((out / "dual_check.json").read_text())
-        assert manifest["adjoint_residual"] > 1e-6
+        assert manifest["tolerance"] == 1e-6 < manifest["adjoint_residual"]
         assert manifest["m_star"] <= 1e4
 
     def test_dual_cap_leaves_forward_steps(self, tmp_path):
@@ -621,7 +626,7 @@ class TestDualCheckCommand:
             text = BASE + f"dual.radius = 10.0\ndual.time = 0.25\ndual.max_change = {mc}\n"
             run_dir = tmp_path / str(mc)
             run_dir.mkdir()
-            code, out = run_cli(run_dir, text, "dual-check", "--tolerance", "1e-2")
+            code, out = run_cli(run_dir, text, "dual-check")
             assert code == 0
             manifests[mc] = json.loads((out / "dual_check.json").read_text())
         coarse, fine = manifests[0.02], manifests[0.005]
@@ -675,7 +680,7 @@ class TestDualCheckCommand:
         monkeypatch.setattr(forward._Engine, "__init__", counting_init)
         text = BASE + "dual.radius = 10.0\ndual.time = 0.25\ndual.max_change = 0.02\n"
         cfg = run_config(parse_config(text))
-        assert cmd_dual_check(cfg, tmp_path, 1e-2) == 0
+        assert cmd_dual_check(cfg, tmp_path) == 0
         assert len(builds) == 1
 
     def test_leaves_the_half_band_unbuilt(self, tmp_path, monkeypatch):
@@ -691,7 +696,7 @@ class TestDualCheckCommand:
         monkeypatch.setattr(forward._Engine, "__init__", recording_init)
         text = BASE + "dual.radius = 10.0\ndual.time = 0.25\ndual.max_change = 0.02\n"
         cfg = run_config(parse_config(text))
-        assert cmd_dual_check(cfg, tmp_path, 1e-2) == 0
+        assert cmd_dual_check(cfg, tmp_path) == 0
         assert len(engines) == 1
         engine, keys = engines[0]
         assert "T" not in vars(engine) and not hasattr(engine, "T")
@@ -724,11 +729,13 @@ class TestProfileWCommand:
         code, _ = run_cli(tmp_path, BASE + "w.a = 1.5\n", "profile-w")
         assert code == 1
 
-    def test_loose_tolerance_controls_exit(self, tmp_path):
-        # at a tolerance beneath quadrature accuracy the command reports failure
+    def test_loose_tolerance_controls_exit(self, tmp_path, monkeypatch):
+        # at a gate beneath quadrature accuracy the command reports failure
+        monkeypatch.setattr(cli, "PROFILE_W_TOL", 1e-16)
         text = BASE + "w.a = 0.3\nw.y_min = 1.0\nw.y_max = 10.0\nw.n = 3\n"
-        code, _ = run_cli(tmp_path, text, "profile-w", "--tolerance", "1e-16")
+        code, out = run_cli(tmp_path, text, "profile-w")
         assert code == 2
+        assert json.loads((out / "profile_w.json").read_text())["tolerance"] == 1e-16
 
 
 class TestInvarianceSuiteCommand:
@@ -773,12 +780,13 @@ class TestInvarianceSuiteCommand:
         code, out = run_cli(tmp_path, text, "invariance-suite")
         assert code == 0
 
-    def test_junit_records_failures(self, tmp_path):
-        # shrinking the slack to 0 turns roundoff-level envelope excess into failures
-        code, out = run_cli(tmp_path, BASE, "invariance-suite", "--tolerance", "-1.0")
+    def test_junit_records_failures(self, tmp_path, monkeypatch):
+        # a negative slack turns every envelope check into a failure
+        monkeypatch.setattr(cli, "INVARIANCE_SLACK", -1.0)
+        code, out = run_cli(tmp_path, BASE, "invariance-suite")
         assert code == 2
         summary = json.loads((out / "invariance.json").read_text())
-        assert summary["n_failures"] > 0
+        assert summary["slack"] == -1.0 and summary["n_failures"] > 0
         xml = (out / "invariance.xml").read_text()
         assert "<failure" in xml
 
@@ -825,27 +833,64 @@ class TestArgumentHandling:
         assert exc.value.code == 1
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
-    def test_tolerance_only_on_commands_that_read_it(self, tmp_path, capsys, command):
-        # simulate has no pass threshold and the stationary search stops at
-        # run.tol, so --tolerance is a usage error there; on the checking
-        # commands it parses, and the missing config file exits 1
-        argv = [command, "--config", str(tmp_path / "nope.cfg"), "--tolerance", "1e-3"]
-        if command in ("simulate", "stationary"):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 1
-            assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
-        else:
-            assert main(argv) == 1
-            assert "config error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["dual-check", "profile-w", "invariance-suite"])
-    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
-    def test_non_finite_tolerance_is_a_usage_error(self, tmp_path, capsys, command, value):
-        # refused by the parser, before the (missing) config is read, so no
-        # solve starts and no non-standard JSON token is written
+    def test_every_command_refuses_tolerance(self, tmp_path, capsys, command):
+        # the checking commands pass at fixed gates, so --tolerance is a
+        # usage error everywhere, before the (missing) config is read
         with pytest.raises(SystemExit) as exc:
-            main([command, "--config", str(tmp_path / "nope.cfg"), f"--tolerance={value}"])
+            main([command, "--config", str(tmp_path / "nope.cfg"), "--tolerance", "1e-3"])
         assert exc.value.code == 1
-        assert f"--tolerance: expected a finite number, got {value!r}" in capsys.readouterr().err
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_options_are_config_and_out(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        options = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out))
+        assert options == {"-h", "--help", "--config", "--out"}
+
+    def test_out_defaults_to_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, BASE)
+        assert main(["simulate", "--config", cfg]) == 0
+        assert (tmp_path / "out" / "simulate.json").is_file()
+
+
+def strict_json(path):
+    """A manifest parsed by a parser that refuses NaN and Infinity."""
+
+    def refuse(token):
+        raise ValueError(f"{path.name}: non-JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestStrictJson:
+    def test_non_finite_floats_are_written_as_null(self, tmp_path):
+        cli.write_json(tmp_path / "m.json", {"a": float("inf"), "b": [np.float64("nan"), 1.5], "c": -np.inf})
+        assert strict_json(tmp_path / "m.json") == {"a": None, "b": [None, 1.5], "c": None}
+
+    def test_escaped_non_finite_raises(self, tmp_path, monkeypatch):
+        # a value that escapes the walk raises instead of writing a non-JSON token
+        monkeypatch.setattr(cli, "_jsonable", lambda obj: obj)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli.write_json(tmp_path / "m.json", {"a": float("nan")})
+
+    def test_stationary_tail_limit_location_is_null(self, tmp_path):
+        # the upper envelope's worst ratio is its tail limit, R = inf
+        for text, n in ((BASE, 1), (CONTINUATION_BASE + "stationary.lambdas = 5e-2, 1e-2\n", 2)):
+            code, out = run_cli(tmp_path, text, "stationary")
+            assert code == 0
+            results = strict_json(out / "stationary.json")["results"]
+            assert [r["envelope_upper"]["location"] for r in results] == [None] * n
+            assert all(r["envelope_upper"]["worst_ratio"] == 1.0 for r in results)
+
+    def test_k_star_location_is_null_without_partners_beyond_r(self, tmp_path):
+        # R = 1e12 lies above the top cell's partner reach, so K* = 0 and
+        # no (X, tau) attains it
+        text = BASE + "dual.radius = 1e12\ndual.time = 0.25\n"
+        code, out = run_cli(tmp_path, text, "dual-check")
+        assert code == 0
+        k_star = strict_json(out / "dual_check.json")["k_star"]
+        assert k_star == {"K_star": 0.0, "R": 1e12, "X_at": None, "tau_at": None}

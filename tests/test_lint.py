@@ -702,6 +702,67 @@ def test_readme_names_every_config_key_and_no_other():
     assert sorted(known - named) == []
 
 
+def readme_flags(readme):
+    """The command-line flags that a README's "Command-line interface"
+    section names, in its prose and its code blocks alike."""
+    section = readme.split("\n## Command-line interface\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+
+
+def parser_flags(cli_source):
+    """The option strings that the function main passes to add_argument."""
+    main = next(n for n in ast.parse(cli_source).body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    return {
+        arg.value
+        for node in ast.walk(main)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+        for arg in node.args
+        if isinstance(arg, ast.Constant) and str(arg.value).startswith("-")
+    }
+
+
+def test_checker_reads_the_readme_flags():
+    readme = (
+        "# tool\n"
+        "\n"
+        "Pass `--verbose` for progress.\n"
+        "\n"
+        "## Command-line interface\n"
+        "\n"
+        "```sh\n"
+        "tool check --config run.cfg --tolerance 1e-4\n"
+        "```\n"
+        "\n"
+        "Flags: `--config PATH` and `--out DIR`; `dual-check` and `profile-w` are commands.\n"
+        "\n"
+        "## Config format\n"
+        "\n"
+        "Set `--seed` nowhere.\n"
+    )
+    cli = (
+        "def helper(p):\n"
+        "    p.add_argument('--debug')\n"
+        "def main(argv=None):\n"
+        "    p = make()\n"
+        "    p.add_argument('--config', required=True, metavar='PATH')\n"
+        "    p.add_argument('-o', '--out', help='--not-a-flag')\n"
+        "    p.add_argument(dest='command')\n"
+    )
+    named, known = readme_flags(readme), parser_flags(cli)
+    assert named == {"--config", "--tolerance", "--out"}
+    assert known == {"--config", "-o", "--out"}
+    assert named - known == {"--tolerance"}
+
+
+def test_readme_names_the_cli_flags_and_no_other():
+    # a flag the README shows but the parser lacks is a usage error for
+    # whoever copies it; a flag it never names is a setting nobody finds
+    known = parser_flags((SRC / "cli.py").read_text())
+    named = readme_flags(README.read_text())
+    assert sorted(named - known) == []
+    assert sorted(known - named) == []
+
+
 def unreached_definitions(sources, roots):
     """(module, line, name) of each public function, method or class of
     sources ({module: source}) that no chain of reads reaches from the

@@ -531,6 +531,20 @@ class TestEngineReuse:
         )
         assert engine_builds() == 2
 
+    @pytest.mark.parametrize("continuation", [False, True], ids=["search", "continuation"])
+    def test_grid_short_of_the_fit_window_builds_no_engine(self, engine_builds, continuation):
+        # x_max = 90 tops the grid at 88.17, below the window's 100: the
+        # search is refused before it builds an engine, and the
+        # continuation before its first search
+        edges = geometric_grid(1e-4, 90.0)
+        match = r"fit window \[100, 10000\] covers fewer than 3 cells of grid \[0\.0001, 88\.17"
+        with pytest.raises(ValueError, match=match):
+            if continuation:
+                lambda_continuation(PARAMS, constant_kernel(2.0), [1e-1, 1e-2], edges=edges)
+            else:
+                find_stationary(PARAMS, constant_kernel(2.0), CUT, edges=edges)
+        assert engine_builds() == 0
+
 class TestLambdaContinuation:
     def test_distances_decrease_with_cutoff(self):
         edges = geometric_grid(1e-2, 1e5, 2.0 ** (1.0 / 8.0))
