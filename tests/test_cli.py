@@ -833,13 +833,26 @@ class TestArgumentHandling:
         assert exc.value.code == 1
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
-    def test_every_command_refuses_tolerance(self, tmp_path, capsys, command):
-        # the checking commands pass at fixed gates, so --tolerance is a
-        # usage error everywhere, before the (missing) config is read
+    def test_tolerance_only_on_commands_that_read_it(self, tmp_path, capsys, command):
+        # no command reads a tolerance: the checking commands pass at fixed
+        # gates, so --tolerance is a usage error everywhere, before the
+        # (missing) config is read
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", str(tmp_path / "nope.cfg"), "--tolerance", "1e-3"])
         assert exc.value.code == 1
         assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["dual-check", "profile-w", "invariance-suite"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_tolerance_is_a_usage_error(self, tmp_path, capsys, command, value):
+        # refused by the parser, before the (missing) config is read, so no
+        # solve starts, no gate is moved and no non-standard JSON token is
+        # written
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(tmp_path / "nope.cfg"), f"--tolerance={value}"])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: --tolerance={value}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
