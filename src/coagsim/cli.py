@@ -17,6 +17,8 @@ module constants DUAL_CHECK_TOL (dual-check's adjoint residual),
 PROFILE_W_TOL (profile-w's identity residual) and INVARIANCE_SLACK
 (invariance-suite's envelope and growth-bound slack), and record them in
 their manifests; the stationary search stops at the config's run.tol.
+simulate and invariance-suite step at the cap FORWARD_MAX_CHANGE, and
+profile-w tabulates on the Y grid np.geomspace(*PROFILE_W_GRID).
 
 Exit codes: 0 success, 1 config error, 2 numerical failure or failed
 check, 3 non-convergence.  All artifacts carry a schema_version field and
@@ -36,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, get_float, get_floats, get_int, load_config, run_config
+from .config import ConfigError, get_float, get_floats, load_config, run_config
 from .dual import find_m_star, q_tail_bound, solve_dual, adjoint_consistency
 from .forward import (
     IntegrationError,
@@ -64,6 +66,10 @@ MANIFEST_SCHEMA_VERSION = 1
 DUAL_CHECK_TOL = 1e-3
 PROFILE_W_TOL = 1e-4
 INVARIANCE_SLACK = 1e-2
+# simulate's and invariance-suite's per-step relative change cap
+FORWARD_MAX_CHANGE = 0.05
+# profile-w's Y grid: np.geomspace(y_min, y_max, n)
+PROFILE_W_GRID = (1e-2, 1e4, 41)
 
 
 def _jsonable(obj):
@@ -153,7 +159,7 @@ def cmd_simulate(cfg, out_dir):
         cfg.cutoff,
         cfg.t_final,
         snapshot_times=snaps,
-        max_change=cfg.max_change,
+        max_change=FORWARD_MAX_CHANGE,
     )
     files = []
     for k, snap in enumerate(res.snapshots):
@@ -285,13 +291,8 @@ def cmd_profile_w(cfg, out_dir):
         profile = StableProfile(a=a)
     except ValueError as exc:
         raise ConfigError(f"w.a: {exc}") from exc
-    y_lo = get_float(cfg.raw, "w.y_min", 1e-2)
-    y_hi = get_float(cfg.raw, "w.y_max", 1e4)
-    n = get_int(cfg.raw, "w.n", 41)
-    if not (0.0 < y_lo < y_hi and n >= 2):
-        raise ConfigError("w: need 0 < y_min < y_max and n >= 2")
     rows, worst = [], 0.0
-    for y in np.geomspace(y_lo, y_hi, n):
+    for y in np.geomspace(*PROFILE_W_GRID):
         w = w_eval(profile, y)
         # beneath the quadrature noise floor both sides of the defining
         # identity vanish; the absolute defect is the meaningful reading
@@ -334,7 +335,7 @@ def cmd_invariance_suite(cfg, out_dir):
     def case(name, ok, detail):
         cases.append({"name": name, "ok": bool(ok), "detail": detail})
 
-    traj = rescaled_trajectory(h0, cfg.params, cfg.kernel, cfg.cutoff, 1.0, max_change=cfg.max_change)
+    traj = rescaled_trajectory(h0, cfg.params, cfg.kernel, cfg.cutoff, 1.0, max_change=FORWARD_MAX_CHANGE)
     sample_ts = np.linspace(0.0, 1.0, 10)
     res = simulate(
         h0,
@@ -343,7 +344,7 @@ def cmd_invariance_suite(cfg, out_dir):
         cfg.cutoff,
         1.0,
         snapshot_times=sample_ts[1:],
-        max_change=cfg.max_change,
+        max_change=FORWARD_MAX_CHANGE,
         engine=traj.engine,
     )
     for t, snap in zip([0.0] + res.times, [h0] + res.snapshots):
@@ -433,13 +434,10 @@ def main(argv=None):
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out_dir)
-    except ConfigError as exc:
-        _log(f"config error: {exc}")
-        return 1
     except IntegrationError as exc:
         _log(f"numerical failure: {exc}")
         return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError among them
         _log(f"config error: {exc}")
         return 1
 

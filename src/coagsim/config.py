@@ -23,12 +23,15 @@ typos; whole unknown sections are rejected too):
     cutoff.lambda
     kernel.family kernel.alpha kernel.value
     grid.x_min grid.x_max grid.ratio
-    run.t_final run.snapshot_dt run.tol run.max_change
+    run.t_final run.snapshot_dt run.tol
     stationary.lambdas
     dual.radius dual.time dual.max_change dual.dump_s
-    w.a w.y_min w.y_max w.n
+    w.a
 
 No key names the output directory: that is the command line's --out.
+Nor does one name simulate's and invariance-suite's step cap or
+profile-w's Y grid: those are the cli constants FORWARD_MAX_CHANGE and
+PROFILE_W_GRID.
 Each setting has one key: the kernel's degree is params.gamma, and a
 config that sets one thing twice (cutoff.lambda with stationary.lambdas)
 is rejected, as is kernel.alpha for a family other than sum and
@@ -50,10 +53,10 @@ _KNOWN_KEYS = {
     "cutoff": {"lambda"},
     "kernel": {"family", "alpha", "value"},
     "grid": {"x_min", "x_max", "ratio"},
-    "run": {"t_final", "snapshot_dt", "tol", "max_change"},
+    "run": {"t_final", "snapshot_dt", "tol"},
     "stationary": {"lambdas"},
     "dual": {"radius", "time", "max_change", "dump_s"},
-    "w": {"a", "y_min", "y_max", "n"},
+    "w": {"a"},
 }
 
 
@@ -153,10 +156,6 @@ def get_float(mapping, key, default=None):
     return _finite(key, float(_typed(mapping, key, (int, float), default, "a number")))
 
 
-def get_int(mapping, key, default=None):
-    return int(_typed(mapping, key, int, default, "an integer"))
-
-
 def get_str(mapping, key, default=None):
     return str(_typed(mapping, key, str, default, "a string"))
 
@@ -191,7 +190,6 @@ class RunConfig:
     t_final: float
     snapshot_dt: float
     tol: float
-    max_change: float
     raw: dict
 
 
@@ -240,9 +238,8 @@ def run_config(mapping):
     if not (t_final >= 0.0 and snapshot_dt >= 0.0):
         raise ConfigError("run: t_final and snapshot_dt must be >= 0")
     tol = get_float(mapping, "run.tol", 1e-4)
-    max_change = get_float(mapping, "run.max_change", 0.05)
-    if not (tol > 0.0 and 0.0 < max_change < 1.0):
-        raise ConfigError("run: need tol > 0 and 0 < max_change < 1")
+    if not tol > 0.0:
+        raise ConfigError("run: need tol > 0")
     return RunConfig(
         params=params,
         kernel=kernel,
@@ -251,6 +248,5 @@ def run_config(mapping):
         t_final=t_final,
         snapshot_dt=snapshot_dt,
         tol=tol,
-        max_change=max_change,
         raw=dict(mapping),
     )

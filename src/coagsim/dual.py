@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .forward import _heun_run, _offset_groups, _partners
+from .forward import _heun_run, _offset_groups
 from .kernel import eval_cutoff, eval_kernel  # noqa: F401  eval_kernel: bench/trace_run.py wraps dual.eval_kernel
 from .measure import GridMeasure, cumulative_mass
 from .stablecdf import StableProfile, w_table
@@ -100,7 +100,7 @@ class _Jumps:
         beta = trajectory.params.beta
         # the grid's own representatives, which the engine's lattice
         # matches to rounding
-        self.Z = Z = _partners(trajectory.edges, trajectory.params.rho, eng.cutoff.lam)[1] * np.exp(-beta * t)
+        self.Z = Z = eng.reps * np.exp(-beta * t)
         self.n = n = int(np.count_nonzero(Z[: eng.N] < R * (1.0 - 1e-12)))
         self.nodes = np.append(Z[:n], R)
         self.row = eng.row(R * np.exp(beta * t))

@@ -40,7 +40,7 @@ the tail cells and _ratio_kernel gives the static part of the regularized
 kernel, which the flux residual shares.  Its consumers read one _Engine:
 the stepper, the diagnostics gain and rearrangement_residual (through
 EvolutionState.engine), and the dual (through Trajectory.engine:
-pair_sums, row, and the per-diagonal vectors as _offset_groups groups
+reps, pair_sums, row, and the per-diagonal vectors as _offset_groups groups
 them).  The ratio cutoffs vanish past the partner ratio (2-lam)/lam, a
 fixed number of cells on the geometric grid, and every pair (i, i + d)
 is a scaled copy of (0, d): its weight is Y_i^gamma t_d and its sum P
@@ -61,10 +61,11 @@ beta T is an integer number of cells, a two-cell power-law split otherwise),
 mass leaving through the bottom edge accumulates in an origin ledger, and
 vacated top cells are refilled from the tail extension.  The tail amplitude
 needs no fitting: coagulation shuts off at X -> inf (the partner-ratio
-cutoff leaves no partners), so the far tail is pure drift, the X-frame
-amplitude grows by exactly e^(beta rho T) within a frame, and the map-back
-divides the same factor out; the physical tail amplitude is a conserved
-boundary condition.
+cutoff leaves no partners), so the far tail is pure drift and the physical
+tail amplitude is a conserved boundary condition, which simulate never
+updates.  Within a frame the X-frame amplitude is the physical one times
+e^(beta rho s); the map-back refills the vacated cells from it at the
+frame's end.
 """
 
 from dataclasses import dataclass, field
@@ -240,7 +241,9 @@ class _Engine:
         self.params, self.kernel, self.cutoff = params, kernel, cutoff
         self.rates_calls = 0  # the calls of rates, which the stationary search reports
         self.N = N = edges.size - 1
-        self.ghost_pow = _partners(edges, params.rho, cutoff.lam)[2]
+        # the grid's own representatives continued by the ghost cells (the
+        # dual's nodes), and the ghost cells' mass per unit tail amplitude
+        _, self.reps, self.ghost_pow = _partners(edges, params.rho, cutoff.lam)
         # pairs with weight lie within n_ghost - 2 cells (the partner-ratio
         # bound), so t, cut after its last weight, fits in dmax + 1 taps
         self.dmax = dmax = self.ghost_pow.size - 1
@@ -472,9 +475,10 @@ def gain(state):
 
 
 def _map_back(masses, amp, edges, sigma, rho):
-    """Map an X-frame state of age sigma/beta to physical variables.
+    """Map an X-frame state of age sigma/beta, with X-frame tail amplitude
+    amp, to physical variables.
 
-    Returns (new_masses, new_amp, spilled_mass).  The grid shift is
+    Returns (new_masses, spilled_mass).  The grid shift is
     sigma / ln(r) cells; the integer part is an index shift and the
     fractional part a constant two-cell power-law split (exact for data
     following the intra-cell shape; its weight is exactly 0 at a whole
@@ -498,7 +502,7 @@ def _map_back(masses, amp, edges, sigma, rho):
     shifted = fb * ext[km + 1 : km + 1 + n] + (1.0 - fb) * ext[km : km + n]
     spill = float(np.sum(ext[:km])) + fb * float(ext[km])
     scale = np.exp(-sigma)
-    return shifted * scale, amp * np.exp(-rho * sigma), spill * scale
+    return shifted * scale, spill * scale
 
 
 def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), max_change=0.05, *, engine=None):
@@ -507,9 +511,9 @@ def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), max_change=
     The run is split into frames of one octave of drift, ln(2)/beta
     (so each frame's map-back is an exact index shift), with extra frame
     boundaries at requested snapshot times.  The physical tail amplitude
-    is conserved across frames (the far tail sees no coagulation under
-    the partner-ratio cutoff) and the ledger records mass leaving
-    through the bottom edge.
+    is conserved (the far tail sees no coagulation under the
+    partner-ratio cutoff), so every snapshot carries h0's bit for bit,
+    and the ledger records mass leaving through the bottom edge.
 
     Parameters
     ----------
@@ -563,11 +567,10 @@ def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), max_change=
             masses = stepper.run(masses, amp, 0.0, T)
             # tail closure: the partner-ratio cutoff silences coagulation
             # at X -> inf, so the far tail is pure drift and the physical
-            # tail amplitude is conserved.  The X-frame amplitude grows by
-            # exactly e^(beta rho T); the map-back divides it out again.
-            amp *= np.exp(params.beta * params.rho * T)
+            # tail amplitude is conserved.  The X-frame amplitude has grown
+            # by exactly e^(beta rho T) by the frame's end.
             sigma = params.beta * T
-            masses, amp, spill = _map_back(masses, amp, edges, sigma, params.rho)
+            masses, spill = _map_back(masses, amp * np.exp(params.beta * params.rho * T), edges, sigma, params.rho)
             origin += spill
             t_done = min(t_stop, t_done + T)
         out_times.append(t_done)

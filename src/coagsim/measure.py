@@ -145,11 +145,6 @@ class GridMeasure:
         return self.cell_mass.size
 
     @property
-    def reps(self):
-        """Geometric cell midpoints, used as collision representatives."""
-        return np.sqrt(self.edges[:-1] * self.edges[1:])
-
-    @property
     def amplitudes(self):
         """Density level c_k of each cell: the density is c_k x^(-rho) inside it."""
         q = 1.0 - self.tail_exponent

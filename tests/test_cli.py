@@ -95,7 +95,9 @@ class TestRunConfig:
         assert cfg.params.rho == 0.5 and cfg.cutoff.lam == 1e-2
         assert cfg.kernel.family == "constant"
         assert cfg.grid == (1e-3, 1e4, 2.0 ** (1.0 / 16.0))
-        assert cfg.tol == 1e-4 and cfg.max_change == 0.05
+        assert cfg.tol == 1e-4
+        # the step cap and the Y grid are constants, not keys
+        assert cli.FORWARD_MAX_CHANGE == 0.05 and cli.PROFILE_W_GRID == (1e-2, 1e4, 41)
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="params.rho"):
@@ -170,7 +172,10 @@ class TestRunConfig:
             ("stationary", "grid.x_max = inf\n", ["grid", "x_max"]),
             ("simulate", "grid.ratio = inf\n", ["grid", "ratio"]),
             ("stationary", "run.tol = inf\n", ["run.tol", "finite"]),
-            ("profile-w", "w.a = 0.5\nw.y_max = inf\n", ["w.y_max", "finite"]),
+            ("simulate", "run.max_change = 0.05\n", ["unknown", "run.max_change"]),
+            ("profile-w", "w.a = 0.5\nw.y_min = 1e-2\n", ["unknown", "w.y_min"]),
+            ("profile-w", "w.a = 0.5\nw.y_max = 1e4\n", ["unknown", "w.y_max"]),
+            ("profile-w", "w.a = 0.5\nw.n = 41\n", ["unknown", "w.n"]),
             ("dual-check", "params.r0 = inf\ndual.radius = 100.0\n", ["params.r0", "finite"]),
             ("simulate", "kernel.value = inf\n", ["kernel.value", "finite"]),
             ("simulate", 'outputs = "results"\n', ["unknown", "outputs"]),
@@ -179,12 +184,13 @@ class TestRunConfig:
         ids=[
             "seed", "kernel_gamma", "y_values_n", "y_values_y_min", "y_values_y_max", "cutoff_profile",
             "run_t_max", "lambdas", "probe_radii", "t_final_inf", "snapshot_dt_nan",
-            "x_max_inf", "ratio_inf", "tol_inf", "y_max_inf", "r0_inf", "value_inf",
-            "outputs", "grid_below_fit_window",
+            "x_max_inf", "ratio_inf", "tol_inf", "max_change", "y_min", "y_max", "n", "r0_inf",
+            "value_inf", "outputs", "grid_below_fit_window",
         ],
     )
     def test_refused_before_any_solve(self, tmp_path, monkeypatch, capsys, command, extra, names):
-        # an unknown or unread key (the output directory is --out alone),
+        # an unknown or unread key (the output directory is --out alone;
+        # the forward step cap and profile-w's Y grid are cli constants),
         # a second home for one setting, a probe radius the search would
         # drop, a non-finite number, or a grid that cannot hold the tail
         # fit, exits 1 naming the keys, before any solve.  A key of BASE
@@ -704,9 +710,9 @@ class TestDualCheckCommand:
 
 
 class TestProfileWCommand:
-    def test_half_matches_closed_form(self, tmp_path):
-        text = BASE + "w.a = 0.5\nw.y_min = 1.0\nw.y_max = 100.0\nw.n = 7\n"
-        code, out = run_cli(tmp_path, text, "profile-w")
+    def test_half_matches_closed_form(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "PROFILE_W_GRID", (1.0, 100.0, 7))
+        code, out = run_cli(tmp_path, BASE + "w.a = 0.5\n", "profile-w")
         assert code == 0
         kind, meta, cols, rows = read_table(out / "w_profile.csv")
         assert kind == "w-profile" and cols == ["y", "w", "w_prime", "t3e4_residual"]
@@ -715,7 +721,7 @@ class TestProfileWCommand:
             assert w == pytest.approx(w_eval(prof, y), abs=1e-12)
 
     def test_half_default_grid_passes(self, tmp_path):
-        # the default 41-point grid on [1e-2, 1e4] reaches W = 3e-10 at
+        # the fixed 41-point grid on [1e-2, 1e4] reaches W = 3e-10 at
         # Y = 0.158, where the identity needs W at full relative accuracy
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -732,8 +738,8 @@ class TestProfileWCommand:
     def test_loose_tolerance_controls_exit(self, tmp_path, monkeypatch):
         # at a gate beneath quadrature accuracy the command reports failure
         monkeypatch.setattr(cli, "PROFILE_W_TOL", 1e-16)
-        text = BASE + "w.a = 0.3\nw.y_min = 1.0\nw.y_max = 10.0\nw.n = 3\n"
-        code, out = run_cli(tmp_path, text, "profile-w")
+        monkeypatch.setattr(cli, "PROFILE_W_GRID", (1.0, 10.0, 3))
+        code, out = run_cli(tmp_path, BASE + "w.a = 0.3\n", "profile-w")
         assert code == 2
         assert json.loads((out / "profile_w.json").read_text())["tolerance"] == 1e-16
 

@@ -56,6 +56,11 @@ def state_of(measure, kernel, t=0.0, params=PARAMS, cutoff=CUT):
     return EvolutionState(measure, t, params, kernel, cutoff)
 
 
+def midpoints(m):
+    """Geometric midpoints of a measure's cells, the collision representatives."""
+    return np.sqrt(m.edges[:-1] * m.edges[1:])
+
+
 def atom_measure(edges, loaded, rho=0.5, amp=0.0):
     mass = np.zeros(edges.size - 1)
     for idx, m in loaded.items():
@@ -120,7 +125,7 @@ class TestLossRate:
         mass = rng.uniform(0.0, 1.0, edges.size - 1)
         m = GridMeasure(edges, mass, 0.0, 0.5)
         st_ = state_of(m, constant_kernel(2.0), cutoff=cut)
-        reps = m.reps
+        reps = midpoints(m)
         expected = 2.0 * np.sum(mass / reps) - PARAMS.beta * PARAMS.rho
         assert engine_loss_rate(st_, 10.0) == pytest.approx(expected, rel=1e-12)
 
@@ -176,7 +181,7 @@ class TestLossRate:
         st_ = EvolutionState(m, t, params, kernel, cut)
         A = _Engine(m.edges, params, kernel, cut).rates(m.cell_mass, m.tail_amplitude, t)[0]
         drift = params.beta * params.rho
-        got = np.array([engine_loss_rate(st_, Y) for Y in m.reps]) + drift
+        got = np.array([engine_loss_rate(st_, Y) for Y in midpoints(m)]) + drift
         assert np.count_nonzero(A + drift) > 0.5 * m.n_cells
         np.testing.assert_allclose(got, A + drift, rtol=1e-12, atol=0.0)
 
@@ -217,7 +222,7 @@ class TestGain:
         self.edges = geometric_grid(1.0, 2.0 ** (40.0 / 16.0), ratio=RATIO)
         self.m = atom_measure(self.edges, {2: 0.3, 20: 0.5})
         self.state = state_of(self.m, constant_kernel(2.0))
-        self.reps = self.m.reps
+        self.reps = midpoints(self.m)
 
     def test_two_atom_total(self):
         # ordered-pair rates: cross 2 m1 m2 (1/Y1 + 1/Y2), self 2 mi^2 / Yi
@@ -281,7 +286,7 @@ class TestRearrangement:
         edges = geometric_grid(1.0, 2.0 ** (40.0 / 16.0), ratio=RATIO)
         self.m = atom_measure(edges, {2: 0.3, 20: 0.5})
         self.state = state_of(self.m, constant_kernel(2.0))
-        self.reps = self.m.reps
+        self.reps = midpoints(self.m)
 
     def test_constant_test_function(self):
         res, flux = rearrangement_residual(self.state, lambda x: np.ones_like(np.asarray(x, float)))
@@ -437,7 +442,7 @@ def oracle_rates(m, params, kernel, cutoff, s):
     ledgers of in-grid pairs summing past the top representative and of
     pairs with a tail (ghost) partner.
     """
-    Y = m.reps
+    Y = midpoints(m)
     N = Y.size
     lam = cutoff.lam
     r = m.edges[1] / m.edges[0]
@@ -731,13 +736,14 @@ class TestRearrangementOracle:
         st_ = EvolutionState(m, s, params, kernel, CutoffParams(lam=lam))
         # midway between two representatives near the top, which the
         # sums of active pairs reach at every lambda and s here
-        k = 9 * m.reps.size // 10
-        assert_residuals_match(st_, 0.5 * (m.reps[k] + m.reps[k + 1]))
+        reps = midpoints(m)
+        k = 9 * reps.size // 10
+        assert_residuals_match(st_, 0.5 * (reps[k] + reps[k + 1]))
 
     @NEAR_GEOMETRIC_KERNELS
     def test_near_geometric_grid(self, kernel, params):
         st_ = near_geometric_state(kernel, params)
-        reps = st_.measure.reps
+        reps = midpoints(st_.measure)
         k = 9 * reps.size // 10
         assert_residuals_match(st_, 0.5 * (reps[k] + reps[k + 1]))
 
@@ -749,7 +755,7 @@ def index_bracket_oracle(m, params, kernel, cutoff, s, per_octave):
     and for i != j the offset from the smaller index is the integer part of
     per_octave log2(1 + 2^(|i - j| / per_octave)).  Returns the tuple of
     _Engine.rates."""
-    Y = m.reps
+    Y = midpoints(m)
     N = Y.size
     _, Yp, gpow = _partners(m.edges, params.rho, cutoff.lam)
     mp = np.concatenate([m.cell_mass, m.tail_amplitude * gpow])
@@ -1040,9 +1046,9 @@ class TestMapBack:
         edges = geometric_grid(1.0, 100.0, ratio=RATIO)
         rng = np.random.default_rng(2)
         mass = rng.uniform(0.0, 1.0, edges.size - 1)
-        out, amp, spill = _map_back(mass, 0.7, edges, 0.0, 0.5)
+        out, spill = _map_back(mass, 0.7, edges, 0.0, 0.5)
         np.testing.assert_allclose(out, mass, rtol=1e-15)
-        assert amp == 0.7 and spill == 0.0
+        assert spill == 0.0
 
     def test_integer_shift_is_index_shift(self):
         edges = geometric_grid(1.0, 2.0 ** (64.0 / 16.0), ratio=RATIO)
@@ -1050,7 +1056,7 @@ class TestMapBack:
         mass = rng.uniform(0.0, 1.0, edges.size - 1)
         km = 5
         sigma = km * np.log(RATIO)
-        out, amp, spill = _map_back(mass, 0.0, edges, sigma, 0.5)
+        out, spill = _map_back(mass, 0.0, edges, sigma, 0.5)
         scale = np.exp(-sigma)
         np.testing.assert_allclose(out[: mass.size - km], mass[km:] * scale, rtol=1e-14)
         np.testing.assert_allclose(out[mass.size - km :], 0.0, atol=0.0)
@@ -1064,9 +1070,8 @@ class TestMapBack:
         edges = geometric_grid(1e-2, 1e4, ratio=RATIO)
         amp0 = 0.4
         mass = amp0 * np.diff(edges ** (1.0 - rho)) / (1.0 - rho)
-        out, amp, spill = _map_back(mass, amp0, edges, sigma, rho)
+        out, spill = _map_back(mass, amp0, edges, sigma, rho)
         expected_amp = amp0 * np.exp(-rho * sigma)
-        assert amp == pytest.approx(expected_amp, rel=1e-13)
         expected_mass = expected_amp * np.diff(edges ** (1.0 - rho)) / (1.0 - rho)
         np.testing.assert_allclose(out, expected_mass, rtol=1e-11)
         lo = edges[0]
@@ -1090,8 +1095,8 @@ class TestMapBack:
         got = _map_back(mass, 0.3, edges, sigma, rho)
         want = oracle_index_shift_map_back(mass, 0.3, edges, sigma, rho)
         np.testing.assert_array_equal(got[0], want[0])
-        assert got[1:] == want[1:]
-        assert (got[2] > 0.0) == (km > 0)
+        assert got[1] == want[1]
+        assert (got[1] > 0.0) == (km > 0)
 
 
 def oracle_index_shift_map_back(masses, amp, edges, sigma, rho):
@@ -1103,7 +1108,7 @@ def oracle_index_shift_map_back(masses, amp, edges, sigma, rho):
     gedges = edges[-1] * r ** np.arange(km + 3)
     ext = np.concatenate([masses, amp * np.diff(gedges ** (1.0 - rho)) / (1.0 - rho)])
     scale = np.exp(-sigma)
-    return ext[km : km + n] * scale, amp * np.exp(-rho * sigma), float(np.sum(ext[:km])) * scale
+    return ext[km : km + n] * scale, float(np.sum(ext[:km])) * scale
 
 
 class TestSimulate:
@@ -1113,6 +1118,16 @@ class TestSimulate:
         np.testing.assert_allclose(res.final.cell_mass, h0.cell_mass, rtol=0.0)
         assert res.final.tail_amplitude == h0.tail_amplitude
         assert res.n_steps == 0
+
+    def test_tail_amplitude_is_the_datum_bit_for_bit(self):
+        # the physical tail amplitude is a boundary condition, so no
+        # frame's round trip through the X frame may round it
+        edges = geometric_grid(1e-4, 1e8, ratio=2.0 ** (1.0 / 8.0))
+        h0 = power_law_init(PARAMS, edges)
+        snaps = np.linspace(0.1, 3.0, 30)
+        res = simulate(h0, PARAMS, constant_kernel(1.0), CutoffParams(lam=1e-2), 3.0, snapshot_times=snaps)
+        assert len(res.snapshots) == 30
+        assert [m.tail_amplitude for m in res.snapshots] == [h0.tail_amplitude] * 30
 
     def test_zero_kernel_closed_form(self):
         # transported datum: h(x, t) = e^(rho beta t) h0(x e^(beta t));
@@ -1168,7 +1183,7 @@ class TestSimulate:
         assert np.all(res.final.cell_mass >= 0.0)
         assert res.overflow_mass > 0.0
         # overflow deposits sit beyond the top representative
-        top_rep = res.final.reps[-1]
+        top_rep = midpoints(res.final)[-1]
         assert res.overflow_moment >= res.overflow_mass * top_rep
 
     def test_product_kernel_runs_clean(self):

@@ -763,23 +763,77 @@ def test_readme_names_the_cli_flags_and_no_other():
     assert sorted(known - named) == []
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def local_names(scope):
+    """The names a function, lambda or comprehension binds in its own
+    scope: its arguments or comprehension targets, and its body's
+    assignment, loop, with, except and nested definition targets.  An
+    import binds none here, so a local import of a package definition
+    still reads it."""
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        a = scope.args
+        names = {arg.arg for arg in [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg] if arg}
+        todo = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    else:
+        names, todo = set(), [g.target for g in scope.generators]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif not isinstance(node, _SCOPES):
+            todo += ast.iter_child_nodes(node)
+    return names
+
+
+def scoped_reads(nodes):
+    """The names the code under nodes reads: a bare read (Name) as the
+    name, unless a function, lambda or comprehension around the read
+    binds it, and an attribute read (obj.name) as ".name"."""
+    out = set()
+
+    def visit(node, local):
+        if isinstance(node, _SCOPES):
+            local = local | local_names(node)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add("." + node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    for node in nodes:
+        visit(node, frozenset())
+    return out
+
+
 def unreached_definitions(sources, roots):
     """(module, line, name) of each public function, method or class of
     sources ({module: source}) that no chain of reads reaches from the
     names in roots.
 
-    Reachability goes by name: a definition is reached when reached code
-    reads its name, bare or as an attribute, and then the names its own
-    code reads are reached.  A top-level assignment reaches what its value
-    reads, and the other top-level statements, which run at import, are
-    reached.  A class holds its decorators, bases, fields and dunder
-    methods; the methods of a class with a base class are its own too,
-    since the base may call them.  Other methods are reached by name.
+    Reachability goes by name and scope: a top-level definition is
+    reached when reached code reads its name, bare or as an attribute
+    (mod.name), and a method only when it reads it as an attribute
+    (obj.name); a bare name that the reading function binds (an argument,
+    a local variable, a loop or comprehension target) reaches nothing.
+    Then the names the definition's own code reads are reached.  The
+    roots count as read both ways.  A top-level assignment reaches what
+    its value reads, and the other top-level statements, which run at
+    import, are reached.  A class holds its decorators, bases, fields and
+    dunder methods; the methods of a class with a base class are its own
+    too, since the base may call them.
     """
-    defs, reads, todo = [], {}, list(roots)
+    defs, reads = [], {}
+    todo = [key for name in roots for key in (name, "." + name)]
 
-    def add(name, nodes):
-        reads.setdefault(name, set()).update(read_names(nodes))
+    def add(key, nodes):
+        reads.setdefault(key, set()).update(scoped_reads(nodes))
 
     for mod, src in sources.items():
         for node in ast.parse(src).body:
@@ -792,8 +846,8 @@ def unreached_definitions(sources, roots):
                 for stmt in node.body:
                     if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
                             and not stmt.name.startswith("__") and not node.bases):
-                        defs.append((mod, stmt.lineno, f"{node.name}.{stmt.name}", stmt.name))
-                        add(stmt.name, [stmt])
+                        defs.append((mod, stmt.lineno, f"{node.name}.{stmt.name}", "." + stmt.name))
+                        add("." + stmt.name, [stmt])
                     else:
                         own.append(stmt)
                 add(node.name, own)
@@ -801,17 +855,18 @@ def unreached_definitions(sources, roots):
                 for target in node.targets:
                     add(target.id, [node.value])
             else:
-                todo += read_names([node])
+                todo += scoped_reads([node])
     seen = set()
     while todo:
-        name = todo.pop()
-        if name not in seen:
-            seen.add(name)
-            todo += reads.get(name, ())
+        key = todo.pop()
+        if key not in seen:
+            seen.add(key)
+            # an attribute read reaches methods and module-level names alike
+            todo += reads.get(key, set()) | reads.get(key.lstrip("."), set())
     return [
         (mod, line, qual)
-        for mod, line, qual, name in defs
-        if not name.startswith("_") and name not in seen
+        for mod, line, qual, key in defs
+        if not key.lstrip(".").startswith("_") and "." + key.lstrip(".") not in seen and key not in seen
     ]
 
 
@@ -876,6 +931,62 @@ def test_checker_flags_unreached_definitions():
     assert unreached_definitions(sources, {"main"} | readme_names(readme)) == [
         ("kernel.py", 10, "Spec.bound"),
         ("kernel.py", 22, "orphan"),
+    ]
+
+
+def test_checker_reads_no_definition_through_a_local_name():
+    # a local variable, argument, comprehension target or nested function
+    # that shares a definition's name is the reader's own; a method is
+    # reached only as an attribute
+    sources = {
+        "cli.py": (
+            "from .grid import Grid, total\n"
+            "def main(argv=None):\n"
+            "    reps = [float(a) for a in argv]\n"
+            "    scale = 2.0\n"
+            "    width = lambda span: span * scale\n"
+            "    return total(Grid(reps).cells, width, [edge for edge in reps])\n"
+        ),
+        "grid.py": (
+            "class Grid:\n"
+            "    def __init__(self, reps):\n"
+            "        self.data = reps\n"
+            "    @property\n"
+            "    def cells(self):\n"
+            "        return len(self.data)\n"
+            "    @property\n"
+            "    def reps(self):\n"
+            "        return self.data\n"
+            "    def span(self):\n"
+            "        return scale(self.data)\n"
+            "def scale(x):\n"
+            "    return x\n"
+            "def edge(x):\n"
+            "    return x\n"
+            "def total(*parts):\n"
+            "    size = len(parts)\n"
+            "    def inner(k):\n"
+            "        return k * size\n"
+            "    return [inner(p) for p in parts]\n"
+            "def inner(k):\n"
+            "    return k\n"
+            "def size():\n"
+            "    return 0\n"
+        ),
+    }
+    assert unreached_definitions(sources, {"main"}) == [
+        ("grid.py", 8, "Grid.reps"),
+        ("grid.py", 10, "Grid.span"),
+        ("grid.py", 12, "scale"),
+        ("grid.py", 14, "edge"),
+        ("grid.py", 21, "inner"),
+        ("grid.py", 23, "size"),
+    ]
+    # read as attributes, the same names reach the method and the functions
+    sources["cli.py"] += "def extra(g, grid):\n    return g.reps, g.span(), grid.scale, grid.size()\n"
+    assert unreached_definitions(sources, {"main", "extra"}) == [
+        ("grid.py", 14, "edge"),
+        ("grid.py", 21, "inner"),
     ]
 
 

@@ -149,7 +149,7 @@ def oracle_map_back(masses, amp, edges, sigma, rho, divide_first=False):
     shifted = fb * ext[km + 1 : km + 1 + n] + (1.0 - fb) * ext[km : km + n]
     spill = float(np.sum(ext[:km])) + fb * float(ext[km])
     scale = np.exp(-sigma)
-    return shifted * scale, amp * np.exp(-rho * sigma), spill * scale
+    return shifted * scale, spill * scale
 
 
 # --- inputs ---------------------------------------------------------------
