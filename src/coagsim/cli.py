@@ -17,8 +17,9 @@ module constants DUAL_CHECK_TOL (dual-check's adjoint residual),
 PROFILE_W_TOL (profile-w's identity residual) and INVARIANCE_SLACK
 (invariance-suite's envelope and growth-bound slack), and record them in
 their manifests; the stationary search stops at the config's run.tol.
-simulate and invariance-suite step at the cap FORWARD_MAX_CHANGE, and
-profile-w tabulates on the Y grid np.geomspace(*PROFILE_W_GRID).
+simulate and invariance-suite step at the cap FORWARD_MAX_CHANGE,
+dual-check's backward solve at DUAL_MAX_CHANGE, and profile-w tabulates
+on the Y grid np.geomspace(*PROFILE_W_GRID).
 
 Exit codes: 0 success, 1 config error, 2 numerical failure or failed
 check, 3 non-convergence.  All artifacts carry a schema_version field and
@@ -68,6 +69,8 @@ PROFILE_W_TOL = 1e-4
 INVARIANCE_SLACK = 1e-2
 # simulate's and invariance-suite's per-step relative change cap
 FORWARD_MAX_CHANGE = 0.05
+# dual-check's per-step cap on the backward dual alone
+DUAL_MAX_CHANGE = 0.0025
 # profile-w's Y grid: np.geomspace(y_min, y_max, n)
 PROFILE_W_GRID = (1e-2, 1e4, 41)
 
@@ -233,17 +236,16 @@ def cmd_dual_check(cfg, out_dir):
     """Solve the backward dual problem and report pairing/barrier bounds."""
     R = get_float(cfg.raw, "dual.radius")
     t = get_float(cfg.raw, "dual.time", 0.5)
-    mc = get_float(cfg.raw, "dual.max_change", 0.0025)
     dump_s = get_floats(cfg.raw, "dual.dump_s", ())
-    if not (R > 0.0 and t >= 0.0 and 0.0 < mc < 1.0):
-        raise ConfigError("dual: need radius > 0, time >= 0 and 0 < max_change < 1")
+    if not (R > 0.0 and t >= 0.0):
+        raise ConfigError("dual: need radius > 0 and time >= 0")
     for s_req in dump_s:
         if not 0.0 <= s_req <= t:
             raise ConfigError(f"dual.dump_s value {s_req} outside [0, {t}]")
     h0 = power_law_init(cfg.params, geometric_grid(*cfg.grid))
-    # dual.max_change caps the dual alone; the trajectory keeps its own cap
+    # DUAL_MAX_CHANGE caps the dual alone; the trajectory keeps its own cap
     traj = rescaled_trajectory(h0, cfg.params, cfg.kernel, cfg.cutoff, t)
-    field = solve_dual(traj, R, t, max_change=mc)
+    field = solve_dual(traj, R, t, max_change=DUAL_MAX_CHANGE)
     residual = adjoint_consistency(traj, field)
     m_star, m_report = find_m_star(field)
     q_report = q_tail_bound(traj, R)
@@ -265,7 +267,7 @@ def cmd_dual_check(cfg, out_dir):
         "setup": _setup_dict(cfg),
         "radius": R,
         "time": t,
-        "max_change": mc,
+        "max_change": DUAL_MAX_CHANGE,
         "trajectory_max_change": traj.diagnostics["max_change"],
         "tolerance": DUAL_CHECK_TOL,
         "adjoint_residual": residual,

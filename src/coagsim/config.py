@@ -8,13 +8,14 @@ and nesting-free:
     key        :=  segment ("." segment)*      segment = [a-z0-9_]+
     value      :=  scalar ("," scalar)*        two or more -> tuple
     scalar     :=  number | '"' text '"' | bare-word
-    comment    :=  "#" anything                (outside quoted text)
+    comment    :=  "#" anything
 
-Numbers parse as int when they look integral, float otherwise; bare words
-that are not numbers are strings (true and false among them); text
-values may not contain a double quote or a comma.  All physical
-quantities are dimensionless (self-similar variables throughout), so keys
-carry no unit suffixes.
+Every number parses as a float; a literal too large for one reads as
+inf, which every key refuses.  Bare words that are not numbers are
+strings (true and false among them).  A comment starts at the first "#",
+so no value contains one; text values may not contain a double quote or
+a comma either.  All physical quantities are dimensionless (self-similar
+variables throughout), so keys carry no unit suffixes.
 
 Recognized sections (unknown keys in them are rejected, which catches
 typos; whole unknown sections are rejected too):
@@ -25,13 +26,13 @@ typos; whole unknown sections are rejected too):
     grid.x_min grid.x_max grid.ratio
     run.t_final run.snapshot_dt run.tol
     stationary.lambdas
-    dual.radius dual.time dual.max_change dual.dump_s
+    dual.radius dual.time dual.dump_s
     w.a
 
 No key names the output directory: that is the command line's --out.
-Nor does one name simulate's and invariance-suite's step cap or
-profile-w's Y grid: those are the cli constants FORWARD_MAX_CHANGE and
-PROFILE_W_GRID.
+Nor does one name a step cap or profile-w's Y grid: those are the cli
+constants FORWARD_MAX_CHANGE (simulate and invariance-suite),
+DUAL_MAX_CHANGE (dual-check's backward solve) and PROFILE_W_GRID.
 Each setting has one key: the kernel's degree is params.gamma, and a
 config that sets one thing twice (cutoff.lambda with stationary.lambdas)
 is rejected, as is kernel.alpha for a family other than sum and
@@ -46,7 +47,6 @@ from .kernel import FAMILY_FIELDS, CutoffParams, KernelSpec
 from .measure import Params
 
 _KEY_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
-_INT_RE = re.compile(r"^[+-]?\d+$")
 
 _KNOWN_KEYS = {
     "params": {"gamma", "rho", "delta", "r0"},
@@ -55,7 +55,7 @@ _KNOWN_KEYS = {
     "grid": {"x_min", "x_max", "ratio"},
     "run": {"t_final", "snapshot_dt", "tol"},
     "stationary": {"lambdas"},
-    "dual": {"radius", "time", "max_change", "dump_s"},
+    "dual": {"radius", "time", "dump_s"},
     "w": {"a"},
 }
 
@@ -72,35 +72,22 @@ def _parse_scalar(tok, key, lineno):
         if not (tok.endswith('"') and len(tok) >= 2):
             raise ConfigError(f"line {lineno}: unterminated string for key {key!r}")
         return tok[1:-1]
-    if _INT_RE.match(tok):
-        return int(tok)
     try:
         return float(tok)
     except ValueError:
         return tok
 
 
-def _strip_comment(line):
-    # a '#' inside a quoted string is literal text, not a comment
-    quoted = False
-    for i, ch in enumerate(line):
-        if ch == '"':
-            quoted = not quoted
-        elif ch == "#" and not quoted:
-            return line[:i]
-    return line
-
-
 def parse_config(text):
     """Parse config text into an ordered {dotted key: value} mapping.
 
-    Values are scalars (int, float, str) or tuples of scalars for
+    Values are scalars (float, str) or tuples of scalars for
     comma-separated lists.  Duplicate keys and malformed lines raise
     ConfigError with the line number.
     """
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -153,24 +140,16 @@ def _finite(key, x):
 
 
 def get_float(mapping, key, default=None):
-    return _finite(key, float(_typed(mapping, key, (int, float), default, "a number")))
-
-
-def get_str(mapping, key, default=None):
-    return str(_typed(mapping, key, str, default, "a string"))
+    return _finite(key, _typed(mapping, key, float, default, "a number"))
 
 
 def get_floats(mapping, key, default=None):
     """Tuple of floats from a scalar or comma-separated list value."""
-    if key not in mapping:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    v = mapping[key]
+    v = _typed(mapping, key, (float, tuple), default, "a list of numbers")
     vals = v if isinstance(v, tuple) else (v,)
-    if not all(isinstance(x, (int, float)) for x in vals):
+    if not all(isinstance(x, float) for x in vals):
         raise ConfigError(f"key {key!r} must be a list of numbers, got {v!r}")
-    return tuple(_finite(key, float(x)) for x in vals)
+    return tuple(_finite(key, x) for x in vals)
 
 
 @dataclass(frozen=True)
@@ -213,7 +192,7 @@ def run_config(mapping):
         cutoff = CutoffParams(lam=lam)
     except ValueError as exc:
         raise ConfigError(f"params/cutoff: {exc}") from exc
-    family = get_str(mapping, "kernel.family")
+    family = _typed(mapping, "kernel.family", str, None, "a string")
     try:
         kernel = KernelSpec(
             family=family,

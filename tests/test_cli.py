@@ -3,8 +3,10 @@
 import io
 import json
 import re
+import runpy
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,12 @@ run.snapshot_dt = 0.1
 # cutoff.lambda
 CONTINUATION_BASE = BASE.replace("cutoff.lambda = 1e-2\n", "")
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+# workload name -> (command, manifest), as the benchmark runs them
+BENCH_WORKLOADS = runpy.run_path(str(BENCH / "run.py"))["WORKLOADS"]
+# an integral literal too large for a float
+HUGE = "1" + "0" * 400
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -45,10 +53,11 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 class TestParseConfig:
     def test_scalars_and_types(self):
+        # every number is a float, integral literals among them
         m = parse_config(BASE + "w.n = 7\n")
         assert m["params.gamma"] == 0.0
         assert m["kernel.family"] == "constant"
-        assert m["w.n"] == 7 and isinstance(m["w.n"], int)
+        assert m["w.n"] == 7.0 and isinstance(m["w.n"], float)
         assert isinstance(m["params.rho"], float)
 
     def test_comments_and_blanks(self):
@@ -176,6 +185,7 @@ class TestRunConfig:
             ("profile-w", "w.a = 0.5\nw.y_min = 1e-2\n", ["unknown", "w.y_min"]),
             ("profile-w", "w.a = 0.5\nw.y_max = 1e4\n", ["unknown", "w.y_max"]),
             ("profile-w", "w.a = 0.5\nw.n = 41\n", ["unknown", "w.n"]),
+            ("dual-check", "dual.radius = 100.0\ndual.max_change = 0.0025\n", ["unknown", "dual.max_change"]),
             ("dual-check", "params.r0 = inf\ndual.radius = 100.0\n", ["params.r0", "finite"]),
             ("simulate", "kernel.value = inf\n", ["kernel.value", "finite"]),
             ("simulate", 'outputs = "results"\n', ["unknown", "outputs"]),
@@ -184,16 +194,16 @@ class TestRunConfig:
         ids=[
             "seed", "kernel_gamma", "y_values_n", "y_values_y_min", "y_values_y_max", "cutoff_profile",
             "run_t_max", "lambdas", "probe_radii", "t_final_inf", "snapshot_dt_nan",
-            "x_max_inf", "ratio_inf", "tol_inf", "max_change", "y_min", "y_max", "n", "r0_inf",
+            "x_max_inf", "ratio_inf", "tol_inf", "max_change", "y_min", "y_max", "n", "dual_max_change", "r0_inf",
             "value_inf", "outputs", "grid_below_fit_window",
         ],
     )
     def test_refused_before_any_solve(self, tmp_path, monkeypatch, capsys, command, extra, names):
         # an unknown or unread key (the output directory is --out alone;
-        # the forward step cap and profile-w's Y grid are cli constants),
-        # a second home for one setting, a probe radius the search would
-        # drop, a non-finite number, or a grid that cannot hold the tail
-        # fit, exits 1 naming the keys, before any solve.  A key of BASE
+        # the forward and dual step caps and profile-w's Y grid are cli
+        # constants), a second home for one setting, a probe radius the
+        # search would drop, a non-finite number, or a grid that cannot hold
+        # the tail fit, exits 1 naming the keys, before any solve.  A key of BASE
         # set in extra replaces BASE's line.
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve started")
@@ -207,6 +217,28 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert "config error" in err and all(name in err for name in names)
         assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("profile-w", BASE.replace("grid.x_max = 1e4", f"grid.x_max = {HUGE}") + "w.a = 0.5\n", "grid.x_max"),
+            ("stationary", CONTINUATION_BASE + f"stationary.lambdas = 1e-2, {HUGE}\n", "stationary.lambdas"),
+        ],
+        ids=["scalar", "list"],
+    )
+    def test_huge_integral_literal_exits_1(self, tmp_path, monkeypatch, capsys, command, text, key):
+        # the literal reads as inf, which the key refuses by name, before
+        # any solve; it must not escape as an OverflowError traceback
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(forward._Engine, "__init__", no_solve)
+        monkeypatch.setattr(cli, "w_eval", no_solve)
+        code, _ = run_cli(tmp_path, text, command)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and "finite" in err
+        assert "Traceback" not in err
 
     def test_type_errors_name_the_key(self):
         with pytest.raises(ConfigError, match="params.rho"):
@@ -241,6 +273,26 @@ TABLE_CASES = [
     ("w-profile", {"a": 0.5, "c": np.pi, "n": 3, "tag": "x"}, ["y", "w", "w_prime", "t3e4_residual"],
      [(0.0, 0.0, 0.0, 0.0), (1e-300, np.nan, np.inf, -np.inf), (0.1, 1 / 3, 2.0**-1074, 7)]),
 ]
+
+
+class TestBenchConfigs:
+    @pytest.mark.parametrize("name", sorted(path.stem for path in (BENCH / "configs").glob("*.cfg")))
+    def test_command_reads_the_config_up_to_its_solve(self, tmp_path, monkeypatch, name):
+        # each benchmark config loads, validates and passes its command's
+        # own reads and checks (stationary.lambdas, dual.radius, dual.time)
+        # until the first solve, which is stubbed out, so a config change
+        # that breaks a workload shows here rather than in a benchmark run
+        class Solve(Exception):
+            pass
+
+        def stub(*args, **kwargs):
+            raise Solve
+
+        for solver in ("find_stationary", "lambda_continuation", "rescaled_trajectory"):
+            monkeypatch.setattr(cli, solver, stub)
+        command, _ = BENCH_WORKLOADS[name]
+        with pytest.raises(Solve):
+            main([command, "--config", str(BENCH / "configs" / f"{name}.cfg"), "--out", str(tmp_path)])
 
 
 class TestTables:
@@ -603,9 +655,10 @@ class TestManifestOracle:
 
 
 class TestDualCheckCommand:
-    def test_zero_kernel_exact(self, tmp_path):
+    def test_zero_kernel_exact(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "DUAL_MAX_CHANGE", 0.02)
         text = BASE.replace("kernel.family = constant", "kernel.family = zero")
-        text += "dual.radius = 10.0\ndual.time = 0.25\ndual.max_change = 0.02\ndual.dump_s = 0.0, 0.25\n"
+        text += "dual.radius = 10.0\ndual.time = 0.25\ndual.dump_s = 0.0, 0.25\n"
         code, out = run_cli(tmp_path, text, "dual-check")
         assert code == 0
         manifest = json.loads((out / "dual_check.json").read_text())
@@ -617,25 +670,28 @@ class TestDualCheckCommand:
 
     def test_coarse_steps_fail_tolerance(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "DUAL_CHECK_TOL", 1e-6)
-        text = BASE + "dual.radius = 10.0\ndual.time = 0.25\ndual.max_change = 0.2\n"
+        monkeypatch.setattr(cli, "DUAL_MAX_CHANGE", 0.2)
+        text = BASE + "dual.radius = 10.0\ndual.time = 0.25\n"
         code, out = run_cli(tmp_path, text, "dual-check")
         assert code == 2
         manifest = json.loads((out / "dual_check.json").read_text())
         assert manifest["tolerance"] == 1e-6 < manifest["adjoint_residual"]
         assert manifest["m_star"] <= 1e4
 
-    def test_dual_cap_leaves_forward_steps(self, tmp_path):
-        # dual.max_change caps the dual alone; the trajectory keeps its own
+    def test_dual_cap_leaves_forward_steps(self, tmp_path, monkeypatch):
+        # DUAL_MAX_CHANGE caps the dual alone; the trajectory keeps its own
         # cap, and the manifest names both
         manifests = {}
+        text = BASE + "dual.radius = 10.0\ndual.time = 0.25\n"
         for mc in (0.02, 0.005):
-            text = BASE + f"dual.radius = 10.0\ndual.time = 0.25\ndual.max_change = {mc}\n"
+            monkeypatch.setattr(cli, "DUAL_MAX_CHANGE", mc)
             run_dir = tmp_path / str(mc)
             run_dir.mkdir()
             code, out = run_cli(run_dir, text, "dual-check")
             assert code == 0
             manifests[mc] = json.loads((out / "dual_check.json").read_text())
         coarse, fine = manifests[0.02], manifests[0.005]
+        assert (coarse["max_change"], fine["max_change"]) == (0.02, 0.005)
         assert coarse["trajectory_max_change"] == fine["trajectory_max_change"] == 0.02
         assert coarse["n_forward_steps"] == fine["n_forward_steps"] > 0
         assert fine["n_backward_steps"] > coarse["n_backward_steps"]
@@ -684,7 +740,8 @@ class TestDualCheckCommand:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(forward._Engine, "__init__", counting_init)
-        text = BASE + "dual.radius = 10.0\ndual.time = 0.25\ndual.max_change = 0.02\n"
+        monkeypatch.setattr(cli, "DUAL_MAX_CHANGE", 0.02)
+        text = BASE + "dual.radius = 10.0\ndual.time = 0.25\n"
         cfg = run_config(parse_config(text))
         assert cmd_dual_check(cfg, tmp_path) == 0
         assert len(builds) == 1
@@ -700,7 +757,8 @@ class TestDualCheckCommand:
             engines.append((self, set(vars(self))))
 
         monkeypatch.setattr(forward._Engine, "__init__", recording_init)
-        text = BASE + "dual.radius = 10.0\ndual.time = 0.25\ndual.max_change = 0.02\n"
+        monkeypatch.setattr(cli, "DUAL_MAX_CHANGE", 0.02)
+        text = BASE + "dual.radius = 10.0\ndual.time = 0.25\n"
         cfg = run_config(parse_config(text))
         assert cmd_dual_check(cfg, tmp_path) == 0
         assert len(engines) == 1

@@ -575,8 +575,8 @@ def config_keys(config_source, sources):
     """(listed, known, read): the config keys that the config module's
     docstring lists after "Recognized sections", the keys of its
     _KNOWN_KEYS, and the keys that sources read by name, as the key
-    argument of a get_* call or a string tested with in against a .raw
-    mapping."""
+    argument of a get_* or _typed call or a string tested with in against
+    a .raw mapping."""
     tree = ast.parse(config_source)
     section_list = ast.get_docstring(tree).split("Recognized sections", 1)[1]
     listed = {w for line in section_list.splitlines() if line.startswith("    ") for w in line.split()}
@@ -589,7 +589,7 @@ def config_keys(config_source, sources):
     for node in (n for src in sources for n in ast.walk(ast.parse(src))):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", ""))
-            if name.startswith("get_") and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+            if (name.startswith("get_") or name == "_typed") and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
                 read.add(node.args[1].value)
         elif (
             isinstance(node, ast.Compare)
@@ -618,6 +618,7 @@ def test_checker_reads_the_three_key_lists():
         "def run_config(mapping, key):\n"
         "    get_float(mapping, 'params.gamma')\n"
         "    get_float(mapping, key)\n"
+        "    _typed(mapping, 'params.rho', float, None, 'a number')\n"
         "    return get_str(mapping, 'outputs', 'out')\n"
     )
     cli = (
@@ -629,7 +630,7 @@ def test_checker_reads_the_three_key_lists():
     listed, known, read = config_keys(config, [config, cli])
     assert listed == {"params.gamma", "params.rho", "outputs", "seed"}
     assert known == {"params.gamma", "params.rho", "outputs"}
-    assert read == {"params.gamma", "outputs", "w.n"}
+    assert read == {"params.gamma", "params.rho", "outputs", "w.n"}
 
 
 def test_config_keys_are_listed_known_and_read_alike():

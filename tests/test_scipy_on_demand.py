@@ -33,7 +33,6 @@ grid.x_max = 1e3
 grid.ratio = 1.5
 dual.radius = 10.0
 dual.time = 0.1
-dual.max_change = 0.05
 """
 
 PROBE = """
