@@ -17,17 +17,21 @@ module constants DUAL_CHECK_TOL (dual-check's adjoint residual),
 PROFILE_W_TOL (profile-w's identity residual) and INVARIANCE_SLACK
 (invariance-suite's envelope and growth-bound slack), and record them in
 their manifests; the stationary search stops at the config's run.tol.
-simulate and invariance-suite step at the cap FORWARD_MAX_CHANGE,
-dual-check's backward solve at DUAL_MAX_CHANGE, and profile-w tabulates
-on the Y grid np.geomspace(*PROFILE_W_GRID).
+profile-w fails too where no residual was read relatively, W being at
+or below stablecdf.W_FLOOR at every grid point.  simulate and
+invariance-suite step at the cap FORWARD_MAX_CHANGE, dual-check's
+backward solve at DUAL_MAX_CHANGE, and profile-w tabulates on the Y grid
+np.geomspace(*PROFILE_W_GRID).
 
 Exit codes: 0 success, 1 config error, 2 numerical failure or failed
 check, 3 non-convergence.  All artifacts carry a schema_version field and
 round-trip bit for bit: manifests are strict JSON, with null for a
-non-finite float, and profiles, snapshots and tables are the one tagged
-CSV format of the measure module (from_csv, read_table).  Nothing time-
-or machine-dependent is written, so identical configs produce
-bit-identical artifacts.
+non-finite float, each written by _write_manifest, which adds
+schema_version and the command's name to the command's own fields, and
+profiles, snapshots and tables are the one tagged CSV format of the
+measure module (from_csv, read_table).  Nothing time- or
+machine-dependent is written, so identical configs produce bit-identical
+artifacts.
 """
 
 import argparse
@@ -59,7 +63,7 @@ from .measure import (
     to_csv,
     write_tagged_csv,
 )
-from .stablecdf import StableProfile, t3e4_residual, w_deriv, w_eval
+from .stablecdf import W_FLOOR, StableProfile, t3e4_residual, w_deriv, w_eval
 from .stationary import find_stationary, lambda_continuation
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -100,6 +104,12 @@ def write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(_jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _write_manifest(path, command, fields):
+    """Write a command's manifest: its own fields beside schema_version
+    and the command's name."""
+    write_json(path, {"schema_version": MANIFEST_SCHEMA_VERSION, "command": command, **fields})
 
 
 def write_table(path, kind, meta, columns, rows):
@@ -169,15 +179,8 @@ def cmd_simulate(cfg, out_dir):
         name = f"snapshot_{k:04d}.csv"
         to_csv(snap, out_dir / name)
         files.append(name)
-    manifest = {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "command": "simulate",
-        "setup": _setup_dict(cfg),
-        "t_final": cfg.t_final,
-        "snapshot_files": files,
-        **_result_entry(res),
-    }
-    write_json(out_dir / "simulate.json", manifest)
+    manifest = {"setup": _setup_dict(cfg), "t_final": cfg.t_final, "snapshot_files": files, **_result_entry(res)}
+    _write_manifest(out_dir / "simulate.json", "simulate", manifest)
     _log(f"simulate: {len(files)} snapshots, {res.n_steps} steps -> {out_dir}")
     return 0
 
@@ -206,15 +209,8 @@ def cmd_stationary(cfg, out_dir):
         name = f"profile_{k:04d}.csv"
         to_csv(res.profile, out_dir / name)
         entries.append({**_result_entry(res), "profile_file": name})
-    manifest = {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "command": "stationary",
-        "setup": setup,
-        "tol": cfg.tol,
-        "results": entries,
-        **extra,
-    }
-    write_json(out_dir / "stationary.json", manifest)
+    manifest = {"setup": setup, "tol": cfg.tol, "results": entries, **extra}
+    _write_manifest(out_dir / "stationary.json", "stationary", manifest)
     failed_gates = False
     for res in results:
         _log(
@@ -242,6 +238,8 @@ def cmd_dual_check(cfg, out_dir):
     for s_req in dump_s:
         if not 0.0 <= s_req <= t:
             raise ConfigError(f"dual.dump_s value {s_req} outside [0, {t}]")
+    # the barrier's stable law: an index it refuses is refused before any solve
+    StableProfile(a=cfg.params.a)
     h0 = power_law_init(cfg.params, geometric_grid(*cfg.grid))
     # DUAL_MAX_CHANGE caps the dual alone; the trajectory keeps its own cap
     traj = rescaled_trajectory(h0, cfg.params, cfg.kernel, cfg.cutoff, t)
@@ -262,8 +260,6 @@ def cmd_dual_check(cfg, out_dir):
         )
         files.append(name)
     manifest = {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "command": "dual-check",
         "setup": _setup_dict(cfg),
         "radius": R,
         "time": t,
@@ -278,7 +274,7 @@ def cmd_dual_check(cfg, out_dir):
         "n_backward_steps": int(field.s_values.size - 1),
         "n_forward_steps": traj.diagnostics["n_steps"],
     }
-    write_json(out_dir / "dual_check.json", manifest)
+    _write_manifest(out_dir / "dual_check.json", "dual-check", manifest)
     _log(
         f"dual-check: R={R:g} t={t:g} adjoint residual {residual:.3e}"
         f" (tolerance {DUAL_CHECK_TOL:g}), M*={m_star:.4g}, K*={q_report.K_star:.4g}"
@@ -287,20 +283,20 @@ def cmd_dual_check(cfg, out_dir):
 
 
 def cmd_profile_w(cfg, out_dir):
-    """Tabulate W, W' and the integral-equation residual on a Y grid."""
+    """Tabulate W, W' and the integral-equation residual on a Y grid.
+
+    Exits 2 if a residual exceeds PROFILE_W_TOL, or if W is at or below
+    W_FLOOR on the whole grid, where the residual reads only absolutely.
+    """
     a = get_float(cfg.raw, "w.a")
     try:
         profile = StableProfile(a=a)
     except ValueError as exc:
         raise ConfigError(f"w.a: {exc}") from exc
-    rows, worst = [], 0.0
-    for y in np.geomspace(*PROFILE_W_GRID):
-        w = w_eval(profile, y)
-        # beneath the quadrature noise floor both sides of the defining
-        # identity vanish; the absolute defect is the meaningful reading
-        resid = t3e4_residual(profile, y, relative=w > 1e-10)
-        worst = max(worst, resid)
-        rows.append((y, w, w_deriv(profile, y), resid))
+    ys = np.geomspace(*PROFILE_W_GRID)
+    rows = [(y, w_eval(profile, y), w_deriv(profile, y), t3e4_residual(profile, y)) for y in ys]
+    worst = max(row[3] for row in rows)
+    n_relative = sum(row[1] > W_FLOOR for row in rows)
     write_table(
         out_dir / "w_profile.csv",
         "w-profile",
@@ -309,17 +305,19 @@ def cmd_profile_w(cfg, out_dir):
         rows,
     )
     manifest = {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "command": "profile-w",
         "a": a,
         "c": profile.c,
         "tolerance": PROFILE_W_TOL,
         "max_residual": worst,
         "n_points": len(rows),
+        "n_relative": n_relative,
         "table_file": "w_profile.csv",
     }
-    write_json(out_dir / "profile_w.json", manifest)
+    _write_manifest(out_dir / "profile_w.json", "profile-w", manifest)
     _log(f"profile-w: a={a:g}, {len(rows)} points, max residual {worst:.3e}")
+    if not n_relative:
+        _log(f"profile-w: W <= {W_FLOOR:g} at every point, so no residual was read relatively")
+        return 2
     return 0 if worst <= PROFILE_W_TOL else 2
 
 
@@ -369,18 +367,14 @@ def cmd_invariance_suite(cfg, out_dir):
 
     n_fail = sum(not c["ok"] for c in cases)
     _write_junit(out_dir / "invariance.xml", cases)
-    write_json(
-        out_dir / "invariance.json",
-        {
-            "schema_version": MANIFEST_SCHEMA_VERSION,
-            "command": "invariance-suite",
-            "setup": _setup_dict(cfg),
-            "slack": INVARIANCE_SLACK,
-            "n_cases": len(cases),
-            "n_failures": n_fail,
-            "cases": cases,
-        },
-    )
+    manifest = {
+        "setup": _setup_dict(cfg),
+        "slack": INVARIANCE_SLACK,
+        "n_cases": len(cases),
+        "n_failures": n_fail,
+        "cases": cases,
+    }
+    _write_manifest(out_dir / "invariance.json", "invariance-suite", manifest)
     _log(f"invariance-suite: {len(cases) - n_fail}/{len(cases)} checks passed")
     return 0 if n_fail == 0 else 2
 

@@ -113,7 +113,7 @@ class _Jumps:
         and the number of offsets that low holds."""
         eng, n = self.engine, self.n
         above, below = [], []
-        for o, d0, h in _offset_groups(eng.t, eng.k[: eng.t.size], eng.f):
+        for o, d0, h in _offset_groups(eng.t, eng.k, eng.f):
             # node i with partner i + d above it reads Psi at i + d + o < n
             if n - o - d0 > 0:
                 above.append((d0, n - o, o, h))
@@ -130,8 +130,7 @@ class _Jumps:
         per pair, gaining member and node weight."""
         eng, Z, n, nodes = self.engine, self.Z, self.n, self.nodes
         R = nodes[-1]
-        L = eng.t.size
-        k, f = eng.k[:L], eng.f
+        L, k, f = eng.t.size, eng.k, eng.f
         # the corner: the pairs whose lattice bracket is [n - 1, n], where
         # the convolutions read Psi_(n-1) and zero, and those whose sum
         # lies between node n - 1 and R.  Only candidates are tested: per

@@ -36,8 +36,9 @@ loss-only ghost cells, and their pair gain also goes to the overflow
 ledger.
 
 The pair operator is built once here: _partners continues the grid with
-the tail cells and _ratio_kernel gives the static part of the regularized
-kernel, which the flux residual shares.  Its consumers read one _Engine:
+the tail cells, which the flux residual shares, and _ratio_kernel gives
+the static part of the regularized kernel (the flux residual evaluates
+its kernel and cutoffs itself).  Its consumers read one _Engine:
 the stepper, the diagnostics gain and rearrangement_residual (through
 EvolutionState.engine), and the dual (through Trajectory.engine:
 reps, pair_sums, row, and the per-diagonal vectors as _offset_groups groups
@@ -73,7 +74,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import eval_cutoff, eval_kernel
+from .kernel import _partner_ratio, eval_cutoff, eval_kernel
 from .measure import GridMeasure, _tail_cells, _xrho_sup
 
 class IntegrationError(RuntimeError):
@@ -164,17 +165,18 @@ class SimulationResult:
     max_pairing_residual: float
 
 
-def _partner_ratio(lam):
-    """Largest partner ratio Z/Y on the support of the ratio cutoffs."""
-    return (2.0 - lam) / lam
-
-
 def _partners(edges, rho, lam):
     """The grid continued by loss-only tail (ghost) cells out to the
     partner-ratio bound of its top cell: (edges, representatives, mass of
-    each ghost cell per unit tail amplitude)."""
+    each ghost cell per unit tail amplitude).  The cutoffs read each
+    partner's size over lam, so a lam for which the top ghost edge over
+    lam overflows a float is refused with ValueError."""
     n_ghost = int(np.ceil(np.log(_partner_ratio(lam)) / np.log(edges[1] / edges[0]))) + 2
-    gedges, gpow = _tail_cells(edges, rho, n_ghost)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gedges, gpow = _tail_cells(edges, rho, n_ghost)
+        top = gedges[-1] / lam
+    if not top < np.inf:
+        raise ValueError(f"lam = {lam} is too small for the grid: its partners' sizes over lam overflow a float")
     pedges = np.concatenate([edges, gedges[1:]])
     return pedges, np.sqrt(pedges[:-1] * pedges[1:]), gpow / (1.0 - rho)
 
@@ -251,17 +253,18 @@ class _Engine:
         self.Yall = edges[0] * r ** (np.arange(N + dmax + 1) + 0.5)
         self.Y = Y = self.Yall[:N]
         self.Yg = Y**kernel.gamma
-        d = np.arange(dmax + 1)
+        t = _ratio_kernel(kernel, cutoff, 1.0, r ** np.arange(dmax + 1))
+        # t, k and f are cut after t's last weight
+        L = 1 + np.max(np.flatnonzero(t), initial=0)
+        d = np.arange(L)
         rd = r**d
-        t = _ratio_kernel(kernel, cutoff, 1.0, rd)
-        self.t = t[: 1 + np.max(np.flatnonzero(t), initial=0)]
+        self.t = t = t[:L]
         # P / Y_(i+d) = r^c; a tie (c whole up to the rounding of the log,
         # e.g. 2 Y_i = Y_(i+n) on a 2^(1/n) grid) takes the upper bracket
         c = np.log1p(1.0 / rd) / np.log(r)
         off = np.floor(c + 1e-12)
-        f = np.where(np.abs(c - off) < 1e-12, 1.0, (r ** (off + 1) - 1 - 1 / rd) / (r ** (off + 1) - r**off))
+        self.f = f = np.where(np.abs(c - off) < 1e-12, 1.0, (r ** (off + 1) - 1 - 1 / rd) / (r ** (off + 1) - r**off))
         self.k = k = d + off.astype(int)
-        self.f = f[: self.t.size]  # the split of each diagonal with weight
         g = t * np.where(d > 0, 1.0 + rd, 1.0)
         # (first target, first larger member, taps)
         self.groups = [(o + d0, d0, h) for o, d0, h in _offset_groups(g, k, f) if o + d0 < N - 1]
@@ -269,12 +272,10 @@ class _Engine:
         # cell's hi half (lo = p + o_d = N - 2) or the ledger (lo >= N - 1),
         # with the mass weights S of both ordered pairs; a row's partners
         # below cell 0 weigh nothing
-        L = self.t.size
-        d, k, f = d[:L], k[:L], self.f
         p = np.arange(max(0, N - 2 - int(np.max(k - d))), N)[:, None]
         i = np.maximum(p - d, 0)
         Yi, Yp = Y[i], Y[p]
-        S = np.where(p >= d, self.Yg[i] * self.t * (Yi + np.where(d > 0, Yp, 0.0)), 0.0)
+        S = np.where(p >= d, self.Yg[i] * t * (Yi + np.where(d > 0, Yp, 0.0)), 0.0)
         lo = p + k - d
         over = lo >= N - 1
         top = np.where(lo == N - 2, S * (1.0 - f), 0.0)
@@ -686,7 +687,7 @@ def rearrangement_residual(state, psi):
     # collapsed form: sum over ordered pairs of W [psi(P) - psi(source)]
     psi_P = np.asarray(psi(Y[:, None] + eng.Yall[j]), dtype=float)
     # P >= Y[N - 1], with ties bracketed as the engine brackets them
-    over = i + eng.k[: t.size] >= N - 1
+    over = i + eng.k >= N - 1
     flux = float(np.sum(W[over] * psi_P[over]))
     collapsed = float(np.sum(W * psi_P - Wa * psi_rep[:, None] - Wb * psi_all[j]))
     scale = max(float(np.sum(Lk * masses)), 1e-300)

@@ -115,6 +115,13 @@ class CutoffParams:
     def __post_init__(self):
         if not (0.0 < self.lam < 0.5):
             raise ValueError(f"lam must lie in (0, 1/2), got {self.lam}")
+        if not _partner_ratio(self.lam) < np.inf:
+            raise ValueError(f"lam = {self.lam} is too small: the partner ratio (2 - lam)/lam overflows a float")
+
+
+def _partner_ratio(lam):
+    """Largest partner ratio Z/Y on the support of the ratio cutoffs."""
+    return (2.0 - lam) / lam
 
 
 def eval_cutoff(s):

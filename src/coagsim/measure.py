@@ -373,38 +373,31 @@ def power_law_init(params, edges=None):
     return GridMeasure(edges, mass, tail_amplitude=1.0 - params.rho, tail_exponent=params.rho)
 
 
-def write_tagged_csv(path_or_file, tag, meta, columns, rows):
-    """Write rows of floats as CSV under a "# coagsim-<tag>" header line.
+def write_tagged_csv(path, tag, meta, columns, rows):
+    """Write rows of floats to the file at path as CSV under a
+    "# coagsim-<tag>" header line.
 
     The header carries schema_version and then the meta items as k=v
     tokens, in order; float values are rendered with repr, others with
     str, and none may contain whitespace.  Row values are rendered with
     repr(float(v)) so read_tagged_csv reproduces them bit for bit.
-    path_or_file is a path or an open text file.
     """
     tokens = "".join(f" {k}={v!r}" if isinstance(v, float) else f" {k}={v}" for k, v in meta.items())
     lines = [f"# coagsim-{tag} schema_version={CSV_SCHEMA_VERSION}{tokens}", ",".join(columns)]
     lines += [",".join(map(repr, map(float, row))) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w") as fh:
-            fh.write(text)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
-def read_tagged_csv(path_or_file, tag):
-    """Read a CSV written by write_tagged_csv with this tag.
+def read_tagged_csv(path, tag):
+    """Read the CSV at path, written by write_tagged_csv with this tag.
 
     Returns (meta, columns, rows): meta maps each header key after
     schema_version to its string value, rows are lists of floats, one per
     column.  A malformed file raises ValueError.
     """
-    if hasattr(path_or_file, "read"):
-        lines = path_or_file.read().splitlines()
-    else:
-        with open(path_or_file) as fh:
-            lines = fh.read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     if len(lines) < 2 or not lines[0].startswith(f"# coagsim-{tag}"):
         raise ValueError(f"not a coagsim {tag} CSV")
     meta = dict(tok.split("=", 1) for tok in lines[0][2:].split()[1:])
@@ -418,19 +411,19 @@ def read_tagged_csv(path_or_file, tag):
     return meta, columns, rows
 
 
-def to_csv(m, path_or_file):
-    """Write the measure as a tagged CSV, one row per cell.
+def to_csv(m, path):
+    """Write the measure to the file at path as a tagged CSV, one row per cell.
 
     from_csv reproduces the measure bit for bit.
     """
     meta = {"tail_amplitude": float(m.tail_amplitude), "tail_exponent": float(m.tail_exponent)}
     rows = zip(m.edges[:-1].tolist(), m.edges[1:].tolist(), m.cell_mass.tolist())
-    write_tagged_csv(path_or_file, "measure", meta, ["x_left", "x_right", "cell_mass"], rows)
+    write_tagged_csv(path, "measure", meta, ["x_left", "x_right", "cell_mass"], rows)
 
 
-def from_csv(path_or_file):
-    """Read a measure written by to_csv; a malformed file raises ValueError."""
-    meta, columns, rows = read_tagged_csv(path_or_file, "measure")
+def from_csv(path):
+    """Read the measure that to_csv wrote at path; a malformed file raises ValueError."""
+    meta, columns, rows = read_tagged_csv(path, "measure")
     if len(columns) != 3 or not rows:
         raise ValueError("measure CSV needs rows of x_left, x_right, cell_mass")
     missing = sorted({"tail_amplitude", "tail_exponent"} - meta.keys())

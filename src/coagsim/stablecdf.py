@@ -71,11 +71,19 @@ class StableProfile:
     def __post_init__(self):
         if not (0.0 < self.a < 1.0):
             raise ValueError(f"index a must lie in (0, 1), got {self.a}")
+        if not self.scale < math.inf:
+            raise ValueError(f"index a = {self.a} is too small: the scale c^(1/a) overflows a float")
 
     @property
     def c(self):
         """Transform scale Gamma(1-a)/a."""
         return math.gamma(1.0 - self.a) / self.a
+
+    @property
+    def scale(self):
+        """Kanter's scale s = c^(1/a); inf where it overflows a float (a < 0.006997)."""
+        with np.errstate(over="ignore"):
+            return float(np.float64(self.c) ** (1.0 / self.a))
 
 
 def w_laplace(profile, p):
@@ -135,7 +143,7 @@ def _kanter(profile, Y):
     wqA = wq * A
     k = a / (1.0 - a)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        z = (Y / profile.c ** (1.0 / a)) ** -k
+        z = (Y / profile.scale) ** -k
     W, D = np.zeros(Y.shape), np.zeros(Y.shape)
     # A is smallest at the first node, and exp(-x) is 0 in floating point for x > 745.2
     live = np.flatnonzero((Y > 0.0) & (z * A[0] < 750.0))
@@ -196,37 +204,43 @@ def w_deriv(profile, Y):
     return out if out.ndim else float(out)
 
 
-def t3e4_residual(profile, Y, relative=True):
-    """Relative residual of (1/a) Y W'(Y) = int_0^inf eta^(-1-a) [W(Y) - W(Y-eta)] d eta.
+# t3e4_residual reads its defect relatively where W exceeds this floor
+W_FLOOR = 1e-10
+
+
+def t3e4_residual(profile, Y):
+    """Residual of (1/a) Y W'(Y) = int_0^inf eta^(-1-a) [W(Y) - W(Y-eta)] d eta.
 
     The eta > Y part is W(Y) Y^(-a)/a in closed form; on [0, Y] the
     integrable eta^(-a) endpoint singularity is handled by the QUADPACK
     algebraic-weight rule applied to [W(Y) - W(Y-eta)]/eta.
 
+    The defect is read relatively, |lhs - rhs| / |lhs|, where W(Y) is
+    above W_FLOOR (1e-10), and absolutely, |lhs - rhs|, at or below it:
+    there the QUADPACK tolerances (absolute 1e-12) dominate both sides,
+    which vanish together where W underflows to 0 (e.g. Y <= 0.05 at
+    a = 0.7), and the relative normalization degenerates.
+
     Parameters
     ----------
     profile : StableProfile
     Y : float
-        Point where the identity is tested, > 0 and above the zone where
-        W underflows to 0.
-    relative : bool
-        When False the raw defect |lhs - rhs| is returned instead of
-        |lhs - rhs| / |lhs|; that is the meaningful reading where W is
-        so small that the QUADPACK tolerances (absolute 1e-12) dominate
-        and the relative normalization degenerates.
+        Point where the identity is tested, > 0.
 
     Returns
     -------
     float
-        |lhs - rhs| / |lhs| (or |lhs - rhs| when relative is False).
+        The relative or absolute defect, as W(Y) selects.  A W'(Y) that
+        underflows to 0 where W(Y) is above the floor raises ValueError.
     """
     Y = float(Y)
     a = profile.a
     wY = _w_scalar(profile, Y)
     wpY = w_deriv(profile, Y)
     lhs = Y * wpY / a
+    relative = wY > W_FLOOR
     if lhs == 0.0 and relative:
-        raise ValueError("identity degenerate at this Y (W underflows to 0)")
+        raise ValueError(f"identity degenerate at Y = {Y} (W' underflows to 0)")
 
     def g(eta):
         if eta < 1e-7 * Y:

@@ -1,6 +1,5 @@
 """Config dialect parsing and the command-line interface."""
 
-import io
 import json
 import re
 import runpy
@@ -20,7 +19,7 @@ from coagsim.config import (
     run_config,
 )
 from coagsim.measure import cumulative_mass, from_csv, geometric_grid, power_law_init
-from coagsim.stablecdf import StableProfile, w_eval
+from coagsim.stablecdf import W_FLOOR, StableProfile, w_eval
 
 BASE = """
 # constant-kernel test configuration
@@ -240,6 +239,48 @@ class TestRunConfig:
         assert "config error" in err and key in err and "finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("simulate", BASE.replace("cutoff.lambda = 1e-2", "cutoff.lambda = 5e-324")),
+            ("stationary", BASE.replace("cutoff.lambda = 1e-2", "cutoff.lambda = 5e-324")),
+            ("dual-check", BASE.replace("cutoff.lambda = 1e-2", "cutoff.lambda = 5e-324") + "dual.radius = 100.0\n"),
+            ("invariance-suite", BASE.replace("cutoff.lambda = 1e-2", "cutoff.lambda = 5e-324")),
+            ("stationary", CONTINUATION_BASE + "stationary.lambdas = 1e-2, 5e-324\n"),
+        ],
+        ids=["simulate", "stationary", "dual-check", "invariance-suite", "lambdas"],
+    )
+    def test_subnormal_cutoff_scale_exits_1(self, tmp_path, monkeypatch, capsys, command, text):
+        # the partner ratio (2 - lam)/lam is inf, which escaped int() in
+        # forward._partners as an OverflowError traceback once; the scale
+        # is refused by name before any solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(forward._Engine, "__init__", no_solve)
+        monkeypatch.setattr(stationary, "find_stationary", no_solve)
+        code, _ = run_cli(tmp_path, text, command)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "lam = 5e-324" in err and "partner ratio" in err
+        assert "Traceback" not in err
+
+    def test_cutoff_scale_whose_partners_overflow_exits_1(self, tmp_path, capsys):
+        # on a ratio-1.5 grid up to 1e3, lam = 1e-305 has a finite partner
+        # ratio, but the ghost cells' sizes over lam pass the float range:
+        # refused by name, with no overflow warning
+        grid = "grid.x_min = 1e-3\ngrid.x_max = 1e3\ngrid.ratio = 1.5\n"
+        keep = [ln for ln in BASE.splitlines() if not ln.startswith(("grid.", "cutoff.lambda"))]
+        text = "\n".join(keep) + "\ncutoff.lambda = 1e-305\n" + grid
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run_cli(tmp_path, text, "simulate")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "lam = 1e-305" in err
+        assert "cutoff argument" not in err
+        assert [str(w.message) for w in caught] == []
+
     def test_type_errors_name_the_key(self):
         with pytest.raises(ConfigError, match="params.rho"):
             run_config(parse_config(BASE.replace("params.rho = 0.5", "params.rho = hello")))
@@ -311,10 +352,12 @@ class TestTables:
         with pytest.raises(ValueError, match="not a coagsim table"):
             read_table(path)
 
-    def test_missing_kind(self):
+    def test_missing_kind(self, tmp_path):
         # raised KeyError once
+        path = tmp_path / "t.csv"
+        path.write_text("# coagsim-table schema_version=1 a=0.5\nx\n1.0\n")
         with pytest.raises(ValueError, match="kind"):
-            read_table(io.StringIO("# coagsim-table schema_version=1 a=0.5\nx\n1.0\n"))
+            read_table(path)
 
 
     @pytest.mark.parametrize("case", range(len(TABLE_CASES)))
@@ -324,11 +367,7 @@ class TestTables:
         oracle_write_table(tmp_path / "want.csv", kind, meta, cols, rows)
         want = (tmp_path / "want.csv").read_bytes()
         assert (tmp_path / "got.csv").read_bytes() == want
-        buf = io.StringIO()
-        write_table(buf, kind, meta, cols, rows)
-        assert buf.getvalue().encode() == want
-        buf.seek(0)
-        assert read_table(buf)[:3] == read_table(tmp_path / "want.csv")[:3]
+        assert read_table(tmp_path / "got.csv")[:3] == read_table(tmp_path / "want.csv")[:3]
 
 
 def run_cli(tmp_path, text, command, *extra):
@@ -714,6 +753,24 @@ class TestDualCheckCommand:
         code, _ = run_cli(tmp_path, BASE, "dual-check")
         assert code == 1
 
+    def test_index_whose_scale_overflows_exits_1_before_solving(self, tmp_path, monkeypatch, capsys):
+        # (gamma, rho) = (0.5, 0.504) is a valid Params with a = 0.004, whose
+        # stable law has no float scale: an OverflowError traceback from
+        # find_m_star once, after the solves
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(forward._Engine, "__init__", no_solve)
+        text = BASE
+        for old, new in [("params.gamma = 0.0", "params.gamma = 0.5"), ("params.rho = 0.5", "params.rho = 0.504"),
+                         ("kernel.family = constant", "kernel.family = product")]:
+            text = text.replace(old, new)
+        text += "params.delta = 0.002\ndual.radius = 100.0\n"
+        code, _ = run_cli(tmp_path, text, "dual-check")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "config error" in err and "index a = 0.004" in err
+
     @pytest.mark.parametrize(
         "bad",
         ["dual.dump_s = 0.0, 0.9", "dual.radius = 0.0", "dual.time = -0.1", "dual.max_change = 0.0"],
@@ -792,6 +849,33 @@ class TestProfileWCommand:
     def test_a_outside_range_exits_1(self, tmp_path):
         code, _ = run_cli(tmp_path, BASE + "w.a = 1.5\n", "profile-w")
         assert code == 1
+
+    def test_index_whose_scale_overflows_exits_1(self, tmp_path, capsys):
+        # c^(1/a) leaves the float range below a = 0.0070: an OverflowError
+        # traceback once
+        code, _ = run_cli(tmp_path, BASE + "w.a = 0.006\n", "profile-w")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "config error" in err and "index a = 0.006" in err
+
+    def test_nothing_read_relatively_exits_2(self, tmp_path, capsys):
+        # at a = 0.9999999 the law's scale is about 1e7, above the grid's
+        # top of 1e4: W, W' and the residual are 0.0 at all 41 points,
+        # which passed once with max residual 0
+        code, out = run_cli(tmp_path, BASE + "w.a = 0.9999999\n", "profile-w")
+        assert code == 2
+        manifest = json.loads((out / "profile_w.json").read_text())
+        assert manifest["n_relative"] == 0 and manifest["max_residual"] == 0.0
+        assert "no residual was read relatively" in capsys.readouterr().err
+
+    def test_counts_the_points_read_relatively(self, tmp_path):
+        # the residual reads relatively where W is above W_FLOOR, as the
+        # table's w column shows
+        code, out = run_cli(tmp_path, BASE + "w.a = 0.7\n", "profile-w")
+        assert code == 0
+        manifest = json.loads((out / "profile_w.json").read_text())
+        _, _, _, rows = read_table(out / "w_profile.csv")
+        assert manifest["n_relative"] == sum(w > W_FLOOR for _, w, _, _ in rows) == 27
 
     def test_loose_tolerance_controls_exit(self, tmp_path, monkeypatch):
         # at a gate beneath quadrature accuracy the command reports failure

@@ -695,9 +695,13 @@ def band_rearrangement_residual(state, psi):
     dep_in = float(psi_rep @ Q)
     # collapsed form: sum over ordered pairs of W [psi(P) - psi(source)]
     psi_P = np.asarray(psi(eng.Y[:, None] + _band(eng.Yall, 0, dmax + 1, N)), dtype=float)
-    # P >= Y[N - 1], with ties bracketed as the engine brackets them
+    # P >= Y[N - 1], with ties bracketed as the engine brackets them; the
+    # engine keeps the brackets of its diagonals with weight, past which
+    # the band has none
+    L = eng.k.size
+    assert not np.any(W[:, L:])
     over = np.arange(N)[:, None] + eng.k >= N - 1
-    flux = float(np.sum(W[over] * psi_P[over]))
+    flux = float(np.sum(W[:, :L][over] * psi_P[:, :L][over]))
     psi_partner = _band(psi_rep, 0, dmax + 1, N)
     collapsed = float(np.sum(W * psi_P - Wa * psi_rep[:, None] - Wb * psi_partner))
     scale = max(float(np.sum(Lk * masses)), 1e-300)

@@ -1,6 +1,5 @@
 """Grid measures: cumulative mass, weighted norms, envelopes, tail moments."""
 
-import io
 from dataclasses import replace
 
 import numpy as np
@@ -353,14 +352,13 @@ class TestPowerLawInit:
 
 
 class TestCsvRoundTrip:
-    def test_bit_exact(self):
+    def test_bit_exact(self, tmp_path):
         rng = np.random.default_rng(11)
         edges = geometric_grid(1e-3, 1e3)
         m = GridMeasure(edges, rng.uniform(0, 1, edges.size - 1) * np.pi, np.e / 7, 0.5)
-        buf = io.StringIO()
-        to_csv(m, buf)
-        buf.seek(0)
-        back = from_csv(buf)
+        path = tmp_path / "m.csv"
+        to_csv(m, path)
+        back = from_csv(path)
         assert np.array_equal(back.edges, m.edges)
         assert np.array_equal(back.cell_mass, m.cell_mass)
         assert back.tail_amplitude == m.tail_amplitude
@@ -380,35 +378,41 @@ class TestCsvRoundTrip:
             from_csv(path)
 
     # each malformed file below raised IndexError or KeyError once
-    def test_no_rows(self):
-        buf = io.StringIO("# coagsim-measure schema_version=1 tail_amplitude=0.5 tail_exponent=0.5\n"
-                          "x_left,x_right,cell_mass\n")
+    def test_no_rows(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# coagsim-measure schema_version=1 tail_amplitude=0.5 tail_exponent=0.5\n"
+                        "x_left,x_right,cell_mass\n")
         with pytest.raises(ValueError, match="rows"):
-            from_csv(buf)
+            from_csv(path)
 
     @pytest.mark.parametrize("key", ["tail_amplitude", "tail_exponent"])
-    def test_missing_tail_key(self, key):
-        buf = io.StringIO()
-        to_csv(power_law_init(PARAMS, geometric_grid(1e-2, 1e2)), buf)
-        head, rest = buf.getvalue().split("\n", 1)
+    def test_missing_tail_key(self, key, tmp_path):
+        path = tmp_path / "m.csv"
+        to_csv(power_law_init(PARAMS, geometric_grid(1e-2, 1e2)), path)
+        head, rest = path.read_text().split("\n", 1)
         head = " ".join(tok for tok in head.split() if not tok.startswith(key))
+        path.write_text(head + "\n" + rest)
         with pytest.raises(ValueError, match=key):
-            from_csv(io.StringIO(head + "\n" + rest))
+            from_csv(path)
 
-    def test_row_shorter_than_column_line(self):
-        buf = io.StringIO("# coagsim-measure schema_version=1 tail_amplitude=0.5 tail_exponent=0.5\n"
-                          "x_left,x_right,cell_mass\n1.0,2.0\n")
+    def test_row_shorter_than_column_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# coagsim-measure schema_version=1 tail_amplitude=0.5 tail_exponent=0.5\n"
+                        "x_left,x_right,cell_mass\n1.0,2.0\n")
         with pytest.raises(ValueError, match="3 values"):
-            from_csv(buf)
+            from_csv(path)
 
-    def test_header_without_column_line(self):
+    def test_header_without_column_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# coagsim-measure schema_version=1\n")
         with pytest.raises(ValueError, match="not a coagsim measure CSV"):
-            read_tagged_csv(io.StringIO("# coagsim-measure schema_version=1\n"), "measure")
+            read_tagged_csv(path, "measure")
 
-    def test_missing_schema_version(self):
-        buf = io.StringIO("# coagsim-measure tail_amplitude=0.5\nx_left,x_right,cell_mass\n1.0,2.0,0.5\n")
+    def test_missing_schema_version(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# coagsim-measure tail_amplitude=0.5\nx_left,x_right,cell_mass\n1.0,2.0,0.5\n")
         with pytest.raises(ValueError, match="schema_version"):
-            read_tagged_csv(buf, "measure")
+            read_tagged_csv(path, "measure")
 
 
 def oracle_density_at(m, x):
@@ -498,9 +502,6 @@ class TestCsvWriterOracle:
     def test_to_csv_bytes(self, seed, tmp_path):
         m = random_measure(seed)
         expected = oracle_to_csv_text(m)
-        buf = io.StringIO()
-        to_csv(m, buf)
-        assert buf.getvalue() == expected
         path = tmp_path / "m.csv"
         to_csv(m, path)
         assert path.read_bytes() == expected.encode()

@@ -63,6 +63,18 @@ def test_stationary_command_loads_no_scipy_submodule(tmp_path):
     assert (tmp_path / "out" / "stationary.json").exists()
 
 
+def test_simulate_command_loads_no_scipy_submodule(tmp_path):
+    assert run_probe(tmp_path, "simulate", STATIONARY_CFG) == ""
+    assert (tmp_path / "out" / "simulate.json").exists()
+
+
+def test_invariance_suite_command_loads_no_scipy_submodule(tmp_path):
+    # the envelope, growth-bound and pairing checks run in numpy, and the
+    # JUnit report is written with xml.etree
+    assert run_probe(tmp_path, "invariance-suite", STATIONARY_CFG) == ""
+    assert json.loads((tmp_path / "out" / "invariance.json").read_text())["n_cases"] > 0
+
+
 def test_dual_check_command_loads_no_scipy_submodule(tmp_path):
     # the closed-form M* builds a cold W table from Kanter's integral and
     # the numpy PCHIP, with no scipy; the adjoint pairing drops repeated

@@ -7,6 +7,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import erfc, gamma as gamma_func
 
 from coagsim.stablecdf import (
+    W_FLOOR,
     StableProfile,
     WTable,
     _Pchip,
@@ -67,6 +68,18 @@ class TestTransform:
             StableProfile(a=1.0)
         with pytest.raises(ValueError):
             StableProfile(a=0.0)
+
+    @pytest.mark.parametrize("a", [0.006, 0.0069, 5e-324])
+    def test_index_whose_scale_overflows_refused(self, a):
+        # Kanter's scale c^(1/a) leaves the float range below a = 0.0070;
+        # it raised OverflowError from inside w_eval once
+        with pytest.raises(ValueError, match=f"index a = {a}"):
+            StableProfile(a=a)
+
+    def test_smallest_index_with_a_float_scale(self):
+        prof = StableProfile(a=0.0071)
+        assert prof.scale == prof.c ** (1.0 / prof.a) < np.inf
+        assert 0.0 < w_eval(prof, 1.0) < 1.0
 
 
 class TestClosedFormHalf:
@@ -159,8 +172,19 @@ class TestDefiningIdentity:
             assert t3e4_residual(prof, Y) < 1e-4, f"a={a} Y={Y}"
 
     def test_degenerate_raises(self):
-        with pytest.raises(ValueError):
-            t3e4_residual(profile(0.7), 0.05)  # W and W' underflow to 0
+        # W and W' underflow to 0, where the relative reading degenerates:
+        # the residual reads absolutely, and both sides vanish
+        prof = profile(0.7)
+        assert w_eval(prof, 0.05) == 0.0 <= W_FLOOR
+        assert t3e4_residual(prof, 0.05) == 0.0
+
+    def test_derivative_underflow_above_the_floor_raises(self):
+        # at a = 0.9, Y = 1e40, W is 1 but W' underflows to 0: the relative
+        # reading has no scale
+        prof = profile(0.9)
+        assert w_eval(prof, 1e40) == 1.0 and w_deriv(prof, 1e40) == 0.0
+        with pytest.raises(ValueError, match="W' underflows"):
+            t3e4_residual(prof, 1e40)
 
 
 class TestTailLaws:
