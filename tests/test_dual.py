@@ -30,13 +30,13 @@ from coagsim.forward import (
     _Engine,
     _partners,
     _exp_update,
-    _ratio_kernel,
     rescaled_trajectory,
 )
 from coagsim.kernel import (
     CutoffParams,
     constant_kernel,
     eval_cutoff,
+    eval_kernel,
     product_kernel,
     sum_kernel,
     zero_kernel,
@@ -522,6 +522,19 @@ class TestQTail:
         assert q_tail_bound(traj_zero, 10.0).K_star == 0.0
 
 
+def oracle_ratio_kernel(kernel, cutoff, Y, Z):
+    """The static weight K(Y, Z) zeta(Y / (lam (Y+Z))) zeta(Z / (lam (Y+Z))),
+    a verbatim copy of the former forward._ratio_kernel, which evaluated
+    both ratio cutoffs on every pair."""
+    lam = cutoff.lam
+    tot = Y + Z
+    return (
+        eval_kernel(kernel, Y, Z)
+        * eval_cutoff(Y / (lam * tot))
+        * eval_cutoff(Z / (lam * tot))
+    )
+
+
 def oracle_jumps(traj, R, t, tau, psi):
     """Dense nodes x partners jump table in the frame anchored at t:
     (nodes, D, G, far sums) with G from np.interp at the pair sums."""
@@ -530,7 +543,7 @@ def oracle_jumps(traj, R, t, tau, psi):
     Zk = Yall * np.exp(-p.beta * t)
     n = int(np.count_nonzero(Zk[: traj.edges.size - 1] < R * (1.0 - 1e-12)))
     nodes = np.append(Zk[:n], R)
-    Kd = _ratio_kernel(traj.engine.kernel, cut, nodes[:, None], Zk[None, :])
+    Kd = oracle_ratio_kernel(traj.engine.kernel, cut, nodes[:, None], Zk[None, :])
     masses, amp = traj.interp(t - tau)
     grow = np.exp(p.beta * tau)
     u_x = eval_cutoff(nodes * grow / cut.lam)

@@ -20,7 +20,6 @@ from coagsim.forward import (
     _exp_update,
     _map_back,
     _partners,
-    _ratio_kernel,
     gain,
     gronwall_check,
     rearrangement_residual,
@@ -61,6 +60,19 @@ def midpoints(m):
     return np.sqrt(m.edges[:-1] * m.edges[1:])
 
 
+def oracle_ratio_kernel(kernel, cutoff, Y, Z):
+    """The static weight K(Y, Z) zeta(Y / (lam (Y+Z))) zeta(Z / (lam (Y+Z))),
+    a verbatim copy of the former forward._ratio_kernel, which evaluated
+    both ratio cutoffs on every pair."""
+    lam = cutoff.lam
+    tot = Y + Z
+    return (
+        eval_kernel(kernel, Y, Z)
+        * eval_cutoff(Y / (lam * tot))
+        * eval_cutoff(Z / (lam * tot))
+    )
+
+
 def atom_measure(edges, loaded, rho=0.5, amp=0.0):
     mass = np.zeros(edges.size - 1)
     for idx, m in loaded.items():
@@ -86,7 +98,7 @@ def oracle_loss_rate(state, X):
     lam_eff = cutoff.lam * np.exp(p.beta * state.t)
     u = eval_cutoff(Yall / lam_eff)
     m_all = np.concatenate([m.cell_mass, m.tail_amplitude * gpow])
-    row = _ratio_kernel(state.kernel, cutoff, X, Yall)
+    row = oracle_ratio_kernel(state.kernel, cutoff, X, Yall)
     esc = np.exp(-p.gamma * p.beta * state.t)
     ux = eval_cutoff(X / lam_eff)
     return esc * ux * float(np.sum(row * u * m_all / Yall)) - p.beta * p.rho
@@ -390,7 +402,37 @@ class TestRatioKernelSymmetry:
     @settings(max_examples=300, deadline=None)
     def test_bitwise_symmetric(self, kernel, lam, Y, Z):
         cut = CutoffParams(lam=lam)
-        assert _ratio_kernel(kernel, cut, Y, Z) == _ratio_kernel(kernel, cut, Z, Y)
+        assert oracle_ratio_kernel(kernel, cut, Y, Z) == oracle_ratio_kernel(kernel, cut, Z, Y)
+
+
+class TestRatioCutoffsOracle:
+    """The engine's static weights t and its rows, bit for bit against
+    oracle_ratio_kernel, which evaluates both ratio cutoffs on every
+    partner: on grids whose partner lattice hits the support band's edges
+    exactly (ratio 2^(1/8), where 2 Y_i = Y_(i+8)) or not, for a size
+    below lam/2, sizes inside the grid and sizes above it."""
+
+    KERNELS = {
+        "constant": (constant_kernel(1.3), 0.0),
+        "product": (product_kernel(0.5), 0.5),
+        "sum": (sum_kernel(0.2, 0.5), 0.5),
+        "zero": (zero_kernel(), 0.0),
+    }
+
+    @pytest.mark.parametrize("ratio", [2.0 ** (1 / 16), 2.0 ** (1 / 32), 1.5, 2.0 ** (1 / 8)], ids=["r16", "r32", "r1.5", "r8"])
+    @pytest.mark.parametrize("lam", [0.3, 0.1, 1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("family", KERNELS)
+    def test_bitwise(self, family, lam, ratio):
+        kernel, gamma = self.KERNELS[family]
+        edges = geometric_grid(1e-3, 1e3, ratio)
+        cut = CutoffParams(lam=lam)
+        eng = _Engine(edges, Params(gamma=gamma, rho=0.75), kernel, cut)
+        r = (edges[-1] / edges[0]) ** (1.0 / eng.N)
+        t = oracle_ratio_kernel(kernel, cut, 1.0, r ** np.arange(eng.dmax + 1))
+        assert eng.t.tobytes() == t[: eng.t.size].tobytes()
+        assert not np.any(t[eng.t.size :])
+        for X in (0.25 * lam, edges[0] * 1.01, 0.7, eng.Y[eng.N // 2], eng.Y[-1], 5e3, 1e6):
+            assert eng.row(X).tobytes() == oracle_ratio_kernel(kernel, cut, X, eng.Yall).tobytes(), X
 
 
 def array_entries(obj, seen=None, owned=False):
@@ -586,7 +628,7 @@ def band_oracle_rates(edges, params, kernel, cutoff, masses, amp, s):
     dmax = ghost_pow.size - 1
     listed = _band(np.ones(Yall.size, dtype=bool), 0, dmax + 1, N)
     Z = np.where(listed, _band(Yall, 0, dmax + 1, N), Yall[-1])
-    T = np.where(listed, _ratio_kernel(kernel, cutoff, Y[:, None], Z), 0.0)
+    T = np.where(listed, oracle_ratio_kernel(kernel, cutoff, Y[:, None], Z), 0.0)
     P = Y[:, None] + Z
     k = np.searchsorted(Y, P, side="right") - 1
     live = k < N - 1
@@ -670,7 +712,7 @@ def band_weights(eng):
     # largest partner size, so that they are never in-grid pairs
     Z = np.where(listed, _band(eng.Yall, 0, dmax + 1, N), eng.Yall[-1])
     T = np.zeros((dmax + N, dmax + 1))[dmax:]
-    T[:] = np.where(listed, _ratio_kernel(eng.kernel, eng.cutoff, Y[:, None], Z), 0.0)
+    T[:] = np.where(listed, oracle_ratio_kernel(eng.kernel, eng.cutoff, Y[:, None], Z), 0.0)
     return T
 
 
@@ -768,7 +810,7 @@ def index_bracket_oracle(m, params, kernel, cutoff, s, per_octave):
     Lk, Q = np.zeros(N), np.zeros(N)
     over = over_mom = 0.0
     for i in range(N):
-        K = esc * _ratio_kernel(kernel, cutoff, Y[i], Yp) * eval_cutoff(Yp / lam_eff)
+        K = esc * oracle_ratio_kernel(kernel, cutoff, Y[i], Yp) * eval_cutoff(Yp / lam_eff)
         rate = K * eval_cutoff(Y[i] / lam_eff) * mp / Yp
         Lk[i] = np.sum(rate)
         for j in range(Yp.size):
