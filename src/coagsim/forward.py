@@ -36,9 +36,9 @@ loss-only ghost cells, and their pair gain also goes to the overflow
 ledger.
 
 The pair operator is built once here: _partners continues the grid with
-the tail cells, which the flux residual shares, and _ratio_kernel gives
-the static part of the regularized kernel (the flux residual evaluates
-its kernel and cutoffs itself).  Its consumers read one _Engine:
+the tail cells, and kernel._ratio_cutoffs gives the ratio cutoffs of the
+static part of the regularized kernel; the flux residual shares both.
+Its consumers read one _Engine:
 the stepper, the diagnostics gain and rearrangement_residual (through
 EvolutionState.engine), and the dual (through Trajectory.engine:
 reps, pair_sums, row, and the per-diagonal vectors as _offset_groups groups
@@ -74,7 +74,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import _partner_ratio, eval_cutoff, eval_kernel
+from .kernel import _partner_ratio, _ratio_cutoffs, eval_cutoff, eval_kernel
 from .measure import GridMeasure, _tail_cells, _xrho_sup
 
 class IntegrationError(RuntimeError):
@@ -181,17 +181,6 @@ def _partners(edges, rho, lam):
     return pedges, np.sqrt(pedges[:-1] * pedges[1:]), gpow / (1.0 - rho)
 
 
-def _ratio_kernel(kernel, cutoff, Y, Z):
-    """K(Y, Z) zeta(Y / (lam (Y+Z))) zeta(Z / (lam (Y+Z))), static under rescaling."""
-    lam = cutoff.lam
-    tot = Y + Z
-    return (
-        eval_kernel(kernel, Y, Z)
-        * eval_cutoff(Y / (lam * tot))
-        * eval_cutoff(Z / (lam * tot))
-    )
-
-
 def _offset_groups(w, k, f):
     """Per-diagonal weights w_d grouped by deposit offset o = k_d - d from
     the larger member of each pair: group o takes w_d f_d from the
@@ -253,11 +242,12 @@ class _Engine:
         self.Yall = edges[0] * r ** (np.arange(N + dmax + 1) + 0.5)
         self.Y = Y = self.Yall[:N]
         self.Yg = Y**kernel.gamma
-        t = _ratio_kernel(kernel, cutoff, 1.0, r ** np.arange(dmax + 1))
+        rd = r ** np.arange(dmax + 1)
+        t = _ratio_cutoffs(eval_kernel(kernel, 1.0, rd), 1.0, rd, cutoff.lam)
         # t, k and f are cut after t's last weight
         L = 1 + np.max(np.flatnonzero(t), initial=0)
         d = np.arange(L)
-        rd = r**d
+        rd = rd[:L]
         self.t = t = t[:L]
         # P / Y_(i+d) = r^c; a tie (c whole up to the rounding of the log,
         # e.g. 2 Y_i = Y_(i+n) on a 2^(1/n) grid) takes the upper bracket
@@ -284,7 +274,7 @@ class _Engine:
 
     def row(self, X):
         """Static weights of size X with every partner (cells, then ghosts)."""
-        return _ratio_kernel(self.kernel, self.cutoff, X, self.Yall)
+        return _ratio_cutoffs(eval_kernel(self.kernel, X, self.Yall), X, self.Yall, self.cutoff.lam)
 
     def densities(self, masses, amp, s):
         """(u, v, esc) at time s: small-size cutoffs u and densities

@@ -12,6 +12,11 @@ lam/2 of the combined size.  The cutoff profile zeta is the C^1 smoothstep
 in 2s - 1: it is monotone, vanishes on [0, 1/2] and equals 1 on [1, inf),
 so the regularized kernel vanishes identically on a neighborhood of the
 axes and of the degenerate rays.  Only the scale lam is settable.
+
+The ratio cutoffs are scale-free and exactly 1 on a band of partner
+ratios about 1.  eval_regularized evaluates them on every pair, as the
+reference; the pair operator and the flux residual apply them through
+_ratio_cutoffs, which skips that band.
 """
 
 from dataclasses import dataclass
@@ -160,6 +165,23 @@ def _zeta(s):
     u *= u
     u *= w  # u u (3 - 2 u)
     return u
+
+
+def _ratio_cutoffs(k, y, z, lam):
+    """Multiply k in place by the ratio cutoffs of K_lam,
+    zeta(y / (lam (y+z))) zeta(z / (lam (y+z))) in that order, and return
+    it; y is a scalar or a column, z an ascending row.  Both factors are
+    exactly 1 for y / ratio <= z <= y ratio, ratio = (1 - lam)/lam, so they
+    are evaluated only on the columns outside that band (with a margin for
+    rounding)."""
+    ratio = (1.0 - lam) / lam
+    j0 = np.searchsorted(z, np.max(y) / ratio * (1.0 + 1e-9))
+    j1 = max(j0, np.searchsorted(z, np.min(y) * ratio * (1.0 - 1e-9), side="right"))
+    for c in (slice(0, j0), slice(j1, z.size)):
+        tot = (y + z[c]) * lam
+        k[..., c] *= _zeta(y / tot)
+        k[..., c] *= _zeta(np.divide(z[c], tot, out=tot))
+    return k
 
 
 def eval_kernel(spec, y, z):

@@ -28,7 +28,8 @@ exact tail moments of the measure; with cutoffs it is summed over cell
 representatives with exact partial-cell masses, for a block of quadrature
 points at a time, computing the ratio cutoffs and the partial-cell
 fractions only on the partners where some point of the block has them
-below 1.
+below 1; the ratio cutoffs' band skip is kernel._ratio_cutoffs, which the
+engine's static weights share.
 
 Below the grid (and below the kernel cutoff) the stationary dynamics is
 pure transport, whose only stationary density is C x^(-rho); the identity
@@ -47,7 +48,7 @@ import numpy as np
 
 from .forward import _Engine, _partners
 from .forward import simulate  # noqa: F401  bench/trace_run.py wraps stationary.simulate
-from .kernel import CutoffParams, _z_power_terms, _zeta, eval_cutoff, eval_kernel
+from .kernel import CutoffParams, _partner_ratio, _ratio_cutoffs, _z_power_terms, eval_cutoff, eval_kernel
 from .measure import (
     GridMeasure,
     _xrho_sup,
@@ -167,9 +168,6 @@ def _make_inner(profile, kernel, cutoff):
     epow = edges**qpow
 
     lam = cutoff.lam
-    # both ratio cutoffs of K_lam(y, z) are exactly 1 for y / ratio <= z <=
-    # y ratio
-    ratio = (1.0 - lam) / lam
 
     def inner(ys, us):
         out = np.zeros(ys.size)
@@ -184,22 +182,15 @@ def _make_inner(profile, kernel, cutoff):
             # outside [k0, k1) a partner has no mass beyond u, sits at or
             # under lam/2, or lies outside the partner-ratio window of every
             # y (with a margin for rounding): its term is exactly 0
-            z_lo = max(0.5 * lam, y.min() * lam / (2.0 - lam) * (1.0 - 1e-9))
+            z_lo = max(0.5 * lam, y.min() / _partner_ratio(lam) * (1.0 - 1e-9))
             k0 = max(np.searchsorted(edges[1:], u.min(), side="right"), np.searchsorted(reps, z_lo, side="right"))
-            k1 = np.searchsorted(reps, y.max() * (2.0 - lam) / lam * (1.0 + 1e-9), side="right")
+            k1 = np.searchsorted(reps, y.max() * _partner_ratio(lam) * (1.0 + 1e-9), side="right")
             z = reps[k0:k1]
-            # eval_regularized's product, factor by factor in its order,
-            # with the ratio cutoffs only on z[:j0] and z[j1:]: between,
-            # they are exactly 1 for every y (same margin)
+            # eval_regularized's product, factor by factor in its order
             k = eval_kernel(kernel, y, z)
             k *= eval_cutoff(y / lam)
             k *= eval_cutoff(z / lam)
-            j0 = np.searchsorted(z, y.max() / ratio * (1.0 + 1e-9))
-            j1 = max(j0, np.searchsorted(z, y.min() * ratio * (1.0 - 1e-9), side="right"))
-            for c in (slice(0, j0), slice(j1, z.size)):
-                tot = (y + z[c]) * lam
-                k[:, c] *= _zeta(y / tot)
-                k[:, c] *= _zeta(np.divide(z[c], tot, out=tot))
+            _ratio_cutoffs(k, y, z, lam)
             k /= z
             # exact power-shape mass of each cell beyond u, in place; from
             # the first edge at or above every u on, that mass is the whole

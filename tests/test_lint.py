@@ -266,6 +266,47 @@ def test_kernel_families_are_read_in_kernel_only():
     assert found == []
 
 
+def zeta_reads(source):
+    """Lines that import or read the name _zeta (the cutoff profile without
+    eval_cutoff's checks), bare or as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            lines += [node.lineno for alias in node.names if alias.name == "_zeta"]
+        elif isinstance(node, ast.Name) and node.id == "_zeta" and isinstance(node.ctx, ast.Load):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "_zeta" and isinstance(node.ctx, ast.Load):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_flags_zeta_reads():
+    source = (
+        '"""_zeta in a docstring is text."""\n'
+        'name = "_zeta"\n'
+        "from .kernel import _zeta, eval_cutoff\n"
+        "k *= _zeta(s)\n"
+        "u = kernel._zeta(s)\n"
+        "def _zeta(s):\n"
+        "    return s\n"
+        "_zeta = None\n"
+    )
+    assert zeta_reads(source) == [3, 4, 5]
+
+
+def test_cutoff_profile_is_read_in_kernel_only():
+    # the cutoff profile's unchecked form, and the ratio cutoffs' band skip
+    # built on it, live in kernel.py; other modules go through eval_cutoff
+    # and _ratio_cutoffs
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "kernel.py"
+        for line in zeta_reads(path.read_text())
+    ]
+    assert found == []
+
+
 def envelope_reads(source):
     """Lines that read an attribute named R0 or delta (the lower envelope's
     onset scale and exponent)."""
