@@ -314,7 +314,7 @@ def cmd_profile_w(cfg, out_dir):
         "table_file": "w_profile.csv",
     }
     _write_manifest(out_dir / "profile_w.json", "profile-w", manifest)
-    _log(f"profile-w: a={a:g}, {len(rows)} points, max residual {worst:.3e}")
+    _log(f"profile-w: a={a!r}, {len(rows)} points, max residual {worst:.3e}")
     if not n_relative:
         _log(f"profile-w: W <= {W_FLOOR:g} at every point, so no residual was read relatively")
         return 2

@@ -646,15 +646,15 @@ class ContinuationReport:
     distances: list
 
 
-def lambda_continuation(params, kernel, lambdas, **kwargs):
+def lambda_continuation(params, kernel, lambdas, edges=None, tol=1e-4):
     """Run find_stationary at each cutoff scale in turn; report X_rho gaps.
 
-    Each run uses CutoffParams(lam), the cutoff at that scale, and starts
-    from the profile of the scale before it (the first from
-    find_stationary's default start), in one process.  kwargs go to
-    every find_stationary call, except cutoff and start, which the chain
-    sets: either is refused with a TypeError before any search, as is
-    (with a ValueError) a scale that CutoffParams refuses.
+    Each run uses CutoffParams(lam), the cutoff at that scale, on edges
+    (default: geometric_grid()) to tol, and starts from the profile of the
+    scale before it (the first from find_stationary's default start), in
+    one process.  A scale that CutoffParams refuses, or whose partners
+    overflow a float on the grid (_partners), is refused with a ValueError
+    before the first search.
     Distances between consecutive profiles are reported, never asserted;
     a decreasing sequence is evidence of a weak limit as the cutoff is
     removed.
@@ -663,15 +663,14 @@ def lambda_continuation(params, kernel, lambdas, **kwargs):
     -------
     ContinuationReport
     """
-    if "cutoff" in kwargs:
-        raise TypeError("lambda_continuation() takes its cutoff scales as lambdas, not cutoff")
-    if "start" in kwargs:
-        raise TypeError("lambda_continuation() starts each scale from the profile before it, not from start")
-    # a scale CutoffParams refuses is refused before the first search
+    if edges is None:
+        edges = geometric_grid()
     cutoffs = [CutoffParams(lam=float(v)) for v in lambdas]
+    for cutoff in cutoffs:
+        _partners(edges, params.rho, cutoff.lam)
     results = []
     for cutoff in cutoffs:
         start = results[-1].profile if results else None
-        results.append(find_stationary(params, kernel, cutoff, start=start, **kwargs))
+        results.append(find_stationary(params, kernel, cutoff, edges=edges, tol=tol, start=start))
     distances = [xrho_dist(a.profile, b.profile) for a, b in zip(results[:-1], results[1:])]
     return ContinuationReport(lambdas=tuple(c.lam for c in cutoffs), results=results, distances=distances)

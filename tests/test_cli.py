@@ -281,6 +281,28 @@ class TestRunConfig:
         assert "cutoff argument" not in err
         assert [str(w.message) for w in caught] == []
 
+    def test_later_scale_whose_partners_overflow_exits_1_before_any_search(self, tmp_path, monkeypatch, capsys):
+        # the same grid with stationary.lambdas = 0.1, 1e-300: the second
+        # scale's partners overflow, which is refused before the first
+        # scale's search builds its engine
+        built = []
+        init = forward._Engine.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(forward._Engine, "__init__", counting_init)
+        grid = "grid.x_min = 1e-3\ngrid.x_max = 1e3\ngrid.ratio = 1.5\n"
+        keep = [ln for ln in CONTINUATION_BASE.splitlines() if not ln.startswith("grid.")]
+        text = "\n".join(keep) + "\nstationary.lambdas = 0.1, 1e-300\n" + grid
+        code, out = run_cli(tmp_path, text, "stationary")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "lam = 1e-300" in err
+        assert built == []
+        assert not any(out.iterdir())
+
     def test_type_errors_name_the_key(self):
         with pytest.raises(ConfigError, match="params.rho"):
             run_config(parse_config(BASE.replace("params.rho = 0.5", "params.rho = hello")))
@@ -867,6 +889,15 @@ class TestProfileWCommand:
         manifest = json.loads((out / "profile_w.json").read_text())
         assert manifest["n_relative"] == 0 and manifest["max_residual"] == 0.0
         assert "no residual was read relatively" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a", ["0.9999999", "0.123456789"])
+    def test_stderr_names_the_exact_index(self, tmp_path, monkeypatch, capsys, a):
+        # the summary line printed a = 0.9999999 as a=1 once, an index the
+        # command refuses; it names the index as the manifest records it
+        monkeypatch.setattr(cli, "PROFILE_W_GRID", (1.0, 100.0, 3))
+        _, out = run_cli(tmp_path, BASE + f"w.a = {a}\n", "profile-w")
+        assert json.loads((out / "profile_w.json").read_text())["a"] == float(a)
+        assert capsys.readouterr().err.startswith(f"profile-w: a={a}, 3 points, max residual ")
 
     def test_counts_the_points_read_relatively(self, tmp_path):
         # the residual reads relatively where W is above W_FLOOR, as the

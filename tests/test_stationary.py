@@ -569,7 +569,7 @@ class TestLambdaContinuation:
         calls = []
         monkeypatch.setattr(stationary, "find_stationary", lambda *a, **k: calls.append(k))
         value, match = {
-            "cutoff": (CutoffParams(0.1), r"lambda_continuation\(\).*lambdas.*cutoff"),
+            "cutoff": (CutoffParams(0.1), r"lambda_continuation\(\).*cutoff"),
             "start": (power_law_init(PARAMS, geometric_grid()), r"lambda_continuation\(\).*start"),
         }[key]
         with pytest.raises(TypeError, match=match):
