@@ -214,7 +214,7 @@ def cmd_stationary(cfg, out_dir):
     failed_gates = False
     for res in results:
         _log(
-            f"stationary: lambda={res.lam:g} converged={res.converged}"
+            f"stationary: lambda={res.lam!r} converged={res.converged}"
             f" t={res.t_elapsed:g} exponent={res.tail_exponent_fit:.4f}"
             f" amplitude={res.tail_amplitude_fit:.4f}"
             f" flux_radii={','.join(f'{R:g}' for R in res.residual_decay0)}"
@@ -222,7 +222,7 @@ def cmd_stationary(cfg, out_dir):
         failed = [gate for gate, ok in res.verdicts.items() if not ok]
         if failed:
             failed_gates = True
-            _log(f"stationary: lambda={res.lam:g} failed gates: {', '.join(failed)}")
+            _log(f"stationary: lambda={res.lam!r} failed gates: {', '.join(failed)}")
     if not all(res.converged for res in results):
         return 3
     return 2 if failed_gates else 0
@@ -276,7 +276,7 @@ def cmd_dual_check(cfg, out_dir):
     }
     _write_manifest(out_dir / "dual_check.json", "dual-check", manifest)
     _log(
-        f"dual-check: R={R:g} t={t:g} adjoint residual {residual:.3e}"
+        f"dual-check: R={R!r} t={t!r} adjoint residual {residual:.3e}"
         f" (tolerance {DUAL_CHECK_TOL:g}), M*={m_star:.4g}, K*={q_report.K_star:.4g}"
     )
     return 0 if residual <= DUAL_CHECK_TOL else 2
@@ -428,7 +428,10 @@ def main(argv=None):
     try:
         cfg = run_config(load_config(args.config))
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
         return _COMMANDS[args.command](cfg, out_dir)
     except IntegrationError as exc:
         _log(f"numerical failure: {exc}")

@@ -44,7 +44,7 @@ import re
 from dataclasses import dataclass
 
 from .kernel import FAMILY_FIELDS, CutoffParams, KernelSpec
-from .measure import Params
+from .measure import Params, geometric_grid
 
 _KEY_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
 
@@ -205,10 +205,11 @@ def run_config(mapping):
     for leaf in ("alpha", "value"):
         if f"kernel.{leaf}" in mapping and leaf not in FAMILY_FIELDS[family]:
             raise ConfigError(f"kernel.{leaf} is not read by the {family!r} kernel")
+    x_min, x_max, ratio = geometric_grid.__defaults__
     grid = (
-        get_float(mapping, "grid.x_min", 1e-4),
-        get_float(mapping, "grid.x_max", 1e8),
-        get_float(mapping, "grid.ratio", 2.0 ** (1.0 / 16.0)),
+        get_float(mapping, "grid.x_min", x_min),
+        get_float(mapping, "grid.x_max", x_max),
+        get_float(mapping, "grid.ratio", ratio),
     )
     if not (0.0 < grid[0] < grid[1] and grid[2] > 1.0):
         raise ConfigError("grid: need 0 < x_min < x_max and ratio > 1")

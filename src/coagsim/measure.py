@@ -7,7 +7,11 @@ cell k carries the density c_k x^(-rho) with
 c_k = m_k (1-rho) / (x_(k+1)^(1-rho) - x_k^(1-rho)) (GridMeasure.amplitudes,
 density_at), which makes partial-cell masses, weighted norms and
 inverse-power moments available in closed form.  Every other module reads
-c_k from here.
+c_k from here, but for the stationary residual (stationary._Residual),
+which forms (m_k / w_k) (1 - rho) itself with w_k the denominator above:
+in that order the pure power law m = w gives exactly 1 - rho in every
+cell, where the order m_k (1 - rho) / w_k misses it in some (114 of the
+638 acceptance-grid cells at rho = 0.1).
 
 Measures and numeric tables share one self-describing CSV format
 (write_tagged_csv / read_tagged_csv): a header line
@@ -359,7 +363,7 @@ def dyadic_tail_integral(m, x, alpha):
     return total
 
 
-def power_law_init(params, edges=None):
+def power_law_init(params, edges):
     """Initial datum with cumulative F(R) = R^(1-rho) (1 - (R0/R)^delta)_+.
 
     Cell masses reproduce that cumulative exactly at every edge, and the
@@ -367,8 +371,6 @@ def power_law_init(params, edges=None):
     It sits on the lower envelope, so both envelope checks pass with zero
     slack and the invariance checks start at the edge of the set.
     """
-    if edges is None:
-        edges = geometric_grid()
     mass = np.clip(np.diff(_lower_envelope(params, edges)), 0.0, None)
     return GridMeasure(edges, mass, tail_amplitude=1.0 - params.rho, tail_exponent=params.rho)
 

@@ -158,6 +158,7 @@ def _kanter(profile, Y):
     return np.minimum(W, 1.0), D
 
 
+# t3e4_residual's W at one point, memoized: its quadrature revisits points
 @lru_cache(maxsize=200_000)
 def _w_scalar(profile, Y):
     return float(_kanter(profile, np.array([Y]))[0][0])
@@ -186,9 +187,8 @@ def w_eval(profile, Y):
     float or ndarray
     """
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 0:
-        return _w_scalar(profile, float(Y))
-    return _kanter(profile, Y.ravel())[0].reshape(Y.shape)
+    out = _kanter(profile, Y.ravel())[0].reshape(Y.shape)
+    return out if out.ndim else float(out)
 
 
 def w_deriv(profile, Y):

@@ -57,7 +57,6 @@ from .measure import (
     dyadic_tail_integral,
     envelope_check_lower,
     envelope_check_upper,
-    geometric_grid,
     xrho_dist,
 )
 
@@ -333,8 +332,11 @@ class _Residual:
     a_i w_i = (1 - rho) m_i, m - D = rho m - c with
     c_i = ((a_(i+1) - a_i) e_(i+1)^(1-rho) - (a_(i-1) - a_i) e_i^(1-rho)) / 2,
     the form evaluated here: on the pure power law under the zero kernel
-    every term cancels and G is exactly 0.  At a fixed ghost amplitude G
-    is quadratic in m.
+    every term cancels and G is exactly 0.  That needs a_i formed as
+    (m_i / w_i) (1 - rho), exactly 1 - rho at m = w, not in the order of
+    GridMeasure.amplitudes, m_i (1 - rho) / w_i, which misses 1 - rho in
+    114 of the 638 acceptance-grid cells at rho = 0.1 and in 82 at
+    rho = 0.9.  At a fixed ghost amplitude G is quadratic in m.
 
     The scaled variables are m / w.  drift_diag, lower and upper are the
     drift's part of the scaled preconditioner (row i divided by w_i,
@@ -568,20 +570,19 @@ def find_stationary(
     params,
     kernel,
     cutoff,
-    edges=None,
+    edges,
     tol=1e-4,
     start=None,
 ):
     """Solve for the stationary profile; report it and its diagnostics.
 
     The profile is a zero of the semi-discrete stationary equation
-    F(m) = -A(m) m + Q(m) + beta (-m + D(m)) on edges (default:
-    geometric_grid()), with the rates at rescaled time 0, the conserved
-    tail (1 - rho) x^(-rho) above the grid and the centred drift D
-    (_Residual).  Pseudo-transient continuation (_PseudoTransient) finds
-    it from start's cell masses, or from the pure power law
-    (1 - rho) x^(-rho) when start is None, and stops once the X_rho norm
-    of F, the flow's distance per unit time, is below tol.
+    F(m) = -A(m) m + Q(m) + beta (-m + D(m)) on edges, with the rates at
+    rescaled time 0, the conserved tail (1 - rho) x^(-rho) above the grid
+    and the centred drift D (_Residual).  Pseudo-transient continuation
+    (_PseudoTransient) finds it from start's cell masses, or from the pure
+    power law (1 - rho) x^(-rho) when start is None, and stops once the
+    X_rho norm of F, the flow's distance per unit time, is below tol.
 
     If that takes more than PTC_MAX_ITER steps, or ends on a zero with a
     nonpositive cell, the search yields converged=False, never an
@@ -600,8 +601,6 @@ def find_stationary(
     -------
     StationaryResult
     """
-    if edges is None:
-        edges = geometric_grid()
     if start is not None and (start.tail_exponent != params.rho or start.cell_mass.shape != (edges.size - 1,)):
         raise ValueError("start must have the grid's cell count and tail exponent params.rho")
     lo, hi = FIT_WINDOW
@@ -646,15 +645,14 @@ class ContinuationReport:
     distances: list
 
 
-def lambda_continuation(params, kernel, lambdas, edges=None, tol=1e-4):
+def lambda_continuation(params, kernel, lambdas, edges, tol=1e-4):
     """Run find_stationary at each cutoff scale in turn; report X_rho gaps.
 
-    Each run uses CutoffParams(lam), the cutoff at that scale, on edges
-    (default: geometric_grid()) to tol, and starts from the profile of the
-    scale before it (the first from find_stationary's default start), in
-    one process.  A scale that CutoffParams refuses, or whose partners
-    overflow a float on the grid (_partners), is refused with a ValueError
-    before the first search.
+    Each run uses CutoffParams(lam), the cutoff at that scale, on edges to
+    tol, and starts from the profile of the scale before it (the first
+    from find_stationary's default start), in one process.  A scale that
+    CutoffParams refuses, or whose partners overflow a float on the grid
+    (_partners), is refused with a ValueError before the first search.
     Distances between consecutive profiles are reported, never asserted;
     a decreasing sequence is evidence of a weak limit as the cutoff is
     removed.
@@ -663,8 +661,6 @@ def lambda_continuation(params, kernel, lambdas, edges=None, tol=1e-4):
     -------
     ContinuationReport
     """
-    if edges is None:
-        edges = geometric_grid()
     cutoffs = [CutoffParams(lam=float(v)) for v in lambdas]
     for cutoff in cutoffs:
         _partners(edges, params.rho, cutoff.lam)

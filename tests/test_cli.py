@@ -504,6 +504,19 @@ class TestStationaryCommand:
         err = capsys.readouterr().err
         assert "stationary: lambda=0.01 converged=False t=" in err and "solver=" not in err
 
+    def test_stderr_names_the_exact_cutoff_scale(self, tmp_path, monkeypatch, capsys):
+        # lambda = 0.0009999999 printed as lambda=0.001 once, on both the
+        # summary and the failed-gates line; they name the scale as the
+        # manifest records it
+        monkeypatch.setattr(stationary, "PTC_MAX_ITER", 1)
+        text = BASE.replace("cutoff.lambda = 1e-2", "cutoff.lambda = 0.0009999999") + "run.tol = 1e-12\n"
+        code, out = run_cli(tmp_path, text, "stationary")
+        assert code == 3
+        assert json.loads((out / "stationary.json").read_text())["results"][0]["lambda"] == 0.0009999999
+        err = capsys.readouterr().err
+        assert "stationary: lambda=0.0009999999 converged=False t=" in err
+        assert "stationary: lambda=0.0009999999 failed gates: " in err
+
     def test_log_names_the_default_flux_radii(self, tmp_path, capsys):
         # this grid's top edge lies below x_max = 1e4, so the default radii
         # strictly inside it are 10, 100 and 1000, and the log says so
@@ -770,6 +783,18 @@ class TestDualCheckCommand:
         assert manifest["n_forward_steps"] == manifest["n_backward_steps"] == 0
         _, meta, _, rows = read_table(out / "psi_0000.csv")
         assert meta["s"] == "0.0" and all(psi == 1.0 for _, psi in rows)
+
+    def test_stderr_names_the_exact_radius_and_time(self, tmp_path, monkeypatch, capsys):
+        # R = 100.00001 and t = 0.30000001 printed as R=100 t=0.3 once; the
+        # summary names them as the manifest records them
+        monkeypatch.setattr(cli, "DUAL_MAX_CHANGE", 0.02)
+        text = BASE.replace("kernel.family = constant", "kernel.family = zero")
+        text += "dual.radius = 100.00001\ndual.time = 0.30000001\n"
+        code, out = run_cli(tmp_path, text, "dual-check")
+        assert code == 0
+        manifest = json.loads((out / "dual_check.json").read_text())
+        assert (manifest["radius"], manifest["time"]) == (100.00001, 0.30000001)
+        assert capsys.readouterr().err.startswith("dual-check: R=100.00001 t=0.30000001 adjoint residual ")
 
     def test_missing_radius_exits_1(self, tmp_path):
         code, _ = run_cli(tmp_path, BASE, "dual-check")
@@ -1041,6 +1066,22 @@ class TestArgumentHandling:
         assert exc.value.code == 0
         options = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out))
         assert options == {"-h", "--help", "--config", "--out"}
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "under-file"])
+    def test_out_that_cannot_be_a_directory_exits_1(self, tmp_path, monkeypatch, capsys, out):
+        # --out naming a file, or a path under one, escaped main as a
+        # FileExistsError or NotADirectoryError traceback once; it is
+        # refused before any solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(forward._Engine, "__init__", no_solve)
+        (tmp_path / "taken").write_text("")
+        cfg = write_cfg(tmp_path, BASE)
+        assert main(["stationary", "--config", cfg, "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: cannot create output directory ")
+        assert (tmp_path / "taken").read_text() == ""
 
     def test_out_defaults_to_out(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

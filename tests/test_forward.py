@@ -50,6 +50,8 @@ from coagsim.measure import (
 PARAMS = Params(gamma=0.0, rho=0.5, delta=0.2, R0=10.0)
 CUT = CutoffParams(lam=1e-3)
 RATIO = 2.0 ** (1.0 / 16.0)
+# the acceptance grid, handed to the calls that run on it
+EDGES = geometric_grid()
 
 
 def state_of(measure, kernel, t=0.0, params=PARAMS, cutoff=CUT):
@@ -147,7 +149,7 @@ class TestLossRate:
         # z^-1 dmu over z > lam/2
         from coagsim.measure import dyadic_tail_integral
 
-        m = power_law_init(PARAMS)
+        m = power_law_init(PARAMS, EDGES)
         st_ = state_of(m, constant_kernel(2.0))
         bound = 2.0 * dyadic_tail_integral(m, CUT.lam / 2.0, 1.0)
         for X in [1.0, 25.0, 1e3, 1e6]:
@@ -332,7 +334,7 @@ class TestRearrangement:
         assert res > 1e-3
 
     def test_full_state_machine_level(self):
-        m = power_law_init(PARAMS)
+        m = power_law_init(PARAMS, EDGES)
         st_ = state_of(m, constant_kernel(1.0))
         res, flux = rearrangement_residual(st_, lambda x: np.ones_like(np.asarray(x, float)))
         assert res <= 1e-12
@@ -369,7 +371,7 @@ class TestStateEngine:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(forward._Engine, "__init__", counting_init)
-        st_ = state_of(power_law_init(PARAMS), constant_kernel(1.0), t=0.2)
+        st_ = state_of(power_law_init(PARAMS, EDGES), constant_kernel(1.0), t=0.2)
         engine_loss_rate(st_, 10.0)
         gain(st_)
         rearrangement_residual(st_, np.ones_like)
@@ -378,7 +380,7 @@ class TestStateEngine:
         assert st_.engine is st_.engine
 
     def test_trajectory_state_reads_its_engine(self):
-        h0 = power_law_init(PARAMS)
+        h0 = power_law_init(PARAMS, EDGES)
         traj = rescaled_trajectory(h0, PARAMS, constant_kernel(1.0), CUT, 0.1)
         k = traj.times.size - 1
         st_ = traj.state(k)
@@ -862,7 +864,7 @@ class TestEngineBuild:
 
     def test_equal_inputs_give_identical_rates(self):
         eng = _Engine(geometric_grid(), PARAMS, constant_kernel(1.0), CUT)
-        m = power_law_init(PARAMS)
+        m = power_law_init(PARAMS, EDGES)
         first = eng.rates(m.cell_mass.copy(), m.tail_amplitude, 0.3)
         second = eng.rates(m.cell_mass.copy(), m.tail_amplitude, 0.3)
         for a, b in zip(first, second):
@@ -894,7 +896,7 @@ class TestEngineBuild:
         # half band, on the engine or lazily behind it
         eng = _Engine(geometric_grid(), PARAMS, constant_kernel(1.0), CUT)
         before = set(vars(eng))
-        m = power_law_init(PARAMS)
+        m = power_law_init(PARAMS, EDGES)
         eng.rates(m.cell_mass, m.tail_amplitude, 0.0)
         assert "T" not in vars(eng) and not hasattr(eng, "T")
         assert set(vars(eng)) == before
@@ -905,7 +907,7 @@ class TestStepperCarry:
 
     def spans(self, stepper_for, n=10, span=0.05):
         # consecutive spans of one frame; the stepper is asked for per span
-        h0 = power_law_init(PARAMS)
+        h0 = power_law_init(PARAMS, EDGES)
         grow = PARAMS.beta * PARAMS.rho
         masses = h0.cell_mass.copy()
         for k in range(n):
@@ -924,7 +926,7 @@ class TestStepperCarry:
     def test_cut_step_leaves_uncut_proposal(self):
         eng = _Engine(geometric_grid(), PARAMS, constant_kernel(1.0), CUT)
         st = _Stepper(eng)
-        h0 = power_law_init(PARAMS)
+        h0 = power_law_init(PARAMS, EDGES)
         log = []
         st.run(h0.cell_mass.copy(), h0.tail_amplitude, 0.0, 0.3,
                record=lambda s, m: log.append((s, m.copy(), st.n_retries)))
@@ -945,7 +947,7 @@ class TestStepperCarry:
         # accepted step keeps within the change cap
         eng = _Engine(geometric_grid(), PARAMS, constant_kernel(1.0), CUT)
         st = _Stepper(eng)
-        h0 = power_law_init(PARAMS)
+        h0 = power_law_init(PARAMS, EDGES)
         log = [h0.cell_mass.copy()]
         st.run(h0.cell_mass.copy(), h0.tail_amplitude, 0.0, 1.0,
                record=lambda s, m: log.append(m.copy()))
@@ -959,7 +961,7 @@ class TestStepperCarry:
         # exact and the controller only chooses the step sizes
         eng = _Engine(geometric_grid(), PARAMS, zero_kernel(), CUT)
         st = _Stepper(eng)
-        h0 = power_law_init(PARAMS)
+        h0 = power_law_init(PARAMS, EDGES)
         s0, s1 = 0.2, 1.0
         amp = h0.tail_amplitude * np.exp(PARAMS.beta * PARAMS.rho * s0)
         log = [h0.cell_mass.copy()]
@@ -1039,7 +1041,7 @@ class TestStepperOracle:
     @pytest.mark.parametrize("max_change", [0.05, 0.01])
     def test_matches_own_loop(self, kernel, params, max_change):
         eng = _Engine(geometric_grid(), params, kernel, CUT)
-        h0 = power_law_init(params)
+        h0 = power_law_init(params, EDGES)
         grow = params.beta * params.rho
         out = []
         for cls in (_Stepper, OracleStepper):
@@ -1162,7 +1164,7 @@ def oracle_index_shift_map_back(masses, amp, edges, sigma, rho):
 
 class TestSimulate:
     def test_t_zero_identity(self):
-        h0 = power_law_init(PARAMS)
+        h0 = power_law_init(PARAMS, EDGES)
         res = simulate(h0, PARAMS, constant_kernel(1.0), CUT, 0.0)
         np.testing.assert_allclose(res.final.cell_mass, h0.cell_mass, rtol=0.0)
         assert res.final.tail_amplitude == h0.tail_amplitude
@@ -1182,7 +1184,7 @@ class TestSimulate:
         # transported datum: h(x, t) = e^(rho beta t) h0(x e^(beta t));
         # compare cumulatives above the defect onset and below the region
         # influenced by the top boundary
-        h0 = power_law_init(PARAMS)
+        h0 = power_law_init(PARAMS, EDGES)
         res = simulate(h0, PARAMS, zero_kernel(), CUT, 1.0, snapshot_times=(0.5, 1.0))
         for t, snap in zip(res.times, res.snapshots):
             onset = PARAMS.R0 * np.exp(-PARAMS.beta * t)
@@ -1194,14 +1196,14 @@ class TestSimulate:
             assert np.max(np.abs(lhs - rhs) / rhs) <= 1e-3
 
     def test_zero_kernel_preserves_tail_amplitude(self):
-        h0 = power_law_init(PARAMS)
+        h0 = power_law_init(PARAMS, EDGES)
         res = simulate(h0, PARAMS, zero_kernel(), CUT, 2.0)
         assert res.final.tail_amplitude == pytest.approx(1.0 - PARAMS.rho, rel=1e-12)
 
     def test_zero_kernel_reaches_fixed_point(self):
         # once the datum's defect has advected out, cells are exactly the
         # pure power values
-        h0 = power_law_init(PARAMS)
+        h0 = power_law_init(PARAMS, EDGES)
         res = simulate(h0, PARAMS, zero_kernel(), CUT, 30.0)
         target = np.diff(res.final.edges ** (1.0 - PARAMS.rho))
         np.testing.assert_allclose(res.final.cell_mass, target, rtol=1e-12)
@@ -1217,7 +1219,7 @@ class TestSimulate:
         # pure power datum, zero kernel, exactly one frame: the spill is
         # the grown bottom cells
         params = Params(gamma=0.0, rho=0.5, R0=1e-5)
-        h0 = power_law_init(params)
+        h0 = power_law_init(params, EDGES)
         T = 16.0 * np.log(RATIO) / params.beta
         res = simulate(h0, params, zero_kernel(), CUT, T)
         sigma = params.beta * T
@@ -1226,7 +1228,7 @@ class TestSimulate:
         assert res.origin_mass == pytest.approx(expected, rel=1e-12)
 
     def test_constant_kernel_diagnostics(self):
-        h0 = power_law_init(PARAMS)
+        h0 = power_law_init(PARAMS, EDGES)
         res = simulate(h0, PARAMS, constant_kernel(1.0), CUT, 0.5)
         assert res.max_pairing_residual <= 1e-12
         assert np.all(res.final.cell_mass >= 0.0)
@@ -1238,13 +1240,13 @@ class TestSimulate:
     def test_product_kernel_runs_clean(self):
         params = Params(gamma=0.5, rho=0.75)
         cut = CutoffParams(lam=1e-3)
-        h0 = power_law_init(params)
+        h0 = power_law_init(params, EDGES)
         res = simulate(h0, params, product_kernel(0.5), cut, 0.5)
         assert res.max_pairing_residual <= 1e-12
         assert np.all(res.final.cell_mass >= 0.0)
 
     def test_semigroup_property(self):
-        h0 = power_law_init(PARAMS)
+        h0 = power_law_init(PARAMS, EDGES)
         ker = constant_kernel(1.0)
         one = simulate(h0, PARAMS, ker, CUT, 0.25, max_change=0.02)
         two = simulate(one.final, PARAMS, ker, CUT, 0.25, max_change=0.02)
@@ -1298,7 +1300,7 @@ class TestSimulate:
 
 class TestTrajectory:
     def test_records_every_step(self):
-        h0 = power_law_init(PARAMS)
+        h0 = power_law_init(PARAMS, EDGES)
         traj = rescaled_trajectory(h0, PARAMS, constant_kernel(1.0), CUT, 0.3)
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(0.3, abs=1e-12)
@@ -1311,14 +1313,14 @@ class TestTrajectory:
     def test_rejects_change_cap_outside_unit_interval(self, mc):
         # a zero cap would accept zero-length steps for ever; the stepper
         # refuses it before stepping
-        h0 = power_law_init(PARAMS)
+        h0 = power_law_init(PARAMS, EDGES)
         with pytest.raises(ValueError, match="max_change"):
             rescaled_trajectory(h0, PARAMS, constant_kernel(1.0), CUT, 0.3, max_change=mc)
         with pytest.raises(ValueError, match="max_change"):
             simulate(h0, PARAMS, constant_kernel(1.0), CUT, 0.3, max_change=mc)
 
     def test_interp_endpoints_and_bounds(self):
-        h0 = power_law_init(PARAMS)
+        h0 = power_law_init(PARAMS, EDGES)
         traj = rescaled_trajectory(h0, PARAMS, zero_kernel(), CUT, 0.4)
         m0, a0 = traj.interp(0.0)
         np.testing.assert_allclose(m0, h0.cell_mass, rtol=0.0)
@@ -1329,7 +1331,7 @@ class TestTrajectory:
     def test_interp_on_one_stored_state(self):
         # a trajectory to t = 0 holds the datum alone; interpolating between
         # two stored steps would divide 0 by 0
-        h0 = power_law_init(PARAMS)
+        h0 = power_law_init(PARAMS, EDGES)
         traj = rescaled_trajectory(h0, PARAMS, constant_kernel(1.0), CUT, 0.0)
         assert traj.times.size == 1
         m0, a0 = traj.interp(0.0)
@@ -1356,7 +1358,7 @@ class TestTrajectory:
         assert np.float64(got.tail_exponent).tobytes() == np.float64(h0.tail_exponent).tobytes()
 
     def test_zero_kernel_growth_between_snapshots(self):
-        h0 = power_law_init(PARAMS)
+        h0 = power_law_init(PARAMS, EDGES)
         traj = rescaled_trajectory(h0, PARAMS, zero_kernel(), CUT, 0.4)
         k = traj.times.size // 2
         growth = np.exp(PARAMS.beta * PARAMS.rho * traj.times[k])
@@ -1366,21 +1368,21 @@ class TestTrajectory:
 class TestGronwall:
     def test_zero_kernel_touches_bound(self):
         # pure drift grows the norm at exactly the admissible rate
-        h0 = power_law_init(PARAMS)
+        h0 = power_law_init(PARAMS, EDGES)
         traj = rescaled_trajectory(h0, PARAMS, zero_kernel(), CUT, 0.8)
         rep = gronwall_check(traj)
         assert rep.ok
         assert rep.worst_ratio == pytest.approx(1.0, abs=1e-10)
 
     def test_constant_kernel_holds(self):
-        h0 = power_law_init(PARAMS)
+        h0 = power_law_init(PARAMS, EDGES)
         traj = rescaled_trajectory(h0, PARAMS, constant_kernel(1.0), CUT, 0.5)
         rep = gronwall_check(traj, tol=1e-2)
         assert rep.ok
         assert rep.worst_ratio <= 1.0 + 1e-2
 
     def test_report_holds_python_floats(self):
-        traj = rescaled_trajectory(power_law_init(PARAMS), PARAMS, zero_kernel(), CUT, 0.2)
+        traj = rescaled_trajectory(power_law_init(PARAMS, EDGES), PARAMS, zero_kernel(), CUT, 0.2)
         rep = gronwall_check(traj)
         assert all(type(v) is float for v in (rep.worst_ratio, rep.t_at, rep.tol))
         assert type(rep.ok) is bool

@@ -307,6 +307,44 @@ def test_cutoff_profile_is_read_in_kernel_only():
     assert found == []
 
 
+def default_grid_calls(source):
+    """Lines that call geometric_grid with no argument (the acceptance grid
+    by its defaults), bare or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "geometric_grid"
+        and not node.args
+        and not node.keywords
+    )
+
+
+def test_checker_flags_default_grid_calls():
+    source = (
+        '"""geometric_grid() in a docstring is text."""\n'
+        'name = "geometric_grid()"\n'
+        "edges = geometric_grid()\n"
+        "edges = measure.geometric_grid()\n"
+        "edges = geometric_grid(*cfg.grid)\n"
+        "edges = geometric_grid(ratio=2.0)\n"
+        "x_min, x_max, ratio = geometric_grid.__defaults__\n"
+        "make = geometric_grid\n"
+    )
+    assert default_grid_calls(source) == [3, 4]
+
+
+def test_package_states_the_acceptance_grid_once():
+    # the acceptance grid is geometric_grid's defaults alone: run_config
+    # reads them, and every solve takes its grid from its caller
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in default_grid_calls(path.read_text())
+    ]
+    assert found == []
+
+
 def envelope_reads(source):
     """Lines that read an attribute named R0 or delta (the lower envelope's
     onset scale and exponent)."""

@@ -24,6 +24,8 @@ from coagsim.measure import (
 )
 
 PARAMS = Params(gamma=0.0, rho=0.5, delta=0.2, R0=10.0)
+# the acceptance grid, handed to the calls that run on it
+EDGES = geometric_grid()
 
 
 def small_grid(n=8, x0=0.5, ratio=2.0):
@@ -214,14 +216,14 @@ class TestNorm:
 
 class TestEnvelopes:
     def test_power_law_init_passes_zero_slack(self):
-        m = power_law_init(PARAMS)
+        m = power_law_init(PARAMS, EDGES)
         up = envelope_check_upper(m, PARAMS, slack=0.0)
         lo = envelope_check_lower(m, PARAMS, slack=0.0)
         assert up.ok, f"upper worst {up.worst_ratio} at {up.location}"
         assert lo.ok, f"lower worst {lo.worst_ratio} at {lo.location}"
 
     def test_upper_violation_detected(self):
-        m = power_law_init(PARAMS)
+        m = power_law_init(PARAMS, EDGES)
         m2 = replace(m, cell_mass=1.5 * m.cell_mass)
         rep = envelope_check_upper(m2, PARAMS, slack=0.0)
         assert not rep.ok
@@ -229,7 +231,7 @@ class TestEnvelopes:
         assert np.isfinite(rep.location)
 
     def test_tail_violation_detected(self):
-        m = power_law_init(PARAMS)
+        m = power_law_init(PARAMS, EDGES)
         m2 = replace(m, tail_amplitude=0.6)
         rep = envelope_check_upper(m2, PARAMS, slack=0.0)
         assert not rep.ok
@@ -238,13 +240,13 @@ class TestEnvelopes:
     def test_tail_limit_report_holds_python_floats(self):
         # a numpy tail amplitude (as simulate leaves it) must not leak into
         # the report, whose worst ratio the CLI prints with repr
-        m = replace(power_law_init(PARAMS), tail_amplitude=np.float64(0.6))
+        m = replace(power_law_init(PARAMS, EDGES), tail_amplitude=np.float64(0.6))
         rep = envelope_check_upper(m, PARAMS, slack=0.0)
         assert rep.location == np.inf
         assert type(rep.worst_ratio) is float and type(rep.ok) is bool
 
     def test_lower_violation_detected(self):
-        m = power_law_init(PARAMS)
+        m = power_law_init(PARAMS, EDGES)
         drained = m.cell_mass.copy()
         drained[300:] *= 0.9
         rep = envelope_check_lower(replace(m, cell_mass=drained), PARAMS, slack=0.0)
@@ -252,7 +254,7 @@ class TestEnvelopes:
         assert rep.worst_ratio < 1.0
 
     def test_slack_tolerates_small_excess(self):
-        m = power_law_init(PARAMS)
+        m = power_law_init(PARAMS, EDGES)
         bumped = m.cell_mass * 1.005
         rep = envelope_check_upper(replace(m, cell_mass=bumped), PARAMS, slack=1e-2)
         assert rep.ok
@@ -325,13 +327,13 @@ class TestPowerLawInit:
         # gamma 0, rho 0.5, delta 0.2, R0 10: F(20) = 20^0.5 (1 - 2^-0.2).
         # 20 falls inside a cell, so the intra-cell power interpolation is
         # accurate only to O((delta ln r)^2) there; edges are exact.
-        m = power_law_init(PARAMS)
+        m = power_law_init(PARAMS, EDGES)
         assert cumulative_mass(m, 20.0) == pytest.approx(0.5789130998156553, rel=2e-4)
 
     def test_vanishes_below_onset(self):
         # Every full cell below R0 is empty; only the cell straddling R0
         # carries (tiny) mass below the onset.
-        m = power_law_init(PARAMS)
+        m = power_law_init(PARAMS, EDGES)
         last_below = m.edges[np.searchsorted(m.edges, PARAMS.R0) - 1]
         assert cumulative_mass(m, last_below) == 0.0
         assert cumulative_mass(m, 0.1) == 0.0
@@ -339,7 +341,7 @@ class TestPowerLawInit:
         assert cumulative_mass(m, PARAMS.R0) <= m.cell_mass[straddle]
 
     def test_edge_cumulative_exact(self):
-        m = power_law_init(PARAMS)
+        m = power_law_init(PARAMS, EDGES)
         for R in [12.0, 100.0, 1e4, 1e7]:
             i = np.searchsorted(m.edges, R)
             Redge = m.edges[i]
@@ -347,7 +349,7 @@ class TestPowerLawInit:
             assert cumulative_mass(m, Redge) == pytest.approx(expect, rel=1e-12)
 
     def test_tail_amplitude_is_profile_level(self):
-        m = power_law_init(PARAMS)
+        m = power_law_init(PARAMS, EDGES)
         assert m.tail_amplitude == 0.5
 
 

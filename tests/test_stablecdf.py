@@ -82,6 +82,18 @@ class TestTransform:
         assert 0.0 < w_eval(prof, 1.0) < 1.0
 
 
+class TestPointEvaluation:
+    @pytest.mark.parametrize("f", [w_eval, w_deriv], ids=["w_eval", "w_deriv"])
+    def test_a_point_reads_as_its_array_entry(self, f):
+        # a 0-d argument returns a float, bit-equal to the point alone in a
+        # one-element array (in a longer one it may differ in the last
+        # bits: the node sums run as matrix products over blocks of points)
+        prof = profile(0.7)
+        for y in np.geomspace(1e-2, 1e4, 9):
+            got = f(prof, y)
+            assert type(got) is float and got == f(prof, np.array([y]))[0]
+
+
 class TestClosedFormHalf:
     """At a = 1/2 the transform inverts in closed form:
     W(Y) = erfc(sqrt(pi / Y)), W'(Y) = Y^(-3/2) exp(-pi / Y)."""

@@ -679,7 +679,7 @@ class TestContinuationOracle:
         assert rep.distances == [xrho_dist(a.profile, b.profile) for a, b in zip(want[:-1], want[1:])]
 
     def test_empty_lambda_list(self):
-        rep = lambda_continuation(PARAMS, constant_kernel(2.0), [])
+        rep = lambda_continuation(PARAMS, constant_kernel(2.0), [], geometric_grid())
         assert (rep.lambdas, rep.results, rep.distances) == ((), [], [])
 
 
