@@ -211,8 +211,10 @@ def run_config(mapping):
         get_float(mapping, "grid.x_max", x_max),
         get_float(mapping, "grid.ratio", ratio),
     )
-    if not (0.0 < grid[0] < grid[1] and grid[2] > 1.0):
-        raise ConfigError("grid: need 0 < x_min < x_max and ratio > 1")
+    try:
+        geometric_grid(*grid)
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
     t_final = get_float(mapping, "run.t_final", 1.0)
     snapshot_dt = get_float(mapping, "run.snapshot_dt", 0.0)
     if not (t_final >= 0.0 and snapshot_dt >= 0.0):

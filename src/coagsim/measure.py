@@ -86,17 +86,38 @@ class Params:
         return 1.0 / (self.rho - self.gamma)
 
 
+# the most cells a grid may have: the widest span a float holds,
+# x_max / x_min < 2^1024, at ratio 2^(1/256).  An engine build and one
+# rates call trace about 80 bytes a cell above their fixed part
+# (lambda = 1e-3), and a stored trajectory keeps 8 bytes a cell per step
+MAX_CELLS = 2**18
+
+
 def geometric_grid(x_min=1e-4, x_max=1e8, ratio=2.0 ** (1.0 / 16.0)):
     """Geometric cell edges from x_min up to (approximately) x_max.
 
     The number of cells is rounded so edges stay an exact geometric
     sequence x_min * ratio^i; the realized top edge is the lattice point
-    closest to x_max.
+    closest to x_max.  A subnormal x_min, an x_max / x_min that overflows
+    a float and a span of more than MAX_CELLS cells are refused with
+    ValueError before any array is built, and a top edge that overflows
+    after it.
     """
     if not (0.0 < x_min < x_max < np.inf and 1.0 < ratio < np.inf):
         raise ValueError("need finite 0 < x_min < x_max and finite ratio > 1")
-    n = max(1, round(np.log(x_max / x_min) / np.log(ratio)))
-    return x_min * ratio ** np.arange(n + 1)
+    with np.errstate(over="ignore"):
+        if x_min < np.finfo(float).tiny:
+            raise ValueError(f"x_min = {x_min!r} is not a normal float")
+        if not x_max / x_min < np.inf:
+            raise ValueError(f"x_max / x_min = {x_max!r} / {x_min!r} overflows a float")
+        cells = np.log(x_max / x_min) / np.log(ratio)
+        if not cells < MAX_CELLS + 0.5:
+            raise ValueError(f"x_min = {x_min!r} to x_max = {x_max!r} at ratio = {ratio!r} is {cells:.4g} cells,"
+                             f" more than MAX_CELLS = {MAX_CELLS}")
+        edges = x_min * ratio ** np.arange(max(1, round(cells)) + 1)
+    if not edges[-1] < np.inf:
+        raise ValueError(f"x_min = {x_min!r} to x_max = {x_max!r} at ratio = {ratio!r}: the top edge is not finite")
+    return edges
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ def test_trace_run_installs():
 
 def test_trace_run_counts_match_dual_check_manifest(tmp_path):
     # trace_run reads the step counts from DualField.diagnostics and the
-    # trajectory's diagnostics and counts wrapped _Engine builds; they must
+    # trajectory's diagnostics, the adjoint residual from the wrapped
+    # adjoint_consistency, and counts wrapped _Engine builds; they must
     # agree with what dual-check itself records
     cfg = tmp_path / "dual.cfg"
     cfg.write_text(
@@ -49,3 +50,4 @@ def test_trace_run_counts_match_dual_check_manifest(tmp_path):
     assert metrics["dual.steps"] == manifest["n_backward_steps"] > 0
     assert metrics["forward.steps"] == manifest["n_forward_steps"] > 0
     assert metrics["forward.engine_builds"] == 1
+    assert metrics["dual.adjoint_residual"] == manifest["adjoint_residual"] > 0.0

@@ -189,21 +189,30 @@ class TestRunConfig:
             ("simulate", "kernel.value = inf\n", ["kernel.value", "finite"]),
             ("simulate", 'outputs = "results"\n', ["unknown", "outputs"]),
             ("stationary", "grid.x_max = 90.0\n", ["fit window [100, 10000]", "grid [0.001, 88.75"]),
+            ("simulate", "grid.x_min = 5e-324\n", ["grid", "x_min = 5e-324", "normal float"]),
+            ("stationary", "grid.x_min = 1e-310\n", ["grid", "x_min = 1e-310", "normal float"]),
+            ("dual-check", "grid.x_max = 1.7e308\ndual.radius = 100.0\n", ["grid", "x_max / x_min", "overflows"]),
+            ("invariance-suite", "grid.ratio = 1.0000000000000002\n", ["grid", "ratio = 1.0000000000000002",
+                                                                        "MAX_CELLS = 262144"]),
+            ("profile-w", "w.a = 0.5\ngrid.ratio = 1.0000000000000002\n", ["grid", "MAX_CELLS"]),
         ],
         ids=[
             "seed", "kernel_gamma", "y_values_n", "y_values_y_min", "y_values_y_max", "cutoff_profile",
             "run_t_max", "lambdas", "probe_radii", "t_final_inf", "snapshot_dt_nan",
             "x_max_inf", "ratio_inf", "tol_inf", "max_change", "y_min", "y_max", "n", "dual_max_change", "r0_inf",
-            "value_inf", "outputs", "grid_below_fit_window",
+            "value_inf", "outputs", "grid_below_fit_window", "x_min_subnormal", "x_min_1e-310",
+            "span_overflows", "ratio_next_float", "ratio_next_float_profile_w",
         ],
     )
     def test_refused_before_any_solve(self, tmp_path, monkeypatch, capsys, command, extra, names):
         # an unknown or unread key (the output directory is --out alone;
         # the forward and dual step caps and profile-w's Y grid are cli
         # constants), a second home for one setting, a probe radius the
-        # search would drop, a non-finite number, or a grid that cannot hold
-        # the tail fit, exits 1 naming the keys, before any solve.  A key of BASE
-        # set in extra replaces BASE's line.
+        # search would drop, a non-finite number, a grid that cannot hold
+        # the tail fit, or a grid span whose edges overflow, are subnormal
+        # or number more than MAX_CELLS (an OverflowError traceback or an
+        # 8e17-byte request once), exits 1 naming the keys, before any
+        # solve.  A key of BASE set in extra replaces BASE's line.
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve started")
 
@@ -799,6 +808,34 @@ class TestDualCheckCommand:
     def test_missing_radius_exits_1(self, tmp_path):
         code, _ = run_cli(tmp_path, BASE, "dual-check")
         assert code == 1
+
+    def test_radius_below_every_cell_exits_1(self, tmp_path, capsys):
+        # on the acceptance grid no representative lies below R = 1e-6 at
+        # t = 0.5, so the dual has no node; it passed once with residual 0
+        # and M* = 0, on a field of R alone
+        text = "".join(f"{line}\n" for line in BASE.splitlines() if not line.startswith("grid."))
+        code, out = run_cli(tmp_path, text + "dual.radius = 1e-6\ndual.time = 0.5\n", "dual-check")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: R = 1e-06 lies below every cell's representative")
+        assert not (out / "dual_check.json").exists()
+
+    @pytest.mark.parametrize(
+        "family, gamma, rho",
+        [("constant", 0.0, 0.1), ("product", 0.5, 0.6)],
+        ids=["constant-0.1", "product-0.6"],
+    )
+    def test_adjoint_residual_on_the_acceptance_grid(self, tmp_path, family, gamma, rho):
+        # R = 100, t = 0.5, lambda = 1e-3, delta = 0.05: a dual node at R
+        # and a corner list splitting pairs toward it read 1.018e-3 and
+        # 1.884e-3 here, over the 1e-3 gate; on the cells' own nodes the
+        # residual is the forward trajectory's interpolation error, 2.2e-5
+        # and 2.3e-5
+        text = (f"params.gamma = {gamma}\nparams.rho = {rho}\nparams.delta = 0.05\n"
+                f"kernel.family = {family}\ncutoff.lambda = 1e-3\ndual.radius = 100.0\ndual.time = 0.5\n")
+        code, out = run_cli(tmp_path, text, "dual-check")
+        assert code == 0
+        assert strict_json(out / "dual_check.json")["adjoint_residual"] <= 5e-5
 
     def test_index_whose_scale_overflows_exits_1_before_solving(self, tmp_path, monkeypatch, capsys):
         # (gamma, rho) = (0.5, 0.504) is a valid Params with a = 0.004, whose

@@ -15,7 +15,6 @@ from coagsim.dual import (
     SubsolutionReport,
     _Jumps,
     _m_bound,
-    _pairing,
     _sample_blocks,
     _samples,
     adjoint_consistency,
@@ -109,9 +108,14 @@ class TestSolveDual:
         assert field_const.s_values[-1] == pytest.approx(T_FINAL)
         np.testing.assert_array_equal(field_const.psi[-1], 1.0)
 
-    def test_nodes_end_at_R(self, field_const):
-        assert field_const.nodes[-1] == 10.0
-        assert np.all(field_const.nodes <= 10.0)
+    def test_nodes_are_the_representatives_below_R(self, traj_const, field_const):
+        # the nodes are the grid's own representatives, mapped to the frame
+        # anchored at t, up to the last one below R; the next lies above R
+        Z = traj_const.engine.reps * np.exp(-PARAMS.beta * T_FINAL)
+        n = field_const.nodes.size
+        np.testing.assert_array_equal(field_const.nodes, Z[:n])
+        assert 0 < n < traj_const.engine.N
+        assert field_const.nodes[-1] < 10.0 < Z[n]
         assert np.all(np.diff(field_const.nodes) > 0.0)
 
     def test_maximum_principle_exact(self, field_const):
@@ -128,12 +132,15 @@ class TestSolveDual:
         assert fld.diagnostics["n_steps"] == 1
 
     def test_radius_below_every_node(self, traj_const):
-        # no grid node lies below R, so R is the only node; sizes below
-        # lam / 2 do not coagulate, so Psi stays the indicator
-        fld = solve_dual(traj_const, 1e-5, T_FINAL, max_change=0.005)
-        np.testing.assert_array_equal(fld.nodes, [1e-5])
-        np.testing.assert_array_equal(fld.psi, 1.0)
-        assert q_tail_bound(traj_const, 1e-5).K_star == 0.0
+        # no representative lies below R, so the dual has no node: refused
+        # by name, where it once passed on a field of R alone
+        R = traj_const.engine.reps[0] * np.exp(-PARAMS.beta * T_FINAL)
+        for cut in (1e-5, R):
+            with pytest.raises(ValueError, match="below every cell's representative"):
+                solve_dual(traj_const, cut, T_FINAL, max_change=0.005)
+            with pytest.raises(ValueError, match="below every cell's representative"):
+                q_tail_bound(traj_const, cut)
+        assert solve_dual(traj_const, R * 1.001, T_FINAL, max_change=0.005).nodes.size == 1
 
     def test_rejects_bad_inputs(self, traj_const):
         with pytest.raises(ValueError):
@@ -257,9 +264,8 @@ class TestAdjointConsistency:
         assert adjoint_consistency(traj_zero, solve_dual(traj_zero, 10.0, T_FINAL)) <= 1e-12
 
     def test_zero_kernel_exact_at_seam_times(self, h0):
-        # (R e^(beta t)) / e^(beta t) may round just above R; the pairing
-        # must clamp that excess instead of dropping the last piece
-        # (t = 0.25 rounds high with beta = 2, R = 10)
+        # (R e^(beta t)) / e^(beta t) may round just above R (t = 0.25
+        # rounds high with beta = 2, R = 10); both sides read the same cells
         for t in (0.25, 0.37):
             traj = rescaled_trajectory(h0, PARAMS, zero_kernel(), CUT, t)
             assert adjoint_consistency(traj, solve_dual(traj, 10.0, t)) <= 1e-12
@@ -536,22 +542,24 @@ def oracle_ratio_kernel(kernel, cutoff, Y, Z):
 
 
 def oracle_jumps(traj, R, t, tau, psi):
-    """Dense nodes x partners jump table in the frame anchored at t:
-    (nodes, D, G, far sums) with G from np.interp at the pair sums."""
+    """Dense (nodes, then R) x partners jump table in the frame anchored
+    at t: (nodes, D, G, far sums), nodes the mapped representatives Z_i
+    below R, i < n, and G from Psi read as linear on Z_0 .. Z_n, with
+    Psi(Z_n) = 0, and zero above Z_n.  far has R's row last."""
     p, cut = traj.params, traj.engine.cutoff
     _, Yall, gpow = _partners(traj.edges, p.rho, cut.lam)
     Zk = Yall * np.exp(-p.beta * t)
     n = int(np.count_nonzero(Zk[: traj.edges.size - 1] < R * (1.0 - 1e-12)))
-    nodes = np.append(Zk[:n], R)
-    Kd = oracle_ratio_kernel(traj.engine.kernel, cut, nodes[:, None], Zk[None, :])
+    X = np.append(Zk[:n], R)
+    Kd = oracle_ratio_kernel(traj.engine.kernel, cut, X[:, None], Zk[None, :])
     masses, amp = traj.interp(t - tau)
     grow = np.exp(p.beta * tau)
-    u_x = eval_cutoff(nodes * grow / cut.lam)
+    u_x = eval_cutoff(X * grow / cut.lam)
     u_z = eval_cutoff(Zk * grow / cut.lam)
     col = u_z * np.concatenate([masses, amp * gpow]) / Yall
     q = np.exp(p.gamma * p.beta * tau) * u_x[:, None] * Kd * col[None, :]
-    psi_at = np.interp(nodes[:, None] + Zk[None, :], nodes, psi, right=0.0)
-    return nodes, q.sum(axis=1), (q * psi_at).sum(axis=1), q[:, Zk > R].sum(axis=1)
+    psi_at = np.interp(Zk[:n, None] + Zk[None, :], Zk[: n + 1], np.append(psi, 0.0))
+    return Zk[:n], q[:n].sum(axis=1), (q[:n] * psi_at).sum(axis=1), q[:, Zk > R].sum(axis=1)
 
 
 class TestDualOracle:
@@ -591,7 +599,8 @@ class TestDualOracle:
             np.testing.assert_allclose(got_D, D, rtol=1e-13, atol=0.0)
             # G <= D termwise (Psi <= 1); D is the scale of its rounding
             assert np.all(np.abs(got_G - G) <= 1e-13 * D)
-            assert got_G[-1] == 0.0 and G[-1] == 0.0
+            # the top node jumps below Z_n too, where Psi is not zero
+            assert got_G.shape == D.shape and G[-1] > 0.0
             np.testing.assert_allclose(jumps.far(tau), far, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize(
@@ -608,13 +617,14 @@ class TestDualOracle:
             # self pairs tie on the 2^(1/16) grid (2 Y_i = Y_(i+16)), R mid-grid
             ((1e-4, 20.0, 2.0 ** (1.0 / 16.0)), 1e-3, 0.7, "some"),
             # R above the top representative: every cell is a node, and
-            # pairs with a ghost partner can land below R
+            # Psi reads zero from the first ghost cell on
             ((1e-4, 20.0, 2.0**0.25), 1e-2, 60.0, "all"),
             ((1e-4, 20.0, 2.0**0.25), 0.1, 60.0, "all"),
-            # R below every node: R is the only node, and it coagulates
-            ((1e-2, 20.0, 2.0**0.25), 1e-3, 5e-3, "none"),
+            # R just above the first representative: one node, and it
+            # coagulates
+            ((1e-2, 20.0, 2.0**0.25), 1e-3, 0.0115, "one"),
         ],
-        ids=["tie_mid", "top_lam1e-2", "top_lam0.1", "below"],
+        ids=["tie_mid", "top_lam1e-2", "top_lam0.1", "one"],
     )
     def test_matches_dense_table_at_the_edges(self, kernel, params, grid, lam, R_x, nodes_below):
         edges = geometric_grid(*grid)
@@ -627,79 +637,18 @@ class TestDualOracle:
         # R_x is the cut in the trajectory's own frame
         R = R_x * np.exp(-params.beta * t)
         jumps = _Jumps(traj, R, t)
-        n = jumps.nodes.size - 1
-        assert {"some": 0 < n < N, "all": n == N, "none": n == 0}[nodes_below]
+        n = jumps.nodes.size
+        assert {"some": 1 < n < N, "all": n == N, "one": n == 1}[nodes_below]
         for tau in (0.0, t / 3.0, t):
-            psi = np.sort(rng.uniform(0.05, 1.0, n + 1))[::-1]
+            psi = np.sort(rng.uniform(0.05, 1.0, n))[::-1]
             nodes, D, G, far = oracle_jumps(traj, R, t, tau, psi)
             np.testing.assert_array_equal(jumps.nodes, nodes)
             assert D.max() > 0.0 and far.max() > 0.0
             got_D, got_G = jumps.rates(tau, psi)
             np.testing.assert_allclose(got_D, D, rtol=1e-13, atol=0.0)
             assert np.all(np.abs(got_G - G) <= 1e-13 * D)
-            assert got_G[-1] == 0.0 and G[-1] == 0.0
+            assert got_G.shape == D.shape == (n,) and far.shape == (n + 1,)
             np.testing.assert_allclose(jumps.far(tau), far, rtol=1e-13, atol=0.0)
-
-
-def dense_corner(jumps):
-    """_Jumps.corner as it was built from the dense block of rows
-    n - 2 - max k .. n - 1 by every diagonal, verbatim."""
-    eng, Z, n, nodes = jumps.engine, jumps.Z, jumps.n, jumps.nodes
-    R = nodes[-1]
-    L = eng.t.size
-    k, f = eng.k[:L], eng.f
-    a = np.arange(max(0, n - 2 - int(k.max())), n)[:, None]
-    P = Z[a] + Z[a + np.arange(L)]
-    j = np.minimum(np.searchsorted(nodes, P, side="right") - 1, n - 1)
-    lo = a + k
-    ai, d = np.nonzero((eng.t > 0.0) & ((lo == n - 1) | ((P <= R) & (j == n - 1))))
-    a, P, j, lo, f = a[ai, 0], P[ai, d], j[ai, d], lo[ai, d], f[d]
-    b = a + d
-    fe = np.where(P <= R, (nodes[j + 1] - P) / (nodes[j + 1] - nodes[j]), 0.0)
-    node = np.concatenate([j, j + 1, lo, lo + 1])
-    w = np.concatenate([fe, np.where(P <= R, 1.0 - fe, 0.0),
-                        np.where(lo < n, -f, 0.0), np.where(lo + 1 < n, f - 1.0, 0.0)])
-    pair = np.tile(np.arange(a.size), 4)
-    keep = w != 0.0
-    node, pair = node[keep], pair[keep]
-    w = w[keep] * eng.Yg[a[pair]] * eng.t[d[pair]]
-    both = (d[pair] > 0) & (b[pair] < n)
-    return (np.concatenate([a[pair], b[pair][both]]), np.concatenate([b[pair], a[pair][both]]),
-            np.concatenate([node, node[both]]), np.concatenate([w, w[both]]))
-
-
-class TestCornerOracle:
-    """The corner list from its candidate rows, bit for bit and in the same
-    order as from the dense block, with R from below the grid's first
-    representatives to above its ghost cells."""
-
-    @pytest.mark.parametrize(
-        "kernel, params",
-        [
-            (constant_kernel(1.0), Params(gamma=0.0, rho=0.5)),
-            (product_kernel(0.5), Params(gamma=0.5, rho=0.75)),
-            (constant_kernel(2.0), Params(gamma=0.0, rho=0.1, delta=0.05)),
-            (sum_kernel(0.1, 0.3), Params(gamma=0.3, rho=0.35, delta=0.02)),
-        ],
-        ids=["constant", "product", "rho0.1", "sum"],
-    )
-    @pytest.mark.parametrize("lam", [0.1, 1e-2, 1e-3])
-    @pytest.mark.parametrize("ratio", [2.0 ** (1.0 / 8.0), 2.0 ** (1.0 / 16.0)], ids=["r8", "r16"])
-    def test_matches_dense_block(self, kernel, params, lam, ratio):
-        edges = geometric_grid(1e-4, 1e8, ratio)
-        masses = np.ones((2, edges.size - 1))
-        traj = Trajectory(edges, np.array([0.0, 0.1]), masses, np.array([0.5, 0.5]), params,
-                          _Engine(edges, params, kernel, CutoffParams(lam=lam)))
-        sizes = set()
-        for R in (0.05, 1.0, 100.0, 1e6, 3e8, 1e12):
-            for t in (0.0, 0.1):
-                jumps = _Jumps(traj, R, t)
-                got, want = jumps.corner, dense_corner(jumps)
-                for g, w in zip(got, want):
-                    assert g.dtype == w.dtype and g.shape == w.shape, (R, t)
-                    assert g.tobytes() == w.tobytes(), (R, t)
-                sizes.add(got[0].size)
-        assert len(sizes) > 1 and max(sizes) > 0
 
 
 def traced_peak(fn):
@@ -714,9 +663,9 @@ def traced_peak(fn):
 
 class TestDualWorkingMemory:
     """Traced peaks on the dual-check bench inputs (acceptance grid,
-    lambda = 1e-3, R = 100).  The K* sweep built the dense (rows x taps)
-    corner selection that it never reads, 0.883 MiB; a Kanter table
-    allocated per block of 64 points peaked at 0.563 MiB."""
+    lambda = 1e-3, R = 100).  The K* sweep once built a dense
+    (rows x taps) gain table that it never reads, 0.883 MiB; a Kanter
+    table allocated per block of 64 points peaked at 0.563 MiB."""
 
     @pytest.fixture(scope="class")
     def traj(self):
@@ -727,13 +676,6 @@ class TestDualWorkingMemory:
         q_tail_bound(traj, 100.0)
         rep, peak = traced_peak(lambda: q_tail_bound(traj, 100.0))
         assert rep.K_star > 0.0
-        assert peak <= 2**17
-
-    def test_corner(self, traj):
-        # the dense (rows x taps) selection block peaked at 0.84 MiB
-        jumps = _Jumps(traj, 100.0, T_FINAL)
-        corner, peak = traced_peak(lambda: jumps.corner)
-        assert corner[0].size > 0
         assert peak <= 2**17
 
     def test_cold_w_table(self):
@@ -749,99 +691,19 @@ class TestGainTablesOnDemand:
             raise AssertionError("gain table built")
 
         monkeypatch.setattr(dual, "_offset_groups", refuse)
-        monkeypatch.setattr(_Jumps, "corner", property(refuse))
+        monkeypatch.setattr(_Jumps, "groups", property(refuse))
         assert q_tail_bound(traj_const, 10.0).K_star > 0.0
 
     def test_solve_dual_builds_each_once(self, traj_const, monkeypatch):
+        # the gain tables, the offset groups, are built on the first rates
+        # call and read by every later one
         calls = []
-        groups = dual._offset_groups
-        monkeypatch.setattr(dual, "_offset_groups", lambda *args: calls.append("groups") or groups(*args))
-        corner = _Jumps.__dict__["corner"].func
-        counted = cached_property(lambda jumps: calls.append("corner") or corner(jumps))
-        counted.__set_name__(_Jumps, "corner")
-        monkeypatch.setattr(_Jumps, "corner", counted)
+        groups = _Jumps.__dict__["groups"].func
+        counted = cached_property(lambda jumps: calls.append("groups") or groups(jumps))
+        counted.__set_name__(_Jumps, "groups")
+        monkeypatch.setattr(_Jumps, "groups", counted)
+        offsets = dual._offset_groups
+        monkeypatch.setattr(dual, "_offset_groups", lambda *args: calls.append("offsets") or offsets(*args))
         fld = solve_dual(traj_const, 10.0, T_FINAL, max_change=0.02)
         assert fld.diagnostics["n_steps"] > 1
-        assert sorted(calls) == ["corner", "groups"]
-
-
-class TestPairingAgainstCumulative:
-    def test_indicator_pairing_is_cumulative(self, h0, traj_zero):
-        # with the field frozen at the indicator the dual pairing collapses
-        # to the initial cumulative mass below R e^(beta t)
-        from coagsim.dual import _pairing
-
-        fld = solve_dual(traj_zero, 10.0, T_FINAL)
-        got = _pairing(h0, fld.nodes, fld.psi[0], T_FINAL, PARAMS.beta)
-        want = cumulative_mass(h0, 10.0 * np.exp(PARAMS.beta * T_FINAL))
-        assert got == pytest.approx(want, rel=1e-12)
-
-
-def oracle_pairing(h0, nodes, psi0, t, beta):
-    """_pairing one overlap piece at a time."""
-    rho = h0.tail_exponent
-    scale = np.exp(beta * t)
-    hi = nodes[-1] * scale
-    x_break = np.concatenate([h0.edges, nodes * scale])
-    x_break = np.unique(x_break[(x_break >= h0.edges[0]) & (x_break <= hi)])
-    if x_break.size == 0 or x_break[-1] < hi:
-        x_break = np.append(x_break, hi)
-    one_m_rho = 1.0 - rho
-    two_m_rho = 2.0 - rho
-    amps = np.append(h0.amplitudes, h0.tail_amplitude)
-    total = 0.0
-    for a, b in zip(x_break[:-1], x_break[1:]):
-        coeff = amps[np.searchsorted(h0.edges, np.sqrt(a * b), side="right") - 1]
-        if coeff == 0.0:
-            continue
-        mass = coeff * (b**one_m_rho - a**one_m_rho) / one_m_rho
-        moment = coeff * (b**two_m_rho - a**two_m_rho) / two_m_rho
-        pa = float(np.interp(min(a / scale, nodes[-1]), nodes, psi0, left=psi0[0]))
-        pb = float(np.interp(min(b / scale, nodes[-1]), nodes, psi0, left=psi0[0]))
-        if b > a:
-            kappa = (pb - pa) / (b - a)
-            alpha = pa - kappa * a
-        else:
-            kappa, alpha = 0.0, pa
-        total += alpha * mass + kappa * moment
-    return total
-
-
-class TestPairingOracle:
-    """The closed-form dual pairing against its per-piece loop."""
-
-    @pytest.fixture(scope="class", params=["constant", "product", "zero"])
-    def case(self, request):
-        edges = geometric_grid(1e-3, 1e6, 2.0**0.25)
-        params, kernel = {
-            "constant": (PARAMS, constant_kernel(2.0)),
-            "product": (Params(gamma=0.5, rho=0.75), product_kernel(0.5)),
-            "zero": (PARAMS, zero_kernel()),
-        }[request.param]
-        h0 = power_law_init(params, edges)
-        return h0, rescaled_trajectory(h0, params, kernel, CUT, T_FINAL)
-
-    @pytest.mark.parametrize("t", [0.0, 0.2, T_FINAL])
-    def test_no_break_points_inside_the_range(self, case, t):
-        # R e^(beta t) lies below the grid: no edge or node falls in
-        # [edges[0], R e^(beta t)], the break list is empty and h0 has no
-        # mass there
-        h0, traj = case
-        fld = solve_dual(traj, 1e-4, t)
-        assert fld.nodes[-1] * np.exp(traj.params.beta * t) < h0.edges[0]
-        for psi0 in (fld.psi[0], np.full(fld.nodes.size, 0.7)):
-            assert _pairing(h0, fld.nodes, psi0, t, traj.params.beta) == 0.0
-            assert oracle_pairing(h0, fld.nodes, psi0, t, traj.params.beta) == 0.0
-
-    @pytest.mark.parametrize("R", [1e-3, 1.0, 10.0, 100.0, 1e5])
-    @pytest.mark.parametrize("t", [0.0, 0.2, T_FINAL])
-    def test_matches_per_piece_loop(self, case, R, t):
-        h0, traj = case
-        beta = traj.params.beta
-        fld = solve_dual(traj, R, t)
-        rng = np.random.default_rng(31)
-        rows = [fld.psi[0], fld.psi[fld.psi.shape[0] // 2], np.sort(rng.uniform(0.0, 1.0, fld.nodes.size))[::-1]]
-        for psi0 in rows:
-            got = _pairing(h0, fld.nodes, psi0, t, beta)
-            want = oracle_pairing(h0, fld.nodes, psi0, t, beta)
-            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert calls == ["groups", "offsets"]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coagsim.measure import (
+    MAX_CELLS,
     GridMeasure,
     Params,
     cumulative_mass,
@@ -59,6 +60,31 @@ class TestConstruction:
         # ratio gave one cell reaching to inf
         with pytest.raises(ValueError, match="finite"):
             geometric_grid(*grid)
+
+    @pytest.mark.parametrize(
+        "grid, match",
+        [
+            ((5e-324, 1e8, 2.0), "x_min = 5e-324 is not a normal float"),
+            ((1e-4, 1.7e308, 2.0), "overflows a float"),
+            ((1e-4, 1e8, 1.0000000000000002), "1.244e\\+17 cells, more than MAX_CELLS = 262144"),
+            ((1e-4, 1e8, 2.0 ** (1.0 / 8000.0)), "3.189e\\+05 cells, more than MAX_CELLS"),
+            # 1025 edges are built, and the top one, 2^1024, overflows
+            ((1.0, 1.7e308, 2.0), "not finite"),
+        ],
+        ids=["subnormal", "span", "ratio_next_float", "cells", "top_edge"],
+    )
+    def test_geometric_grid_refuses_unbuildable_spans(self, grid, match):
+        # these escaped as an OverflowError traceback from the cell count, or
+        # asked numpy for an array of 1.2e17 floats
+        with pytest.raises(ValueError, match=match):
+            geometric_grid(*grid)
+
+    def test_geometric_grid_at_max_cells(self):
+        # a span near the widest a float holds (x_max / x_min < 2^1024)
+        # fits at ratio 2^(1/256)
+        assert MAX_CELLS == 2**18
+        edges = geometric_grid(1e-154, 1e154, 2.0 ** (1.0 / 256.0))
+        assert 2**18 - 256 < edges.size - 1 <= MAX_CELLS and edges[-1] < np.inf
 
     @pytest.mark.parametrize(
         "kwargs",
