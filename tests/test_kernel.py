@@ -1,5 +1,7 @@
 """Kernel families, the smooth cutoff, and the regularized kernel."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,3 +265,136 @@ class TestRegularizedKernel:
         lo, hi = lam / (2.0 - lam), (2.0 - lam) / lam
         assert np.all(ratios[live] > lo)
         assert np.all(ratios[live] < hi)
+
+
+# Frozen copies of each family's three statements before the power-term
+# table: the bare kernel, the z-power terms of the bare flux and the growth
+# constant.
+def _branch_eval_kernel(spec, y, z):
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if spec.family == "constant":
+        k = np.broadcast_to(np.asarray(spec.value), np.broadcast_shapes(y.shape, z.shape)).copy()
+    elif spec.family == "product":
+        k = (y * z) ** (0.5 * spec.gamma)
+    elif spec.family == "sum":
+        a, g = spec.alpha, spec.gamma
+        k = y**a * z ** (g - a) + z**a * y ** (g - a)
+    else:
+        k = np.zeros(np.broadcast_shapes(y.shape, z.shape))
+    return k if k.ndim else float(k)
+
+
+def _branch_z_power_terms(spec, y):
+    if spec.family == "constant":
+        return [(spec.value, 0.0)]
+    if spec.family == "product":
+        g2 = 0.5 * spec.gamma
+        return [(y**g2, g2)]
+    if spec.family == "sum":
+        a, g = spec.alpha, spec.gamma
+        return [(y**a, g - a), (y ** (g - a), a)]
+    return []
+
+
+def _branch_growth_constant(spec):
+    if spec.family == "constant":
+        return 0.5 * spec.value
+    if spec.family == "product":
+        return 0.5
+    if spec.family == "sum":
+        return 1.0
+    return 0.0
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+EXACT_KERNELS = {
+    "constant": constant_kernel(),
+    "constant-2.7": constant_kernel(2.7),
+    "sum-alpha0": sum_kernel(0.0, 0.6),
+    "sum-0.1-0.3": sum_kernel(0.1, 0.3),
+    "sum-0.2-0.5": sum_kernel(0.2, 0.5),
+    "sum-alpha-gamma": sum_kernel(0.45, 0.45),
+    "zero": zero_kernel(),
+}
+PRODUCT_KERNELS = {f"product-{g}": product_kernel(g) for g in (0.0, 0.3, 0.5, 0.75)}
+
+
+class TestKernelFamilyOracle:
+    """eval_kernel, growth_constant and the bare flux's inner sums against
+    the per-family branches they replaced."""
+
+    Y = np.geomspace(1e-6, 1e8, 64)
+    Z = np.geomspace(3e-7, 3e8, 600)
+    SCALARS = [(1.0, 1.0), (3.0, 7.0), (1e-6, 2e8), (0.37, 0.37), (5e7, 1.3e-4), (2, 3)]
+
+    @pytest.mark.parametrize("spec", EXACT_KERNELS.values(), ids=EXACT_KERNELS.keys())
+    def test_exact_families_bit_for_bit(self, spec):
+        got = eval_kernel(spec, self.Y[:, None], self.Z)
+        want = _branch_eval_kernel(spec, self.Y[:, None], self.Z)
+        assert got.shape == want.shape == (64, 600)
+        assert np.array_equal(_bits(got), _bits(want))
+        for y, z in self.SCALARS:
+            got = eval_kernel(spec, y, z)
+            assert type(got) is float
+            assert _bits(got) == _bits(_branch_eval_kernel(spec, y, z)), (y, z)
+
+    @pytest.mark.parametrize("spec", PRODUCT_KERNELS.values(), ids=PRODUCT_KERNELS.keys())
+    def test_product_bit_for_bit_at_unit_y(self, spec):
+        # the engine's table t_d = K(1, r^d) reads the kernel at y = 1
+        got = eval_kernel(spec, 1.0, self.Z)
+        assert np.array_equal(_bits(got), _bits(_branch_eval_kernel(spec, 1.0, self.Z)))
+
+    @pytest.mark.parametrize("spec", PRODUCT_KERNELS.values(), ids=PRODUCT_KERNELS.keys())
+    def test_product_within_two_ulp(self, spec):
+        got = eval_kernel(spec, self.Y[:, None], self.Z)
+        want = _branch_eval_kernel(spec, self.Y[:, None], self.Z)
+        assert got.shape == want.shape
+        np.testing.assert_array_max_ulp(got, want, maxulp=2)
+        for y, z in self.SCALARS:
+            got = eval_kernel(spec, y, z)
+            assert type(got) is float
+            np.testing.assert_array_max_ulp(got, _branch_eval_kernel(spec, y, z), maxulp=2)
+
+    @pytest.mark.parametrize(
+        "spec", [*EXACT_KERNELS.values(), *PRODUCT_KERNELS.values()], ids=[*EXACT_KERNELS, *PRODUCT_KERNELS]
+    )
+    def test_growth_constant_bit_for_bit(self, spec):
+        got = spec.growth_constant
+        assert _bits(got) == _bits(_branch_growth_constant(spec))
+
+    @pytest.mark.parametrize(
+        "spec", [*EXACT_KERNELS.values(), *PRODUCT_KERNELS.values()], ids=[*EXACT_KERNELS, *PRODUCT_KERNELS]
+    )
+    def test_bare_flux_inner_sums_bit_for_bit(self, spec):
+        from coagsim.measure import Params, dyadic_tail_integral, geometric_grid, power_law_init
+        from coagsim.stationary import _make_inner
+
+        rho = 0.5 * (1.0 + spec.gamma)
+        params = Params(gamma=spec.gamma, rho=rho, delta=0.5 * (rho - spec.gamma))
+        h = power_law_init(params, geometric_grid(1e-2, 1e4, 2.0**0.25))
+        ys, us = np.geomspace(1e-3, 50.0, 40), np.geomspace(2e-3, 80.0, 40)[::-1]
+        got = _make_inner(h, spec, None)(ys, us)
+        want = np.array([
+            sum(coef * dyadic_tail_integral(h, u, 1.0 - q) for coef, q in _branch_z_power_terms(spec, y))
+            for y, u in zip(ys, us)
+        ])
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_constant_allocates_only_its_result(self):
+        # the flux residual evaluates the kernel once per block of rows
+        # against every partner, so a pass of scratch per evaluation shows
+        # in its peak
+        y, z, spec = self.Y[:, None], self.Z, constant_kernel()
+        tracemalloc.start()
+        try:
+            k = eval_kernel(spec, y, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k.nbytes == 64 * 600 * 8
+        assert peak <= k.nbytes + 4096
