@@ -2,8 +2,18 @@
 
 A kernel K(y, z) gives the rate density at which particles of sizes y and z
 merge.  All families here are symmetric, continuous on (0, inf)^2 and
-homogeneous of degree gamma in (y, z), with gamma in [0, 1), and satisfy the
-growth bound K(y, z) <= C (y^gamma + z^gamma) for a family-specific constant C.
+homogeneous of degree gamma in (y, z), with gamma in [0, 1).  Each family is
+stated once, as its power terms K(y, z) = sum c y^p z^q (_power_terms):
+
+    constant   (value, 0, 0)
+    product    (1, gamma/2, gamma/2)
+    sum        (1, alpha, gamma - alpha) and (1, gamma - alpha, alpha)
+    zero       (0, 0, 0)
+
+which the bare kernel, the growth constant and the bare flux's tail
+moments read.  Every term has p + q = gamma and is symmetric or one of a
+mirror pair, so K(y, z) <= C (y^gamma + z^gamma) with C half the sum of
+the coefficients.
 
 The regularized kernel multiplies K by smooth cutoff factors that switch off
 collisions involving very small particles (absolute size below a threshold
@@ -65,16 +75,11 @@ class KernelSpec:
 
     @property
     def growth_constant(self):
-        """Smallest convenient C with K(y, z) <= C (y^gamma + z^gamma)."""
-        if self.family == "constant":
-            return 0.5 * self.value
-        if self.family == "product":
-            # (yz)^(g/2) <= (y^g + z^g)/2 by the AM-GM inequality.
-            return 0.5
-        if self.family == "sum":
-            # y^a z^(g-a) + z^a y^(g-a) <= y^g + z^g (rearrangement).
-            return 1.0
-        return 0.0
+        """Smallest convenient C with K(y, z) <= C (y^gamma + z^gamma): half
+        the sum of the power terms' coefficients."""
+        # each term with p + q = gamma, symmetric or one of a mirror pair, is
+        # at most c (y^gamma + z^gamma) / 2 by the AM-GM inequality
+        return 0.5 * sum(c for c, _, _ in _power_terms(self))
 
 
 def kernel_setup(spec):
@@ -203,29 +208,26 @@ def eval_kernel(spec, y, z):
         raise ValueError("kernel arguments must be > 0")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(z))):
         raise ValueError("kernel arguments must be finite")
-    if spec.family == "constant":
-        k = np.broadcast_to(np.asarray(spec.value), np.broadcast_shapes(y.shape, z.shape)).copy()
-    elif spec.family == "product":
-        k = (y * z) ** (0.5 * spec.gamma)
-    elif spec.family == "sum":
-        a, g = spec.alpha, spec.gamma
-        k = y**a * z ** (g - a) + z**a * y ** (g - a)
-    else:
-        k = np.zeros(np.broadcast_shapes(y.shape, z.shape))
+    (c, p, q), *rest = _power_terms(spec)
+    # the first term fills the result in place, the later ones add to it
+    k = np.broadcast_to(c * y**p, np.broadcast_shapes(y.shape, z.shape)).copy()
+    if q:
+        k *= z**q
+    for c, p, q in rest:
+        k += c * y**p * z**q
     return k if k.ndim else float(k)
 
 
-def _z_power_terms(spec, y):
-    """K(y, z) as a list of (coefficient(y), z-exponent) terms; none for "zero"."""
+def _power_terms(spec):
+    """K(y, z) = sum of c y^p z^q over the (c, p, q) terms of spec's family."""
     if spec.family == "constant":
-        return [(spec.value, 0.0)]
+        return [(spec.value, 0.0, 0.0)]
     if spec.family == "product":
-        g2 = 0.5 * spec.gamma
-        return [(y**g2, g2)]
+        return [(1.0, 0.5 * spec.gamma, 0.5 * spec.gamma)]
     if spec.family == "sum":
         a, g = spec.alpha, spec.gamma
-        return [(y**a, g - a), (y ** (g - a), a)]
-    return []
+        return [(1.0, a, g - a), (1.0, g - a, a)]
+    return [(0.0, 0.0, 0.0)]
 
 
 def eval_regularized(spec, cutoff, y, z):

@@ -22,9 +22,10 @@ along a cutoff sequence, each scale starting from the profile before.
 
 The double integral I[h](R) has integrable endpoint singularities at both
 y -> 0 and y -> R; gain_flux splits it at R/2 and integrates each half on
-a logarithmic grid in the distance to its endpoint.  Without cutoffs each
-kernel family is a sum of powers of z, so the inner integral reduces to
-exact tail moments of the measure; with cutoffs it is summed over cell
+a logarithmic grid in the distance to its endpoint.  Without cutoffs the
+kernel is a sum of power terms c y^p z^q (kernel._power_terms), so the
+inner integral reduces to exact tail moments of order 1 - q of the
+measure; with cutoffs it is summed over cell
 representatives with exact partial-cell masses, for a block of quadrature
 points at a time, computing the ratio cutoffs and the partial-cell
 fractions only on the partners where some point of the block has them
@@ -48,7 +49,7 @@ import numpy as np
 
 from .forward import _Engine, _partners
 from .forward import simulate  # noqa: F401  bench/trace_run.py wraps stationary.simulate
-from .kernel import CutoffParams, _partner_ratio, _ratio_cutoffs, _z_power_terms, eval_cutoff, eval_kernel
+from .kernel import CutoffParams, _partner_ratio, _power_terms, _ratio_cutoffs, eval_cutoff, eval_kernel
 from .measure import (
     GridMeasure,
     _xrho_sup,
@@ -156,7 +157,7 @@ def _make_inner(profile, kernel, cutoff):
     if cutoff is None:
         def inner(ys, us):
             return np.array([
-                sum(coef * dyadic_tail_integral(profile, u, 1.0 - q) for coef, q in _z_power_terms(kernel, y))
+                sum(c * y**p * dyadic_tail_integral(profile, u, 1.0 - q) for c, p, q in _power_terms(kernel))
                 for y, u in zip(ys, us)
             ])
 

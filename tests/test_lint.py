@@ -266,6 +266,60 @@ def test_kernel_families_are_read_in_kernel_only():
     assert found == []
 
 
+def scoped_family_reads(source):
+    """(scope, line) of each read of an attribute named family, scope the
+    dotted name of the innermost enclosing function or class ("" at module
+    level)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "family" and isinstance(child.ctx, ast.Load):
+                found.append((scope, child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_checker_scopes_family_reads():
+    source = (
+        "class Spec:\n"
+        "    kind = other.family\n"
+        "    def check(self):\n"
+        "        if self.family == 'zero':\n"
+        "            pass\n"
+        "    @property\n"
+        "    def bound(self):\n"
+        "        return f(self).family\n"
+        "def evaluate(spec):\n"
+        "    def inner():\n"
+        "        return spec.family\n"
+        "    spec.family = None\n"
+        "    return getattr(spec, 'family')\n"
+        "label = spec.family\n"
+    )
+    assert scoped_family_reads(source) == [
+        ("Spec", 2), ("Spec.check", 4), ("Spec.bound", 8), ("evaluate.inner", 11), ("", 14)
+    ]
+
+
+def test_kernel_families_are_stated_once_in_kernel():
+    # each family's form is its power terms (_power_terms), which the bare
+    # kernel, the growth constant and the bare flux read; besides the table
+    # only validation and the manifest's settings read the family name
+    allowed = {"_power_terms", "KernelSpec.__post_init__", "kernel_setup"}
+    found = [
+        f"kernel.py:{line}: {scope}"
+        for scope, line in scoped_family_reads((SRC / "kernel.py").read_text())
+        if scope not in allowed
+    ]
+    assert found == []
+
+
 def zeta_reads(source):
     """Lines that import or read the name _zeta (the cutoff profile without
     eval_cutoff's checks), bare or as an attribute."""

@@ -14,7 +14,7 @@ from coagsim.config import load_config, run_config
 from coagsim.forward import _partners
 from coagsim.kernel import (
     CutoffParams,
-    _z_power_terms,
+    _power_terms,
     constant_kernel,
     eval_regularized,
     product_kernel,
@@ -140,8 +140,8 @@ def pointwise_gain_flux(profile, kernel, R, cutoff, n_per_decade=64):
     if cutoff is None:
         def inner(y, u):
             return sum(
-                coef * dyadic_tail_integral(profile, u, 1.0 - q)
-                for coef, q in _z_power_terms(kernel, y)
+                c * y**p * dyadic_tail_integral(profile, u, 1.0 - q)
+                for c, p, q in _power_terms(kernel)
             )
     else:
         edges, reps, gpow = _partners(profile.edges, profile.tail_exponent, cutoff.lam)
