@@ -16,16 +16,15 @@ engine that stepped the trajectory (_Jumps), and they take the same
 per-diagonal form: one correlation and one convolution with the
 engine's weights t for the total rate, and one of each per deposit
 offset for the Psi-weighted rate.  The dual's nodes are the mapped
-representatives Z_i below R and nothing else, and Psi reads zero from
-the first representative at or above R on.  Psi is linear between
-nodes, so its value at a pair sum is the forward split of that pair
-(the engine's f_d) over the same two cells: both sides use one set of
-pair weights, pair sums and splits, and the adjoint holds by
-construction.  (With R above the top cell's representative it holds
-only up to the top cell, whose lower-bracket pairs the forward sends to
-its overflow ledger.)  The datum is the indicator of the cells whose
-representative lies below R, so the forward quantity it pairs with is
-those cells' mass.  The backward solve steps with the forward
+representatives Z_i below R, other than the top cell's, and nothing
+else; Psi reads zero from the first representative at or above R on, or
+from the top cell's.  The top cell is no node because the forward sends
+every pair it brackets from below to its overflow ledger.  Psi is linear
+between nodes, so its value at a pair sum is the forward split of that
+pair (the engine's f_d) over the same two cells: both sides use one set
+of pair weights, pair sums and splits, and the adjoint holds by
+construction for every R.  The datum is the indicator of the nodes'
+cells, so the forward quantity it pairs with is those cells' mass.  The backward solve steps with the forward
 controller itself (forward._heun_run), not a copy of it: predict with
 the frozen-coefficient exponential update, re-evaluate the rates at the
 predicted endpoint, and correct with the averaged coefficients.  Both
@@ -50,10 +49,11 @@ class DualField:
     """Backward dual field stored at every accepted step.
 
     psi[j] holds Psi(nodes, s_values[j]); s_values ascend from 0 to
-    t_final, and nodes are the mapped representatives below R, ascending.
-    Psi reads zero from the next representative on, which lies at or
-    above R.  params are the trajectory's; the barrier check reads its
-    stable index a from them.
+    t_final, and nodes are the mapped representatives below R other than
+    the top cell's, ascending.  Psi reads zero from the next
+    representative on, which lies at or above R or is the top cell's.
+    params are the trajectory's; the barrier check reads its stable index
+    a from them.
     """
 
     nodes: np.ndarray
@@ -67,8 +67,10 @@ class DualField:
 
 class _Jumps:
     """The dual jump operator in the frame anchored at t, on the forward
-    engine of the trajectory.  The nodes are the Z_i below R, i < n, and
-    Psi reads zero from node n on.  At backward time tau node i jumps
+    engine of the trajectory.  The nodes are the Z_i below R other than
+    the top cell's, i < n <= N - 1, and Psi reads zero from node n on: the
+    forward sends every pair whose lower bracket is the top cell N - 1 to
+    its overflow ledger, so that cell is never a node.  At backward time tau node i jumps
     toward partner k at rate c_i W(i, k) v_k: c = esc u on the nodes, v
     the forward partner densities at s = t - tau, and W(i, k) the engine's
     static pair weight, so D is c times _Engine.pair_sums.  The pair of
@@ -84,8 +86,8 @@ class _Jumps:
     the K* sweep.  The constructor keeps what far and rates both read;
     the gain tables, the offset groups, are built on the first rates
     call (groups), so a sweep of far alone, as in q_tail_bound, builds
-    none.  An R at or below every representative leaves no node and is
-    refused.
+    none.  An R at or below every representative, or a grid of one cell,
+    leaves no node and is refused.
     """
 
     def __init__(self, trajectory, R, t):
@@ -101,7 +103,11 @@ class _Jumps:
         # the grid's own representatives, which the engine's lattice
         # matches to rounding
         self.Z = Z = eng.reps * np.exp(-beta * t)
-        self.n = n = int(np.count_nonzero(Z[: eng.N] < R * (1.0 - 1e-12)))
+        # the top cell is no node: the forward sends the pairs it brackets
+        # from below to its overflow ledger
+        self.n = n = int(np.count_nonzero(Z[: eng.N - 1] < R * (1.0 - 1e-12)))
+        if n == 0 and eng.N == 1:
+            raise ValueError("a grid of one cell leaves the dual no node: its top cell is never one")
         if n == 0:
             raise ValueError(f"R = {R!r} lies below every cell's representative at t = {t!r}: the dual has no node")
         self.nodes = Z[:n]
@@ -188,8 +194,9 @@ def solve_dual(trajectory, R, t, max_change=0.02):
         Single-frame forward run covering [0, t].
     R : float
         Indicator cut; the datum is 1 at every node, the mapped
-        representatives below R.  An R at or below every representative
-        is refused with ValueError.
+        representatives below R other than the top cell's.  An R at or
+        below every representative, or a grid of one cell, leaves no node
+        and is refused with ValueError.
     t : float
         Final time, <= trajectory.t_final.
     max_change : float
@@ -392,11 +399,11 @@ class QTailReport:
 def q_tail_bound(trajectory, R):
     """Smallest K with int_R^inf Q(X, Z, tau) dZ <= K R^(gamma - rho).
 
-    Sweeps the jump rates toward partners beyond R over all nodes, the
-    mapped representatives below R, and R itself, at N_TAU (5) evenly
-    spaced backward times over the whole trajectory, from 0 to its
-    t_final; the supremum of the left side times R^(rho - gamma) is the
-    reported constant.  It reads only _Jumps.far, so no gain table is
+    Sweeps the jump rates toward partners beyond R over all nodes (the
+    mapped representatives below R other than the top cell's) and R
+    itself, at N_TAU (5) evenly spaced backward times over the whole
+    trajectory, from 0 to its t_final; the supremum of the left side
+    times R^(rho - gamma) is the reported constant.  It reads only _Jumps.far, so no gain table is
     built.
 
     Returns

@@ -614,7 +614,6 @@ def rescaled_trajectory(h0, params, kernel, cutoff, t_final, max_change=0.02):
         "n_steps": stepper.n_steps,
         "n_retries": stepper.n_retries,
         "max_pairing_residual": stepper.max_pairing_residual,
-        "overflow_mass": stepper.sink_mass,
     }
     return Trajectory(
         edges=h0.edges,

@@ -837,6 +837,15 @@ class TestDualCheckCommand:
         assert code == 0
         assert strict_json(out / "dual_check.json")["adjoint_residual"] <= 5e-5
 
+    def test_radius_above_the_top_cell_passes(self, tmp_path):
+        # R = 1e9 lies above the acceptance grid's top representative; with
+        # the top cell as a node the residual read 7.04e-3 (exit 2)
+        text = ("params.gamma = 0.5\nparams.rho = 0.6\nparams.delta = 0.05\n"
+                "kernel.family = product\ncutoff.lambda = 1e-3\ndual.radius = 1e9\ndual.time = 0.5\n")
+        code, out = run_cli(tmp_path, text, "dual-check")
+        assert code == 0
+        assert strict_json(out / "dual_check.json")["adjoint_residual"] <= 5e-5
+
     def test_index_whose_scale_overflows_exits_1_before_solving(self, tmp_path, monkeypatch, capsys):
         # (gamma, rho) = (0.5, 0.504) is a valid Params with a = 0.004, whose
         # stable law has no float scale: an OverflowError traceback from

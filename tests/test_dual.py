@@ -142,6 +142,15 @@ class TestSolveDual:
                 q_tail_bound(traj_const, cut)
         assert solve_dual(traj_const, R * 1.001, T_FINAL, max_change=0.005).nodes.size == 1
 
+    def test_one_cell_grid_has_no_node(self):
+        # the top cell is never a node, so one cell leaves none at any R
+        edges = geometric_grid(1.0, 2.0, 2.0)
+        traj = Trajectory(edges, np.array([0.0]), np.ones((1, 1)), np.array([0.4]), PARAMS,
+                          _Engine(edges, PARAMS, constant_kernel(), CUT))
+        for R in (1.2, 10.0, 1e9):
+            with pytest.raises(ValueError, match="one cell leaves the dual no node"):
+                solve_dual(traj, R, 0.0)
+
     def test_rejects_bad_inputs(self, traj_const):
         with pytest.raises(ValueError):
             solve_dual(traj_const, -1.0, T_FINAL)
@@ -294,6 +303,21 @@ class TestAdjointConsistency:
         # acceptance run's 0.0025
         fld = solve_dual(traj_const, R, T_FINAL, max_change=0.01)
         assert adjoint_consistency(traj_const, fld) <= 1e-3
+
+
+    @pytest.mark.parametrize("gamma, rho", [(0.0, 0.1), (0.5, 0.6), (0.0, 0.5)])
+    def test_radius_above_the_top_cell(self, gamma, rho):
+        # R = 1e9 lies above every representative of the grid (top edge
+        # 1e4): the top cell is no node, since the forward sends the pairs
+        # it brackets from below to its overflow ledger.  As a node it read
+        # 2.4e-2 / 1.9e-2 / 3.7e-3
+        params = Params(gamma=gamma, rho=rho, delta=min(0.2, 0.5 * (rho - gamma)))
+        kernel = constant_kernel() if gamma == 0.0 else product_kernel(gamma)
+        edges = geometric_grid(1e-3, 1e4, 2.0**0.25)
+        traj = rescaled_trajectory(power_law_init(params, edges), params, kernel, CutoffParams(lam=1e-2), T_FINAL)
+        fld = solve_dual(traj, 1e9, T_FINAL, max_change=0.0025)
+        assert fld.nodes.size == edges.size - 2
+        assert adjoint_consistency(traj, fld) <= 5e-5
 
 
 class TestSubsolution:
@@ -544,12 +568,13 @@ def oracle_ratio_kernel(kernel, cutoff, Y, Z):
 def oracle_jumps(traj, R, t, tau, psi):
     """Dense (nodes, then R) x partners jump table in the frame anchored
     at t: (nodes, D, G, far sums), nodes the mapped representatives Z_i
-    below R, i < n, and G from Psi read as linear on Z_0 .. Z_n, with
-    Psi(Z_n) = 0, and zero above Z_n.  far has R's row last."""
+    below R other than the top cell's, i < n <= N - 1, and G from Psi read
+    as linear on Z_0 .. Z_n, with Psi(Z_n) = 0, and zero above Z_n.  far
+    has R's row last."""
     p, cut = traj.params, traj.engine.cutoff
     _, Yall, gpow = _partners(traj.edges, p.rho, cut.lam)
     Zk = Yall * np.exp(-p.beta * t)
-    n = int(np.count_nonzero(Zk[: traj.edges.size - 1] < R * (1.0 - 1e-12)))
+    n = int(np.count_nonzero(Zk[: traj.edges.size - 2] < R * (1.0 - 1e-12)))
     X = np.append(Zk[:n], R)
     Kd = oracle_ratio_kernel(traj.engine.kernel, cut, X[:, None], Zk[None, :])
     masses, amp = traj.interp(t - tau)
@@ -616,10 +641,10 @@ class TestDualOracle:
         [
             # self pairs tie on the 2^(1/16) grid (2 Y_i = Y_(i+16)), R mid-grid
             ((1e-4, 20.0, 2.0 ** (1.0 / 16.0)), 1e-3, 0.7, "some"),
-            # R above the top representative: every cell is a node, and
-            # Psi reads zero from the first ghost cell on
-            ((1e-4, 20.0, 2.0**0.25), 1e-2, 60.0, "all"),
-            ((1e-4, 20.0, 2.0**0.25), 0.1, 60.0, "all"),
+            # R above the top representative: every cell but the top one
+            # is a node, and Psi reads zero from the top cell on
+            ((1e-4, 20.0, 2.0**0.25), 1e-2, 60.0, "top"),
+            ((1e-4, 20.0, 2.0**0.25), 0.1, 60.0, "top"),
             # R just above the first representative: one node, and it
             # coagulates
             ((1e-2, 20.0, 2.0**0.25), 1e-3, 0.0115, "one"),
@@ -638,7 +663,7 @@ class TestDualOracle:
         R = R_x * np.exp(-params.beta * t)
         jumps = _Jumps(traj, R, t)
         n = jumps.nodes.size
-        assert {"some": 1 < n < N, "all": n == N, "one": n == 1}[nodes_below]
+        assert {"some": 1 < n < N - 1, "top": n == N - 1, "one": n == 1}[nodes_below]
         for tau in (0.0, t / 3.0, t):
             psi = np.sort(rng.uniform(0.05, 1.0, n))[::-1]
             nodes, D, G, far = oracle_jumps(traj, R, t, tau, psi)
