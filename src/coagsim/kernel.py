@@ -209,7 +209,8 @@ def eval_kernel(spec, y, z):
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(z))):
         raise ValueError("kernel arguments must be finite")
     (c, p, q), *rest = _power_terms(spec)
-    # the first term fills the result in place, the later ones add to it
+    # the first term fills the result in place, so a one-term kernel
+    # allocates little beyond its result (the flux evaluates it per block)
     k = np.broadcast_to(c * y**p, np.broadcast_shapes(y.shape, z.shape)).copy()
     if q:
         k *= z**q
