@@ -24,9 +24,10 @@ between nodes, so its value at a pair sum is the forward split of that
 pair (the engine's f_d) over the same two cells: both sides use one set
 of pair weights, pair sums and splits, and the adjoint holds by
 construction for every R.  The datum is the indicator of the nodes'
-cells, so the forward quantity it pairs with is those cells' mass.  The backward solve steps with the forward
-controller itself (forward._heun_run), not a copy of it: predict with
-the frozen-coefficient exponential update, re-evaluate the rates at the
+cells, so the forward quantity it pairs with is those cells' mass.  The
+backward solve steps with the forward controller itself
+(forward._heun_run), not a copy of it: predict with the
+frozen-coefficient exponential update, re-evaluate the rates at the
 predicted endpoint, and correct with the averaged coefficients.  Both
 updates are convex combinations of old values, so Psi stays in [0, 1]
 exactly.
@@ -70,17 +71,18 @@ class _Jumps:
     engine of the trajectory.  The nodes are the Z_i below R other than
     the top cell's, i < n <= N - 1, and Psi reads zero from node n on: the
     forward sends every pair whose lower bracket is the top cell N - 1 to
-    its overflow ledger, so that cell is never a node.  At backward time tau node i jumps
-    toward partner k at rate c_i W(i, k) v_k: c = esc u on the nodes, v
-    the forward partner densities at s = t - tau, and W(i, k) the engine's
-    static pair weight, so D is c times _Engine.pair_sums.  The pair of
-    cells a and a + d takes either member to P = Z_a + Z_(a+d), which
-    sits at offset k_d - d from the larger member with the engine's
-    lattice split f_d, where Psi is f_d Psi_j + (1 - f_d) Psi_(j+1).  So
-    the gain takes one correlation (node a the smaller member) and one
-    convolution (node a + d the larger) per deposit offset, with the
-    engine's offset groups of t.  The convolutions from below do not
-    depend on Psi and are kept with D for each tau.
+    its overflow ledger, so that cell is never a node.  At backward time
+    tau node i jumps toward partner k at rate c_i W(i, k) v_k: c = esc u
+    on the nodes, v the forward partner densities at s = t - tau, and
+    W(i, k) the engine's static pair weight, so D is c times
+    _Engine.pair_sums.  The pair of cells a and a + d takes either member
+    to P = Z_a + Z_(a+d), which sits at offset k_d - d from the larger
+    member with the engine's lattice split f_d, where Psi is
+    f_d Psi_j + (1 - f_d) Psi_(j+1).  So the gain takes one correlation
+    (node a the smaller member) and one convolution (node a + d the
+    larger) per deposit offset, with the engine's offset groups of t.  The
+    convolutions from below do not depend on Psi and are kept with D for
+    each tau.
 
     far also reads R itself, with its own kernel row (_Engine.row), for
     the K* sweep.  The constructor keeps what far and rates both read;
@@ -403,8 +405,8 @@ def q_tail_bound(trajectory, R):
     mapped representatives below R other than the top cell's) and R
     itself, at N_TAU (5) evenly spaced backward times over the whole
     trajectory, from 0 to its t_final; the supremum of the left side
-    times R^(rho - gamma) is the reported constant.  It reads only _Jumps.far, so no gain table is
-    built.
+    times R^(rho - gamma) is the reported constant.  It reads only
+    _Jumps.far, so no gain table is built.
 
     Returns
     -------
