@@ -19,6 +19,8 @@ from coagsim.kernel import (
     sum_kernel,
     zero_kernel,
 )
+from coagsim.measure import Params, dyadic_tail_integral, geometric_grid, power_law_init
+from coagsim.stationary import _make_inner
 
 sizes = st.floats(min_value=1e-8, max_value=1e8, allow_nan=False, allow_infinity=False)
 gammas = st.floats(min_value=0.0, max_value=0.999)
@@ -370,9 +372,6 @@ class TestKernelFamilyOracle:
         "spec", [*EXACT_KERNELS.values(), *PRODUCT_KERNELS.values()], ids=[*EXACT_KERNELS, *PRODUCT_KERNELS]
     )
     def test_bare_flux_inner_sums_bit_for_bit(self, spec):
-        from coagsim.measure import Params, dyadic_tail_integral, geometric_grid, power_law_init
-        from coagsim.stationary import _make_inner
-
         rho = 0.5 * (1.0 + spec.gamma)
         params = Params(gamma=spec.gamma, rho=rho, delta=0.5 * (rho - spec.gamma))
         h = power_law_init(params, geometric_grid(1e-2, 1e4, 2.0**0.25))
