@@ -31,17 +31,21 @@ frozen-coefficient exponential update, re-evaluate the rates at the
 predicted endpoint, and correct with the averaged coefficients.  Both
 updates are convex combinations of old values, so Psi stays in [0, 1]
 exactly.
+
+The bound K* on the jumps past R (q_tail_bound) needs no dual operator:
+R's own rate bounds every node's, so it reads R's row of the engine over
+R's whole partner reach, the grid's cells and the ghost cells and, past
+the engine's lattice, the tail cells, whose small-size cutoff is 1.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .forward import _heun_run, _offset_groups
-from .kernel import eval_cutoff, eval_kernel  # noqa: F401  eval_kernel: bench/trace_run.py wraps dual.eval_kernel
-from .measure import GridMeasure, cumulative_mass
+from .kernel import _ratio_cutoffs, eval_cutoff, eval_kernel
+from .measure import GridMeasure, _tail_cells, cumulative_mass
 from .stablecdf import StableProfile, w_table
 
 
@@ -82,14 +86,8 @@ class _Jumps:
     (node a the smaller member) and one convolution (node a + d the
     larger) per deposit offset, with the engine's offset groups of t.  The
     convolutions from below do not depend on Psi and are kept with D for
-    each tau.
-
-    far also reads R itself, with its own kernel row (_Engine.row), for
-    the K* sweep.  The constructor keeps what far and rates both read;
-    the gain tables, the offset groups, are built on the first rates
-    call (groups), so a sweep of far alone, as in q_tail_bound, builds
-    none.  An R at or below every representative, or a grid of one cell,
-    leaves no node and is refused.
+    each tau.  An R at or below every representative, or a grid of one
+    cell, leaves no node and is refused.
     """
 
     def __init__(self, trajectory, R, t):
@@ -99,12 +97,11 @@ class _Jumps:
             raise ValueError("R must be finite and > 0")
         if not 0.0 <= t <= trajectory.t_final + 1e-12:
             raise ValueError("trajectory does not cover [0, t]")
-        self.trajectory, self.t, self.R = trajectory, t, R
+        self.trajectory, self.t = trajectory, t
         eng = self.engine = trajectory.engine
-        beta = trajectory.params.beta
         # the grid's own representatives, which the engine's lattice
         # matches to rounding
-        self.Z = Z = eng.reps * np.exp(-beta * t)
+        Z = eng.reps * np.exp(-trajectory.params.beta * t)
         # the top cell is no node: the forward sends the pairs it brackets
         # from below to its overflow ledger
         self.n = n = int(np.count_nonzero(Z[: eng.N - 1] < R * (1.0 - 1e-12)))
@@ -113,33 +110,21 @@ class _Jumps:
         if n == 0:
             raise ValueError(f"R = {R!r} lies below every cell's representative at t = {t!r}: the dual has no node")
         self.nodes = Z[:n]
-        self.row = eng.row(R * np.exp(beta * t))
-        self._memo = (None, None)
-
-    @cached_property
-    def groups(self):
-        """(above, below, n_off): the engine's offset groups of t, as the
-        correlations from above and the convolutions from below read them,
-        and the number of offsets that low holds."""
-        eng, n = self.engine, self.n
-        above, below = [], []
+        # the engine's offset groups of t, as the correlations from above
+        # and the convolutions from below read them, and the number of
+        # offsets that low holds
+        self.above, self.below = [], []
         for o, d0, h in _offset_groups(eng.t, eng.k, eng.f):
             # node i with partner i + d above it reads Psi at i + d + o < n
             if n - o - d0 > 0:
-                above.append((d0, n - o, o, h))
+                self.above.append((d0, n - o, o, h))
             # node i with partner i - d below it (d > 0) reads it at i + o
             if d0 == 0:
                 d0, h = 1, h[1:]
             if h.size and n - o - d0 > 0:
-                below.append((o, d0, h))
-        return above, below, 1 + max((o for o, _, _ in below), default=0)
-
-    def _densities(self, tau, X):
-        """(c, v) at backward time tau, c at the sizes X."""
-        eng, p = self.engine, self.trajectory.params
-        s = self.t - tau
-        _, v, esc = eng.densities(*self.trajectory.interp(s), s)
-        return esc * eval_cutoff(X * np.exp(p.beta * tau) / eng.cutoff.lam), v
+                self.below.append((o, d0, h))
+        self.n_off = 1 + max((o for o, _, _ in self.below), default=0)
+        self._memo = (None, None)
 
     def _loss(self, tau):
         """(D, c, v, low) at backward time tau: each node's total jump
@@ -152,15 +137,16 @@ class _Jumps:
         """
         if self._memo[0] == tau:
             return self._memo[1]
-        c, v = self._densities(tau, self.nodes)
-        n = self.n
-        _, below, n_off = self.groups
-        y = self.engine.Yg[:n] * v[:n]
-        low = np.zeros((n_off, n))
-        for o, d1, h in below:
+        eng, n = self.engine, self.n
+        s = self.t - tau
+        _, v, esc = eng.densities(*self.trajectory.interp(s), s)
+        c = esc * eval_cutoff(self.nodes * np.exp(self.trajectory.params.beta * tau) / eng.cutoff.lam)
+        y = eng.Yg[:n] * v[:n]
+        low = np.zeros((self.n_off, n))
+        for o, d1, h in self.below:
             m = n - o - d1
             low[o, d1 : n - o] = np.convolve(y[:m], h)[:m]
-        out = c * self.engine.pair_sums(v)[:n], c, v, low
+        out = c * eng.pair_sums(v)[:n], c, v, low
         self._memo = (tau, out)
         return out
 
@@ -169,22 +155,14 @@ class _Jumps:
         its jump rates weighted by Psi at the targets."""
         D, c, v, low = self._loss(tau)
         n = self.n
-        above, _, n_off = self.groups
         up = np.zeros(n)
-        for d0, e, o, h in above:
+        for d0, e, o, h in self.above:
             up[: e - d0] += np.correlate(v[d0:e] * psi[d0 + o : e + o], h, "full")[h.size - 1 :]
         up *= self.engine.Yg[:n]
         # low is zero wherever i + o is node n or the padding
-        psi_ext = np.concatenate([psi, np.zeros(n_off)])
-        up += np.einsum("oi,io->i", low, sliding_window_view(psi_ext, n_off)[:n])
+        psi_ext = np.concatenate([psi, np.zeros(self.n_off)])
+        up += np.einsum("oi,io->i", low, sliding_window_view(psi_ext, self.n_off)[:n])
         return D, c * up
-
-    def far(self, tau):
-        """Each node's jump rate at backward time tau toward partners
-        beyond R, and then R's own."""
-        c, v = self._densities(tau, np.append(self.nodes, self.R))
-        w = np.where(self.Z > self.R, v, 0.0)
-        return c * np.append(self.engine.pair_sums(w)[: self.n], self.row @ w)
 
 
 def solve_dual(trajectory, R, t, max_change=0.02):
@@ -399,28 +377,52 @@ class QTailReport:
 
 
 def q_tail_bound(trajectory, R):
-    """Smallest K with int_R^inf Q(X, Z, tau) dZ <= K R^(gamma - rho).
+    """Smallest K with int_R^inf Q(X, Z, tau) dZ <= K R^(gamma - rho)
+    for every X <= R, at N_TAU (5) evenly spaced backward times over the
+    whole trajectory, from 0 to its t_final.
 
-    Sweeps the jump rates toward partners beyond R over all nodes (the
-    mapped representatives below R other than the top cell's) and R
-    itself, at N_TAU (5) evenly spaced backward times over the whole
-    trajectory, from 0 to its t_final; the supremum of the left side
-    times R^(rho - gamma) is the reported constant.  It reads only
-    _Jumps.far, so no gain table is built.
+    R's own jump rate toward the partners beyond it is the supremum over
+    X <= R, term by term at every tau.  Take a partner Z > R, both in the
+    frame anchored at t_final: K(X, Z) <= K(R, Z), since every power term
+    c y^p z^q has p >= 0; zeta(X / (lam (X+Z))) <= zeta(R / (lam (R+Z)));
+    zeta(Z / (lam (X+Z))) = zeta(Z / (lam (R+Z))) = 1, since
+    Z / (X+Z) > 1/2 and lam < 1/2; and the small-size factor obeys
+    zeta(X e^(beta tau) / lam) <= zeta(R e^(beta tau) / lam).  Both rates
+    sum over the same partners with the same densities.  So K* is the
+    largest of R's rates times R^(rho - gamma); X_at is R, and X_at and
+    tau_at are NaN when K* = 0.
+
+    R's partners reach out to R (2 - lam)/lam.  Those on the engine's
+    lattice, the grid's cells and its ghost cells, weigh R's row of the
+    engine (_Engine.row).  Past the lattice they are the tail cells of the
+    grid's ratio, whose small-size cutoff is exactly 1, so they add the
+    tail amplitude at s = t_final - tau times one static sum; that sum is
+    0.0 wherever the lattice holds R's reach.
 
     Returns
     -------
     QTailReport
     """
-    p = trajectory.params
-    t = trajectory.t_final
-    jumps = _Jumps(trajectory, R, t)
-    X = np.append(jumps.nodes, R)
-    worst, X_at, tau_at = 0.0, np.nan, np.nan
+    if not 0.0 < R < np.inf:
+        raise ValueError("R must be finite and > 0")
+    p, eng, t = trajectory.params, trajectory.engine, trajectory.t_final
+    X, lam, edges = R * np.exp(p.beta * t), eng.cutoff.lam, trajectory.edges
+    row = eng.row(X)
+    beyond = eng.reps * np.exp(-p.beta * t) > R
+    # the tail cells past both the lattice and X, as many as the ghost
+    # cells, which span the partner ratio; those past X's reach weigh 0
+    ln_r = np.log(edges[1] / edges[0])
+    j0 = max(eng.ghost_pow.size, int(np.floor(np.log(X / edges[-1]) / ln_r + 0.5)))
+    gedges, gpow = _tail_cells(edges * np.exp(j0 * ln_r), p.rho, eng.ghost_pow.size)
+    Yc = np.sqrt(gedges[:-1]) * np.sqrt(gedges[1:])
+    tail = _ratio_cutoffs(eval_kernel(eng.kernel, X, Yc), X, Yc, lam) @ (gpow / (1.0 - p.rho) / Yc)
+    worst, tau_at = 0.0, np.nan
     for tau in np.linspace(0.0, t, N_TAU):
-        left = jumps.far(float(tau))
-        k = int(np.argmax(left))
-        if left[k] > worst:
-            worst, X_at, tau_at = float(left[k]), float(X[k]), float(tau)
-    K_star = worst * R ** (p.rho - p.gamma)
-    return QTailReport(K_star=K_star, X_at=X_at, tau_at=tau_at, R=float(R))
+        s = t - tau
+        masses, amp = trajectory.interp(s)
+        _, v, esc = eng.densities(masses, amp, s)
+        rate = esc * eval_cutoff(R * np.exp(p.beta * tau) / lam) * (row @ np.where(beyond, v, 0.0) + amp * tail)
+        if rate > worst:
+            worst, tau_at = float(rate), float(tau)
+    return QTailReport(K_star=worst * R ** (p.rho - p.gamma), X_at=float(R) if worst > 0.0 else np.nan,
+                       tau_at=tau_at, R=float(R))

@@ -501,7 +501,10 @@ def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), max_change=
 
     The run is split into frames of one octave of drift, ln(2)/beta
     (so each frame's map-back is an exact index shift), with extra frame
-    boundaries at requested snapshot times.  The physical tail amplitude
+    boundaries at requested snapshot times.  Such a boundary ends a frame
+    of less than an octave, whose map-back is a two-cell split that
+    smears the datum's support edge, so the state at t_final moves with
+    the snapshot times requested.  The physical tail amplitude
     is conserved (the far tail sees no coagulation under the
     partner-ratio cutoff), so every snapshot carries h0's bit for bit,
     and the ledger records mass leaving through the bottom edge.

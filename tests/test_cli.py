@@ -1166,10 +1166,19 @@ class TestStrictJson:
             assert all(r["envelope_upper"]["worst_ratio"] == 1.0 for r in results)
 
     def test_k_star_location_is_null_without_partners_beyond_r(self, tmp_path):
-        # R = 1e12 lies above the top cell's partner reach, so K* = 0 and
+        # the zero kernel gives no partner beyond R a rate, so K* = 0 and
         # no (X, tau) attains it
-        text = BASE + "dual.radius = 1e12\ndual.time = 0.25\n"
+        text = BASE.replace("kernel.family = constant", "kernel.family = zero") + "dual.radius = 1e12\ndual.time = 0.25\n"
         code, out = run_cli(tmp_path, text, "dual-check")
         assert code == 0
         k_star = strict_json(out / "dual_check.json")["k_star"]
         assert k_star == {"K_star": 0.0, "R": 1e12, "X_at": None, "tau_at": None}
+
+    def test_k_star_reads_r_past_the_engine_lattice(self, tmp_path):
+        # R = 1e12 lies above the top cell's partner reach: R's partners
+        # are the tail past the engine's lattice, and R attains K*
+        text = BASE + "dual.radius = 1e12\ndual.time = 0.25\n"
+        code, out = run_cli(tmp_path, text, "dual-check")
+        assert code == 0
+        k_star = strict_json(out / "dual_check.json")["k_star"]
+        assert k_star["K_star"] > 0.5 and k_star["X_at"] == 1e12 and k_star["tau_at"] is not None

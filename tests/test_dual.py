@@ -2,7 +2,6 @@
 
 import tracemalloc
 from dataclasses import replace
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from coagsim import dual
 from coagsim.dual import (
     BARRIER_TOL,
     MAX_S_SAMPLES,
+    N_TAU,
     DualField,
     SubsolutionReport,
     _Jumps,
@@ -43,6 +43,7 @@ from coagsim.kernel import (
 from coagsim.measure import (
     GridMeasure,
     Params,
+    _tail_cells,
     cumulative_mass,
     dyadic_tail_integral,
     geometric_grid,
@@ -138,8 +139,6 @@ class TestSolveDual:
         for cut in (1e-5, R):
             with pytest.raises(ValueError, match="below every cell's representative"):
                 solve_dual(traj_const, cut, T_FINAL, max_change=0.005)
-            with pytest.raises(ValueError, match="below every cell's representative"):
-                q_tail_bound(traj_const, cut)
         assert solve_dual(traj_const, R * 1.001, T_FINAL, max_change=0.005).nodes.size == 1
 
     def test_one_cell_grid_has_no_node(self):
@@ -150,6 +149,14 @@ class TestSolveDual:
         for R in (1.2, 10.0, 1e9):
             with pytest.raises(ValueError, match="one cell leaves the dual no node"):
                 solve_dual(traj, R, 0.0)
+
+    def test_evaluates_no_kernel_row(self, traj_const, monkeypatch):
+        # the dual steps on the engine's per-diagonal vectors alone
+        def refuse(*_args):
+            raise AssertionError("kernel row evaluated")
+
+        monkeypatch.setattr(_Engine, "row", refuse)
+        assert solve_dual(traj_const, 10.0, T_FINAL, max_change=0.02).diagnostics["n_steps"] > 1
 
     def test_rejects_bad_inputs(self, traj_const):
         with pytest.raises(ValueError):
@@ -535,9 +542,11 @@ class TestBarrierWholeArrayOracle:
 class TestQTail:
     def test_matches_tail_moment_oracle(self, traj_const):
         # far-jump rate vs the cutoff-free closed form; the ratio cutoffs
-        # clip a ~(lam/2)^rho sliver, so the discrete value sits just below
+        # clip a ~(lam/2)^rho sliver, so the discrete value sits just below.
+        # R = 1e8 lies above the grid's top edge (1e6), and its partners
+        # reach past the engine's lattice (2e9); R = 1e12 lies past it
         p = PARAMS
-        for R in (10.0, 100.0):
+        for R in (10.0, 100.0, 1e8, 1e12):
             rep = q_tail_bound(traj_const, R)
             best = 0.0
             for k in range(traj_const.times.size):
@@ -570,9 +579,15 @@ def oracle_jumps(traj, R, t, tau, psi):
     at t: (nodes, D, G, far sums), nodes the mapped representatives Z_i
     below R other than the top cell's, i < n <= N - 1, and G from Psi read
     as linear on Z_0 .. Z_n, with Psi(Z_n) = 0, and zero above Z_n.  far
-    has R's row last."""
-    p, cut = traj.params, traj.engine.cutoff
-    _, Yall, gpow = _partners(traj.edges, p.rho, cut.lam)
+    holds each row's rate toward the partners beyond R, R's row last.  The
+    partners are the grid's cells and its tail cells out to the partner
+    reach of both the top cell (the engine's ghost cells) and R."""
+    p, cut, edges = traj.params, traj.engine.cutoff, traj.edges
+    n_ghost = _partners(edges, p.rho, cut.lam)[2].size
+    reach = np.log(R * np.exp(p.beta * t) * (2.0 - cut.lam) / cut.lam / edges[-1])
+    gedges, gpow = _tail_cells(edges, p.rho, max(n_ghost, int(np.ceil(reach / np.log(edges[1] / edges[0]))) + 1))
+    pedges = np.concatenate([edges, gedges[1:]])
+    Yall, gpow = np.sqrt(pedges[:-1] * pedges[1:]), gpow / (1.0 - p.rho)
     Zk = Yall * np.exp(-p.beta * t)
     n = int(np.count_nonzero(Zk[: traj.edges.size - 2] < R * (1.0 - 1e-12)))
     X = np.append(Zk[:n], R)
@@ -585,6 +600,17 @@ def oracle_jumps(traj, R, t, tau, psi):
     q = np.exp(p.gamma * p.beta * tau) * u_x[:, None] * Kd * col[None, :]
     psi_at = np.interp(Zk[:n, None] + Zk[None, :], Zk[: n + 1], np.append(psi, 0.0))
     return Zk[:n], q[:n].sum(axis=1), (q[:n] * psi_at).sum(axis=1), q[:, Zk > R].sum(axis=1)
+
+
+def assert_k_star_is_R_rate(traj, R):
+    """q_tail_bound's K* is R's largest dense-table rate toward the
+    partners beyond it over the same N_TAU times, times R^(rho - gamma)."""
+    p, t = traj.params, traj.t_final
+    n = _Jumps(traj, R, t).nodes.size
+    rates = [oracle_jumps(traj, R, t, tau, np.ones(n))[3][-1] for tau in np.linspace(0.0, t, N_TAU)]
+    rep = q_tail_bound(traj, R)
+    assert rep.K_star == pytest.approx(max(rates) * R ** (p.rho - p.gamma), rel=1e-13, abs=0.0)
+    assert rep.X_at == R
 
 
 class TestDualOracle:
@@ -626,7 +652,9 @@ class TestDualOracle:
             assert np.all(np.abs(got_G - G) <= 1e-13 * D)
             # the top node jumps below Z_n too, where Psi is not zero
             assert got_G.shape == D.shape and G[-1] > 0.0
-            np.testing.assert_allclose(jumps.far(tau), far, rtol=1e-13, atol=0.0)
+            # no node jumps past R faster than R itself (q_tail_bound)
+            assert np.all(far[:-1] <= far[-1])
+        assert_k_star_is_R_rate(traj, R)
 
     @pytest.mark.parametrize(
         "kernel, params",
@@ -673,7 +701,8 @@ class TestDualOracle:
             np.testing.assert_allclose(got_D, D, rtol=1e-13, atol=0.0)
             assert np.all(np.abs(got_G - G) <= 1e-13 * D)
             assert got_G.shape == D.shape == (n,) and far.shape == (n + 1,)
-            np.testing.assert_allclose(jumps.far(tau), far, rtol=1e-13, atol=0.0)
+            assert np.all(far[:-1] <= far[-1])
+        assert_k_star_is_R_rate(traj, R)
 
 
 def traced_peak(fn):
@@ -710,25 +739,21 @@ class TestDualWorkingMemory:
         assert peak <= 2**19
 
 
-class TestGainTablesOnDemand:
-    def test_q_tail_bound_builds_none(self, traj_const, monkeypatch):
+class TestOperatorsOnDemand:
+    def test_q_tail_bound_builds_no_jumps(self, traj_const, monkeypatch):
+        # K* is R's own rate, read from the engine: no dual operator
         def refuse(*_args):
-            raise AssertionError("gain table built")
+            raise AssertionError("dual operator built")
 
-        monkeypatch.setattr(dual, "_offset_groups", refuse)
-        monkeypatch.setattr(_Jumps, "groups", property(refuse))
+        monkeypatch.setattr(dual, "_Jumps", refuse)
         assert q_tail_bound(traj_const, 10.0).K_star > 0.0
 
-    def test_solve_dual_builds_each_once(self, traj_const, monkeypatch):
-        # the gain tables, the offset groups, are built on the first rates
-        # call and read by every later one
+    def test_solve_dual_groups_offsets_once(self, traj_const, monkeypatch):
+        # the gain tables, the offset groups, are built with the operator
+        # and read by every rates call
         calls = []
-        groups = _Jumps.__dict__["groups"].func
-        counted = cached_property(lambda jumps: calls.append("groups") or groups(jumps))
-        counted.__set_name__(_Jumps, "groups")
-        monkeypatch.setattr(_Jumps, "groups", counted)
         offsets = dual._offset_groups
-        monkeypatch.setattr(dual, "_offset_groups", lambda *args: calls.append("offsets") or offsets(*args))
+        monkeypatch.setattr(dual, "_offset_groups", lambda *args: calls.append(args) or offsets(*args))
         fld = solve_dual(traj_const, 10.0, T_FINAL, max_change=0.02)
         assert fld.diagnostics["n_steps"] > 1
-        assert calls == ["groups", "offsets"]
+        assert len(calls) == 1
