@@ -1168,7 +1168,8 @@ class TestStrictJson:
     def test_k_star_location_is_null_without_partners_beyond_r(self, tmp_path):
         # the zero kernel gives no partner beyond R a rate, so K* = 0 and
         # no (X, tau) attains it
-        text = BASE.replace("kernel.family = constant", "kernel.family = zero") + "dual.radius = 1e12\ndual.time = 0.25\n"
+        text = BASE.replace("kernel.family = constant", "kernel.family = zero")
+        text += "dual.radius = 1e12\ndual.time = 0.25\n"
         code, out = run_cli(tmp_path, text, "dual-check")
         assert code == 0
         k_star = strict_json(out / "dual_check.json")["k_star"]
