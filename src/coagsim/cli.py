@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, get_float, get_floats, load_config, run_config
-from .dual import find_m_star, q_tail_bound, solve_dual, adjoint_consistency
+from .dual import _cut, find_m_star, q_tail_bound, solve_dual, adjoint_consistency
 from .forward import (
     IntegrationError,
     gronwall_check,
@@ -233,14 +233,16 @@ def cmd_dual_check(cfg, out_dir):
     R = get_float(cfg.raw, "dual.radius")
     t = get_float(cfg.raw, "dual.time", 0.5)
     dump_s = get_floats(cfg.raw, "dual.dump_s", ())
-    if not (R > 0.0 and t >= 0.0):
-        raise ConfigError("dual: need radius > 0 and time >= 0")
+    edges = geometric_grid(*cfg.grid)
+    # a radius and time that no dual on the grid has are refused before any
+    # solve, by name
+    _cut(edges, cfg.params, cfg.cutoff.lam, R, t, names=("dual.radius", "dual.time"))
     for s_req in dump_s:
         if not 0.0 <= s_req <= t:
             raise ConfigError(f"dual.dump_s value {s_req} outside [0, {t}]")
     # the barrier's stable law: an index it refuses is refused before any solve
     StableProfile(a=cfg.params.a)
-    h0 = power_law_init(cfg.params, geometric_grid(*cfg.grid))
+    h0 = power_law_init(cfg.params, edges)
     # DUAL_MAX_CHANGE caps the dual alone; the trajectory keeps its own cap
     traj = rescaled_trajectory(h0, cfg.params, cfg.kernel, cfg.cutoff, t)
     field = solve_dual(traj, R, t, max_change=DUAL_MAX_CHANGE)

@@ -32,10 +32,20 @@ predicted endpoint, and correct with the averaged coefficients.  Both
 updates are convex combinations of old values, so Psi stays in [0, 1]
 exactly.
 
+The barrier check (subsolution_bound) and the smallest constant M* for
+which it holds (find_m_star) read the whole stored field: every node at
+every stored time, in blocks of whole rows.
+
 The bound K* on the jumps past R (q_tail_bound) needs no dual operator:
 R's own rate bounds every node's, so it reads R's row of the engine over
 R's whole partner reach, the grid's cells and the ghost cells and, past
 the engine's lattice, the tail cells, whose small-size cutoff is 1.
+
+A cut R and a final time t that no dual on the grid has are refused by
+one set of rules (_cut), which the dual solve, K* and the dual-check
+command, before its forward solve, all run: R at or below every cell's
+representative, and a frame factor e^(beta t) or a partner reach
+R e^(beta t) (2 - lam)/lam past the float range.
 """
 
 from dataclasses import dataclass, field
@@ -43,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .forward import _heun_run, _offset_groups
+from .forward import _heun_run, _offset_groups, _partners
 from .kernel import _ratio_cutoffs, eval_cutoff, eval_kernel
 from .measure import GridMeasure, _tail_cells, cumulative_mass
 from .stablecdf import StableProfile, w_table
@@ -70,6 +80,45 @@ class DualField:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _cut(edges, params, lam, R, t, names=("R", "t")):
+    """The rules that a cut R and a final time t obey on a grid of edges
+    at cutoff scale lam, checked before any kernel is evaluated; each
+    refusal is a ValueError that calls R and t by names.  R is finite and
+    > 0, t >= 0 and the frame factor e^(beta t) is a float.  Some
+    representative other than the top cell's maps below R, so the dual
+    has a node.  R's partners reach X (2 - lam)/lam, X = R e^(beta t): the
+    tail cells past both the engine's lattice and X, as many as its ghost
+    cells, which span that ratio, end inside the float range.
+
+    Returns (Z, n, X, tail): the representatives of the cells and ghost
+    cells in the frame anchored at t, the number of nodes, X, and the tail
+    cells' edges and increments of x^(1 - rho) (measure._tail_cells).
+    """
+    r_name, t_name = names
+    if not (0.0 < R < np.inf and t >= 0.0):
+        raise ValueError(f"{r_name} must be finite and > 0, and {t_name} >= 0")
+    with np.errstate(all="ignore"):
+        _, reps, ghost_pow = _partners(edges, params.rho, lam)
+        frame = np.exp(params.beta * t)
+        X = R * frame
+        ln_r = np.log(edges[1] / edges[0])
+        j0 = max(ghost_pow.size, np.floor(np.log(X / edges[-1]) / ln_r + 0.5))
+        tail = _tail_cells(edges * np.exp(j0 * ln_r), params.rho, ghost_pow.size)
+    if frame == np.inf:
+        raise ValueError(f"{t_name} = {t!r} overflows the frame factor e^(beta t), beta = {params.beta!r}")
+    Z = reps * np.exp(-params.beta * t)
+    # the top cell is no node: the forward sends the pairs it brackets
+    # from below to its overflow ledger
+    n = int(np.count_nonzero(Z[: edges.size - 2] < R * (1.0 - 1e-12)))
+    if n == 0 and edges.size == 2:
+        raise ValueError("a grid of one cell leaves the dual no node: its top cell is never one")
+    if n == 0:
+        raise ValueError(f"{r_name} = {R!r} lies below every cell's representative at {t_name} = {t!r}: no dual node")
+    if not tail[0][-1] < np.inf:
+        raise ValueError(f"{r_name} = {R!r}: its partners' reach R e^(beta t) (2 - lam)/lam overflows a float")
+    return Z, n, X, tail
+
+
 class _Jumps:
     """The dual jump operator in the frame anchored at t, on the forward
     engine of the trajectory.  The nodes are the Z_i below R other than
@@ -87,29 +136,22 @@ class _Jumps:
     larger) per deposit offset, with the engine's offset groups of t.  The
     convolutions from below do not depend on Psi and are kept with D for
     each tau.  An R at or below every representative, or a grid of one
-    cell, leaves no node and is refused.
+    cell, leaves no node and is refused, as is every other cut that _cut
+    refuses.
     """
 
     def __init__(self, trajectory, R, t):
-        # a cut R or final time t that no dual on trajectory has is refused
-        # before any kernel is evaluated
-        if not 0.0 < R < np.inf:
-            raise ValueError("R must be finite and > 0")
+        # a final time t that trajectory does not reach, or a cut R and t
+        # that no dual on its grid has, is refused before any kernel is
+        # evaluated
         if not 0.0 <= t <= trajectory.t_final + 1e-12:
             raise ValueError("trajectory does not cover [0, t]")
         self.trajectory, self.t = trajectory, t
         eng = self.engine = trajectory.engine
         # the grid's own representatives, which the engine's lattice
         # matches to rounding
-        Z = eng.reps * np.exp(-trajectory.params.beta * t)
-        # the top cell is no node: the forward sends the pairs it brackets
-        # from below to its overflow ledger
-        self.n = n = int(np.count_nonzero(Z[: eng.N - 1] < R * (1.0 - 1e-12)))
-        if n == 0 and eng.N == 1:
-            raise ValueError("a grid of one cell leaves the dual no node: its top cell is never one")
-        if n == 0:
-            raise ValueError(f"R = {R!r} lies below every cell's representative at t = {t!r}: the dual has no node")
-        self.nodes = Z[:n]
+        Z, n, _, _ = _cut(trajectory.edges, trajectory.params, eng.cutoff.lam, R, t)
+        self.n, self.nodes = n, Z[:n]
         # the engine's offset groups of t, as the correlations from above
         # and the convolutions from below read them, and the number of
         # offsets that low holds
@@ -176,7 +218,8 @@ def solve_dual(trajectory, R, t, max_change=0.02):
         Indicator cut; the datum is 1 at every node, the mapped
         representatives below R other than the top cell's.  An R at or
         below every representative, or a grid of one cell, leaves no node
-        and is refused with ValueError.
+        and is refused with ValueError, as is an R or t whose frame factor
+        or partner reach overflows a float (_cut).
     t : float
         Final time, <= trajectory.t_final.
     max_change : float
@@ -195,32 +238,28 @@ def solve_dual(trajectory, R, t, max_change=0.02):
     psi = np.ones(jumps.nodes.size)  # indicator datum: every node is below R
     taus = [0.0]
     rows = [psi]
-    mono_viol = 0.0
 
     def accepted(tau, psi, _h, _r0, _r1):
-        nonlocal mono_viol
         taus.append(tau)
         rows.append(psi)
-        mono_viol = max(mono_viol, float(np.max(np.diff(psi), initial=0.0)))
 
     # G <= D max(Psi) at both ends of a step, so the averaged update keeps
     # Psi in [0, 1]; the change cap is absolute, and dividing by 1.0 is exact
     _, _, n_retries = _heun_run(
         jumps.rates, psi, 0.0, t, None, max_change, lambda _psi: 1.0, accepted
     )
-    taus = np.array(taus)
     # every accepted step moves tau, so reversing gives ascending s = t - tau
     return DualField(
         nodes=jumps.nodes,
-        s_values=(t - taus)[::-1],
+        s_values=(t - np.array(taus))[::-1],
         psi=np.array(rows)[::-1],
         R=float(R),
         t_final=float(t),
         params=trajectory.params,
         diagnostics={
-            "n_steps": taus.size - 1,
+            "n_steps": len(taus) - 1,
             "n_retries": n_retries,
-            "max_monotonicity_violation": mono_viol,
+            "max_monotonicity_violation": max(float(np.max(np.diff(row), initial=0.0)) for row in rows),
         },
     )
 
@@ -267,38 +306,27 @@ class SubsolutionReport:
     tol: float
 
 
-# stored times the barrier check samples and the margin it allows;
-# entries (sampled rows x nodes) that the check and the M* bound take at a
-# time; backward times of the K* sweep
-MAX_S_SAMPLES = 64
+# the margin the barrier check allows; entries (stored rows x nodes) that
+# the check and the M* bound take at a time; backward times of the K* sweep
 BARRIER_TOL = 1e-3
-SAMPLE_BLOCK = 4096
+ROW_BLOCK = 4096
 N_TAU = 5
 
 
-def _samples(dual_field):
-    """Indices of the stored times the barrier check samples: every
-    max(1, n // MAX_S_SAMPLES)-th of the n stored s values, and the last."""
-    n = dual_field.s_values.size
-    return sorted(set(range(0, n, max(1, n // MAX_S_SAMPLES))) | {n - 1})
-
-
-def _sample_blocks(dual_field):
-    """_samples in blocks of whole rows, about SAMPLE_BLOCK entries
-    (rows x nodes) each, in order."""
-    idx = _samples(dual_field)
-    step = max(1, SAMPLE_BLOCK // dual_field.nodes.size)
-    return [idx[j : j + step] for j in range(0, len(idx), step)]
+def _row_blocks(dual_field):
+    """Slices of whole stored rows, about ROW_BLOCK entries (rows x nodes)
+    each, in order."""
+    n, step = dual_field.s_values.size, max(1, ROW_BLOCK // dual_field.nodes.size)
+    return [slice(j, j + step) for j in range(0, n, step)]
 
 
 def subsolution_bound(dual_field, M):
     """Verify Psi(X, s) >= W((R - X) / (M (t - s))^(1/a)) - BARRIER_TOL.
 
     W is the stable-law profile of index a = rho - gamma, the field's
-    params.a.  Checks every node X < R at every
-    max(1, n // MAX_S_SAMPLES)-th of the n stored s values and the last
-    (MAX_S_SAMPLES = 64; all of them when n < 128), and reports the worst
-    margin min(Psi - W); BARRIER_TOL is 1e-3.  M may be 0: where
+    params.a.  Checks every node X < R at every stored s value, and
+    reports the worst margin min(Psi - W), the earliest time and then the
+    lowest node on a tie; BARRIER_TOL is 1e-3.  M may be 0: where
     M (t - s) = 0 the barrier is its limit, 1 at every node.
 
     Returns
@@ -307,22 +335,21 @@ def subsolution_bound(dual_field, M):
     """
     if not M >= 0.0:
         raise ValueError("M must be >= 0")
-    R, t = dual_field.R, dual_field.t_final
-    a = dual_field.params.a
+    R, t, a = dual_field.R, dual_field.t_final, dual_field.params.a
     tab = w_table(StableProfile(a=a))
     inv_a = 1.0 / a
     X = dual_field.nodes
     worst, X_at, s_at = np.inf, np.nan, np.nan
-    for idx in _sample_blocks(dual_field):
-        s_rows = dual_field.s_values[idx]
+    for rows in _row_blocks(dual_field):
+        s_rows = dual_field.s_values[rows]
         taus = t - s_rows
         # one barrier array over the block's times, each row scaled by the
         # same scalar power as a per-time evaluation would use
         scale = np.array([(M * float(tau)) ** inv_a if M * tau > 0.0 else 1.0 for tau in taus])
         barrier = tab((R - X) / scale[:, None])
         barrier[M * taus <= 0.0] = 1.0
-        margin = dual_field.psi[idx] - barrier
-        k = int(np.argmin(margin))  # row-major: the earliest sample, then the lowest node
+        margin = dual_field.psi[rows] - barrier
+        k = int(np.argmin(margin))  # row-major: the earliest time, then the lowest node
         row, col = divmod(k, X.size)
         if margin[row, col] < worst:  # a later block must be strictly lower
             worst, X_at, s_at = float(margin[row, col]), float(X[col]), float(s_rows[row])
@@ -332,16 +359,16 @@ def subsolution_bound(dual_field, M):
 
 def _m_bound(dual_field):
     """Largest ((R - X) / W^(-1)(Psi + BARRIER_TOL))^a / tau over the
-    samples of subsolution_bound with tau > 0 and Psi + BARRIER_TOL < 1;
+    nodes X at the stored rows with tau > 0 and Psi + BARRIER_TOL < 1;
     0 when there are none.  Kept apart from find_m_star so that its
-    sample arrays are freed before the report, which holds a barrier
+    block arrays are freed before the report, which holds a barrier
     array of its own, is built."""
     R, a = dual_field.R, dual_field.params.a
     table = w_table(StableProfile(a=a))
     bound = 0.0
-    for idx in _sample_blocks(dual_field):
-        w = dual_field.psi[idx] + BARRIER_TOL
-        X, tau = np.broadcast_arrays(dual_field.nodes, (dual_field.t_final - dual_field.s_values[idx])[:, None])
+    for rows in _row_blocks(dual_field):
+        w = dual_field.psi[rows] + BARRIER_TOL
+        X, tau = np.broadcast_arrays(dual_field.nodes, (dual_field.t_final - dual_field.s_values[rows])[:, None])
         live = (tau > 0.0) & (w < 1.0)
         Y = table.inverse(w[live])
         bound = max(bound, float(np.max(((R - X[live]) / Y) ** a / tau[live], initial=0.0)))
@@ -352,13 +379,13 @@ def find_m_star(dual_field):
     """Smallest comparison constant M for which the barrier bound of
     subsolution_bound holds, and the report at it.
 
-    W increases, so a sample (X, s) with tau = t - s > 0 and
+    W increases, so a node X at a stored time s with tau = t - s > 0 and
     Psi + BARRIER_TOL < 1 passes iff M >= ((R - X) / Y)^a / tau, where Y
     is the largest point with W(Y) <= Psi + BARRIER_TOL (WTable.inverse);
-    every other sample passes at every M >= 0.  M* is the largest of these
-    bounds, or 0 when no sample has one (a zero kernel, or t = 0), raised
-    by 1e-12 relative: at the bound itself the check can fail by the
-    rounding of the barrier's scale (M tau)^(1/a).
+    every other entry passes at every M >= 0.  M* is the largest of these
+    bounds over the whole stored field, or 0 when no entry has one (a zero
+    kernel, or t = 0), raised by 1e-12 relative: at the bound itself the
+    check can fail by the rounding of the barrier's scale (M tau)^(1/a).
 
     Returns
     -------
@@ -397,23 +424,21 @@ def q_tail_bound(trajectory, R):
     engine (_Engine.row).  Past the lattice they are the tail cells of the
     grid's ratio, whose small-size cutoff is exactly 1, so they add the
     tail amplitude at s = t_final - tau times one static sum; that sum is
-    0.0 wherever the lattice holds R's reach.
+    0.0 wherever the lattice holds R's reach.  An R that _cut refuses for
+    the dual at t_final is refused here too, with ValueError.
 
     Returns
     -------
     QTailReport
     """
-    if not 0.0 < R < np.inf:
-        raise ValueError("R must be finite and > 0")
     p, eng, t = trajectory.params, trajectory.engine, trajectory.t_final
-    X, lam, edges = R * np.exp(p.beta * t), eng.cutoff.lam, trajectory.edges
-    row = eng.row(X)
-    beyond = eng.reps * np.exp(-p.beta * t) > R
-    # the tail cells past both the lattice and X, as many as the ghost
-    # cells, which span the partner ratio; those past X's reach weigh 0
-    ln_r = np.log(edges[1] / edges[0])
-    j0 = max(eng.ghost_pow.size, int(np.floor(np.log(X / edges[-1]) / ln_r + 0.5)))
-    gedges, gpow = _tail_cells(edges * np.exp(j0 * ln_r), p.rho, eng.ghost_pow.size)
+    lam = eng.cutoff.lam
+    # the partners in the frame anchored at t, X = R e^(beta t), and the
+    # tail cells past both the lattice and X, of which those past X's
+    # reach weigh 0
+    Z, _, X, (gedges, gpow) = _cut(trajectory.edges, p, lam, R, t)
+    # R's row toward the partners beyond R
+    row = np.where(Z > R, eng.row(X), 0.0)
     Yc = np.sqrt(gedges[:-1]) * np.sqrt(gedges[1:])
     tail = _ratio_cutoffs(eval_kernel(eng.kernel, X, Yc), X, Yc, lam) @ (gpow / (1.0 - p.rho) / Yc)
     worst, tau_at = 0.0, np.nan
@@ -421,7 +446,7 @@ def q_tail_bound(trajectory, R):
         s = t - tau
         masses, amp = trajectory.interp(s)
         _, v, esc = eng.densities(masses, amp, s)
-        rate = esc * eval_cutoff(R * np.exp(p.beta * tau) / lam) * (row @ np.where(beyond, v, 0.0) + amp * tail)
+        rate = esc * eval_cutoff(R * np.exp(p.beta * tau) / lam) * (row @ v + amp * tail)
         if rate > worst:
             worst, tau_at = float(rate), float(tau)
     return QTailReport(K_star=worst * R ** (p.rho - p.gamma), X_at=float(R) if worst > 0.0 else np.nan,

@@ -1,5 +1,7 @@
 """Config dialect parsing and the command-line interface."""
 
+import contextlib
+import io
 import json
 import re
 import runpy
@@ -9,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coagsim import cli, forward, stationary
+from coagsim import cli, config, forward, stationary
 from coagsim.cli import cmd_dual_check, main, read_table, write_table
 from coagsim.config import (
     ConfigError,
@@ -365,6 +369,50 @@ class TestBenchConfigs:
         command, _ = BENCH_WORKLOADS[name]
         with pytest.raises(Solve):
             main([command, "--config", str(BENCH / "configs" / f"{name}.cfg"), "--out", str(tmp_path)])
+
+
+# the fuzz's base: one value for every key that a command reads, on a
+# 28-cell grid
+FUZZ_BASE = {
+    "params.gamma": "0.0", "params.rho": "0.5", "kernel.family": "constant", "cutoff.lambda": "1e-2",
+    "grid.x_min": "1e-2", "grid.x_max": "1e3", "grid.ratio": "1.5", "run.t_final": "0.2",
+    "run.snapshot_dt": "0.1", "dual.radius": "10.0", "dual.time": "0.25", "w.a": "0.5",
+}
+FUZZ_KEYS = sorted(f"{section}.{key}" for section, keys in config._KNOWN_KEYS.items() for key in keys)
+FUZZ_VALUES = ["0", "-1", "5e-324", "1e-310", "1e-300", "1e300", "1e305", "1.7e308", HUGE, "inf", "nan", "word",
+               "0.5, 2"]
+
+
+class TestConfigFuzz:
+    def test_no_config_ends_in_a_traceback(self, tmp_path, monkeypatch):
+        # each command runs up to its first solve, which is stubbed out as in
+        # TestBenchConfigs, on the base config with one to three keys set to
+        # edge values: it exits with a code of the contract or reaches the
+        # stub, and any other exception escapes and fails the test
+        class Solve(Exception):
+            pass
+
+        def stub(*args, **kwargs):
+            raise Solve
+
+        for solver in ("find_stationary", "lambda_continuation", "rescaled_trajectory", "simulate", "w_eval"):
+            monkeypatch.setattr(cli, solver, stub)
+
+        @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+        @given(st.sampled_from(sorted(cli._COMMANDS)),
+               st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES), min_size=1, max_size=3))
+        def check(command, edits):
+            cfg = write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in {**FUZZ_BASE, **edits}.items()))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+                except Solve:
+                    code = 0
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err.getvalue()
+
+        check()
 
 
 class TestTables:
@@ -817,8 +865,56 @@ class TestDualCheckCommand:
         code, out = run_cli(tmp_path, text + "dual.radius = 1e-6\ndual.time = 0.5\n", "dual-check")
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: R = 1e-06 lies below every cell's representative")
+        assert err.startswith("config error: dual.radius = 1e-06 lies below every cell's representative")
         assert not (out / "dual_check.json").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            # no representative maps below R at t: the dual has no node
+            ("dual.radius", "1e-6", "lies below every cell's representative"),
+            # R's partner reach R e^(beta t) (2 - lam)/lam overflows in K*'s
+            # tail cells: "kernel arguments must be finite", after the solve
+            ("dual.radius", "1e305", "reach R e^(beta t) (2 - lam)/lam overflows"),
+            # e^(beta t) = e^800 overflows: 5060 RuntimeWarnings in the
+            # solves, then "cutoff argument must be finite and >= 0"
+            ("dual.time", "400", "overflows the frame factor e^(beta t)"),
+        ],
+        ids=["radius-below-every-node", "radius-reach-overflows", "time-frame-overflows"],
+    )
+    def test_cut_no_dual_has_exits_1_before_solving(self, tmp_path, monkeypatch, capsys, key, value, reason):
+        # each was refused only after the forward solve, two of them by a
+        # message naming no setting
+        solves = []
+        monkeypatch.setattr(cli, "rescaled_trajectory", lambda *args, **kwargs: solves.append(args))
+        text = (BENCH / "configs" / "dual-check-const.cfg").read_text()
+        text = "".join(f"{ln}\n" for ln in text.splitlines() if not ln.startswith(key)) + f"{key} = {value}\n"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(tmp_path, text, "dual-check")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} = ") and reason in err and err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
+        assert solves == [] and not (out / "dual_check.json").exists()
+
+    @pytest.mark.parametrize("radius, time", [(1e304, 0.5), (10.0, 300.0)], ids=["radius-1e304", "time-300"])
+    def test_cut_near_the_float_range_reaches_the_solve(self, tmp_path, monkeypatch, radius, time):
+        # just inside the refusals of the test above, on a ratio-1.5 grid
+        # over [1e-2, 1e3]: at t = 0.5 the tail cells of R = 1e304 end at
+        # 1.25e308, and e^(beta t) = e^600 is a float; both runs exit 0, the
+        # second in 4 s
+        class Solve(Exception):
+            pass
+
+        def stub(*args, **kwargs):
+            raise Solve
+
+        monkeypatch.setattr(cli, "rescaled_trajectory", stub)
+        text = (f"params.gamma = 0.0\nparams.rho = 0.5\nkernel.family = constant\ncutoff.lambda = 1e-3\n"
+                f"grid.x_min = 1e-2\ngrid.x_max = 1e3\ngrid.ratio = 1.5\ndual.radius = {radius!r}\ndual.time = {time!r}\n")
+        with pytest.raises(Solve):
+            run_cli(tmp_path, text, "dual-check")
 
     @pytest.mark.parametrize(
         "family, gamma, rho",
