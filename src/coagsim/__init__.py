@@ -1,6 +1,13 @@
 """Deterministic simulator and verification suite for self-similar
-fat-tail profiles of Smoluchowski's coagulation equation."""
+fat-tail profiles of Smoluchowski's coagulation equation.
 
+Importing the package loads config, kernel and measure, which a run's
+set-up reads, and numpy with them.  The four solver modules (forward,
+stationary, dual, stablecdf) and their public names load on first
+attribute read, so a program loads only the solvers it uses.
+"""
+
+import importlib
 import os
 import sys
 
@@ -17,28 +24,6 @@ if "numpy" not in sys.modules and not any(
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .config import ConfigError, RunConfig, load_config, parse_config, run_config
-from .dual import (
-    DualField,
-    QTailReport,
-    SubsolutionReport,
-    adjoint_consistency,
-    find_m_star,
-    q_tail_bound,
-    solve_dual,
-    subsolution_bound,
-)
-from .forward import (
-    EvolutionState,
-    GronwallReport,
-    IntegrationError,
-    SimulationResult,
-    Trajectory,
-    gain,
-    gronwall_check,
-    rearrangement_residual,
-    rescaled_trajectory,
-    simulate,
-)
 from .kernel import (
     CutoffParams,
     KernelSpec,
@@ -66,26 +51,64 @@ from .measure import (
     xrho_dist,
     xrho_norm,
 )
-from .stablecdf import (
-    StableProfile,
-    WTable,
-    t3e4_residual,
-    w_deriv,
-    w_eval,
-    w_laplace,
-    w_table,
-)
-from .stationary import (
-    ContinuationReport,
-    StationaryResult,
-    decay0_residual,
-    find_stationary,
-    gain_flux,
-    lambda_continuation,
-    tail_fit,
-)
+
+# the solver modules' public names, each read from its module on first use
+_ON_DEMAND = {
+    "dual": (
+        "DualField",
+        "QTailReport",
+        "SubsolutionReport",
+        "adjoint_consistency",
+        "find_m_star",
+        "q_tail_bound",
+        "solve_dual",
+        "subsolution_bound",
+    ),
+    "forward": (
+        "EvolutionState",
+        "GronwallReport",
+        "IntegrationError",
+        "SimulationResult",
+        "Trajectory",
+        "gain",
+        "gronwall_check",
+        "rearrangement_residual",
+        "rescaled_trajectory",
+        "simulate",
+    ),
+    "stablecdf": ("StableProfile", "WTable", "t3e4_residual", "w_deriv", "w_eval", "w_laplace", "w_table"),
+    "stationary": (
+        "ContinuationReport",
+        "StationaryResult",
+        "decay0_residual",
+        "find_stationary",
+        "gain_flux",
+        "lambda_continuation",
+        "tail_fit",
+    ),
+}
+_HOME = {name: module for module, names in _ON_DEMAND.items() for name in names}
+
+
+def __getattr__(name):
+    """A solver module, or one of its public names, on first read; the
+    value is then bound here, so later reads are plain lookups."""
+    if name in _ON_DEMAND:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))
+
 
 __version__ = "0.1.0"
 
-# every public name imported above, and no module (os, sys, the submodules)
-__all__ = sorted(n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, type(os)))
+# every public name imported above, and no module (os, sys, the submodules),
+# with the solver modules' names
+__all__ = sorted(
+    [n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, type(os))] + list(_HOME)
+)

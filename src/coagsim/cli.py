@@ -23,6 +23,14 @@ invariance-suite step at the cap FORWARD_MAX_CHANGE, dual-check's
 backward solve at DUAL_MAX_CHANGE, and profile-w tabulates on the Y grid
 np.geomspace(*PROFILE_W_GRID).
 
+Importing this module loads config, kernel and measure, which read and
+validate a config, and no solver.  Each command imports its own solver
+modules once its config is valid: simulate and invariance-suite
+forward; stationary forward and stationary; dual-check forward, dual and
+stablecdf; profile-w stablecdf.  Their names are bound in this module's
+globals, where the commands call them, so a wrapper set on this module
+sees every call.
+
 Exit codes: 0 success, 1 config error, 2 numerical failure or failed
 check, 3 non-convergence.  All artifacts carry a schema_version field and
 round-trip bit for bit: manifests are strict JSON, with null for a
@@ -35,6 +43,7 @@ artifacts.
 """
 
 import argparse
+import importlib
 import json
 import math
 import sys
@@ -44,14 +53,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, get_float, get_floats, load_config, run_config
-from .dual import _cut, find_m_star, q_tail_bound, solve_dual, adjoint_consistency
-from .forward import (
-    IntegrationError,
-    gronwall_check,
-    rearrangement_residual,
-    rescaled_trajectory,
-    simulate,
-)
 from .kernel import kernel_setup
 from .measure import (
     envelope_check_lower,
@@ -63,8 +64,44 @@ from .measure import (
     to_csv,
     write_tagged_csv,
 )
-from .stablecdf import W_FLOOR, StableProfile, t3e4_residual, w_deriv, w_eval
-from .stationary import find_stationary, lambda_continuation
+
+# the solver names the commands call, by module.  A command binds those of
+# its modules (_COMMANDS) into this module's globals before it runs, and a
+# read of one from outside binds its module's (__getattr__), so a run
+# imports only its own solvers.  A name already bound stays: a wrapper set
+# on this module sees every call.
+_SOLVERS = {
+    "forward": (
+        "IntegrationError",
+        "_partners",
+        "gronwall_check",
+        "rearrangement_residual",
+        "rescaled_trajectory",
+        "simulate",
+    ),
+    "stationary": ("find_stationary", "lambda_continuation"),
+    "dual": ("_cut", "adjoint_consistency", "find_m_star", "q_tail_bound", "solve_dual"),
+    "stablecdf": ("W_FLOOR", "StableProfile", "t3e4_residual", "w_deriv", "w_eval"),
+}
+
+
+def _bind(*modules):
+    """Import the solver modules and bind their names here, but for names
+    already bound."""
+    for module in modules:
+        source = importlib.import_module(f".{module}", __package__)
+        for name in _SOLVERS[module]:
+            globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name):
+    """A solver name read from outside before a command bound it."""
+    module = next((m for m, names in _SOLVERS.items() if name in names), None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
+
 
 MANIFEST_SCHEMA_VERSION = 1
 # the pass gates of the checking commands
@@ -154,13 +191,26 @@ def _holds_measures(value):
     )
 
 
+def _edges(cfg):
+    """The config's grid edges.  The engine continues them past the top
+    edge out to the partner ratio of the cutoff scale (forward._partners),
+    and a grid whose continuation leaves the float range is refused here
+    by name, before any engine is built."""
+    edges = geometric_grid(*cfg.grid)
+    try:
+        _partners(edges, cfg.params.rho, cfg.cutoff.lam)
+    except ValueError as exc:
+        raise ConfigError(f"grid.x_max = {cfg.grid[1]!r} with cutoff.lambda = {cfg.cutoff.lam!r}: {exc}") from exc
+    return edges
+
+
 def _log(msg):
     print(msg, file=sys.stderr)
 
 
 def cmd_simulate(cfg, out_dir):
     """Evolve the power-law datum; write snapshot CSVs and a manifest."""
-    h0 = power_law_init(cfg.params, geometric_grid(*cfg.grid))
+    h0 = power_law_init(cfg.params, _edges(cfg))
     if cfg.snapshot_dt > 0.0:
         snaps = np.arange(cfg.snapshot_dt, cfg.t_final, cfg.snapshot_dt).tolist()
     else:
@@ -191,18 +241,18 @@ def cmd_stationary(cfg, out_dir):
     Exits 3 if a search did not converge, and otherwise 2 if one failed a
     verdict, naming the failed gates on stderr.
     """
-    edges = geometric_grid(*cfg.grid)
-    kwargs = {"edges": edges, "tol": cfg.tol}
     setup = _setup_dict(cfg)
     if "stationary.lambdas" in cfg.raw:
         lambdas = get_floats(cfg.raw, "stationary.lambdas")
-        report = lambda_continuation(cfg.params, cfg.kernel, lambdas, **kwargs)
+        # lambda_continuation refuses each scale whose partners overflow
+        # before its first search
+        report = lambda_continuation(cfg.params, cfg.kernel, lambdas, edges=geometric_grid(*cfg.grid), tol=cfg.tol)
         results = report.results
         extra = {"lambdas": list(report.lambdas), "xrho_distances": report.distances}
         # the searches ran at the lambdas, each recorded in its result
         del setup["cutoff"]
     else:
-        results = [find_stationary(cfg.params, cfg.kernel, cfg.cutoff, **kwargs)]
+        results = [find_stationary(cfg.params, cfg.kernel, cfg.cutoff, edges=_edges(cfg), tol=cfg.tol)]
         extra = {}
     entries = []
     for k, res in enumerate(results):
@@ -233,7 +283,7 @@ def cmd_dual_check(cfg, out_dir):
     R = get_float(cfg.raw, "dual.radius")
     t = get_float(cfg.raw, "dual.time", 0.5)
     dump_s = get_floats(cfg.raw, "dual.dump_s", ())
-    edges = geometric_grid(*cfg.grid)
+    edges = _edges(cfg)
     # a radius and time that no dual on the grid has are refused before any
     # solve, by name
     _cut(edges, cfg.params, cfg.cutoff.lam, R, t, names=("dual.radius", "dual.time"))
@@ -330,7 +380,7 @@ def cmd_invariance_suite(cfg, out_dir):
     makes the exit status 2.  The trajectory's engine serves every check,
     so the command builds one pair operator.
     """
-    edges = geometric_grid(*cfg.grid)
+    edges = _edges(cfg)
     h0 = power_law_init(cfg.params, edges)
     cases = []
 
@@ -402,12 +452,13 @@ def _write_junit(path, cases):
         fh.write("\n")
 
 
+# command -> (its function, the solver modules it calls)
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "stationary": cmd_stationary,
-    "dual-check": cmd_dual_check,
-    "profile-w": cmd_profile_w,
-    "invariance-suite": cmd_invariance_suite,
+    "simulate": (cmd_simulate, ("forward",)),
+    "stationary": (cmd_stationary, ("forward", "stationary")),
+    "dual-check": (cmd_dual_check, ("forward", "dual", "stablecdf")),
+    "profile-w": (cmd_profile_w, ("stablecdf",)),
+    "invariance-suite": (cmd_invariance_suite, ("forward",)),
 }
 
 
@@ -422,11 +473,12 @@ def main(argv=None):
     """Entry point; returns the exit code (0/1/2/3)."""
     parser = _Parser(prog="coagsim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, fn in _COMMANDS.items():
+    for name, (fn, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__.splitlines()[0])
         p.add_argument("--config", required=True, metavar="PATH", help="run configuration file")
         p.add_argument("--out", default="out", metavar="DIR", help="output directory (default: out)")
     args = parser.parse_args(argv)
+    command, modules = _COMMANDS[args.command]
     try:
         cfg = run_config(load_config(args.config))
         out_dir = Path(args.out)
@@ -434,8 +486,11 @@ def main(argv=None):
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-        return _COMMANDS[args.command](cfg, out_dir)
-    except IntegrationError as exc:
+        _bind(*modules)
+        return command(cfg, out_dir)
+    # forward's IntegrationError is bound once a command loads forward;
+    # profile-w does not, and nothing it runs can raise one
+    except globals().get("IntegrationError", ()) as exc:
         _log(f"numerical failure: {exc}")
         return 2
     except ValueError as exc:  # ConfigError among them

@@ -44,7 +44,7 @@ import re
 from dataclasses import dataclass
 
 from .kernel import FAMILY_FIELDS, CutoffParams, KernelSpec
-from .measure import Params, geometric_grid
+from .measure import Params, _lower_envelope, geometric_grid
 
 _KEY_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
 
@@ -212,9 +212,14 @@ def run_config(mapping):
         get_float(mapping, "grid.ratio", ratio),
     )
     try:
-        geometric_grid(*grid)
+        edges = geometric_grid(*grid)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
+    # the initial datum sits on the lower envelope at every edge
+    try:
+        _lower_envelope(params, edges)
+    except ValueError as exc:
+        raise ConfigError(f"params.r0 with grid.x_min = {grid[0]!r}: {exc}") from exc
     t_final = get_float(mapping, "run.t_final", 1.0)
     snapshot_dt = get_float(mapping, "run.snapshot_dt", 0.0)
     if not (t_final >= 0.0 and snapshot_dt >= 0.0):

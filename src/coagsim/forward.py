@@ -170,15 +170,20 @@ def _partners(edges, rho, lam):
     partner-ratio bound of its top cell: (edges, representatives, mass of
     each ghost cell per unit tail amplitude).  The cutoffs read each
     partner's size over lam, so a lam for which the top ghost edge over
-    lam overflows a float is refused with ValueError."""
+    lam overflows a float is refused with ValueError, as is a grid top
+    whose ghost cells' representatives sqrt(a b) overflow one."""
     n_ghost = int(np.ceil(np.log(_partner_ratio(lam)) / np.log(edges[1] / edges[0]))) + 2
     with np.errstate(over="ignore", invalid="ignore"):
         gedges, gpow = _tail_cells(edges, rho, n_ghost)
         top = gedges[-1] / lam
+        pedges = np.concatenate([edges, gedges[1:]])
+        reps = np.sqrt(pedges[:-1] * pedges[1:])
     if not top < np.inf:
         raise ValueError(f"lam = {lam} is too small for the grid: its partners' sizes over lam overflow a float")
-    pedges = np.concatenate([edges, gedges[1:]])
-    return pedges, np.sqrt(pedges[:-1] * pedges[1:]), gpow / (1.0 - rho)
+    if not reps[-1] < np.inf:
+        raise ValueError(f"the grid's top edge {float(edges[-1])!r} is too large at lam = {lam}:"
+                         " its partners' representatives overflow a float")
+    return pedges, reps, gpow / (1.0 - rho)
 
 
 def _offset_groups(w, k, f):

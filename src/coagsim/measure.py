@@ -284,8 +284,14 @@ def xrho_dist(m1, m2):
 
 
 def _lower_envelope(params, R):
-    """The lower envelope R^(1-rho) (1 - (R0/R)^delta)_+ at R."""
-    return R ** (1.0 - params.rho) * np.clip(1.0 - (params.R0 / R) ** params.delta, 0.0, None)
+    """The lower envelope R^(1-rho) (1 - (R0/R)^delta)_+ at R.  An R0/R
+    that overflows a float is refused with ValueError."""
+    with np.errstate(over="ignore"):
+        scaled = params.R0 / R
+    if not np.all(scaled < np.inf):
+        raise ValueError(f"R0 = {params.R0!r} over R = {float(np.min(R))!r} overflows a float"
+                         " in the lower envelope's (R0/R)^delta")
+    return R ** (1.0 - params.rho) * np.clip(1.0 - scaled ** params.delta, 0.0, None)
 
 
 @dataclass(frozen=True)

@@ -271,7 +271,10 @@ class TestRunConfig:
             raise AssertionError("a solve started")
 
         monkeypatch.setattr(forward._Engine, "__init__", no_solve)
-        monkeypatch.setattr(stationary, "find_stationary", no_solve)
+        # cli binds its solver names when a command first runs: patch its
+        # own too, so that no patched one stays bound after the test
+        for module in (cli, stationary):
+            monkeypatch.setattr(module, "find_stationary", no_solve)
         code, _ = run_cli(tmp_path, text, command)
         assert code == 1
         err = capsys.readouterr().err
@@ -315,6 +318,52 @@ class TestRunConfig:
         assert "config error" in err and "lam = 1e-300" in err
         assert built == []
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["simulate", "stationary", "dual-check", "invariance-suite"])
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            ("grid.x_min = 1e-2\ngrid.x_max = 1e300\ngrid.ratio = 1.5\n", "grid.x_max"),
+            ("params.r0 = 1.7e308\n", "params.r0"),
+        ],
+        ids=["grid_top", "r0"],
+    )
+    def test_overflow_is_refused_by_name_before_any_engine(self, tmp_path, monkeypatch, capsys, command, edit, key):
+        # a grid top past about 1.3e154, where the ghost cells'
+        # representatives sqrt(a b) overflow, and an R0 whose R0/R
+        # overflows at the grid's first edge, ran to exit 0 with overflow
+        # warnings and degraded output once
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(forward._Engine, "__init__", no_engine)
+        keys = set(parse_config(edit))
+        text = "".join(f"{line}\n" for line in BASE.splitlines() if line.partition("=")[0].strip() not in keys)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(tmp_path, text + edit + "dual.radius = 10.0\n", command)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}") and err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_grid_top_is_refused_at_every_scale_before_any_search(self, tmp_path, monkeypatch, capsys):
+        # the continuation checks each scale's partners before its first
+        # search, where the representatives overflow too
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(forward._Engine, "__init__", no_engine)
+        grid = "grid.x_min = 1e-2\ngrid.x_max = 1e300\ngrid.ratio = 1.5\n"
+        keep = [ln for ln in CONTINUATION_BASE.splitlines() if not ln.startswith("grid.")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run_cli(tmp_path, "\n".join(keep) + "\nstationary.lambdas = 0.1, 1e-2\n" + grid, "stationary")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error: the grid's top edge" in err and "representatives overflow" in err
+        assert [str(w.message) for w in caught] == []
 
     def test_type_errors_name_the_key(self):
         with pytest.raises(ConfigError, match="params.rho"):
@@ -614,7 +663,10 @@ class TestStationaryCommand:
                 raise forward.IntegrationError("step size collapsed")
             return run(params, kernel, cutoff, **kwargs)
 
-        monkeypatch.setattr(stationary, "find_stationary", failing)
+        # lambda_continuation calls stationary's name; cli's is patched too,
+        # so that no patched one stays bound after the test
+        for module in (cli, stationary):
+            monkeypatch.setattr(module, "find_stationary", failing)
         text = CONTINUATION_BASE + "stationary.lambdas = 5e-2, 1e-2\n"
         code, out = run_cli(tmp_path, text, "stationary")
         assert code == 2

@@ -1,5 +1,6 @@
-"""The package's export list: derived from its imports, so the public
-names are listed once, in the import blocks of coagsim/__init__.py."""
+"""The package's export list: the public names of its import blocks and
+of its on-demand table (the solver modules' names, read on first use),
+each listed once in coagsim/__init__.py."""
 
 import types
 
