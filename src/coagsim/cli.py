@@ -20,8 +20,8 @@ their manifests; the stationary search stops at the config's run.tol.
 profile-w fails too where no residual was read relatively, W being at
 or below stablecdf.W_FLOOR at every grid point.  simulate and
 invariance-suite step at the cap FORWARD_MAX_CHANGE, dual-check's
-backward solve at DUAL_MAX_CHANGE, and profile-w tabulates on the Y grid
-np.geomspace(*PROFILE_W_GRID).
+backward solve walks the forward's own steps back, and profile-w
+tabulates on the Y grid np.geomspace(*PROFILE_W_GRID).
 
 Importing this module loads config, kernel and measure, which read and
 validate a config, and no solver.  Each command imports its own solver
@@ -29,7 +29,11 @@ modules once its config is valid: simulate and invariance-suite
 forward; stationary forward and stationary; dual-check forward, dual and
 stablecdf; profile-w stablecdf.  Their names are bound in this module's
 globals, where the commands call them, so a wrapper set on this module
-sees every call.
+sees every call.  A process that runs main as the coagsim command
+(argv from sys.argv) freezes the objects it holds before the command
+runs (gc.freeze), so that the collector passes over neither the imported
+modules nor the config during the solve; in-process callers keep their
+collector as it is.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure or failed
 check, 3 non-convergence.  All artifacts carry a schema_version field and
@@ -43,6 +47,7 @@ artifacts.
 """
 
 import argparse
+import gc
 import importlib
 import json
 import math
@@ -73,6 +78,7 @@ from .measure import (
 _SOLVERS = {
     "forward": (
         "IntegrationError",
+        "_n_ghost",
         "_partners",
         "gronwall_check",
         "rearrangement_residual",
@@ -110,8 +116,6 @@ PROFILE_W_TOL = 1e-4
 INVARIANCE_SLACK = 1e-2
 # simulate's and invariance-suite's per-step relative change cap
 FORWARD_MAX_CHANGE = 0.05
-# dual-check's per-step cap on the backward dual alone
-DUAL_MAX_CHANGE = 0.0025
 # profile-w's Y grid: np.geomspace(y_min, y_max, n)
 PROFILE_W_GRID = (1e-2, 1e4, 41)
 
@@ -194,13 +198,18 @@ def _holds_measures(value):
 def _edges(cfg):
     """The config's grid edges.  The engine continues them past the top
     edge out to the partner ratio of the cutoff scale (forward._partners),
-    and a grid whose continuation leaves the float range is refused here
-    by name, before any engine is built."""
+    and a grid whose continuation takes more than MAX_CELLS ghost cells
+    (grid.ratio) or leaves the float range (grid.x_max) is refused here by
+    name, before any engine or ghost cell is built."""
     edges = geometric_grid(*cfg.grid)
-    try:
-        _partners(edges, cfg.params.rho, cfg.cutoff.lam)
-    except ValueError as exc:
-        raise ConfigError(f"grid.x_max = {cfg.grid[1]!r} with cutoff.lambda = {cfg.cutoff.lam!r}: {exc}") from exc
+    lam = cfg.cutoff.lam
+    rules = (("grid.ratio", 2, lambda: _n_ghost(edges, lam)),
+             ("grid.x_max", 1, lambda: _partners(edges, cfg.params.rho, lam)))
+    for key, i, rule in rules:
+        try:
+            rule()
+        except ValueError as exc:
+            raise ConfigError(f"{key} = {cfg.grid[i]!r} with cutoff.lambda = {lam!r}: {exc}") from exc
     return edges
 
 
@@ -293,9 +302,9 @@ def cmd_dual_check(cfg, out_dir):
     # the barrier's stable law: an index it refuses is refused before any solve
     StableProfile(a=cfg.params.a)
     h0 = power_law_init(cfg.params, edges)
-    # DUAL_MAX_CHANGE caps the dual alone; the trajectory keeps its own cap
+    # the dual walks the trajectory's own steps back from t
     traj = rescaled_trajectory(h0, cfg.params, cfg.kernel, cfg.cutoff, t)
-    field = solve_dual(traj, R, t, max_change=DUAL_MAX_CHANGE)
+    field = solve_dual(traj, R, t)
     residual = adjoint_consistency(traj, field)
     m_star, m_report = find_m_star(field)
     q_report = q_tail_bound(traj, R)
@@ -315,7 +324,6 @@ def cmd_dual_check(cfg, out_dir):
         "setup": _setup_dict(cfg),
         "radius": R,
         "time": t,
-        "max_change": DUAL_MAX_CHANGE,
         "trajectory_max_change": traj.diagnostics["max_change"],
         "tolerance": DUAL_CHECK_TOL,
         "adjoint_residual": residual,
@@ -487,6 +495,8 @@ def main(argv=None):
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
         _bind(*modules)
+        if argv is None:
+            gc.freeze()
         return command(cfg, out_dir)
     # forward's IntegrationError is bound once a command loads forward;
     # profile-w does not, and nothing it runs can raise one

@@ -22,15 +22,26 @@ from the top cell's.  The top cell is no node because the forward sends
 every pair it brackets from below to its overflow ledger.  Psi is linear
 between nodes, so its value at a pair sum is the forward split of that
 pair (the engine's f_d) over the same two cells: both sides use one set
-of pair weights, pair sums and splits, and the adjoint holds by
-construction for every R.  The datum is the indicator of the nodes'
-cells, so the forward quantity it pairs with is those cells' mass.  The
-backward solve steps with the forward controller itself
-(forward._heun_run), not a copy of it: predict with the
-frozen-coefficient exponential update, re-evaluate the rates at the
-predicted endpoint, and correct with the averaged coefficients.  Both
-updates are convex combinations of old values, so Psi stays in [0, 1]
-exactly.
+of pair weights, pair sums and splits, and the datum is the indicator
+of the nodes' cells, so the forward quantity it pairs with is those
+cells' mass.
+
+The dual has no time stepping of its own.  Each forward step, its
+coefficients frozen at its start and at its predicted state (both
+stored in the trajectory), is a linear map of the masses, and the dual
+steps back through its transpose (solve_dual): it reads the forward's
+partner densities at those two states, so its jump rates are the
+transposed gain of the very step the forward took.  Its steps and times
+are the forward's.  So by construction, for every kernel and every R:
+the pairing of Psi with the masses is the same at both ends of every
+step to rounding (adjoint_consistency reads the whole run's defect),
+Psi >= 0, and under the zero kernel Psi stays 1 bit for bit, since the
+drift enters as the exact scalar e^(-beta rho h) of each step.  Psi <= 1
+and Psi's decrease in X are not built in: the exponential update does
+not factor the drift out of its weights exactly, and they are measured,
+never clipped (DualField.diagnostics' max_excess and
+max_monotonicity_violation; both read 0 on the dual-check bench
+config).
 
 The barrier check (subsolution_bound) and the smallest constant M* for
 which it holds (find_m_star) read the whole stored field: every node at
@@ -53,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .forward import _heun_run, _offset_groups, _partners
+from .forward import IntegrationError, _offset_groups, _partners, _phi
 from .kernel import _ratio_cutoffs, eval_cutoff, eval_kernel
 from .measure import GridMeasure, _tail_cells, cumulative_mass
 from .stablecdf import StableProfile, w_table
@@ -61,14 +72,18 @@ from .stablecdf import StableProfile, w_table
 
 @dataclass
 class DualField:
-    """Backward dual field stored at every accepted step.
+    """Backward dual field stored at every step of the forward.
 
-    psi[j] holds Psi(nodes, s_values[j]); s_values ascend from 0 to
-    t_final, and nodes are the mapped representatives below R other than
-    the top cell's, ascending.  Psi reads zero from the next
-    representative on, which lies at or above R or is the top cell's.
-    params are the trajectory's; the barrier check reads its stable index
-    a from them.
+    psi[j] holds Psi(nodes, s_values[j]); s_values are the trajectory's
+    stored times from 0 to t_final, and nodes are the mapped
+    representatives below R other than the top cell's, ascending.  Psi
+    reads zero from the next representative on, which lies at or above R
+    or is the top cell's.  params are the trajectory's; the barrier check
+    reads its stable index a from them.  diagnostics holds n_steps (the
+    forward steps walked back), n_retries (0: no step is rejected),
+    max_excess (the largest Psi - 1, else 0) and
+    max_monotonicity_violation (the largest increase of Psi from a node
+    to the next).
     """
 
     nodes: np.ndarray
@@ -124,29 +139,26 @@ class _Jumps:
     engine of the trajectory.  The nodes are the Z_i below R other than
     the top cell's, i < n <= N - 1, and Psi reads zero from node n on: the
     forward sends every pair whose lower bracket is the top cell N - 1 to
-    its overflow ledger, so that cell is never a node.  At backward time
-    tau node i jumps toward partner k at rate c_i W(i, k) v_k: c = esc u
-    on the nodes, v the forward partner densities at s = t - tau, and
-    W(i, k) the engine's static pair weight, so D is c times
-    _Engine.pair_sums.  The pair of cells a and a + d takes either member
-    to P = Z_a + Z_(a+d), which sits at offset k_d - d from the larger
-    member with the engine's lattice split f_d, where Psi is
+    its overflow ledger, so that cell is never a node.  At a forward state
+    of time s node i jumps toward partner k at rate c_i W(i, k) v_k:
+    c = esc u on the nodes and v the partner densities, both from
+    _Engine.densities, and W(i, k) the engine's static pair weight, so D
+    is c times _Engine.pair_sums, the forward's kernel loss on the nodes.
+    The pair of cells a and a + d takes either member to
+    P = Z_a + Z_(a+d), which sits at offset k_d - d from the larger member
+    with the engine's lattice split f_d, where Psi is
     f_d Psi_j + (1 - f_d) Psi_(j+1).  So the gain takes one correlation
     (node a the smaller member) and one convolution (node a + d the
-    larger) per deposit offset, with the engine's offset groups of t.  The
-    convolutions from below do not depend on Psi and are kept with D for
-    each tau.  An R at or below every representative, or a grid of one
-    cell, leaves no node and is refused, as is every other cut that _cut
-    refuses.
+    larger) per deposit offset, with the engine's offset groups of t.
+    The convolutions from below do not depend on Psi and are kept with D
+    for each state (coefficients).  An R at or below every
+    representative, or a grid of one cell, leaves no node and is refused,
+    as is every other cut that _cut refuses.
     """
 
     def __init__(self, trajectory, R, t):
-        # a final time t that trajectory does not reach, or a cut R and t
-        # that no dual on its grid has, is refused before any kernel is
-        # evaluated
-        if not 0.0 <= t <= trajectory.t_final + 1e-12:
-            raise ValueError("trajectory does not cover [0, t]")
-        self.trajectory, self.t = trajectory, t
+        # a cut R and t that no dual on the trajectory's grid has is
+        # refused before any kernel is evaluated
         eng = self.engine = trajectory.engine
         # the grid's own representatives, which the engine's lattice
         # matches to rounding
@@ -166,36 +178,27 @@ class _Jumps:
             if h.size and n - o - d0 > 0:
                 self.below.append((o, d0, h))
         self.n_off = 1 + max((o for o, _, _ in self.below), default=0)
-        self._memo = (None, None)
 
-    def _loss(self, tau):
-        """(D, c, v, low) at backward time tau: each node's total jump
-        rate, c and v, and low[o, i], node i's sum over the partners
-        below it of the larger-member taps of offset o times Y^gamma v.
-
-        The last result is kept: none of it depends on Psi, and a step
-        starts at the exact tau where the previous step's corrector
-        evaluated its endpoint.
-        """
-        if self._memo[0] == tau:
-            return self._memo[1]
+    def coefficients(self, masses, amp, s):
+        """(D, c, v, low) of the forward state (masses, amp) at time s: each
+        node's total jump rate, c and v, and low[o, i], node i's sum over
+        the partners below it of the larger-member taps of offset o times
+        Y^gamma v.  None of it depends on Psi."""
         eng, n = self.engine, self.n
-        s = self.t - tau
-        _, v, esc = eng.densities(*self.trajectory.interp(s), s)
-        c = esc * eval_cutoff(self.nodes * np.exp(self.trajectory.params.beta * tau) / eng.cutoff.lam)
+        u, v, esc = eng.densities(masses, amp, s)
+        c = esc * u[:n]
         y = eng.Yg[:n] * v[:n]
         low = np.zeros((self.n_off, n))
         for o, d1, h in self.below:
             m = n - o - d1
             low[o, d1 : n - o] = np.convolve(y[:m], h)[:m]
-        out = c * eng.pair_sums(v)[:n], c, v, low
-        self._memo = (tau, out)
-        return out
+        return c * eng.pair_sums(v)[:n], c, v, low
 
-    def rates(self, tau, psi):
-        """(D, G) at backward time tau: each node's total jump rate, and
-        its jump rates weighted by Psi at the targets."""
-        D, c, v, low = self._loss(tau)
+    def gain(self, coefficients, psi):
+        """Each node's jump rates weighted by psi at the targets: the
+        transpose of the forward's gain, with its partner densities
+        frozen, applied to psi."""
+        _, c, v, low = coefficients
         n = self.n
         up = np.zeros(n)
         for d0, e, o, h in self.above:
@@ -204,16 +207,36 @@ class _Jumps:
         # low is zero wherever i + o is node n or the padding
         psi_ext = np.concatenate([psi, np.zeros(self.n_off)])
         up += np.einsum("oi,io->i", low, sliding_window_view(psi_ext, self.n_off)[:n])
-        return D, c * up
+        return c * up
 
 
-def solve_dual(trajectory, R, t, max_change=0.02):
-    """Integrate the dual field backward from s = t to s = 0.
+def solve_dual(trajectory, R, t):
+    """The dual field from s = t back to s = 0, through the transpose of
+    each stored forward step.
+
+    A forward step from s to s + h with frozen coefficients is linear in
+    the masses: with A0 and the gain matrix B0 at (m, s), and A1 and B1
+    at the step's predicted state pred = E0 m + Phi0 B0 m,
+
+        m' = E m + Phi (B0 m + B1 pred) / 2,
+
+    E0 = e^(-A0 h), E = e^(-Abar h), Abar = (A0 + A1)/2, and Phi0 and Phi
+    the exponential update's weights (forward._phi) at A0 and Abar.  Its
+    transpose, with Psi = e^(-beta rho (t - s)) psi and
+    w = B1^T (Phi Psi') / 2, is
+
+        Psi = e^(-(Abar + beta rho) h) Psi' + e^(-(A0 + beta rho) h) w
+              + e^(-beta rho h) B0^T (Phi Psi' / 2 + Phi0 w),
+
+    where B^T is _Jumps.gain at the coefficients of the same state, so
+    sum_i m_i Psi_i e^(-beta rho s) is the same at both ends of every
+    step to rounding.
 
     Parameters
     ----------
     trajectory : forward.Trajectory
-        Single-frame forward run covering [0, t].
+        Single-frame forward run with its predicted states
+        (rescaled_trajectory).
     R : float
         Indicator cut; the datum is 1 at every node, the mapped
         representatives below R other than the top cell's.  An R at or
@@ -221,47 +244,41 @@ def solve_dual(trajectory, R, t, max_change=0.02):
         and is refused with ValueError, as is an R or t whose frame factor
         or partner reach overflows a float (_cut).
     t : float
-        Final time, <= trajectory.t_final.
-    max_change : float
-        Absolute per-step change cap on Psi (Psi is order one), in (0, 1).
-        The steps are the forward controller's (forward._heun_run), with
-        the same step proposal; they are second order, so quartering the
-        cap cuts the time-stepping error about sixteenfold.
+        Final time, a stored time of the trajectory (Trajectory.index;
+        ValueError otherwise).
 
     Returns
     -------
     DualField
+        Psi at every stored time from 0 to t.  A non-finite Psi, which
+        only a non-finite stored state brings about, raises
+        IntegrationError.
     """
-    if not 0.0 < max_change < 1.0:
-        raise ValueError("max_change must lie in (0, 1)")
+    k = trajectory.index(t)
+    ts, amps = trajectory.times, trajectory.amps
+    t = float(ts[k])
     jumps = _Jumps(trajectory, R, t)
-    psi = np.ones(jumps.nodes.size)  # indicator datum: every node is below R
-    taus = [0.0]
+    grow = trajectory.params.beta * trajectory.params.rho
+    psi = np.ones(jumps.n)  # indicator datum: every node is below R
     rows = [psi]
-
-    def accepted(tau, psi, _h, _r0, _r1):
-        taus.append(tau)
+    for j in range(k - 1, -1, -1):
+        h = ts[j + 1] - ts[j]
+        c0 = jumps.coefficients(trajectory.masses[j], amps[j], ts[j])
+        c1 = jumps.coefficients(trajectory.preds[j], amps[j + 1], ts[j + 1])
+        A0 = c0[0] - grow
+        Abar = 0.5 * (A0 + (c1[0] - grow))
+        phi0, phi = _phi(A0, h), _phi(Abar, h)
+        w = 0.5 * jumps.gain(c1, phi * psi)
+        psi = (np.exp(-(Abar + grow) * h) * psi + np.exp(-(A0 + grow) * h) * w
+               + np.exp(-grow * h) * jumps.gain(c0, 0.5 * phi * psi + phi0 * w))
+        if not np.all(np.isfinite(psi)):
+            raise IntegrationError(f"the dual field is not finite at s = {ts[j]:.6g}: the stored trajectory is not")
         rows.append(psi)
-
-    # G <= D max(Psi) at both ends of a step, so the averaged update keeps
-    # Psi in [0, 1]; the change cap is absolute, and dividing by 1.0 is exact
-    _, _, n_retries = _heun_run(
-        jumps.rates, psi, 0.0, t, None, max_change, lambda _psi: 1.0, accepted
-    )
-    # every accepted step moves tau, so reversing gives ascending s = t - tau
-    return DualField(
-        nodes=jumps.nodes,
-        s_values=(t - np.array(taus))[::-1],
-        psi=np.array(rows)[::-1],
-        R=float(R),
-        t_final=float(t),
-        params=trajectory.params,
-        diagnostics={
-            "n_steps": len(taus) - 1,
-            "n_retries": n_retries,
-            "max_monotonicity_violation": max(float(np.max(np.diff(row), initial=0.0)) for row in rows),
-        },
-    )
+    psi = np.array(rows[::-1])
+    diagnostics = {"n_steps": k, "n_retries": 0, "max_excess": max(float(np.max(psi)) - 1.0, 0.0),
+                   "max_monotonicity_violation": float(np.max(np.diff(psi, axis=1), initial=0.0))}
+    return DualField(nodes=jumps.nodes, s_values=ts[: k + 1].copy(), psi=psi, R=float(R), t_final=t,
+                     params=trajectory.params, diagnostics=diagnostics)
 
 
 def adjoint_consistency(trajectory, dual_field):
@@ -274,13 +291,11 @@ def adjoint_consistency(trajectory, dual_field):
         e^(-beta t) sum_(i<n) m_i(t)
             vs  e^(-beta (1-rho) t) sum_(i<n) m_i(0) Psi_i(0),
 
-    normalized by the former.  t is the dual field's final time, and m(0)
-    is the trajectory's first stored state, the datum that
-    rescaled_trajectory was given.  Machine-level for a zero kernel (the
-    dual field stays the indicator and both sides reduce to the same
-    cell sum).  Otherwise what is left is the trajectory's linear
-    interpolation in time, which the forward step cap sets: the dual's
-    time stepping is second order and its nodes are the forward cells.
+    normalized by the former.  t is the dual field's final time, a stored
+    time of the trajectory, and m(0) is the trajectory's first stored
+    state, the datum that rescaled_trajectory was given.  The dual steps
+    through the transpose of the forward's own steps, so the two agree to
+    rounding for every kernel.
 
     Returns
     -------
@@ -288,8 +303,8 @@ def adjoint_consistency(trajectory, dual_field):
     """
     p = trajectory.params
     n, t = dual_field.nodes.size, dual_field.t_final
-    masses_t, amp_t = trajectory.interp(t)
-    Ht = GridMeasure(trajectory.edges, masses_t, float(amp_t), p.rho)
+    k = trajectory.index(t)
+    Ht = GridMeasure(trajectory.edges, trajectory.masses[k], float(trajectory.amps[k]), p.rho)
     # at an edge the cumulative mass is the plain sum of the cells below it
     lhs = np.exp(-p.beta * t) * cumulative_mass(Ht, trajectory.edges[n])
     rhs = np.exp(-p.beta * (1.0 - p.rho) * t) * float(trajectory.masses[0][:n] @ dual_field.psi[0])
@@ -307,10 +322,9 @@ class SubsolutionReport:
 
 
 # the margin the barrier check allows; entries (stored rows x nodes) that
-# the check and the M* bound take at a time; backward times of the K* sweep
+# the check and the M* bound take at a time
 BARRIER_TOL = 1e-3
 ROW_BLOCK = 4096
-N_TAU = 5
 
 
 def _row_blocks(dual_field):
@@ -360,9 +374,13 @@ def subsolution_bound(dual_field, M):
 def _m_bound(dual_field):
     """Largest ((R - X) / W^(-1)(Psi + BARRIER_TOL))^a / tau over the
     nodes X at the stored rows with tau > 0 and Psi + BARRIER_TOL < 1;
-    0 when there are none.  Kept apart from find_m_star so that its
-    block arrays are freed before the report, which holds a barrier
-    array of its own, is built."""
+    0 when there are none.  Each entry's W^(-1) lies in its
+    WTable.bracket, which bounds the entry from both sides, so only the
+    entries whose upper bound reaches the best lower bound, less 1e-9
+    relative for rounding, take the inverse's bisection; the largest of
+    them is the largest of all, bit for bit.  Kept apart from find_m_star
+    so that its block arrays are freed before the report, which holds a
+    barrier array of its own, is built."""
     R, a = dual_field.R, dual_field.params.a
     table = w_table(StableProfile(a=a))
     bound = 0.0
@@ -370,8 +388,12 @@ def _m_bound(dual_field):
         w = dual_field.psi[rows] + BARRIER_TOL
         X, tau = np.broadcast_arrays(dual_field.nodes, (dual_field.t_final - dual_field.s_values[rows])[:, None])
         live = (tau > 0.0) & (w < 1.0)
-        Y = table.inverse(w[live])
-        bound = max(bound, float(np.max(((R - X[live]) / Y) ** a / tau[live], initial=0.0)))
+        w, dX, tau = w[live], R - X[live], tau[live]
+        lo, hi = table.bracket(w)
+        floor = max(bound, float(np.max((dX / hi) ** a / tau, initial=0.0)))
+        keep = (dX / lo) ** a / tau >= floor * (1.0 - 1e-9)
+        Y = table.inverse(w[keep])
+        bound = max(bound, float(np.max((dX[keep] / Y) ** a / tau[keep], initial=0.0)))
     return bound
 
 
@@ -405,8 +427,8 @@ class QTailReport:
 
 def q_tail_bound(trajectory, R):
     """Smallest K with int_R^inf Q(X, Z, tau) dZ <= K R^(gamma - rho)
-    for every X <= R, at N_TAU (5) evenly spaced backward times over the
-    whole trajectory, from 0 to its t_final.
+    for every X <= R, at every stored state of the trajectory, from its
+    t_final (tau = 0) back to 0; the latest time wins a tie.
 
     R's own jump rate toward the partners beyond it is the supremum over
     X <= R, term by term at every tau.  Take a partner Z > R, both in the
@@ -442,9 +464,8 @@ def q_tail_bound(trajectory, R):
     Yc = np.sqrt(gedges[:-1]) * np.sqrt(gedges[1:])
     tail = _ratio_cutoffs(eval_kernel(eng.kernel, X, Yc), X, Yc, lam) @ (gpow / (1.0 - p.rho) / Yc)
     worst, tau_at = 0.0, np.nan
-    for tau in np.linspace(0.0, t, N_TAU):
-        s = t - tau
-        masses, amp = trajectory.interp(s)
+    for masses, amp, s in zip(trajectory.masses[::-1], trajectory.amps[::-1], trajectory.times[::-1]):
+        tau = t - s
         _, v, esc = eng.densities(masses, amp, s)
         rate = esc * eval_cutoff(R * np.exp(p.beta * tau) / lam) * (row @ v + amp * tail)
         if rate > worst:

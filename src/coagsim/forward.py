@@ -24,8 +24,13 @@ next step size is proposed from the measured change (Hairer, Norsett &
 Wanner, Solving ODEs I, sec. II.4); it carries across frames and run
 calls.  Every kernel takes these steps, the zero kernel included: there
 A = -beta rho is constant and Q = 0, so each update is exact and the
-controller only sets the cadence of the stored steps.  The dual solve
-steps with the same controller (_heun_run).
+controller only sets the cadence of the stored steps.  This step loop
+(_Stepper.run) is the package's one time integrator.  A stored run
+(rescaled_trajectory) keeps each accepted step's predicted state beside
+its masses, so that the step's frozen coefficients at both of its ends
+can be read again bit for bit: the dual solve steps backward through the
+transpose of these very steps.
+
 Gain from a cell pair is deposited at the representative sum
 P = Y_i + Y_j, split between the two
 bracketing representatives so that both mass and first moment are
@@ -33,7 +38,8 @@ conserved; deposits beyond the top representative accumulate in an
 overflow ledger.  Partners beyond the grid top (up to the cutoff's
 partner-ratio bound) are synthesized from the analytic tail amplitude as
 loss-only ghost cells, and their pair gain also goes to the overflow
-ledger.
+ledger.  A grid ratio so close to 1 that these ghost cells would
+outnumber MAX_CELLS is refused before any is built (_n_ghost).
 
 The pair operator is built once here: _partners continues the grid with
 the tail cells, and kernel._ratio_cutoffs gives the ratio cutoffs of the
@@ -41,8 +47,8 @@ static part of the regularized kernel; the flux residual shares both.
 Its consumers read one _Engine:
 the stepper, the diagnostics gain and rearrangement_residual (through
 EvolutionState.engine), and the dual (through Trajectory.engine:
-reps, pair_sums, row, and the per-diagonal vectors as _offset_groups groups
-them).  The ratio cutoffs vanish past the partner ratio (2-lam)/lam, a
+densities, pair_sums, row, and the per-diagonal vectors as _offset_groups
+groups them).  The ratio cutoffs vanish past the partner ratio (2-lam)/lam, a
 fixed number of cells on the geometric grid, and every pair (i, i + d)
 is a scaled copy of (0, d): its weight is Y_i^gamma t_d and its sum P
 lands at the fixed offsets k_d and k_d + 1 from i with the fixed split
@@ -75,10 +81,11 @@ from functools import cached_property
 import numpy as np
 
 from .kernel import _partner_ratio, _ratio_cutoffs, eval_cutoff, eval_kernel
-from .measure import GridMeasure, _tail_cells, _xrho_sup
+from .measure import MAX_CELLS, GridMeasure, _tail_cells, _xrho_sup
 
 class IntegrationError(RuntimeError):
-    """Step-size control failed to meet the accuracy target."""
+    """Step-size control failed to meet the accuracy target, or a solve
+    read a non-finite state."""
 
 
 @dataclass(frozen=True)
@@ -105,11 +112,13 @@ class EvolutionState:
 class Trajectory:
     """Stored evolution of one rescaled frame (no frame restarts).
 
-    masses[k] are the X-frame cell masses at times[k]; linear
-    interpolation between stored steps is the sanctioned accuracy model
-    for consumers (the dual solver and barrier checks).  engine is the
-    _Engine that stepped the run, with its kernel and cutoff; the dual
-    reads its pair operator.
+    masses[k] are the X-frame cell masses at times[k], and preds[k] the
+    predicted state of the accepted step from times[k] to times[k + 1],
+    at which that step's corrector evaluated its rates (None for a
+    trajectory built without them).  The dual solve walks these steps
+    back, and K* reads every stored state.  engine is the _Engine that
+    stepped the run, with its kernel and cutoff; the dual reads its pair
+    operator.
     """
 
     edges: np.ndarray
@@ -118,6 +127,7 @@ class Trajectory:
     amps: np.ndarray
     params: object
     engine: object
+    preds: np.ndarray = None
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -134,20 +144,13 @@ class Trajectory:
         st.__dict__["engine"] = eng  # fills the cached property
         return st
 
-    def interp(self, s):
-        """Linearly interpolated (masses, amplitude) at rescaled time s;
-        a trajectory of one stored state (t_final = 0) returns that state."""
-        ts = self.times
-        if not (ts[0] - 1e-12 <= s <= ts[-1] + 1e-12):
-            raise ValueError(f"time {s} outside stored range [{ts[0]}, {ts[-1]}]")
-        if ts.size == 1:
-            return self.masses[0].copy(), self.amps[0]
-        s = min(max(s, ts[0]), ts[-1])
-        k = min(np.searchsorted(ts, s, side="right") - 1, ts.size - 2)
-        w = (s - ts[k]) / (ts[k + 1] - ts[k])
-        return (1.0 - w) * self.masses[k] + w * self.masses[k + 1], (1.0 - w) * self.amps[
-            k
-        ] + w * self.amps[k + 1]
+    def index(self, t):
+        """The stored step at time t, to within 1e-12; any other t is
+        refused with ValueError."""
+        k = int(np.argmin(np.abs(self.times - t)))
+        if not abs(self.times[k] - t) <= 1e-12:
+            raise ValueError(f"trajectory does not cover [0, t] with a stored step at t = {t!r}")
+        return k
 
 
 @dataclass
@@ -165,14 +168,28 @@ class SimulationResult:
     max_pairing_residual: float
 
 
+def _n_ghost(edges, lam):
+    """The number of ghost cells that span the partner ratio (2 - lam)/lam
+    above the grid's top cell, two more than the grid's ratio needs; a
+    ratio so close to 1 that they outnumber MAX_CELLS is refused with
+    ValueError before any array is built."""
+    r = float(edges[1] / edges[0])
+    n = np.ceil(np.log(_partner_ratio(lam)) / np.log(r)) + 2
+    if not n <= MAX_CELLS:
+        raise ValueError(f"the grid's ratio {r!r} is too close to 1 at lam = {lam}: its partners span {n:.4g}"
+                         f" ghost cells, more than MAX_CELLS = {MAX_CELLS}")
+    return int(n)
+
+
 def _partners(edges, rho, lam):
     """The grid continued by loss-only tail (ghost) cells out to the
     partner-ratio bound of its top cell: (edges, representatives, mass of
     each ghost cell per unit tail amplitude).  The cutoffs read each
     partner's size over lam, so a lam for which the top ghost edge over
     lam overflows a float is refused with ValueError, as is a grid top
-    whose ghost cells' representatives sqrt(a b) overflow one."""
-    n_ghost = int(np.ceil(np.log(_partner_ratio(lam)) / np.log(edges[1] / edges[0]))) + 2
+    whose ghost cells' representatives sqrt(a b) overflow one, and a
+    ratio whose ghost cells outnumber MAX_CELLS (_n_ghost)."""
+    n_ghost = _n_ghost(edges, lam)
     with np.errstate(over="ignore", invalid="ignore"):
         gedges, gpow = _tail_cells(edges, rho, n_ghost)
         top = gedges[-1] / lam
@@ -343,76 +360,31 @@ class _Engine:
         return A, Q, over_rate, over_moment, resid
 
 
-def _exp_update(masses, A, Q, dt):
-    """Exact frozen-coefficient update; positivity-preserving."""
+def _phi(A, dt):
+    """(1 - e^(-A dt)) / A, the weight of a frozen source over a step of
+    dt, and its expansion dt (1 - A dt / 2) where |A dt| < 1e-8."""
     x = A * dt
-    decay = np.exp(-x)
-    small = np.abs(x) < 1e-8
     with np.errstate(divide="ignore", invalid="ignore"):
         phi = -np.expm1(-x) / A
-    phi = np.where(small, dt * (1.0 - 0.5 * x), phi)
-    return masses * decay + phi * Q
+    return np.where(np.abs(x) < 1e-8, dt * (1.0 - 0.5 * x), phi)
 
 
-def _heun_run(rates, y, s0, s1, dt, max_change, scale, accepted):
-    """Adaptive exponential-Heun steps of dy/ds = -A y + Q from s0 to s1.
-
-    The one step loop of the forward stepper and the dual solve; rates(s, y)
-    returns (A, Q, ...).  A step predicts with frozen rates, re-evaluates
-    them at the predicted endpoint and corrects with their averages.  It
-    starts from min(dt, 0.5 / max|A|) and is halved until it moves s and
-    its change max|trial - y| / scale(y) is at most max_change (60 halvings
-    raise IntegrationError).  It then proposes dt = h min(1.2, 0.9
-    max_change / change), unless it was cut short to land on s1.
-    accepted(s, y, h, r0, r1) sees each accepted step's end, size and rates
-    at both ends.  Returns (y, dt, n_rejected).
-    """
-    s = s0
-    n_rejected = 0
-    while s < s1 - 1e-14 * max(1.0, abs(s1)):
-        r0 = rates(s, y)
-        A, Q = r0[0], r0[1]
-        a_max = float(np.max(np.abs(A)))
-        cap = 0.5 / a_max if a_max > 0.0 else np.inf
-        h = min(cap if dt is None else min(dt, cap), s1 - s)
-        cut = h == s1 - s  # a cut step leaves dt, the uncut proposal
-        denom = scale(y)
-        for _ in range(60):
-            # the averages stay nonnegative, so positivity is unconditional,
-            # and the endpoint balancing removes the first-order defect
-            # that would otherwise bleed mass out of every cell at a
-            # constant rate (a log-growing flux bias at stationarity)
-            pred = _exp_update(y, A, Q, h)
-            r1 = rates(s + h, pred)
-            trial = _exp_update(y, 0.5 * (A + r1[0]), 0.5 * (Q + r1[1]), h)
-            change = float(np.max(np.abs(trial - y) / denom))
-            # a step too short to move s is no step
-            if change <= max_change and s + h > s:
-                break
-            h *= 0.5
-            cut = False
-            n_rejected += 1
-        else:
-            raise IntegrationError(
-                f"step size collapsed at s={s:.6g} (change={change:.3g}, dt={h:.3g})"
-            )
-        if not cut:
-            dt = h * min(1.2, 0.9 * max_change / max(change, 1e-300))
-        y = trial
-        s += h
-        accepted(s, y, h, r0, r1)
-    return y, dt, n_rejected
+def _exp_update(masses, A, Q, dt):
+    """Exact frozen-coefficient update; positivity-preserving."""
+    return masses * np.exp(-(A * dt)) + _phi(A, dt) * Q
 
 
 class _Stepper:
-    """Adaptive stepping within one frame on one engine (see _heun_run).
+    """Adaptive exponential-Heun stepping within one frame on one engine,
+    the package's one time integrator.
 
     Changes are relative to the cell masses, floored at mass_floor_frac of
     the total mass.  The stepper keeps the step proposal dt across run
     calls, and counts steps, rejected trials, the worst pairing residual
     and the overflow ledger over all of them.  There is no separate
     pure-drift path: under the zero kernel the controller's steps are
-    exact, with a zero pairing residual and sink.
+    exact, with a zero pairing residual and sink.  pred is the predicted
+    state of the last accepted step, which record may read.
     """
 
     mass_floor_frac = 1e-12
@@ -428,32 +400,64 @@ class _Stepper:
         self.max_pairing_residual = 0.0
         self.sink_mass = 0.0
         self.sink_moment = 0.0
+        self.pred = None
 
     def run(self, masses, amp, s0, s1, record=None):
-        """Advance masses from rescaled time s0 to s1; returns masses."""
-        eng = self.engine
-        grow = eng.params.beta * eng.params.rho
+        """Advance masses from rescaled time s0 to s1; returns masses.
 
-        def rates(s, m):
+        A step of dm/ds = -A m + Q predicts with frozen rates,
+        re-evaluates them at the predicted endpoint and corrects with their
+        averages.  It starts from min(dt, 0.5 / max|A|) and is halved until
+        it moves s and its change max|trial - m| / scale(m) is at most
+        max_change (60 halvings raise IntegrationError).  It then proposes
+        dt = h min(1.2, 0.9 max_change / change), unless it was cut short
+        to land on s1.  record(s, m) sees each accepted step's end.
+        """
+        eng, max_change = self.engine, self.max_change
+        grow = eng.params.beta * eng.params.rho
+        s, dt, n_rejected = s0, self.dt, 0
+        while s < s1 - 1e-14 * max(1.0, abs(s1)):
             # beyond the partner-ratio reach the dynamics is pure drift, so
             # the X-frame tail amplitude at time s is the frame-start value
             # grown by exp(beta rho (s - s0))
-            return eng.rates(m, amp * np.exp(grow * (s - s0)), s)
-
-        def scale(m):
-            return np.maximum(m, self.mass_floor_frac * max(float(np.sum(m)), 1e-300))
-
-        def accepted(s, m, h, r0, r1):
+            r0 = eng.rates(masses, amp * np.exp(grow * (s - s0)), s)
+            A, Q = r0[0], r0[1]
+            a_max = float(np.max(np.abs(A)))
+            cap = 0.5 / a_max if a_max > 0.0 else np.inf
+            h = min(cap if dt is None else min(dt, cap), s1 - s)
+            cut = h == s1 - s  # a cut step leaves dt, the uncut proposal
+            denom = np.maximum(masses, self.mass_floor_frac * max(float(np.sum(masses)), 1e-300))
+            for _ in range(60):
+                # the averages stay nonnegative, so positivity is unconditional,
+                # and the endpoint balancing removes the first-order defect
+                # that would otherwise bleed mass out of every cell at a
+                # constant rate (a log-growing flux bias at stationarity)
+                pred = _exp_update(masses, A, Q, h)
+                r1 = eng.rates(pred, amp * np.exp(grow * (s + h - s0)), s + h)
+                trial = _exp_update(masses, 0.5 * (A + r1[0]), 0.5 * (Q + r1[1]), h)
+                change = float(np.max(np.abs(trial - masses) / denom))
+                # a step too short to move s is no step
+                if change <= max_change and s + h > s:
+                    break
+                h *= 0.5
+                cut = False
+                n_rejected += 1
+            else:
+                raise IntegrationError(
+                    f"step size collapsed at s={s:.6g} (change={change:.3g}, dt={h:.3g})"
+                )
+            if not cut:
+                dt = h * min(1.2, 0.9 * max_change / max(change, 1e-300))
+            masses = trial
+            s += h
             self.max_pairing_residual = max(self.max_pairing_residual, r0[4], r1[4])
             self.sink_mass += h * 0.5 * (r0[2] + r1[2])
             self.sink_moment += h * 0.5 * (r0[3] + r1[3])
             self.n_steps += 1
+            self.pred = pred
             if record is not None:
-                record(s, m)
-
-        masses, self.dt, n_rejected = _heun_run(
-            rates, masses, s0, s1, self.dt, self.max_change, scale, accepted
-        )
+                record(s, masses)
+        self.dt = dt
         self.n_retries += n_rejected
         return masses
 
@@ -588,13 +592,12 @@ def simulate(h0, params, kernel, cutoff, t_final, snapshot_times=(), max_change=
 
 
 def rescaled_trajectory(h0, params, kernel, cutoff, t_final, max_change=0.02):
-    """Single-frame evolution storing every accepted step.
+    """Single-frame evolution storing every accepted step, with its
+    predicted state (Trajectory.preds).
 
     No frame restarts occur, so the stored masses are X-variable data in
     the frame anchored at t = 0; valid while the cutoff front
-    lam e^(beta t) stays well inside the grid.  The per-step relative
-    change cap bounds the linear-interpolation error between stored
-    states by about (max_change)^2 / 8.
+    lam e^(beta t) stays well inside the grid.
 
     Returns
     -------
@@ -606,32 +609,22 @@ def rescaled_trajectory(h0, params, kernel, cutoff, t_final, max_change=0.02):
     stepper = _Stepper(eng, max_change=max_change)
     times = [0.0]
     masses = [h0.cell_mass.copy()]
+    preds = []
 
     def record(s, m):
         times.append(s)
         masses.append(m.copy())
+        preds.append(stepper.pred)
 
     stepper.run(h0.cell_mass.copy(), h0.tail_amplitude, 0.0, t_final, record=record)
     ts = np.array(times)
-    ms = np.array(masses)
     # the tail beyond the partner-ratio reach drifts freely, so the frame
     # amplitude grows at the exact drift rate
     amps = h0.tail_amplitude * np.exp(params.beta * params.rho * ts)
-    diag = {
-        "max_change": max_change,
-        "n_steps": stepper.n_steps,
-        "n_retries": stepper.n_retries,
-        "max_pairing_residual": stepper.max_pairing_residual,
-    }
-    return Trajectory(
-        edges=h0.edges,
-        times=ts,
-        masses=ms,
-        amps=amps,
-        params=params,
-        engine=eng,
-        diagnostics=diag,
-    )
+    diag = {"max_change": max_change, "n_steps": stepper.n_steps, "n_retries": stepper.n_retries,
+            "max_pairing_residual": stepper.max_pairing_residual}
+    return Trajectory(edges=h0.edges, times=ts, masses=np.array(masses), amps=amps, params=params, engine=eng,
+                      preds=np.array(preds).reshape(-1, h0.n_cells), diagnostics=diag)
 
 
 def rearrangement_residual(state, psi):

@@ -338,6 +338,21 @@ class WTable:
         res = np.clip(res, 0.0, 1.0)
         return res.reshape(Y.shape) if Y.ndim else float(res[0])
 
+    def _cell(self, w):
+        """(i, tail, closed): the knot cell [ys[i], ys[i + 1]] whose values
+        bracket w, whether w lies on the tail law, at or above
+        self(ys[-1]), and the law's inverse."""
+        a, p = self.profile.a, self._interp
+        i = np.clip(np.searchsorted(p.y, w, side="right") - 1, 0, p.x.size - 2)
+        return i, w >= self(self.ys[-1]), np.maximum((a * (1.0 - w)) ** (-1.0 / a), self.ys[-1])
+
+    def bracket(self, w):
+        """(lo, hi) with lo <= inverse(w) <= hi up to rounding, without the
+        bisection: the knot cell that inverse bisects, or inverse itself
+        on the tail law."""
+        i, tail, closed = self._cell(w)
+        return np.where(tail, closed, self.ys[i]), np.where(tail, closed, self.ys[i + 1])
+
     def inverse(self, w):
         """Largest Y with self(Y) <= w, for an array w in [0, 1).
 
@@ -350,8 +365,8 @@ class WTable:
         at the returned Y wherever self picks the same cell.  Below the
         first knot value it is ys[0], where self is 0.
         """
-        p, a = self._interp, self.profile.a
-        i = np.clip(np.searchsorted(p.y, w, side="right") - 1, 0, p.x.size - 2)
+        p = self._interp
+        i, tail, closed = self._cell(w)
         x, y, d, c2, c3 = p.x[i], p.y[i], p.d[i], p.c2[i], p.c3[i]
         lo, hi = self.ys[i], self.ys[i + 1]
         for _ in range(60):
@@ -359,7 +374,7 @@ class WTable:
             s = np.log(mid) - x
             below = y + d * s + c2 * (s * s) + c3 * (s * s * s) <= w
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        return np.where(w < self(self.ys[-1]), lo, np.maximum((a * (1.0 - w)) ** (-1.0 / a), self.ys[-1]))
+        return np.where(tail, closed, lo)
 
 
 @lru_cache(maxsize=8)

@@ -88,7 +88,7 @@ def dual_setup():
     # tightly stepped forward run plus backward dual solves at two radii
     h0 = power_law_init(CONST, EDGES)
     traj = rescaled_trajectory(h0, CONST, K_CONST, CUT, 0.5, max_change=0.0025)
-    fields = {R: solve_dual(traj, R, 0.5, max_change=0.0025) for R in (10.0, 100.0)}
+    fields = {R: solve_dual(traj, R, 0.5) for R in (10.0, 100.0)}
     return h0, traj, fields
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import re
 import runpy
+import sys
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coagsim import cli, config, forward, stationary
+from coagsim import cli, config, dual, forward, stationary
 from coagsim.cli import cmd_dual_check, main, read_table, write_table
 from coagsim.config import (
     ConfigError,
@@ -364,6 +365,30 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert "config error: the grid's top edge" in err and "representatives overflow" in err
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("command", ["simulate", "stationary", "dual-check", "invariance-suite"])
+    def test_ghost_count_is_refused_by_name_before_any_array(self, tmp_path, monkeypatch, capsys, command):
+        # 100 cells at a ratio of 1 + 1e-12: their partners at lambda = 1e-3
+        # span 7.6e12 ghost cells, whose edges would take 61 TB
+        def no_tail(*args, **kwargs):
+            raise AssertionError("the ghost cells were built")
+
+        monkeypatch.setattr(forward, "_tail_cells", no_tail)
+        grid = "grid.x_min = 1.0\ngrid.x_max = 1.0000000001\ngrid.ratio = 1.000000000001\n"
+        keep = [ln for ln in BASE.splitlines() if not ln.startswith(("grid.", "cutoff."))]
+        text = "\n".join(keep) + "\ncutoff.lambda = 1e-3\ndual.radius = 1.0\n" + grid
+        assert geometric_grid(*run_config(parse_config(text)).grid).size == 101
+        code, out = run_cli(tmp_path, text, command)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid.ratio = 1.000000000001 with cutoff.lambda = 0.001:")
+        assert "7.6e+12 ghost cells, more than MAX_CELLS" in err and err.count("\n") == 1
+        assert not any(out.iterdir())
+        # a continuation refuses the scale before its first search
+        text = "\n".join(keep) + "\nstationary.lambdas = 0.1, 1e-3\n" + grid
+        code, _ = run_cli(tmp_path, text, "stationary")
+        assert code == 1
+        assert "too close to 1 at lam = 0.1" in capsys.readouterr().err
 
     def test_type_errors_name_the_key(self):
         with pytest.raises(ConfigError, match="params.rho"):
@@ -838,8 +863,7 @@ class TestManifestOracle:
 
 
 class TestDualCheckCommand:
-    def test_zero_kernel_exact(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "DUAL_MAX_CHANGE", 0.02)
+    def test_zero_kernel_exact(self, tmp_path):
         text = BASE.replace("kernel.family = constant", "kernel.family = zero")
         text += "dual.radius = 10.0\ndual.time = 0.25\ndual.dump_s = 0.0, 0.25\n"
         code, out = run_cli(tmp_path, text, "dual-check")
@@ -851,33 +875,47 @@ class TestDualCheckCommand:
         psi = np.array(rows)[:, 1]
         assert psi.min() >= 0.0 and psi.max() <= 1.0
 
-    def test_coarse_steps_fail_tolerance(self, tmp_path, monkeypatch):
+    def test_dual_defect_fails_the_gate(self, tmp_path, monkeypatch):
+        # at a gate of 1e-6 the exact transpose passes, and a dual whose
+        # gain is 0.1% short fails.  R = 100: the datum holds no mass below
+        # R0 = 10, so at R = 10 every pair it pairs with lands past R and
+        # the gain reads zero
         monkeypatch.setattr(cli, "DUAL_CHECK_TOL", 1e-6)
-        monkeypatch.setattr(cli, "DUAL_MAX_CHANGE", 0.2)
-        text = BASE + "dual.radius = 10.0\ndual.time = 0.25\n"
+        text = BASE + "dual.radius = 100.0\ndual.time = 0.25\n"
+        exact = tmp_path / "exact"
+        exact.mkdir()
+        code, _ = run_cli(exact, text, "dual-check")
+        assert code == 0
+        gain = dual._Jumps.gain
+        monkeypatch.setattr(dual._Jumps, "gain", lambda self, c, psi: 0.999 * gain(self, c, psi))
         code, out = run_cli(tmp_path, text, "dual-check")
         assert code == 2
         manifest = json.loads((out / "dual_check.json").read_text())
         assert manifest["tolerance"] == 1e-6 < manifest["adjoint_residual"]
         assert manifest["m_star"] <= 1e4
 
-    def test_dual_cap_leaves_forward_steps(self, tmp_path, monkeypatch):
-        # DUAL_MAX_CHANGE caps the dual alone; the trajectory keeps its own
-        # cap, and the manifest names both
-        manifests = {}
+    def test_dual_walks_the_forward_steps(self, tmp_path):
+        # the dual has no step cap of its own: it takes the trajectory's
+        # steps, under the trajectory's cap
         text = BASE + "dual.radius = 10.0\ndual.time = 0.25\n"
-        for mc in (0.02, 0.005):
-            monkeypatch.setattr(cli, "DUAL_MAX_CHANGE", mc)
-            run_dir = tmp_path / str(mc)
-            run_dir.mkdir()
-            code, out = run_cli(run_dir, text, "dual-check")
-            assert code == 0
-            manifests[mc] = json.loads((out / "dual_check.json").read_text())
-        coarse, fine = manifests[0.02], manifests[0.005]
-        assert (coarse["max_change"], fine["max_change"]) == (0.02, 0.005)
-        assert coarse["trajectory_max_change"] == fine["trajectory_max_change"] == 0.02
-        assert coarse["n_forward_steps"] == fine["n_forward_steps"] > 0
-        assert fine["n_backward_steps"] > coarse["n_backward_steps"]
+        code, out = run_cli(tmp_path, text, "dual-check")
+        assert code == 0
+        manifest = json.loads((out / "dual_check.json").read_text())
+        assert "max_change" not in manifest and manifest["trajectory_max_change"] == 0.02
+        assert manifest["n_backward_steps"] == manifest["n_forward_steps"] > 0
+
+    @pytest.mark.parametrize("gamma, rho, family", [(0.0, 0.5, "constant"), (0.5, 0.75, "product")])
+    def test_adjoint_roundoff_on_the_acceptance_grid(self, tmp_path, gamma, rho, family):
+        # R = 100, t = 0.5 on the acceptance grid at lambda = 1e-3: the
+        # transpose of the forward's steps pairs to rounding, where a
+        # dual stepped on its own read 7.4e-6 and 1.2e-5
+        text = (f"params.gamma = {gamma}\nparams.rho = {rho}\nparams.delta = {min(0.2, (rho - gamma) / 2)}\n"
+                f"kernel.family = {family}\ncutoff.lambda = 1e-3\ngrid.x_min = 1e-4\ngrid.x_max = 1e8\n"
+                f"grid.ratio = {2.0 ** (1.0 / 16.0)!r}\ndual.radius = 100.0\ndual.time = 0.5\n")
+        code, out = run_cli(tmp_path, text, "dual-check")
+        assert code == 0
+        manifest = json.loads((out / "dual_check.json").read_text())
+        assert manifest["adjoint_residual"] <= 1e-12
 
     def test_time_zero_checks_the_datum(self, tmp_path):
         # dual.time = 0 is accepted: the trajectory and the dual field hold
@@ -893,10 +931,9 @@ class TestDualCheckCommand:
         _, meta, _, rows = read_table(out / "psi_0000.csv")
         assert meta["s"] == "0.0" and all(psi == 1.0 for _, psi in rows)
 
-    def test_stderr_names_the_exact_radius_and_time(self, tmp_path, monkeypatch, capsys):
+    def test_stderr_names_the_exact_radius_and_time(self, tmp_path, capsys):
         # R = 100.00001 and t = 0.30000001 printed as R=100 t=0.3 once; the
         # summary names them as the manifest records them
-        monkeypatch.setattr(cli, "DUAL_MAX_CHANGE", 0.02)
         text = BASE.replace("kernel.family = constant", "kernel.family = zero")
         text += "dual.radius = 100.00001\ndual.time = 0.30000001\n"
         code, out = run_cli(tmp_path, text, "dual-check")
@@ -976,9 +1013,9 @@ class TestDualCheckCommand:
     def test_adjoint_residual_on_the_acceptance_grid(self, tmp_path, family, gamma, rho):
         # R = 100, t = 0.5, lambda = 1e-3, delta = 0.05: a dual node at R
         # and a corner list splitting pairs toward it read 1.018e-3 and
-        # 1.884e-3 here, over the 1e-3 gate; on the cells' own nodes the
-        # residual is the forward trajectory's interpolation error, 2.2e-5
-        # and 2.3e-5
+        # 1.884e-3 here, over the 1e-3 gate; on the cells' own nodes, with
+        # the dual stepped apart from the forward, 2.2e-5 and 2.3e-5, and
+        # as the transpose of the forward's steps it is rounding
         text = (f"params.gamma = {gamma}\nparams.rho = {rho}\nparams.delta = 0.05\n"
                 f"kernel.family = {family}\ncutoff.lambda = 1e-3\ndual.radius = 100.0\ndual.time = 0.5\n")
         code, out = run_cli(tmp_path, text, "dual-check")
@@ -1038,7 +1075,6 @@ class TestDualCheckCommand:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(forward._Engine, "__init__", counting_init)
-        monkeypatch.setattr(cli, "DUAL_MAX_CHANGE", 0.02)
         text = BASE + "dual.radius = 10.0\ndual.time = 0.25\n"
         cfg = run_config(parse_config(text))
         assert cmd_dual_check(cfg, tmp_path) == 0
@@ -1055,7 +1091,6 @@ class TestDualCheckCommand:
             engines.append((self, set(vars(self))))
 
         monkeypatch.setattr(forward._Engine, "__init__", recording_init)
-        monkeypatch.setattr(cli, "DUAL_MAX_CHANGE", 0.02)
         text = BASE + "dual.radius = 10.0\ndual.time = 0.25\n"
         cfg = run_config(parse_config(text))
         assert cmd_dual_check(cfg, tmp_path) == 0
@@ -1282,6 +1317,20 @@ class TestArgumentHandling:
         cfg = write_cfg(tmp_path, BASE)
         assert main(["simulate", "--config", cfg]) == 0
         assert (tmp_path / "out" / "simulate.json").is_file()
+
+    def test_only_the_command_process_freezes_its_objects(self, tmp_path, monkeypatch):
+        # main with argv from sys.argv (python -m coagsim.cli, the console
+        # script) freezes what it holds before the command runs; a caller
+        # passing argv keeps its collector untouched
+        frozen = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(True))
+        cfg = write_cfg(tmp_path, BASE)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        assert frozen == []
+        monkeypatch.setattr(sys, "argv", ["coagsim", "simulate", "--config", cfg, "--out", str(tmp_path / "b")])
+        assert main() == 0
+        assert frozen == [True]
+        assert (tmp_path / "a" / "simulate.json").read_bytes() == (tmp_path / "b" / "simulate.json").read_bytes()
 
 
 def strict_json(path):

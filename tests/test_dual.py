@@ -9,7 +9,6 @@ import pytest
 from coagsim import dual
 from coagsim.dual import (
     BARRIER_TOL,
-    N_TAU,
     DualField,
     SubsolutionReport,
     _Jumps,
@@ -27,7 +26,6 @@ from coagsim.forward import (
     Trajectory,
     _Engine,
     _partners,
-    _exp_update,
     rescaled_trajectory,
 )
 from coagsim.kernel import (
@@ -74,34 +72,35 @@ def traj_zero(h0):
 
 @pytest.fixture(scope="module")
 def field_const(traj_const):
-    return solve_dual(traj_const, 10.0, T_FINAL, max_change=0.005)
+    return solve_dual(traj_const, 10.0, T_FINAL)
 
 
 class TestSolveDual:
-    def test_loss_evaluated_once_per_time(self, traj_const, monkeypatch):
-        # D does not depend on Psi, so a step starting where the previous
-        # corrector ended reuses that endpoint's loss half
+    def test_reads_the_forward_states_of_each_step(self, traj_const, monkeypatch):
+        # each backward step evaluates the coefficients of its forward
+        # step's two states, the stored start and the predicted state, and
+        # of no other state; the forward's steps are the dual's
         eng = traj_const.engine
-        loss_times, rates_calls = [], []
-        densities, rates = eng.densities, _Jumps.rates
+        states = []
+        densities = eng.densities
 
-        def counting_densities(masses, amp, s):
-            loss_times.append(s)
+        def recording_densities(masses, amp, s):
+            states.append((masses, amp, s))
             return densities(masses, amp, s)
 
-        def counting_rates(self, tau, psi):
-            rates_calls.append(tau)
-            return rates(self, tau, psi)
-
-        monkeypatch.setattr(eng, "densities", counting_densities)
-        monkeypatch.setattr(_Jumps, "rates", counting_rates)
-        fld = solve_dual(traj_const, 10.0, T_FINAL, max_change=0.005)
-        n, rejected = fld.diagnostics["n_steps"], fld.diagnostics["n_retries"]
-        assert rejected > 0
-        assert len(rates_calls) == 2 * n + rejected
-        # the datum, then one endpoint per trial, never twice in a row
-        assert len(loss_times) == 1 + n + rejected
-        assert all(a != b for a, b in zip(loss_times, loss_times[1:]))
+        monkeypatch.setattr(eng, "densities", recording_densities)
+        fld = solve_dual(traj_const, 10.0, T_FINAL)
+        n = fld.diagnostics["n_steps"]
+        assert n == traj_const.diagnostics["n_steps"] == traj_const.times.size - 1
+        assert fld.diagnostics["n_retries"] == 0
+        np.testing.assert_array_equal(fld.s_values, traj_const.times)
+        assert len(states) == 2 * n
+        for j, k in enumerate(range(n - 1, -1, -1)):
+            (m0, a0, s0), (m1, a1, s1) = states[2 * j], states[2 * j + 1]
+            np.testing.assert_array_equal(m0, traj_const.masses[k])
+            np.testing.assert_array_equal(m1, traj_const.preds[k])
+            assert (a0, s0, a1, s1) == (traj_const.amps[k], traj_const.times[k], traj_const.amps[k + 1],
+                                        traj_const.times[k + 1])
 
     def test_datum_is_indicator(self, field_const):
         assert field_const.s_values[0] == 0.0
@@ -121,15 +120,19 @@ class TestSolveDual:
     def test_maximum_principle_exact(self, field_const):
         assert field_const.psi.min() >= 0.0
         assert field_const.psi.max() <= 1.0 + 1e-12
+        assert field_const.diagnostics["max_excess"] == 0.0
 
     def test_monotone_in_size(self, field_const):
         # survival probability decreases toward the cut
         assert field_const.diagnostics["max_monotonicity_violation"] <= 1e-12
 
     def test_zero_kernel_stays_indicator(self, traj_zero):
+        # the drift is the exact scalar e^(-beta rho h) of each step, so no
+        # step moves Psi off 1 by a rounding
         fld = solve_dual(traj_zero, 10.0, T_FINAL)
         np.testing.assert_array_equal(fld.psi, 1.0)
-        assert fld.diagnostics["n_steps"] == 1
+        assert fld.diagnostics["n_steps"] == traj_zero.diagnostics["n_steps"] > 1
+        assert fld.diagnostics["max_excess"] == fld.diagnostics["max_monotonicity_violation"] == 0.0
 
     def test_radius_below_every_node(self, traj_const):
         # no representative lies below R, so the dual has no node: refused
@@ -137,10 +140,10 @@ class TestSolveDual:
         R = traj_const.engine.reps[0] * np.exp(-PARAMS.beta * T_FINAL)
         for cut in (1e-5, R):
             with pytest.raises(ValueError, match="below every cell's representative"):
-                solve_dual(traj_const, cut, T_FINAL, max_change=0.005)
+                solve_dual(traj_const, cut, T_FINAL)
             with pytest.raises(ValueError, match="below every cell's representative"):
                 q_tail_bound(traj_const, cut)
-        assert solve_dual(traj_const, R * 1.001, T_FINAL, max_change=0.005).nodes.size == 1
+        assert solve_dual(traj_const, R * 1.001, T_FINAL).nodes.size == 1
 
     def test_cut_past_the_float_range(self, traj_const):
         # R = 1e305 reaches R e^(beta t) (2 - lam)/lam = 5.4e308: K* raised
@@ -170,16 +173,18 @@ class TestSolveDual:
             raise AssertionError("kernel row evaluated")
 
         monkeypatch.setattr(_Engine, "row", refuse)
-        assert solve_dual(traj_const, 10.0, T_FINAL, max_change=0.02).diagnostics["n_steps"] > 1
+        assert solve_dual(traj_const, 10.0, T_FINAL).diagnostics["n_steps"] > 1
 
     def test_rejects_bad_inputs(self, traj_const):
         with pytest.raises(ValueError):
             solve_dual(traj_const, -1.0, T_FINAL)
         with pytest.raises(ValueError):
             solve_dual(traj_const, 10.0, T_FINAL + 1.0)
-        for mc in (0.0, -1.0, 1.0):
-            with pytest.raises(ValueError, match="max_change"):
-                solve_dual(traj_const, 10.0, T_FINAL, max_change=mc)
+        # the dual walks stored steps back, so it starts at a stored time
+        mid = 0.5 * (traj_const.times[3] + traj_const.times[4])
+        with pytest.raises(ValueError, match="with a stored step at t"):
+            solve_dual(traj_const, 10.0, mid)
+        assert solve_dual(traj_const, 10.0, traj_const.times[4]).diagnostics["n_steps"] == 4
 
     def test_q_tail_rejects_bad_inputs(self, traj_const):
         # q_tail_bound checks R as solve_dual does, before any kernel is
@@ -194,98 +199,94 @@ class TestSolveDual:
                 solve_dual(traj_const, 10.0, t)
 
     def test_step_collapse_raises(self, traj_const):
-        # a non-finite rate meets no step cap, however small the step:
-        # the solver must fail loudly rather than accept the step
+        # a non-finite stored state makes a non-finite Psi: the solver
+        # must fail loudly rather than return it
         masses = traj_const.masses.copy()
         masses[1, 100] = np.nan
         broken = replace(traj_const, masses=masses)
-        with pytest.raises(IntegrationError, match="step size collapsed"):
-            solve_dual(broken, 10.0, T_FINAL, max_change=0.005)
+        with pytest.raises(IntegrationError, match="dual field is not finite at s = 0.00"):
+            solve_dual(broken, 10.0, T_FINAL)
 
 
-def oracle_solve_dual(trajectory, R, t, max_change=0.02):
-    """solve_dual with its own copy of the exponential-Heun step loop."""
-    jumps = _Jumps(trajectory, R, t)
-    psi = np.ones(jumps.nodes.size)
-    taus = [0.0]
-    rows = [psi.copy()]
-    n_retries = 0
-    mono_viol = 0.0
-    tau = 0.0
-    dt = None
-    while tau < t - 1e-14:
-        D, G = jumps.rates(tau, psi)
-        d_max = float(D.max())
-        cap = 0.5 / d_max if d_max > 0.0 else np.inf
-        h = min(cap if dt is None else min(dt, cap), t - tau)
-        for _ in range(60):
-            pred = _exp_update(psi, D, G, h)
-            D2, G2 = jumps.rates(tau + h, pred)
-            trial = _exp_update(psi, 0.5 * (D + D2), 0.5 * (G + G2), h)
-            change = float(np.max(np.abs(trial - psi)))
-            if change <= max_change and tau + h > tau:
-                break
-            h *= 0.5
-            n_retries += 1
-        else:
-            raise IntegrationError(f"dual step size collapsed at tau={tau:.6g} (change={change:.3g})")
-        dt = h * min(1.2, 0.9 * max_change / max(change, 1e-300))
-        psi = trial
-        tau += h
-        taus.append(tau)
-        rows.append(psi.copy())
-        mono_viol = max(mono_viol, float(np.max(np.diff(psi), initial=0.0)))
-    taus = np.array(taus)
-    psi_all = np.array(rows)
-    order = np.argsort(t - taus, kind="stable")
-    return DualField(
-        nodes=jumps.nodes,
-        s_values=(t - taus)[order],
-        psi=psi_all[order],
-        R=float(R),
-        t_final=float(t),
-        params=trajectory.params,
-        diagnostics={
-            "n_steps": taus.size - 1,
-            "n_retries": n_retries,
-            "max_monotonicity_violation": mono_viol,
-        },
-    )
+def oracle_gain_matrix(traj, R, t, masses, amp, s):
+    """(D, BT) of the forward state (masses, amp) at time s, from the
+    dense jump table: each node's total jump rate, and the matrix with
+    BT @ psi = G for every psi on the nodes, column l the gain of the hat
+    function of node l."""
+    Zk, n, q = oracle_rate_table(traj, R, t, masses, amp, s)
+    P = Zk[:n, None] + Zk[None, :]
+    BT = np.stack([(q[:n] * np.interp(P, Zk[: n + 1], e)).sum(axis=1) for e in np.eye(n + 1)[:n]], axis=1)
+    return q[:n].sum(axis=1), BT
 
 
-def assert_same_field(got, want):
-    np.testing.assert_array_equal(got.nodes, want.nodes)
-    np.testing.assert_array_equal(got.s_values, want.s_values)
-    np.testing.assert_array_equal(got.psi, want.psi)
-    assert (got.R, got.t_final) == (want.R, want.t_final)
-    assert got.diagnostics == want.diagnostics
+def oracle_solve_dual(traj, R, t):
+    """The dual field by transposing each stored forward step written as a
+    dense matrix on the nodes: with D0, B0 at the step's start and D1, B1
+    at its predicted state,
+    m' = E m + Phi (B0 m + B1 (E0 m + Phi0 B0 m)) / 2 = M m, and Psi at
+    the step's start is e^(-beta rho h) M^T Psi'."""
+    k = int(np.argmin(np.abs(traj.times - t)))
+    grow = traj.params.beta * traj.params.rho
+    psi = np.ones(_Jumps(traj, R, t).nodes.size)
+    rows = [psi]
+    for j in range(k - 1, -1, -1):
+        h = traj.times[j + 1] - traj.times[j]
+        D0, BT0 = oracle_gain_matrix(traj, R, t, traj.masses[j], traj.amps[j], traj.times[j])
+        D1, BT1 = oracle_gain_matrix(traj, R, t, traj.preds[j], traj.amps[j + 1], traj.times[j + 1])
+        A0, Abar = D0 - grow, 0.5 * (D0 + D1) - grow
+        phi0, phi = (-np.expm1(-A * h) / A for A in (A0, Abar))
+        M = np.diag(np.exp(-Abar * h)) + 0.5 * phi[:, None] * (
+            BT0.T + BT1.T @ (np.diag(np.exp(-A0 * h)) + phi0[:, None] * BT0.T))
+        psi = np.exp(-grow * h) * (M.T @ psi)
+        rows.append(psi)
+    return np.array(rows[::-1])
+
+
+SMALL_EDGES = geometric_grid(1e-2, 1e2, 2.0**0.5)
+SMALL_T = 0.3
 
 
 class TestSolveDualOracle:
-    """solve_dual against its own step loop, bit for bit."""
+    """solve_dual against its own loop over the stored steps, written with
+    the transpose of dense forward step matrices (oracle_solve_dual), on a
+    grid small enough to build them; the forward's step cap sets the
+    steps."""
 
     @pytest.fixture(scope="class", params=["constant", "product", "sum"])
-    def traj(self, request, h0):
-        if request.param == "constant":
-            return rescaled_trajectory(h0, PARAMS, constant_kernel(2.0), CUT, T_FINAL)
-        params = Params(gamma=0.5, rho=0.75, delta=0.2, R0=10.0)
-        kernel = product_kernel(0.5) if request.param == "product" else sum_kernel(0.2, 0.5)
-        return rescaled_trajectory(power_law_init(params, h0.edges), params, kernel, CUT, T_FINAL)
+    def kind(self, request):
+        return request.param
+
+    @staticmethod
+    def trajectory(kind, max_change, t=SMALL_T):
+        if kind in ("constant", "zero"):
+            params, kernel = PARAMS, constant_kernel(2.0) if kind == "constant" else zero_kernel()
+        else:
+            params = Params(gamma=0.5, rho=0.75, delta=0.2, R0=10.0)
+            kernel = product_kernel(0.5) if kind == "product" else sum_kernel(0.2, 0.5)
+        return rescaled_trajectory(power_law_init(params, SMALL_EDGES), params, kernel, CutoffParams(lam=1e-2), t,
+                                   max_change=max_change)
 
     @pytest.mark.parametrize("max_change", [0.02, 0.0025])
     @pytest.mark.parametrize("R", [10.0, 100.0])
-    def test_matches_own_loop(self, traj, R, max_change):
-        want = oracle_solve_dual(traj, R, T_FINAL, max_change=max_change)
-        assert_same_field(solve_dual(traj, R, T_FINAL, max_change=max_change), want)
-        assert want.diagnostics["n_retries"] > 0  # the halving path runs
+    def test_matches_own_loop(self, kind, R, max_change):
+        # from the final stored time and from one midway, where the
+        # trajectory goes on past the dual's t
+        traj = self.trajectory(kind, max_change)
+        for t in (traj.t_final, traj.times[traj.times.size // 2]):
+            fld = solve_dual(traj, R, t)
+            want = oracle_solve_dual(traj, R, t)
+            assert fld.psi.shape == want.shape and fld.psi.shape[0] > 2
+            np.testing.assert_allclose(fld.psi, want, rtol=1e-12, atol=0.0)
+            assert want.min() < 0.99  # the jumps move Psi
 
     @pytest.mark.parametrize("case", ["zero_kernel", "t0", "zero_kernel_t0"])
-    def test_matches_trivial_cases(self, traj_zero, traj_const, case):
-        traj = traj_const if case == "t0" else traj_zero
-        t = 0.0 if case.endswith("t0") else T_FINAL
-        want = oracle_solve_dual(traj, 10.0, t)
-        assert_same_field(solve_dual(traj, 10.0, t), want)
-        assert want.diagnostics["n_steps"] == (1 if t > 0.0 else 0)
+    def test_matches_trivial_cases(self, case):
+        t = 0.0 if case.endswith("t0") else SMALL_T
+        traj = self.trajectory("zero" if case.startswith("zero") else "constant", 0.02, t)
+        fld = solve_dual(traj, 10.0, t)
+        np.testing.assert_allclose(fld.psi, oracle_solve_dual(traj, 10.0, t), rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(fld.psi, 1.0)  # the zero kernel's drift is an exact scalar
+        assert fld.diagnostics["n_steps"] == traj.times.size - 1 == (0 if t == 0.0 else traj.diagnostics["n_steps"])
 
 
 class TestAdjointConsistency:
@@ -309,22 +310,16 @@ class TestAdjointConsistency:
         res = adjoint_consistency(traj_const, field_const)
         assert res <= 2e-3
 
-    def test_second_order_in_step_cap(self, traj_const):
-        # on one trajectory, quartering the dual's change cap cuts the error
-        # of Psi(., 0) against a finely stepped solve by about 14 (16 for a
-        # second-order step; a first-order step gives about 4)
-        ref = solve_dual(traj_const, 10.0, T_FINAL, max_change=0.0003125).psi[0]
-        err = {mc: np.max(np.abs(solve_dual(traj_const, 10.0, T_FINAL, max_change=mc).psi[0] - ref))
-               for mc in (0.02, 0.005)}
-        assert err[0.02] / err[0.005] >= 10.0
-
     @pytest.mark.parametrize("R", [10.0, 100.0])
-    def test_small_at_fourfold_dual_cap(self, traj_const, R):
-        # the acceptance gate 1e-3 holds with a dual cap four times the
-        # acceptance run's 0.0025
-        fld = solve_dual(traj_const, R, T_FINAL, max_change=0.01)
-        assert adjoint_consistency(traj_const, fld) <= 1e-3
-
+    def test_roundoff_at_every_kernel(self, h0, R):
+        # the dual is the transpose of the forward's own steps, so the
+        # pairing holds to rounding, whatever the forward's step cap
+        cases = [(PARAMS, constant_kernel(2.0)), (Params(gamma=0.5, rho=0.75), product_kernel(0.5)),
+                 (Params(gamma=0.5, rho=0.75), sum_kernel(0.2, 0.5))]
+        for params, kernel in cases:
+            traj = rescaled_trajectory(power_law_init(params, h0.edges), params, kernel, CUT, T_FINAL,
+                                       max_change=0.05)
+            assert adjoint_consistency(traj, solve_dual(traj, R, T_FINAL)) <= 1e-12
 
     @pytest.mark.parametrize("gamma, rho", [(0.0, 0.1), (0.5, 0.6), (0.0, 0.5)])
     def test_radius_above_the_top_cell(self, gamma, rho):
@@ -336,7 +331,7 @@ class TestAdjointConsistency:
         kernel = constant_kernel() if gamma == 0.0 else product_kernel(gamma)
         edges = geometric_grid(1e-3, 1e4, 2.0**0.25)
         traj = rescaled_trajectory(power_law_init(params, edges), params, kernel, CutoffParams(lam=1e-2), T_FINAL)
-        fld = solve_dual(traj, 1e9, T_FINAL, max_change=0.0025)
+        fld = solve_dual(traj, 1e9, T_FINAL)
         assert fld.nodes.size == edges.size - 2
         assert adjoint_consistency(traj, fld) <= 5e-5
 
@@ -410,7 +405,7 @@ class TestSubsolutionOracle:
     @pytest.fixture(scope="class")
     def fields(self, traj_const, field_const):
         # the fine field spans more than one row block
-        fine = solve_dual(traj_const, 100.0, T_FINAL, max_change=0.001)
+        fine = solve_dual(traj_const, 100.0, T_FINAL)
         assert len(_row_blocks(fine)) > 1
         return {"coarse": field_const, "fine": fine}
 
@@ -453,11 +448,11 @@ class TestMStarOracle:
         if request.param == "constant-R10":
             return field_const
         if request.param == "constant-R100":
-            return solve_dual(traj_const, 100.0, T_FINAL, max_change=0.005)
+            return solve_dual(traj_const, 100.0, T_FINAL)
         params = Params(gamma=0.5, rho=0.75, delta=0.2, R0=10.0)
         traj = rescaled_trajectory(power_law_init(params, h0.edges), params, product_kernel(0.5), CUT,
                                    T_FINAL)
-        return solve_dual(traj, 10.0, T_FINAL, max_change=0.005)
+        return solve_dual(traj, 10.0, T_FINAL)
 
     def test_matches_bisection(self, field):
         m_star, rep = find_m_star(field)
@@ -517,8 +512,9 @@ class TestBarrierWholeArrayOracle:
         family, lam = request.param
         params, kernel = BARRIER_CASES[family]
         h0 = power_law_init(params, geometric_grid(1e-3, 1e4, 2.0**0.125))
-        traj = rescaled_trajectory(h0, params, kernel, CutoffParams(lam=lam), T_FINAL)
-        return solve_dual(traj, 10.0, T_FINAL, max_change=0.001)
+        # a fine forward cap, so that the field spans more than one block
+        traj = rescaled_trajectory(h0, params, kernel, CutoffParams(lam=lam), T_FINAL, max_change=0.01)
+        return solve_dual(traj, 10.0, T_FINAL)
 
     def test_m_bound(self, field):
         assert len(_row_blocks(field)) > 1
@@ -542,7 +538,7 @@ class TestBarrierWholeArrayOracle:
         # the dual-check bench config: acceptance grid, lambda = 1e-3, R = 100
         h0 = power_law_init(PARAMS, geometric_grid(1e-4, 1e8, RATIO))
         traj = rescaled_trajectory(h0, PARAMS, constant_kernel(), CUT, T_FINAL, max_change=0.0025)
-        fld = solve_dual(traj, 100.0, T_FINAL, max_change=0.0025)
+        fld = solve_dual(traj, 100.0, T_FINAL)
         assert len(_row_blocks(fld)) > 1
         m_star = _m_bound(fld)
         assert m_star == oracle_m_bound_whole(fld)
@@ -585,14 +581,37 @@ def oracle_ratio_kernel(kernel, cutoff, Y, Z):
     )
 
 
+def interp(traj, s):
+    """(masses, amplitude) of the trajectory at time s, linear between
+    its two stored states; the dual's jump rates read any forward state."""
+    w = (s - traj.times[0]) / (traj.times[1] - traj.times[0])
+    return (1.0 - w) * traj.masses[0] + w * traj.masses[1], (1.0 - w) * traj.amps[0] + w * traj.amps[1]
+
+
 def oracle_jumps(traj, R, t, tau, psi):
+    """oracle_jumps_at the trajectory's interpolated state of time t - tau."""
+    masses, amp = interp(traj, t - tau)
+    return oracle_jumps_at(traj, R, t, masses, amp, t - tau, psi)
+
+
+def oracle_jumps_at(traj, R, t, masses, amp, s, psi):
     """Dense (nodes, then R) x partners jump table in the frame anchored
     at t: (nodes, D, G, far sums), nodes the mapped representatives Z_i
-    below R other than the top cell's, i < n <= N - 1, and G from Psi read
+    below R other than the top cell's, i < n <= N - 1, at the forward
+    state (masses, amp) of time s, and G from Psi read
     as linear on Z_0 .. Z_n, with Psi(Z_n) = 0, and zero above Z_n.  far
-    holds each row's rate toward the partners beyond R, R's row last.  The
-    partners are the grid's cells and its tail cells out to the partner
-    reach of both the top cell (the engine's ghost cells) and R."""
+    holds each row's rate toward the partners beyond R, R's row last."""
+    Zk, n, q = oracle_rate_table(traj, R, t, masses, amp, s)
+    psi_at = np.interp(Zk[:n, None] + Zk[None, :], Zk[: n + 1], np.append(psi, 0.0))
+    return Zk[:n], q[:n].sum(axis=1), (q[:n] * psi_at).sum(axis=1), q[:, Zk > R].sum(axis=1)
+
+
+def oracle_rate_table(traj, R, t, masses, amp, s):
+    """(Zk, n, q): the partners Zk in the frame anchored at t, the number
+    n of nodes, and the rates q of the nodes, then R, toward every
+    partner at the forward state (masses, amp) of time s.  The partners
+    are the grid's cells and its tail cells out to the partner reach of
+    both the top cell (the engine's ghost cells) and R."""
     p, cut, edges = traj.params, traj.engine.cutoff, traj.edges
     n_ghost = _partners(edges, p.rho, cut.lam)[2].size
     reach = np.log(R * np.exp(p.beta * t) * (2.0 - cut.lam) / cut.lam / edges[-1])
@@ -603,25 +622,30 @@ def oracle_jumps(traj, R, t, tau, psi):
     n = int(np.count_nonzero(Zk[: traj.edges.size - 2] < R * (1.0 - 1e-12)))
     X = np.append(Zk[:n], R)
     Kd = oracle_ratio_kernel(traj.engine.kernel, cut, X[:, None], Zk[None, :])
-    masses, amp = traj.interp(t - tau)
-    grow = np.exp(p.beta * tau)
+    grow = np.exp(p.beta * (t - s))
     u_x = eval_cutoff(X * grow / cut.lam)
     u_z = eval_cutoff(Zk * grow / cut.lam)
     col = u_z * np.concatenate([masses, amp * gpow]) / Yall
-    q = np.exp(p.gamma * p.beta * tau) * u_x[:, None] * Kd * col[None, :]
-    psi_at = np.interp(Zk[:n, None] + Zk[None, :], Zk[: n + 1], np.append(psi, 0.0))
-    return Zk[:n], q[:n].sum(axis=1), (q[:n] * psi_at).sum(axis=1), q[:, Zk > R].sum(axis=1)
+    return Zk, n, np.exp(p.gamma * p.beta * (t - s)) * u_x[:, None] * Kd * col[None, :]
 
 
 def assert_k_star_is_R_rate(traj, R):
     """q_tail_bound's K* is R's largest dense-table rate toward the
-    partners beyond it over the same N_TAU times, times R^(rho - gamma)."""
+    partners beyond it over the same stored states, times R^(rho - gamma)."""
     p, t = traj.params, traj.t_final
     n = _Jumps(traj, R, t).nodes.size
-    rates = [oracle_jumps(traj, R, t, tau, np.ones(n))[3][-1] for tau in np.linspace(0.0, t, N_TAU)]
+    rates = [oracle_jumps(traj, R, t, t - s, np.ones(n))[3][-1] for s in traj.times]
     rep = q_tail_bound(traj, R)
     assert rep.K_star == pytest.approx(max(rates) * R ** (p.rho - p.gamma), rel=1e-13, abs=0.0)
     assert rep.X_at == R
+
+
+def jump_rates(jumps, traj, t, tau, psi):
+    """(D, G) of jumps at the trajectory's interpolated state of time
+    t - tau: each node's total jump rate, and its gain applied to psi."""
+    masses, amp = interp(traj, t - tau)
+    coefficients = jumps.coefficients(masses, amp, t - tau)
+    return coefficients[0], jumps.gain(coefficients, psi)
 
 
 class TestDualOracle:
@@ -657,7 +681,7 @@ class TestDualOracle:
             nodes, D, G, far = oracle_jumps(traj, R, t, tau, psi)
             np.testing.assert_array_equal(jumps.nodes, nodes)
             assert D.max() > 0.0 and far.max() > 0.0
-            got_D, got_G = jumps.rates(tau, psi)
+            got_D, got_G = jump_rates(jumps, traj, t, tau, psi)
             np.testing.assert_allclose(got_D, D, rtol=1e-13, atol=0.0)
             # G <= D termwise (Psi <= 1); D is the scale of its rounding
             assert np.all(np.abs(got_G - G) <= 1e-13 * D)
@@ -708,7 +732,7 @@ class TestDualOracle:
             nodes, D, G, far = oracle_jumps(traj, R, t, tau, psi)
             np.testing.assert_array_equal(jumps.nodes, nodes)
             assert D.max() > 0.0 and far.max() > 0.0
-            got_D, got_G = jumps.rates(tau, psi)
+            got_D, got_G = jump_rates(jumps, traj, t, tau, psi)
             np.testing.assert_allclose(got_D, D, rtol=1e-13, atol=0.0)
             assert np.all(np.abs(got_G - G) <= 1e-13 * D)
             assert got_G.shape == D.shape == (n,) and far.shape == (n + 1,)
@@ -765,6 +789,6 @@ class TestOperatorsOnDemand:
         calls = []
         offsets = dual._offset_groups
         monkeypatch.setattr(dual, "_offset_groups", lambda *args: calls.append(args) or offsets(*args))
-        fld = solve_dual(traj_const, 10.0, T_FINAL, max_change=0.02)
+        fld = solve_dual(traj_const, 10.0, T_FINAL)
         assert fld.diagnostics["n_steps"] > 1
         assert len(calls) == 1

@@ -1309,6 +1309,29 @@ class TestTrajectory:
         assert traj.diagnostics["max_pairing_residual"] <= 1e-12
         assert traj.diagnostics["max_change"] == 0.02
 
+    def test_stores_each_accepted_steps_prediction(self, monkeypatch):
+        # the exponential updates alternate predictor and corrector; the
+        # predictor of each accepted trial is stored, bit for bit, and a
+        # rejected trial's is not
+        updates = []
+
+        def logging_update(masses, A, Q, dt):
+            updates.append(_exp_update(masses, A, Q, dt))
+            return updates[-1]
+
+        monkeypatch.setattr(forward, "_exp_update", logging_update)
+        h0 = power_law_init(PARAMS, EDGES)
+        traj = rescaled_trajectory(h0, PARAMS, constant_kernel(1.0), CUT, 0.3, max_change=0.05)
+        n = traj.diagnostics["n_steps"]
+        assert traj.preds.shape == (n, h0.n_cells) and traj.diagnostics["n_retries"] > 0
+        k = 0
+        for pred, trial in zip(updates[::2], updates[1::2]):
+            if k < n and np.array_equal(trial, traj.masses[k + 1]):
+                np.testing.assert_array_equal(traj.preds[k], pred)
+                k += 1
+        assert k == n and len(updates) == 2 * (n + traj.diagnostics["n_retries"])
+        assert rescaled_trajectory(h0, PARAMS, constant_kernel(1.0), CUT, 0.0).preds.shape == (0, h0.n_cells)
+
     @pytest.mark.parametrize("mc", [0.0, -1.0, 1.0])
     def test_rejects_change_cap_outside_unit_interval(self, mc):
         # a zero cap would accept zero-length steps for ever; the stepper
@@ -1319,26 +1342,26 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="max_change"):
             simulate(h0, PARAMS, constant_kernel(1.0), CUT, 0.3, max_change=mc)
 
-    def test_interp_endpoints_and_bounds(self):
+    def test_index_endpoints_and_bounds(self):
+        # the stored steps are read at stored times alone: both ends, to
+        # within 1e-12, and no time between steps or past the run
         h0 = power_law_init(PARAMS, EDGES)
         traj = rescaled_trajectory(h0, PARAMS, zero_kernel(), CUT, 0.4)
-        m0, a0 = traj.interp(0.0)
-        np.testing.assert_allclose(m0, h0.cell_mass, rtol=0.0)
-        assert a0 == h0.tail_amplitude
-        with pytest.raises(ValueError):
-            traj.interp(0.5)
+        assert traj.index(0.0) == 0 and traj.index(0.4 + 5e-13) == traj.times.size - 1
+        np.testing.assert_array_equal(traj.masses[traj.index(0.0)], h0.cell_mass)
+        for t in (0.5, -0.1, 0.5 * (traj.times[1] + traj.times[2]), np.nan):
+            with pytest.raises(ValueError, match="trajectory does not cover"):
+                traj.index(t)
 
-    def test_interp_on_one_stored_state(self):
-        # a trajectory to t = 0 holds the datum alone; interpolating between
-        # two stored steps would divide 0 by 0
+    def test_index_on_one_stored_state(self):
+        # a trajectory to t = 0 holds the datum alone
         h0 = power_law_init(PARAMS, EDGES)
         traj = rescaled_trajectory(h0, PARAMS, constant_kernel(1.0), CUT, 0.0)
-        assert traj.times.size == 1
-        m0, a0 = traj.interp(0.0)
-        np.testing.assert_array_equal(m0, h0.cell_mass)
-        assert a0 == h0.tail_amplitude
+        assert traj.times.size == 1 and traj.index(0.0) == 0
+        np.testing.assert_array_equal(traj.masses[0], h0.cell_mass)
+        assert traj.amps[0] == h0.tail_amplitude
         with pytest.raises(ValueError):
-            traj.interp(0.1)
+            traj.index(0.1)
 
     @pytest.mark.parametrize("t_final", [0.0, 0.3])
     @pytest.mark.parametrize("case", ["constant", "product", "zero"])
